@@ -199,14 +199,19 @@ def cmd_pressure(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _preimage_tree(cfg: RunConfig, mm, tcfg) -> PreimageTree:
+    """The tree every t-value shares: configured basepoint, else the repelling seed."""
+    base = cfg.basepoint()
+    if base is None:
+        base = repelling_seed(mm)[0]
+    return PreimageTree(mm, base, cap=tcfg.cap, rng_seed=tcfg.rng_seed)
+
+
 def cmd_poincare(cfg: RunConfig, args) -> int:
     mm = cfg.multimap()
     tcfg = cfg.thermo_config()
     N = cfg.data["poincare_N"]
-    base = cfg.basepoint()
-    if base is None:
-        base = repelling_seed(mm)[0]
-    tree = PreimageTree(mm, base, cap=tcfg.cap, rng_seed=tcfg.rng_seed)
+    tree = _preimage_tree(cfg, mm, tcfg)
     rows = []
     for t in cfg.data["t_values"]:
         logs = [tree.log_level_sum(float(t), n) for n in range(1, N + 1)]
@@ -221,16 +226,11 @@ def cmd_poincare(cfg: RunConfig, args) -> int:
 def cmd_lyap(cfg: RunConfig, args) -> int:
     mm = cfg.multimap()
     tcfg = cfg.thermo_config()
+    tree = _preimage_tree(cfg, mm, tcfg)
     rows = []
     for t in cfg.data["t_values"]:
         diag = lyapunov_and_entropy(
-            mm,
-            float(t),
-            h=cfg.data["lyap_h"],
-            n=tcfg.depth,
-            z=cfg.basepoint(),
-            cap=tcfg.cap,
-            rng_seed=tcfg.rng_seed,
+            mm, float(t), h=cfg.data["lyap_h"], n=tcfg.depth, tree=tree
         )
         rows.append((_g17(diag.t), _g17(diag.lyapunov), _g17(diag.residual), str(diag.depth)))
     _emit_t_csv(rows, args.out)

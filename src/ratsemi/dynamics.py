@@ -105,15 +105,19 @@ def _derive_seed(*parts) -> int:
 
 
 def _bottom_k(seed: int, m: int, k: int) -> np.ndarray:
-    """Uniform k-subset of range(m): keep indices of the k smallest keys.
+    """Uniform k-subset of range(m), 1 <= k: sorted indices of the k smallest keys.
 
-    Nested in k for a fixed seed, so raising the cap only adds points.
+    Ties at the k-th key go to the lower index.  Nested in k for a fixed
+    seed, so raising the cap only adds points.
     """
     if k >= m:
         return np.arange(m)
     keys = _mix64(seed, np.arange(1, m + 1, dtype=np.uint64))
-    order = np.lexsort((np.arange(m), keys))
-    return np.sort(order[:k])
+    kth = np.partition(keys, k - 1)[k - 1]
+    keep = keys < kth
+    ties = np.flatnonzero(keys == kth)
+    keep[ties[: k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def _allocate_largest_remainder(counts: np.ndarray, cap: int) -> np.ndarray:
@@ -140,6 +144,13 @@ class CloudLevel:
     words holds symbols outermost-first: column 0 is the symbol applied last
     (adjacent to the root), the final column the symbol applied first.  The
     composition-order word of row i is tuple(words[i, ::-1]).
+
+    Backward levels are in construction order: by the generator j of the
+    newest symbol, then parent row, then root slot.  Each parent level is
+    grouped by composition-order word, so rows are nondecreasing in that
+    word and the d children of a parent are contiguous; rows sharing a word
+    follow parent order, then root slot.  Forward levels are sorted by word,
+    then infinity, re and im.
     """
 
     z: np.ndarray        # complex chart values; 0 placeholder where inf is set
@@ -147,6 +158,10 @@ class CloudLevel:
     words: np.ndarray    # int8, shape (n, depth)
     logd: np.ndarray     # cumulative log word-derivative norm back to the root
     logw: np.ndarray     # log importance weight accumulated by subsampling
+    # derivative norm of each node's newest step; set by _expand_backward and
+    # reduced to min_step_norm by _subsample_level, so stored levels hold a scalar
+    step_norm: np.ndarray | None = None
+    min_step_norm: float = math.inf
 
     @property
     def size(self) -> int:
@@ -168,76 +183,66 @@ def _sorted_level(z, inf, words, logd, logw) -> CloudLevel:
 
 
 def _subsample_level(level: CloudLevel, cap: int, seed: int, tag: int) -> CloudLevel:
-    """Stratified by first word symbol; kept entries are reweighted in logw."""
-    n = level.size
-    if n <= cap:
-        return level
-    strata = level.words[:, -1]  # first symbol of the composition-order word
-    keep_parts = []
-    logw = level.logw.copy()
-    for sym in np.unique(strata):
-        pos = np.flatnonzero(strata == sym)
-        keep_parts.append((int(sym), pos))
-    counts = np.array([p.size for _, p in keep_parts], dtype=np.int64)
-    alloc = _allocate_largest_remainder(counts, cap)
-    kept = []
-    for (sym, pos), k in zip(keep_parts, alloc):
-        if k == 0:
-            continue
-        sel = pos[_bottom_k(_derive_seed(seed, tag, sym), pos.size, int(k))]
-        logw[sel] += math.log(pos.size / k)
-        kept.append(sel)
-    idx = np.sort(np.concatenate(kept))
+    """Stratified by first word symbol; kept entries are reweighted in logw.
+
+    Row order is preserved.  The result carries the minimum step norm of
+    the kept rows instead of the per-row step_norm array.
+    """
+    idx, logw = slice(None), level.logw
+    if level.size > cap:
+        strata = level.words[:, -1]  # first symbol of the composition-order word
+        keep_parts = []
+        logw = logw.copy()
+        for sym in np.unique(strata):
+            pos = np.flatnonzero(strata == sym)
+            keep_parts.append((int(sym), pos))
+        counts = np.array([p.size for _, p in keep_parts], dtype=np.int64)
+        alloc = _allocate_largest_remainder(counts, cap)
+        kept = []
+        for (sym, pos), k in zip(keep_parts, alloc):
+            if k == 0:
+                continue
+            sel = pos[_bottom_k(_derive_seed(seed, tag, sym), pos.size, int(k))]
+            logw[sel] += math.log(pos.size / k)
+            kept.append(sel)
+        idx = np.sort(np.concatenate(kept))
+        logw = logw[idx]
+    min_norm = level.min_step_norm
+    if level.step_norm is not None and level.size:
+        min_norm = float(level.step_norm[idx].min())
     return CloudLevel(
-        level.z[idx], level.inf[idx], level.words[idx], level.logd[idx], logw[idx]
+        level.z[idx], level.inf[idx], level.words[idx], level.logd[idx], logw,
+        min_step_norm=min_norm,
     )
 
 
 def _expand_backward(mm: MultiMap, level: CloudLevel) -> CloudLevel:
-    """All skew-product preimages of a level, canonically sorted."""
+    """All skew-product preimages of a level, in construction order.
+
+    Rows run over (generator j, parent row, root slot); see CloudLevel.
+    Finite parents take their roots from preimages_many, parents at
+    infinity the roots of preimages(INF).
+    """
     fin = ~level.inf
-    inf_idx = np.flatnonzero(level.inf)
-    zs, infs, logds, logws, words = [], [], [], [], []
+    parts = []
     for j, f in enumerate(mm.generators, start=1):
         d = f.degree
-        par_z, par_inf = [], []
-        par_logd, par_logw, par_words = [], [], []
-        if np.any(fin):
-            roots, infm = f.preimages_many(level.z[fin])
-            par_z.append(roots.ravel())
-            par_inf.append(infm.ravel())
-            par_logd.append(np.repeat(level.logd[fin], d))
-            par_logw.append(np.repeat(level.logw[fin], d))
-            par_words.append(np.repeat(level.words[fin], d, axis=0))
-        if inf_idx.size:
+        z = np.empty((level.size, d), dtype=complex)
+        inf = np.empty((level.size, d), dtype=bool)
+        z[fin], inf[fin] = f.preimages_many(level.z[fin])
+        if not fin.all():
             pts = f.preimages(INF)
-            z1 = np.array([0j if p.is_infinite else p.value for p in pts])
-            i1 = np.array([p.is_infinite for p in pts])
-            par_z.append(np.tile(z1, inf_idx.size))
-            par_inf.append(np.tile(i1, inf_idx.size))
-            par_logd.append(np.repeat(level.logd[inf_idx], d))
-            par_logw.append(np.repeat(level.logw[inf_idx], d))
-            par_words.append(np.repeat(level.words[inf_idx], d, axis=0))
-        cz = np.concatenate(par_z)
-        cinf = np.concatenate(par_inf)
-        norms = f.spherical_derivative_norm_many(cz, cinf)
+            z[level.inf] = [0j if p.is_infinite else p.value for p in pts]
+            inf[level.inf] = [p.is_infinite for p in pts]
+        z, inf = z.ravel(), inf.ravel()
+        norms = f.spherical_derivative_norm_many(z, inf)
         with np.errstate(divide="ignore"):
-            step = np.log(norms)
-        zs.append(cz)
-        infs.append(cinf)
-        logds.append(np.concatenate(par_logd) + step)
-        logws.append(np.concatenate(par_logw))
-        w = np.concatenate(par_words) if par_words else np.zeros((0, level.words.shape[1]), dtype=np.int8)
-        words.append(
-            np.hstack([w, np.full((w.shape[0], 1), j, dtype=np.int8)])
-        )
-    return _sorted_level(
-        np.concatenate(zs),
-        np.concatenate(infs),
-        np.vstack(words),
-        np.concatenate(logds),
-        np.concatenate(logws),
-    )
+            logd = np.repeat(level.logd, d) + np.log(norms)
+        words = np.empty((z.size, level.words.shape[1] + 1), dtype=np.int8)
+        words[:, :-1] = np.repeat(level.words, d, axis=0)
+        words[:, -1] = j
+        parts.append((z, inf, words, logd, np.repeat(level.logw, d), norms))
+    return CloudLevel(*(np.concatenate(col) for col in zip(*parts)))
 
 
 @dataclass

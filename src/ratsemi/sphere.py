@@ -285,16 +285,6 @@ def _aberth_batch(C):
     return z
 
 
-def _sort_rows_canonical(roots):
-    """Sort each row of a complex matrix by (re, im) for determinism."""
-    m, n = roots.shape
-    if n <= 1:
-        return roots
-    rows = np.repeat(np.arange(m), n)
-    order = np.lexsort((roots.imag.ravel(), roots.real.ravel(), rows))
-    return roots.ravel()[order].reshape(m, n)
-
-
 def poly_roots(coeffs) -> list[complex]:
     """All complex roots of a polynomial, multiplicity as repeated entries.
 
@@ -307,9 +297,8 @@ def poly_roots(coeffs) -> list[complex]:
         raise ValueError("zero polynomial has no well-defined root set")
     if p.degree == 0:
         return []
-    roots = _aberth_batch(p.coeffs[None, :])
-    roots = _sort_rows_canonical(roots)
-    return [complex(r) for r in roots[0]]
+    roots = _aberth_batch(p.coeffs[None, :])[0]
+    return sorted((complex(r) for r in roots), key=lambda r: (r.real, r.imag))
 
 
 def _quadratic_roots_batch(C):
@@ -329,17 +318,16 @@ def _quadratic_roots_batch(C):
 
 
 def roots_batch(C):
-    """Roots for a batch of same-degree polynomials, canonically ordered.
+    """Roots for a batch of same-degree polynomials, in solver order.
 
     C is (m, n+1) ascending with a nonzero leading column.  Degree 1 and 2
-    take closed forms; higher degrees run the simultaneous iteration.
+    take closed forms; higher degrees run the simultaneous iteration.  The
+    order within a row is whatever the solver produces, which is
+    deterministic but not sorted; poly_roots sorts its result.
     """
-    n = C.shape[1] - 1
-    if n == 1:
-        return (-C[:, 0] / C[:, 1])[:, None]
-    if n == 2:
-        return _sort_rows_canonical(_quadratic_roots_batch(C))
-    return _sort_rows_canonical(_aberth_batch(C))
+    if C.shape[1] == 3:
+        return _quadratic_roots_batch(C)
+    return _aberth_batch(C)
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +528,10 @@ class RationalMap:
     def preimages_many(self, z):
         """Preimages for an array of finite targets.
 
-        Returns (roots, inf_mask) of shape (m, degree).  Rows where the
-        leading coefficient cancels fall back to the scalar path.
+        Returns (roots, inf_mask) of shape (m, degree).  Each row holds the
+        same points as preimages() of its target, in roots_batch's solver
+        order rather than sorted.  Rows where the leading coefficient
+        cancels fall back to the scalar path and stay sorted.
         """
         z = np.asarray(z, dtype=complex)
         m = z.size

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dynamics import (
     DEFAULT_CAP,
@@ -87,18 +86,12 @@ class SpectrumDiagnostics:
     depth: int
 
 
-def _level_min_step_norm(mm: MultiMap, level) -> float:
-    """Smallest single-generator derivative norm among a level's entries."""
-    if level.size == 0:
-        return math.inf
-    first = level.words[:, -1]
-    out = math.inf
-    for j, f in enumerate(mm.generators, start=1):
-        mask = first == j
-        if np.any(mask):
-            norms = f.spherical_derivative_norm_many(level.z[mask], level.inf[mask])
-            out = min(out, float(norms.min()))
-    return out
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) shifted by the max; a non-finite max is returned as is."""
+    top = a.max(initial=-np.inf)
+    if not np.isfinite(top):
+        return float(top)
+    return float(top + np.log(np.sum(np.exp(a - top))))
 
 
 class PreimageTree:
@@ -110,7 +103,6 @@ class PreimageTree:
         self.cap = int(cap)
         self.rng_seed = int(rng_seed)
         self.levels = [_root_level(self.basepoint)]
-        self.min_step_norm = [math.inf]  # level 0 carries no derivative step
 
     @property
     def depth(self) -> int:
@@ -118,27 +110,24 @@ class PreimageTree:
 
     def extend(self, n: int) -> None:
         while self.depth < n:
-            k = self.depth + 1
-            nxt = _subsample_level(
-                _expand_backward(self.mm, self.levels[-1]), self.cap, self.rng_seed, k
-            )
-            self.levels.append(nxt)
-            self.min_step_norm.append(_level_min_step_norm(self.mm, nxt))
+            nxt = _expand_backward(self.mm, self.levels[-1])
+            self.levels.append(_subsample_level(nxt, self.cap, self.rng_seed, self.depth + 1))
 
     def log_level_sum(self, t: float, n: int) -> float:
         """log S_n(t): importance weights keep the capped sum unbiased."""
         self.extend(n)
-        if t > 0 and min(self.min_step_norm[1 : n + 1]) < _CRIT_NORM:
-            bad = min(self.min_step_norm[1 : n + 1])
-            raise CriticalPreimage(
-                f"preimage tree of {self.basepoint} hits derivative norm {bad:.3e} "
-                f"within depth {n}; pick another basepoint"
-            )
+        if t > 0:
+            bad = min(lev.min_step_norm for lev in self.levels[1 : n + 1])
+            if bad < _CRIT_NORM:
+                raise CriticalPreimage(
+                    f"preimage tree of {self.basepoint} hits derivative norm {bad:.3e} "
+                    f"within depth {n}; pick another basepoint"
+                )
         lev = self.levels[n]
         if t == 0.0:
             # avoid 0 * (-inf) = nan when the tree contains critical preimages
-            return float(logsumexp(lev.logw))
-        return float(logsumexp(lev.logw - t * lev.logd))
+            return _logsumexp(lev.logw)
+        return _logsumexp(lev.logw - t * lev.logd)
 
 
 def _estimate_on_tree(
@@ -346,14 +335,18 @@ def lyapunov_and_entropy(
     z=None,
     cap: int = DEFAULT_CAP,
     rng_seed: int = 0,
+    tree: PreimageTree | None = None,
 ) -> SpectrumDiagnostics:
     """Central-difference Lyapunov exponent and equilibrium entropy at t.
 
     lyapunov = -dP/dt and entropy = P(t) + t * lyapunov; all three pressure
     values come from the same tree at the same fixed depth so the finite
-    difference is not polluted by early-stop depth changes.
+    difference is not polluted by early-stop depth changes.  Pass tree to
+    share one PreimageTree across several t; mm, z, cap and rng_seed then
+    go unused, since the tree already fixes them.
     """
-    tree = PreimageTree(mm, _default_basepoint(mm, z), cap=cap, rng_seed=rng_seed)
+    if tree is None:
+        tree = PreimageTree(mm, _default_basepoint(mm, z), cap=cap, rng_seed=rng_seed)
     up = _estimate_on_tree(tree, t + h, n, -1.0)
     down = _estimate_on_tree(tree, t - h, n, -1.0)
     mid = _estimate_on_tree(tree, t, n, -1.0)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from ratsemi import thermo
 from ratsemi.cli import main
 from ratsemi.config import emit, parse, parse_file
 from ratsemi.errors import ConfigError
@@ -305,6 +306,31 @@ def test_cli_lyap_csv(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "t,value,residual,depth"
     assert float(lines[1].split(",")[1]) == pytest.approx(math.log(2.0), abs=1e-6)
+
+
+def test_cli_lyap_shares_one_tree_and_matches_per_t_calls(tmp_path, capsys, monkeypatch):
+    # capped, so each level is subsampled; the per-t calls build their own trees
+    path = write_cfg(tmp_path, {
+        "multimap": {"generators": [Z2, Z3]},
+        "t_values": [0.5, 1.0, 1.8],
+        "thermo": {"depth": 6, "cap": 300, "rng_seed": 5},
+    })
+    builds = []
+    init = thermo.PreimageTree.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(thermo.PreimageTree, "__init__", counting_init)
+    assert main(["lyap", "--config", path]) == 0
+    assert len(builds) == 1
+    lines = capsys.readouterr().out.splitlines()
+    mm = parse_file(path).multimap()
+    for line, t in zip(lines[1:], (0.5, 1.0, 1.8)):
+        d = thermo.lyapunov_and_entropy(mm, t, n=6, cap=300, rng_seed=5)
+        assert line == f"{t:.17g},{d.lyapunov:.17g},{d.residual:.17g},{d.depth}"
+    assert len(lines) == 4
 
 
 def test_cli_osc_pass_and_fail(tmp_path, capsys):

@@ -4,11 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from ratsemi import dynamics
 from ratsemi.dynamics import (
+    CloudLevel,
     MultiMap,
     PointCloud,
     check_expanding_growth,
     check_hyperbolic,
+    _bottom_k,
+    _expand_backward,
+    _subsample_level,
     julia_backward_cloud,
     postcritical_cloud,
     repelling_seed,
@@ -246,6 +251,80 @@ def test_raising_cap_or_depth_never_escapes_reference_bounds():
         z, _, _ = julia_backward_cloud(gasket_mm(), depth=depth, cap=cap).flat_arrays()
         for w in z[:: max(1, z.size // 500)]:
             assert in_triangle(complex(w), oracles.TRIANGLE_RAW, tol=1e-3)
+
+
+def _bottom_k_by_lexsort(seed, m, k):
+    """Reference selection: full sort by (key, index), first k, index order."""
+    if k >= m:
+        return np.arange(m)
+    keys = dynamics._mix64(seed, np.arange(1, m + 1, dtype=np.uint64))
+    return np.sort(np.lexsort((np.arange(m), keys))[:k])
+
+
+def test_bottom_k_matches_lexsort_selection(monkeypatch):
+    for seed, m in ((0, 1), (7, 50), (123456789, 997)):
+        for k in sorted({1, 2, m // 3, m - 1, m, m + 5} - {0}):
+            assert np.array_equal(_bottom_k(seed, m, k), _bottom_k_by_lexsort(seed, m, k))
+
+    # five distinct keys over many indices: every k-th key is tied
+    def tied(seed, counters):
+        return (counters.astype(np.uint64) * np.uint64(7) + np.uint64(seed)) % np.uint64(5)
+
+    monkeypatch.setattr(dynamics, "_mix64", tied)
+    for seed, m in ((0, 40), (3, 41)):
+        for k in range(1, m + 1):
+            assert np.array_equal(_bottom_k(seed, m, k), _bottom_k_by_lexsort(seed, m, k))
+
+
+def _min_step_norm_by_recompute(mm, level):
+    """Reference: step norms of the kept rows, recomputed per newest symbol."""
+    out = math.inf
+    for j, f in enumerate(mm.generators, start=1):
+        mask = level.words[:, -1] == j
+        if mask.any():
+            out = min(out, float(f.spherical_derivative_norm_many(level.z[mask], level.inf[mask]).min()))
+    return out
+
+
+def test_backward_level_children_are_contiguous_under_their_parent():
+    # f(inf) = 2 for the second map, so its preimages of inf are finite
+    mm = MultiMap([polynomial_map([0.1, 0.0, 1.0]), RationalMap([1.0, 0.0, 2.0], [0.0, 1.0, 1.0])])
+    parent = CloudLevel(
+        z=np.array([0.3 + 0.2j, 0j, -1.5j]),
+        inf=np.array([False, True, False]),
+        words=np.array([[1], [1], [2]], dtype=np.int8),
+        logd=np.array([0.1, 0.2, 0.3]),
+        logw=np.array([0.0, -1.0, -2.0]),
+    )
+    child = _expand_backward(mm, parent)
+    row = 0
+    for j, f in enumerate(mm.generators, start=1):
+        for i in range(parent.size):
+            block = slice(row, row + f.degree)
+            assert np.all(child.words[block, :-1] == parent.words[i])
+            assert np.all(child.words[block, -1] == j)
+            assert np.all(child.logw[block] == parent.logw[i])
+            target = INF if parent.inf[i] else SpherePoint.of(complex(parent.z[i]))
+            for k in range(block.start, block.stop):
+                pt = INF if child.inf[k] else SpherePoint.of(complex(child.z[k]))
+                assert chordal_distance(f(pt), target) <= 1e-9
+            row += f.degree
+    assert row == child.size
+    kept = _subsample_level(child, 5, 0, 1)
+    assert kept.step_norm is None
+    assert kept.min_step_norm == _min_step_norm_by_recompute(mm, kept)
+
+
+def test_backward_levels_are_grouped_by_composition_word():
+    mm = MultiMap([polynomial_map([0.2j, 0.0, 1.0]), polynomial_map([0.1, 0.0, 0.5]),
+                   polynomial_map([-0.3, 0.0, 0.0, 1.0])])
+    cloud = julia_backward_cloud(mm, depth=5, cap=60, rng_seed=2)
+    for lev in cloud.levels[1:]:
+        words = [tuple(w) for w in lev.words[:, ::-1].tolist()]
+        assert words == sorted(words)
+        assert lev.step_norm is None
+        assert lev.min_step_norm == _min_step_norm_by_recompute(mm, lev)
+    assert cloud.levels[5].size == 60
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Sphere-core tests: points, chordal metric, roots, maps, derivative norms."""
+import itertools
 import math
 
 import numpy as np
@@ -363,6 +364,28 @@ def test_preimages_many_matches_scalar():
             got = sorted(got, key=SpherePoint.sort_key)
             for a, b in zip(got, ref):
                 assert chordal_distance(a, b) < 1e-6
+
+
+def test_preimages_many_rows_are_permutations_of_scalar_preimages():
+    # rows come in solver order; each must match preimages() up to order,
+    # across closed-form (d <= 2), Aberth (d >= 3) and leading-cancellation rows
+    rng = np.random.default_rng(82)
+    maps = [random_rational_map(rng) for _ in range(6)]
+    maps.append(RationalMap([1.0, 0.0, 2.0], [0.0, 1.0, 1.0]))  # f(inf) = 2
+    for f in maps:
+        z = rand_complex(rng, 25, scale=2.0)
+        if f.den.degree == f.degree:
+            z[0] = f(INF).value  # a target whose leading coefficient cancels
+        roots, infm = f.preimages_many(z)
+        for i in range(z.size):
+            got = [INF if infm[i, k] else SpherePoint.of(roots[i, k]) for k in range(f.degree)]
+            ref = f.preimages(z[i])
+            assert sum(p.is_infinite for p in got) == sum(p.is_infinite for p in ref)
+            best = min(
+                max(chordal_distance(a, b) for a, b in zip(perm, ref))
+                for perm in itertools.permutations(got)
+            )
+            assert best < 1e-8
 
 
 # ---------------------------------------------------------------------------
