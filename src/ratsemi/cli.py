@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig, emit, parse_file
-from .dynamics import check_hyperbolic, julia_backward_cloud, repelling_seed
+from .dynamics import check_hyperbolic, julia_backward_cloud
 from .errors import (
     ConfigError,
     CriticalPreimage,
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .families import smoothness_diagnostic, submean_diagnostic, sweep_delta
 from .geometry import box_dimension, osc_check
-from .thermo import PreimageTree, bowen_parameter, lyapunov_and_entropy, pressure_curve
+from .thermo import PreimageTree, _default_basepoint, bowen_parameter, lyapunov_and_entropy, pressure_curve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -201,9 +201,7 @@ def cmd_pressure(cfg: RunConfig, args) -> int:
 
 def _preimage_tree(cfg: RunConfig, mm, tcfg) -> PreimageTree:
     """The tree every t-value shares: configured basepoint, else the repelling seed."""
-    base = cfg.basepoint()
-    if base is None:
-        base = repelling_seed(mm)[0]
+    base = _default_basepoint(mm, cfg.basepoint())
     return PreimageTree(mm, base, cap=tcfg.cap, rng_seed=tcfg.rng_seed)
 
 
@@ -214,10 +212,7 @@ def cmd_poincare(cfg: RunConfig, args) -> int:
     tree = _preimage_tree(cfg, mm, tcfg)
     rows = []
     for t in cfg.data["t_values"]:
-        logs = [tree.log_level_sum(float(t), n) for n in range(1, N + 1)]
-        value = math.fsum(math.exp(s) for s in logs)
-        ratios = [b - a for a, b in zip(logs, logs[1:])][-3:]
-        residual = max(ratios) - min(ratios) if len(ratios) >= 3 else math.inf
+        value, residual = tree.poincare(float(t), N)
         rows.append((_g17(t), _g17(value), _g17(residual), str(N)))
     _emit_t_csv(rows, args.out)
     return EXIT_OK

@@ -11,10 +11,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import NoRepellingSeed
-from .sphere import INF, RationalMap, SpherePoint, sphere_embed
+from .sphere import RationalMap, SpherePoint, _array_point, _point_arrays, sphere_embed
 
 _REPEL_TOL = 1e-6
 DEFAULT_DEPTH = 12
@@ -220,20 +219,13 @@ def _expand_backward(mm: MultiMap, level: CloudLevel) -> CloudLevel:
     """All skew-product preimages of a level, in construction order.
 
     Rows run over (generator j, parent row, root slot); see CloudLevel.
-    Finite parents take their roots from preimages_many, parents at
-    infinity the roots of preimages(INF).
+    One preimages_many call per generator takes the whole level, parents
+    at infinity included.
     """
-    fin = ~level.inf
     parts = []
     for j, f in enumerate(mm.generators, start=1):
         d = f.degree
-        z = np.empty((level.size, d), dtype=complex)
-        inf = np.empty((level.size, d), dtype=bool)
-        z[fin], inf[fin] = f.preimages_many(level.z[fin])
-        if not fin.all():
-            pts = f.preimages(INF)
-            z[level.inf] = [0j if p.is_infinite else p.value for p in pts]
-            inf[level.inf] = [p.is_infinite for p in pts]
+        z, inf = f.preimages_many(level.z, level.inf)
         z, inf = z.ravel(), inf.ravel()
         norms = f.spherical_derivative_norm_many(z, inf)
         with np.errstate(divide="ignore"):
@@ -264,7 +256,7 @@ class PointCloud:
         """Yield (point, word, depth) over every retained entry."""
         for depth, lev in enumerate(self.levels):
             for i in range(lev.size):
-                pt = INF if lev.inf[i] else SpherePoint.of(complex(lev.z[i]))
+                pt = _array_point(lev.z[i], lev.inf[i])
                 word = tuple(int(x) for x in lev.words[i, ::-1])
                 yield pt, word, depth
 
@@ -303,10 +295,10 @@ def repelling_seed(mm: MultiMap):
 
 
 def _root_level(point: SpherePoint) -> CloudLevel:
-    isinf = point.is_infinite
+    z, inf = _point_arrays(point)
     return CloudLevel(
-        z=np.array([0j if isinf else point.value]),
-        inf=np.array([isinf]),
+        z=z,
+        inf=inf,
         words=np.zeros((1, 0), dtype=np.int8),
         logd=np.zeros(1),
         logw=np.zeros(1),
@@ -366,33 +358,15 @@ def _dedupe_level(level: CloudLevel) -> CloudLevel:
 
 def _expand_forward(mm: MultiMap, level: CloudLevel) -> CloudLevel:
     """Images of a level under every generator (words grow by appending)."""
-    fin = ~level.inf
-    inf_idx = np.flatnonzero(level.inf)
-    zs, infs, logws, words = [], [], [], []
+    zs, infs, words = [], [], []
     for j, f in enumerate(mm.generators, start=1):
-        blocks_z, blocks_inf, blocks_w = [], [], []
-        if np.any(fin):
-            vals, infm = f.eval_many(level.z[fin])
-            blocks_z.append(vals)
-            blocks_inf.append(infm)
-            blocks_w.append(level.words[fin])
-        if inf_idx.size:
-            img = f(INF)
-            blocks_z.append(np.full(inf_idx.size, 0j if img.is_infinite else img.value))
-            blocks_inf.append(np.full(inf_idx.size, img.is_infinite))
-            blocks_w.append(level.words[inf_idx])
-        cz = np.concatenate(blocks_z)
-        zs.append(cz)
-        infs.append(np.concatenate(blocks_inf))
-        logws.append(np.zeros(cz.size))
-        w = np.vstack(blocks_w)
-        words.append(np.hstack([w, np.full((w.shape[0], 1), j, dtype=np.int8)]))
+        z, inf = f.eval_many(level.z, level.inf)
+        zs.append(z)
+        infs.append(inf)
+        words.append(np.hstack([level.words, np.full((level.size, 1), j, dtype=np.int8)]))
+    n = level.size * mm.num_generators
     return _sorted_level(
-        np.concatenate(zs),
-        np.concatenate(infs),
-        np.vstack(words),
-        np.zeros(sum(a.size for a in zs)),
-        np.concatenate(logws),
+        np.concatenate(zs), np.concatenate(infs), np.vstack(words), np.zeros(n), np.zeros(n)
     )
 
 
@@ -492,12 +466,14 @@ def check_hyperbolic(
     cloud = julia_backward_cloud(mm, depth=depth, cap=cap, rng_seed=rng_seed)
     jz, jinf, _ = cloud.flat_arrays()
     pz, pinf, _ = post.flat_arrays()
+    from scipy.spatial import cKDTree  # deferred: only this gate needs it
+
     tree = cKDTree(sphere_embed(jz, jinf))
     dist, idx = tree.query(sphere_embed(pz, pinf))
     k = int(np.argmin(dist))
     min_dist = float(dist[k])
-    p_pt = INF if pinf[k] else SpherePoint.of(complex(pz[k]))
-    j_pt = INF if jinf[int(idx[k])] else SpherePoint.of(complex(jz[int(idx[k])]))
+    p_pt = _array_point(pz[k], pinf[k])
+    j_pt = _array_point(jz[idx[k]], jinf[idx[k]])
     metrics = {
         "min_distance": min_dist,
         "postcritical_size": post.size,
@@ -555,7 +531,7 @@ def check_expanding_growth(
     if slope < 0.0 and mins[last] < 1.0:
         lev = cloud.levels[last]
         i = int(np.argmin(lev.logd))
-        pt = INF if lev.inf[i] else SpherePoint.of(complex(lev.z[i]))
+        pt = _array_point(lev.z[i], lev.inf[i])
         word = tuple(int(x) for x in lev.words[i, ::-1])
         witness = [
             (

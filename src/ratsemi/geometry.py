@@ -8,7 +8,7 @@ import numpy as np
 
 from .dynamics import MultiMap, PointCloud, VerificationReport
 from .errors import InsufficientPoints
-from .sphere import INF, SpherePoint
+from .sphere import _array_point, _point_arrays
 
 MIN_BOX_POINTS = 10_000
 
@@ -97,10 +97,7 @@ def _contains_finite_many(U, z: np.ndarray) -> np.ndarray:
 
 def region_contains(U, point) -> bool:
     """Strict-interior membership; infinity belongs only to ComplementDisc."""
-    pt = SpherePoint.of(point)
-    if pt.is_infinite:
-        return isinstance(U, ComplementDisc)
-    return bool(_contains_finite_many(U, np.array([pt.value]))[0])
+    return bool(_contains_many(U, *_point_arrays(point))[0])
 
 
 def _segment_distance(z: np.ndarray, a: complex, b: complex) -> np.ndarray:
@@ -220,27 +217,12 @@ def _contains_many(U, z: np.ndarray, inf: np.ndarray) -> np.ndarray:
     return out
 
 
-def _image_arrays(f, z: np.ndarray, inf: np.ndarray):
-    img = np.zeros_like(z)
-    img_inf = np.zeros(z.shape, dtype=bool)
-    fin = ~inf
-    if np.any(fin):
-        vals, vinf = f.eval_many(z[fin])
-        img[fin] = vals
-        img_inf[fin] = vinf
-    if np.any(inf):
-        pt = f(INF)
-        img[inf] = 0j if pt.is_infinite else pt.value
-        img_inf[inf] = pt.is_infinite
-    return img, img_inf
-
-
 def _smallest_witness(z: np.ndarray, inf: np.ndarray, mask: np.ndarray):
     idx = np.flatnonzero(mask)
     re = np.where(inf[idx], np.inf, z[idx].real)
     im = np.where(inf[idx], 0.0, z[idx].imag)
     k = idx[np.lexsort((im, re))[0]]
-    return INF if inf[k] else SpherePoint.of(complex(z[k]))
+    return _array_point(z[k], inf[k])
 
 
 def osc_check(
@@ -268,7 +250,7 @@ def osc_check(
     in_u = _contains_many(U, z, inf)
     hits = []
     for f in mm.generators:
-        img, img_inf = _image_arrays(f, z, inf)
+        img, img_inf = f.eval_many(z, inf)
         hits.append(_contains_many(U, img, img_inf))
         if variant == "separating":
             hits[-1] = (hits[-1], _fattened_contains_many(U, img, img_inf, epsilon))

@@ -6,6 +6,11 @@ two quantities the rest of the library is built on; both are evaluated
 through the 1/z chart whenever moduli get large, so no intermediate blows
 up and the two charts agree to near machine precision on their overlap.
 
+Each RationalMap operation (evaluation, derivative norm, preimages) is
+implemented once, batched over parallel arrays (z, inf) with the bool mask
+inf marking infinity; it handles infinity and degree drops (cancelling
+leading coefficients), and the scalar methods are 1-element wrappers.
+
 Conventions:
   - polynomial coefficients are stored ascending (coeffs[k] multiplies z^k)
   - any modulus above BIG_MODULUS is reclassified as the point at infinity
@@ -79,18 +84,19 @@ class SpherePoint:
 INF = SpherePoint(None)
 
 
+def _point_arrays(point):
+    """A point as the 1-element (z, inf) arrays the batched methods take."""
+    pt = SpherePoint.of(point)
+    return np.array([0j if pt.is_infinite else pt.value]), np.array([pt.is_infinite])
+
+
+def _array_point(z, inf) -> SpherePoint:
+    return INF if inf else SpherePoint.of(complex(z))
+
+
 def chordal_distance(a, b) -> float:
     """Chordal metric on the sphere; range [0, 2], with 2 for antipodes."""
-    a = SpherePoint.of(a)
-    b = SpherePoint.of(b)
-    if a.is_infinite and b.is_infinite:
-        return 0.0
-    if a.is_infinite or b.is_infinite:
-        w = b if a.is_infinite else a
-        return 2.0 / math.hypot(1.0, abs(w.value))
-    za, zb = a.value, b.value
-    num = 2.0 * abs(za - zb)
-    return num / (math.hypot(1.0, abs(za)) * math.hypot(1.0, abs(zb)))
+    return float(chordal_distance_many(*_point_arrays(a), *_point_arrays(b))[0])
 
 
 def chordal_distance_many(z1, inf1, z2, inf2):
@@ -303,6 +309,8 @@ def poly_roots(coeffs) -> list[complex]:
 
 def _quadratic_roots_batch(C):
     """Stable closed-form roots for (m, 3) quadratic coefficient rows."""
+    # allocated before the temporaries, so freeing them leaves no heap hole under it
+    out = np.empty((C.shape[0], 2), dtype=complex)
     c0, c1, c2 = C[:, 0], C[:, 1], C[:, 2]
     disc = c1 * c1 - 4.0 * c2 * c0
     sq = np.sqrt(disc)
@@ -313,8 +321,9 @@ def _quadratic_roots_batch(C):
     with np.errstate(invalid="ignore", divide="ignore"):
         r1 = q / c2
         r2 = np.where(q != 0, c0 / np.where(q == 0, 1.0, q), 0.0)
-    r1 = np.where(np.isfinite(r1), r1, 0.0)
-    return np.stack([r1, r2], axis=1)
+    out[:, 0] = np.where(np.isfinite(r1), r1, 0.0)
+    out[:, 1] = r2
+    return out
 
 
 def roots_batch(C):
@@ -392,52 +401,45 @@ class RationalMap:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, point) -> SpherePoint:
-        pt = SpherePoint.of(point)
-        if pt.is_infinite:
-            return self._ratio_point(self._num_rev[0], self._den_rev[0])
-        z = pt.value
-        if abs(z) <= 1.0:
-            return self._ratio_point(horner(self.num.coeffs, z), horner(self.den.coeffs, z))
-        w = 1.0 / z
-        return self._ratio_point(horner(self._num_rev, w), horner(self._den_rev, w))
+        vals, inf = self.eval_many(*_point_arrays(point))
+        return _array_point(vals[0], inf[0])
 
     @staticmethod
-    def _ratio_point(pz, qz):
-        if qz == 0:
-            if pz != 0:
-                return INF
-            # a reduced map cannot make both vanish; only unvalidated input
-            # squeaking past the shared-root tolerance can land here
-            raise ArithmeticError("evaluation hit an unreduced 0/0")
-        return SpherePoint.of(pz / qz)
+    def _charts(z, inf):
+        """(near, far, w): |z| <= 1 is read in z, the rest as w = 1/z, infinity as w = 0."""
+        inf = np.zeros(z.shape, dtype=bool) if inf is None else inf
+        near = ~inf & (np.abs(z) <= 1.0)
+        far = ~near
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = 1.0 / z[far]
+        w[inf[far]] = 0.0
+        return near, far, w
 
-    def eval_many(self, z):
-        """Evaluate at an array of finite points; returns (values, inf_mask)."""
+    def eval_many(self, z, inf=None):
+        """Evaluate at parallel point arrays; returns (values, inf_mask).
+
+        inf marks targets at infinity (their z entries are ignored); None
+        means all finite.  Points with |z| > 1 and infinity go through the
+        1/z chart, so nothing overflows on the way to the ratio.
+        """
         z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        inf = np.zeros(z.shape, dtype=bool)
-        near = np.abs(z) <= 1.0
+        near, far, w = self._charts(z, inf)
+        pz = np.empty_like(z)
+        qz = np.empty_like(z)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            if np.any(near):
-                zn = z[near]
-                pz = horner(self.num.coeffs, zn)
-                qz = horner(self.den.coeffs, zn)
-                vals, infm = self._ratio_many(pz, qz)
-                out[near] = vals
-                inf[near] = infm
-            far = ~near
-            if np.any(far):
-                w = 1.0 / z[far]
-                pz = horner(self._num_rev, w)
-                qz = horner(self._den_rev, w)
-                vals, infm = self._ratio_many(pz, qz)
-                out[far] = vals
-                inf[far] = infm
-        return out, inf
+            pz[near] = horner(self.num.coeffs, z[near])
+            qz[near] = horner(self.den.coeffs, z[near])
+            pz[far] = horner(self._num_rev, w)
+            qz[far] = horner(self._den_rev, w)
+            return self._ratio_many(pz, qz)
 
     @staticmethod
     def _ratio_many(pz, qz):
         pole = qz == 0
+        if np.any(pole & (pz == 0)):
+            # a reduced map cannot make both vanish; only unvalidated input
+            # squeaking past the shared-root tolerance can land here
+            raise ArithmeticError("evaluation hit an unreduced 0/0")
         safe_q = np.where(pole, 1.0, qz)
         vals = pz / safe_q
         big = ~np.isfinite(vals) | (np.abs(vals.real) > BIG_MODULUS) | (
@@ -456,13 +458,7 @@ class RationalMap:
         through the 1/z chart when |z| > 1 so the two charts agree to
         relative 1e-10 on their overlap and the value is finite everywhere.
         """
-        pt = SpherePoint.of(point)
-        if pt.is_infinite:
-            return self._deriv_rev(np.array([0.0 + 0.0j]))[0]
-        z = pt.value
-        if abs(z) <= 1.0:
-            return self._deriv_fwd(np.array([z]))[0]
-        return self._deriv_rev(np.array([1.0 / z]))[0]
+        return self.spherical_derivative_norm_many(*_point_arrays(point))[0]
 
     def _deriv_fwd(self, z):
         wz = np.abs(horner(self._wron.coeffs, z))
@@ -480,79 +476,51 @@ class RationalMap:
         """Vectorized spherical derivative norm over parallel point arrays."""
         z = np.asarray(z, dtype=complex)
         out = np.empty(z.shape)
-        if inf is None:
-            inf = np.zeros(z.shape, dtype=bool)
-        near = (~inf) & (np.abs(z) <= 1.0)
-        far = (~inf) & ~near
-        if np.any(near):
-            out[near] = self._deriv_fwd(z[near])
-        if np.any(far):
-            out[far] = self._deriv_rev(1.0 / z[far])
-        if np.any(inf):
-            out[inf] = self._deriv_rev(np.zeros(int(np.sum(inf)), dtype=complex))
+        near, far, w = self._charts(z, inf)
+        out[near] = self._deriv_fwd(z[near])
+        out[far] = self._deriv_rev(w)
         return out
 
     # -- preimages ------------------------------------------------------------
 
     def preimages(self, point) -> list[SpherePoint]:
-        """All degree-many solutions w of f(w) = point, with multiplicity."""
-        pt = SpherePoint.of(point)
-        d = self.degree
-        if pt.is_infinite:
-            finite = poly_roots(self.den) if self.den.degree >= 1 else []
-            pad = d - len(finite)
-            pts = [SpherePoint.of(r) for r in finite] + [INF] * pad
-        else:
-            coeffs = self._num_pad - pt.value * self._den_pad
-            pts = self._roots_with_inf_padding(coeffs, abs(pt.value))
-        return sorted(pts, key=SpherePoint.sort_key)
+        """All degree-many solutions w of f(w) = point, with multiplicity, sorted."""
+        roots, inf = self.preimages_many(*_point_arrays(point))
+        return sorted(map(_array_point, roots[0], inf[0]), key=SpherePoint.sort_key)
 
-    def _roots_with_inf_padding(self, coeffs, zmag):
-        d = self.degree
-        # leading coefficients cancel when the target matches the ratio of
-        # top coefficients; strip and pad with the point at infinity
-        tol = 1e-12 * (
-            abs(self._num_pad[d]) + zmag * abs(self._den_pad[d]) + 1e-300
-        )
-        c = coeffs.copy()
-        n = c.size
-        while n > 1 and abs(c[n - 1]) <= tol:
-            n -= 1
-        c = c[:n]
-        n_inf = d - (n - 1)
-        if n == 1:
-            return [INF] * d
-        roots = poly_roots(Polynomial(c))
-        return [SpherePoint.of(r) for r in roots] + [INF] * n_inf
+    def preimages_many(self, z, inf=None):
+        """Preimages for parallel target arrays; inf marks targets at infinity.
 
-    def preimages_many(self, z):
-        """Preimages for an array of finite targets.
-
-        Returns (roots, inf_mask) of shape (m, degree).  Each row holds the
-        same points as preimages() of its target, in roots_batch's solver
-        order rather than sorted.  Rows where the leading coefficient
-        cancels fall back to the scalar path and stay sorted.
+        Returns (roots, inf_mask) of shape (m, degree), each row in
+        roots_batch's solver order rather than sorted.  A finite target z
+        solves P - zQ = 0, a target at infinity Q = 0.  When the k leading
+        coefficients of a row cancel (|c| <= 1e-12 (|P_d| + |z| |Q_d|), or
+        exactly zero for infinity) the row loses k degrees: its remaining
+        roots fill the first d - k slots and the last k are infinity.  Rows
+        are solved in one roots_batch call per k.
         """
         z = np.asarray(z, dtype=complex)
-        m = z.size
         d = self.degree
         C = self._num_pad[None, :] - z[:, None] * self._den_pad[None, :]
-        tol = 1e-12 * (
-            abs(self._num_pad[d]) + np.abs(z) * abs(self._den_pad[d]) + 1e-300
-        )
-        degenerate = np.abs(C[:, -1]) <= tol
-        roots = np.zeros((m, d), dtype=complex)
-        infm = np.zeros((m, d), dtype=bool)
-        regular = ~degenerate
-        if np.any(regular):
-            roots[regular] = roots_batch(C[regular])
-        for i in np.flatnonzero(degenerate):
-            pts = self.preimages(complex(z[i]))
-            for k, p in enumerate(pts):
-                if p.is_infinite:
-                    infm[i, k] = True
-                else:
-                    roots[i, k] = p.value
+        scale = abs(self._num_pad[d]) + np.abs(z) * abs(self._den_pad[d])
+        if inf is not None and inf.any():
+            C[inf] = self._den_pad
+            scale[inf] = abs(self._den_pad[d])
+        tol = 1e-12 * (scale + 1e-300)
+        drop = np.abs(C[:, -1]) <= tol
+        if not drop.any():
+            return roots_batch(C), np.zeros((z.size, d), dtype=bool)
+        # k = number of cancelled leading coefficients; the constant one stays
+        k = np.zeros(z.size, dtype=np.int64)
+        small = np.abs(C[drop, :0:-1]) <= tol[drop, None]
+        k[drop] = np.cumprod(small, axis=1).sum(axis=1)
+        roots = np.zeros((z.size, d), dtype=complex)
+        infm = np.zeros((z.size, d), dtype=bool)
+        for kk in np.unique(k):
+            rows = np.flatnonzero(k == kk)
+            n = d - kk
+            roots[rows, :n] = roots_batch(C[rows, : n + 1])
+            infm[rows, n:] = True
         return roots, infm
 
     # -- critical and fixed points ---------------------------------------------

@@ -129,6 +129,14 @@ class PreimageTree:
             return _logsumexp(lev.logw)
         return _logsumexp(lev.logw - t * lev.logd)
 
+    def poincare(self, t: float, N: int) -> tuple:
+        """(sum of S_n(t) for n = 1..N, residual): the residual is the spread
+        of the last three level log ratios log(S_n / S_{n-1}), inf when N < 4."""
+        logs = [self.log_level_sum(t, n) for n in range(1, N + 1)]
+        ratios = [b - a for a, b in zip(logs, logs[1:])][-3:]
+        residual = max(ratios) - min(ratios) if len(ratios) >= 3 else math.inf
+        return math.fsum(math.exp(s) for s in logs), residual
+
 
 def _estimate_on_tree(
     tree: PreimageTree, t: float, depth: int, rtol: float
@@ -226,8 +234,7 @@ def poincare_partial(
     """
     if N < 1:
         raise ValueError("need at least one level")
-    tree = PreimageTree(mm, z, cap=cap, rng_seed=rng_seed)
-    return math.fsum(math.exp(tree.log_level_sum(t, n)) for n in range(1, N + 1))
+    return PreimageTree(mm, z, cap=cap, rng_seed=rng_seed).poincare(t, N)[0]
 
 
 def _hyperbolicity_gate(mm: MultiMap, config: ThermoConfig) -> None:

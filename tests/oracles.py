@@ -102,6 +102,78 @@ def sph_deriv_bf(num, den, z, h=None):
     return abs(fprime) * (1.0 + abs(z) ** 2) / (1.0 + abs(f) ** 2)
 
 
+def sph_deriv_sphere_bf(num, den, z):
+    """sph_deriv_bf anywhere on the sphere, z = 'inf' included.
+
+    z -> 1/z and f -> 1/f are chordal isometries, so infinity is read as
+    w = 0 of w -> f(1/w) (reversed coefficients padded to the degree), and
+    points with |f| > 1 through 1/f = q/p; no pole is ever divided by.
+    """
+    if isinstance(z, str):
+        p, q = _padded(num, den)
+        num, den, z = p[::-1], q[::-1], 0.0
+    if abs(np.polyval(np.asarray(den)[::-1], z)) < abs(np.polyval(np.asarray(num)[::-1], z)):
+        num, den = den, num
+    return sph_deriv_bf(num, den, z)
+
+
+# ---------------------------------------------------------------------------
+# brute-force rational maps: np.polyval values, np.roots preimages
+
+
+def _padded(num, den):
+    """num and den (ascending, no trailing zeros) zero-padded to the degree."""
+    num = np.asarray(num, dtype=complex)
+    den = np.asarray(den, dtype=complex)
+    d = max(num.size, den.size) - 1
+    p = np.zeros(d + 1, dtype=complex)
+    q = np.zeros(d + 1, dtype=complex)
+    p[: num.size] = num
+    q[: den.size] = den
+    return p, q
+
+
+def rational_eval_bf(num, den, z):
+    """p(z)/q(z) by np.polyval, 'inf' at a pole.  At z = 'inf' the value is
+    the ratio of the degree-d coefficients (d the larger degree)."""
+    p, q = _padded(num, den)
+    if isinstance(z, str):
+        a, b = p[-1], q[-1]
+    else:
+        a, b = np.polyval(p[::-1], z), np.polyval(q[::-1], z)
+    return "inf" if b == 0 else complex(a / b)
+
+
+def preimages_bf(num, den, z, rtol=1e-12):
+    """All d solutions of p(w)/q(w) = z by np.roots; z may be 'inf'.
+
+    A finite z solves p - z q = 0, infinity solves q = 0.  Leading
+    coefficients of modulus <= rtol (|p_d| + |z| |q_d|) count as cancelled
+    (for z = 'inf' only exact zeros do); each one is a solution at 'inf'.
+    """
+    p, q = _padded(num, den)
+    d = p.size - 1
+    if isinstance(z, str):
+        c, tol = q, 0.0
+    else:
+        c, tol = p - z * q, rtol * (abs(p[d]) + abs(z) * abs(q[d]))
+    n = d + 1
+    while n > 1 and abs(c[n - 1]) <= tol:
+        n -= 1
+    roots = [complex(r) for r in np.roots(c[:n][::-1])] if n > 1 else []
+    return roots + ["inf"] * (d - len(roots))
+
+
+def best_match(got, ref):
+    """Largest chordal distance between two equal-size point lists under the
+    best pairing (brute force over permutations; points complex or 'inf')."""
+    assert len(got) == len(ref)
+    return min(
+        max((chordal_bf(a, b) for a, b in zip(perm, ref)), default=0.0)
+        for perm in itertools.permutations(got)
+    )
+
+
 # ---------------------------------------------------------------------------
 # brute-force transfer sums (explicit word enumeration, np.roots preimages)
 

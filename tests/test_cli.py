@@ -1,6 +1,10 @@
 """Config parsing and CLI subcommand tests (in-process via main())."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -277,6 +281,15 @@ def test_cli_pressure_critical_basepoint_exit_5(tmp_path, capsys):
     })
     assert main(["pressure", "--config", path]) == 5
     assert "error" in capsys.readouterr().err
+
+
+def test_importing_cli_leaves_scipy_spatial_unloaded():
+    # only the hyperbolicity gate needs scipy.spatial; set-up must not pay for it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys; import ratsemi.cli; sys.exit('scipy.spatial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_poincare_partial_sum(tmp_path, capsys):

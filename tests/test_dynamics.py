@@ -315,6 +315,37 @@ def test_backward_level_children_are_contiguous_under_their_parent():
     assert kept.min_step_norm == _min_step_norm_by_recompute(mm, kept)
 
 
+def test_backward_level_with_infinite_parents_matches_oracle():
+    # parents at infinity and a degree-dropping target go through the same
+    # preimages_many call as the rest; each parent's block of children must
+    # be the np.roots preimage set of its target, with oracle step norms
+    maps = [RationalMap([0.0, 2.0], [1.0, 0.0, 1.0]),    # 2w/(1+w^2): 0 -> {0, inf}
+            RationalMap([1.0, 0.0, 1.0], [0.0, 1.0]),    # (w^2+1)/w: inf -> {0, inf}
+            polynomial_map([0.5, 0.0, 0.0, 1.0])]        # inf -> {inf, inf, inf}
+    mm = MultiMap(maps)
+    inf = np.array([True, False, False, True, False])
+    parent = CloudLevel(
+        z=np.array([0j, 0j, 0.4 - 1.1j, 0j, 2.5j]), inf=inf,
+        words=np.array([[1], [2], [3], [1], [2]], dtype=np.int8),
+        logd=np.zeros(5), logw=np.zeros(5),
+    )
+    child = _expand_backward(mm, parent)
+    row = 0
+    for f in maps:
+        num, den = f.num.coeffs, f.den.coeffs
+        for i in range(parent.size):
+            block = range(row, row + f.degree)
+            got = ["inf" if child.inf[k] else complex(child.z[k]) for k in block]
+            ref = oracles.preimages_bf(num, den, "inf" if inf[i] else parent.z[i])
+            assert got.count("inf") == ref.count("inf")
+            assert oracles.best_match(got, ref) < 1e-8
+            for k, y in zip(block, got):
+                want = oracles.sph_deriv_sphere_bf(num, den, y)  # 0 at critical points
+                assert math.exp(child.logd[k]) == pytest.approx(want, rel=1e-9, abs=1e-12)
+            row += f.degree
+    assert row == child.size
+
+
 def test_backward_levels_are_grouped_by_composition_word():
     mm = MultiMap([polynomial_map([0.2j, 0.0, 1.0]), polynomial_map([0.1, 0.0, 0.5]),
                    polynomial_map([-0.3, 0.0, 0.0, 1.0])])

@@ -1,5 +1,4 @@
 """Sphere-core tests: points, chordal metric, roots, maps, derivative norms."""
-import itertools
 import math
 
 import numpy as np
@@ -8,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ratsemi.sphere import (
     INF,
+    _array_point,
     BIG_MODULUS,
     Polynomial,
     RationalMap,
@@ -22,6 +22,15 @@ from ratsemi.sphere import (
 import oracles
 
 RNG = np.random.default_rng(20260815)
+
+
+def _bf(z, inf):
+    """A batched (z, inf) entry in the oracles' notation: complex or 'inf'."""
+    return "inf" if inf else complex(z)
+
+
+def _bf_point(pt):
+    return "inf" if pt.is_infinite else pt.value
 
 
 def rand_complex(rng, n, scale=1.0):
@@ -101,6 +110,7 @@ def test_chordal_metric_axioms(a, b, c):
 
 
 def test_chordal_many_matches_scalar():
+    # the scalar call wraps the batched one, so both face the direct formula
     rng = np.random.default_rng(11)
     z1 = rand_complex(rng, 30, 5.0)
     z2 = rand_complex(rng, 30, 5.0)
@@ -108,9 +118,11 @@ def test_chordal_many_matches_scalar():
     i2 = rng.random(30) < 0.2
     d = chordal_distance_many(z1, i1, z2, i2)
     for k in range(30):
+        ref = oracles.chordal_bf(_bf(z1[k], i1[k]), _bf(z2[k], i2[k]))
         a = INF if i1[k] else z1[k]
         b = INF if i2[k] else z2[k]
-        assert d[k] == pytest.approx(chordal_distance(a, b), abs=1e-14)
+        assert d[k] == pytest.approx(ref, abs=1e-14)
+        assert chordal_distance(a, b) == pytest.approx(ref, abs=1e-14)
 
 
 def test_sphere_embedding_is_isometric_to_chordal():
@@ -211,18 +223,44 @@ def test_eval_overflow_routes_to_infinity():
 
 
 def test_eval_many_matches_scalar():
+    # reference: p(z)/q(z) by np.polyval; the scalar call wraps eval_many
     rng = np.random.default_rng(21)
     for _ in range(10):
         f = random_rational_map(rng)
         z = rand_complex(rng, 50, scale=3.0)
         vals, inf = f.eval_many(z)
         for k in range(50):
-            ref = f(z[k])
+            ref = oracles.rational_eval_bf(f.num.coeffs, f.den.coeffs, z[k])
+            scalar = _bf_point(f(z[k]))
+            assert inf[k] == (ref == "inf") == (scalar == "inf")
+            assert oracles.chordal_bf(_bf(vals[k], inf[k]), ref) < 1e-10
+            assert oracles.chordal_bf(scalar, ref) < 1e-10
+
+
+def test_eval_many_infinity_mask_matches_scalar_at_infinity():
+    rng = np.random.default_rng(22)
+    maps = [random_rational_map(rng) for _ in range(4)]
+    maps += [polynomial_map([0.0, 0.0, 1.0]), RationalMap([1.0], [0.0, 0.0, 1.0]),
+             RationalMap([1.0, 0.0, 2.0], [0.0, 0.0, 1.0])]
+    z = rand_complex(rng, 12, scale=2.0)
+    inf = np.zeros(12, dtype=bool)
+    inf[[0, 5, 11]] = True
+    z[5] = np.nan  # the z entry of a masked point is never read
+    for f in maps:
+        vals, vinf = f.eval_many(z, inf)
+        ref = oracles.rational_eval_bf(f.num.coeffs, f.den.coeffs, "inf")
+        for k in range(z.size):
             if inf[k]:
-                assert ref.is_infinite
+                assert chordal_distance(_array_point(vals[k], vinf[k]), f(INF)) < 1e-15
+                assert oracles.chordal_bf(_bf(vals[k], vinf[k]), ref) < 1e-12
             else:
-                assert not ref.is_infinite
-                assert chordal_distance(vals[k], ref) < 1e-10
+                fin_ref = oracles.rational_eval_bf(f.num.coeffs, f.den.coeffs, z[k])
+                assert oracles.chordal_bf(_bf(vals[k], vinf[k]), fin_ref) < 1e-10
+
+
+def test_ratio_rejects_unreduced_zero_over_zero():
+    with pytest.raises(ArithmeticError):
+        RationalMap._ratio_many(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +315,19 @@ def test_derivative_norm_finite_at_infinity_and_poles():
 
 
 def test_derivative_norm_many_matches_scalar_with_infinity():
+    # reference: the quotient-rule formula, at infinity through w = 1/z
     rng = np.random.default_rng(51)
     f = random_rational_map(rng)
+    num, den = f.num.coeffs, f.den.coeffs
     z = rand_complex(rng, 30, scale=2.0)
     inf = np.zeros(30, dtype=bool)
     inf[5] = True
     vals = f.spherical_derivative_norm_many(z, inf)
     for k in range(30):
         pt = INF if inf[k] else z[k]
-        assert vals[k] == pytest.approx(f.spherical_derivative_norm(pt), rel=1e-12)
+        ref = oracles.sph_deriv_sphere_bf(num, den, _bf(z[k], inf[k]))
+        assert vals[k] == pytest.approx(ref, rel=1e-12)
+        assert f.spherical_derivative_norm(pt) == pytest.approx(ref, rel=1e-12)
 
 
 def test_chain_rule_against_explicit_composition():
@@ -349,6 +391,7 @@ def test_preimages_leading_cancellation_pads_with_infinity():
 
 
 def test_preimages_many_matches_scalar():
+    # reference: np.roots of P - zQ; the scalar call wraps preimages_many and sorts
     rng = np.random.default_rng(81)
     for _ in range(8):
         f = random_rational_map(rng)
@@ -356,19 +399,18 @@ def test_preimages_many_matches_scalar():
         roots, infm = f.preimages_many(z)
         assert roots.shape == (40, f.degree)
         for i in range(40):
-            got = [
-                INF if infm[i, k] else SpherePoint.of(roots[i, k])
-                for k in range(f.degree)
-            ]
-            ref = f.preimages(z[i])
-            got = sorted(got, key=SpherePoint.sort_key)
-            for a, b in zip(got, ref):
-                assert chordal_distance(a, b) < 1e-6
+            got = [_bf(roots[i, k], infm[i, k]) for k in range(f.degree)]
+            ref = oracles.preimages_bf(f.num.coeffs, f.den.coeffs, z[i])
+            scalar = f.preimages(z[i])
+            assert scalar == sorted(scalar, key=SpherePoint.sort_key)
+            assert oracles.best_match(got, ref) < 1e-6
+            assert oracles.best_match([_bf_point(p) for p in scalar], ref) < 1e-6
 
 
 def test_preimages_many_rows_are_permutations_of_scalar_preimages():
-    # rows come in solver order; each must match preimages() up to order,
-    # across closed-form (d <= 2), Aberth (d >= 3) and leading-cancellation rows
+    # rows come in solver order; each must match the np.roots reference (and
+    # the scalar preimages()) up to order, across closed-form (d <= 2),
+    # Aberth (d >= 3) and leading-cancellation rows
     rng = np.random.default_rng(82)
     maps = [random_rational_map(rng) for _ in range(6)]
     maps.append(RationalMap([1.0, 0.0, 2.0], [0.0, 1.0, 1.0]))  # f(inf) = 2
@@ -378,14 +420,30 @@ def test_preimages_many_rows_are_permutations_of_scalar_preimages():
             z[0] = f(INF).value  # a target whose leading coefficient cancels
         roots, infm = f.preimages_many(z)
         for i in range(z.size):
-            got = [INF if infm[i, k] else SpherePoint.of(roots[i, k]) for k in range(f.degree)]
-            ref = f.preimages(z[i])
-            assert sum(p.is_infinite for p in got) == sum(p.is_infinite for p in ref)
-            best = min(
-                max(chordal_distance(a, b) for a, b in zip(perm, ref))
-                for perm in itertools.permutations(got)
-            )
-            assert best < 1e-8
+            got = [_bf(roots[i, k], infm[i, k]) for k in range(f.degree)]
+            ref = oracles.preimages_bf(f.num.coeffs, f.den.coeffs, z[i])
+            scalar = [_bf_point(p) for p in f.preimages(z[i])]
+            assert got.count("inf") == ref.count("inf") == scalar.count("inf")
+            assert oracles.best_match(got, ref) < 1e-8
+            assert oracles.best_match(scalar, ref) < 1e-8
+
+
+def test_preimages_many_mixes_infinity_and_degree_drops():
+    # f = 1 + (w + 2)/Q with Q = w^3 + 10 w^2 + 1: the target 1 cancels two
+    # leading coefficients exactly; 1 + 1e-12 cancels only the cubic one
+    # within the 1e-12 tolerance, since the quadratic one is 10 times larger
+    den = np.array([1.0, 0.0, 10.0, 1.0])
+    num = den + np.array([2.0, 1.0, 0.0, 0.0])
+    f = RationalMap(num, den)
+    z = np.array([0.3 + 0.1j, 0j, 1.0, -2.0j, 1.0 + 1e-12, 0j])
+    inf = np.array([False, True, False, False, False, True])
+    drops = [0, 0, 2, 0, 1, 0]
+    roots, infm = f.preimages_many(z, inf)
+    for i, k in enumerate(drops):
+        assert infm[i].tolist() == [False] * (3 - k) + [True] * k
+        target = "inf" if inf[i] else z[i]
+        ref = oracles.preimages_bf(f.num.coeffs, f.den.coeffs, target)
+        assert oracles.best_match([_bf(r, m) for r, m in zip(roots[i], infm[i])], ref) < 1e-8
 
 
 # ---------------------------------------------------------------------------
