@@ -7,6 +7,7 @@ y' under generator j satisfies f_j(y) = y' and carries the word (j,) + word'.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -147,9 +148,10 @@ class CloudLevel:
     Backward levels are in construction order: by the generator j of the
     newest symbol, then parent row, then root slot.  Each parent level is
     grouped by composition-order word, so rows are nondecreasing in that
-    word and the d children of a parent are contiguous; rows sharing a word
-    follow parent order, then root slot.  Forward levels are sorted by word,
-    then infinity, re and im.
+    word and the kept children of a parent are contiguous; rows sharing a
+    word follow parent order, then root slot.  A capped backward level holds
+    only the children its subsample keeps.  Forward levels are sorted by
+    word, then infinity, re and im.
     """
 
     z: np.ndarray        # complex chart values; 0 placeholder where inf is set
@@ -157,10 +159,7 @@ class CloudLevel:
     words: np.ndarray    # int8, shape (n, depth)
     logd: np.ndarray     # cumulative log word-derivative norm back to the root
     logw: np.ndarray     # log importance weight accumulated by subsampling
-    # derivative norm of each node's newest step; set by _expand_backward and
-    # reduced to min_step_norm by _subsample_level, so stored levels hold a scalar
-    step_norm: np.ndarray | None = None
-    min_step_norm: float = math.inf
+    min_step_norm: float = math.inf  # smallest newest-step derivative norm (backward)
 
     @property
     def size(self) -> int:
@@ -181,60 +180,92 @@ def _sorted_level(z, inf, words, logd, logw) -> CloudLevel:
     return CloudLevel(z[order], inf[order], words[order], logd[order], logw[order])
 
 
+def _stratum_picks(counts, cap: int, seed: int, tag: int, symbols) -> list:
+    """(kept indices, log weight shift) per stratum of a level over the cap.
+
+    Stratum i holds counts[i] rows whose newest symbol is symbols[i]; the cap
+    is shared by largest remainder and each stratum keeps the sorted
+    _bottom_k subset of its seeded stream, reweighted by log(n / k).  The
+    choice depends on the counts and the seed alone, never on the points.
+    """
+    alloc = _allocate_largest_remainder(counts, cap)
+    picks = []
+    for sym, n, k in zip(symbols, counts.tolist(), alloc.tolist()):
+        if k == 0:
+            picks.append((np.empty(0, dtype=np.int64), 0.0))
+        else:
+            picks.append((_bottom_k(_derive_seed(seed, tag, sym), n, k), math.log(n / k)))
+    return picks
+
+
 def _subsample_level(level: CloudLevel, cap: int, seed: int, tag: int) -> CloudLevel:
-    """Stratified by first word symbol; kept entries are reweighted in logw.
+    """Stratified by newest symbol; kept entries are reweighted in logw.
 
-    Row order is preserved.  The result carries the minimum step norm of
-    the kept rows instead of the per-row step_norm array.
+    The level must be grouped by its newest symbol words[:, -1], as sorted
+    forward levels are.  Row order is preserved.
     """
-    idx, logw = slice(None), level.logw
-    if level.size > cap:
-        strata = level.words[:, -1]  # first symbol of the composition-order word
-        keep_parts = []
-        logw = logw.copy()
-        for sym in np.unique(strata):
-            pos = np.flatnonzero(strata == sym)
-            keep_parts.append((int(sym), pos))
-        counts = np.array([p.size for _, p in keep_parts], dtype=np.int64)
-        alloc = _allocate_largest_remainder(counts, cap)
-        kept = []
-        for (sym, pos), k in zip(keep_parts, alloc):
-            if k == 0:
-                continue
-            sel = pos[_bottom_k(_derive_seed(seed, tag, sym), pos.size, int(k))]
-            logw[sel] += math.log(pos.size / k)
-            kept.append(sel)
-        idx = np.sort(np.concatenate(kept))
-        logw = logw[idx]
-    min_norm = level.min_step_norm
-    if level.step_norm is not None and level.size:
-        min_norm = float(level.step_norm[idx].min())
-    return CloudLevel(
-        level.z[idx], level.inf[idx], level.words[idx], level.logd[idx], logw,
-        min_step_norm=min_norm,
-    )
+    if level.size <= cap:
+        return level
+    symbols, starts, counts = np.unique(level.words[:, -1], return_index=True, return_counts=True)
+    picks = _stratum_picks(counts, cap, seed, tag, symbols)
+    idx = np.concatenate([start + c for start, (c, _) in zip(starts, picks)])
+    logw = np.concatenate([level.logw[start + c] + shift for start, (c, shift) in zip(starts, picks)])
+    return CloudLevel(level.z[idx], level.inf[idx], level.words[idx], level.logd[idx], logw,
+                      min_step_norm=level.min_step_norm)
 
 
-def _expand_backward(mm: MultiMap, level: CloudLevel) -> CloudLevel:
-    """All skew-product preimages of a level, in construction order.
+def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: int) -> CloudLevel:
+    """Skew-product preimages of a level, subsampled to cap, in construction order.
 
-    Rows run over (generator j, parent row, root slot); see CloudLevel.
-    One preimages_many call per generator takes the whole level, parents
-    at infinity included.
+    Rows run over (generator j, parent row, root slot); see CloudLevel.  The
+    children of generator j form one stratum of m * d_j rows.  Over the cap,
+    the kept child indices c of each stratum are chosen first (_stratum_picks
+    with seed and tag), and roots and derivative norms are solved only for
+    them: one preimages_many call on the distinct parents c // d_j, slot
+    c % d_j of each.  Within the cap every child is kept.  Parents at
+    infinity go through the same calls.  min_step_norm is the smallest
+    newest-step derivative norm of the kept rows.
     """
-    parts = []
+    m = level.size
+    counts = np.array([m * d for d in mm.degrees], dtype=np.int64)
+    n, picks = int(counts.sum()), None
+    if n > cap:
+        n, picks = cap, _stratum_picks(counts, cap, seed, tag, range(1, mm.num_generators + 1))
+    # the level arrays come before the solver temporaries, which leave no heap hole under them
+    z = np.empty(n, dtype=complex)
+    inf = np.empty(n, dtype=bool)
+    words = np.empty((n, level.words.shape[1] + 1), dtype=np.int8)
+    logd = np.empty(n)
+    logw = np.empty(n)
+    min_norm, row = math.inf, 0
     for j, f in enumerate(mm.generators, start=1):
         d = f.degree
-        z, inf = f.preimages_many(level.z, level.inf)
-        z, inf = z.ravel(), inf.ravel()
-        norms = f.spherical_derivative_norm_many(z, inf)
+        if picks is None:
+            roots, rinf = f.preimages_many(level.z, level.inf)
+            zj, infj = roots.ravel(), rinf.ravel()
+            take, shift = functools.partial(np.repeat, repeats=d, axis=0), 0.0
+        else:
+            c, shift = picks[j - 1]
+            if c.size == 0:
+                continue
+            parents = c // d
+            new = np.ones(c.size, dtype=bool)
+            new[1:] = parents[1:] != parents[:-1]  # c is sorted, so parents are too
+            roots, rinf = f.preimages_many(level.z[parents[new]], level.inf[parents[new]])
+            at, slot = np.cumsum(new) - 1, c % d
+            zj, infj = roots[at, slot], rinf[at, slot]
+            take = functools.partial(np.take, indices=parents, axis=0)
+        block = slice(row, row + zj.size)
+        row = block.stop
+        norms = f.spherical_derivative_norm_many(zj, infj)
+        min_norm = min(min_norm, float(norms.min(initial=math.inf)))
+        z[block], inf[block] = zj, infj
+        words[block, :-1] = take(level.words)
+        words[block, -1] = j
         with np.errstate(divide="ignore"):
-            logd = np.repeat(level.logd, d) + np.log(norms)
-        words = np.empty((z.size, level.words.shape[1] + 1), dtype=np.int8)
-        words[:, :-1] = np.repeat(level.words, d, axis=0)
-        words[:, -1] = j
-        parts.append((z, inf, words, logd, np.repeat(level.logw, d), norms))
-    return CloudLevel(*(np.concatenate(col) for col in zip(*parts)))
+            logd[block] = take(level.logd) + np.log(norms)
+        logw[block] = take(level.logw) + shift
+    return CloudLevel(z, inf, words, logd, logw, min_step_norm=min_norm)
 
 
 @dataclass
@@ -319,8 +350,7 @@ def julia_backward_cloud(
     seed_pt, seed_sym = repelling_seed(mm)
     levels = [_root_level(seed_pt)]
     for n in range(1, depth + 1):
-        nxt = _expand_backward(mm, levels[-1])
-        levels.append(_subsample_level(nxt, cap, rng_seed, n))
+        levels.append(_expand_backward(mm, levels[-1], cap, rng_seed, n))
     meta = {
         "kind": "backward",
         "seed_point": seed_pt,
@@ -439,6 +469,26 @@ def _fmt_point(pt: SpherePoint) -> str:
     return "inf" if pt.is_infinite else format(pt.value, ".9g")
 
 
+def _closest_pair(q: np.ndarray, x: np.ndarray, block: int = 1 << 20):
+    """(row of q, row of x, distance) of the closest pair between two point sets.
+
+    Each q row takes the argmin of |x|^2 - 2 q.x over all of x, in row blocks
+    of about block entries; the distance of the chosen pair is then computed
+    directly.
+    """
+    xx = np.einsum("ij,ij->i", x, x)
+    nearest = np.empty(q.shape[0], dtype=np.int64)
+    step = max(1, block // x.shape[0])
+    for start in range(0, q.shape[0], step):
+        g = q[start : start + step] @ x.T
+        g *= -2.0
+        g += xx
+        nearest[start : start + step] = np.argmin(g, axis=1)
+    dist = np.sqrt(np.sum((q - x[nearest]) ** 2, axis=1))
+    k = int(np.argmin(dist))
+    return k, int(nearest[k]), float(dist[k])
+
+
 def check_hyperbolic(
     mm: MultiMap,
     depth: int = 8,
@@ -466,14 +516,9 @@ def check_hyperbolic(
     cloud = julia_backward_cloud(mm, depth=depth, cap=cap, rng_seed=rng_seed)
     jz, jinf, _ = cloud.flat_arrays()
     pz, pinf, _ = post.flat_arrays()
-    from scipy.spatial import cKDTree  # deferred: only this gate needs it
-
-    tree = cKDTree(sphere_embed(jz, jinf))
-    dist, idx = tree.query(sphere_embed(pz, pinf))
-    k = int(np.argmin(dist))
-    min_dist = float(dist[k])
+    k, i, min_dist = _closest_pair(sphere_embed(pz, pinf), sphere_embed(jz, jinf))
     p_pt = _array_point(pz[k], pinf[k])
-    j_pt = _array_point(jz[idx[k]], jinf[idx[k]])
+    j_pt = _array_point(jz[i], jinf[i])
     metrics = {
         "min_distance": min_dist,
         "postcritical_size": post.size,

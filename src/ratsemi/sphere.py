@@ -115,7 +115,7 @@ def chordal_distance_many(z1, inf1, z2, inf2):
 
 def sphere_embed(z, inf):
     """Map plane points to R^3 on the unit sphere; chordal distance equals
-    Euclidean distance there, which is what the KD-tree queries rely on."""
+    Euclidean distance there, which check_hyperbolic's closest-pair search relies on."""
     z = np.asarray(z, dtype=complex)
     r2 = np.abs(z) ** 2
     denom = 1.0 + r2

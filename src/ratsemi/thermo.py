@@ -21,7 +21,7 @@ from .dynamics import (
     MultiMap,
     _expand_backward,
     _root_level,
-    _subsample_level,
+    _subsample_level,  # noqa: F401  unused here; perfbench/spans.py patches this name
     check_hyperbolic,
     repelling_seed,
 )
@@ -110,8 +110,9 @@ class PreimageTree:
 
     def extend(self, n: int) -> None:
         while self.depth < n:
-            nxt = _expand_backward(self.mm, self.levels[-1])
-            self.levels.append(_subsample_level(nxt, self.cap, self.rng_seed, self.depth + 1))
+            self.levels.append(
+                _expand_backward(self.mm, self.levels[-1], self.cap, self.rng_seed, self.depth + 1)
+            )
 
     def log_level_sum(self, t: float, n: int) -> float:
         """log S_n(t): importance weights keep the capped sum unbiased."""

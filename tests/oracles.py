@@ -231,3 +231,54 @@ def box_count_bf(points, eps, origin):
     for z in points:
         cells.add((math.floor((z.real - x0) / eps), math.floor((z.imag - y0) / eps)))
     return len(cells)
+
+
+# ---------------------------------------------------------------------------
+# reference capped backward level: solve every child, then subsample
+
+
+def subsample_ref(level, cap, seed, tag, step_norm=None):
+    """Stratified subsample by newest symbol, strata found by masks in any
+    row order; the kept rows come out in row order.  Returns the reduced
+    (z, inf, words, logd, logw) columns and the minimum step_norm of the
+    kept rows (level.min_step_norm when no step_norm is given)."""
+    from ratsemi.dynamics import _allocate_largest_remainder, _bottom_k, _derive_seed
+
+    idx, logw = np.arange(level.size), level.logw
+    if level.size > cap:
+        strata = level.words[:, -1]
+        parts = [(int(s), np.flatnonzero(strata == s)) for s in np.unique(strata)]
+        alloc = _allocate_largest_remainder([p.size for _, p in parts], cap)
+        logw = logw.copy()
+        kept = []
+        for (sym, pos), k in zip(parts, alloc):
+            if k == 0:
+                continue
+            sel = pos[_bottom_k(_derive_seed(seed, tag, sym), pos.size, int(k))]
+            logw[sel] += math.log(pos.size / k)
+            kept.append(sel)
+        idx = np.sort(np.concatenate(kept))
+    min_norm = level.min_step_norm if step_norm is None else float(step_norm[idx].min())
+    cols = (level.z[idx], level.inf[idx], level.words[idx], level.logd[idx], logw[idx])
+    return cols, min_norm
+
+
+def expand_then_subsample(mm, level, cap, seed, tag):
+    """A capped backward level built the long way: preimages and derivative
+    norms of every child in construction order (generator, parent, slot),
+    then subsample_ref.  Same return shape as subsample_ref."""
+    parts = []
+    for j, f in enumerate(mm.generators, start=1):
+        d = f.degree
+        z, inf = f.preimages_many(level.z, level.inf)
+        z, inf = z.ravel(), inf.ravel()
+        norms = f.spherical_derivative_norm_many(z, inf)
+        with np.errstate(divide="ignore"):
+            logd = np.repeat(level.logd, d) + np.log(norms)
+        words = np.empty((z.size, level.words.shape[1] + 1), dtype=np.int8)
+        words[:, :-1] = np.repeat(level.words, d, axis=0)
+        words[:, -1] = j
+        parts.append((z, inf, words, logd, np.repeat(level.logw, d), norms))
+    z, inf, words, logd, logw, norms = (np.concatenate(col) for col in zip(*parts))
+    full = type(level)(z, inf, words, logd, logw)
+    return subsample_ref(full, cap, seed, tag, step_norm=norms)

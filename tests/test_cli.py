@@ -292,6 +292,19 @@ def test_importing_cli_leaves_scipy_spatial_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_bowen_runs_without_scipy():
+    # the hyperbolicity gate searches with numpy; a None entry makes any scipy import fail
+    root = Path(__file__).resolve().parent.parent
+    config = str(root / "demos" / "configs" / "supercritical.json")
+    code = ("import sys; sys.modules['scipy'] = None; from ratsemi.cli import main; "
+            f"sys.exit(main(['bowen', '--config', {config!r}, '--depth', '6']))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "hyperbolicity pass" in proc.stdout and "delta = " in proc.stdout
+
+
 def test_cli_poincare_partial_sum(tmp_path, capsys):
     path = write_cfg(tmp_path, {
         "multimap": {"generators": [Z2]},

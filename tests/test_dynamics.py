@@ -29,6 +29,7 @@ from ratsemi.sphere import (
     chordal_distance,
     chordal_distance_many,
     polynomial_map,
+    sphere_embed,
 )
 
 import oracles
@@ -296,7 +297,7 @@ def test_backward_level_children_are_contiguous_under_their_parent():
         logd=np.array([0.1, 0.2, 0.3]),
         logw=np.array([0.0, -1.0, -2.0]),
     )
-    child = _expand_backward(mm, parent)
+    child = _expand_backward(mm, parent, parent.size * mm.total_degree, 0, 1)  # uncapped
     row = 0
     for j, f in enumerate(mm.generators, start=1):
         for i in range(parent.size):
@@ -310,8 +311,8 @@ def test_backward_level_children_are_contiguous_under_their_parent():
                 assert chordal_distance(f(pt), target) <= 1e-9
             row += f.degree
     assert row == child.size
-    kept = _subsample_level(child, 5, 0, 1)
-    assert kept.step_norm is None
+    kept = _expand_backward(mm, parent, 5, 0, 1)
+    assert not hasattr(kept, "step_norm")
     assert kept.min_step_norm == _min_step_norm_by_recompute(mm, kept)
 
 
@@ -329,7 +330,7 @@ def test_backward_level_with_infinite_parents_matches_oracle():
         words=np.array([[1], [2], [3], [1], [2]], dtype=np.int8),
         logd=np.zeros(5), logw=np.zeros(5),
     )
-    child = _expand_backward(mm, parent)
+    child = _expand_backward(mm, parent, parent.size * mm.total_degree, 0, 1)  # uncapped
     row = 0
     for f in maps:
         num, den = f.num.coeffs, f.den.coeffs
@@ -353,9 +354,117 @@ def test_backward_levels_are_grouped_by_composition_word():
     for lev in cloud.levels[1:]:
         words = [tuple(w) for w in lev.words[:, ::-1].tolist()]
         assert words == sorted(words)
-        assert lev.step_norm is None
+        assert not hasattr(lev, "step_norm")
         assert lev.min_step_norm == _min_step_norm_by_recompute(mm, lev)
     assert cloud.levels[5].size == 60
+
+
+def _columns(lev):
+    return lev.z, lev.inf, lev.words, lev.logd, lev.logw
+
+
+def _seed_level(mm):
+    return dynamics._root_level(repelling_seed(mm)[0])
+
+
+def _check_capped_levels(mm, parent, cap, seed, depth, exact):
+    """_expand_backward against oracles.expand_then_subsample at every depth,
+    each from the same parent level; returns the level sizes."""
+    sizes = []
+    for n in range(1, depth + 1):
+        got = _expand_backward(mm, parent, cap, seed, n)
+        ref, ref_min = oracles.expand_then_subsample(mm, parent, cap, seed, n)
+        z, inf, words, logd, logw = _columns(got)
+        assert np.array_equal(words, ref[2]) and np.array_equal(inf, ref[1])
+        assert np.array_equal(logw, ref[4])
+        if exact:
+            assert np.array_equal(z, ref[0]) and np.array_equal(logd, ref[3])
+            assert got.min_step_norm == ref_min
+        else:
+            np.testing.assert_allclose(z, ref[0], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(logd, ref[3], rtol=1e-12, atol=1e-12)
+            assert got.min_step_norm == pytest.approx(ref_min, rel=1e-12)
+        sizes.append(got.size)
+        parent = got
+    return sizes
+
+
+QUADRATIC_TRIPLES = (
+    (polynomial_map([0, 0, 1.0]), polynomial_map([0, 0, 0.25]), polynomial_map([0, 0, 1 / 3])),
+    (polynomial_map([0.02 + 0.01j, 0, 1.0]), polynomial_map([-0.01, 0, 0.25]),
+     polynomial_map([-0.015j, 0, 1 / 3])),
+    (polynomial_map([-1.0, 0, 1.0]), polynomial_map([0.25j, 0, 1.0]), polynomial_map([0, 0, 0.5])),
+)
+
+
+@pytest.mark.parametrize("maps", QUADRATIC_TRIPLES)
+def test_capped_backward_levels_match_expand_then_subsample(maps):
+    mm = MultiMap(maps)
+    root = _seed_level(mm)
+    for cap, seed in ((1, 0), (2, 5), (37, 1), (500, 2)):
+        assert _check_capped_levels(mm, root, cap, seed, 6, exact=True)[-1] == cap
+    # cap 2 over three strata of 2 children leaves the third generator with k = 0
+    assert _expand_backward(mm, root, 2, 0, 1).words[:, -1].tolist() == [1, 2]
+    # a cap equal to the level size keeps every child, then caps the next level
+    assert _check_capped_levels(mm, root, 6**3, 3, 4, exact=True) == [6, 36, 216, 216]
+
+
+def test_capped_mixed_degree_levels_match_expand_then_subsample():
+    # z^3 goes through Aberth, which may stop at another iteration on a row
+    # subset, so values agree to rounding while the kept rows are the same
+    mm = MultiMap([power_map(2), power_map(3)])
+    for cap, seed in ((7, 0), (60, 4), (400, 11)):
+        assert _check_capped_levels(mm, _seed_level(mm), cap, seed, 6, exact=False)[-1] == cap
+
+
+def test_capped_rational_levels_with_infinite_parents_match_expand_then_subsample():
+    # parents at infinity, degree-dropping targets (0 under the first map,
+    # infinity under the second) and critical children at infinity (third map)
+    mm = MultiMap([RationalMap([0.0, 2.0], [1.0, 0.0, 1.0]),
+                   RationalMap([1.0, 0.0, 1.0], [0.0, 1.0]),
+                   polynomial_map([-0.5, 0.0, 1.0])])
+    parent = CloudLevel(
+        z=np.array([0j, 0j, 0.4 - 1.1j, 0j, 2.5j]),
+        inf=np.array([True, False, False, True, False]),
+        words=np.array([[1], [2], [3], [1], [2]], dtype=np.int8),
+        logd=np.zeros(5), logw=np.zeros(5),
+    )
+    for cap in (1, 2, 5, 13, 30, 10**6):
+        _check_capped_levels(mm, parent, cap, 7, 3, exact=True)
+    last = _expand_backward(mm, _expand_backward(mm, parent, 13, 7, 1), 13, 7, 2)
+    assert last.inf.any() and not last.inf.all()
+
+
+def test_capped_level_solves_only_the_parents_of_kept_children(monkeypatch):
+    mm = MultiMap(QUADRATIC_TRIPLES[0])
+    parent = julia_backward_cloud(mm, depth=4, cap=10**6).levels[4]  # 6^4 = 1296 rows
+    solved = []
+    solve = RationalMap.preimages_many
+    monkeypatch.setattr(RationalMap, "preimages_many",
+                        lambda f, z, inf=None: solved.append(len(z)) or solve(f, z, inf))
+    got = _expand_backward(mm, parent, 2000, 1, 5)
+    assert got.size == 2000
+    picks = dynamics._stratum_picks(np.full(3, 2 * parent.size), 2000, 1, 5, (1, 2, 3))
+    assert solved == [np.unique(c // 2).size for c, _ in picks]
+    assert sum(solved) < 2000  # kept siblings share one solve
+
+
+def test_subsample_level_matches_reference_on_forward_levels():
+    mm = MultiMap(QUADRATIC_TRIPLES[1])
+    cloud = postcritical_cloud(mm, depth=4, cap=10**6)
+    rng = np.random.default_rng(0)
+    # symbols 1 and 3 only, as deduplication can leave a level
+    gap = CloudLevel(
+        z=rng.normal(size=40) + 1j * rng.normal(size=40), inf=np.zeros(40, dtype=bool),
+        words=np.repeat(np.array([[2, 1], [1, 3]], dtype=np.int8), [15, 25], axis=0),
+        logd=np.zeros(40), logw=rng.normal(size=40),
+    )
+    for level in (*cloud.levels[2:], gap):
+        for cap in (1, 7, level.size - 1, level.size):
+            got = _subsample_level(level, cap, 9, 4)
+            ref, _ = oracles.subsample_ref(level, cap, 9, 4)
+            for a, b in zip(_columns(got), ref):
+                assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +504,19 @@ def bf_min_distance(cloud_a, cloud_b):
         )
         best = min(best, float(d.min()))
     return best
+
+
+def test_closest_pair_matches_brute_force_across_blocks():
+    rng = np.random.default_rng(5)
+    zq, zx = (rng.normal(size=n) + 1j * rng.normal(size=n) for n in (37, 101))
+    iq, ix = np.arange(37) % 9 == 0, np.arange(101) % 13 == 0
+    q, x = sphere_embed(zq, iq), sphere_embed(zx, ix)
+    for block in (1, 64, 1000, 1 << 20):  # one row per block up to a single block
+        k, i, dist = dynamics._closest_pair(q, x, block)
+        d = [[chordal_distance_many(zq[a], iq[a], zx[b], ix[b]) for b in range(101)]
+             for a in range(37)]
+        assert dist == pytest.approx(float(np.min(d)), abs=1e-12)
+        assert dist == pytest.approx(float(d[k][i]), abs=1e-12)
 
 
 def test_hyperbolic_pass_on_power_pair():
