@@ -17,6 +17,7 @@ from .errors import NoRepellingSeed
 from .sphere import RationalMap, SpherePoint, _array_point, _point_arrays, sphere_embed
 
 _REPEL_TOL = 1e-6
+_CLOSEST_PAIR_BLOCK = 1 << 20  # entries of one row block of the closest-pair search
 DEFAULT_DEPTH = 12
 DEFAULT_CAP = 200_000
 
@@ -241,6 +242,8 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
     for j, f in enumerate(mm.generators, start=1):
         d = f.degree
         if picks is None:
+            # every child kept: views and repeats, no index arrays; running uncapped levels
+            # through the gathers below made sweep-similarity job_s 8-22 % slower (2-core host)
             roots, rinf = f.preimages_many(level.z, level.inf)
             zj, infj = roots.ravel(), rinf.ravel()
             take, shift = functools.partial(np.repeat, repeats=d, axis=0), 0.0
@@ -469,16 +472,16 @@ def _fmt_point(pt: SpherePoint) -> str:
     return "inf" if pt.is_infinite else format(pt.value, ".9g")
 
 
-def _closest_pair(q: np.ndarray, x: np.ndarray, block: int = 1 << 20):
+def _closest_pair(q: np.ndarray, x: np.ndarray):
     """(row of q, row of x, distance) of the closest pair between two point sets.
 
     Each q row takes the argmin of |x|^2 - 2 q.x over all of x, in row blocks
-    of about block entries; the distance of the chosen pair is then computed
-    directly.
+    of about _CLOSEST_PAIR_BLOCK entries; the distance of the chosen pair is
+    then computed directly.
     """
     xx = np.einsum("ij,ij->i", x, x)
     nearest = np.empty(q.shape[0], dtype=np.int64)
-    step = max(1, block // x.shape[0])
+    step = max(1, _CLOSEST_PAIR_BLOCK // x.shape[0])
     for start in range(0, q.shape[0], step):
         g = q[start : start + step] @ x.T
         g *= -2.0

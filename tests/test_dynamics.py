@@ -506,13 +506,14 @@ def bf_min_distance(cloud_a, cloud_b):
     return best
 
 
-def test_closest_pair_matches_brute_force_across_blocks():
+def test_closest_pair_matches_brute_force_across_blocks(monkeypatch):
     rng = np.random.default_rng(5)
     zq, zx = (rng.normal(size=n) + 1j * rng.normal(size=n) for n in (37, 101))
     iq, ix = np.arange(37) % 9 == 0, np.arange(101) % 13 == 0
     q, x = sphere_embed(zq, iq), sphere_embed(zx, ix)
     for block in (1, 64, 1000, 1 << 20):  # one row per block up to a single block
-        k, i, dist = dynamics._closest_pair(q, x, block)
+        monkeypatch.setattr(dynamics, "_CLOSEST_PAIR_BLOCK", block)
+        k, i, dist = dynamics._closest_pair(q, x)
         d = [[chordal_distance_many(zq[a], iq[a], zx[b], ix[b]) for b in range(101)]
              for a in range(37)]
         assert dist == pytest.approx(float(np.min(d)), abs=1e-12)
