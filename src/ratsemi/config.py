@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from numpy.polynomial import Polynomial as LambdaPoly
 
@@ -34,7 +34,12 @@ def _check_keys(d: dict, allowed, where: str):
         _fail(where, f"unknown keys {unknown}; allowed keys are {sorted(allowed)}")
 
 
-def _as_int(v, where, minimum=None):
+# -- value kinds ------------------------------------------------------------
+# Each kind is called as kind(value, where, arg) and returns the normalized
+# value; arg is the key table's lower bound, choices or nested table.
+
+
+def _int(v, where, minimum=None):
     if isinstance(v, bool) or not isinstance(v, int):
         _fail(where, f"expected an integer, got {v!r}")
     if minimum is not None and v < minimum:
@@ -42,22 +47,25 @@ def _as_int(v, where, minimum=None):
     return v
 
 
-def _as_float(v, where):
+def _float(v, where, _=None):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(where, f"expected a number, got {v!r}")
-    f = float(v)
+    try:
+        f = float(v)
+    except OverflowError:
+        _fail(where, f"out of float range, got {v!r}")
     if not math.isfinite(f):
         _fail(where, f"must be finite, got {v!r}")
     return f
 
 
-def _as_bool(v, where):
+def _bool(v, where, _=None):
     if not isinstance(v, bool):
         _fail(where, f"expected true/false, got {v!r}")
     return v
 
 
-def _as_str(v, where, choices=None):
+def _str(v, where, choices=None):
     if not isinstance(v, str):
         _fail(where, f"expected a string, got {v!r}")
     if choices is not None and v not in choices:
@@ -65,283 +73,182 @@ def _as_str(v, where, choices=None):
     return v
 
 
-def _pair(v, where):
+def _pair(v, where, _=None):
     if not isinstance(v, list) or len(v) != 2:
         _fail(where, f"expected a [re, im] pair, got {v!r}")
-    return [_as_float(v[0], where + "[0]"), _as_float(v[1], where + "[1]")]
+    return [_float(v[0], where + "[0]"), _float(v[1], where + "[1]")]
 
 
-def _poly(v, where):
-    if not isinstance(v, list) or not v:
-        _fail(where, "expected a non-empty list of [re, im] pairs")
-    return [_pair(c, f"{where}[{i}]") for i, c in enumerate(v)]
+def _list_of(item, what, min_len=1):
+    """The kind of a list of at least min_len values of kind item."""
+    def kind(v, where, _=None):
+        if not isinstance(v, list) or len(v) < min_len:
+            _fail(where, f"expected a {what}")
+        return [item(x, f"{where}[{i}]") for i, x in enumerate(v)]
+    return kind
 
 
-def _lam_poly(v, where):
-    if not isinstance(v, list) or not v:
-        _fail(where, "expected a non-empty list of parameter polynomials")
-    return [_poly(p, f"{where}[{i}]") for i, p in enumerate(v)]
+_pairs = _list_of(_pair, "list of [re, im] pairs", min_len=0)
+_floats = _list_of(_float, "non-empty list of numbers")
+_poly = _list_of(_pair, "non-empty list of [re, im] pairs")
+_lam_poly = _list_of(_poly, "non-empty list of parameter polynomials")
 
 
-def _viewport(v, where):
-    if v is None:
-        return None
+def _viewport(v, where, _=None):
     if not isinstance(v, list) or len(v) != 4:
         _fail(where, f"expected [xmin, xmax, ymin, ymax], got {v!r}")
-    out = [_as_float(x, f"{where}[{i}]") for i, x in enumerate(v)]
+    out = [_float(x, f"{where}[{i}]") for i, x in enumerate(v)]
     if out[0] >= out[1] or out[2] >= out[3]:
         _fail(where, "viewport bounds must be ordered")
     return out
 
 
-def _norm_multimap(raw, where):
-    _check_keys(raw, {"generators"}, where)
-    gens = raw.get("generators")
-    if not isinstance(gens, list) or not gens:
-        _fail(where, "generators must be a non-empty list")
-    out = []
-    for i, g in enumerate(gens):
-        w = f"{where}.generators[{i}]"
-        _check_keys(g, {"num", "den"}, w)
-        if "num" not in g:
-            _fail(w, "missing num")
-        num = _poly(g["num"], w + ".num")
-        den = _poly(g.get("den", [[1.0, 0.0]]), w + ".den")
-        out.append({"num": num, "den": den})
-    return {"generators": out}
+def _smooth_line(v, where, _=None):
+    if not isinstance(v, list) or len(v) != 2 or v[0] not in ("row", "col"):
+        _fail(where, f"expected [\"row\"|\"col\", index], got {v!r}")
+    return [v[0], _int(v[1], where + "[1]", 0)]
 
 
-def _norm_domain(raw, where):
-    if not isinstance(raw, dict) or "kind" not in raw:
-        _fail(where, "domain needs a kind of rect or annulus")
-    kind = _as_str(raw["kind"], where + ".kind", {"rect", "annulus"})
-    if kind == "rect":
-        _check_keys(raw, {"kind", "re_min", "re_max", "im_min", "im_max"}, where)
-        out = {"kind": "rect"}
-        for k in ("re_min", "re_max", "im_min", "im_max"):
-            if k not in raw:
-                _fail(where, f"missing {k}")
-            out[k] = _as_float(raw[k], f"{where}.{k}")
-        return out
-    _check_keys(raw, {"kind", "center", "r1", "r2"}, where)
-    for k in ("center", "r1", "r2"):
-        if k not in raw:
-            _fail(where, f"missing {k}")
-    return {
-        "kind": "annulus",
-        "center": _pair(raw["center"], where + ".center"),
-        "r1": _as_float(raw["r1"], where + ".r1"),
-        "r2": _as_float(raw["r2"], where + ".r2"),
-    }
+def _vertices(v, where, _=None):
+    if not isinstance(v, list) or len(v) != 3:
+        _fail(where.rpartition(".")[0], "triangle needs exactly three vertices")
+    return _pairs(v, where)
 
 
-def _norm_family(raw, where):
-    _check_keys(
-        raw, {"generators", "domain", "excluded", "puncture_tol", "lam"}, where
-    )
-    gens = raw.get("generators")
-    if not isinstance(gens, list) or not gens:
-        _fail(where, "generators must be a non-empty list")
-    ngens = []
-    for i, g in enumerate(gens):
-        w = f"{where}.generators[{i}]"
-        _check_keys(g, {"num", "den"}, w)
-        if "num" not in g:
-            _fail(w, "missing num")
-        num = _lam_poly(g["num"], w + ".num")
-        den = _lam_poly(g.get("den", [[[1.0, 0.0]]]), w + ".den")
-        ngens.append({"num": num, "den": den})
-    if "domain" not in raw:
-        _fail(where, "missing domain")
-    out = {
-        "generators": ngens,
-        "domain": _norm_domain(raw["domain"], where + ".domain"),
-        "excluded": [
-            _pair(p, f"{where}.excluded[{i}]")
-            for i, p in enumerate(raw.get("excluded", []))
-        ],
-        "puncture_tol": _as_float(raw.get("puncture_tol", 1e-9), where + ".puncture_tol"),
-        "lam": None if raw.get("lam") is None else _pair(raw["lam"], where + ".lam"),
-    }
-    return out
+def _generators(v, where, table):
+    if not isinstance(v, list) or not v:
+        _fail(where.rpartition(".")[0], "generators must be a non-empty list")
+    return [_object(g, f"{where}[{i}]", table) for i, g in enumerate(v)]
 
 
-def _norm_region(raw, where):
-    if raw is None:
-        return None
-    if not isinstance(raw, dict) or "kind" not in raw:
-        _fail(where, "region needs a kind")
-    kind = _as_str(
-        raw["kind"], where + ".kind", {"disc", "annulus", "complement-disc", "triangle"}
-    )
-    if kind == "triangle":
-        _check_keys(raw, {"kind", "vertices"}, where)
-        verts = raw.get("vertices")
-        if not isinstance(verts, list) or len(verts) != 3:
-            _fail(where, "triangle needs exactly three vertices")
-        return {
-            "kind": kind,
-            "vertices": [_pair(v, f"{where}.vertices[{i}]") for i, v in enumerate(verts)],
-        }
-    if kind == "annulus":
-        _check_keys(raw, {"kind", "center", "r1", "r2"}, where)
-        for k in ("center", "r1", "r2"):
-            if k not in raw:
-                _fail(where, f"missing {k}")
-        return {
-            "kind": kind,
-            "center": _pair(raw["center"], where + ".center"),
-            "r1": _as_float(raw["r1"], where + ".r1"),
-            "r2": _as_float(raw["r2"], where + ".r2"),
-        }
-    _check_keys(raw, {"kind", "center", "r"}, where)
-    for k in ("center", "r"):
-        if k not in raw:
-            _fail(where, f"missing {k}")
-    return {
-        "kind": kind,
-        "center": _pair(raw["center"], where + ".center"),
-        "r": _as_float(raw["r"], where + ".r"),
-    }
+_REQUIRED = object()  # default of a key that must be present
+_OMITTED = object()   # default of a key left out of the output when absent
 
 
-def _norm_grid(raw, where):
-    if raw is None:
-        return None
-    _check_keys(raw, {"re_min", "re_max", "re_n", "im_min", "im_max", "im_n"}, where)
+def _object(v, where, table):
+    """Check a JSON object against its key table and fill every default.
+
+    A key whose default is None also accepts null and keeps it."""
+    _check_keys(v, table, where)
     out = {}
-    for k in ("re_min", "re_max", "im_min", "im_max"):
-        if k not in raw:
-            _fail(where, f"missing {k}")
-        out[k] = _as_float(raw[k], f"{where}.{k}")
-    for k in ("re_n", "im_n"):
-        if k not in raw:
-            _fail(where, f"missing {k}")
-        out[k] = _as_int(raw[k], f"{where}.{k}", minimum=1)
+    for key, (kind, default, arg) in table.items():
+        if key not in v and default is _REQUIRED:
+            _fail(where, f"missing {key}")
+        if key not in v and default is _OMITTED:
+            continue
+        x = v.get(key, default)
+        out[key] = None if x is None and default is None else kind(x, f"{where}.{key}", arg)
     return out
 
 
-_TOP_KEYS = {
-    "rng_seed", "multimap", "family", "thermo", "julia", "render", "region",
-    "osc", "grid", "boxdim", "t_values", "poincare_N", "lyap_h", "sweep",
+def _variant(v, where, spec):
+    """An object whose "kind" picks its key table: spec is (message, tables)."""
+    needs_kind, tables = spec
+    if not isinstance(v, dict) or "kind" not in v:
+        _fail(where, needs_kind)
+    kind = _str(v["kind"], where + ".kind", tables)
+    return _object(v, where, {"kind": (_str, _REQUIRED, None), **tables[kind]})
+
+
+# -- key tables: key -> (kind, default, lower bound / choices / table) -------
+
+_NUMBER = (_float, _REQUIRED, None)
+_COUNT = (_int, _REQUIRED, 1)
+_CENTER = (_pair, _REQUIRED, None)
+_ANNULUS = {"center": _CENTER, "r1": _NUMBER, "r2": _NUMBER}
+_DISC = {"center": _CENTER, "r": _NUMBER}
+_RECT = {"re_min": _NUMBER, "re_max": _NUMBER, "im_min": _NUMBER, "im_max": _NUMBER}
+_REGIONS = ("region needs a kind", {
+    "disc": _DISC,
+    "annulus": _ANNULUS,
+    "complement-disc": _DISC,
+    "triangle": {"vertices": (_vertices, [], None)},  # absent: rejected as empty
+})
+_DOMAINS = ("domain needs a kind of rect or annulus", {
+    "rect": _RECT,
+    "annulus": _ANNULUS,
+})
+
+_TC = ThermoConfig()  # the thermo defaults live in its dataclass fields
+
+_CONFIG = {
+    "rng_seed": (_int, 0, 0),
+    "thermo": (_object, {}, {
+        "depth": (_int, _TC.depth, 2),
+        "cap": (_int, _TC.cap, 1),
+        "rng_seed": (_int, _TC.rng_seed, 0),  # absent: the top-level rng_seed
+        "rtol_pressure": (_float, _TC.rtol_pressure, None),
+        "tol_t": (_float, _TC.tol_t, None),
+        "tol_p": (_float, _TC.tol_p, None),
+        "t_max": (_float, _TC.t_max, None),
+        "force": (_bool, _TC.force, None),
+        "hyper_depth": (_int, _TC.hyper_depth, 1),
+        "hyper_margin": (_float, _TC.hyper_margin, None),
+        "hyper_cap": (_int, _TC.hyper_cap, 1),
+        "basepoint": (_pair, None, None),
+    }),
+    "julia": (_object, {}, {
+        "depth": (_int, 12, 1),
+        "cap": (_int, 200_000, 1),
+        "rng_seed": (_int, 0, 0),  # absent: the top-level rng_seed
+    }),
+    "render": (_object, {}, {
+        "width": (_int, 800, 1),
+        "height": (_int, 800, 1),
+        "viewport": (_viewport, None, None),
+        "depth_coloring": (_bool, False, None),
+        "out": (_str, "julia.ppm", None),
+    }),
+    "osc": (_object, {}, {
+        "grid_n": (_int, 256, 64),
+        "variant": (_str, "plain", {"plain", "separating"}),
+        "epsilon": (_float, 1e-3, None),
+        "enlarge": (_float, 1.5, None),
+    }),
+    "boxdim": (_object, {}, {
+        "scale_count": (_int, 6, 2),
+        "viewport": (_viewport, None, None),
+    }),
+    "sweep": (_object, {}, {
+        "out": (_str, "sweep.csv", None),
+        "submean_radius": (_int, 1, 1),
+        "smooth_line": (_smooth_line, None, None),
+        "fit_degree": (_int, 4, 1),
+    }),
+    "t_values": (_floats, [0.0, 0.5, 1.0, 1.5, 2.0], None),
+    "region": (_variant, None, _REGIONS),
+    "grid": (_object, None, {**_RECT, "re_n": _COUNT, "im_n": _COUNT}),
+    "poincare_N": (_int, 8, 1),
+    "lyap_h": (_float, 1e-3, None),
+    "multimap": (_object, _OMITTED, {
+        "generators": (_generators, [], {  # absent: rejected as empty
+            "num": (_poly, _REQUIRED, None),
+            "den": (_poly, [[1.0, 0.0]], None),
+        }),
+    }),
+    "family": (_object, _OMITTED, {
+        "generators": (_generators, [], {  # absent: rejected as empty
+            "num": (_lam_poly, _REQUIRED, None),
+            "den": (_lam_poly, [[[1.0, 0.0]]], None),
+        }),
+        "domain": (_variant, _REQUIRED, _DOMAINS),
+        "excluded": (_pairs, [], None),
+        "puncture_tol": (_float, 1e-9, None),
+        "lam": (_pair, None, None),
+    }),
 }
 
 
 def normalize(raw: dict) -> dict:
     """Validate a parsed JSON object and fill every default explicitly."""
-    _check_keys(raw, _TOP_KEYS, "config")
-    seed = _as_int(raw.get("rng_seed", 0), "config.rng_seed", minimum=0)
-
-    has_mm = "multimap" in raw
-    has_fam = "family" in raw
-    if has_mm == has_fam:
+    _check_keys(raw, _CONFIG, "config")  # before the next check, so a misspelt key is named
+    if ("multimap" in raw) == ("family" in raw):
         _fail("config", "exactly one of multimap or family is required")
-
-    th = dict(raw.get("thermo", {}))
-    _check_keys(
-        th,
-        {"depth", "cap", "rng_seed", "rtol_pressure", "tol_t", "tol_p", "t_max",
-         "force", "hyper_depth", "hyper_margin", "hyper_cap", "basepoint"},
-        "config.thermo",
-    )
-    thermo = {
-        "depth": _as_int(th.get("depth", 10), "config.thermo.depth", minimum=2),
-        "cap": _as_int(th.get("cap", 200_000), "config.thermo.cap", minimum=1),
-        "rng_seed": _as_int(th.get("rng_seed", seed), "config.thermo.rng_seed", minimum=0),
-        "rtol_pressure": _as_float(th.get("rtol_pressure", 1e-6), "config.thermo.rtol_pressure"),
-        "tol_t": _as_float(th.get("tol_t", 1e-4), "config.thermo.tol_t"),
-        "tol_p": _as_float(th.get("tol_p", 1e-3), "config.thermo.tol_p"),
-        "t_max": _as_float(th.get("t_max", 64.0), "config.thermo.t_max"),
-        "force": _as_bool(th.get("force", False), "config.thermo.force"),
-        "hyper_depth": _as_int(th.get("hyper_depth", 6), "config.thermo.hyper_depth", minimum=1),
-        "hyper_margin": _as_float(th.get("hyper_margin", 0.05), "config.thermo.hyper_margin"),
-        "hyper_cap": _as_int(th.get("hyper_cap", 50_000), "config.thermo.hyper_cap", minimum=1),
-        "basepoint": (
-            None if th.get("basepoint") is None
-            else _pair(th["basepoint"], "config.thermo.basepoint")
-        ),
-    }
-
-    ju = dict(raw.get("julia", {}))
-    _check_keys(ju, {"depth", "cap", "rng_seed"}, "config.julia")
-    julia = {
-        "depth": _as_int(ju.get("depth", 12), "config.julia.depth", minimum=1),
-        "cap": _as_int(ju.get("cap", 200_000), "config.julia.cap", minimum=1),
-        "rng_seed": _as_int(ju.get("rng_seed", seed), "config.julia.rng_seed", minimum=0),
-    }
-
-    rn = dict(raw.get("render", {}))
-    _check_keys(rn, {"width", "height", "viewport", "depth_coloring", "out"}, "config.render")
-    render = {
-        "width": _as_int(rn.get("width", 800), "config.render.width", minimum=1),
-        "height": _as_int(rn.get("height", 800), "config.render.height", minimum=1),
-        "viewport": _viewport(rn.get("viewport"), "config.render.viewport"),
-        "depth_coloring": _as_bool(rn.get("depth_coloring", False), "config.render.depth_coloring"),
-        "out": _as_str(rn.get("out", "julia.ppm"), "config.render.out"),
-    }
-
-    oc = dict(raw.get("osc", {}))
-    _check_keys(oc, {"grid_n", "variant", "epsilon", "enlarge"}, "config.osc")
-    osc = {
-        "grid_n": _as_int(oc.get("grid_n", 256), "config.osc.grid_n", minimum=64),
-        "variant": _as_str(oc.get("variant", "plain"), "config.osc.variant",
-                           {"plain", "separating"}),
-        "epsilon": _as_float(oc.get("epsilon", 1e-3), "config.osc.epsilon"),
-        "enlarge": _as_float(oc.get("enlarge", 1.5), "config.osc.enlarge"),
-    }
-
-    bx = dict(raw.get("boxdim", {}))
-    _check_keys(bx, {"scale_count", "viewport"}, "config.boxdim")
-    boxdim = {
-        "scale_count": _as_int(bx.get("scale_count", 6), "config.boxdim.scale_count", minimum=2),
-        "viewport": _viewport(bx.get("viewport"), "config.boxdim.viewport"),
-    }
-
-    sw = dict(raw.get("sweep", {}))
-    _check_keys(sw, {"out", "submean_radius", "smooth_line", "fit_degree"}, "config.sweep")
-    line = sw.get("smooth_line")
-    if line is not None:
-        if (
-            not isinstance(line, list) or len(line) != 2
-            or line[0] not in ("row", "col")
-        ):
-            _fail("config.sweep.smooth_line", f"expected [\"row\"|\"col\", index], got {line!r}")
-        line = [line[0], _as_int(line[1], "config.sweep.smooth_line[1]", minimum=0)]
-    sweep = {
-        "out": _as_str(sw.get("out", "sweep.csv"), "config.sweep.out"),
-        "submean_radius": _as_int(sw.get("submean_radius", 1), "config.sweep.submean_radius", minimum=1),
-        "smooth_line": line,
-        "fit_degree": _as_int(sw.get("fit_degree", 4), "config.sweep.fit_degree", minimum=1),
-    }
-
-    tv = raw.get("t_values", [0.0, 0.5, 1.0, 1.5, 2.0])
-    if not isinstance(tv, list) or not tv:
-        _fail("config.t_values", "expected a non-empty list of numbers")
-    t_values = [_as_float(t, f"config.t_values[{i}]") for i, t in enumerate(tv)]
-
-    data = {
-        "rng_seed": seed,
-        "thermo": thermo,
-        "julia": julia,
-        "render": render,
-        "region": _norm_region(raw.get("region"), "config.region"),
-        "osc": osc,
-        "grid": _norm_grid(raw.get("grid"), "config.grid"),
-        "boxdim": boxdim,
-        "t_values": t_values,
-        "poincare_N": _as_int(raw.get("poincare_N", 8), "config.poincare_N", minimum=1),
-        "lyap_h": _as_float(raw.get("lyap_h", 1e-3), "config.lyap_h"),
-        "sweep": sweep,
-    }
-    if has_mm:
-        data["multimap"] = _norm_multimap(raw["multimap"], "config.multimap")
-    else:
-        data["family"] = _norm_family(raw["family"], "config.family")
+    data = _object(raw, "config", _CONFIG)
+    for section in ("thermo", "julia"):
+        if "rng_seed" not in raw.get(section, {}):
+            data[section]["rng_seed"] = data["rng_seed"]
     return data
-
-
-def _to_complex(pair) -> complex:
-    return complex(pair[0], pair[1])
 
 
 @dataclass
@@ -352,23 +259,11 @@ class RunConfig:
 
     def thermo_config(self) -> ThermoConfig:
         th = self.data["thermo"]
-        return ThermoConfig(
-            depth=th["depth"],
-            cap=th["cap"],
-            rng_seed=th["rng_seed"],
-            rtol_pressure=th["rtol_pressure"],
-            tol_t=th["tol_t"],
-            tol_p=th["tol_p"],
-            t_max=th["t_max"],
-            force=th["force"],
-            hyper_depth=th["hyper_depth"],
-            hyper_margin=th["hyper_margin"],
-            hyper_cap=th["hyper_cap"],
-        )
+        return ThermoConfig(**{f.name: th[f.name] for f in fields(ThermoConfig)})
 
     def basepoint(self):
         bp = self.data["thermo"]["basepoint"]
-        return None if bp is None else _to_complex(bp)
+        return None if bp is None else complex(*bp)
 
     def family_spec(self) -> FamilySpec:
         if "family" not in self.data:
@@ -376,19 +271,19 @@ class RunConfig:
         fam = self.data["family"]
         gens = []
         for g in fam["generators"]:
-            num = tuple(LambdaPoly([_to_complex(c) for c in p]) for p in g["num"])
-            den = tuple(LambdaPoly([_to_complex(c) for c in p]) for p in g["den"])
+            num = tuple(LambdaPoly([complex(*c) for c in p]) for p in g["num"])
+            den = tuple(LambdaPoly([complex(*c) for c in p]) for p in g["den"])
             gens.append((num, den))
         dom = fam["domain"]
         if dom["kind"] == "rect":
             domain = RectDomain(dom["re_min"], dom["re_max"], dom["im_min"], dom["im_max"])
         else:
-            domain = AnnulusDomain(_to_complex(dom["center"]), dom["r1"], dom["r2"])
+            domain = AnnulusDomain(complex(*dom["center"]), dom["r1"], dom["r2"])
         try:
             return FamilySpec(
                 generators=tuple(gens),
                 domain=domain,
-                excluded=tuple(_to_complex(p) for p in fam["excluded"]),
+                excluded=tuple(complex(*p) for p in fam["excluded"]),
                 puncture_tol=fam["puncture_tol"],
             )
         except ValueError as e:
@@ -400,8 +295,8 @@ class RunConfig:
         if "multimap" in self.data:
             maps = []
             for i, g in enumerate(self.data["multimap"]["generators"]):
-                num = [_to_complex(c) for c in g["num"]]
-                den = [_to_complex(c) for c in g["den"]]
+                num = [complex(*c) for c in g["num"]]
+                den = [complex(*c) for c in g["den"]]
                 try:
                     maps.append(RationalMap(num, den))
                 except ValueError as e:
@@ -413,7 +308,7 @@ class RunConfig:
                 "config.family.lam: this command instantiates the family at a "
                 "single parameter; set lam to a [re, im] pair"
             )
-        return instantiate(self.family_spec(), _to_complex(fam["lam"]))
+        return instantiate(self.family_spec(), complex(*fam["lam"]))
 
     def region(self):
         r = self.data["region"]
@@ -421,12 +316,12 @@ class RunConfig:
             raise ConfigError("config.region: this command needs a region")
         try:
             if r["kind"] == "disc":
-                return Disc(_to_complex(r["center"]), r["r"])
+                return Disc(complex(*r["center"]), r["r"])
             if r["kind"] == "annulus":
-                return Annulus(_to_complex(r["center"]), r["r1"], r["r2"])
+                return Annulus(complex(*r["center"]), r["r1"], r["r2"])
             if r["kind"] == "complement-disc":
-                return ComplementDisc(_to_complex(r["center"]), r["r"])
-            return Triangle(*(_to_complex(v) for v in r["vertices"]))
+                return ComplementDisc(complex(*r["center"]), r["r"])
+            return Triangle(*(complex(*v) for v in r["vertices"]))
         except ValueError as e:
             raise ConfigError(f"config.region: {e}") from e
 
@@ -444,7 +339,7 @@ class RunConfig:
 def parse(text: str) -> RunConfig:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also over-long integers, deep nesting
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")

@@ -2,11 +2,13 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratsemi import thermo
 from ratsemi.cli import main
@@ -120,29 +122,97 @@ def test_round_trip_is_lossless():
 
 def test_config_rejections():
     ok = {"multimap": {"generators": [Z2]}}
+    fam = family_scaled_square()
+    huge = 10 ** 400  # an integer too large for a float
+    # each bad input with the text its message must contain, from the dotted path on
     bad = [
-        {"multimap": {"generators": [Z2]}, "typo_key": 1},
-        {"multimap": {"generators": [Z2]}, "family": family_scaled_square()},
-        {},
-        {"multimap": {"generators": []}},
-        {"multimap": {"generators": [{"num": [[1, 0, 3]]}]}},
-        {**ok, "thermo": {"depth": 1}},
-        {**ok, "thermo": {"depth": True}},
-        {**ok, "osc": {"variant": "fuzzy"}},
-        {**ok, "t_values": []},
-        {**ok, "grid": {"re_min": 0.0}},
-        {**ok, "sweep": {"smooth_line": ["diag", 0]}},
-        {**ok, "render": {"viewport": [1.0, -1.0, 0.0, 1.0]}},
-        {**ok, "region": {"kind": "square"}},
+        ({"multimap": {"generators": [Z2]}, "typo_key": 1}, "config: unknown keys"),
+        ({"multimap": {"generators": [Z2]}, "family": family_scaled_square()},
+         "config: exactly one"),
+        ({}, "config: exactly one"),
+        ({"multimap": {"generators": []}}, "config.multimap: generators"),
+        ({"multimap": {"generators": [{"num": [[1, 0, 3]]}]}},
+         "config.multimap.generators[0].num[0]:"),
+        ({**ok, "thermo": {"depth": 1}}, "config.thermo.depth:"),
+        ({**ok, "thermo": {"depth": True}}, "config.thermo.depth:"),
+        ({**ok, "osc": {"variant": "fuzzy"}}, "config.osc.variant:"),
+        ({**ok, "t_values": []}, "config.t_values:"),
+        ({**ok, "grid": {"re_min": 0.0}}, "config.grid: missing re_max"),
+        ({**ok, "sweep": {"smooth_line": ["diag", 0]}}, "config.sweep.smooth_line:"),
+        ({**ok, "render": {"viewport": [1.0, -1.0, 0.0, 1.0]}}, "config.render.viewport:"),
+        ({**ok, "region": {"kind": "square"}}, "config.region.kind:"),
+        # sections that are not objects
+        ({**ok, "thermo": None}, "config.thermo: expected an object"),
+        ({**ok, "julia": 5}, "config.julia: expected an object"),
+        ({**ok, "render": "ab"}, "config.render: expected an object"),
+        ({**ok, "osc": [["grid_n", 128]]}, "config.osc: expected an object"),
+        ({**ok, "boxdim": [["scale_count", 4]]}, "config.boxdim: expected an object"),
+        ({**ok, "sweep": None}, "config.sweep: expected an object"),
+        # family.excluded must be a list
+        ({"family": {**fam, "excluded": 5}}, "config.family.excluded: expected a list"),
+        ({"family": {**fam, "excluded": None}}, "config.family.excluded: expected a list"),
+        ({"family": {**fam, "excluded": {"a": [0.0, 0.0]}}},
+         "config.family.excluded: expected a list"),
+        # integers beyond the float range where a number is expected
+        ({**ok, "t_values": [0.0, huge]}, "config.t_values[1]:"),
+        ({**ok, "lyap_h": -huge}, "config.lyap_h:"),
+        ({**ok, "thermo": {"t_max": huge}}, "config.thermo.t_max:"),
+        ({"family": {**fam, "lam": [huge, 0.0]}}, "config.family.lam[0]:"),
     ]
     parse(json.dumps(ok))
-    for raw in bad:
-        with pytest.raises(ConfigError):
+    for raw, message in bad:
+        with pytest.raises(ConfigError, match=re.escape(message)):
             parse(json.dumps(raw))
     with pytest.raises(ConfigError):
         parse("not json {")
     with pytest.raises(ConfigError):
         parse("[1, 2]")
+    # integer literals past the interpreter's digit limit, and nesting past its recursion limit
+    for text in ("1" * 5000, "[" * 100_000):
+        with pytest.raises(ConfigError, match="config is not valid JSON"):
+            parse(text)
+
+
+DEMO_CONFIGS = sorted((Path(__file__).parent.parent / "demos" / "configs").glob("*.json"))
+
+
+def _value_paths(value, path=()):
+    """Every path of dict keys into a parsed JSON value, entering lists at index 0 only."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value[:1]) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _value_paths(child, path + (key,))
+
+
+json_scalars = (st.none() | st.booleans() | st.integers(-5, 300) | st.just(10 ** 400)
+                | st.floats() | st.text(max_size=4))
+json_values = json_scalars | st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_config_fuzz_rejects_or_round_trips(data):
+    raw = json.loads(data.draw(st.sampled_from(DEMO_CONFIGS)).read_text())
+    path = data.draw(st.sampled_from(list(_value_paths(raw))))
+    value = data.draw(json_values)
+    if path:
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        raw = value
+    try:
+        cfg = parse(json.dumps(raw))
+    except ConfigError:
+        return
+    assert parse(emit(cfg)) == cfg
 
 
 def test_builders():
@@ -526,6 +596,10 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert main(["julia", "--config", no_lam]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+    null_thermo = write_cfg(tmp_path, {"multimap": {"generators": [Z2]}, "thermo": None},
+                            name="nullthermo.json")
+    assert main(["pressure", "--config", null_thermo]) == 2
+    assert capsys.readouterr().err.startswith("config error: config.thermo:")
 
 
 def test_demo_configs_parse_and_round_trip():
