@@ -149,7 +149,7 @@ def cmd_bowen(cfg: RunConfig, args) -> int:
         f"pressure at delta = {res.pressure_at_delta:.6g} "
         f"(residual {res.pressure_residual:.6g})"
     )
-    print(f"depth = {res.depth}, bisection iterations = {res.iterations}")
+    print(f"depth = {res.depth}, root-search evaluations = {res.evaluations}")
     print(hyper_line)
     if res.delta - res.delta_error > 2.0:
         print(
@@ -224,9 +224,7 @@ def cmd_lyap(cfg: RunConfig, args) -> int:
     tree = _preimage_tree(cfg, mm, tcfg)
     rows = []
     for t in cfg.data["t_values"]:
-        diag = lyapunov_and_entropy(
-            mm, float(t), h=cfg.data["lyap_h"], n=tcfg.depth, tree=tree
-        )
+        diag = lyapunov_and_entropy(mm, float(t), n=tcfg.depth, tree=tree)
         rows.append((_g17(diag.t), _g17(diag.lyapunov), _g17(diag.residual), str(diag.depth)))
     _emit_t_csv(rows, args.out)
     return EXIT_OK

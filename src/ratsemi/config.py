@@ -36,18 +36,26 @@ def _check_keys(d: dict, allowed, where: str):
 
 # -- value kinds ------------------------------------------------------------
 # Each kind is called as kind(value, where, arg) and returns the normalized
-# value; arg is the key table's lower bound, choices or nested table.
+# value; arg is the key table's bounds, choices or nested table.  Bounds are
+# a lower bound or an inclusive (lower, upper) pair, None meaning unbounded.
 
 
-def _int(v, where, minimum=None):
+def _in_range(x, where, bounds):
+    lo, hi = bounds if isinstance(bounds, tuple) else (bounds, None)
+    if lo is not None and x < lo:
+        _fail(where, f"must be >= {lo}, got {x}")
+    if hi is not None and x > hi:
+        _fail(where, f"must be <= {hi}, got {x}")
+    return x
+
+
+def _int(v, where, bounds=None):
     if isinstance(v, bool) or not isinstance(v, int):
         _fail(where, f"expected an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        _fail(where, f"must be >= {minimum}, got {v}")
-    return v
+    return _in_range(v, where, bounds)
 
 
-def _float(v, where, _=None):
+def _float(v, where, bounds=None):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(where, f"expected a number, got {v!r}")
     try:
@@ -56,7 +64,13 @@ def _float(v, where, _=None):
         _fail(where, f"out of float range, got {v!r}")
     if not math.isfinite(f):
         _fail(where, f"must be finite, got {v!r}")
-    return f
+    return _in_range(f, where, bounds)
+
+
+def _positive(v, where, _=None):
+    if not _float(v, where) > 0.0:
+        _fail(where, f"must be > 0, got {v!r}")
+    return float(v)
 
 
 def _bool(v, where, _=None):
@@ -150,7 +164,7 @@ def _variant(v, where, spec):
     return _object(v, where, {"kind": (_str, _REQUIRED, None), **tables[kind]})
 
 
-# -- key tables: key -> (kind, default, lower bound / choices / table) -------
+# -- key tables: key -> (kind, default, bounds / choices / table) ------------
 
 _NUMBER = (_float, _REQUIRED, None)
 _COUNT = (_int, _REQUIRED, 1)
@@ -178,8 +192,8 @@ _CONFIG = {
         "cap": (_int, _TC.cap, 1),
         "rng_seed": (_int, _TC.rng_seed, 0),  # absent: the top-level rng_seed
         "rtol_pressure": (_float, _TC.rtol_pressure, None),
-        "tol_t": (_float, _TC.tol_t, None),
-        "tol_p": (_float, _TC.tol_p, None),
+        "tol_t": (_positive, _TC.tol_t, None),  # the root search stops on both
+        "tol_p": (_positive, _TC.tol_p, None),
         "t_max": (_float, _TC.t_max, None),
         "force": (_bool, _TC.force, None),
         "hyper_depth": (_int, _TC.hyper_depth, 1),
@@ -193,17 +207,17 @@ _CONFIG = {
         "rng_seed": (_int, 0, 0),  # absent: the top-level rng_seed
     }),
     "render": (_object, {}, {
-        "width": (_int, 800, 1),
-        "height": (_int, 800, 1),
+        "width": (_int, 800, (1, 8192)),
+        "height": (_int, 800, (1, 8192)),
         "viewport": (_viewport, None, None),
         "depth_coloring": (_bool, False, None),
         "out": (_str, "julia.ppm", None),
     }),
     "osc": (_object, {}, {
-        "grid_n": (_int, 256, 64),
+        "grid_n": (_int, 256, (64, 4096)),
         "variant": (_str, "plain", {"plain", "separating"}),
         "epsilon": (_float, 1e-3, None),
-        "enlarge": (_float, 1.5, None),
+        "enlarge": (_float, 1.5, (1.0, 16.0)),  # a huge window passes any region
     }),
     "boxdim": (_object, {}, {
         "scale_count": (_int, 6, 2),
@@ -219,7 +233,7 @@ _CONFIG = {
     "region": (_variant, None, _REGIONS),
     "grid": (_object, None, {**_RECT, "re_n": _COUNT, "im_n": _COUNT}),
     "poincare_N": (_int, 8, 1),
-    "lyap_h": (_float, 1e-3, None),
+    "lyap_h": (_float, 1e-3, None),  # unused since lyap takes the exact slope; still parsed
     "multimap": (_object, _OMITTED, {
         "generators": (_generators, [], {  # absent: rejected as empty
             "num": (_poly, _REQUIRED, None),

@@ -200,9 +200,13 @@ class Polynomial:
 def horner(coeffs, z):
     """Evaluate ascending-coefficient polynomial(s); works on scalars and arrays."""
     c = np.asarray(coeffs, dtype=complex)
-    acc = np.full_like(np.asarray(z, dtype=complex), c[-1])
-    for k in range(c.size - 2, -1, -1):
-        acc = acc * z + c[k]
+    if c.size == 1:
+        acc = np.full(np.shape(z), c[0])
+    else:
+        # c[-1, ...] is a 0-d array, so a scalar z takes the same ufunc loop as an array
+        acc = c[-1, ...] * z + c[-2]
+        for k in range(c.size - 3, -1, -1):
+            acc = acc * z + c[k]
     if np.ndim(z) == 0:
         return complex(acc)
     return acc
@@ -475,9 +479,12 @@ class RationalMap:
     def spherical_derivative_norm_many(self, z, inf=None):
         """Vectorized spherical derivative norm over parallel point arrays."""
         z = np.asarray(z, dtype=complex)
-        out = np.empty(z.shape)
         near, far, w = self._charts(z, inf)
-        out[near] = self._deriv_fwd(z[near])
+        if near.all():
+            return self._deriv_fwd(z)
+        out = np.empty(z.shape)
+        if near.any():
+            out[near] = self._deriv_fwd(z[near])
         out[far] = self._deriv_rev(w)
         return out
 

@@ -4,7 +4,8 @@ The level sum S_n(t, z) adds ||(f_w)'(y)||^(-t) over every length-n word w
 and every solution of f_w(y) = z, with multiplicity.  The pressure estimate
 is the consecutive-level log ratio log(S_n / S_{n-1}), which kills constant
 prefactors and converges geometrically for expanding systems.  The Bowen
-parameter is the bisection root of t -> P(t).
+parameter is its root, found by Newton steps on the estimate's exact
+t-derivative (Ruelle's formula P'(t) = -chi on the tree) inside a bracket.
 
 A preimage tree's geometry does not depend on t, so one tree is built per
 basepoint and shared by every pressure evaluation of a root search.
@@ -45,7 +46,7 @@ class ThermoConfig:
     cap: int = DEFAULT_CAP
     rng_seed: int = 0
     rtol_pressure: float = 1e-6   # early stop once the last 3 ratios agree this well
-    tol_t: float = 1e-4           # bracket width for the Bowen bisection
+    tol_t: float = 1e-4           # bracket width at the Bowen root
     tol_p: float = 1e-3           # |P(delta)| at the accepted root
     t_max: float = 64.0           # giving up point for the sign-change hunt
     force: bool = False           # skip the hyperbolicity gate
@@ -62,6 +63,7 @@ class PressureEstimate:
     basepoint: SpherePoint
     ratio_history: list
     residual: float
+    slope: float  # exact dP/dt of value
 
 
 @dataclass
@@ -69,7 +71,7 @@ class BowenResult:
     delta: float
     bracket: tuple
     pressure_at_delta: float
-    iterations: int
+    evaluations: int
     depth: int
     history: list
     pressure_residual: float
@@ -84,14 +86,6 @@ class SpectrumDiagnostics:
     pressure: float
     residual: float
     depth: int
-
-
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) shifted by the max; a non-finite max is returned as is."""
-    top = a.max(initial=-np.inf)
-    if not np.isfinite(top):
-        return float(top)
-    return float(top + np.log(np.sum(np.exp(a - top))))
 
 
 class PreimageTree:
@@ -114,21 +108,35 @@ class PreimageTree:
                 _expand_backward(self.mm, self.levels[-1], self.cap, self.rng_seed, self.depth + 1)
             )
 
-    def log_level_sum(self, t: float, n: int) -> float:
-        """log S_n(t): importance weights keep the capped sum unbiased."""
+    def check_critical(self, n: int) -> None:
+        """Raise CriticalPreimage if a step derivative norm within depth n vanishes."""
+        self.extend(n)
+        bad = min(lev.min_step_norm for lev in self.levels[1 : n + 1])
+        if bad < _CRIT_NORM:
+            raise CriticalPreimage(
+                f"preimage tree of {self.basepoint} hits derivative norm {bad:.3e} "
+                f"within depth {n}; pick another basepoint"
+            )
+
+    def log_level_sum(self, t: float, n: int, derivative: bool = False):
+        """log S_n(t): importance weights keep the capped sum unbiased.  With
+        derivative, (log S_n(t), d/dt log S_n(t)) from one exp pass; the
+        derivative is minus the mean of logd under the weights of S_n."""
         self.extend(n)
         if t > 0:
-            bad = min(lev.min_step_norm for lev in self.levels[1 : n + 1])
-            if bad < _CRIT_NORM:
-                raise CriticalPreimage(
-                    f"preimage tree of {self.basepoint} hits derivative norm {bad:.3e} "
-                    f"within depth {n}; pick another basepoint"
-                )
+            self.check_critical(n)
         lev = self.levels[n]
-        if t == 0.0:
-            # avoid 0 * (-inf) = nan when the tree contains critical preimages
-            return _logsumexp(lev.logw)
-        return _logsumexp(lev.logw - t * lev.logd)
+        # at t = 0 avoid 0 * (-inf) = nan when the tree contains critical preimages
+        a = lev.logw if t == 0.0 else lev.logw - t * lev.logd
+        top = a.max(initial=-np.inf)
+        if not np.isfinite(top):
+            return (float(top), math.nan) if derivative else float(top)
+        e = np.exp(a - top)
+        total = np.sum(e)
+        log_sum = float(top + np.log(total))
+        if not derivative:
+            return log_sum
+        return log_sum, -float(e @ lev.logd / total)
 
     def poincare(self, t: float, N: int) -> tuple:
         """(sum of S_n(t) for n = 1..N, residual): the residual is the spread
@@ -144,13 +152,14 @@ def _estimate_on_tree(
 ) -> PressureEstimate:
     if depth < 2:
         raise ValueError("pressure estimation needs depth >= 2")
-    prev = tree.log_level_sum(t, 1)
+    prev, prev_d = tree.log_level_sum(t, 1, derivative=True)
     ratios = []
     used = 1
     for n in range(2, depth + 1):
-        cur = tree.log_level_sum(t, n)
+        cur, cur_d = tree.log_level_sum(t, n, derivative=True)
         ratios.append(cur - prev)
-        prev = cur
+        slope = cur_d - prev_d
+        prev, prev_d = cur, cur_d
         used = n
         if len(ratios) >= 3 and max(ratios[-3:]) - min(ratios[-3:]) <= rtol:
             break
@@ -164,6 +173,7 @@ def _estimate_on_tree(
         basepoint=tree.basepoint,
         ratio_history=[float(r) for r in ratios],
         residual=float(residual),
+        slope=float(slope),
     )
 
 
@@ -256,83 +266,72 @@ def _hyperbolicity_gate(mm: MultiMap, config: ThermoConfig) -> None:
 
 
 def bowen_parameter(mm: MultiMap, config: ThermoConfig = None, **overrides) -> BowenResult:
-    """Root of t -> P(t) by bracketed bisection on a shared preimage tree.
+    """Root of t -> P(t) by safeguarded Newton steps on a shared preimage tree.
 
-    Starts from t_lo = 0 where the pressure is log(total degree) >= 0,
-    doubles t_hi from 1 until the pressure goes negative, then bisects until
-    the bracket is narrower than tol_t and |P| at the midpoint is below
-    tol_p.  Unless force is set, a sampled hyperbolicity check must pass
-    first.
+    Starts at t = 0, where P = log(total degree) >= 0, and keeps a bracket
+    with P(lo) >= 0 > P(hi).  A Newton step that leaves the bracket, or a
+    slope that is not negative and finite, becomes a bisection (doubling t
+    from 1 while no negative P is known).  After a Newton step below tol_t/4
+    a probe tol_t/2 across the root closes the bracket.  Stops once the
+    bracket is at most tol_t wide with an end, delta, where |P| <= tol_p.
+    Unless force is set, a sampled hyperbolicity check must pass first.
     """
     config = replace(config or ThermoConfig(), **overrides)
     if not config.force:
         _hyperbolicity_gate(mm, config)
     seed_pt, _ = repelling_seed(mm)
     tree = PreimageTree(mm, seed_pt, cap=config.cap, rng_seed=config.rng_seed)
+    history = []
 
     def peval(t):
-        return _estimate_on_tree(tree, t, config.depth, config.rtol_pressure)
+        est = _estimate_on_tree(tree, t, config.depth, config.rtol_pressure)
+        history.append((est.t, est.value))
+        return est
 
-    history = []
-    p_lo = peval(0.0)
-    history.append((0.0, p_lo.value))
-    lo = 0.0
-    hi = 1.0
-    est_hi = peval(hi)
-    history.append((hi, est_hi.value))
-    while est_hi.value >= 0.0:
-        if hi >= config.t_max:
+    est = lo = peval(0.0)  # lo and hi: the estimates at the bracket ends
+    hi, probe = None, False
+    while True:
+        if hi is not None and hi.t - lo.t <= config.tol_t:
+            best = min((lo, hi), key=lambda e: abs(e.value))
+            if abs(best.value) <= config.tol_p:
+                break
+        if len(history) > 200:
+            raise NonConvergence(
+                f"Bowen root search did not meet tolerances after {len(history)} evaluations"
+            )
+        top = config.t_max if hi is None else hi.t
+        t = est.t - est.value / est.slope if -math.inf < est.slope < 0.0 else math.nan
+        # est is a converged Newton point: probe across the root
+        if (probe and not math.isnan(t)) or t == est.t:
+            t, probe = est.t + math.copysign(config.tol_t / 2, t - est.t), False
+        else:
+            probe = abs(t - est.t) < config.tol_t / 4
+        if not lo.t < t < top:  # also catches nan
+            t = 0.5 * (lo.t + hi.t) if hi is not None else max(2.0 * lo.t, 1.0)
+            probe = False
+        est = peval(t)
+        if not est.value >= 0.0:
+            hi = est
+        elif hi is None and t >= config.t_max:
             raise NoSignChange(
-                f"pressure stays nonnegative up to t = {hi}; the system may "
+                f"pressure stays nonnegative up to t = {t}; the system may "
                 "not be expanding or the tree depth is too small"
             )
-        lo = hi
-        hi *= 2.0
-        est_hi = peval(hi)
-        history.append((hi, est_hi.value))
-
-    iterations = 0
-    while True:
-        mid = 0.5 * (lo + hi)
-        est = peval(mid)
-        iterations += 1
-        history.append((mid, est.value))
-        if est.value >= 0.0:
-            lo = mid
         else:
-            hi = mid
-        if hi - lo <= config.tol_t and abs(est.value) <= config.tol_p:
-            break
-        if iterations > 200:
-            raise NonConvergence(
-                f"Bowen bisection did not meet tolerances after {iterations} steps"
-            )
+            lo = est
 
-    # error scale: residual noise divided by the local pressure slope, plus
-    # the bracket width itself
-    slope = _history_slope(history, mid)
-    residual = est.residual if math.isfinite(est.residual) else config.tol_p
-    delta_error = residual / max(slope, 1e-12) + (hi - lo)
+    # error scale: residual noise over the exact slope, plus the bracket width
+    residual = best.residual if math.isfinite(best.residual) else config.tol_p
     return BowenResult(
-        delta=float(mid),
-        bracket=(float(lo), float(hi)),
-        pressure_at_delta=float(est.value),
-        iterations=iterations,
-        depth=est.depth,
+        delta=best.t,
+        bracket=(lo.t, hi.t),
+        pressure_at_delta=best.value,
+        evaluations=len(history),
+        depth=best.depth,
         history=history,
-        pressure_residual=float(est.residual),
-        delta_error=float(delta_error),
+        pressure_residual=best.residual,
+        delta_error=float(residual / max(abs(best.slope), 1e-12) + (hi.t - lo.t)),
     )
-
-
-def _history_slope(history, t0: float) -> float:
-    """|dP/dt| near t0 from the two closest distinct-t evaluations."""
-    pts = sorted(history, key=lambda p: abs(p[0] - t0))
-    for ta, pa in pts:
-        for tb, pb in pts:
-            if abs(ta - tb) > 1e-12:
-                return abs((pa - pb) / (ta - tb))
-    return 0.0
 
 
 def lyapunov_and_entropy(
@@ -345,27 +344,25 @@ def lyapunov_and_entropy(
     rng_seed: int = 0,
     tree: PreimageTree | None = None,
 ) -> SpectrumDiagnostics:
-    """Central-difference Lyapunov exponent and equilibrium entropy at t.
+    """Lyapunov exponent and equilibrium entropy at t from the exact slope.
 
-    lyapunov = -dP/dt and entropy = P(t) + t * lyapunov; all three pressure
-    values come from the same tree at the same fixed depth so the finite
-    difference is not polluted by early-stop depth changes.  Pass tree to
-    share one PreimageTree across several t; mm, z, cap and rng_seed then
-    go unused, since the tree already fixes them.
+    lyapunov = -dP/dt and entropy = P(t) + t * lyapunov, from one estimate
+    at the fixed depth n; h is unused.  A critical preimage within depth n
+    raises CriticalPreimage at every t.  Pass tree to share one PreimageTree
+    across several t; mm, z, cap and rng_seed then go unused, since the tree
+    already fixes them.
     """
     if tree is None:
         tree = PreimageTree(mm, _default_basepoint(mm, z), cap=cap, rng_seed=rng_seed)
-    up = _estimate_on_tree(tree, t + h, n, -1.0)
-    down = _estimate_on_tree(tree, t - h, n, -1.0)
-    mid = _estimate_on_tree(tree, t, n, -1.0)
-    lyap = -(up.value - down.value) / (2.0 * h)
+    tree.check_critical(n)
+    est = _estimate_on_tree(tree, t, n, -1.0)
     return SpectrumDiagnostics(
         t=float(t),
-        lyapunov=float(lyap),
-        entropy=float(mid.value + t * lyap),
-        pressure=float(mid.value),
-        residual=float(mid.residual),
-        depth=mid.depth,
+        lyapunov=-est.slope,
+        entropy=est.value - t * est.slope,
+        pressure=est.value,
+        residual=est.residual,
+        depth=est.depth,
     )
 
 

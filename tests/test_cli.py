@@ -158,6 +158,15 @@ def test_config_rejections():
         ({**ok, "lyap_h": -huge}, "config.lyap_h:"),
         ({**ok, "thermo": {"t_max": huge}}, "config.thermo.t_max:"),
         ({"family": {**fam, "lam": [huge, 0.0]}}, "config.family.lam[0]:"),
+        # upper bounds on sizes and windows, positive root-search tolerances
+        ({**ok, "osc": {"enlarge": 1e308}}, "config.osc.enlarge: must be <= 16.0"),
+        ({**ok, "osc": {"enlarge": 0.5}}, "config.osc.enlarge: must be >= 1.0"),
+        ({**ok, "osc": {"grid_n": 4097}}, "config.osc.grid_n: must be <= 4096"),
+        ({**ok, "osc": {"grid_n": huge}}, "config.osc.grid_n: must be <= 4096"),
+        ({**ok, "render": {"width": huge}}, "config.render.width: must be <= 8192"),
+        ({**ok, "render": {"height": 8193}}, "config.render.height: must be <= 8192"),
+        ({**ok, "thermo": {"tol_t": 0.0}}, "config.thermo.tol_t: must be > 0"),
+        ({**ok, "thermo": {"tol_p": -1e-3}}, "config.thermo.tol_p: must be > 0"),
     ]
     parse(json.dumps(ok))
     for raw, message in bad:
@@ -596,6 +605,14 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert main(["julia", "--config", no_lam]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+    # an unbounded window once turned a failing OSC verdict into a pass
+    wide = write_cfg(tmp_path, {
+        "multimap": {"generators": [Z2, gen_poly([0, 0, 0.5])]},
+        "region": {"kind": "annulus", "center": [0.0, 0.0], "r1": 0.3, "r2": 2.5},
+        "osc": {"enlarge": 1e308},
+    }, name="wide.json")
+    assert main(["osc", "--config", wide]) == 2
+    assert capsys.readouterr().err.startswith("config error: config.osc.enlarge:")
     null_thermo = write_cfg(tmp_path, {"multimap": {"generators": [Z2]}, "thermo": None},
                             name="nullthermo.json")
     assert main(["pressure", "--config", null_thermo]) == 2

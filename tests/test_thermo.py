@@ -1,17 +1,21 @@
 """Thermo tests: level sums, pressure, Bowen parameter, spectrum diagnostics."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ratsemi import thermo
 from ratsemi.dynamics import MultiMap, repelling_seed
 from ratsemi.errors import (
     CriticalPreimage,
     HyperbolicityUnverified,
     NoSignChange,
 )
+from ratsemi.families import instantiate, similarity_family
 from ratsemi.sphere import polynomial_map
 from ratsemi.thermo import (
+    DEFAULT_CAP,
     PreimageTree,
     ThermoConfig,
     bowen_parameter,
@@ -36,6 +40,10 @@ def power_mm(*specs):
 
 def gasket_mm(vertices=oracles.TRIANGLE_RAW):
     return MultiMap([polynomial_map([-p, 2.0]) for p in vertices])
+
+
+def similarity_mm(lam=complex(0.3, 0.05)):
+    return instantiate(similarity_family(oracles.TRIANGLE_UNIT), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +206,64 @@ def test_bowen_force_flag_matches_gated_run():
     gated = bowen_parameter(mm)
     forced = bowen_parameter(mm, force=True)
     assert forced.delta == gated.delta
+
+
+def assert_bowen_contract(res, config=ThermoConfig()):
+    """delta is an evaluated point with |P| <= tol_p inside a closed sign-change bracket."""
+    values = dict(res.history)
+    lo, hi = res.bracket
+    assert values[res.delta] == res.pressure_at_delta
+    assert abs(res.pressure_at_delta) <= config.tol_p
+    assert values[lo] >= 0.0 > values[hi]
+    assert lo <= res.delta <= hi
+    assert hi - lo <= config.tol_t
+    assert res.evaluations == len(res.history)
+
+
+def test_pressure_slope_matches_central_difference():
+    h = 1e-4
+    cases = [
+        (power_mm((2, 1.0), (3, 1.0)), 1.0, 300, 6),  # 5^n nodes: capped from level 4 on
+        (similarity_mm(), 0.9, DEFAULT_CAP, 8),        # 3^8 nodes: uncapped
+    ]
+    for mm, t, cap, depth in cases:
+        tree = PreimageTree(mm, repelling_seed(mm)[0], cap=cap, rng_seed=3)
+        est = thermo._estimate_on_tree(tree, t, depth, -1.0)
+        up = thermo._estimate_on_tree(tree, t + h, depth, -1.0)
+        down = thermo._estimate_on_tree(tree, t - h, depth, -1.0)
+        assert tree.levels[depth].size == min(cap, mm.total_degree ** depth)
+        assert est.depth == depth and est.slope < 0.0
+        assert abs(est.slope - (up.value - down.value) / (2.0 * h)) <= 1e-6
+
+
+def test_bowen_newton_search_is_short_and_keeps_the_contract():
+    moran = math.log(3.0) / -math.log(abs(complex(0.3, 0.05)))
+    for mm, want in ((power_mm((2, 1.0), (2, 1.0)), 2.0), (similarity_mm(), moran)):
+        res = bowen_parameter(mm)
+        assert res.evaluations <= 6, res.history
+        assert_bowen_contract(res)
+        assert abs(res.delta - want) <= 1e-5
+        assert res.bracket[1] - res.bracket[0] <= res.delta_error < math.inf
+
+
+def test_bowen_bisects_when_the_slope_is_unusable(monkeypatch):
+    estimate = thermo._estimate_on_tree
+    # nan and a positive slope are refused; a tiny one sends Newton out of the bracket
+    for bad in (math.nan, 1.0, -1e-9):
+        monkeypatch.setattr(
+            thermo, "_estimate_on_tree", lambda *args: replace(estimate(*args), slope=bad)
+        )
+        for mm in (power_mm((2, 1.0), (2, 1.0)), similarity_mm()):
+            res = bowen_parameter(mm)
+            assert_bowen_contract(res)
+            assert res.evaluations > 3  # doubling and bisection, no Newton step lands
+
+
+def test_lyapunov_rejects_critical_preimages_at_every_t():
+    mm = power_mm((2, 1.0))
+    for t in (0.0, 1.0):
+        with pytest.raises(CriticalPreimage):
+            lyapunov_and_entropy(mm, t, n=3, z=0.0)
 
 
 def test_bowen_accepts_config_and_overrides():
