@@ -6,7 +6,8 @@ class RatsemiError(Exception):
 
 
 class NonConvergence(RatsemiError):
-    """Root solver failed to meet its residual bound within the iteration cap."""
+    """A root solve missed its residual bound with Aberth and then with the
+    companion eigenvalues, or a Bowen or Moran root search ran away."""
 
 
 class NoRepellingSeed(RatsemiError):

@@ -212,12 +212,13 @@ def horner(coeffs, z):
     return acc
 
 
-def _horner_rows(C, Z):
-    """Row-wise Horner: C is (m, n+1) ascending coefficients, Z is (m, r)."""
-    acc = np.broadcast_to(C[:, -1:], Z.shape).copy()
-    for k in range(C.shape[1] - 2, -1, -1):
+def _horner_cols(C, Z):
+    """Horner per polynomial: C is (n+1, m) ascending coefficients, one column per
+    polynomial (n >= 1), and Z is (r, m), column j evaluated with C[:, j]."""
+    acc = C[-1] * Z + C[-2]
+    for k in range(len(C) - 3, -1, -1):
         acc *= Z
-        acc += C[:, k : k + 1]
+        acc += C[k]
     return acc
 
 
@@ -235,71 +236,95 @@ def _reversed_padded(coeffs, deg):
 # ---------------------------------------------------------------------------
 # root finding (Aberth-Ehrlich simultaneous iteration)
 
+_ABERTH_BLOCK = 4096  # polynomials per block: bounds the (n, n, block) pair differences
 
-def _aberth_batch(C):
-    """All roots of each row of C (ascending coeffs, nonzero leading column).
 
-    Returns (m, n) roots, unordered within rows.  Raises NonConvergence if
-    any row misses the residual bound after the iteration cap.
-    """
-    C = np.asarray(C, dtype=complex)
-    m, n1 = C.shape
-    n = n1 - 1
-    if n == 0:
-        return np.empty((m, 0), dtype=complex)
-    if n == 1:
-        return (-C[:, 0] / C[:, 1])[:, None]
+def _resid_ok(C, z):
+    """Columns of C whose roots z, (n, m), all meet the residual bound."""
+    bound = _ROOT_RESID * (1.0 + np.max(np.abs(C), axis=0)) * (1.0 + np.abs(z)) ** (len(C) - 1)
+    return np.all(np.abs(_horner_cols(C, z)) <= bound, axis=0)
 
-    lead = C[:, -1:]
-    Cm = C / lead  # monic
-    radius = 1.0 + np.max(np.abs(Cm[:, :-1]), axis=1)
-    # deterministic start: Cauchy circle with a fixed symmetry-breaking offset
-    angles = 2.0 * np.pi * (np.arange(n) + 0.354) / n + 0.5
-    z = radius[:, None] * np.exp(1j * angles)[None, :]
-    Cd = Cm[:, 1:] * np.arange(1, n + 1)
 
-    eye = np.eye(n, dtype=bool)
+def _aberth_block(C, circle):
+    """Aberth iterates (n, m) for the columns of C; a column stops once every
+    one of its own steps is below 1e-13 (1 + |z|)."""
+    n = len(C) - 1
+    Cm = C / C[-1]  # monic
+    radius = 1.0 + np.max(np.abs(Cm[:-1]), axis=0)
+    z = za = radius * circle
+    Cd = Cm[1:] * np.arange(1, n + 1)[:, None]
+    act, diag = np.arange(C.shape[1]), np.arange(n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(_ABERTH_MAX_ITER):
-            p = _horner_rows(Cm, z)
-            pd = _horner_rows(Cd, z)
-            pd = np.where(pd == 0, 1e-300, pd)
-            newton = p / pd
-            diff = z[:, :, None] - z[:, None, :]
-            diff[:, eye] = np.inf
-            repel = np.sum(1.0 / diff, axis=2)
+            pd = _horner_cols(Cd, za)
+            pd[pd == 0] = 1e-300
+            newton = _horner_cols(Cm, za) / pd
+            diff = za[:, None] - za
+            diff[diag, diag] = np.inf
+            inv = 1.0 / diff
+            repel = inv[:, 0] + inv[:, 1]  # a fixed order whatever the batch, unlike np.sum
+            for j in range(2, n):
+                repel += inv[:, j]
             denom = 1.0 - newton * repel
-            denom = np.where(denom == 0, 1.0, denom)
+            denom[denom == 0] = 1.0
             step = newton / denom
             # reset any non-finite iterate deterministically inside the disc
             bad = ~np.isfinite(step)
             if np.any(bad):
-                step = np.where(bad, 0.0, step)
-                z = np.where(bad, 0.5 * radius[:, None] * np.exp(1j * angles), z)
-            z = z - step
-            small = np.abs(step) <= 1e-13 * (1.0 + np.abs(z))
-            if np.all(small):
-                break
+                step[bad] = 0.0
+                za = np.where(bad, 0.5 * radius[act] * circle, za)
+            za = za - step
+            done = np.all(np.abs(step) <= 1e-13 * (1.0 + np.abs(za)), axis=0)
+            if np.any(done):  # freeze converged columns
+                z[:, act[done]] = za[:, done]
+                act, za, Cm, Cd = act[~done], za[:, ~done], Cm[:, ~done], Cd[:, ~done]
+                if act.size == 0:
+                    break
+    z[:, act] = za  # columns still moving at the iteration cap
+    return z
 
-    resid = np.abs(_horner_rows(C, z))
-    bound = _ROOT_RESID * (1.0 + np.max(np.abs(C), axis=1))[:, None] * (
-        1.0 + np.abs(z)
-    ) ** n
-    ok = resid <= bound
-    if not np.all(ok):
-        bad_rows = np.flatnonzero(~np.all(ok, axis=1))
+
+def _aberth_batch(C):
+    """All roots of each column of C: (n+1, m) ascending coefficients,
+    coefficient-major (one polynomial per column), with a nonzero last row.
+
+    Returns (m, n) roots, unordered within rows.  Runs in blocks of
+    _ABERTH_BLOCK columns, and only the polynomials whose own steps are not
+    yet all below 1e-13 (1 + |z|) keep iterating, so a polynomial's roots
+    never depend on its batch.  One that misses the residual bound after
+    _ABERTH_MAX_ITER steps is re-solved from its companion eigenvalues
+    (np.roots) under the same bound; NonConvergence if it misses it again.
+    """
+    C = np.asarray(C, dtype=complex)
+    n, m = len(C) - 1, C.shape[1]
+    if n == 1:
+        return (-C[0] / C[1])[:, None]
+    out = np.empty((m, n), dtype=complex)
+    if n == 0:
+        return out
+    # deterministic start: Cauchy circle with a fixed symmetry-breaking offset
+    circle = np.exp(1j * (2.0 * np.pi * (np.arange(n) + 0.354) / n + 0.5))[:, None]
+    failed = []
+    for s in range(0, m, _ABERTH_BLOCK):
+        z = _aberth_block(C[:, s : s + _ABERTH_BLOCK], circle)
+        out[s : s + z.shape[1]] = z.T
+        failed.extend(s + np.flatnonzero(~_resid_ok(C[:, s : s + _ABERTH_BLOCK], z)))
+    for i in failed:
+        out[i] = np.roots(C[::-1, i])
+    bad_rows = [i for i in failed if not _resid_ok(C[:, i, None], out[i, :, None])[0]]
+    if bad_rows:
         raise NonConvergence(
-            f"root solver missed the residual bound on {bad_rows.size} "
+            f"root solver missed the residual bound on {len(bad_rows)} "
             f"polynomial(s); first failing row index {bad_rows[0]}"
         )
-    return z
+    return out
 
 
 def poly_roots(coeffs) -> list[complex]:
     """All complex roots of a polynomial, multiplicity as repeated entries.
 
-    Uses Aberth-Ehrlich simultaneous iteration from a deterministic start,
-    so the result is reproducible.  Residual acceptance per root:
+    Aberth-Ehrlich iteration from a deterministic start (reproducible), with
+    a companion-eigenvalue fallback.  Residual acceptance per root:
     |p(root)| <= 1e-8 * (1 + max|coeff|) * (1 + |root|)^degree.
     """
     p = coeffs if isinstance(coeffs, Polynomial) else Polynomial(coeffs)
@@ -307,15 +332,15 @@ def poly_roots(coeffs) -> list[complex]:
         raise ValueError("zero polynomial has no well-defined root set")
     if p.degree == 0:
         return []
-    roots = _aberth_batch(p.coeffs[None, :])[0]
+    roots = _aberth_batch(p.coeffs[:, None])[0]
     return sorted((complex(r) for r in roots), key=lambda r: (r.real, r.imag))
 
 
 def _quadratic_roots_batch(C):
-    """Stable closed-form roots for (m, 3) quadratic coefficient rows."""
+    """Stable closed-form roots for (3, m) coefficient-major quadratics."""
     # allocated before the temporaries, so freeing them leaves no heap hole under it
-    out = np.empty((C.shape[0], 2), dtype=complex)
-    c0, c1, c2 = C[:, 0], C[:, 1], C[:, 2]
+    out = np.empty((C.shape[1], 2), dtype=complex)
+    c0, c1, c2 = C
     disc = c1 * c1 - 4.0 * c2 * c0
     sq = np.sqrt(disc)
     # pick the sign that avoids cancellation in -b -+ sqrt(disc)
@@ -333,12 +358,14 @@ def _quadratic_roots_batch(C):
 def roots_batch(C):
     """Roots for a batch of same-degree polynomials, in solver order.
 
-    C is (m, n+1) ascending with a nonzero leading column.  Degree 1 and 2
-    take closed forms; higher degrees run the simultaneous iteration.  The
-    order within a row is whatever the solver produces, which is
-    deterministic but not sorted; poly_roots sorts its result.
+    C is (n+1, m), coefficient-major: column j holds the ascending
+    coefficients of polynomial j, each coefficient is one contiguous row,
+    and the last row is nonzero.  Returns (m, n).  Degree 1 and 2 take
+    closed forms, higher degrees the Aberth iteration (stopped per
+    polynomial, with a companion-eigenvalue fallback).  Row j of the result
+    depends only on polynomial j, in solver order: deterministic, unsorted.
     """
-    if C.shape[1] == 3:
+    if C.shape[0] == 3:
         return _quadratic_roots_batch(C)
     return _aberth_batch(C)
 
@@ -500,33 +527,37 @@ class RationalMap:
 
         Returns (roots, inf_mask) of shape (m, degree), each row in
         roots_batch's solver order rather than sorted.  A finite target z
-        solves P - zQ = 0, a target at infinity Q = 0.  When the k leading
-        coefficients of a row cancel (|c| <= 1e-12 (|P_d| + |z| |Q_d|), or
-        exactly zero for infinity) the row loses k degrees: its remaining
-        roots fill the first d - k slots and the last k are infinity.  Rows
-        are solved in one roots_batch call per k.
+        solves P - zQ = 0, a target at infinity Q = 0, built coefficient-major
+        (one contiguous row per power), the layout roots_batch reads.  When
+        the k leading coefficients of a row cancel (|c| <= 1e-12 (|P_d| +
+        |z| |Q_d|), or exactly zero for infinity) the row loses k degrees:
+        its remaining roots fill the first d - k slots and the last k are
+        infinity.  Rows are solved in one roots_batch call per k; each row's
+        roots depend only on its own target.
         """
         z = np.asarray(z, dtype=complex)
         d = self.degree
-        C = self._num_pad[None, :] - z[:, None] * self._den_pad[None, :]
+        C = np.empty((d + 1, z.size), dtype=complex)
+        for c, p, q in zip(C, self._num_pad, self._den_pad):
+            np.subtract(p, np.multiply(z, q, out=c), out=c)
         scale = abs(self._num_pad[d]) + np.abs(z) * abs(self._den_pad[d])
         if inf is not None and inf.any():
-            C[inf] = self._den_pad
+            C[:, inf] = self._den_pad[:, None]
             scale[inf] = abs(self._den_pad[d])
         tol = 1e-12 * (scale + 1e-300)
-        drop = np.abs(C[:, -1]) <= tol
+        drop = np.abs(C[-1]) <= tol
         if not drop.any():
             return roots_batch(C), np.zeros((z.size, d), dtype=bool)
         # k = number of cancelled leading coefficients; the constant one stays
         k = np.zeros(z.size, dtype=np.int64)
-        small = np.abs(C[drop, :0:-1]) <= tol[drop, None]
-        k[drop] = np.cumprod(small, axis=1).sum(axis=1)
+        small = np.abs(C[:0:-1, drop]) <= tol[drop]
+        k[drop] = np.cumprod(small, axis=0).sum(axis=0)
         roots = np.zeros((z.size, d), dtype=complex)
         infm = np.zeros((z.size, d), dtype=bool)
         for kk in np.unique(k):
             rows = np.flatnonzero(k == kk)
             n = d - kk
-            roots[rows, :n] = roots_batch(C[rows, : n + 1])
+            roots[rows, :n] = roots_batch(C[: n + 1, rows])
             infm[rows, n:] = True
         return roots, infm
 

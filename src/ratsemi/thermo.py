@@ -271,9 +271,10 @@ def bowen_parameter(mm: MultiMap, config: ThermoConfig = None, **overrides) -> B
     Starts at t = 0, where P = log(total degree) >= 0, and keeps a bracket
     with P(lo) >= 0 > P(hi).  A Newton step that leaves the bracket, or a
     slope that is not negative and finite, becomes a bisection (doubling t
-    from 1 while no negative P is known).  After a Newton step below tol_t/4
-    a probe tol_t/2 across the root closes the bracket.  Stops once the
-    bracket is at most tol_t wide with an end, delta, where |P| <= tol_p.
+    from 1 while no negative P is known).  A Newton step below tol_t/4 is
+    not taken: a probe tol_t/2 across the root, straight from the current
+    point, closes the bracket.  Stops once the bracket is at most tol_t
+    wide with an end, delta, where |P| <= tol_p.
     Unless force is set, a sampled hyperbolicity check must pass first.
     """
     config = replace(config or ThermoConfig(), **overrides)
@@ -289,7 +290,7 @@ def bowen_parameter(mm: MultiMap, config: ThermoConfig = None, **overrides) -> B
         return est
 
     est = lo = peval(0.0)  # lo and hi: the estimates at the bracket ends
-    hi, probe = None, False
+    hi = None
     while True:
         if hi is not None and hi.t - lo.t <= config.tol_t:
             best = min((lo, hi), key=lambda e: abs(e.value))
@@ -301,14 +302,11 @@ def bowen_parameter(mm: MultiMap, config: ThermoConfig = None, **overrides) -> B
             )
         top = config.t_max if hi is None else hi.t
         t = est.t - est.value / est.slope if -math.inf < est.slope < 0.0 else math.nan
-        # est is a converged Newton point: probe across the root
-        if (probe and not math.isnan(t)) or t == est.t:
-            t, probe = est.t + math.copysign(config.tol_t / 2, t - est.t), False
-        else:
-            probe = abs(t - est.t) < config.tol_t / 4
+        # est is a converged Newton point: probe across the root from it
+        if abs(t - est.t) < config.tol_t / 4:
+            t = est.t + math.copysign(config.tol_t / 2, t - est.t)
         if not lo.t < t < top:  # also catches nan
             t = 0.5 * (lo.t + hi.t) if hi is not None else max(2.0 * lo.t, 1.0)
-            probe = False
         est = peval(t)
         if not est.value >= 0.0:
             hi = est

@@ -410,11 +410,9 @@ def test_capped_backward_levels_match_expand_then_subsample(maps):
 
 
 def test_capped_mixed_degree_levels_match_expand_then_subsample():
-    # z^3 goes through Aberth, which may stop at another iteration on a row
-    # subset, so values agree to rounding while the kept rows are the same
     mm = MultiMap([power_map(2), power_map(3)])
     for cap, seed in ((7, 0), (60, 4), (400, 11)):
-        assert _check_capped_levels(mm, _seed_level(mm), cap, seed, 6, exact=False)[-1] == cap
+        assert _check_capped_levels(mm, _seed_level(mm), cap, seed, 6, exact=True)[-1] == cap
 
 
 def test_capped_rational_levels_with_infinite_parents_match_expand_then_subsample():

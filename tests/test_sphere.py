@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ratsemi import sphere
+from ratsemi.errors import NonConvergence
 from ratsemi.sphere import (
     INF,
     _array_point,
@@ -192,6 +194,75 @@ def test_multiple_root_reported_with_multiplicity():
 def test_roots_deterministic():
     c = [0.3 - 1.0j, 0.0, 2.0, -0.7j, 1.0]
     assert poly_roots(c) == poly_roots(c)
+
+
+def test_aberth_rows_do_not_depend_on_their_batch(monkeypatch):
+    # each row stops on its own steps, so alone, in one batch and split
+    # across blocks it runs the same iterations to the same bits
+    rng = np.random.default_rng(7)
+    for n in (3, 4, 5, 6):
+        C = rand_complex(rng, (n + 1) * 200).reshape(n + 1, 200)
+        batch = sphere._aberth_batch(C)
+        alone = np.concatenate([sphere._aberth_batch(C[:, i : i + 1]) for i in range(200)])
+        monkeypatch.setattr(sphere, "_ABERTH_BLOCK", 7)
+        blocked = sphere._aberth_batch(C)
+        monkeypatch.undo()
+        assert batch.tobytes() == alone.tobytes() == blocked.tobytes()
+
+
+def test_rows_missing_the_residual_fall_back_to_companion_eigenvalues(monkeypatch):
+    rng = np.random.default_rng(84)
+    f = polynomial_map(rand_complex(rng, 5) + np.array([0, 0, 0, 0, 2.0]))
+    z = rand_complex(rng, 30, scale=2.0)
+    solved = []
+    roots_fn = np.roots
+    monkeypatch.setattr(sphere, "_ABERTH_MAX_ITER", 1)  # one step leaves every row unsolved
+    monkeypatch.setattr(np, "roots", lambda c: solved.append(c) or roots_fn(c))
+    roots, infm = f.preimages_many(z)
+    monkeypatch.undo()
+    assert len(solved) == 30 and not infm.any()
+    for i in range(z.size):
+        ref = oracles.preimages_bf(f.num.coeffs, f.den.coeffs, z[i])
+        assert oracles.best_match(roots[i].tolist(), ref) < 1e-8
+
+
+def test_nonconvergence_when_the_fallback_also_misses(monkeypatch):
+    C = np.array([[-8.0, 1.0, 0.5j], [0.0, 0.0, 2.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    monkeypatch.setattr(sphere, "_ABERTH_MAX_ITER", 1)
+    monkeypatch.setattr(sphere, "_ABERTH_BLOCK", 2)
+    monkeypatch.setattr(np, "roots", lambda c: np.full(c.size - 1, 1e3 + 0j))
+    with pytest.raises(NonConvergence, match=r"on 3 polynomial\(s\); first failing row index 0"):
+        sphere._aberth_batch(C)
+
+
+def _cluster_size(roots, radius=1e-2):
+    return max(sum(abs(r - s) <= radius for s in roots) for r in roots)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_preimages_many_fuzz_with_clustered_roots(data):
+    # P has roots r_j, a cluster of up to 3 of them 1e-3 to 1e-9 apart; the
+    # targets 0 and w give rows P and P - w, solved against np.roots
+    n = data.draw(st.integers(3, 6), label="degree")
+    coord = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    roots = [complex(data.draw(coord), data.draw(coord)) for _ in range(n)]
+    gap = 10.0 ** -data.draw(st.integers(3, 9), label="log10 gap")
+    for j in range(1, data.draw(st.integers(1, 3), label="cluster")):
+        roots[j] = roots[0] + gap * j * 1j**j
+    lead = complex(data.draw(st.floats(0.1, 10.0)), data.draw(coord))
+    f = polynomial_map(lead * np.poly(roots)[::-1])
+    z = np.array([0j, complex(data.draw(coord), data.draw(coord))])
+    got, infm = f.preimages_many(z)
+    assert got.shape == (2, n) and not infm.any()
+    for i in range(2):
+        c = f.num.coeffs - np.eye(n + 1)[0] * z[i]
+        bound = 1e-8 * (1.0 + np.max(np.abs(c))) * (1.0 + np.abs(got[i])) ** n
+        assert np.all(np.abs(np.polyval(c[::-1], got[i])) <= bound)
+        ref = oracles.preimages_bf(f.num.coeffs, f.den.coeffs, z[i])
+        # a k-fold cluster moves by about eps^(1/k) under rounding of the coefficients
+        tol = max(1e-8, 1e2 * 1e-16 ** (1.0 / _cluster_size(ref)))
+        assert oracles.best_match(got[i].tolist(), ref) <= tol
 
 
 # ---------------------------------------------------------------------------

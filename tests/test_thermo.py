@@ -246,6 +246,18 @@ def test_bowen_newton_search_is_short_and_keeps_the_contract():
         assert res.bracket[1] - res.bracket[0] <= res.delta_error < math.inf
 
 
+def test_bowen_probes_across_a_converged_newton_point_without_stepping_to_it():
+    # a Newton step below tol_t/4 is never evaluated: the probe replaces it
+    for mm in (power_mm((2, 1.0), (2, 1.0)), similarity_mm(), power_mm((2, 1.0), (3, 1.0))):
+        res = bowen_parameter(mm, depth=10)
+        assert_bowen_contract(res)
+        ts = [t for t, _ in res.history]
+        assert min(abs(b - a) for a, b in zip(ts, ts[1:])) >= ThermoConfig().tol_t / 4, ts
+    # the demo power pair z^2, z^3 spends a sixth evaluation on the tiny step
+    assert res.evaluations <= 5, res.history
+    assert abs(res.delta - oracles.DELTA_Z2_Z3) <= 1e-6
+
+
 def test_bowen_bisects_when_the_slope_is_unusable(monkeypatch):
     estimate = thermo._estimate_on_tree
     # nan and a positive slope are refused; a tiny one sends Newton out of the bracket
