@@ -16,28 +16,14 @@ import sys
 import numpy as np
 
 from .config import RunConfig, emit, parse_file
-from .dynamics import check_hyperbolic, julia_backward_cloud
-from .errors import (
-    ConfigError,
-    CriticalPreimage,
-    HyperbolicityUnverified,
-    InsufficientPoints,
-    NoRepellingSeed,
-    NoSignChange,
-    RatsemiError,
-)
+from .dynamics import check_hyperbolic  # noqa: F401  unused here; perfbench/spans.py patches this name
+from .dynamics import julia_backward_cloud
+from .errors import ConfigError, HyperbolicityUnverified, InsufficientPoints, RatsemiError
 from .families import smoothness_diagnostic, submean_diagnostic, sweep_delta
 from .geometry import box_dimension, osc_check
 from .thermo import PreimageTree, _default_basepoint, bowen_parameter, lyapunov_and_entropy, pressure_curve
 
-EXIT_OK = 0
-EXIT_ERROR = 1
-EXIT_CONFIG = 2
-EXIT_NO_SEED = 3
-EXIT_NO_SIGN_CHANGE = 4
-EXIT_CRITICAL_PREIMAGE = 5
-EXIT_OSC_FAIL = 6
-EXIT_HYPERBOLICITY = 7
+EXIT_OSC_FAIL = 6  # the one exit code no RatsemiError carries (errors.py has the rest)
 
 
 def _g17(x) -> str:
@@ -58,9 +44,19 @@ def _atomic_write(path: str, data: bytes) -> None:
     os.replace(tmp, path)
 
 
+def _csv_text(header: str, rows) -> str:
+    return header + "\n" + "".join(r + "\n" for r in rows)
+
+
 def _write_csv(path: str, header: str, rows) -> None:
-    text = header + "\n" + "".join(r + "\n" for r in rows)
-    _atomic_write(path, text.encode("ascii"))
+    _atomic_write(path, _csv_text(header, rows).encode("ascii"))
+
+
+def _julia_cloud(cfg: RunConfig):
+    """The backward-orbit cloud of the configured system, as the julia section sets it."""
+    mm = cfg.multimap()
+    ju = cfg.data["julia"]
+    return julia_backward_cloud(mm, depth=ju["depth"], cap=ju["cap"], rng_seed=ju["rng_seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -68,12 +64,8 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 
 def cmd_julia(cfg: RunConfig, args) -> int:
-    mm = cfg.multimap()
-    ju = cfg.data["julia"]
+    cloud = _julia_cloud(cfg)
     rn = cfg.data["render"]
-    cloud = julia_backward_cloud(
-        mm, depth=ju["depth"], cap=ju["cap"], rng_seed=ju["rng_seed"]
-    )
     z, depths = cloud.finite_points()
     n_inf = cloud.size - z.size
     if z.size == 0:
@@ -119,29 +111,24 @@ def cmd_julia(cfg: RunConfig, args) -> int:
     print(f"radial range [{float(r.min()):.6g}, {float(r.max()):.6g}]")
     print(f"seed {_fmt_point(meta['seed_point'])} from generator {meta['seed_generator']}")
     print(f"wrote {out}")
-    return EXIT_OK
+    return 0
 
 
-def cmd_bowen(cfg: RunConfig, args) -> int:
-    mm = cfg.multimap()
-    tcfg = cfg.thermo_config()
-    rep = check_hyperbolic(
-        mm,
-        depth=tcfg.hyper_depth,
-        margin=tcfg.hyper_margin,
-        cap=tcfg.hyper_cap,
-        rng_seed=tcfg.rng_seed,
-    )
+def _gate_line(rep) -> str:
     dist = rep.metrics.get("min_distance", math.nan)
-    hyper_line = (
+    return (
         f"hyperbolicity {rep.verdict} "
         f"(min postcritical-to-cloud distance {dist:.6g}, margin {rep.margin:.6g})"
     )
-    if rep.verdict != "pass" and not tcfg.force:
-        print(hyper_line)
+
+
+def cmd_bowen(cfg: RunConfig, args) -> int:
+    try:
+        res = bowen_parameter(cfg.multimap(), cfg.thermo_config())
+    except HyperbolicityUnverified as e:
+        print(_gate_line(e.report))
         print("refusing to report a Bowen parameter; set thermo.force to override")
-        return EXIT_HYPERBOLICITY
-    res = bowen_parameter(mm, tcfg, force=True)  # the gate already ran above
+        return e.exit_code
     lo, hi = res.bracket
     print(f"delta = {res.delta:.10g} +/- {res.delta_error:.3g}")
     print(f"bracket = [{lo:.10g}, {hi:.10g}]")
@@ -150,31 +137,25 @@ def cmd_bowen(cfg: RunConfig, args) -> int:
         f"(residual {res.pressure_residual:.6g})"
     )
     print(f"depth = {res.depth}, root-search evaluations = {res.evaluations}")
-    print(hyper_line)
+    print(_gate_line(res.gate))
     if res.delta - res.delta_error > 2.0:
         print(
             "note: delta exceeds 2 beyond its error bar, so no open set in the "
             "plane can satisfy the open set condition for this system"
         )
     if args.out:
+        row = [res.delta, lo, hi, res.pressure_at_delta, res.pressure_residual, res.delta_error]
         _write_csv(
             args.out,
             "delta,bracket_lo,bracket_hi,pressure_at_delta,pressure_residual,delta_error,depth",
-            [
-                ",".join(
-                    [_g17(res.delta), _g17(lo), _g17(hi), _g17(res.pressure_at_delta),
-                     _g17(res.pressure_residual), _g17(res.delta_error), str(res.depth)]
-                )
-            ],
+            [",".join([*map(_g17, row), str(res.depth)])],
         )
         print(f"wrote {args.out}")
-    return EXIT_OK
+    return 0
 
 
 def _emit_t_csv(rows, out) -> None:
-    header = "t,value,residual,depth"
-    lines = [",".join(r) for r in rows]
-    text = header + "\n" + "".join(l + "\n" for l in lines)
+    text = _csv_text("t,value,residual,depth", [",".join(r) for r in rows])
     sys.stdout.write(text)
     if out:
         _atomic_write(out, text.encode("ascii"))
@@ -196,7 +177,7 @@ def cmd_pressure(cfg: RunConfig, args) -> int:
         [(_g17(e.t), _g17(e.value), _g17(e.residual), str(e.depth)) for e in ests],
         args.out,
     )
-    return EXIT_OK
+    return 0
 
 
 def _preimage_tree(cfg: RunConfig, mm, tcfg) -> PreimageTree:
@@ -215,7 +196,7 @@ def cmd_poincare(cfg: RunConfig, args) -> int:
         value, residual = tree.poincare(float(t), N)
         rows.append((_g17(t), _g17(value), _g17(residual), str(N)))
     _emit_t_csv(rows, args.out)
-    return EXIT_OK
+    return 0
 
 
 def cmd_lyap(cfg: RunConfig, args) -> int:
@@ -227,21 +208,12 @@ def cmd_lyap(cfg: RunConfig, args) -> int:
         diag = lyapunov_and_entropy(mm, float(t), n=tcfg.depth, tree=tree)
         rows.append((_g17(diag.t), _g17(diag.lyapunov), _g17(diag.residual), str(diag.depth)))
     _emit_t_csv(rows, args.out)
-    return EXIT_OK
+    return 0
 
 
 def cmd_osc(cfg: RunConfig, args) -> int:
-    mm = cfg.multimap()
-    U = cfg.region()
-    oc = cfg.data["osc"]
-    rep = osc_check(
-        mm,
-        U,
-        grid_n=oc["grid_n"],
-        variant=oc["variant"],
-        epsilon=oc["epsilon"],
-        enlarge=oc["enlarge"],
-    )
+    oc = cfg.data["osc"]  # its keys are osc_check's keyword arguments
+    rep = osc_check(cfg.multimap(), cfg.region(), **oc)
     print(
         f"osc {rep.verdict} (variant {oc['variant']}, grid {oc['grid_n']}, "
         f"spacing {rep.margin:.6g}, {rep.metrics['samples']} samples)"
@@ -252,7 +224,7 @@ def cmd_osc(cfg: RunConfig, args) -> int:
     )
     for pt, detail in rep.witnesses:
         print(f"witness {_fmt_point(pt)}: {detail}")
-    return EXIT_OK if rep.passed else EXIT_OSC_FAIL
+    return 0 if rep.passed else EXIT_OSC_FAIL
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
@@ -261,18 +233,9 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     table = sweep_delta(fam, grid, cfg.thermo_config())
     rows = []
     for r in table.rows:
-        rows.append(
-            ",".join(
-                [
-                    _g17(r.lam.real),
-                    _g17(r.lam.imag),
-                    _g17(r.delta) if r.status == "ok" else "",
-                    _g17(r.pressure_residual) if r.status == "ok" else "",
-                    str(r.depth) if r.status == "ok" else "",
-                    r.status,
-                ]
-            )
-        )
+        ok = r.status == "ok"
+        fit = [_g17(r.delta), _g17(r.pressure_residual), str(r.depth)] if ok else ["", "", ""]
+        rows.append(",".join([_g17(r.lam.real), _g17(r.lam.imag), *fit, r.status]))
     out = args.out or cfg.data["sweep"]["out"]
     _write_csv(out, "re_lambda,im_lambda,delta,pressure_residual,depth,status", rows)
     n_ok = sum(1 for r in table.rows if r.status == "ok")
@@ -305,17 +268,12 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
                 f"(noise estimate {smooth.psh_noise:.6g}) "
                 f"at {smooth.psh_argmin.real:.6g}{smooth.psh_argmin.imag:+.6g}i"
             )
-    return EXIT_OK
+    return 0
 
 
 def cmd_boxdim(cfg: RunConfig, args) -> int:
-    mm = cfg.multimap()
-    ju = cfg.data["julia"]
-    bx = cfg.data["boxdim"]
-    cloud = julia_backward_cloud(
-        mm, depth=ju["depth"], cap=ju["cap"], rng_seed=ju["rng_seed"]
-    )
-    res = box_dimension(cloud, scale_count=bx["scale_count"], viewport=bx["viewport"])
+    # the boxdim section's keys are box_dimension's keyword arguments
+    res = box_dimension(_julia_cloud(cfg), **cfg.data["boxdim"])
     print(f"box dimension slope = {res.slope:.6g} (r^2 = {res.r_squared:.6g})")
     print("scale,count")
     rows = []
@@ -326,7 +284,7 @@ def cmd_boxdim(cfg: RunConfig, args) -> int:
     if args.out:
         _write_csv(args.out, "scale,count", rows)
         print(f"wrote {args.out}")
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -394,24 +352,10 @@ def main(argv=None) -> int:
         if args.verbose:
             sys.stderr.write(emit(cfg))
         return args.fn(cfg, args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NoRepellingSeed as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NO_SEED
-    except NoSignChange as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NO_SIGN_CHANGE
-    except CriticalPreimage as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CRITICAL_PREIMAGE
-    except HyperbolicityUnverified as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_HYPERBOLICITY
     except RatsemiError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
+        kind = "config error" if isinstance(e, ConfigError) else "error"
+        print(f"{kind}: {e}", file=sys.stderr)
+        return e.exit_code
 
 
 if __name__ == "__main__":

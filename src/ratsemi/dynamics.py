@@ -372,11 +372,14 @@ def julia_backward_cloud(
 
 
 def _dedupe_level(level: CloudLevel) -> CloudLevel:
-    """Collapse entries with identical rounded coordinates; keep the first."""
+    """Collapse entries with identical rounded coordinates into the
+    canonically first one (by word, then unrounded re and im, then row);
+    the result is in canonical order."""
     re = np.where(level.inf, 0.0, np.round(level.z.real, 9))
     im = np.where(level.inf, 0.0, np.round(level.z.imag, 9))
     flag = level.inf.astype(np.int8)
-    keys = [level.words[:, k] for k in range(level.words.shape[1])]
+    keys = [np.where(level.inf, 0.0, level.z.imag), np.where(level.inf, np.inf, level.z.real)]
+    keys.extend(level.words[:, k] for k in range(level.words.shape[1]))
     order = np.lexsort(keys + [im, re, flag])
     re, im, flag = re[order], im[order], flag[order]
     first = np.ones(order.size, dtype=bool)
@@ -390,7 +393,8 @@ def _dedupe_level(level: CloudLevel) -> CloudLevel:
 
 
 def _expand_forward(mm: MultiMap, level: CloudLevel) -> CloudLevel:
-    """Images of a level under every generator (words grow by appending)."""
+    """Images of a level under every generator (words grow by appending), in
+    construction order: generator, then parent row."""
     zs, infs, words = [], [], []
     for j, f in enumerate(mm.generators, start=1):
         z, inf = f.eval_many(level.z, level.inf)
@@ -398,7 +402,7 @@ def _expand_forward(mm: MultiMap, level: CloudLevel) -> CloudLevel:
         infs.append(inf)
         words.append(np.hstack([level.words, np.full((level.size, 1), j, dtype=np.int8)]))
     n = level.size * mm.num_generators
-    return _sorted_level(
+    return CloudLevel(
         np.concatenate(zs), np.concatenate(infs), np.vstack(words), np.zeros(n), np.zeros(n)
     )
 

@@ -16,15 +16,7 @@ import numpy as np
 from numpy.polynomial import Polynomial as LambdaPoly
 
 from .dynamics import MultiMap
-from .errors import (
-    CriticalPreimage,
-    HyperbolicityUnverified,
-    InsufficientPoints,
-    InvalidInstance,
-    NonConvergence,
-    NoRepellingSeed,
-    NoSignChange,
-)
+from .errors import InsufficientPoints, InvalidInstance, RatsemiError
 from .sphere import RationalMap
 from .thermo import ThermoConfig, bowen_parameter
 
@@ -197,30 +189,20 @@ class SweepTable:
         return float(np.median(errs))
 
 
-_FAILURE_STATUS = (
-    (InvalidInstance, "invalid-instance"),
-    (NoRepellingSeed, "seed-failure"),
-    (NoSignChange, "no-sign-change"),
-    (CriticalPreimage, "critical-preimage"),
-    (HyperbolicityUnverified, "hyperbolicity-unverified"),
-    (NonConvergence, "non-convergence"),
-)
-_FAILURE_TYPES = tuple(cls for cls, _ in _FAILURE_STATUS)
-
-
 def sweep_delta(fam: FamilySpec, grid: GridSpec, config: ThermoConfig | None = None,
                 **overrides) -> SweepTable:
-    """Bowen parameter per grid point; per-row failure statuses, never raises
-    for an individual parameter value."""
+    """Bowen parameter per grid point.  An error whose class has a sweep
+    status (errors.py) becomes that row's status; any other error raises."""
     cfg = replace(config if config is not None else ThermoConfig(), **overrides)
     rows = []
     for lam in grid.points():
         try:
             mm = instantiate(fam, lam)
             res = bowen_parameter(mm, cfg)
-        except _FAILURE_TYPES as e:
-            status = next(s for cls, s in _FAILURE_STATUS if isinstance(e, cls))
-            rows.append(SweepRow(lam, None, None, None, status, None))
+        except RatsemiError as e:
+            if e.status is None:
+                raise
+            rows.append(SweepRow(lam, None, None, None, e.status, None))
         else:
             rows.append(
                 SweepRow(lam, res.delta, res.pressure_residual, res.depth,

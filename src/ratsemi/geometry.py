@@ -248,19 +248,16 @@ def osc_check(
         raise ValueError(f"unknown variant {variant!r}")
     z, inf, spacing = _sample_points(U, grid_n, enlarge)
     in_u = _contains_many(U, z, inf)
-    hits = []
+    # per generator: f(x) in U for the nesting test, and the membership the
+    # overlap test uses, fattened by epsilon in the separating variant
+    strict, fat = [], []
     for f in mm.generators:
         img, img_inf = f.eval_many(z, inf)
-        hits.append(_contains_many(U, img, img_inf))
+        strict.append(_contains_many(U, img, img_inf))
         if variant == "separating":
-            hits[-1] = (hits[-1], _fattened_contains_many(U, img, img_inf, epsilon))
-
-    if variant == "separating":
-        strict = [h[0] for h in hits]
-        fat = [h[1] for h in hits]
-    else:
-        strict = hits
-        fat = hits
+            fat.append(_fattened_contains_many(U, img, img_inf, epsilon))
+    if variant == "plain":
+        fat = strict
 
     mask_a = np.zeros(z.shape, dtype=bool)
     for h in strict:

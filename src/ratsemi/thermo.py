@@ -20,6 +20,7 @@ import numpy as np
 from .dynamics import (
     DEFAULT_CAP,
     MultiMap,
+    VerificationReport,
     _expand_backward,
     _root_level,
     _subsample_level,  # noqa: F401  unused here; perfbench/spans.py patches this name
@@ -49,7 +50,7 @@ class ThermoConfig:
     tol_t: float = 1e-4           # bracket width at the Bowen root
     tol_p: float = 1e-3           # |P(delta)| at the accepted root
     t_max: float = 64.0           # giving up point for the sign-change hunt
-    force: bool = False           # skip the hyperbolicity gate
+    force: bool = False           # run and report the hyperbolicity gate, but do not enforce it
     hyper_depth: int = 6
     hyper_margin: float = 0.05
     hyper_cap: int = 50_000
@@ -76,6 +77,7 @@ class BowenResult:
     history: list
     pressure_residual: float
     delta_error: float
+    gate: VerificationReport  # the hyperbolicity check bowen_parameter ran first
 
 
 @dataclass
@@ -248,23 +250,6 @@ def poincare_partial(
     return PreimageTree(mm, z, cap=cap, rng_seed=rng_seed).poincare(t, N)[0]
 
 
-def _hyperbolicity_gate(mm: MultiMap, config: ThermoConfig) -> None:
-    report = check_hyperbolic(
-        mm,
-        depth=config.hyper_depth,
-        margin=config.hyper_margin,
-        cap=config.hyper_cap,
-        rng_seed=config.rng_seed,
-    )
-    if report.verdict != "pass":
-        dist = report.metrics.get("min_distance", float("nan"))
-        raise HyperbolicityUnverified(
-            f"hyperbolicity check returned '{report.verdict}' (min chordal "
-            f"distance {dist:.6g}, margin {report.margin}); pass force=True "
-            "to compute anyway"
-        )
-
-
 def bowen_parameter(mm: MultiMap, config: ThermoConfig = None, **overrides) -> BowenResult:
     """Root of t -> P(t) by safeguarded Newton steps on a shared preimage tree.
 
@@ -275,11 +260,21 @@ def bowen_parameter(mm: MultiMap, config: ThermoConfig = None, **overrides) -> B
     not taken: a probe tol_t/2 across the root, straight from the current
     point, closes the bracket.  Stops once the bracket is at most tol_t
     wide with an end, delta, where |P| <= tol_p.
-    Unless force is set, a sampled hyperbolicity check must pass first.
+    A sampled hyperbolicity check runs first and is returned as gate; unless
+    force is set, a verdict other than pass raises HyperbolicityUnverified
+    carrying that report.
     """
     config = replace(config or ThermoConfig(), **overrides)
-    if not config.force:
-        _hyperbolicity_gate(mm, config)
+    gate = check_hyperbolic(mm, depth=config.hyper_depth, margin=config.hyper_margin,
+                            cap=config.hyper_cap, rng_seed=config.rng_seed)
+    if gate.verdict != "pass" and not config.force:
+        dist = gate.metrics.get("min_distance", math.nan)
+        raise HyperbolicityUnverified(
+            f"hyperbolicity check returned '{gate.verdict}' (min chordal "
+            f"distance {dist:.6g}, margin {gate.margin}); pass force=True "
+            "to compute anyway",
+            report=gate,
+        )
     seed_pt, _ = repelling_seed(mm)
     tree = PreimageTree(mm, seed_pt, cap=config.cap, rng_seed=config.rng_seed)
     history = []
@@ -329,6 +324,7 @@ def bowen_parameter(mm: MultiMap, config: ThermoConfig = None, **overrides) -> B
         history=history,
         pressure_residual=best.residual,
         delta_error=float(residual / max(abs(best.slope), 1e-12) + (hi.t - lo.t)),
+        gate=gate,
     )
 
 

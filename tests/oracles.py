@@ -282,3 +282,58 @@ def expand_then_subsample(mm, level, cap, seed, tag):
     z, inf, words, logd, logw, norms = (np.concatenate(col) for col in zip(*parts))
     full = type(level)(z, inf, words, logd, logw)
     return subsample_ref(full, cap, seed, tag, step_norm=norms)
+
+
+# ---------------------------------------------------------------------------
+# reference forward (postcritical) cloud: sort every expanded level, then dedupe
+
+
+def _canonical_sort_ref(z, inf, words):
+    re = np.where(inf, np.inf, z.real)
+    im = np.where(inf, 0.0, z.imag)
+    order = np.lexsort([im, re, inf.astype(np.int8)] + [words[:, k] for k in range(words.shape[1])])
+    return z[order], inf[order], words[order]
+
+
+def _dedupe_ref(z, inf, words):
+    """Canonical sort, then a stable sort on the rounded coordinates and the
+    word keeps the first row of every group of equal rounded coordinates."""
+    z, inf, words = _canonical_sort_ref(z, inf, words)
+    re = np.where(inf, 0.0, np.round(z.real, 9))
+    im = np.where(inf, 0.0, np.round(z.imag, 9))
+    flag = inf.astype(np.int8)
+    order = np.lexsort([words[:, k] for k in range(words.shape[1])] + [im, re, flag])
+    key = np.stack([flag[order], re[order], im[order]], axis=1)
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(key[1:] != key[:-1], axis=1)
+    idx = order[first]
+    return _canonical_sort_ref(z[idx], inf[idx], words[idx])
+
+
+def postcritical_cloud_ref(mm, depth, cap, rng_seed=0):
+    """The forward cloud the long way: each expanded level is sorted
+    canonically before the dedupe and again after it, then subsampled by
+    subsample_ref.  Returns (z, inf, words, logw) per level."""
+    from ratsemi.dynamics import CloudLevel, _derive_seed
+
+    crit = [p for f in mm.generators for p in f.critical_values()]
+    z = np.array([0j if p.is_infinite else p.value for p in crit], dtype=complex)
+    inf = np.array([p.is_infinite for p in crit], dtype=bool)
+    z, inf, words = _dedupe_ref(z, inf, np.zeros((len(crit), 0), dtype=np.int8))
+    levels = [(z, inf, words, np.zeros(z.size))]
+    for n in range(1, depth + 1):
+        z, inf, words, _ = levels[-1]
+        if z.size == 0:
+            levels.append(levels[-1])
+            continue
+        zs, infs, ws = [], [], []
+        for j, f in enumerate(mm.generators, start=1):
+            fz, finf = f.eval_many(z, inf)
+            zs.append(fz)
+            infs.append(finf)
+            ws.append(np.hstack([words, np.full((z.size, 1), j, dtype=np.int8)]))
+        z, inf, words = _dedupe_ref(np.concatenate(zs), np.concatenate(infs), np.vstack(ws))
+        full = CloudLevel(z, inf, words, np.zeros(z.size), np.zeros(z.size))
+        (z, inf, words, _, logw), _ = subsample_ref(full, cap, _derive_seed(rng_seed, 0xF0), n)
+        levels.append((z, inf, words, logw))
+    return levels

@@ -333,6 +333,30 @@ def test_cli_bowen_hyperbolicity_exit_7_and_force(tmp_path, capsys):
     assert "delta = " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("force", [False, True])
+def test_cli_bowen_runs_the_gate_once(tmp_path, capsys, monkeypatch, force):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    check = thermo.check_hyperbolic
+    monkeypatch.setattr(thermo, "check_hyperbolic", counted)
+    gens = {"pass": [Z2, Z2], "fail": [Z2, gen_poly([-2, 0, 1])]}
+    for verdict, generators in gens.items():
+        path = write_cfg(tmp_path, {
+            "multimap": {"generators": generators},
+            "thermo": {"depth": 6, "cap": 5000, "hyper_depth": 5, "hyper_cap": 5000,
+                       "force": force},
+        }, name=f"{verdict}.json")
+        calls.clear()
+        code = main(["bowen", "--config", path])
+        assert code == (7 if verdict == "fail" and not force else 0)
+        assert len(calls) == 1
+        assert f"hyperbolicity {verdict} " in capsys.readouterr().out
+
+
 def test_cli_pressure_csv(tmp_path, capsys):
     path = write_cfg(tmp_path, {
         "multimap": {"generators": [Z2]},
@@ -495,6 +519,18 @@ def test_cli_julia_deterministic_and_seed_sensitive(tmp_path, capsys):
     ba, bb, bc, bd = (open(p, "rb").read() for p in (a, b, c, d))
     assert ba == bb == bc
     assert bd != ba
+
+
+def test_cli_other_library_error_exit_1(tmp_path, capsys):
+    # a depth-3 circle cloud has 15 points, far below what box counting needs
+    path = write_cfg(tmp_path, {
+        "multimap": {"generators": [Z2]},
+        "julia": {"depth": 3},
+    })
+    assert main(["boxdim", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 15 points in viewport; box counting needs 10000\n"
 
 
 def test_cli_julia_no_seed_exit_3(tmp_path, capsys):

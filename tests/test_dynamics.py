@@ -488,6 +488,40 @@ def test_postcritical_cloud_of_mobius_generators_is_empty():
     assert cloud.size == 0
 
 
+FORWARD_SYSTEMS = {
+    "supercritical": MultiMap([power_map(2), power_map(2, 0.25), power_map(2, 1.0 / 3.0)]),
+    # 6,564 images at level 7, so that level is capped at 3,000
+    "quadratic-triple": MultiMap([polynomial_map([c, 0.0, 1.0])
+                                  for c in (-0.4 + 0.6j, -0.1 + 0.3j, -0.5)]),
+    # z^2 + 0.1 sends the critical values -2 and 2 of z^3 - 3z to the same point
+    "coincident": MultiMap([polynomial_map([0.0, -3.0, 0.0, 1.0]),
+                            polynomial_map([0.1, 0.0, 1.0])]),
+    # the same two images 8e-11 apart, equal once rounded: the smaller re must
+    # win although its parent comes second
+    "near-coincident": MultiMap([polynomial_map([-1e-11, -3.0, 0.0, 1.0]),
+                                 polynomial_map([0.1, 0.0, 1.0])]),
+    # z^2 and z^3 conjugated by (z - 1)/(z + 1): both fix their critical values -1 and 1
+    "rational": MultiMap([RationalMap([0.0, 2.0], [1.0, 0.0, 1.0]),
+                          RationalMap([0.0, 3.0, 0.0, 1.0], [1.0, 0.0, 3.0])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORWARD_SYSTEMS))
+def test_postcritical_cloud_matches_sort_then_dedupe_reference(name):
+    mm = FORWARD_SYSTEMS[name]
+    cap = 3000
+    cloud = postcritical_cloud(mm, depth=7, cap=cap, rng_seed=4)
+    ref = oracles.postcritical_cloud_ref(mm, depth=7, cap=cap, rng_seed=4)
+    for lev, (z, inf, words, logw) in zip(cloud.levels, ref):
+        assert lev.z.tobytes() == z.tobytes()
+        assert np.array_equal(lev.inf, inf) and np.array_equal(lev.words, words)
+        assert lev.logw.tobytes() == logw.tobytes()
+    if name == "quadratic-triple":
+        assert cloud.levels[7].size == cap and np.any(cloud.levels[7].logw > 0)
+    if name in ("coincident", "near-coincident"):
+        assert cloud.levels[1].size < mm.num_generators * cloud.levels[0].size
+
+
 # ---------------------------------------------------------------------------
 # hyperbolicity
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial as LambdaPoly
 
+from ratsemi import errors, families
 from ratsemi.errors import InsufficientPoints, InvalidInstance
 from ratsemi.families import (
     AnnulusDomain,
@@ -171,6 +172,45 @@ def test_sweep_records_failures_as_statuses():
     )
     table = sweep_delta(basil, GridSpec(0.0, 0.0, 1, 0.0, 0.0, 1), FAST)
     assert table.rows[0].status == "hyperbolicity-unverified"
+
+
+# (exit code, sweep status) per error class: the codes are README's exit-code
+# table, a status of None means a sweep re-raises the error
+ERROR_OUTCOMES = {
+    errors.RatsemiError: (1, None),
+    errors.NonConvergence: (1, "non-convergence"),
+    errors.ConfigError: (2, None),
+    errors.NoRepellingSeed: (3, "seed-failure"),
+    errors.NoSignChange: (4, "no-sign-change"),
+    errors.CriticalPreimage: (5, "critical-preimage"),
+    errors.InvalidInstance: (1, "invalid-instance"),
+    errors.InsufficientPoints: (1, None),
+    errors.HyperbolicityUnverified: (7, "hyperbolicity-unverified"),
+}
+
+
+def test_error_outcome_table_covers_every_error_class():
+    classes = {c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.RatsemiError)}
+    assert classes == set(ERROR_OUTCOMES)
+
+
+@pytest.mark.parametrize("cls", list(ERROR_OUTCOMES), ids=lambda c: c.__name__)
+def test_error_class_carries_exit_code_and_sweep_status(cls, monkeypatch):
+    code, status = ERROR_OUTCOMES[cls]
+    assert (cls.exit_code, cls.status) == (code, status)
+
+    def fail(mm, config):
+        raise cls("planted")
+
+    monkeypatch.setattr(families, "bowen_parameter", fail)
+    grid = GridSpec(0.4, 0.4, 1, 0.0, 0.0, 1)
+    if status is None:
+        with pytest.raises(cls, match="planted"):
+            sweep_delta(annulus_family(), grid, FAST)
+    else:
+        row = sweep_delta(annulus_family(), grid, FAST).rows[0]
+        assert row.status == status and row.delta is None
 
 
 def test_sweep_deterministic():

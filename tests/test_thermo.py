@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ratsemi import thermo
-from ratsemi.dynamics import MultiMap, repelling_seed
+from ratsemi.dynamics import MultiMap, check_hyperbolic, repelling_seed
 from ratsemi.errors import (
     CriticalPreimage,
     HyperbolicityUnverified,
@@ -197,8 +197,24 @@ def test_bowen_no_sign_change_on_nonexpanding_pair():
 def test_bowen_gate_rejects_postcritical_contact():
     # the second map's critical value -2 lies in its own Julia set
     mm = MultiMap([power_map(2), polynomial_map([-2.0, 0.0, 1.0])])
-    with pytest.raises(HyperbolicityUnverified):
+    with pytest.raises(HyperbolicityUnverified) as info:
         bowen_parameter(mm)
+    cfg = ThermoConfig()
+    want = check_hyperbolic(mm, depth=cfg.hyper_depth, margin=cfg.hyper_margin,
+                            cap=cfg.hyper_cap, rng_seed=cfg.rng_seed)
+    assert want.verdict == "fail"
+    assert info.value.report == want
+    # force runs the same gate and reports it instead of raising
+    assert bowen_parameter(mm, force=True).gate == want
+
+
+def test_bowen_returns_the_passing_gate_report():
+    mm = power_mm((2, 1.0), (2, 1.0))
+    cfg = ThermoConfig(hyper_depth=5, hyper_margin=0.1, rng_seed=3)
+    res = bowen_parameter(mm, cfg)
+    want = check_hyperbolic(mm, depth=5, margin=0.1, cap=cfg.hyper_cap, rng_seed=3)
+    assert want.verdict == "pass"
+    assert res.gate == want
 
 
 def test_bowen_force_flag_matches_gated_run():
@@ -206,6 +222,7 @@ def test_bowen_force_flag_matches_gated_run():
     gated = bowen_parameter(mm)
     forced = bowen_parameter(mm, force=True)
     assert forced.delta == gated.delta
+    assert forced.gate == gated.gate
 
 
 def assert_bowen_contract(res, config=ThermoConfig()):
