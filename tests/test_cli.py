@@ -336,12 +336,12 @@ def test_cli_bowen_hyperbolicity_exit_7_and_force(tmp_path, capsys):
 @pytest.mark.parametrize("force", [False, True])
 def test_cli_bowen_runs_the_gate_once(tmp_path, capsys, monkeypatch, force):
     calls = []
+    check = thermo.check_hyperbolic
 
     def counted(*args, **kwargs):
         calls.append(args)
         return check(*args, **kwargs)
 
-    check = thermo.check_hyperbolic
     monkeypatch.setattr(thermo, "check_hyperbolic", counted)
     gens = {"pass": [Z2, Z2], "fail": [Z2, gen_poly([-2, 0, 1])]}
     for verdict, generators in gens.items():
