@@ -14,16 +14,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoRepellingSeed
-from .sphere import RationalMap, SpherePoint, _array_point, _point_arrays, sphere_embed
+from .sphere import MapStack, RationalMap, SpherePoint, _array_point, _point_arrays, sphere_embed
 
 _REPEL_TOL = 1e-6
 _CLOSEST_PAIR_BLOCK = 1 << 20  # entries of one row block of the closest-pair search
+_EXPAND_ROWS = 1 << 12  # solve rows (parents times block points) per chunk of a backward level
 DEFAULT_DEPTH = 12
 DEFAULT_CAP = 200_000
 
 
 class MultiMap:
-    """Finite ordered family of rational-map generators; symbols are 1-based."""
+    """Finite ordered family of rational-map generators; symbols are 1-based.
+
+    The generators of a block (stack_block) are MapStacks instead.
+    """
 
     __slots__ = ("generators",)
 
@@ -32,7 +36,7 @@ class MultiMap:
         if not gens:
             raise ValueError("need at least one generator")
         for g in gens:
-            if not isinstance(g, RationalMap):
+            if not isinstance(g, MapStack):
                 raise TypeError("every generator must be a RationalMap")
         self.generators = gens
 
@@ -57,6 +61,12 @@ class MultiMap:
 
     def __repr__(self):
         return f"MultiMap(s={self.num_generators}, degrees={self.degrees})"
+
+
+def stack_block(mms) -> MultiMap:
+    """Multi-maps of one degree signature as a block of B systems: generator j
+    is the MapStack of every system's j-th map, system b in column b."""
+    return MultiMap(MapStack(gens) for gens in zip(*(mm.generators for mm in mms)))
 
 
 def word_eval(mm: MultiMap, word, z) -> SpherePoint:
@@ -153,6 +163,9 @@ class CloudLevel:
     word follow parent order, then root slot.  A capped backward level holds
     only the children its subsample keeps.  Forward levels are sorted by
     word, then infinity, re and im.
+
+    A level of a block of B systems (stack_block) has z, inf and logd of
+    shape (B, n), one row per system, and a min_step_norm per system.
     """
 
     z: np.ndarray        # complex chart values; 0 placeholder where inf is set
@@ -164,7 +177,7 @@ class CloudLevel:
 
     @property
     def size(self) -> int:
-        return int(self.z.shape[0])
+        return int(self.logw.shape[0])
 
 
 def _canonical_order(z, inf, words) -> np.ndarray:
@@ -174,11 +187,6 @@ def _canonical_order(z, inf, words) -> np.ndarray:
     keys = [im, re, inf.astype(np.int8)]
     keys.extend(words[:, k] for k in range(words.shape[1]))
     return np.lexsort(keys)
-
-
-def _sorted_level(z, inf, words, logd, logw) -> CloudLevel:
-    order = _canonical_order(z, inf, words)
-    return CloudLevel(z[order], inf[order], words[order], logd[order], logw[order])
 
 
 def _stratum_picks(counts, cap: int, seed: int, tag: int, symbols) -> list:
@@ -222,53 +230,65 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
     children of generator j form one stratum of m * d_j rows.  Over the cap,
     the kept child indices c of each stratum are chosen first (_stratum_picks
     with seed and tag), and roots and derivative norms are solved only for
-    them: one preimages_many call on the distinct parents c // d_j, slot
-    c % d_j of each.  Within the cap every child is kept.  Parents at
-    infinity go through the same calls.  min_step_norm is the smallest
-    newest-step derivative norm of the kept rows.
+    them: preimages_many on the distinct parents c // d_j, slot c % d_j of
+    each.  Within the cap every child is kept.  Parents at infinity go
+    through the same calls.  min_step_norm is the smallest newest-step
+    derivative norm of the kept rows.
+
+    A level of a block (see stack_block) carries a leading point axis on z,
+    inf and logd and a min_step_norm per point; its words and logw, like the
+    picks, are shared.  Each generator is solved in chunks of at most
+    _EXPAND_ROWS solve rows over the block, so temporaries do not grow with it.
     """
+    lead = level.logd.shape[:-1]  # () for one system, (B,) for a block
     m = level.size
     counts = np.array([m * d for d in mm.degrees], dtype=np.int64)
     n, picks = int(counts.sum()), None
     if n > cap:
         n, picks = cap, _stratum_picks(counts, cap, seed, tag, range(1, mm.num_generators + 1))
     # the level arrays come before the solver temporaries, which leave no heap hole under them
-    z = np.empty(n, dtype=complex)
-    inf = np.empty(n, dtype=bool)
+    z = np.empty(lead + (n,), dtype=complex)
+    inf = np.empty(lead + (n,), dtype=bool)
     words = np.empty((n, level.words.shape[1] + 1), dtype=np.int8)
-    logd = np.empty(n)
+    logd = np.empty(lead + (n,))
     logw = np.empty(n)
-    min_norm, row = math.inf, 0
+    min_norm, row = np.full(lead, math.inf), 0
     for j, f in enumerate(mm.generators, start=1):
         d = f.degree
-        if picks is None:
-            # every child kept: views and repeats, no index arrays; running uncapped levels
-            # through the gathers below made sweep-similarity job_s 8-22 % slower (2-core host)
-            roots, rinf = f.preimages_many(level.z, level.inf)
-            zj, infj = roots.ravel(), rinf.ravel()
-            take, shift = functools.partial(np.repeat, repeats=d, axis=0), 0.0
-        else:
-            c, shift = picks[j - 1]
-            if c.size == 0:
-                continue
-            parents = c // d
-            new = np.ones(c.size, dtype=bool)
-            new[1:] = parents[1:] != parents[:-1]  # c is sorted, so parents are too
-            roots, rinf = f.preimages_many(level.z[parents[new]], level.inf[parents[new]])
-            at, slot = np.cumsum(new) - 1, c % d
-            zj, infj = roots[at, slot], rinf[at, slot]
-            take = functools.partial(np.take, indices=parents, axis=0)
-        block = slice(row, row + zj.size)
-        row = block.stop
-        norms = f.spherical_derivative_norm_many(zj, infj)
-        min_norm = min(min_norm, float(norms.min(initial=math.inf)))
-        z[block], inf[block] = zj, infj
-        words[block, :-1] = take(level.words)
-        words[block, -1] = j
-        with np.errstate(divide="ignore"):
-            logd[block] = take(level.logd) + np.log(norms)
-        logw[block] = take(level.logw) + shift
-    return CloudLevel(z, inf, words, logd, logw, min_step_norm=min_norm)
+        c, shift = (None, 0.0) if picks is None else picks[j - 1]
+        rows = max(1, _EXPAND_ROWS // math.prod(lead)) * d  # children per chunk, whole parents
+        for s in range(0, m * d if c is None else c.size, rows):
+            if c is None:
+                # every child kept: views and repeats, no index arrays; running uncapped levels
+                # through the gathers below made sweep-similarity job_s 8-22 % slower (2-core host)
+                p = slice(s // d, (s + rows) // d)
+                roots, rinf = f.preimages_many(level.z[..., p], level.inf[..., p])
+                zj, infj = roots.reshape(lead + (-1,)), rinf.reshape(lead + (-1,))
+            else:
+                cs = c[s : s + rows]
+                parents = cs // d
+                new = np.ones(cs.size, dtype=bool)
+                new[1:] = parents[1:] != parents[:-1]  # c is sorted, so parents are too
+                roots, rinf = f.preimages_many(level.z[..., parents[new]], level.inf[..., parents[new]])
+                at, slot = np.cumsum(new) - 1, cs % d
+                zj, infj = roots[..., at, slot], rinf[..., at, slot]
+
+            def take(a, axis=-1):  # the parent of each child, along the node axis
+                if c is None:
+                    return np.repeat(a[p] if axis == 0 else a[..., p], d, axis=axis)
+                return np.take(a, parents, axis=axis)
+
+            block = slice(row, row + zj.shape[-1])
+            row = block.stop
+            norms = f.spherical_derivative_norm_many(zj, infj)
+            np.minimum(min_norm, norms.min(axis=-1, initial=math.inf), out=min_norm)
+            z[..., block], inf[..., block] = zj, infj
+            words[block, :-1] = take(level.words, axis=0)
+            words[block, -1] = j
+            with np.errstate(divide="ignore"):
+                np.add(take(level.logd), np.log(norms, out=norms), out=logd[..., block])
+            np.add(take(level.logw), shift, out=logw[block])
+    return CloudLevel(z, inf, words, logd, logw, min_step_norm=min_norm if lead else float(min_norm))
 
 
 @dataclass
@@ -328,15 +348,11 @@ def repelling_seed(mm: MultiMap):
     )
 
 
-def _root_level(point: SpherePoint) -> CloudLevel:
-    z, inf = _point_arrays(point)
-    return CloudLevel(
-        z=z,
-        inf=inf,
-        words=np.zeros((1, 0), dtype=np.int8),
-        logd=np.zeros(1),
-        logw=np.zeros(1),
-    )
+def _root_level(z, inf) -> CloudLevel:
+    """Level 0 at the points z, inf: empty words, zero logd and logw.  A block
+    of B backward trees has z and inf of shape (B, 1)."""
+    n = z.shape[-1]
+    return CloudLevel(z, inf, np.zeros((n, 0), dtype=np.int8), np.zeros(z.shape), np.zeros(n))
 
 
 def julia_backward_cloud(
@@ -351,7 +367,7 @@ def julia_backward_cloud(
     if cap < 1:
         raise ValueError("cap must be positive")
     seed_pt, seed_sym = repelling_seed(mm)
-    levels = [_root_level(seed_pt)]
+    levels = [_root_level(*_point_arrays(seed_pt))]
     for n in range(1, depth + 1):
         levels.append(_expand_backward(mm, levels[-1], cap, rng_seed, n))
     meta = {
@@ -387,9 +403,8 @@ def _dedupe_level(level: CloudLevel) -> CloudLevel:
         same = (flag[1:] == flag[:-1]) & (re[1:] == re[:-1]) & (im[1:] == im[:-1])
         first[1:] = ~same
     idx = order[first]
-    return _sorted_level(
-        level.z[idx], level.inf[idx], level.words[idx], level.logd[idx], level.logw[idx]
-    )
+    idx = idx[_canonical_order(level.z[idx], level.inf[idx], level.words[idx])]
+    return CloudLevel(level.z[idx], level.inf[idx], level.words[idx], level.logd[idx], level.logw[idx])
 
 
 def _expand_forward(mm: MultiMap, level: CloudLevel) -> CloudLevel:
@@ -402,9 +417,7 @@ def _expand_forward(mm: MultiMap, level: CloudLevel) -> CloudLevel:
         infs.append(inf)
         words.append(np.hstack([level.words, np.full((level.size, 1), j, dtype=np.int8)]))
     n = level.size * mm.num_generators
-    return CloudLevel(
-        np.concatenate(zs), np.concatenate(infs), np.vstack(words), np.zeros(n), np.zeros(n)
-    )
+    return CloudLevel(np.concatenate(zs), np.concatenate(infs), np.vstack(words), np.zeros(n), np.zeros(n))
 
 
 def postcritical_cloud(
@@ -425,16 +438,7 @@ def postcritical_cloud(
         crit.extend(f.critical_values())
     z = np.array([0j if p.is_infinite else p.value for p in crit], dtype=complex)
     inf = np.array([p.is_infinite for p in crit], dtype=bool)
-    lvl = _dedupe_level(
-        CloudLevel(
-            z=z,
-            inf=inf,
-            words=np.zeros((len(crit), 0), dtype=np.int8),
-            logd=np.zeros(len(crit)),
-            logw=np.zeros(len(crit)),
-        )
-    )
-    levels = [lvl]
+    levels = [_dedupe_level(_root_level(z, inf))]
     for n in range(1, depth + 1):
         if levels[-1].size == 0:
             levels.append(levels[-1])

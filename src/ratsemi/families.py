@@ -3,9 +3,10 @@ grids in the parameter plane, and sub-mean-value / smoothness diagnostics.
 
 A family holds generators whose numerator and denominator coefficients are
 polynomials in a single complex parameter.  Instantiating at a parameter value
-evaluates every coefficient polynomial and builds the multi-map; sweeps run
-the Bowen-parameter solver per grid point and record failures as row statuses
-instead of raising.
+evaluates every coefficient polynomial and builds the multi-map.  Sweeps
+instantiate, gate and seed each grid point on its own, then run the Bowen
+root searches of consecutive same-signature points in lockstep blocks on one
+shared preimage tree, and record failures as row statuses instead of raising.
 """
 from __future__ import annotations
 
@@ -18,7 +19,17 @@ from numpy.polynomial import Polynomial as LambdaPoly
 from .dynamics import MultiMap
 from .errors import InsufficientPoints, InvalidInstance, RatsemiError
 from .sphere import RationalMap
-from .thermo import ThermoConfig, bowen_parameter
+from .thermo import (
+    PreimageTree,
+    ThermoConfig,
+    _bowen_search,
+    _prepare,
+    bowen_parameter,  # noqa: F401  unused here; perfbench/spans.py patches this name
+)
+
+# deepest-level tree nodes of one sweep block, all its points together: three
+# similarity points (depth 9, 19,683 nodes each); four add about 1.5 MiB of peak RSS
+_BLOCK_NODES = 60_000
 
 
 def _as_poly(c) -> LambdaPoly:
@@ -76,15 +87,8 @@ class FamilySpec:
     puncture_tol: float = 1e-9
 
     def __post_init__(self):
-        gens = []
-        for num, den in self.generators:
-            gens.append(
-                (
-                    tuple(_as_poly(c) for c in num),
-                    tuple(_as_poly(c) for c in den),
-                )
-            )
-        self.generators = tuple(gens)
+        self.generators = tuple((tuple(map(_as_poly, num)), tuple(map(_as_poly, den)))
+                                for num, den in self.generators)
         self.excluded = tuple(complex(p) for p in self.excluded)
         if not self.generators:
             raise ValueError("family needs at least one generator")
@@ -174,13 +178,8 @@ class SweepTable:
         return self.rows[i * self.grid.im_n + j]
 
     def delta_grid(self) -> np.ndarray:
-        out = np.full(self.shape, np.nan)
-        for i in range(self.grid.re_n):
-            for j in range(self.grid.im_n):
-                r = self.row_at(i, j)
-                if r.status == "ok":
-                    out[i, j] = r.delta
-        return out
+        deltas = [r.delta if r.status == "ok" else np.nan for r in self.rows]
+        return np.array(deltas, dtype=float).reshape(self.shape)
 
     def error_scale(self) -> float:
         errs = [r.delta_error for r in self.rows if r.status == "ok"]
@@ -189,25 +188,54 @@ class SweepTable:
         return float(np.median(errs))
 
 
+def _solve_block(mms, seeds, cfg: ThermoConfig) -> list:
+    """The BowenResult (gate None) or own RatsemiError of each prepared point,
+    searched in lockstep on one tree; if the shared tree raises, in blocks of one."""
+    try:
+        return _bowen_search(PreimageTree(mms, seeds, cap=cfg.cap, rng_seed=cfg.rng_seed), cfg)
+    except RatsemiError as e:
+        if len(mms) == 1:
+            return [e]
+        return [r for mm, seed in zip(mms, seeds) for r in _solve_block([mm], [seed], cfg)]
+
+
+def _row(lam, res) -> SweepRow:
+    if not isinstance(res, RatsemiError):
+        return SweepRow(lam, res.delta, res.pressure_residual, res.depth, "ok", res.delta_error)
+    if res.status is None:
+        raise res
+    return SweepRow(lam, None, None, None, res.status, None)
+
+
 def sweep_delta(fam: FamilySpec, grid: GridSpec, config: ThermoConfig | None = None,
                 **overrides) -> SweepTable:
-    """Bowen parameter per grid point.  An error whose class has a sweep
-    status (errors.py) becomes that row's status; any other error raises."""
+    """Bowen parameter per grid point.  Each point is instantiated, gated and
+    seeded on its own; consecutive points with one degree signature are then
+    searched in blocks of at most _BLOCK_NODES deepest-level tree nodes.  An
+    error whose class has a sweep status (errors.py) becomes the status of
+    the point that raised it; any other error raises."""
     cfg = replace(config if config is not None else ThermoConfig(), **overrides)
-    rows = []
+    rows, block = [], []  # block: (row index, mm, seed) of consecutive prepared points
+
+    def flush():
+        for (i, _, _), res in zip(block, _solve_block(*list(zip(*block))[1:], cfg)):
+            rows[i] = _row(rows[i], res)  # rows[i] held the parameter until now
+        block.clear()
+
     for lam in grid.points():
+        rows.append(lam)
         try:
             mm = instantiate(fam, lam)
-            res = bowen_parameter(mm, cfg)
+            seed = _prepare(mm, cfg)[1]
         except RatsemiError as e:
-            if e.status is None:
-                raise
-            rows.append(SweepRow(lam, None, None, None, e.status, None))
-        else:
-            rows.append(
-                SweepRow(lam, res.delta, res.pressure_residual, res.depth,
-                         "ok", res.delta_error)
-            )
+            rows[-1] = _row(lam, e)
+            continue
+        nodes = min(cfg.cap, mm.total_degree ** cfg.depth)
+        if block and (block[0][1].degrees != mm.degrees or (len(block) + 1) * nodes > _BLOCK_NODES):
+            flush()
+        block.append((len(rows) - 1, mm, seed))
+    if block:
+        flush()
     return SweepTable(rows, grid, cfg)
 
 
@@ -330,31 +358,21 @@ def smoothness_diagnostic(table: SweepTable, line, fit_degree: int = 4) -> Smoot
         hx = (table.grid.re_max - table.grid.re_min) / (re_n - 1)
         hy = (table.grid.im_max - table.grid.im_min) / (im_n - 1)
         e = table.error_scale()
-        best = math.inf
-        for i in range(1, re_n - 1):
-            for j in range(1, im_n - 1):
-                stencil = D[i - 1 : i + 2, j - 1 : j + 2]
-                if not np.all(np.isfinite(stencil[1, :])) or not np.all(
-                    np.isfinite(stencil[:, 1])
-                ):
-                    continue
-                lap = (D[i + 1, j] + D[i - 1, j] - 2 * D[i, j]) / hx**2 + (
-                    D[i, j + 1] + D[i, j - 1] - 2 * D[i, j]
-                ) / hy**2
-                gx = (D[i + 1, j] - D[i - 1, j]) / (2 * hx)
-                gy = (D[i, j + 1] - D[i, j - 1]) / (2 * hy)
-                q = D[i, j] * lap - 2.0 * (gx * gx + gy * gy)
-                if q < best:
-                    best = q
-                    argmin = complex(table.row_at(i, j).lam)
-                    # first-order error propagation of the per-row delta error
-                    noise = (
-                        abs(D[i, j]) * (4 * e / hx**2 + 4 * e / hy**2)
-                        + abs(lap) * e
-                        + 4 * (abs(gx) / hx + abs(gy) / hy) * e
-                    )
-        if math.isfinite(best):
-            min_q = float(best)
+        c, up, dn, rt, lf = D[1:-1, 1:-1], D[2:, 1:-1], D[:-2, 1:-1], D[1:-1, 2:], D[1:-1, :-2]
+        lap = (up + dn - 2 * c) / hx**2 + (rt + lf - 2 * c) / hy**2
+        gx, gy = (up - dn) / (2 * hx), (rt - lf) / (2 * hy)
+        q = c * lap - 2.0 * (gx * gx + gy * gy)
+        # a center counts once its five-point cross is finite; the first minimum wins
+        q[~(np.isfinite(np.stack([c, up, dn, rt, lf])).all(axis=0) & (q < math.inf))] = math.inf
+        k = np.unravel_index(np.argmin(q), q.shape)
+        if q[k] < math.inf:
+            min_q, argmin = float(q[k]), complex(table.row_at(k[0] + 1, k[1] + 1).lam)
+            # first-order error propagation of the per-row delta error
+            noise = (
+                abs(c[k]) * (4 * e / hx**2 + 4 * e / hy**2)
+                + abs(lap[k]) * e
+                + 4 * (abs(gx[k]) / hx + abs(gy[k]) / hy) * e
+            )
     return SmoothnessReport(
         (axis, idx), fit_degree, int(s.size), max_resid, scale,
         max_resid / scale, coeffs, min_q, noise, argmin,

@@ -228,11 +228,6 @@ def _pad(coeffs, length):
     return out
 
 
-def _reversed_padded(coeffs, deg):
-    """Coefficients of w^deg * p(1/w) as an ascending array of length deg+1."""
-    return _pad(coeffs, deg + 1)[::-1].copy()
-
-
 # ---------------------------------------------------------------------------
 # root finding (Aberth-Ehrlich simultaneous iteration)
 
@@ -374,25 +369,154 @@ def roots_batch(C):
 # rational maps
 
 
-class RationalMap:
-    """Rational self-map of the sphere, stored as a reduced fraction P/Q.
+def _charts(z, inf):
+    """(near, far, w, |z|): |z| <= 1 is read in z, the rest as w = 1/z, infinity as w = 0."""
+    inf = np.zeros(z.shape, dtype=bool) if inf is None else inf
+    az = np.abs(z)
+    near = ~inf & (az <= 1.0)
+    far = ~near
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = 1.0 / z[far]
+    w[inf[far]] = 0.0
+    return near, far, w, az
+
+
+def _horner_rows(C, x):
+    """Horner with ascending coefficient rows C[k] broadcast against x; a
+    constant comes back unbroadcast.  Not in place: numpy rounds an in-place
+    complex product of length-1 arrays differently, which would make a value
+    depend on its batch."""
+    if len(C) == 1:
+        return C[0]
+    acc = C[-1] * x + C[-2]
+    for c in C[-3::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def _chart_norm(x, ax, W, P, Q):
+    """|W(x)| (1 + |x|^2) / (|P(x)|^2 + |Q(x)|^2) with ax = |x|; coefficient
+    rows broadcast against x."""
+    wz = np.abs(_horner_rows(W, x))
+    pz = np.abs(_horner_rows(P, x))
+    qz = np.abs(_horner_rows(Q, x))
+    return wz * (1.0 + ax**2) / (pz * pz + qz * qz)
+
+
+class MapStack:
+    """K rational maps of one degree d as coefficient columns: the batched
+    derivative-norm and preimage kernel.  A RationalMap is the stack of
+    itself (K = 1); a block of same-signature systems stacks its maps.
+
+    Point arrays are read as (K, U), row b under map b, and results come
+    back in the input's shape.  P and Q are ascending (d + 1, K) coefficient
+    arrays.  fwd holds the Wronskian W = P'Q - PQ', P and Q for the
+    derivative norm's z chart, rev w^(2d-2) W(1/w), w^d P(1/w), w^d Q(1/w)
+    for its 1/z chart, without the leading coefficients that vanish in every
+    column: they change Horner's values by the sign of a zero at most.
+    """
+
+    __slots__ = ("degree", "P", "Q", "fwd", "rev")
+
+    def __init__(self, maps):
+        d = self.degree = maps[0].degree
+        if any(f.degree != d for f in maps):
+            raise ValueError("stacked maps must share one degree")
+
+        def cols(polys, size):
+            out = np.zeros((size, len(polys)), dtype=complex)
+            for k, p in enumerate(polys):
+                out[: p.coeffs.size, k] = p.coeffs
+            return out
+
+        def trimmed(C):
+            n = len(C)
+            while n > 1 and not C[n - 1].any():
+                n -= 1
+            return C[:n]
+
+        self.P, self.Q = cols([f.num for f in maps], d + 1), cols([f.den for f in maps], d + 1)
+        W = cols([f._wron for f in maps], 2 * d - 1)
+        self.fwd = (trimmed(W), trimmed(self.P), trimmed(self.Q))
+        self.rev = (trimmed(W[::-1]), trimmed(self.P[::-1]), trimmed(self.Q[::-1]))
+
+    def spherical_derivative_norm_many(self, z, inf=None):
+        """Norm of the derivative in the spherical metric at parallel point
+        arrays: |f'(z)| (1+|z|^2)/(1+|f(z)|^2), read through the 1/z chart
+        when |z| > 1, so the two charts agree to relative 1e-10 on their
+        overlap and the value is finite everywhere."""
+        shape = np.shape(z)
+        z = np.asarray(z, dtype=complex).reshape(self.P.shape[1], -1)
+        near, far, w, az = _charts(z, None if inf is None else np.reshape(inf, z.shape))
+        if near.all():
+            return _chart_norm(z, az, *(c[:, :, None] for c in self.fwd)).reshape(shape)
+
+        def cols(mask, coeffs):  # the map column of every masked entry
+            return coeffs if len(self.P[0]) == 1 else [c[:, np.nonzero(mask)[0]] for c in coeffs]
+
+        out = np.empty(z.shape)
+        if near.any():
+            out[near] = _chart_norm(z[near], az[near], *cols(near, self.fwd))
+        out[far] = _chart_norm(w, np.abs(w), *cols(far, self.rev))
+        return out.reshape(shape)
+
+    def preimages_many(self, z, inf=None):
+        """Preimages for parallel target arrays; inf marks targets at infinity.
+
+        Returns (roots, inf_mask) of shape z.shape + (d,), each row in
+        roots_batch's solver order rather than sorted.  A finite target z
+        solves P - zQ = 0, a target at infinity Q = 0, built coefficient-major
+        (one contiguous row per power), the layout roots_batch reads.  When
+        the k leading coefficients of a row cancel (|c| <= 1e-12 (|P_d| +
+        |z| |Q_d|), or exactly zero for infinity) the row loses k degrees:
+        its remaining roots fill the first d - k slots and the last k are
+        infinity.  Rows are solved in one roots_batch call per k; each row's
+        roots depend only on its own target and map.
+        """
+        shape, d = np.shape(z), self.degree
+        z = np.asarray(z, dtype=complex).reshape(self.P.shape[1], -1)
+        C = np.empty((d + 1,) + z.shape, dtype=complex)
+        for c, p, q in zip(C, self.P[:, :, None], self.Q[:, :, None]):
+            np.subtract(p, np.multiply(z, q, out=c), out=c)
+        has_inf = inf is not None and inf.any()
+        if has_inf:
+            inf = np.reshape(inf, z.shape)
+            C[:, inf] = self.Q[:, np.nonzero(inf)[0]]
+        qd = np.abs(self.Q[d])[:, None]
+        # without a Q_d in any column, |z| |Q_d| is 0 and a finite row's top is P_d
+        scale = np.abs(self.P[d])[:, None] + (np.abs(z) * qd if qd.any() else 0.0)
+        if has_inf:
+            scale = np.where(inf, qd, scale)
+        tol = 1e-12 * (scale + 1e-300)
+        drop = np.abs(C[-1] if has_inf or qd.any() else self.P[d][:, None]) <= tol
+        C = C.reshape(d + 1, -1)
+        if not drop.any():
+            return roots_batch(C).reshape(shape + (d,)), np.zeros(shape + (d,), dtype=bool)
+        drop, tol = np.broadcast_to(drop, z.shape).ravel(), np.broadcast_to(tol, z.shape).ravel()
+        # k = number of cancelled leading coefficients; the constant one stays
+        k = np.zeros(drop.size, dtype=np.int64)
+        small = np.abs(C[:0:-1, drop]) <= tol[drop]
+        k[drop] = np.cumprod(small, axis=0).sum(axis=0)
+        roots = np.zeros((drop.size, d), dtype=complex)
+        infm = np.zeros((drop.size, d), dtype=bool)
+        for kk in np.unique(k):
+            rows = np.flatnonzero(k == kk)
+            n = d - kk
+            roots[rows, :n] = roots_batch(C[: n + 1, rows])
+            infm[rows, n:] = True
+        return roots.reshape(shape + (d,)), infm.reshape(shape + (d,))
+
+
+class RationalMap(MapStack):
+    """Rational self-map of the sphere, stored as a reduced fraction P/Q;
+    its batched derivative norms and preimages are those of the one-column
+    MapStack it is.
 
     Validation rejects shared roots of P and Q (within chordal 1e-8), so
     evaluation is total: a vanishing denominator means a genuine pole.
     """
 
-    __slots__ = (
-        "num",
-        "den",
-        "degree",
-        "_num_pad",
-        "_den_pad",
-        "_num_rev",
-        "_den_rev",
-        "_wron",
-        "_wron_rev",
-        "_wron_deg_slack",
-    )
+    __slots__ = ("num", "den", "_wron", "_wron_deg_slack")
 
     def __init__(self, num, den=(1.0,)):
         self.num = num if isinstance(num, Polynomial) else Polynomial(num)
@@ -404,18 +528,16 @@ class RationalMap:
             raise ValueError("map must have degree >= 1 (not constant)")
         self._check_reduced()
 
-        d = self.degree
-        self._num_pad = _pad(self.num.coeffs, d + 1)
-        self._den_pad = _pad(self.den.coeffs, d + 1)
-        self._num_rev = self._num_pad[::-1].copy()
-        self._den_rev = self._den_pad[::-1].copy()
         wron = self.num.deriv() * self.den - self.num * self.den.deriv()
+        if wron.degree > 2 * self.degree - 2:
+            # the degree 2d - 1 terms cancel exactly in theory, not always in floating point
+            wron = Polynomial(wron.coeffs[: 2 * self.degree - 1])
         if wron.is_zero:
             raise ValueError("map is constant (vanishing derivative)")
         self._wron = wron
-        wdeg = 2 * d - 2
-        self._wron_deg_slack = wdeg - wron.degree  # multiplicity of infinity as a critical point
-        self._wron_rev = _reversed_padded(wron.coeffs, wdeg)
+        # multiplicity of infinity as a critical point
+        self._wron_deg_slack = 2 * self.degree - 2 - wron.degree
+        super().__init__([self])
 
     def _check_reduced(self):
         if self.num.degree == 0 or self.den.degree == 0:
@@ -435,17 +557,6 @@ class RationalMap:
         vals, inf = self.eval_many(*_point_arrays(point))
         return _array_point(vals[0], inf[0])
 
-    @staticmethod
-    def _charts(z, inf):
-        """(near, far, w): |z| <= 1 is read in z, the rest as w = 1/z, infinity as w = 0."""
-        inf = np.zeros(z.shape, dtype=bool) if inf is None else inf
-        near = ~inf & (np.abs(z) <= 1.0)
-        far = ~near
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = 1.0 / z[far]
-        w[inf[far]] = 0.0
-        return near, far, w
-
     def eval_many(self, z, inf=None):
         """Evaluate at parallel point arrays; returns (values, inf_mask).
 
@@ -454,14 +565,14 @@ class RationalMap:
         1/z chart, so nothing overflows on the way to the ratio.
         """
         z = np.asarray(z, dtype=complex)
-        near, far, w = self._charts(z, inf)
+        near, far, w, _ = _charts(z, inf)
         pz = np.empty_like(z)
         qz = np.empty_like(z)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             pz[near] = horner(self.num.coeffs, z[near])
             qz[near] = horner(self.den.coeffs, z[near])
-            pz[far] = horner(self._num_rev, w)
-            qz[far] = horner(self._den_rev, w)
+            pz[far] = horner(self.P[::-1, 0], w)
+            qz[far] = horner(self.Q[::-1, 0], w)
             return self._ratio_many(pz, qz)
 
     @staticmethod
@@ -480,86 +591,16 @@ class RationalMap:
         vals = np.where(inf, 0.0, vals)
         return vals, inf
 
-    # -- spherical derivative norm -------------------------------------------
+    # -- scalar wrappers ---------------------------------------------------------
 
     def spherical_derivative_norm(self, point) -> float:
-        """Norm of the derivative in the spherical metric.
-
-        Equals |f'(z)| (1+|z|^2)/(1+|f(z)|^2) on the finite chart; evaluated
-        through the 1/z chart when |z| > 1 so the two charts agree to
-        relative 1e-10 on their overlap and the value is finite everywhere.
-        """
+        """Norm of the derivative in the spherical metric at one point."""
         return self.spherical_derivative_norm_many(*_point_arrays(point))[0]
-
-    def _deriv_fwd(self, z):
-        wz = np.abs(horner(self._wron.coeffs, z))
-        pz = np.abs(horner(self.num.coeffs, z))
-        qz = np.abs(horner(self.den.coeffs, z))
-        return wz * (1.0 + np.abs(z) ** 2) / (pz * pz + qz * qz)
-
-    def _deriv_rev(self, w):
-        wz = np.abs(horner(self._wron_rev, w))
-        pz = np.abs(horner(self._num_rev, w))
-        qz = np.abs(horner(self._den_rev, w))
-        return wz * (1.0 + np.abs(w) ** 2) / (pz * pz + qz * qz)
-
-    def spherical_derivative_norm_many(self, z, inf=None):
-        """Vectorized spherical derivative norm over parallel point arrays."""
-        z = np.asarray(z, dtype=complex)
-        near, far, w = self._charts(z, inf)
-        if near.all():
-            return self._deriv_fwd(z)
-        out = np.empty(z.shape)
-        if near.any():
-            out[near] = self._deriv_fwd(z[near])
-        out[far] = self._deriv_rev(w)
-        return out
-
-    # -- preimages ------------------------------------------------------------
 
     def preimages(self, point) -> list[SpherePoint]:
         """All degree-many solutions w of f(w) = point, with multiplicity, sorted."""
         roots, inf = self.preimages_many(*_point_arrays(point))
         return sorted(map(_array_point, roots[0], inf[0]), key=SpherePoint.sort_key)
-
-    def preimages_many(self, z, inf=None):
-        """Preimages for parallel target arrays; inf marks targets at infinity.
-
-        Returns (roots, inf_mask) of shape (m, degree), each row in
-        roots_batch's solver order rather than sorted.  A finite target z
-        solves P - zQ = 0, a target at infinity Q = 0, built coefficient-major
-        (one contiguous row per power), the layout roots_batch reads.  When
-        the k leading coefficients of a row cancel (|c| <= 1e-12 (|P_d| +
-        |z| |Q_d|), or exactly zero for infinity) the row loses k degrees:
-        its remaining roots fill the first d - k slots and the last k are
-        infinity.  Rows are solved in one roots_batch call per k; each row's
-        roots depend only on its own target.
-        """
-        z = np.asarray(z, dtype=complex)
-        d = self.degree
-        C = np.empty((d + 1, z.size), dtype=complex)
-        for c, p, q in zip(C, self._num_pad, self._den_pad):
-            np.subtract(p, np.multiply(z, q, out=c), out=c)
-        scale = abs(self._num_pad[d]) + np.abs(z) * abs(self._den_pad[d])
-        if inf is not None and inf.any():
-            C[:, inf] = self._den_pad[:, None]
-            scale[inf] = abs(self._den_pad[d])
-        tol = 1e-12 * (scale + 1e-300)
-        drop = np.abs(C[-1]) <= tol
-        if not drop.any():
-            return roots_batch(C), np.zeros((z.size, d), dtype=bool)
-        # k = number of cancelled leading coefficients; the constant one stays
-        k = np.zeros(z.size, dtype=np.int64)
-        small = np.abs(C[:0:-1, drop]) <= tol[drop]
-        k[drop] = np.cumprod(small, axis=0).sum(axis=0)
-        roots = np.zeros((z.size, d), dtype=complex)
-        infm = np.zeros((z.size, d), dtype=bool)
-        for kk in np.unique(k):
-            rows = np.flatnonzero(k == kk)
-            n = d - kk
-            roots[rows, :n] = roots_batch(C[: n + 1, rows])
-            infm[rows, n:] = True
-        return roots, infm
 
     # -- critical and fixed points ---------------------------------------------
 

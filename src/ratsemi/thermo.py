@@ -8,7 +8,9 @@ parameter is its root, found by Newton steps on the estimate's exact
 t-derivative (Ruelle's formula P'(t) = -chi on the tree) inside a bracket.
 
 A preimage tree's geometry does not depend on t, so one tree is built per
-basepoint and shared by every pressure evaluation of a root search.
+basepoint and shared by every pressure evaluation of a root search.  A tree
+can also hold a block of same-signature systems, whose root searches then
+run in lockstep: one level sum per depth and round for the whole block.
 """
 from __future__ import annotations
 
@@ -26,14 +28,16 @@ from .dynamics import (
     _subsample_level,  # noqa: F401  unused here; perfbench/spans.py patches this name
     check_hyperbolic,
     repelling_seed,
+    stack_block,
 )
 from .errors import (
     CriticalPreimage,
     HyperbolicityUnverified,
     NonConvergence,
     NoSignChange,
+    RatsemiError,
 )
-from .sphere import SpherePoint
+from .sphere import SpherePoint, _point_arrays
 
 _CRIT_NORM = 1e-12
 DEFAULT_TREE_DEPTH = 10
@@ -91,14 +95,22 @@ class SpectrumDiagnostics:
 
 
 class PreimageTree:
-    """Lazily extended backward tree from a basepoint, shared across t."""
+    """Lazily extended backward tree, shared across t, from a basepoint; or,
+    given lists of same-signature MultiMaps and basepoints, of a block of B
+    systems.  Level n holds logd as (B, N), one row per system, and
+    min_step_norm per system; words and logw once, since capped picks
+    depend only on counts and the seed.  Only the deepest level keeps its
+    points z and inf, which the next extension reads."""
 
-    def __init__(self, mm: MultiMap, basepoint, cap: int = DEFAULT_CAP, rng_seed: int = 0):
-        self.mm = mm
-        self.basepoint = SpherePoint.of(basepoint)
+    def __init__(self, mm, basepoint, cap: int = DEFAULT_CAP, rng_seed: int = 0):
+        block = isinstance(mm, (list, tuple))
+        self.mm = stack_block(mm) if block else mm
+        self.basepoints = [SpherePoint.of(p) for p in (basepoint if block else [basepoint])]
+        self.basepoint = self.basepoints[0]
         self.cap = int(cap)
         self.rng_seed = int(rng_seed)
-        self.levels = [_root_level(self.basepoint)]
+        z, inf = (np.concatenate(a)[:, None] for a in zip(*map(_point_arrays, self.basepoints)))
+        self.levels = [_root_level(z, inf)]
 
     @property
     def depth(self) -> int:
@@ -106,39 +118,51 @@ class PreimageTree:
 
     def extend(self, n: int) -> None:
         while self.depth < n:
-            self.levels.append(
-                _expand_backward(self.mm, self.levels[-1], self.cap, self.rng_seed, self.depth + 1)
-            )
+            last = self.levels[-1]
+            self.levels.append(_expand_backward(self.mm, last, self.cap, self.rng_seed, self.depth + 1))
+            last.z = last.inf = None
 
     def check_critical(self, n: int) -> None:
         """Raise CriticalPreimage if a step derivative norm within depth n vanishes."""
         self.extend(n)
-        bad = min(lev.min_step_norm for lev in self.levels[1 : n + 1])
-        if bad < _CRIT_NORM:
+        norms = np.min([lev.min_step_norm for lev in self.levels[1 : n + 1]], axis=0)
+        b = int(np.argmin(norms))
+        if norms[b] < _CRIT_NORM:
             raise CriticalPreimage(
-                f"preimage tree of {self.basepoint} hits derivative norm {bad:.3e} "
+                f"preimage tree of {self.basepoints[b]} hits derivative norm {norms[b]:.3e} "
                 f"within depth {n}; pick another basepoint"
             )
 
-    def log_level_sum(self, t: float, n: int, derivative: bool = False):
-        """log S_n(t): importance weights keep the capped sum unbiased.  With
-        derivative, (log S_n(t), d/dt log S_n(t)) from one exp pass; the
-        derivative is minus the mean of logd under the weights of S_n."""
+    def _log_level_sums(self, t: np.ndarray, n: int, rows: np.ndarray):
+        """(log S_n, d/dt log S_n) of the points rows, point rows[i] at t[i].
+        Importance weights keep the capped sum unbiased; the derivative is
+        minus the mean of logd under the weights of S_n.  Each reduction is a
+        numpy sum along a row: no BLAS, so neither a point's block nor the
+        BLAS thread count changes its bits."""
         self.extend(n)
-        if t > 0:
+        if np.any(t > 0):
             self.check_critical(n)
         lev = self.levels[n]
-        # at t = 0 avoid 0 * (-inf) = nan when the tree contains critical preimages
-        a = lev.logw if t == 0.0 else lev.logw - t * lev.logd
-        top = a.max(initial=-np.inf)
-        if not np.isfinite(top):
-            return (float(top), math.nan) if derivative else float(top)
-        e = np.exp(a - top)
-        total = np.sum(e)
-        log_sum = float(top + np.log(total))
-        if not derivative:
-            return log_sum
-        return log_sum, -float(e @ lev.logd / total)
+        logd = lev.logd if rows.size == len(self.basepoints) else lev.logd[rows]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            a = t[:, None] * logd
+            np.subtract(lev.logw, a, out=a)
+            # at t = 0 avoid 0 * (-inf) = nan when the tree contains critical preimages
+            a[t == 0.0] = lev.logw
+            top = a.max(axis=1, initial=-np.inf)
+            a -= top[:, None]
+            np.exp(a, out=a)
+            total = a.sum(axis=1)
+            a *= logd
+            finite = np.isfinite(top)
+            log_sum = np.where(finite, top + np.log(total), top)
+            return log_sum, np.where(finite, -(a.sum(axis=1) / total), math.nan)
+
+    def log_level_sum(self, t: float, n: int, derivative: bool = False):
+        """log S_n(t) of a one-point tree; with derivative, (log S_n(t),
+        d/dt log S_n(t)).  See _log_level_sums."""
+        log_sum, slope = self._log_level_sums(np.array([float(t)]), n, np.arange(1))
+        return (float(log_sum[0]), float(slope[0])) if derivative else float(log_sum[0])
 
     def poincare(self, t: float, N: int) -> tuple:
         """(sum of S_n(t) for n = 1..N, residual): the residual is the spread
@@ -149,34 +173,33 @@ class PreimageTree:
         return math.fsum(math.exp(s) for s in logs), residual
 
 
-def _estimate_on_tree(
-    tree: PreimageTree, t: float, depth: int, rtol: float
-) -> PressureEstimate:
+def _estimate_on_tree(tree: PreimageTree, t, depth: int, rtol: float) -> list:
+    """Pressure estimates of the tree's points, point b at t[b]; a nan t[b]
+    skips point b, which gets None.  The live points share one level sum per
+    depth, and each stops on its own once its last three log ratios agree
+    within rtol."""
     if depth < 2:
         raise ValueError("pressure estimation needs depth >= 2")
-    prev, prev_d = tree.log_level_sum(t, 1, derivative=True)
-    ratios = []
-    used = 1
+    t = np.asarray(t, dtype=float)
+    out = [None] * t.size
+    ratios = [[] for _ in out]
+    live = np.flatnonzero(~np.isnan(t))
+    prev, prev_d = tree._log_level_sums(t[live], 1, live)
     for n in range(2, depth + 1):
-        cur, cur_d = tree.log_level_sum(t, n, derivative=True)
-        ratios.append(cur - prev)
-        slope = cur_d - prev_d
-        prev, prev_d = cur, cur_d
-        used = n
-        if len(ratios) >= 3 and max(ratios[-3:]) - min(ratios[-3:]) <= rtol:
+        if live.size == 0:
             break
-    residual = (
-        max(ratios[-3:]) - min(ratios[-3:]) if len(ratios) >= 3 else math.inf
-    )
-    return PressureEstimate(
-        t=float(t),
-        value=float(ratios[-1]),
-        depth=used,
-        basepoint=tree.basepoint,
-        ratio_history=[float(r) for r in ratios],
-        residual=float(residual),
-        slope=float(slope),
-    )
+        cur, cur_d = tree._log_level_sums(t[live], n, live)
+        going = np.ones(live.size, dtype=bool)
+        for i, b in enumerate(live):
+            r = ratios[b]
+            r.append(float(cur[i] - prev[i]))
+            residual = max(r[-3:]) - min(r[-3:]) if len(r) >= 3 else math.inf
+            if (len(r) >= 3 and residual <= rtol) or n == depth:
+                going[i] = False
+                out[b] = PressureEstimate(float(t[b]), r[-1], n, tree.basepoints[b], r,
+                                          float(residual), float(cur_d[i] - prev_d[i]))
+        live, prev, prev_d = live[going], cur[going], cur_d[going]
+    return out
 
 
 def _default_basepoint(mm: MultiMap, z):
@@ -185,14 +208,8 @@ def _default_basepoint(mm: MultiMap, z):
     return SpherePoint.of(z)
 
 
-def transfer_level_sum(
-    mm: MultiMap,
-    t: float,
-    z,
-    n: int,
-    cap: int = DEFAULT_CAP,
-    rng_seed: int = 0,
-) -> float:
+def transfer_level_sum(mm: MultiMap, t: float, z, n: int, cap: int = DEFAULT_CAP,
+                       rng_seed: int = 0) -> float:
     """S_n(t, z), the level-n transfer-operator sum at the constant function 1."""
     if n < 1:
         raise ValueError("level index must be >= 1")
@@ -200,46 +217,25 @@ def transfer_level_sum(
     return math.exp(tree.log_level_sum(t, n))
 
 
-def pressure(
-    mm: MultiMap,
-    t: float,
-    z=None,
-    n: int = DEFAULT_TREE_DEPTH,
-    cap: int = DEFAULT_CAP,
-    rng_seed: int = 0,
-    rtol: float = 1e-6,
-) -> PressureEstimate:
+def pressure(mm: MultiMap, t: float, z=None, n: int = DEFAULT_TREE_DEPTH, cap: int = DEFAULT_CAP,
+             rng_seed: int = 0, rtol: float = 1e-6) -> PressureEstimate:
     """Topological pressure estimate at t from a depth-n preimage tree.
 
     The basepoint defaults to the deterministic repelling seed.  Stops early
     once the last three log ratios agree within rtol.
     """
-    tree = PreimageTree(mm, _default_basepoint(mm, z), cap=cap, rng_seed=rng_seed)
-    return _estimate_on_tree(tree, t, n, rtol)
+    return pressure_curve(mm, [t], z, n, cap, rng_seed, rtol)[0]
 
 
-def pressure_curve(
-    mm: MultiMap,
-    t_values,
-    z=None,
-    n: int = DEFAULT_TREE_DEPTH,
-    cap: int = DEFAULT_CAP,
-    rng_seed: int = 0,
-    rtol: float = 1e-6,
-) -> list:
+def pressure_curve(mm: MultiMap, t_values, z=None, n: int = DEFAULT_TREE_DEPTH,
+                   cap: int = DEFAULT_CAP, rng_seed: int = 0, rtol: float = 1e-6) -> list:
     """Pressure estimates over a grid of t values, sharing one preimage tree."""
     tree = PreimageTree(mm, _default_basepoint(mm, z), cap=cap, rng_seed=rng_seed)
-    return [_estimate_on_tree(tree, float(t), n, rtol) for t in t_values]
+    return [_estimate_on_tree(tree, [t], n, rtol)[0] for t in t_values]
 
 
-def poincare_partial(
-    mm: MultiMap,
-    z,
-    t: float,
-    N: int,
-    cap: int = DEFAULT_CAP,
-    rng_seed: int = 0,
-) -> float:
+def poincare_partial(mm: MultiMap, z, t: float, N: int, cap: int = DEFAULT_CAP,
+                     rng_seed: int = 0) -> float:
     """Truncated Poincare series: sum of S_n(t, z) for n = 1..N.
 
     The level sums grow when t is below the Bowen parameter and decay above
@@ -250,21 +246,11 @@ def poincare_partial(
     return PreimageTree(mm, z, cap=cap, rng_seed=rng_seed).poincare(t, N)[0]
 
 
-def bowen_parameter(mm: MultiMap, config: ThermoConfig = None, **overrides) -> BowenResult:
-    """Root of t -> P(t) by safeguarded Newton steps on a shared preimage tree.
-
-    Starts at t = 0, where P = log(total degree) >= 0, and keeps a bracket
-    with P(lo) >= 0 > P(hi).  A Newton step that leaves the bracket, or a
-    slope that is not negative and finite, becomes a bisection (doubling t
-    from 1 while no negative P is known).  A Newton step below tol_t/4 is
-    not taken: a probe tol_t/2 across the root, straight from the current
-    point, closes the bracket.  Stops once the bracket is at most tol_t
-    wide with an end, delta, where |P| <= tol_p.
-    A sampled hyperbolicity check runs first and is returned as gate; unless
-    force is set, a verdict other than pass raises HyperbolicityUnverified
-    carrying that report.
-    """
-    config = replace(config or ThermoConfig(), **overrides)
+def _prepare(mm: MultiMap, config: ThermoConfig):
+    """(gate, seed): the per-system stage of a Bowen search.  The sampled
+    hyperbolicity check runs first; unless force is set, a verdict other
+    than pass raises HyperbolicityUnverified carrying its report.  The seed
+    is the repelling fixed point the tree grows from."""
     gate = check_hyperbolic(mm, depth=config.hyper_depth, margin=config.hyper_margin,
                             cap=config.hyper_cap, rng_seed=config.rng_seed)
     if gate.verdict != "pass" and not config.force:
@@ -275,16 +261,15 @@ def bowen_parameter(mm: MultiMap, config: ThermoConfig = None, **overrides) -> B
             "to compute anyway",
             report=gate,
         )
-    seed_pt, _ = repelling_seed(mm)
-    tree = PreimageTree(mm, seed_pt, cap=config.cap, rng_seed=config.rng_seed)
+    return gate, repelling_seed(mm)[0]
+
+
+def _root_search(config: ThermoConfig):
+    """The search of bowen_parameter as a generator: it yields each t, is
+    sent the estimate there, and returns the result without its gate."""
     history = []
-
-    def peval(t):
-        est = _estimate_on_tree(tree, t, config.depth, config.rtol_pressure)
-        history.append((est.t, est.value))
-        return est
-
-    est = lo = peval(0.0)  # lo and hi: the estimates at the bracket ends
+    est = lo = yield 0.0  # lo and hi: the estimates at the bracket ends
+    history.append((est.t, est.value))
     hi = None
     while True:
         if hi is not None and hi.t - lo.t <= config.tol_t:
@@ -302,7 +287,8 @@ def bowen_parameter(mm: MultiMap, config: ThermoConfig = None, **overrides) -> B
             t = est.t + math.copysign(config.tol_t / 2, t - est.t)
         if not lo.t < t < top:  # also catches nan
             t = 0.5 * (lo.t + hi.t) if hi is not None else max(2.0 * lo.t, 1.0)
-        est = peval(t)
+        est = yield t
+        history.append((est.t, est.value))
         if not est.value >= 0.0:
             hi = est
         elif hi is None and t >= config.t_max:
@@ -324,20 +310,57 @@ def bowen_parameter(mm: MultiMap, config: ThermoConfig = None, **overrides) -> B
         history=history,
         pressure_residual=best.residual,
         delta_error=float(residual / max(abs(best.slope), 1e-12) + (hi.t - lo.t)),
-        gate=gate,
+        gate=None,
     )
 
 
-def lyapunov_and_entropy(
-    mm: MultiMap,
-    t: float,
-    h: float = 1e-3,
-    n: int = DEFAULT_TREE_DEPTH,
-    z=None,
-    cap: int = DEFAULT_CAP,
-    rng_seed: int = 0,
-    tree: PreimageTree | None = None,
-) -> SpectrumDiagnostics:
+def _bowen_search(tree: PreimageTree, config: ThermoConfig) -> list:
+    """The root searches of the tree's points in lockstep: each round is one
+    _estimate_on_tree call at every unfinished point's own next t.  Returns
+    per point its result, gate None, or the RatsemiError that ended its
+    search; an error of the shared tree (a critical preimage, a failed root
+    solve) raises."""
+    searches = [_root_search(config) for _ in tree.basepoints]
+    out = [None] * len(searches)
+    t = np.array([next(s) for s in searches])
+    while not np.isnan(t).all():
+        for b, est in enumerate(_estimate_on_tree(tree, t, config.depth, config.rtol_pressure)):
+            if est is not None:
+                try:
+                    t[b] = searches[b].send(est)
+                except StopIteration as done:
+                    out[b], t[b] = done.value, math.nan
+                except RatsemiError as e:
+                    out[b], t[b] = e, math.nan
+    return out
+
+
+def bowen_parameter(mm: MultiMap, config: ThermoConfig = None, **overrides) -> BowenResult:
+    """Root of t -> P(t) by safeguarded Newton steps on a shared preimage tree.
+
+    Starts at t = 0, where P = log(total degree) >= 0, and keeps a bracket
+    with P(lo) >= 0 > P(hi).  A Newton step that leaves the bracket, or a
+    slope that is not negative and finite, becomes a bisection (doubling t
+    from 1 while no negative P is known).  A Newton step below tol_t/4 is
+    not taken: a probe tol_t/2 across the root, straight from the current
+    point, closes the bracket.  Stops once the bracket is at most tol_t
+    wide with an end, delta, where |P| <= tol_p.
+    A sampled hyperbolicity check runs first and is returned as gate; unless
+    force is set, a verdict other than pass raises HyperbolicityUnverified
+    carrying that report.  This is the one-point case of _bowen_search.
+    """
+    config = replace(config or ThermoConfig(), **overrides)
+    gate, seed_pt = _prepare(mm, config)
+    (res,) = _bowen_search(PreimageTree(mm, seed_pt, cap=config.cap, rng_seed=config.rng_seed),
+                           config)
+    if isinstance(res, RatsemiError):
+        raise res
+    return replace(res, gate=gate)
+
+
+def lyapunov_and_entropy(mm: MultiMap, t: float, h: float = 1e-3, n: int = DEFAULT_TREE_DEPTH,
+                         z=None, cap: int = DEFAULT_CAP, rng_seed: int = 0,
+                         tree: PreimageTree | None = None) -> SpectrumDiagnostics:
     """Lyapunov exponent and equilibrium entropy at t from the exact slope.
 
     lyapunov = -dP/dt and entropy = P(t) + t * lyapunov, from one estimate
@@ -349,15 +372,9 @@ def lyapunov_and_entropy(
     if tree is None:
         tree = PreimageTree(mm, _default_basepoint(mm, z), cap=cap, rng_seed=rng_seed)
     tree.check_critical(n)
-    est = _estimate_on_tree(tree, t, n, -1.0)
-    return SpectrumDiagnostics(
-        t=float(t),
-        lyapunov=-est.slope,
-        entropy=est.value - t * est.slope,
-        pressure=est.value,
-        residual=est.residual,
-        depth=est.depth,
-    )
+    est = _estimate_on_tree(tree, [t], n, -1.0)[0]
+    return SpectrumDiagnostics(t=float(t), lyapunov=-est.slope, entropy=est.value - t * est.slope,
+                               pressure=est.value, residual=est.residual, depth=est.depth)
 
 
 def power_map_pressure_oracle(degrees, t: float) -> float:

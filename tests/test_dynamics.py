@@ -25,6 +25,7 @@ from ratsemi.errors import NoRepellingSeed
 from ratsemi.sphere import (
     INF,
     RationalMap,
+    _point_arrays,
     SpherePoint,
     chordal_distance,
     chordal_distance_many,
@@ -364,7 +365,7 @@ def _columns(lev):
 
 
 def _seed_level(mm):
-    return dynamics._root_level(repelling_seed(mm)[0])
+    return dynamics._root_level(*_point_arrays(repelling_seed(mm)[0]))
 
 
 def _check_capped_levels(mm, parent, cap, seed, depth, exact):

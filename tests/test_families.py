@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial as LambdaPoly
 
-from ratsemi import errors, families
+from ratsemi import errors, families, sphere
 from ratsemi.errors import InsufficientPoints, InvalidInstance
 from ratsemi.families import (
     AnnulusDomain,
@@ -203,7 +203,8 @@ def test_error_class_carries_exit_code_and_sweep_status(cls, monkeypatch):
     def fail(mm, config):
         raise cls("planted")
 
-    monkeypatch.setattr(families, "bowen_parameter", fail)
+    # the per-point stage (gate and seed) that every sweep point runs on its own
+    monkeypatch.setattr(families, "_prepare", fail)
     grid = GridSpec(0.4, 0.4, 1, 0.0, 0.0, 1)
     if status is None:
         with pytest.raises(cls, match="planted"):
@@ -236,6 +237,85 @@ def test_sweep_power_pair_family_runs():
     row = table.rows[0]
     assert row.status == "ok"
     assert math.isfinite(row.delta)
+
+
+# ---------------------------------------------------------------------------
+# lockstep blocks: a sweep must equal its run in blocks of one
+
+
+def sweep_in_blocks_of_one(monkeypatch, fam, grid, config):
+    with monkeypatch.context() as m:
+        m.setattr(families, "_BLOCK_NODES", 1)
+        return sweep_delta(fam, grid, config)
+
+
+def blocks_seen(monkeypatch):
+    sizes = []
+    solve = families._solve_block
+    monkeypatch.setattr(families, "_solve_block",
+                        lambda mms, seeds, cfg: sizes.append(len(mms)) or solve(mms, seeds, cfg))
+    return sizes
+
+
+@pytest.mark.parametrize("fam, grid, config", [
+    # uncapped degree-one similarities: 3^7 nodes a point, one block of nine
+    (similarity_family(oracles.TRIANGLE_UNIT), GridSpec(0.3, 0.42, 3, -0.05, 0.05, 3),
+     ThermoConfig(depth=7, hyper_depth=3)),
+    # z^2, c z^2 capped at 1,000 from level 5 on: the block shares the subsample
+    (annulus_family(), GridSpec(0.3, 0.6, 4, 0.0, 0.1, 2),
+     ThermoConfig(depth=7, cap=1_000, hyper_depth=4, hyper_cap=2_000)),
+    # z^2, c z^3: mixed degree, the cubic solved by Aberth
+    (power_pair_family(), GridSpec(0.4, 0.7, 3, -0.1, 0.1, 2),
+     ThermoConfig(depth=6, cap=2_000, hyper_depth=4, hyper_cap=2_000)),
+], ids=["similarity", "annulus-capped", "power-pair"])
+def test_lockstep_sweep_equals_blocks_of_one(fam, grid, config, monkeypatch):
+    alone = sweep_in_blocks_of_one(monkeypatch, fam, grid, config)
+    sizes = blocks_seen(monkeypatch)
+    table = sweep_delta(fam, grid, config)
+    assert max(sizes) > 1 and sum(sizes) == len(table.rows)
+    assert all(r.status == "ok" for r in table.rows)
+    assert table.rows == alone.rows
+
+
+def test_lockstep_sweep_keeps_each_points_own_status(monkeypatch):
+    # 2z and c z from the fixed point 0: P(t) = log(2^-t + |c|^-t) has a root
+    # only for |c| > 1; at c = 1 it decays to 0 without crossing, and the
+    # search runs out of evaluations; c = 0 is degenerate, c > 3 outside the domain
+    fam = FamilySpec(generators=(((0.0, 2.0), (1.0,)), ((0.0, LambdaPoly([0.0, 1.0])), (1.0,))),
+                     domain=RectDomain(-3.0, 3.0, -1.0, 1.0))
+    grid = GridSpec(0.0, 4.0, 9, 0.0, 0.0, 1)
+    config = ThermoConfig(depth=6)
+    sizes = blocks_seen(monkeypatch)
+    table = sweep_delta(fam, grid, config)
+    statuses = [r.status for r in table.rows]
+    assert statuses == ["invalid-instance", "no-sign-change", "non-convergence", "ok", "ok",
+                        "ok", "ok", "invalid-instance", "invalid-instance"]
+    assert sizes == [6]  # the failed instances do not split the block
+    assert table.rows == sweep_in_blocks_of_one(monkeypatch, fam, grid, config).rows
+    assert table.row_at(3, 0).delta == pytest.approx(oracles.moran_root_bf([0.5, 1 / 1.5]), abs=1e-4)
+
+
+def test_failed_root_solve_in_a_block_lands_on_its_own_point(monkeypatch):
+    # Aberth stops after one step, so every cubic goes to np.roots, which
+    # returns garbage for the tree polynomials c z^3 - y of the middle point only
+    grid = GridSpec(0.4, 0.7, 3, 0.0, 0.0, 1)
+    bad = complex(grid.re_values[1])
+    roots = np.roots
+
+    def roots_failing_on_one_point(p):
+        if p[0] == bad and not np.any(p[1:-1]):
+            return np.zeros(len(p) - 1, dtype=complex)
+        return roots(p)
+
+    monkeypatch.setattr(sphere, "_ABERTH_MAX_ITER", 1)
+    monkeypatch.setattr(np, "roots", roots_failing_on_one_point)
+    # a gate of depth 0 solves no preimages, so the failure can only come from the block's tree
+    config = ThermoConfig(depth=5, cap=500, hyper_depth=0)
+    sizes = blocks_seen(monkeypatch)
+    table = sweep_delta(power_pair_family(), grid, config)
+    assert sizes[0] == 3 and sizes[1:] == [1, 1, 1]
+    assert [r.status for r in table.rows] == ["ok", "non-convergence", "ok"]
+    assert table.rows == sweep_in_blocks_of_one(monkeypatch, power_pair_family(), grid, config).rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Thermo tests: level sums, pressure, Bowen parameter, spectrum diagnostics."""
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +62,34 @@ def test_level_sum_of_square_at_t_one_is_one():
 def test_level_sum_at_t_zero_counts_the_tree():
     mm = power_mm((2, 1.0), (3, 1.0))
     assert transfer_level_sum(mm, 0.0, 1.0, 2) == pytest.approx(25.0, rel=1e-12)
+
+
+_LEVEL_SUM_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+from ratsemi.dynamics import MultiMap
+from ratsemi.sphere import polynomial_map
+from ratsemi.thermo import PreimageTree
+
+mm = MultiMap([polynomial_map([0.0, 0.0, 1.0]), polynomial_map([0.0, 0.0, 0.0, 0.5 + 0.25j])])
+tree = PreimageTree(mm, 1.3 + 0.2j)
+print(tree.levels[0].size, *(float(v).hex() for v in tree.log_level_sum(1.7, 7, derivative=True)))
+print(tree.levels[7].size)
+"""
+
+
+def test_level_sum_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 5^7 = 78,125 nodes: a BLAS dot product of that length is threaded
+    script = _LEVEL_SUM_SCRIPT.format(src=str(Path(__file__).resolve().parent.parent / "src"))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0].split()[-1] == "78125"
+    assert outs[0] == outs[1]
 
 
 def test_level_sum_matches_bruteforce_enumeration():
@@ -245,9 +277,9 @@ def test_pressure_slope_matches_central_difference():
     ]
     for mm, t, cap, depth in cases:
         tree = PreimageTree(mm, repelling_seed(mm)[0], cap=cap, rng_seed=3)
-        est = thermo._estimate_on_tree(tree, t, depth, -1.0)
-        up = thermo._estimate_on_tree(tree, t + h, depth, -1.0)
-        down = thermo._estimate_on_tree(tree, t - h, depth, -1.0)
+        (est,) = thermo._estimate_on_tree(tree, [t], depth, -1.0)
+        (up,) = thermo._estimate_on_tree(tree, [t + h], depth, -1.0)
+        (down,) = thermo._estimate_on_tree(tree, [t - h], depth, -1.0)
         assert tree.levels[depth].size == min(cap, mm.total_degree ** depth)
         assert est.depth == depth and est.slope < 0.0
         assert abs(est.slope - (up.value - down.value) / (2.0 * h)) <= 1e-6
@@ -280,7 +312,8 @@ def test_bowen_bisects_when_the_slope_is_unusable(monkeypatch):
     # nan and a positive slope are refused; a tiny one sends Newton out of the bracket
     for bad in (math.nan, 1.0, -1e-9):
         monkeypatch.setattr(
-            thermo, "_estimate_on_tree", lambda *args: replace(estimate(*args), slope=bad)
+            thermo, "_estimate_on_tree",
+            lambda *args: [replace(e, slope=bad) for e in estimate(*args)],
         )
         for mm in (power_mm((2, 1.0), (2, 1.0)), similarity_mm()):
             res = bowen_parameter(mm)
