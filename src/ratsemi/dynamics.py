@@ -348,6 +348,11 @@ def repelling_seed(mm: MultiMap):
     )
 
 
+def _cloud_meta(mm: MultiMap, kind: str, seed_point, depth, cap, rng_seed, **extra) -> dict:
+    return {"kind": kind, "seed_point": seed_point, **extra, "depth": depth, "cap": cap,
+            "rng_seed": rng_seed, "num_generators": mm.num_generators, "degrees": mm.degrees}
+
+
 def _root_level(z, inf) -> CloudLevel:
     """Level 0 at the points z, inf: empty words, zero logd and logw.  A block
     of B backward trees has z and inf of shape (B, 1)."""
@@ -355,12 +360,8 @@ def _root_level(z, inf) -> CloudLevel:
     return CloudLevel(z, inf, np.zeros((n, 0), dtype=np.int8), np.zeros(z.shape), np.zeros(n))
 
 
-def julia_backward_cloud(
-    mm: MultiMap,
-    depth: int = DEFAULT_DEPTH,
-    cap: int = DEFAULT_CAP,
-    rng_seed: int = 0,
-) -> PointCloud:
+def julia_backward_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFAULT_CAP,
+                         rng_seed: int = 0) -> PointCloud:
     """Backward-orbit tree of a repelling seed, one capped level per depth."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -370,16 +371,7 @@ def julia_backward_cloud(
     levels = [_root_level(*_point_arrays(seed_pt))]
     for n in range(1, depth + 1):
         levels.append(_expand_backward(mm, levels[-1], cap, rng_seed, n))
-    meta = {
-        "kind": "backward",
-        "seed_point": seed_pt,
-        "seed_generator": seed_sym,
-        "depth": depth,
-        "cap": cap,
-        "rng_seed": rng_seed,
-        "num_generators": mm.num_generators,
-        "degrees": mm.degrees,
-    }
+    meta = _cloud_meta(mm, "backward", seed_pt, depth, cap, rng_seed, seed_generator=seed_sym)
     return PointCloud(levels, meta)
 
 
@@ -420,12 +412,8 @@ def _expand_forward(mm: MultiMap, level: CloudLevel) -> CloudLevel:
     return CloudLevel(np.concatenate(zs), np.concatenate(infs), np.vstack(words), np.zeros(n), np.zeros(n))
 
 
-def postcritical_cloud(
-    mm: MultiMap,
-    depth: int = DEFAULT_DEPTH,
-    cap: int = DEFAULT_CAP,
-    rng_seed: int = 0,
-) -> PointCloud:
+def postcritical_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFAULT_CAP,
+                       rng_seed: int = 0) -> PointCloud:
     """Forward orbit of all critical values under all words up to depth.
 
     Level 0 is the deduplicated set of critical values themselves (identity
@@ -445,16 +433,7 @@ def postcritical_cloud(
             continue
         nxt = _dedupe_level(_expand_forward(mm, levels[-1]))
         levels.append(_subsample_level(nxt, cap, _derive_seed(rng_seed, 0xF0), n))
-    meta = {
-        "kind": "forward",
-        "seed_point": None,
-        "depth": depth,
-        "cap": cap,
-        "rng_seed": rng_seed,
-        "num_generators": mm.num_generators,
-        "degrees": mm.degrees,
-    }
-    return PointCloud(levels, meta)
+    return PointCloud(levels, _cloud_meta(mm, "forward", None, depth, cap, rng_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +479,8 @@ def _closest_pair(q: np.ndarray, x: np.ndarray):
     return k, int(nearest[k]), float(dist[k])
 
 
-def check_hyperbolic(
-    mm: MultiMap,
-    depth: int = 8,
-    margin: float = 0.05,
-    cap: int = DEFAULT_CAP,
-    rng_seed: int = 0,
-) -> VerificationReport:
+def check_hyperbolic(mm: MultiMap, depth: int = 8, margin: float = 0.05, cap: int = DEFAULT_CAP,
+                     rng_seed: int = 0) -> VerificationReport:
     """Sampled separation of the postcritical cloud from the Julia cloud.
 
     pass when the minimum chordal distance is at least margin, fail below
@@ -517,41 +491,24 @@ def check_hyperbolic(
     params = {"depth": depth, "margin": margin, "cap": cap, "rng_seed": rng_seed}
     post = postcritical_cloud(mm, depth=depth, cap=cap, rng_seed=rng_seed)
     if post.size == 0:
-        return VerificationReport(
-            verdict="pass",
-            witnesses=[],
-            margin=margin,
-            parameters=params,
-            metrics={"min_distance": math.inf, "postcritical_size": 0},
-        )
+        return VerificationReport("pass", [], margin, params,
+                                  {"min_distance": math.inf, "postcritical_size": 0})
     cloud = julia_backward_cloud(mm, depth=depth, cap=cap, rng_seed=rng_seed)
     jz, jinf, _ = cloud.flat_arrays()
     pz, pinf, _ = post.flat_arrays()
     k, i, min_dist = _closest_pair(sphere_embed(pz, pinf), sphere_embed(jz, jinf))
     p_pt = _array_point(pz[k], pinf[k])
     j_pt = _array_point(jz[i], jinf[i])
-    metrics = {
-        "min_distance": min_dist,
-        "postcritical_size": post.size,
-        "julia_size": cloud.size,
-    }
-    witness = [
-        (
-            p_pt,
-            f"postcritical point at chordal distance {min_dist:.6g} from "
-            f"backward-orbit point {_fmt_point(j_pt)}",
-        )
-    ]
+    metrics = {"min_distance": min_dist, "postcritical_size": post.size, "julia_size": cloud.size}
     if min_dist >= margin:
         return VerificationReport("pass", [], margin, params, metrics)
-    if min_dist < margin / 2.0:
-        return VerificationReport("fail", witness, margin, params, metrics)
-    return VerificationReport("inconclusive", witness, margin, params, metrics)
+    witness = [(p_pt, f"postcritical point at chordal distance {min_dist:.6g} from "
+                      f"backward-orbit point {_fmt_point(j_pt)}")]
+    verdict = "fail" if min_dist < margin / 2.0 else "inconclusive"
+    return VerificationReport(verdict, witness, margin, params, metrics)
 
 
-def check_expanding_growth(
-    mm: MultiMap, cloud: PointCloud, threshold: float = 3.0
-) -> VerificationReport:
+def check_expanding_growth(mm: MultiMap, cloud: PointCloud, threshold: float = 3.0) -> VerificationReport:
     """Growth trend of the per-depth minimum word-derivative norm.
 
     Uses the cumulative norms carried by the backward tree: m_n is the
@@ -564,9 +521,7 @@ def check_expanding_growth(
     params = {"threshold": threshold, "depth": cloud.depth}
     depths = [n for n in range(1, cloud.depth + 1) if cloud.levels[n].size > 0]
     if not depths:
-        return VerificationReport(
-            "inconclusive", [], threshold, params, {"min_norms": {}}
-        )
+        return VerificationReport("inconclusive", [], threshold, params, {"min_norms": {}})
     mins = {n: float(np.exp(cloud.levels[n].logd.min())) for n in depths}
     metrics = {"min_norms": mins}
     logm = np.log(np.maximum([mins[n] for n in depths], 1e-300))
@@ -589,12 +544,7 @@ def check_expanding_growth(
         i = int(np.argmin(lev.logd))
         pt = _array_point(lev.z[i], lev.inf[i])
         word = tuple(int(x) for x in lev.words[i, ::-1])
-        witness = [
-            (
-                pt,
-                f"word {word} has derivative norm {math.exp(float(lev.logd[i])):.3e} "
-                f"at depth {last}",
-            )
-        ]
+        witness = [(pt, f"word {word} has derivative norm {math.exp(float(lev.logd[i])):.3e} "
+                        f"at depth {last}")]
         return VerificationReport("fail", witness, threshold, params, metrics)
     return VerificationReport("inconclusive", [], threshold, params, metrics)

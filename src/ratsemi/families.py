@@ -56,10 +56,7 @@ class RectDomain:
             raise ValueError("rectangle bounds must be ordered")
 
     def contains(self, lam: complex) -> bool:
-        return (
-            self.re_min <= lam.real <= self.re_max
-            and self.im_min <= lam.imag <= self.im_max
-        )
+        return self.re_min <= lam.real <= self.re_max and self.im_min <= lam.imag <= self.im_max
 
 
 @dataclass(frozen=True)
@@ -112,9 +109,7 @@ def instantiate(fam: FamilySpec, lam) -> MultiMap:
         try:
             maps.append(RationalMap(num, den))
         except ValueError as e:
-            raise InvalidInstance(
-                f"generator {k} is degenerate at parameter {lam}: {e}"
-            ) from e
+            raise InvalidInstance(f"generator {k} is degenerate at parameter {lam}: {e}") from e
     return MultiMap(maps)
 
 
@@ -257,12 +252,8 @@ class SubmeanReport:
 
 
 def _ring_offsets(k: int):
-    offs = []
-    for di in range(-k, k + 1):
-        for dj in range(-k, k + 1):
-            if max(abs(di), abs(dj)) == k:
-                offs.append((di, dj))
-    return offs
+    return [(di, dj) for di in range(-k, k + 1) for dj in range(-k, k + 1)
+            if max(abs(di), abs(dj)) == k]
 
 
 def submean_diagnostic(table: SweepTable, radius: int = 1) -> SubmeanReport:
@@ -278,12 +269,7 @@ def submean_diagnostic(table: SweepTable, radius: int = 1) -> SubmeanReport:
     scale = table.error_scale()
     tol_sub = 3.0 * scale if math.isfinite(scale) else math.inf
     offs = _ring_offsets(k)
-    checked = 0
-    worst = -math.inf
-    worst_at = None
-    worst_inv = -math.inf
-    worst_inv_at = None
-    flagged = []
+    checked, worst, worst_at, worst_inv, worst_inv_at, flagged = 0, -math.inf, None, -math.inf, None, []
     for i in range(k, re_n - k):
         for j in range(k, im_n - k):
             center = D[i, j]
@@ -302,10 +288,7 @@ def submean_diagnostic(table: SweepTable, radius: int = 1) -> SubmeanReport:
                 worst_inv, worst_inv_at = vi, lam
             if v > tol_sub or vi > tol_sub:
                 flagged.append((lam, max(v, vi)))
-    if checked == 0:
-        verdict = "inconclusive"
-    else:
-        verdict = "fail" if flagged else "pass"
+    verdict = "inconclusive" if checked == 0 else "fail" if flagged else "pass"
     return SubmeanReport(k, tol_sub, checked, worst, worst_at, worst_inv,
                          worst_inv_at, flagged, verdict)
 
@@ -343,9 +326,7 @@ def smoothness_diagnostic(table: SweepTable, line, fit_degree: int = 4) -> Smoot
     s = np.array([p for p, r in zip(params, rows) if r.status == "ok"])
     phi = np.array([r.delta for r in rows if r.status == "ok"])
     if s.size < fit_degree + 4:
-        raise InsufficientPoints(
-            f"{s.size} usable points on the line; need {fit_degree + 4}"
-        )
+        raise InsufficientPoints(f"{s.size} usable points on the line; need {fit_degree + 4}")
     errs = [r.delta_error for r in rows if r.status == "ok"]
     scale = max(float(np.median(errs)), 1e-15)
     coeffs = np.polyfit(s, phi, fit_degree)

@@ -53,14 +53,8 @@ class SpherePoint:
         if value is None:
             return INF
         z = complex(value)
-        if (
-            math.isfinite(z.real)
-            and math.isfinite(z.imag)
-            and abs(z.real) <= BIG_MODULUS
-            and abs(z.imag) <= BIG_MODULUS
-        ):
-            return SpherePoint(z)
-        return INF
+        finite = math.isfinite(z.real) and math.isfinite(z.imag)
+        return SpherePoint(z) if finite and max(abs(z.real), abs(z.imag)) <= BIG_MODULUS else INF
 
     @property
     def is_infinite(self) -> bool:
@@ -186,9 +180,7 @@ class Polynomial:
         return self + (-1.0) * other
 
     def __eq__(self, other):
-        return isinstance(other, Polynomial) and np.array_equal(
-            self.coeffs, other.coeffs
-        )
+        return isinstance(other, Polynomial) and np.array_equal(self.coeffs, other.coeffs)
 
     def __hash__(self):
         return hash(tuple(self.coeffs.tolist()))
@@ -542,14 +534,10 @@ class RationalMap(MapStack):
     def _check_reduced(self):
         if self.num.degree == 0 or self.den.degree == 0:
             return
-        rn = poly_roots(self.num)
         rd = poly_roots(self.den)
-        for a in rn:
-            for b in rd:
-                if chordal_distance(a, b) <= 1e-8:
-                    raise ValueError(
-                        f"numerator and denominator share a root near {a}"
-                    )
+        for a in poly_roots(self.num):
+            if any(chordal_distance(a, b) <= 1e-8 for b in rd):
+                raise ValueError(f"numerator and denominator share a root near {a}")
 
     # -- evaluation ---------------------------------------------------------
 

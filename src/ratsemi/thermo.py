@@ -203,9 +203,7 @@ def _estimate_on_tree(tree: PreimageTree, t, depth: int, rtol: float) -> list:
 
 
 def _default_basepoint(mm: MultiMap, z):
-    if z is None:
-        return repelling_seed(mm)[0]
-    return SpherePoint.of(z)
+    return repelling_seed(mm)[0] if z is None else SpherePoint.of(z)
 
 
 def transfer_level_sum(mm: MultiMap, t: float, z, n: int, cap: int = DEFAULT_CAP,
