@@ -18,7 +18,7 @@ from .sphere import MapStack, RationalMap, SpherePoint, _array_point, _point_arr
 
 _REPEL_TOL = 1e-6
 _CLOSEST_PAIR_BLOCK = 1 << 20  # entries of one row block of the closest-pair search
-_EXPAND_ROWS = 1 << 12  # solve rows (parents times block points) per chunk of a backward level
+_EXPAND_ROWS = 1 << 13  # solve rows (parents times block points) per chunk of a backward level, at most
 DEFAULT_DEPTH = 12
 DEFAULT_CAP = 200_000
 
@@ -237,7 +237,7 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
 
     A level of a block (see stack_block) carries a leading point axis on z,
     inf and logd and a min_step_norm per point; its words and logw, like the
-    picks, are shared.  Each generator is solved in chunks of at most
+    picks, are shared.  Each generator is solved in equal chunks of about
     _EXPAND_ROWS solve rows over the block, so temporaries do not grow with it.
     """
     lead = level.logd.shape[:-1]  # () for one system, (B,) for a block
@@ -256,8 +256,10 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
     for j, f in enumerate(mm.generators, start=1):
         d = f.degree
         c, shift = (None, 0.0) if picks is None else picks[j - 1]
-        rows = max(1, _EXPAND_ROWS // math.prod(lead)) * d  # children per chunk, whole parents
-        for s in range(0, m * d if c is None else c.size, rows):
+        n_j = m * d if c is None else c.size  # children of generator j
+        parts = max(1, math.ceil(n_j / d * math.prod(lead) / _EXPAND_ROWS))  # equal chunks
+        rows = max(1, math.ceil(n_j / parts / d)) * d  # children per chunk, whole parents
+        for s in range(0, n_j, rows):
             if c is None:
                 # every child kept: views and repeats, no index arrays; running uncapped levels
                 # through the gathers below made sweep-similarity job_s 8-22 % slower (2-core host)
