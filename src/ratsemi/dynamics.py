@@ -7,7 +7,6 @@ y' under generator j satisfies f_j(y) = y' and carries the word (j,) + word'.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
