@@ -190,18 +190,16 @@ class Polynomial:
 
 
 def horner(coeffs, z):
-    """Evaluate ascending-coefficient polynomial(s); works on scalars and arrays."""
+    """Evaluate ascending-coefficient polynomial(s) at a scalar or array z; the
+    coefficient rows coeffs[k] broadcast against z, so 2-d coefficients hold
+    one polynomial per column, and a constant comes back as its row.  Not in
+    place: numpy rounds an in-place complex product of length-1 arrays
+    differently, which would make a value depend on its batch."""
     c = np.asarray(coeffs, dtype=complex)
-    if c.size == 1:
-        acc = np.full(np.shape(z), c[0])
-    else:
-        # c[-1, ...] is a 0-d array, so a scalar z takes the same ufunc loop as an array
-        acc = c[-1, ...] * z + c[-2]
-        for k in range(c.size - 3, -1, -1):
-            acc = acc * z + c[k]
-    if np.ndim(z) == 0:
-        return complex(acc)
-    return acc
+    acc = c[-1, ...]  # a 0-d array for 1-d coeffs: a scalar z takes the same ufunc loop as an array
+    for k in range(len(c) - 2, -1, -1):
+        acc = acc * z + c[k]
+    return complex(acc) if np.ndim(acc) == 0 else acc
 
 
 def _horner_cols(C, Z):
@@ -373,25 +371,12 @@ def _charts(z, inf):
     return near, far, w, az
 
 
-def _horner_rows(C, x):
-    """Horner with ascending coefficient rows C[k] broadcast against x; a
-    constant comes back unbroadcast.  Not in place: numpy rounds an in-place
-    complex product of length-1 arrays differently, which would make a value
-    depend on its batch."""
-    if len(C) == 1:
-        return C[0]
-    acc = C[-1] * x + C[-2]
-    for c in C[-3::-1]:
-        acc = acc * x + c
-    return acc
-
-
 def _chart_norm(x, ax, W, P, Q):
     """|W(x)| (1 + |x|^2) / (|P(x)|^2 + |Q(x)|^2) with ax = |x|; coefficient
     rows broadcast against x."""
-    wz = np.abs(_horner_rows(W, x))
-    pz = np.abs(_horner_rows(P, x))
-    qz = np.abs(_horner_rows(Q, x))
+    wz = np.abs(horner(W, x))
+    pz = np.abs(horner(P, x))
+    qz = np.abs(horner(Q, x))
     return wz * (1.0 + ax**2) / (pz * pz + qz * qz)
 
 
