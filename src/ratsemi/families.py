@@ -213,7 +213,8 @@ def sweep_delta(fam: FamilySpec, grid: GridSpec, config: ThermoConfig | None = N
     rows, block = [], []  # block: (row index, mm, seed) of consecutive prepared points
 
     def flush():
-        for (i, _, _), res in zip(block, _solve_block(*list(zip(*block))[1:], cfg)):
+        indices, mms, seeds = zip(*block)
+        for i, res in zip(indices, _solve_block(mms, seeds, cfg)):
             rows[i] = _row(rows[i], res)  # rows[i] held the parameter until now
         block.clear()
 
