@@ -230,6 +230,11 @@ def cmd_osc(cfg: RunConfig, args) -> int:
 def cmd_sweep(cfg: RunConfig, args) -> int:
     fam = cfg.family_spec()
     grid = cfg.grid_spec()
+    line = cfg.data["sweep"]["smooth_line"] or ["col", grid.im_n // 2]
+    try:
+        grid.check_line(line)
+    except ValueError as e:
+        raise ConfigError(f"config.sweep.smooth_line: {e}") from e
     table = sweep_delta(fam, grid, cfg.thermo_config())
     rows = []
     for r in table.rows:
@@ -247,13 +252,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         f"reciprocal {sub.worst_reciprocal_violation:.6g} "
         f"(tol_sub {sub.tol_sub:.6g}, centers {sub.centers_checked})"
     )
-    line = cfg.data["sweep"]["smooth_line"]
-    if line is None:
-        line = ["col", grid.im_n // 2]
     try:
-        smooth = smoothness_diagnostic(
-            table, (line[0], line[1]), fit_degree=cfg.data["sweep"]["fit_degree"]
-        )
+        smooth = smoothness_diagnostic(table, line, fit_degree=cfg.data["sweep"]["fit_degree"])
     except InsufficientPoints as e:
         print(f"smoothness skipped: {e}")
     else:

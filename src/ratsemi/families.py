@@ -143,6 +143,14 @@ class GridSpec:
     def im_values(self) -> np.ndarray:
         return np.linspace(self.im_min, self.im_max, self.im_n)
 
+    def check_line(self, line) -> None:
+        """ValueError unless line is ('row', i) with i < re_n or ('col', j) with j < im_n."""
+        axis, idx = line
+        if axis not in ("row", "col"):
+            raise ValueError("line must be ('row', i) or ('col', j)")
+        if not 0 <= idx < (self.re_n if axis == "row" else self.im_n):
+            raise ValueError(f"{axis} {idx} lies outside the {self.re_n} x {self.im_n} grid")
+
     def points(self):
         for re in self.re_values:
             for im in self.im_values:
@@ -314,16 +322,15 @@ def smoothness_diagnostic(table: SweepTable, line, fit_degree: int = 4) -> Smoot
     over the grid interior.  The second quantity is reported with a noise
     estimate and carries no verdict: second differences amplify estimator
     noise."""
+    table.grid.check_line(line)
     axis, idx = line
     re_n, im_n = table.shape
     if axis == "row":
         params = table.grid.im_values
         rows = [table.row_at(idx, j) for j in range(im_n)]
-    elif axis == "col":
+    else:
         params = table.grid.re_values
         rows = [table.row_at(i, idx) for i in range(re_n)]
-    else:
-        raise ValueError("line must be ('row', i) or ('col', j)")
     s = np.array([p for p, r in zip(params, rows) if r.status == "ok"])
     phi = np.array([r.delta for r in rows if r.status == "ok"])
     if s.size < fit_degree + 4:

@@ -123,70 +123,23 @@ def sphere_embed(z, inf):
 
 
 # ---------------------------------------------------------------------------
-# polynomials
+# polynomials: ascending complex coefficient arrays
 
 
-class Polynomial:
-    """Dense polynomial with ascending complex coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).copy()
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coefficients must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(c.view(float))):
-            raise ValueError("coefficients must be finite")
-        # strip trailing (high-order) exact zeros, keep at least one entry
-        n = c.size
-        while n > 1 and c[n - 1] == 0:
-            n -= 1
-        self.coeffs = c[:n]
-        self.coeffs.flags.writeable = False
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs.size == 1 and self.coeffs[0] == 0
-
-    def __call__(self, z):
-        return horner(self.coeffs, z)
-
-    def deriv(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial([0.0])
-        k = np.arange(1, self.coeffs.size)
-        return Polynomial(self.coeffs[1:] * k)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            return Polynomial(np.convolve(self.coeffs, other.coeffs))
-        return Polynomial(self.coeffs * complex(other))
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(a.size, b.size)
-        out = np.zeros(n, dtype=complex)
-        out[: a.size] += a
-        out[: b.size] += b
-        return Polynomial(out)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __eq__(self, other):
-        return isinstance(other, Polynomial) and np.array_equal(self.coeffs, other.coeffs)
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs.tolist()))
-
-    def __repr__(self):
-        return f"Polynomial({self.coeffs.tolist()!r})"
+def _coeffs(c):
+    """c as a read-only ascending complex coefficient array: non-empty, 1-d
+    and finite, with trailing (high-order) exact zeros stripped down to one entry."""
+    c = np.array(c, dtype=complex, ndmin=1)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("coefficients must be a non-empty 1-d sequence")
+    if not np.isfinite(c).all():
+        raise ValueError("coefficients must be finite")
+    n = c.size
+    while n > 1 and c[n - 1] == 0:
+        n -= 1
+    c = c[:n]
+    c.flags.writeable = False
+    return c
 
 
 def horner(coeffs, z):
@@ -210,12 +163,6 @@ def _horner_cols(C, Z):
         acc *= Z
         acc += C[k]
     return acc
-
-
-def _pad(coeffs, length):
-    out = np.zeros(length, dtype=complex)
-    out[: coeffs.size] = coeffs
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +259,12 @@ def poly_roots(coeffs) -> list[complex]:
     a companion-eigenvalue fallback.  Residual acceptance per root:
     |p(root)| <= 1e-8 * (1 + max|coeff|) * (1 + |root|)^degree.
     """
-    p = coeffs if isinstance(coeffs, Polynomial) else Polynomial(coeffs)
-    if p.is_zero:
+    p = _coeffs(coeffs)
+    if not p.any():
         raise ValueError("zero polynomial has no well-defined root set")
-    if p.degree == 0:
+    if p.size == 1:
         return []
-    roots = _aberth_batch(p.coeffs[:, None])[0]
+    roots = _aberth_batch(p[:, None])[0]
     return sorted((complex(r) for r in roots), key=lambda r: (r.real, r.imag))
 
 
@@ -403,7 +350,7 @@ class MapStack:
         def cols(polys, size):
             out = np.zeros((size, len(polys)), dtype=complex)
             for k, p in enumerate(polys):
-                out[: p.coeffs.size, k] = p.coeffs
+                out[: p.size, k] = p
             return out
 
         def trimmed(C):
@@ -493,31 +440,33 @@ class RationalMap(MapStack):
     evaluation is total: a vanishing denominator means a genuine pole.
     """
 
-    __slots__ = ("num", "den", "_wron", "_wron_deg_slack")
+    __slots__ = ("num", "den", "_wron")
 
     def __init__(self, num, den=(1.0,)):
-        self.num = num if isinstance(num, Polynomial) else Polynomial(num)
-        self.den = den if isinstance(den, Polynomial) else Polynomial(den)
-        if self.num.is_zero or self.den.is_zero:
+        P, Q = self.num, self.den = _coeffs(num), _coeffs(den)
+        if not (P.any() and Q.any()):
             raise ValueError("numerator and denominator must be nonzero")
-        self.degree = max(self.num.degree, self.den.degree)
-        if self.degree < 1:
+        d = self.degree = max(P.size, Q.size) - 1
+        if d < 1:
             raise ValueError("map must have degree >= 1 (not constant)")
         self._check_reduced()
 
-        wron = self.num.deriv() * self.den - self.num * self.den.deriv()
-        if wron.degree > 2 * self.degree - 2:
-            # the degree 2d - 1 terms cancel exactly in theory, not always in floating point
-            wron = Polynomial(wron.coeffs[: 2 * self.degree - 1])
-        if wron.is_zero:
+        # P'Q - PQ' accumulated into zeros: a zero coefficient is +0 whatever its products' signs
+        W = np.zeros(P.size + Q.size - 2, dtype=complex)
+        with np.errstate(invalid="ignore"):  # an overflowed product is rejected below
+            if P.size > 1:
+                W += np.convolve(P[1:] * np.arange(1, P.size), Q)
+            if Q.size > 1:
+                W -= np.convolve(P, Q[1:] * np.arange(1, Q.size))
+        # the degree 2d - 1 terms cancel exactly in theory, not always in floating
+        # point; they are cut only after all of W is checked finite
+        self._wron = _coeffs(_coeffs(W)[: 2 * d - 1])
+        if not self._wron.any():
             raise ValueError("map is constant (vanishing derivative)")
-        self._wron = wron
-        # multiplicity of infinity as a critical point
-        self._wron_deg_slack = 2 * self.degree - 2 - wron.degree
         super().__init__([self])
 
     def _check_reduced(self):
-        if self.num.degree == 0 or self.den.degree == 0:
+        if self.num.size == 1 or self.den.size == 1:
             return
         rd = poly_roots(self.den)
         for a in poly_roots(self.num):
@@ -542,8 +491,8 @@ class RationalMap(MapStack):
         pz = np.empty_like(z)
         qz = np.empty_like(z)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            pz[near] = horner(self.num.coeffs, z[near])
-            qz[near] = horner(self.den.coeffs, z[near])
+            pz[near] = horner(self.num, z[near])
+            qz[near] = horner(self.den, z[near])
             pz[far] = horner(self.P[::-1, 0], w)
             qz[far] = horner(self.Q[::-1, 0], w)
             return self._ratio_many(pz, qz)
@@ -584,7 +533,7 @@ class RationalMap(MapStack):
         degree 2d-2; the drop is its multiplicity.
         """
         pts = [SpherePoint.of(r) for r in poly_roots(self._wron)]
-        pts += [INF] * self._wron_deg_slack
+        pts += [INF] * (2 * self.degree - 1 - self._wron.size)
         return sorted(pts, key=SpherePoint.sort_key)
 
     def critical_values(self) -> list[SpherePoint]:
@@ -596,22 +545,21 @@ class RationalMap(MapStack):
         A point is repelling exactly when its norm exceeds 1.  Infinity is
         fixed precisely when deg P > deg Q (e.g. for polynomials).
         """
-        shifted = np.concatenate(([0.0], self.den.coeffs))  # z * Q(z)
-        n = max(self.num.coeffs.size, shifted.size)
-        coeffs = _pad(self.num.coeffs, n) - _pad(shifted, n)
+        fp = np.zeros(max(self.num.size, self.den.size + 1), dtype=complex)
+        fp[: self.num.size] = self.num
+        fp[1 : self.den.size + 1] -= self.den  # P(z) - z Q(z)
         out = []
-        fp = Polynomial(coeffs) if np.any(coeffs != 0) else None
-        if fp is not None and fp.degree >= 1:
+        if fp.any():
             for r in poly_roots(fp):
                 p = SpherePoint.of(r)
                 out.append((p, float(self.spherical_derivative_norm(p))))
-        if self.num.degree > self.den.degree:
+        if self.num.size > self.den.size:
             out.append((INF, float(self.spherical_derivative_norm(INF))))
         out.sort(key=lambda t: t[0].sort_key())
         return out
 
     def __repr__(self):
-        return f"RationalMap({self.num.coeffs.tolist()!r}, {self.den.coeffs.tolist()!r})"
+        return f"RationalMap({self.num.tolist()!r}, {self.den.tolist()!r})"
 
 
 def polynomial_map(coeffs) -> RationalMap:

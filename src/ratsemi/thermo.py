@@ -268,7 +268,7 @@ def _root_search(config: ThermoConfig):
     history = []
     est = lo = yield 0.0  # lo and hi: the estimates at the bracket ends
     history.append((est.t, est.value))
-    hi = None
+    hi, probed = None, False
     while True:
         if hi is not None and hi.t - lo.t <= config.tol_t:
             best = min((lo, hi), key=lambda e: abs(e.value))
@@ -280,9 +280,11 @@ def _root_search(config: ThermoConfig):
             )
         top = config.t_max if hi is None else hi.t
         t = est.t - est.value / est.slope if -math.inf < est.slope < 0.0 else math.nan
-        # est is a converged Newton point: probe across the root from it
+        # est is a converged Newton point: probe across the root, once while no P < 0 is known
         if abs(t - est.t) < config.tol_t / 4:
-            t = est.t + math.copysign(config.tol_t / 2, t - est.t)
+            probe = hi is not None or not probed
+            t = est.t + math.copysign(config.tol_t / 2, t - est.t) if probe else math.nan
+            probed = True
         if not lo.t < t < top:  # also catches nan
             t = 0.5 * (lo.t + hi.t) if hi is not None else max(2.0 * lo.t, 1.0)
         est = yield t
@@ -341,8 +343,9 @@ def bowen_parameter(mm: MultiMap, config: ThermoConfig = None, **overrides) -> B
     slope that is not negative and finite, becomes a bisection (doubling t
     from 1 while no negative P is known).  A Newton step below tol_t/4 is
     not taken: a probe tol_t/2 across the root, straight from the current
-    point, closes the bracket.  Stops once the bracket is at most tol_t
-    wide with an end, delta, where |P| <= tol_p.
+    point, closes the bracket; while no negative P is known, later probes
+    double t instead, so a P that decays to 0 ends in NoSignChange.  Stops
+    once the bracket is at most tol_t wide with an end, delta, where |P| <= tol_p.
     A sampled hyperbolicity check runs first and is returned as gate; unless
     force is set, a verdict other than pass raises HyperbolicityUnverified
     carrying that report.  This is the one-point case of _bowen_search.
@@ -356,13 +359,13 @@ def bowen_parameter(mm: MultiMap, config: ThermoConfig = None, **overrides) -> B
     return replace(res, gate=gate)
 
 
-def lyapunov_and_entropy(mm: MultiMap, t: float, h: float = 1e-3, n: int = DEFAULT_TREE_DEPTH,
-                         z=None, cap: int = DEFAULT_CAP, rng_seed: int = 0,
+def lyapunov_and_entropy(mm: MultiMap, t: float, n: int = DEFAULT_TREE_DEPTH, z=None,
+                         cap: int = DEFAULT_CAP, rng_seed: int = 0,
                          tree: PreimageTree | None = None) -> SpectrumDiagnostics:
     """Lyapunov exponent and equilibrium entropy at t from the exact slope.
 
     lyapunov = -dP/dt and entropy = P(t) + t * lyapunov, from one estimate
-    at the fixed depth n; h is unused.  A critical preimage within depth n
+    at the fixed depth n.  A critical preimage within depth n
     raises CriticalPreimage at every t.  Pass tree to share one PreimageTree
     across several t; mm, z, cap and rng_seed then go unused, since the tree
     already fixes them.

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratsemi import thermo
+from ratsemi import cli, thermo
 from ratsemi.cli import main
 from ratsemi.config import emit, parse, parse_file
 from ratsemi.errors import ConfigError
@@ -580,6 +580,23 @@ def test_cli_sweep_puncture_rows_still_written(tmp_path, capsys):
     assert mid[2] == "" and mid[3] == "" and mid[4] == ""
     assert lines[1].split(",")[5] == "ok"
     assert lines[3].split(",")[5] == "ok"
+
+
+def test_cli_sweep_rejects_an_out_of_range_smooth_line_before_sweeping(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sweep_delta", lambda *args: pytest.fail("the sweep ran"))
+    for line in (["col", 1], ["row", 3]):
+        path = write_cfg(tmp_path, {
+            "family": family_scaled_square(),
+            "grid": {"re_min": 0.4, "re_max": 0.5, "re_n": 3,
+                     "im_min": 0.0, "im_max": 0.0, "im_n": 1},
+            "sweep": {"smooth_line": line},
+        })
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: config.sweep.smooth_line:" in err
+        assert f"{line[0]} {line[1]} lies outside the 3 x 1 grid" in err
+        assert not out.exists()
 
 
 def test_cli_sweep_deterministic(tmp_path, capsys):

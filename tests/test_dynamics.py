@@ -334,7 +334,7 @@ def test_backward_level_with_infinite_parents_matches_oracle():
     child = _expand_backward(mm, parent, parent.size * mm.total_degree, 0, 1)  # uncapped
     row = 0
     for f in maps:
-        num, den = f.num.coeffs, f.den.coeffs
+        num, den = f.num, f.den
         for i in range(parent.size):
             block = range(row, row + f.degree)
             got = ["inf" if child.inf[k] else complex(child.z[k]) for k in block]

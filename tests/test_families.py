@@ -39,7 +39,7 @@ def test_instantiate_scaled_square_pair():
     assert mm.degrees == (2, 2)
     assert mm.map_for(1)(3.0).value == pytest.approx(9.0)
     assert mm.map_for(2)(3.0).value == pytest.approx(4.5)
-    np.testing.assert_allclose(mm.map_for(2).num.coeffs, [0.0, 0.0, 0.5])
+    np.testing.assert_allclose(mm.map_for(2).num, [0.0, 0.0, 0.5])
 
 
 def test_instantiate_similarity_triple_matches_doubling_maps():
@@ -97,7 +97,7 @@ def test_coefficients_vary_polynomially():
     lam0 = 0.3 + 0.1j
     h = 0.05 - 0.02j
     lams = [lam0, lam0 + h, lam0 + 2 * h]
-    coeff_sets = [instantiate(fam, l).map_for(1).num.coeffs for l in lams]
+    coeff_sets = [instantiate(fam, l).map_for(1).num for l in lams]
     got = coeff_sets[0] - 2 * coeff_sets[1] + coeff_sets[2]
     want = np.array([q(lams[0]) - 2 * q(lams[1]) + q(lams[2]) for q in (q0, q1, top)])
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -279,8 +279,8 @@ def test_lockstep_sweep_equals_blocks_of_one(fam, grid, config, monkeypatch):
 
 def test_lockstep_sweep_keeps_each_points_own_status(monkeypatch):
     # 2z and c z from the fixed point 0: P(t) = log(2^-t + |c|^-t) has a root
-    # only for |c| > 1; at c = 1 it decays to 0 without crossing, and the
-    # search runs out of evaluations; c = 0 is degenerate, c > 3 outside the domain
+    # only for |c| > 1; at c = 1 it decays to 0 without crossing, which is no
+    # sign change either; c = 0 is degenerate, c > 3 outside the domain
     fam = FamilySpec(generators=(((0.0, 2.0), (1.0,)), ((0.0, LambdaPoly([0.0, 1.0])), (1.0,))),
                      domain=RectDomain(-3.0, 3.0, -1.0, 1.0))
     grid = GridSpec(0.0, 4.0, 9, 0.0, 0.0, 1)
@@ -288,7 +288,7 @@ def test_lockstep_sweep_keeps_each_points_own_status(monkeypatch):
     sizes = blocks_seen(monkeypatch)
     table = sweep_delta(fam, grid, config)
     statuses = [r.status for r in table.rows]
-    assert statuses == ["invalid-instance", "no-sign-change", "non-convergence", "ok", "ok",
+    assert statuses == ["invalid-instance", "no-sign-change", "no-sign-change", "ok", "ok",
                         "ok", "ok", "invalid-instance", "invalid-instance"]
     assert sizes == [6]  # the failed instances do not split the block
     assert table.rows == sweep_in_blocks_of_one(monkeypatch, fam, grid, config).rows
@@ -405,6 +405,10 @@ def test_smoothness_row_line_and_validation():
     assert rep.max_residual < 1e-10
     with pytest.raises(ValueError):
         smoothness_diagnostic(table, ("diag", 0))
+    # the table is 3 x 12: a row index runs over the real axis, a col index over the imaginary one
+    for line in (("row", 3), ("col", 12)):
+        with pytest.raises(ValueError, match="lies outside the 3 x 12 grid"):
+            smoothness_diagnostic(table, line)
     short = make_table(np.linspace(0, 1, 5), np.linspace(0, 1, 3), fn)
     with pytest.raises(InsufficientPoints):
         smoothness_diagnostic(short, ("col", 1), fit_degree=4)

@@ -226,6 +226,18 @@ def test_bowen_no_sign_change_on_nonexpanding_pair():
         bowen_parameter(mm)
 
 
+def test_bowen_no_sign_change_when_the_pressure_decays_to_zero(monkeypatch):
+    # 2z with the identity: P(t) = log(1 + 2^-t) > 0 rounds to 0.0 near t = 54,
+    # where Newton stalls; past one probe there t doubles beyond t_max
+    estimate, calls = thermo._estimate_on_tree, []
+    monkeypatch.setattr(thermo, "_estimate_on_tree",
+                        lambda *args: calls.append(args[1]) or estimate(*args))
+    mm = MultiMap([polynomial_map([0.0, 2.0]), polynomial_map([0.0, 1.0])])
+    with pytest.raises(NoSignChange):
+        bowen_parameter(mm)
+    assert len(calls) <= 45
+
+
 def test_bowen_gate_rejects_postcritical_contact():
     # the second map's critical value -2 lies in its own Julia set
     mm = MultiMap([power_map(2), polynomial_map([-2.0, 0.0, 1.0])])
