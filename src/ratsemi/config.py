@@ -197,7 +197,7 @@ _CONFIG = {
         "t_max": (_float, _TC.t_max, None),
         "force": (_bool, _TC.force, None),
         "hyper_depth": (_int, _TC.hyper_depth, 1),
-        "hyper_margin": (_float, _TC.hyper_margin, None),
+        "hyper_margin": (_positive, _TC.hyper_margin, None),
         "hyper_cap": (_int, _TC.hyper_cap, 1),
         "basepoint": (_pair, None, None),
     }),
@@ -216,7 +216,7 @@ _CONFIG = {
     "osc": (_object, {}, {
         "grid_n": (_int, 256, (64, 4096)),
         "variant": (_str, "plain", {"plain", "separating"}),
-        "epsilon": (_float, 1e-3, None),
+        "epsilon": (_float, 1e-3, 0),  # 0 is the closed-region test
         "enlarge": (_float, 1.5, (1.0, 16.0)),  # a huge window passes any region
     }),
     "boxdim": (_object, {}, {
@@ -233,7 +233,6 @@ _CONFIG = {
     "region": (_variant, None, _REGIONS),
     "grid": (_object, None, {**_RECT, "re_n": _COUNT, "im_n": _COUNT}),
     "poincare_N": (_int, 8, 1),
-    "lyap_h": (_float, 1e-3, None),  # unused since lyap takes the exact slope; still parsed
     "multimap": (_object, _OMITTED, {
         "generators": (_generators, [], {  # absent: rejected as empty
             "num": (_poly, _REQUIRED, None),

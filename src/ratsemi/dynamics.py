@@ -1,4 +1,4 @@
-"""Multi-generator dynamics: words, skew-product preimages, orbit clouds, checks.
+"""Multi-generator dynamics: words, skew-product preimages, orbit clouds, the hyperbolicity check.
 
 Generators are indexed 1..s.  A word (w1, ..., wn) acts by applying the
 generator w1 first, so the composed map is f_{wn} o ... o f_{w1}.  Backward
@@ -66,33 +66,6 @@ def stack_block(mms) -> MultiMap:
     """Multi-maps of one degree signature as a block of B systems: generator j
     is the MapStack of every system's j-th map, system b in column b."""
     return MultiMap(MapStack(gens) for gens in zip(*(mm.generators for mm in mms)))
-
-
-def word_eval(mm: MultiMap, word, z) -> SpherePoint:
-    """Apply the generators named by the word, first symbol first."""
-    pt = SpherePoint.of(z)
-    for sym in word:
-        pt = mm.map_for(sym)(pt)
-    return pt
-
-
-def word_derivative_norm(mm: MultiMap, word, z) -> float:
-    """Product of spherical derivative norms along the orbit of z."""
-    pt = SpherePoint.of(z)
-    acc = 1.0
-    for sym in word:
-        f = mm.map_for(sym)
-        acc *= f.spherical_derivative_norm(pt)
-        pt = f(pt)
-    return acc
-
-
-def skew_preimages(mm: MultiMap, z) -> list:
-    """All (symbol, y) with f_symbol(y) = z; total_degree entries."""
-    out = []
-    for j, f in enumerate(mm.generators, start=1):
-        out.extend((j, y) for y in f.preimages(z))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +280,6 @@ class PointCloud:
     def depth(self) -> int:
         return len(self.levels) - 1
 
-    def entries(self):
-        """Yield (point, word, depth) over every retained entry."""
-        for depth, lev in enumerate(self.levels):
-            for i in range(lev.size):
-                pt = _array_point(lev.z[i], lev.inf[i])
-                word = tuple(int(x) for x in lev.words[i, ::-1])
-                yield pt, word, depth
-
     def flat_arrays(self):
         """Concatenated (z, inf, depth) arrays across all levels."""
         z = np.concatenate([lev.z for lev in self.levels])
@@ -487,8 +452,11 @@ def check_hyperbolic(mm: MultiMap, depth: int = 8, margin: float = 0.05, cap: in
     pass when the minimum chordal distance is at least margin, fail below
     margin/2 (with the closest pair as witness), inconclusive between.  An
     empty postcritical cloud passes vacuously.  A pass certifies only that
-    no violation was found at this sampling resolution.
+    no violation was found at this sampling resolution.  margin must be
+    positive: at margin <= 0 every distance would pass.
     """
+    if not margin > 0.0:
+        raise ValueError(f"margin must be positive, got {margin!r}")
     params = {"depth": depth, "margin": margin, "cap": cap, "rng_seed": rng_seed}
     post = postcritical_cloud(mm, depth=depth, cap=cap, rng_seed=rng_seed)
     if post.size == 0:
@@ -508,44 +476,3 @@ def check_hyperbolic(mm: MultiMap, depth: int = 8, margin: float = 0.05, cap: in
     verdict = "fail" if min_dist < margin / 2.0 else "inconclusive"
     return VerificationReport(verdict, witness, margin, params, metrics)
 
-
-def check_expanding_growth(mm: MultiMap, cloud: PointCloud, threshold: float = 3.0) -> VerificationReport:
-    """Growth trend of the per-depth minimum word-derivative norm.
-
-    Uses the cumulative norms carried by the backward tree: m_n is the
-    minimum over level-n entries of the word derivative norm back to the
-    seed.  pass once some depth reaches the threshold with a positive
-    geometric trend afterwards; fail when the minima collapse toward zero.
-    """
-    if cloud.meta.get("kind") != "backward":
-        raise ValueError("expanding-growth check needs a backward-orbit cloud")
-    params = {"threshold": threshold, "depth": cloud.depth}
-    depths = [n for n in range(1, cloud.depth + 1) if cloud.levels[n].size > 0]
-    if not depths:
-        return VerificationReport("inconclusive", [], threshold, params, {"min_norms": {}})
-    mins = {n: float(np.exp(cloud.levels[n].logd.min())) for n in depths}
-    metrics = {"min_norms": mins}
-    logm = np.log(np.maximum([mins[n] for n in depths], 1e-300))
-    ns = np.array(depths, dtype=float)
-    slope = float(np.polyfit(ns, logm, 1)[0]) if len(depths) > 1 else 0.0
-    metrics["trend_slope"] = slope
-    last = depths[-1]
-    hit = next((n for n in depths if mins[n] >= threshold), None)
-    if hit is not None:
-        if hit == last:
-            return VerificationReport("pass", [], threshold, params, metrics)
-        tail_ns = np.array([n for n in depths if n >= hit], dtype=float)
-        tail = np.log(np.maximum([mins[n] for n in depths if n >= hit], 1e-300))
-        tail_slope = float(np.polyfit(tail_ns, tail, 1)[0])
-        metrics["tail_slope"] = tail_slope
-        if tail_slope > 0.0:
-            return VerificationReport("pass", [], threshold, params, metrics)
-    if slope < 0.0 and mins[last] < 1.0:
-        lev = cloud.levels[last]
-        i = int(np.argmin(lev.logd))
-        pt = _array_point(lev.z[i], lev.inf[i])
-        word = tuple(int(x) for x in lev.words[i, ::-1])
-        witness = [(pt, f"word {word} has derivative norm {math.exp(float(lev.logd[i])):.3e} "
-                        f"at depth {last}")]
-        return VerificationReport("fail", witness, threshold, params, metrics)
-    return VerificationReport("inconclusive", [], threshold, params, metrics)

@@ -15,7 +15,7 @@ class RatsemiError(Exception):
 
 class NonConvergence(RatsemiError):
     """A root solve missed its residual bound with Aberth and then with the
-    companion eigenvalues, or a Bowen or Moran root search ran away."""
+    companion eigenvalues, or a Bowen root search ran away."""
 
     status = "non-convergence"
 

@@ -239,13 +239,17 @@ def osc_check(
     x is outside U (the preimages do not nest into U).  Violation B: two
     different generators both pull x into U (the preimages overlap).  The
     separating variant fattens only the overlap test by a chordal epsilon to
-    approximate closures.  The lattice endpoints are shared across dyadic
-    refinements, so a failing witness persists when grid_n doubles.
+    approximate closures; epsilon 0 tests the closed region, and a negative
+    one, which would hide overlaps, raises ValueError.  The lattice endpoints
+    are shared across dyadic refinements, so a failing witness persists when
+    grid_n doubles.
     """
     if grid_n < 64:
         raise ValueError("grid_n must be at least 64")
     if variant not in ("plain", "separating"):
         raise ValueError(f"unknown variant {variant!r}")
+    if not epsilon >= 0.0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
     z, inf, spacing = _sample_points(U, grid_n, enlarge)
     in_u = _contains_many(U, z, inf)
     # per generator: f(x) in U for the nesting test, and the membership the

@@ -190,6 +190,9 @@ def _estimate_on_tree(tree: PreimageTree, t, depth: int, rtol: float) -> list:
             break
         cur, cur_d = tree._log_level_sums(t[live], n, live)
         going = np.ones(live.size, dtype=bool)
+        # at t = 0 a critical preimage makes both level slopes inf, their difference nan
+        with np.errstate(invalid="ignore"):
+            slope = cur_d - prev_d
         for i, b in enumerate(live):
             r = ratios[b]
             r.append(float(cur[i] - prev[i]))
@@ -197,22 +200,13 @@ def _estimate_on_tree(tree: PreimageTree, t, depth: int, rtol: float) -> list:
             if (len(r) >= 3 and residual <= rtol) or n == depth:
                 going[i] = False
                 out[b] = PressureEstimate(float(t[b]), r[-1], n, tree.basepoints[b], r,
-                                          float(residual), float(cur_d[i] - prev_d[i]))
+                                          float(residual), float(slope[i]))
         live, prev, prev_d = live[going], cur[going], cur_d[going]
     return out
 
 
 def _default_basepoint(mm: MultiMap, z):
     return repelling_seed(mm)[0] if z is None else SpherePoint.of(z)
-
-
-def transfer_level_sum(mm: MultiMap, t: float, z, n: int, cap: int = DEFAULT_CAP,
-                       rng_seed: int = 0) -> float:
-    """S_n(t, z), the level-n transfer-operator sum at the constant function 1."""
-    if n < 1:
-        raise ValueError("level index must be >= 1")
-    tree = PreimageTree(mm, z, cap=cap, rng_seed=rng_seed)
-    return math.exp(tree.log_level_sum(t, n))
 
 
 def pressure(mm: MultiMap, t: float, z=None, n: int = DEFAULT_TREE_DEPTH, cap: int = DEFAULT_CAP,
@@ -230,18 +224,6 @@ def pressure_curve(mm: MultiMap, t_values, z=None, n: int = DEFAULT_TREE_DEPTH,
     """Pressure estimates over a grid of t values, sharing one preimage tree."""
     tree = PreimageTree(mm, _default_basepoint(mm, z), cap=cap, rng_seed=rng_seed)
     return [_estimate_on_tree(tree, [t], n, rtol)[0] for t in t_values]
-
-
-def poincare_partial(mm: MultiMap, z, t: float, N: int, cap: int = DEFAULT_CAP,
-                     rng_seed: int = 0) -> float:
-    """Truncated Poincare series: sum of S_n(t, z) for n = 1..N.
-
-    The level sums grow when t is below the Bowen parameter and decay above
-    it, which is what makes the full series' critical exponent equal delta.
-    """
-    if N < 1:
-        raise ValueError("need at least one level")
-    return PreimageTree(mm, z, cap=cap, rng_seed=rng_seed).poincare(t, N)[0]
 
 
 def _prepare(mm: MultiMap, config: ThermoConfig):
@@ -377,38 +359,3 @@ def lyapunov_and_entropy(mm: MultiMap, t: float, n: int = DEFAULT_TREE_DEPTH, z=
     return SpectrumDiagnostics(t=float(t), lyapunov=-est.slope, entropy=est.value - t * est.slope,
                                pressure=est.value, residual=est.residual, depth=est.depth)
 
-
-def power_map_pressure_oracle(degrees, t: float) -> float:
-    """Closed-form pressure log(sum d_j^(1-t)) for pure power maps a_j z^d_j."""
-    degs = [int(d) for d in degrees]
-    if not degs or any(d < 1 for d in degs) or max(degs) < 2:
-        raise ValueError("need degrees >= 1 with at least one >= 2")
-    return math.log(math.fsum(float(d) ** (1.0 - t) for d in degs))
-
-
-def moran_root_oracle(ratios) -> float:
-    """Unique t >= 0 with sum r_j^t = 1, bisected to 1e-10.
-
-    A single ratio forces t = 0 (the equation reads r^t = 1).
-    """
-    rs = [float(r) for r in ratios]
-    if not rs or any(not 0.0 < r < 1.0 for r in rs):
-        raise ValueError("similarity ratios must lie strictly between 0 and 1")
-
-    def f(t):
-        return math.fsum(r**t for r in rs) - 1.0
-
-    if f(0.0) <= 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while f(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise NonConvergence("Moran root bracket search ran away")
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from ratsemi.sphere import SpherePoint, _array_point
+
 # ---------------------------------------------------------------------------
 # frozen constants
 
@@ -172,6 +174,43 @@ def best_match(got, ref):
         max((chordal_bf(a, b) for a, b in zip(perm, ref)), default=0.0)
         for perm in itertools.permutations(got)
     )
+
+
+# ---------------------------------------------------------------------------
+# scalar word references: one point, one symbol at a time
+
+
+def word_eval(mm, word, z):
+    """Apply the generators named by the word, first symbol first."""
+    pt = SpherePoint.of(z)
+    for sym in word:
+        pt = mm.map_for(sym)(pt)
+    return pt
+
+
+def word_derivative_norm(mm, word, z):
+    """Product of spherical derivative norms along the orbit of z."""
+    pt = SpherePoint.of(z)
+    acc = 1.0
+    for sym in word:
+        f = mm.map_for(sym)
+        acc *= f.spherical_derivative_norm(pt)
+        pt = f(pt)
+    return acc
+
+
+def skew_preimages(mm, z):
+    """All (symbol, y) with f_symbol(y) = z; total_degree entries."""
+    return [(j, y) for j, f in enumerate(mm.generators, start=1) for y in f.preimages(z)]
+
+
+def cloud_entries(cloud):
+    """Yield (point, word, depth) over every retained entry of a PointCloud,
+    the word in composition order."""
+    for depth, lev in enumerate(cloud.levels):
+        for i in range(lev.size):
+            word = tuple(int(x) for x in lev.words[i, ::-1])
+            yield _array_point(lev.z[i], lev.inf[i]), word, depth
 
 
 # ---------------------------------------------------------------------------

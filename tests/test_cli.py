@@ -1,4 +1,5 @@
 """Config parsing and CLI subcommand tests (in-process via main())."""
+import ast
 import json
 import math
 import os
@@ -111,7 +112,6 @@ def test_round_trip_is_lossless():
         "boxdim": {"scale_count": 4, "viewport": None},
         "t_values": [0.0, 2.5],
         "poincare_N": 5,
-        "lyap_h": 1e-4,
         "sweep": {"out": "s.csv", "smooth_line": ["col", 2]},
     }
     cfg = parse(json.dumps(rich))
@@ -127,6 +127,7 @@ def test_config_rejections():
     # each bad input with the text its message must contain, from the dotted path on
     bad = [
         ({"multimap": {"generators": [Z2]}, "typo_key": 1}, "config: unknown keys"),
+        ({**ok, "lyap_h": 1e-3}, "config: unknown keys ['lyap_h']"),  # a removed key
         ({"multimap": {"generators": [Z2]}, "family": family_scaled_square()},
          "config: exactly one"),
         ({}, "config: exactly one"),
@@ -155,7 +156,6 @@ def test_config_rejections():
          "config.family.excluded: expected a list"),
         # integers beyond the float range where a number is expected
         ({**ok, "t_values": [0.0, huge]}, "config.t_values[1]:"),
-        ({**ok, "lyap_h": -huge}, "config.lyap_h:"),
         ({**ok, "thermo": {"t_max": huge}}, "config.thermo.t_max:"),
         ({"family": {**fam, "lam": [huge, 0.0]}}, "config.family.lam[0]:"),
         # upper bounds on sizes and windows, positive root-search tolerances
@@ -167,8 +167,13 @@ def test_config_rejections():
         ({**ok, "render": {"height": 8193}}, "config.render.height: must be <= 8192"),
         ({**ok, "thermo": {"tol_t": 0.0}}, "config.thermo.tol_t: must be > 0"),
         ({**ok, "thermo": {"tol_p": -1e-3}}, "config.thermo.tol_p: must be > 0"),
+        # a margin <= 0 passes every gate, a negative epsilon hides every overlap
+        ({**ok, "thermo": {"hyper_margin": 0.0}}, "config.thermo.hyper_margin: must be > 0"),
+        ({**ok, "thermo": {"hyper_margin": -1}}, "config.thermo.hyper_margin: must be > 0"),
+        ({**ok, "osc": {"epsilon": -1.0}}, "config.osc.epsilon: must be >= 0"),
     ]
     parse(json.dumps(ok))
+    parse(json.dumps({**ok, "osc": {"variant": "separating", "epsilon": 0.0}}))  # closed region
     for raw, message in bad:
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse(json.dumps(raw))
@@ -384,6 +389,17 @@ def test_cli_pressure_critical_basepoint_exit_5(tmp_path, capsys):
     })
     assert main(["pressure", "--config", path]) == 5
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_bowen_critical_preimage_exit_5_without_warnings(tmp_path, capsys):
+    # z^2 - 2 maps its critical point 0 onto the seed 2 in two steps; force skips the gate
+    path = write_cfg(tmp_path, {
+        "multimap": {"generators": [{"num": [[-2.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}]},
+        "thermo": {"force": True},
+    })
+    assert main(["bowen", "--config", path]) == 5
+    assert capsys.readouterr().err.startswith("error: preimage tree")
 
 
 def test_importing_cli_leaves_scipy_spatial_unloaded():
@@ -685,6 +701,24 @@ def test_demo_configs_parse_and_round_trip():
             cfg.multimap()
         else:
             cfg.family_spec()
+
+
+def test_public_api_resolves_and_covers_the_demos():
+    import ratsemi
+
+    assert len(set(ratsemi.__all__)) == len(ratsemi.__all__)
+    for name in ratsemi.__all__:
+        getattr(ratsemi, name)
+    demos = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+    assert len(demos) >= 5
+    imported = {
+        alias.name
+        for path in demos
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ratsemi"
+        for alias in node.names
+    }
+    assert imported and imported <= set(ratsemi.__all__)
 
 
 def test_cli_verbose_echoes_normalized_config(tmp_path, capsys):

@@ -8,8 +8,6 @@ from ratsemi import dynamics
 from ratsemi.dynamics import (
     CloudLevel,
     MultiMap,
-    PointCloud,
-    check_expanding_growth,
     check_hyperbolic,
     _bottom_k,
     _expand_backward,
@@ -17,9 +15,6 @@ from ratsemi.dynamics import (
     julia_backward_cloud,
     postcritical_cloud,
     repelling_seed,
-    skew_preimages,
-    word_derivative_norm,
-    word_eval,
 )
 from ratsemi.errors import NoRepellingSeed
 from ratsemi.sphere import (
@@ -34,6 +29,7 @@ from ratsemi.sphere import (
 )
 
 import oracles
+from oracles import cloud_entries, skew_preimages, word_derivative_norm, word_eval
 
 
 def power_map(d, a=1.0):
@@ -205,7 +201,7 @@ def test_cloud_is_exact_preimage_tree():
     mm = MultiMap([power_map(2), power_map(3)])
     cloud = julia_backward_cloud(mm, depth=4, cap=200_000)
     seed = cloud.meta["seed_point"]
-    for pt, word, depth in cloud.entries():
+    for pt, word, depth in cloud_entries(cloud):
         assert len(word) == depth
         assert chordal_distance(word_eval(mm, word, pt), seed) <= 1e-6
 
@@ -215,7 +211,7 @@ def test_capped_cloud_is_still_exact_and_bounded():
     cloud = julia_backward_cloud(mm, depth=6, cap=100, rng_seed=9)
     seed = cloud.meta["seed_point"]
     assert all(lev.size <= 100 for lev in cloud.levels)
-    for pt, word, depth in cloud.entries():
+    for pt, word, depth in cloud_entries(cloud):
         assert len(word) == depth
         assert chordal_distance(word_eval(mm, word, pt), seed) <= 1e-6
 
@@ -473,7 +469,7 @@ def test_subsample_level_matches_reference_on_forward_levels():
 def test_postcritical_cloud_of_power_pair_is_zero_and_infinity():
     cloud = postcritical_cloud(annulus_mm(0.5), depth=6, cap=1000)
     assert cloud.size > 0
-    for pt, word, depth in cloud.entries():
+    for pt, word, depth in cloud_entries(cloud):
         assert pt.is_infinite or abs(pt.value) < 1e-12
         assert len(word) == depth
 
@@ -599,52 +595,22 @@ def test_hyperbolic_verdict_rule_is_consistent():
         assert rep.verdict == "inconclusive"
 
 
+def test_hyperbolic_rejects_a_nonpositive_margin():
+    # z^2 + i is not hyperbolic: its critical point lies in the Julia set
+    mm = MultiMap([polynomial_map([1j, 0.0, 1.0])])
+    assert check_hyperbolic(mm, depth=6, margin=0.05).verdict == "fail"
+    for margin in (0.0, -1.0, math.nan):  # a margin <= 0 would pass every distance
+        with pytest.raises(ValueError, match="margin"):
+            check_hyperbolic(mm, depth=6, margin=margin)
+
+
 # ---------------------------------------------------------------------------
-# expanding growth
+# word derivative norms carried by the tree
 
 
-def test_expanding_growth_of_single_square():
-    mm = MultiMap([power_map(2)])
-    cloud = julia_backward_cloud(mm, depth=6, cap=10_000)
-    rep = check_expanding_growth(mm, cloud, threshold=3.0)
-    assert rep.verdict == "pass"
-    mins = rep.metrics["min_norms"]
-    for n in range(1, 7):
-        assert mins[n] == pytest.approx(2.0**n, rel=1e-9)
-
-
-def test_expanding_growth_of_gasket():
-    mm = gasket_mm()
-    cloud = julia_backward_cloud(mm, depth=8, cap=10_000)
-    rep = check_expanding_growth(mm, cloud, threshold=3.0)
-    assert rep.verdict == "pass"
-
-
-def test_expanding_growth_fails_on_contracting_norms():
-    mm = MultiMap([power_map(2)])
-    cloud = julia_backward_cloud(mm, depth=5, cap=1000)
-    forged = PointCloud(
-        levels=[
-            type(lev)(lev.z, lev.inf, lev.words, np.full(lev.size, -n * math.log(2.0)), lev.logw)
-            for n, lev in enumerate(cloud.levels)
-        ],
-        meta=dict(cloud.meta),
-    )
-    rep = check_expanding_growth(mm, forged, threshold=3.0)
-    assert rep.verdict == "fail"
-    assert rep.witnesses
-    _, detail = rep.witnesses[0]
-    assert "derivative norm" in detail
-
-
-def test_expanding_growth_inconclusive_below_threshold():
-    mm = MultiMap([power_map(2)])
-    cloud = julia_backward_cloud(mm, depth=4, cap=1000)
-    rep = check_expanding_growth(mm, cloud, threshold=1e9)
-    assert rep.verdict == "inconclusive"
-
-
-def test_expanding_growth_rejects_forward_clouds():
-    mm = annulus_mm(0.5)
-    with pytest.raises(ValueError):
-        check_expanding_growth(mm, postcritical_cloud(mm, depth=3, cap=100))
+def test_square_cloud_logd_is_n_log_two():
+    # every depth-n preimage y of z^2 has |y| = 1, so ||(f^n)'(y)|| = 2^n exactly
+    cloud = julia_backward_cloud(MultiMap([power_map(2)]), depth=6, cap=10_000)
+    for n, lev in enumerate(cloud.levels):
+        assert lev.size == 2**n
+        np.testing.assert_allclose(lev.logd, n * math.log(2.0), rtol=1e-9)

@@ -213,6 +213,18 @@ def test_osc_parameter_validation():
         osc_check(mm, Disc(0.0, 1.0), variant="fuzzy")
 
 
+def test_osc_separating_rejects_a_negative_epsilon():
+    # {z^2, z^2} overlaps everywhere in U; a negative fattening would shrink both images away
+    mm = MultiMap([power_map(2), power_map(2)])
+    U = Annulus(0.0, 0.5, 2.0)
+    for eps in (1e-3, 0.0):
+        rep = osc_check(mm, U, grid_n=64, variant="separating", epsilon=eps)
+        assert rep.verdict == "fail" and rep.metrics["violations_overlap"] > 0
+    for eps in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            osc_check(mm, U, grid_n=64, variant="separating", epsilon=eps)
+
+
 def test_osc_deterministic():
     mm = MultiMap([power_map(2), power_map(2)])
     U = Annulus(0.0, 0.9, 1.1)

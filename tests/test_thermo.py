@@ -24,11 +24,7 @@ from ratsemi.thermo import (
     ThermoConfig,
     bowen_parameter,
     lyapunov_and_entropy,
-    moran_root_oracle,
-    poincare_partial,
-    power_map_pressure_oracle,
     pressure,
-    transfer_level_sum,
 )
 
 import oracles
@@ -50,18 +46,23 @@ def similarity_mm(lam=complex(0.3, 0.05)):
     return instantiate(similarity_family(oracles.TRIANGLE_UNIT), lam)
 
 
+def level_sum(mm, t, z, n, cap=DEFAULT_CAP, rng_seed=0):
+    """S_n(t, z) from a fresh one-point tree."""
+    return math.exp(PreimageTree(mm, z, cap=cap, rng_seed=rng_seed).log_level_sum(t, n))
+
+
 # ---------------------------------------------------------------------------
 # level sums
 
 
 def test_level_sum_of_square_at_t_one_is_one():
     mm = power_mm((2, 1.0))
-    assert transfer_level_sum(mm, 1.0, 1.0, 3) == pytest.approx(1.0, rel=1e-12)
+    assert level_sum(mm, 1.0, 1.0, 3) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_level_sum_at_t_zero_counts_the_tree():
     mm = power_mm((2, 1.0), (3, 1.0))
-    assert transfer_level_sum(mm, 0.0, 1.0, 2) == pytest.approx(25.0, rel=1e-12)
+    assert level_sum(mm, 0.0, 1.0, 2) == pytest.approx(25.0, rel=1e-12)
 
 
 _LEVEL_SUM_SCRIPT = """
@@ -99,7 +100,7 @@ def test_level_sum_matches_bruteforce_enumeration():
     ]
     for gens, t, z, n in cases:
         mm = MultiMap([polynomial_map(num) for num, _den in gens])
-        lib = transfer_level_sum(mm, t, z, n)
+        lib = level_sum(mm, t, z, n)
         ref = oracles.transfer_sum_bf(gens, t, z, n)
         assert lib == pytest.approx(ref, rel=1e-8)
 
@@ -110,31 +111,31 @@ def test_level_sum_of_similarity_triple_matches_bruteforce():
     mm = gasket_mm(verts)
     seed = repelling_seed(mm)[0].value
     for t, n in ((0.8, 1), (1.6, 2)):
-        lib = transfer_level_sum(mm, t, seed, n)
+        lib = level_sum(mm, t, seed, n)
         ref = oracles.transfer_sum_bf(gens, t, seed, n)
         assert lib == pytest.approx(ref, rel=1e-8)
 
 
 def test_level_sum_multiplicativity_for_power_maps():
     mm = power_mm((3, 1.0))
-    s1 = transfer_level_sum(mm, 1.7, 1.0, 1)
+    s1 = level_sum(mm, 1.7, 1.0, 1)
     for n in (2, 3, 4, 5):
-        sn = transfer_level_sum(mm, 1.7, 1.0, n)
+        sn = level_sum(mm, 1.7, 1.0, n)
         assert sn == pytest.approx(s1**n, rel=1e-9)
 
 
 def test_critical_basepoint_raises_only_for_positive_t():
     mm = power_mm((2, 1.0))
     with pytest.raises(CriticalPreimage):
-        transfer_level_sum(mm, 1.0, 0.0, 2)
-    assert transfer_level_sum(mm, 0.0, 0.0, 2) == pytest.approx(4.0)
+        level_sum(mm, 1.0, 0.0, 2)
+    assert level_sum(mm, 0.0, 0.0, 2) == pytest.approx(4.0)
 
 
 def test_level_sum_subsampling_is_unbiased():
     mm = power_mm((2, 1.0), (2, 0.5))
-    exact = transfer_level_sum(mm, 1.5, 1.0, 6, cap=10**9)
+    exact = level_sum(mm, 1.5, 1.0, 6, cap=10**9)
     vals = np.array(
-        [transfer_level_sum(mm, 1.5, 1.0, 6, cap=500, rng_seed=s) for s in range(50)]
+        [level_sum(mm, 1.5, 1.0, 6, cap=500, rng_seed=s) for s in range(50)]
     )
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - exact) <= 2.0 * se
@@ -165,11 +166,12 @@ def test_pressure_at_zero_is_log_total_degree():
 
 
 def test_pressure_matches_power_oracle_on_degree_pairs():
+    assert oracles.power_beta((2, 3), 2.0) == pytest.approx(0.5 + 1.0 / 3.0)
     for d1, d2 in ((2, 3), (4, 4)):
         mm = power_mm((d1, 1.0), (d2, 1.0))
         for t in (0.0, 0.5, 1.0, 2.0, 3.0):
             est = pressure(mm, t)
-            ref = power_map_pressure_oracle((d1, d2), t)
+            ref = math.log(oracles.power_beta((d1, d2), t))
             assert abs(est.value - ref) <= 1e-6
 
 
@@ -351,15 +353,16 @@ def test_bowen_accepts_config_and_overrides():
 
 
 def test_poincare_partial_of_square_decays():
-    val = poincare_partial(power_mm((2, 1.0)), 1.0, 2.0, 4)
+    val = PreimageTree(power_mm((2, 1.0)), 1.0).poincare(2.0, 4)[0]
     assert val == pytest.approx(sum(2.0**-n for n in range(1, 5)), rel=1e-10)
 
 
 def test_poincare_partial_across_the_critical_exponent():
     mm = power_mm((2, 1.0), (2, 1.0))
-    decaying = poincare_partial(mm, 1.0, 3.0, 6)
+    tree = PreimageTree(mm, 1.0)
+    decaying = tree.poincare(3.0, 6)[0]
     assert decaying == pytest.approx(sum(2.0**-n for n in range(1, 7)), rel=1e-9)
-    growing = poincare_partial(mm, 1.0, 1.0, 6)
+    growing = tree.poincare(1.0, 6)[0]
     assert growing == pytest.approx(sum(2.0**n for n in range(1, 7)), rel=1e-9)
 
 
@@ -387,32 +390,7 @@ def test_gasket_spectrum_near_similarity_values():
 
 
 # ---------------------------------------------------------------------------
-# closed-form oracles
-
-
-def test_power_oracle_reference_values():
-    assert power_map_pressure_oracle((2, 2), 2.0) == pytest.approx(0.0, abs=1e-15)
-    assert power_map_pressure_oracle((2,), 0.0) == pytest.approx(math.log(2.0))
-    assert power_map_pressure_oracle((2, 2, 2), 1.0 + oracles.LOG3 / oracles.LOG2) == (
-        pytest.approx(0.0, abs=1e-12)
-    )
-    assert oracles.power_beta((2, 3), 2.0) == pytest.approx(0.5 + 1.0 / 3.0)
-    with pytest.raises(ValueError):
-        power_map_pressure_oracle((1, 1), 1.0)
-
-
-def test_moran_oracle_matches_independent_root_finder():
-    assert moran_root_oracle((0.5, 0.5, 0.5)) == pytest.approx(
-        oracles.DELTA_GASKET, abs=1e-9
-    )
-    assert moran_root_oracle((0.5, 1.0 / 3.0)) == pytest.approx(
-        oracles.moran_root_bf((0.5, 1.0 / 3.0)), abs=1e-9
-    )
-    assert moran_root_oracle((0.5,)) == 0.0
-    with pytest.raises(ValueError):
-        moran_root_oracle((1.5,))
-    with pytest.raises(ValueError):
-        moran_root_oracle(())
+# preimage tree
 
 
 def test_preimage_tree_is_shared_and_lazy():
