@@ -165,8 +165,16 @@ def test_pressure_at_zero_is_log_total_degree():
         assert est.value == pytest.approx(math.log(mm.total_degree), abs=1e-9)
 
 
-def test_pressure_matches_power_oracle_on_degree_pairs():
+def test_power_oracle_reference_values():
+    assert math.log(oracles.power_beta((2, 2), 2.0)) == pytest.approx(0.0, abs=1e-15)
+    assert math.log(oracles.power_beta((2,), 0.0)) == pytest.approx(math.log(2.0))
+    assert math.log(
+        oracles.power_beta((2, 2, 2), 1.0 + oracles.LOG3 / oracles.LOG2)
+    ) == pytest.approx(0.0, abs=1e-12)
     assert oracles.power_beta((2, 3), 2.0) == pytest.approx(0.5 + 1.0 / 3.0)
+
+
+def test_pressure_matches_power_oracle_on_degree_pairs():
     for d1, d2 in ((2, 3), (4, 4)):
         mm = power_mm((d1, 1.0), (d2, 1.0))
         for t in (0.0, 0.5, 1.0, 2.0, 3.0):
