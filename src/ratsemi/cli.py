@@ -84,9 +84,7 @@ def cmd_julia(cfg: RunConfig, args) -> int:
     px = np.floor((z.real - vx0) / (vx1 - vx0) * w).astype(np.int64)
     py = np.floor((vy1 - z.imag) / (vy1 - vy0) * h).astype(np.int64)
     keep = (px >= 0) & (px < w) & (py >= 0) & (py < h)
-    px, py, dep = px[keep], py[keep], depths[keep]
-    order = np.argsort(dep, kind="stable")  # deeper levels overwrite
-    px, py, dep = px[order], py[order], dep[order]
+    px, py, dep = px[keep], py[keep], depths[keep]  # level by level, so deeper levels overwrite
     if rn["depth_coloring"] and cloud.depth > 0:
         f = dep / float(cloud.depth)
         col = np.stack(

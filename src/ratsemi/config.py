@@ -17,7 +17,7 @@ from numpy.polynomial import Polynomial as LambdaPoly
 from .dynamics import MultiMap
 from .errors import ConfigError
 from .families import AnnulusDomain, FamilySpec, GridSpec, RectDomain
-from .geometry import Annulus, ComplementDisc, Disc, Triangle
+from .geometry import MAX_BOX_SCALES, Annulus, ComplementDisc, Disc, Triangle
 from .sphere import RationalMap
 from .thermo import ThermoConfig
 
@@ -194,7 +194,7 @@ _CONFIG = {
         "rtol_pressure": (_float, _TC.rtol_pressure, None),
         "tol_t": (_positive, _TC.tol_t, None),  # the root search stops on both
         "tol_p": (_positive, _TC.tol_p, None),
-        "t_max": (_float, _TC.t_max, None),
+        "t_max": (_positive, _TC.t_max, None),
         "force": (_bool, _TC.force, None),
         "hyper_depth": (_int, _TC.hyper_depth, 1),
         "hyper_margin": (_positive, _TC.hyper_margin, None),
@@ -220,7 +220,7 @@ _CONFIG = {
         "enlarge": (_float, 1.5, (1.0, 16.0)),  # a huge window passes any region
     }),
     "boxdim": (_object, {}, {
-        "scale_count": (_int, 6, 2),
+        "scale_count": (_int, 6, (2, MAX_BOX_SCALES)),
         "viewport": (_viewport, None, None),
     }),
     "sweep": (_object, {}, {

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoRepellingSeed
-from .sphere import MapStack, RationalMap, SpherePoint, _array_point, _point_arrays, sphere_embed
+from .sphere import MapStack, SpherePoint, _array_point, _point_arrays, sphere_embed
 
 _REPEL_TOL = 1e-6
 _CLOSEST_PAIR_BLOCK = 1 << 20  # entries of one row block of the closest-pair search
@@ -50,13 +50,6 @@ class MultiMap:
     @property
     def total_degree(self) -> int:
         return sum(g.degree for g in self.generators)
-
-    def map_for(self, symbol: int) -> RationalMap:
-        if not 1 <= symbol <= len(self.generators):
-            raise ValueError(
-                f"symbol {symbol} out of range 1..{len(self.generators)}"
-            )
-        return self.generators[symbol - 1]
 
     def __repr__(self):
         return f"MultiMap(s={self.num_generators}, degrees={self.degrees})"
@@ -138,18 +131,22 @@ class CloudLevel:
 
     A level of a block of B systems (stack_block) has z, inf and logd of
     shape (B, n), one row per system, and a min_step_norm per system.
+
+    A points-only level (julia_backward_cloud) holds z and inf alone: words,
+    logd and logw are None and min_step_norm stays inf.
     """
 
     z: np.ndarray        # complex chart values; 0 placeholder where inf is set
     inf: np.ndarray      # bool mask for the point at infinity
-    words: np.ndarray    # int8, shape (n, depth)
-    logd: np.ndarray     # cumulative log word-derivative norm back to the root
-    logw: np.ndarray     # log importance weight accumulated by subsampling
+    words: np.ndarray | None = None  # int8, shape (n, depth)
+    logd: np.ndarray | None = None   # cumulative log word-derivative norm back to the root
+    logw: np.ndarray | None = None   # log importance weight accumulated by subsampling
     min_step_norm: float = math.inf  # smallest newest-step derivative norm (backward)
 
     @property
     def size(self) -> int:
-        return int(self.logw.shape[0])
+        # logw where it is kept: PreimageTree drops z and inf of all but its deepest level
+        return int((self.z if self.logw is None else self.logw).shape[-1])
 
 
 def _canonical_order(z, inf, words) -> np.ndarray:
@@ -211,8 +208,13 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
     inf and logd and a min_step_norm per point; its words and logw, like the
     picks, are shared.  Each generator is solved in equal chunks of about
     _EXPAND_ROWS solve rows over the block, so temporaries do not grow with it.
+
+    A points-only parent (logd None, see CloudLevel) gives a points-only
+    level: the same picks, solves and z, inf bit for bit, without derivative
+    norms, words, logd or logw.
     """
-    lead = level.logd.shape[:-1]  # () for one system, (B,) for a block
+    lead = level.z.shape[:-1]  # () for one system, (B,) for a block
+    full = level.logd is not None
     m = level.size
     counts = np.array([m * d for d in mm.degrees], dtype=np.int64)
     n, picks = int(counts.sum()), None
@@ -221,9 +223,10 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
     # the level arrays come before the solver temporaries, which leave no heap hole under them
     z = np.empty(lead + (n,), dtype=complex)
     inf = np.empty(lead + (n,), dtype=bool)
-    words = np.empty((n, level.words.shape[1] + 1), dtype=np.int8)
-    logd = np.empty(lead + (n,))
-    logw = np.empty(n)
+    if full:
+        words = np.empty((n, level.words.shape[1] + 1), dtype=np.int8)
+        logd = np.empty(lead + (n,))
+        logw = np.empty(n)
     min_norm, row = np.full(lead, math.inf), 0
     for j, f in enumerate(mm.generators, start=1):
         d = f.degree
@@ -247,21 +250,26 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
                 at, slot = np.cumsum(new) - 1, cs % d
                 zj, infj = roots[..., at, slot], rinf[..., at, slot]
 
+            block = slice(row, row + zj.shape[-1])
+            row = block.stop
+            z[..., block], inf[..., block] = zj, infj
+            if not full:
+                continue
+
             def take(a, axis=-1):  # the parent of each child, along the node axis
                 if c is None:
                     return np.repeat(a[p] if axis == 0 else a[..., p], d, axis=axis)
                 return np.take(a, parents, axis=axis)
 
-            block = slice(row, row + zj.shape[-1])
-            row = block.stop
             norms = f.spherical_derivative_norm_many(zj, infj)
             np.minimum(min_norm, norms.min(axis=-1, initial=math.inf), out=min_norm)
-            z[..., block], inf[..., block] = zj, infj
             words[block, :-1] = take(level.words, axis=0)
             words[block, -1] = j
             with np.errstate(divide="ignore"):
                 np.add(take(level.logd), np.log(norms, out=norms), out=logd[..., block])
             np.add(take(level.logw), shift, out=logw[block])
+    if not full:
+        return CloudLevel(z, inf)
     return CloudLevel(z, inf, words, logd, logw, min_step_norm=min_norm if lead else float(min_norm))
 
 
@@ -328,13 +336,17 @@ def _root_level(z, inf) -> CloudLevel:
 
 def julia_backward_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFAULT_CAP,
                          rng_seed: int = 0) -> PointCloud:
-    """Backward-orbit tree of a repelling seed, one capped level per depth."""
+    """Backward-orbit tree of a repelling seed, one capped level per depth.
+
+    Its levels hold points only (see CloudLevel): z and inf bit for bit those
+    of _expand_backward chained from _root_level with this cap and rng_seed.
+    """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if cap < 1:
         raise ValueError("cap must be positive")
     seed_pt, seed_sym = repelling_seed(mm)
-    levels = [_root_level(*_point_arrays(seed_pt))]
+    levels = [CloudLevel(*_point_arrays(seed_pt))]
     for n in range(1, depth + 1):
         levels.append(_expand_backward(mm, levels[-1], cap, rng_seed, n))
     meta = _cloud_meta(mm, "backward", seed_pt, depth, cap, rng_seed, seed_generator=seed_sym)

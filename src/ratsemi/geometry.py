@@ -11,6 +11,7 @@ from .errors import InsufficientPoints
 from .sphere import _array_point, _point_arrays
 
 MIN_BOX_POINTS = 10_000
+MAX_BOX_SCALES = 24  # finest cell index at most 8 * 2^23, well inside half of a packed cell key
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +318,16 @@ def box_dimension(cloud, scale_count: int = 6, viewport=None) -> BoxCountResult:
 
     cloud is a PointCloud or an array of finite complex points; viewport is
     (xmin, xmax, ymin, ymax) and defaults to the cloud's bounding box.  The
-    base scale is an eighth of the viewport's longer side.
+    base scale is an eighth of the viewport's longer side, and scale k is
+    eps_k = eps_0 * 2^-k for k < scale_count, 2 <= scale_count <= 24.
+
+    The points are binned once, at the finest scale: dividing by a power of
+    two is exact, so a point's cell at scale k is its finest cell shifted
+    right by the scale difference.  Cell indices are at most 8 * 2^23, so
+    both 32-bit halves of the packed cell key shift exactly.
     """
+    if not 2 <= scale_count <= MAX_BOX_SCALES:
+        raise ValueError(f"scale_count must be in 2..{MAX_BOX_SCALES}, got {scale_count}")
     if isinstance(cloud, PointCloud):
         z, _ = cloud.finite_points()
     else:
@@ -339,18 +348,18 @@ def box_dimension(cloud, scale_count: int = 6, viewport=None) -> BoxCountResult:
         raise InsufficientPoints(
             f"{z.size} points in viewport; box counting needs {MIN_BOX_POINTS}"
         )
-    if scale_count < 2:
-        raise ValueError("need at least two scales")
     side = max(x1 - x0, y1 - y0)
     if side <= 0:
         raise InsufficientPoints("degenerate viewport")
-    scales, counts = [], []
-    for k in range(scale_count):
-        eps = side / 8.0 / 2.0**k
-        ix = np.floor((z.real - x0) / eps).astype(np.int64)
-        iy = np.floor((z.imag - y0) / eps).astype(np.int64)
-        counts.append(int(np.unique(ix << 32 | (iy & 0xFFFFFFFF)).size))
-        scales.append(eps)
+    scales = [side / 8.0 / 2.0**k for k in range(scale_count)]
+    ix = np.floor((z.real - x0) / scales[-1]).astype(np.int64)
+    iy = np.floor((z.imag - y0) / scales[-1]).astype(np.int64)
+    cells = np.unique(ix << 32 | iy)  # occupied finest cells
+    counts = [int(cells.size)]
+    for _ in range(scale_count - 1):
+        cells = np.unique(cells >> 33 << 32 | (cells & 0xFFFFFFFF) >> 1)
+        counts.append(int(cells.size))
+    counts.reverse()
     xs = np.log(1.0 / np.asarray(scales))
     ys = np.log(np.asarray(counts, dtype=float))
     slope, intercept = np.polyfit(xs, ys, 1)

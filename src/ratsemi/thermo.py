@@ -268,7 +268,7 @@ def _root_search(config: ThermoConfig):
             t = est.t + math.copysign(config.tol_t / 2, t - est.t) if probe else math.nan
             probed = True
         if not lo.t < t < top:  # also catches nan
-            t = 0.5 * (lo.t + hi.t) if hi is not None else max(2.0 * lo.t, 1.0)
+            t = 0.5 * (lo.t + hi.t) if hi is not None else min(max(2.0 * lo.t, 1.0), config.t_max)
         est = yield t
         history.append((est.t, est.value))
         if not est.value >= 0.0:

@@ -180,11 +180,18 @@ def best_match(got, ref):
 # scalar word references: one point, one symbol at a time
 
 
+def _generator(mm, sym):
+    """Generator sym of mm, symbols being 1-based; ValueError outside 1..s."""
+    if not 1 <= sym <= mm.num_generators:
+        raise ValueError(f"symbol {sym} out of range 1..{mm.num_generators}")
+    return mm.generators[sym - 1]
+
+
 def word_eval(mm, word, z):
     """Apply the generators named by the word, first symbol first."""
     pt = SpherePoint.of(z)
     for sym in word:
-        pt = mm.map_for(sym)(pt)
+        pt = _generator(mm, sym)(pt)
     return pt
 
 
@@ -193,7 +200,7 @@ def word_derivative_norm(mm, word, z):
     pt = SpherePoint.of(z)
     acc = 1.0
     for sym in word:
-        f = mm.map_for(sym)
+        f = _generator(mm, sym)
         acc *= f.spherical_derivative_norm(pt)
         pt = f(pt)
     return acc

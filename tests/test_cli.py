@@ -167,6 +167,12 @@ def test_config_rejections():
         ({**ok, "render": {"height": 8193}}, "config.render.height: must be <= 8192"),
         ({**ok, "thermo": {"tol_t": 0.0}}, "config.thermo.tol_t: must be > 0"),
         ({**ok, "thermo": {"tol_p": -1e-3}}, "config.thermo.tol_p: must be > 0"),
+        # t_max <= 0 would start the sign-change hunt at t <= 0
+        ({**ok, "thermo": {"t_max": 0}}, "config.thermo.t_max: must be > 0"),
+        ({**ok, "thermo": {"t_max": -1}}, "config.thermo.t_max: must be > 0"),
+        # past 24 scales the finest cell index outgrows half of a packed cell key
+        ({**ok, "boxdim": {"scale_count": 25}}, "config.boxdim.scale_count: must be <= 24"),
+        ({**ok, "boxdim": {"scale_count": 1}}, "config.boxdim.scale_count: must be >= 2"),
         # a margin <= 0 passes every gate, a negative epsilon hides every overlap
         ({**ok, "thermo": {"hyper_margin": 0.0}}, "config.thermo.hyper_margin: must be > 0"),
         ({**ok, "thermo": {"hyper_margin": -1}}, "config.thermo.hyper_margin: must be > 0"),
@@ -249,7 +255,7 @@ def test_builders():
 
     fam_cfg = parse(json.dumps({"family": family_scaled_square(lam=complex(0.5, 0))}))
     mm = fam_cfg.multimap()
-    assert mm.map_for(2)(2.0).value == pytest.approx(2.0)
+    assert mm.generators[1](2.0).value == pytest.approx(2.0)
 
     no_lam = parse(json.dumps({"family": family_scaled_square()}))
     with pytest.raises(ConfigError, match="lam"):
@@ -320,6 +326,19 @@ def test_cli_bowen_no_sign_change_exit_4(tmp_path, capsys):
     })
     assert main(["bowen", "--config", path]) == 4
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_bowen_no_sign_change_stops_at_t_max(tmp_path, capsys):
+    # {z^2, z^2} has P(t) = (2 - t) log 2, positive up to the root 2; the doubling
+    # step from t = 0 is clipped at t_max, and the error names that t
+    base = {"multimap": {"generators": [Z2, Z2]}, "thermo": {"depth": 6, "cap": 5000}}
+    path = write_cfg(tmp_path, {**base, "thermo": {**base["thermo"], "t_max": 0.5}})
+    assert main(["bowen", "--config", path]) == 4
+    assert "up to t = 0.5;" in capsys.readouterr().err
+    for t_max in (0, -1):
+        path = write_cfg(tmp_path, {**base, "thermo": {**base["thermo"], "t_max": t_max}})
+        assert main(["bowen", "--config", path]) == 2
+        assert "config.thermo.t_max: must be > 0" in capsys.readouterr().err
 
 
 def test_cli_bowen_hyperbolicity_exit_7_and_force(tmp_path, capsys):

@@ -8,6 +8,7 @@ from ratsemi import dynamics
 from ratsemi.dynamics import (
     CloudLevel,
     MultiMap,
+    PointCloud,
     check_hyperbolic,
     _bottom_k,
     _expand_backward,
@@ -172,6 +173,17 @@ def test_no_repelling_seed_for_translation():
 # backward clouds
 
 
+def full_backward_cloud(mm, depth, cap, rng_seed=0):
+    """The backward tree with its bookkeeping (words, logd, logw, step norms):
+    _expand_backward chained from a full root level at the repelling seed,
+    with the cap and seed julia_backward_cloud would use."""
+    seed_pt = repelling_seed(mm)[0]
+    levels = [dynamics._root_level(*_point_arrays(seed_pt))]
+    for n in range(1, depth + 1):
+        levels.append(_expand_backward(mm, levels[-1], cap, rng_seed, n))
+    return PointCloud(levels, {"seed_point": seed_pt})
+
+
 def test_circle_cloud_sits_on_unit_circle():
     cloud = julia_backward_cloud(MultiMap([power_map(2)]), depth=12, cap=200_000)
     z, inf, depth = cloud.flat_arrays()
@@ -199,7 +211,7 @@ def test_gasket_cloud_stays_in_triangle():
 
 def test_cloud_is_exact_preimage_tree():
     mm = MultiMap([power_map(2), power_map(3)])
-    cloud = julia_backward_cloud(mm, depth=4, cap=200_000)
+    cloud = full_backward_cloud(mm, depth=4, cap=200_000)
     seed = cloud.meta["seed_point"]
     for pt, word, depth in cloud_entries(cloud):
         assert len(word) == depth
@@ -208,7 +220,7 @@ def test_cloud_is_exact_preimage_tree():
 
 def test_capped_cloud_is_still_exact_and_bounded():
     mm = annulus_mm(0.5)
-    cloud = julia_backward_cloud(mm, depth=6, cap=100, rng_seed=9)
+    cloud = full_backward_cloud(mm, depth=6, cap=100, rng_seed=9)
     seed = cloud.meta["seed_point"]
     assert all(lev.size <= 100 for lev in cloud.levels)
     for pt, word, depth in cloud_entries(cloud):
@@ -217,7 +229,7 @@ def test_capped_cloud_is_still_exact_and_bounded():
 
 
 def test_subsampling_is_stratified_by_first_symbol():
-    cloud = julia_backward_cloud(annulus_mm(0.5), depth=5, cap=100, rng_seed=1)
+    cloud = full_backward_cloud(annulus_mm(0.5), depth=5, cap=100, rng_seed=1)
     lev = cloud.levels[5]  # 1024 children capped to 100
     assert lev.size == 100
     first = lev.words[:, -1]
@@ -228,15 +240,15 @@ def test_subsampling_is_stratified_by_first_symbol():
 
 
 def test_cloud_determinism_and_seed_sensitivity():
-    a = julia_backward_cloud(annulus_mm(0.5), depth=6, cap=150, rng_seed=7)
-    b = julia_backward_cloud(annulus_mm(0.5), depth=6, cap=150, rng_seed=7)
+    a = full_backward_cloud(annulus_mm(0.5), depth=6, cap=150, rng_seed=7)
+    b = full_backward_cloud(annulus_mm(0.5), depth=6, cap=150, rng_seed=7)
     for la, lb in zip(a.levels, b.levels):
         assert np.array_equal(la.z, lb.z)
         assert np.array_equal(la.inf, lb.inf)
         assert np.array_equal(la.words, lb.words)
         assert np.array_equal(la.logd, lb.logd)
         assert np.array_equal(la.logw, lb.logw)
-    c = julia_backward_cloud(annulus_mm(0.5), depth=6, cap=150, rng_seed=8)
+    c = full_backward_cloud(annulus_mm(0.5), depth=6, cap=150, rng_seed=8)
     assert not np.array_equal(a.levels[6].z, c.levels[6].z)
 
 
@@ -249,6 +261,33 @@ def test_raising_cap_or_depth_never_escapes_reference_bounds():
         z, _, _ = julia_backward_cloud(gasket_mm(), depth=depth, cap=cap).flat_arrays()
         for w in z[:: max(1, z.size // 500)]:
             assert in_triangle(complex(w), oracles.TRIANGLE_RAW, tol=1e-3)
+
+
+# the Newton map of z^2 - 1 fixes infinity with multiplier 2 (the repelling seed), and
+# infinity is a preimage of itself under both maps: every level keeps parents there
+NEWTON_SQUARE = MultiMap([RationalMap([1.0, 0.0, 1.0], [0.0, 2.0]), power_map(2)])
+
+
+@pytest.mark.parametrize("mm, depth, cap, seed", [
+    pytest.param(annulus_mm(0.5), 6, 150, 7, id="capped"),
+    pytest.param(MultiMap([power_map(2), power_map(3)]), 5, 10**6, 0, id="uncapped"),
+    pytest.param(gasket_mm(), 7, 500, 3, id="degree-one-capped"),
+    pytest.param(NEWTON_SQUARE, 6, 50, 1, id="infinite-parents-capped"),
+    pytest.param(NEWTON_SQUARE, 5, 10**6, 2, id="infinite-parents-uncapped"),
+])
+def test_julia_cloud_points_equal_the_full_chain(mm, depth, cap, seed):
+    cloud = julia_backward_cloud(mm, depth=depth, cap=cap, rng_seed=seed)
+    full = full_backward_cloud(mm, depth, cap, seed)
+    assert cloud.meta["seed_point"] == full.meta["seed_point"]
+    for lev, ref in zip(cloud.levels, full.levels, strict=True):
+        assert lev.z.tobytes() == ref.z.tobytes()
+        assert np.array_equal(lev.inf, ref.inf)
+        assert lev.size == ref.size
+        assert lev.words is None and lev.logd is None and lev.logw is None
+        assert lev.min_step_norm == math.inf
+    if mm is NEWTON_SQUARE:
+        assert all(lev.inf.any() for lev in cloud.levels)
+        assert not cloud.levels[-1].inf.all()
 
 
 def _bottom_k_by_lexsort(seed, m, k):
@@ -347,7 +386,7 @@ def test_backward_level_with_infinite_parents_matches_oracle():
 def test_backward_levels_are_grouped_by_composition_word():
     mm = MultiMap([polynomial_map([0.2j, 0.0, 1.0]), polynomial_map([0.1, 0.0, 0.5]),
                    polynomial_map([-0.3, 0.0, 0.0, 1.0])])
-    cloud = julia_backward_cloud(mm, depth=5, cap=60, rng_seed=2)
+    cloud = full_backward_cloud(mm, depth=5, cap=60, rng_seed=2)
     for lev in cloud.levels[1:]:
         words = [tuple(w) for w in lev.words[:, ::-1].tolist()]
         assert words == sorted(words)
@@ -432,7 +471,7 @@ def test_capped_rational_levels_with_infinite_parents_match_expand_then_subsampl
 
 def test_capped_level_solves_only_the_parents_of_kept_children(monkeypatch):
     mm = MultiMap(QUADRATIC_TRIPLES[0])
-    parent = julia_backward_cloud(mm, depth=4, cap=10**6).levels[4]  # 6^4 = 1296 rows
+    parent = full_backward_cloud(mm, depth=4, cap=10**6).levels[4]  # 6^4 = 1296 rows
     solved = []
     solve = RationalMap.preimages_many
     monkeypatch.setattr(RationalMap, "preimages_many",
@@ -610,7 +649,7 @@ def test_hyperbolic_rejects_a_nonpositive_margin():
 
 def test_square_cloud_logd_is_n_log_two():
     # every depth-n preimage y of z^2 has |y| = 1, so ||(f^n)'(y)|| = 2^n exactly
-    cloud = julia_backward_cloud(MultiMap([power_map(2)]), depth=6, cap=10_000)
+    cloud = full_backward_cloud(MultiMap([power_map(2)]), depth=6, cap=10_000)
     for n, lev in enumerate(cloud.levels):
         assert lev.size == 2**n
         np.testing.assert_allclose(lev.logd, n * math.log(2.0), rtol=1e-9)

@@ -37,9 +37,9 @@ def test_instantiate_scaled_square_pair():
     mm = instantiate(annulus_family(), 0.5)
     assert mm.num_generators == 2
     assert mm.degrees == (2, 2)
-    assert mm.map_for(1)(3.0).value == pytest.approx(9.0)
-    assert mm.map_for(2)(3.0).value == pytest.approx(4.5)
-    np.testing.assert_allclose(mm.map_for(2).num, [0.0, 0.0, 0.5])
+    assert mm.generators[0](3.0).value == pytest.approx(9.0)
+    assert mm.generators[1](3.0).value == pytest.approx(4.5)
+    np.testing.assert_allclose(mm.generators[1].num, [0.0, 0.0, 0.5])
 
 
 def test_instantiate_similarity_triple_matches_doubling_maps():
@@ -48,7 +48,7 @@ def test_instantiate_similarity_triple_matches_doubling_maps():
     for k, p in enumerate(oracles.TRIANGLE_RAW, start=1):
         doubling = polynomial_map([-p, 2.0])
         for z in (0.1 + 0.2j, 1.0, -0.7j, 2.5 + 1.0j):
-            got = mm.map_for(k)(z)
+            got = mm.generators[k - 1](z)
             want = doubling(z)
             assert chordal_distance(got, want) < 1e-12
 
@@ -97,7 +97,7 @@ def test_coefficients_vary_polynomially():
     lam0 = 0.3 + 0.1j
     h = 0.05 - 0.02j
     lams = [lam0, lam0 + h, lam0 + 2 * h]
-    coeff_sets = [instantiate(fam, l).map_for(1).num for l in lams]
+    coeff_sets = [instantiate(fam, l).generators[0].num for l in lams]
     got = coeff_sets[0] - 2 * coeff_sets[1] + coeff_sets[2]
     want = np.array([q(lams[0]) - 2 * q(lams[1]) + q(lams[2]) for q in (q0, q1, top)])
     np.testing.assert_allclose(got, want, atol=1e-12)

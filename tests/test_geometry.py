@@ -138,8 +138,8 @@ def test_osc_overlap_failure_with_reproducible_witness():
     assert "not disjoint" in detail
     # the witness statement holds in isolation
     x = pt.value
-    assert region_contains(U, mm.map_for(1)(x))
-    assert region_contains(U, mm.map_for(2)(x))
+    assert region_contains(U, mm.generators[0](x))
+    assert region_contains(U, mm.generators[1](x))
     # any such point must itself lie in the preimage annulus
     assert 0.9 <= abs(x) ** 2 <= 1.1
 
@@ -163,7 +163,7 @@ def test_osc_nesting_violation():
     pt, detail = rep.witnesses[0]
     assert "outside U" in detail
     x = pt.value
-    assert region_contains(U, mm.map_for(1)(x))
+    assert region_contains(U, mm.generators[0](x))
     assert not region_contains(U, x)
 
 
@@ -257,12 +257,51 @@ def test_box_dimension_segment():
     assert 0.9 <= res.slope <= 1.1
 
 
-def test_box_counts_match_set_based_oracle():
+def _in_viewport(z, viewport):
+    x0, x1, y0, y1 = viewport
+    return z[(z.real >= x0) & (z.real <= x1) & (z.imag >= y0) & (z.imag <= y1)]
+
+
+def _box_cases():
+    """(points, scale_count, viewport or None) for the one-pass counter."""
     rng = np.random.default_rng(11)
-    z = rng.random(12000) + 1j * rng.random(12000)
-    res = box_dimension(z, scale_count=4, viewport=(0.0, 1.0, 0.0, 1.0))
-    for eps, count in zip(res.scales, res.counts):
-        assert count == oracles.box_count_bf(z, eps, (0.0, 0.0))
+    yield rng.random(12000) + 1j * rng.random(12000), 4, (0.0, 1.0, 0.0, 1.0)
+    # clustered clouds far from the origin, default viewport (the bounding box)
+    for center, spread in ((1e6 + 1e6j, 1e-3), (-3e5 + 7e4j, 2.0)):
+        z = center + spread * (rng.standard_normal(12_000) + 1j * rng.standard_normal(12_000))
+        yield z, 7, None
+    # dyadic points on cell corners and on all four viewport edges, up to the finest scale
+    k = np.arange(257) / 256.0
+    grid = (k[:, None] + 1j * k[None, :]).ravel()
+    edges = np.concatenate([k, 1.0 + 1j * k, 1j * k, k + 1j])
+    yield np.concatenate([grid, edges, rng.random(3000) + 1j * rng.random(3000)]), 12, \
+        (0.0, 1.0, 0.0, 1.0)
+    # the same lattice shifted far out, a viewport edge through a row of points
+    yield 5e5 - 2e5j + np.concatenate([grid, edges]), 9, (5e5, 5e5 + 0.5, -2e5, -2e5 + 1.0)
+    # viewports that cut a uniform cloud, one wider than tall, one with every scale
+    z = rng.random(80_000) * 3.0 - 1.0 + 1j * (rng.random(80_000) * 2.0 - 0.5)
+    yield z, 6, (0.25, 1.8, -0.1, 0.6)
+    yield z, 24, (-0.3, 0.7, 0.0, 1.3)
+
+
+def test_box_counts_match_set_based_oracle():
+    for z, scale_count, viewport in _box_cases():
+        res = box_dimension(z, scale_count=scale_count, viewport=viewport)
+        inside = z if viewport is None else _in_viewport(z, viewport)
+        x0 = float(inside.real.min()) if viewport is None else viewport[0]
+        y0 = float(inside.imag.min()) if viewport is None else viewport[2]
+        assert len(res.counts) == scale_count
+        for eps, count in zip(res.scales, res.counts):
+            assert count == oracles.box_count_bf(inside, eps, (x0, y0))
+
+
+def test_box_dimension_bounds_its_scale_count():
+    rng = np.random.default_rng(2)
+    z = rng.random(12_000) + 1j * rng.random(12_000)
+    assert len(box_dimension(z, scale_count=24).counts) == 24
+    for bad in (1, 25):
+        with pytest.raises(ValueError, match="scale_count"):
+            box_dimension(z, scale_count=bad)
 
 
 def test_box_dimension_unit_circle_cloud():

@@ -238,7 +238,7 @@ def test_bowen_no_sign_change_on_nonexpanding_pair():
 
 def test_bowen_no_sign_change_when_the_pressure_decays_to_zero(monkeypatch):
     # 2z with the identity: P(t) = log(1 + 2^-t) > 0 rounds to 0.0 near t = 54,
-    # where Newton stalls; past one probe there t doubles beyond t_max
+    # where Newton stalls; past one probe there t doubles, clipped at t_max
     estimate, calls = thermo._estimate_on_tree, []
     monkeypatch.setattr(thermo, "_estimate_on_tree",
                         lambda *args: calls.append(args[1]) or estimate(*args))
