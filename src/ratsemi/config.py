@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 from numpy.polynomial import Polynomial as LambdaPoly
 
-from .dynamics import MultiMap
+from .dynamics import DEFAULT_CAP, DEFAULT_DEPTH, MultiMap
 from .errors import ConfigError
 from .families import AnnulusDomain, FamilySpec, GridSpec, RectDomain
 from .geometry import MAX_BOX_SCALES, Annulus, ComplementDisc, Disc, Triangle
@@ -202,8 +202,8 @@ _CONFIG = {
         "basepoint": (_pair, None, None),
     }),
     "julia": (_object, {}, {
-        "depth": (_int, 12, 1),
-        "cap": (_int, 200_000, 1),
+        "depth": (_int, DEFAULT_DEPTH, 1),
+        "cap": (_int, DEFAULT_CAP, 1),
         "rng_seed": (_int, 0, 0),  # absent: the top-level rng_seed
     }),
     "render": (_object, {}, {

@@ -3,7 +3,7 @@
 Generators are indexed 1..s.  A word (w1, ..., wn) acts by applying the
 generator w1 first, so the composed map is f_{wn} o ... o f_{w1}.  Backward
 orbit trees therefore grow by prepending a symbol: a child y of a tree point
-y' under generator j satisfies f_j(y) = y' and carries the word (j,) + word'.
+y' under generator j satisfies f_j(y) = y' and has the word (j,) + word'.
 """
 from __future__ import annotations
 
@@ -117,17 +117,17 @@ def _allocate_largest_remainder(counts: np.ndarray, cap: int) -> np.ndarray:
 class CloudLevel:
     """One depth slice of an orbit cloud.
 
-    words holds symbols outermost-first: column 0 is the symbol applied last
-    (adjacent to the root), the final column the symbol applied first.  The
-    composition-order word of row i is tuple(words[i, ::-1]).
+    Backward levels (preimage trees) hold logd and logw, all a level sum
+    reads, and no words.  They are in construction order: by the generator
+    j of the newest symbol, then parent row, then root slot.  Each parent
+    level is thus grouped by composition-order word, so rows are
+    nondecreasing in that word and the kept children of a parent are
+    contiguous; rows sharing a word follow parent order, then root slot.  A
+    capped backward level holds only the children its subsample keeps.
 
-    Backward levels are in construction order: by the generator j of the
-    newest symbol, then parent row, then root slot.  Each parent level is
-    grouped by composition-order word, so rows are nondecreasing in that
-    word and the kept children of a parent are contiguous; rows sharing a
-    word follow parent order, then root slot.  A capped backward level holds
-    only the children its subsample keeps.  Forward levels are sorted by
-    word, then infinity, re and im.
+    Forward (postcritical) levels hold words and logw, and no logd: row i is
+    a critical value's image under the composition-order word words[i].
+    They are sorted by word, newest symbol first, then infinity, re and im.
 
     A level of a block of B systems (stack_block) has z, inf and logd of
     shape (B, n), one row per system, and a min_step_norm per system.
@@ -138,8 +138,8 @@ class CloudLevel:
 
     z: np.ndarray        # complex chart values; 0 placeholder where inf is set
     inf: np.ndarray      # bool mask for the point at infinity
-    words: np.ndarray | None = None  # int8, shape (n, depth)
-    logd: np.ndarray | None = None   # cumulative log word-derivative norm back to the root
+    words: np.ndarray | None = None  # int8, shape (n, depth); forward levels only
+    logd: np.ndarray | None = None   # backward only: cumulative log word-derivative norm to the root
     logw: np.ndarray | None = None   # log importance weight accumulated by subsampling
     min_step_norm: float = math.inf  # smallest newest-step derivative norm (backward)
 
@@ -150,7 +150,7 @@ class CloudLevel:
 
 
 def _canonical_order(z, inf, words) -> np.ndarray:
-    """Sort by word (composition order), then infinity, then re, then im."""
+    """Sort by word, newest symbol first, then infinity, then re, then im."""
     re = np.where(inf, np.inf, z.real)
     im = np.where(inf, 0.0, z.imag)
     keys = [im, re, inf.astype(np.int8)]
@@ -179,8 +179,8 @@ def _stratum_picks(counts, cap: int, seed: int, tag: int, symbols) -> list:
 def _subsample_level(level: CloudLevel, cap: int, seed: int, tag: int) -> CloudLevel:
     """Stratified by newest symbol; kept entries are reweighted in logw.
 
-    The level must be grouped by its newest symbol words[:, -1], as sorted
-    forward levels are.  Row order is preserved.
+    The level must be a forward level, grouped by its newest symbol
+    words[:, -1] as sorted forward levels are.  Row order is preserved.
     """
     if level.size <= cap:
         return level
@@ -188,8 +188,7 @@ def _subsample_level(level: CloudLevel, cap: int, seed: int, tag: int) -> CloudL
     picks = _stratum_picks(counts, cap, seed, tag, symbols)
     idx = np.concatenate([start + c for start, (c, _) in zip(starts, picks)])
     logw = np.concatenate([level.logw[start + c] + shift for start, (c, shift) in zip(starts, picks)])
-    return CloudLevel(level.z[idx], level.inf[idx], level.words[idx], level.logd[idx], logw,
-                      min_step_norm=level.min_step_norm)
+    return CloudLevel(level.z[idx], level.inf[idx], level.words[idx], logw=logw)
 
 
 def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: int) -> CloudLevel:
@@ -201,17 +200,18 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
     with seed and tag), and roots and derivative norms are solved only for
     them: preimages_many on the distinct parents c // d_j, slot c % d_j of
     each.  Within the cap every child is kept.  Parents at infinity go
-    through the same calls.  min_step_norm is the smallest newest-step
-    derivative norm of the kept rows.
+    through the same calls.  A kept row adds its log step norm to its
+    parent's logd and its stratum's log(n / k) to its parent's logw.
+    min_step_norm is the smallest newest-step derivative norm of the kept rows.
 
     A level of a block (see stack_block) carries a leading point axis on z,
-    inf and logd and a min_step_norm per point; its words and logw, like the
-    picks, are shared.  Each generator is solved in equal chunks of about
+    inf and logd and a min_step_norm per point; its logw, like the picks,
+    is shared.  Each generator is solved in equal chunks of about
     _EXPAND_ROWS solve rows over the block, so temporaries do not grow with it.
 
     A points-only parent (logd None, see CloudLevel) gives a points-only
     level: the same picks, solves and z, inf bit for bit, without derivative
-    norms, words, logd or logw.
+    norms, logd or logw.
     """
     lead = level.z.shape[:-1]  # () for one system, (B,) for a block
     full = level.logd is not None
@@ -224,7 +224,6 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
     z = np.empty(lead + (n,), dtype=complex)
     inf = np.empty(lead + (n,), dtype=bool)
     if full:
-        words = np.empty((n, level.words.shape[1] + 1), dtype=np.int8)
         logd = np.empty(lead + (n,))
         logw = np.empty(n)
     min_norm, row = np.full(lead, math.inf), 0
@@ -256,26 +255,22 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
             if not full:
                 continue
 
-            def take(a, axis=-1):  # the parent of each child, along the node axis
-                if c is None:
-                    return np.repeat(a[p] if axis == 0 else a[..., p], d, axis=axis)
-                return np.take(a, parents, axis=axis)
+            def take(a):  # the parent of each child, along the node axis
+                return np.repeat(a[..., p], d, axis=-1) if c is None else np.take(a, parents, axis=-1)
 
             norms = f.spherical_derivative_norm_many(zj, infj)
             np.minimum(min_norm, norms.min(axis=-1, initial=math.inf), out=min_norm)
-            words[block, :-1] = take(level.words, axis=0)
-            words[block, -1] = j
             with np.errstate(divide="ignore"):
                 np.add(take(level.logd), np.log(norms, out=norms), out=logd[..., block])
             np.add(take(level.logw), shift, out=logw[block])
     if not full:
         return CloudLevel(z, inf)
-    return CloudLevel(z, inf, words, logd, logw, min_step_norm=min_norm if lead else float(min_norm))
+    return CloudLevel(z, inf, logd=logd, logw=logw, min_step_norm=min_norm if lead else float(min_norm))
 
 
 @dataclass
 class PointCloud:
-    """Levelled orbit cloud with word provenance and generation metadata."""
+    """Levelled orbit cloud with its generation metadata."""
 
     levels: list
     meta: dict
@@ -328,10 +323,9 @@ def _cloud_meta(mm: MultiMap, kind: str, seed_point, depth, cap, rng_seed, **ext
 
 
 def _root_level(z, inf) -> CloudLevel:
-    """Level 0 at the points z, inf: empty words, zero logd and logw.  A block
-    of B backward trees has z and inf of shape (B, 1)."""
-    n = z.shape[-1]
-    return CloudLevel(z, inf, np.zeros((n, 0), dtype=np.int8), np.zeros(z.shape), np.zeros(n))
+    """Level 0 of a backward tree at the points z, inf: zero logd and logw,
+    no words.  A block of B trees has z and inf of shape (B, 1)."""
+    return CloudLevel(z, inf, logd=np.zeros(z.shape), logw=np.zeros(z.shape[-1]))
 
 
 def julia_backward_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFAULT_CAP,
@@ -374,7 +368,7 @@ def _dedupe_level(level: CloudLevel) -> CloudLevel:
         first[1:] = ~same
     idx = order[first]
     idx = idx[_canonical_order(level.z[idx], level.inf[idx], level.words[idx])]
-    return CloudLevel(level.z[idx], level.inf[idx], level.words[idx], level.logd[idx], level.logw[idx])
+    return CloudLevel(level.z[idx], level.inf[idx], level.words[idx], logw=level.logw[idx])
 
 
 def _expand_forward(mm: MultiMap, level: CloudLevel) -> CloudLevel:
@@ -386,8 +380,8 @@ def _expand_forward(mm: MultiMap, level: CloudLevel) -> CloudLevel:
         zs.append(z)
         infs.append(inf)
         words.append(np.hstack([level.words, np.full((level.size, 1), j, dtype=np.int8)]))
-    n = level.size * mm.num_generators
-    return CloudLevel(np.concatenate(zs), np.concatenate(infs), np.vstack(words), np.zeros(n), np.zeros(n))
+    return CloudLevel(np.concatenate(zs), np.concatenate(infs), np.vstack(words),
+                      logw=np.zeros(level.size * mm.num_generators))
 
 
 def postcritical_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFAULT_CAP,
@@ -404,7 +398,8 @@ def postcritical_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFA
         crit.extend(f.critical_values())
     z = np.array([0j if p.is_infinite else p.value for p in crit], dtype=complex)
     inf = np.array([p.is_infinite for p in crit], dtype=bool)
-    levels = [_dedupe_level(_root_level(z, inf))]
+    root = CloudLevel(z, inf, np.zeros((z.size, 0), dtype=np.int8), logw=np.zeros(z.size))
+    levels = [_dedupe_level(root)]
     for n in range(1, depth + 1):
         if levels[-1].size == 0:
             levels.append(levels[-1])

@@ -98,15 +98,14 @@ class PreimageTree:
     """Lazily extended backward tree, shared across t, from a basepoint; or,
     given lists of same-signature MultiMaps and basepoints, of a block of B
     systems.  Level n holds logd as (B, N), one row per system, and
-    min_step_norm per system; words and logw once, since capped picks
-    depend only on counts and the seed.  Only the deepest level keeps its
-    points z and inf, which the next extension reads."""
+    min_step_norm per system; logw once, since capped picks depend only on
+    counts and the seed.  No level keeps words, and only the deepest keeps
+    its points z and inf, which the next extension reads."""
 
     def __init__(self, mm, basepoint, cap: int = DEFAULT_CAP, rng_seed: int = 0):
         block = isinstance(mm, (list, tuple))
         self.mm = stack_block(mm) if block else mm
         self.basepoints = [SpherePoint.of(p) for p in (basepoint if block else [basepoint])]
-        self.basepoint = self.basepoints[0]
         self.cap = int(cap)
         self.rng_seed = int(rng_seed)
         z, inf = (np.concatenate(a)[:, None] for a in zip(*map(_point_arrays, self.basepoints)))
@@ -352,6 +351,8 @@ def lyapunov_and_entropy(mm: MultiMap, t: float, n: int = DEFAULT_TREE_DEPTH, z=
     across several t; mm, z, cap and rng_seed then go unused, since the tree
     already fixes them.
     """
+    if n < 2:  # as _estimate_on_tree, before check_critical reads levels 1..n
+        raise ValueError("pressure estimation needs depth >= 2")
     if tree is None:
         tree = PreimageTree(mm, _default_basepoint(mm, z), cap=cap, rng_seed=rng_seed)
     tree.check_critical(n)

@@ -286,8 +286,9 @@ def box_count_bf(points, eps, origin):
 def subsample_ref(level, cap, seed, tag, step_norm=None):
     """Stratified subsample by newest symbol, strata found by masks in any
     row order; the kept rows come out in row order.  Returns the reduced
-    (z, inf, words, logd, logw) columns and the minimum step_norm of the
-    kept rows (level.min_step_norm when no step_norm is given)."""
+    (z, inf, words, logd, logw) columns, logd None for a level without one,
+    and the minimum step_norm of the kept rows (level.min_step_norm when no
+    step_norm is given)."""
     from ratsemi.dynamics import _allocate_largest_remainder, _bottom_k, _derive_seed
 
     idx, logw = np.arange(level.size), level.logw
@@ -305,8 +306,8 @@ def subsample_ref(level, cap, seed, tag, step_norm=None):
             kept.append(sel)
         idx = np.sort(np.concatenate(kept))
     min_norm = level.min_step_norm if step_norm is None else float(step_norm[idx].min())
-    cols = (level.z[idx], level.inf[idx], level.words[idx], level.logd[idx], logw[idx])
-    return cols, min_norm
+    logd = None if level.logd is None else level.logd[idx]
+    return (level.z[idx], level.inf[idx], level.words[idx], logd, logw[idx]), min_norm
 
 
 def expand_then_subsample(mm, level, cap, seed, tag):
@@ -328,6 +329,20 @@ def expand_then_subsample(mm, level, cap, seed, tag):
     z, inf, words, logd, logw, norms = (np.concatenate(col) for col in zip(*parts))
     full = type(level)(z, inf, words, logd, logw)
     return subsample_ref(full, cap, seed, tag, step_norm=norms)
+
+
+def backward_levels_ref(mm, level, cap, seed, depth):
+    """Levels 1..depth of expand_then_subsample chained from level, level n
+    drawn with tag n, as _expand_backward chains them.  Each keeps its
+    min_step_norm and its words, newest symbol in the final column: that
+    symbol acts first, so the composition-order word of row i is
+    tuple(words[i, ::-1]).  level must carry words, logd and logw."""
+    out = []
+    for n in range(1, depth + 1):
+        cols, min_norm = expand_then_subsample(mm, level, cap, seed, n)
+        level = type(level)(*cols, min_step_norm=min_norm)
+        out.append(level)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +394,7 @@ def postcritical_cloud_ref(mm, depth, cap, rng_seed=0):
             infs.append(finf)
             ws.append(np.hstack([words, np.full((z.size, 1), j, dtype=np.int8)]))
         z, inf, words = _dedupe_ref(np.concatenate(zs), np.concatenate(infs), np.vstack(ws))
-        full = CloudLevel(z, inf, words, np.zeros(z.size), np.zeros(z.size))
+        full = CloudLevel(z, inf, words, logw=np.zeros(z.size))
         (z, inf, words, _, logw), _ = subsample_ref(full, cap, _derive_seed(rng_seed, 0xF0), n)
         levels.append((z, inf, words, logw))
     return levels

@@ -299,7 +299,7 @@ def test_cli_bowen_power_pair(tmp_path, capsys):
     assert delta == pytest.approx(2.0, abs=5e-3)
     assert "hyperbolicity pass" in out
     assert "note:" not in out
-    csv = open(out_csv).read()
+    csv = Path(out_csv).read_text()
     assert csv.startswith("delta,bracket_lo,bracket_hi,")
     assert float(csv.splitlines()[1].split(",")[0]) == pytest.approx(delta)
 
@@ -397,7 +397,7 @@ def test_cli_pressure_csv(tmp_path, capsys):
     assert vals[0] == pytest.approx(math.log(2.0), abs=1e-9)
     assert vals[1] == pytest.approx(0.0, abs=1e-9)
     assert vals[2] == pytest.approx(-math.log(2.0), abs=1e-9)
-    assert open(out_file).read() == out
+    assert Path(out_file).read_text() == out
 
 
 def test_cli_pressure_critical_basepoint_exit_5(tmp_path, capsys):
@@ -532,7 +532,7 @@ def test_cli_julia_render(tmp_path, capsys):
                   radial.replace("radial range [", "").rstrip("]").split(",")]
     assert 0.99 <= rmin <= 1.01
     assert 1.9 <= rmax <= 2.01
-    data = open(out, "rb").read()
+    data = Path(out).read_bytes()
     assert data.startswith(b"P6\n64 64\n255\n")
     assert len(data) == len(b"P6\n64 64\n255\n") + 64 * 64 * 3
     assert b"\x00" in data  # some black pixels exist
@@ -551,7 +551,7 @@ def test_cli_julia_deterministic_and_seed_sensitive(tmp_path, capsys):
     assert main(["julia", "--config", path, "--out", c, "--seed", "0"]) == 0
     assert main(["julia", "--config", path, "--out", d, "--seed", "1"]) == 0
     capsys.readouterr()
-    ba, bb, bc, bd = (open(p, "rb").read() for p in (a, b, c, d))
+    ba, bb, bc, bd = (Path(p).read_bytes() for p in (a, b, c, d))
     assert ba == bb == bc
     assert bd != ba
 
@@ -588,7 +588,7 @@ def test_cli_sweep_similarity(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "submean" in text
     assert "smoothness" in text
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "re_lambda,im_lambda,delta,pressure_residual,depth,status"
     assert len(lines) == 4
     for line in lines[1:]:
@@ -608,7 +608,7 @@ def test_cli_sweep_puncture_rows_still_written(tmp_path, capsys):
     out = str(tmp_path / "sweep.csv")
     assert main(["sweep", "--config", path, "--out", out]) == 0
     capsys.readouterr()
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert len(lines) == 4
     mid = lines[2].split(",")
     assert mid[5] == "invalid-instance"
@@ -646,7 +646,7 @@ def test_cli_sweep_deterministic(tmp_path, capsys):
     assert main(["sweep", "--config", path, "--out", a]) == 0
     assert main(["sweep", "--config", path, "--out", b, "--threads", "8"]) == 0
     capsys.readouterr()
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_cli_boxdim_circle(tmp_path, capsys):

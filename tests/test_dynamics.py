@@ -28,6 +28,7 @@ from ratsemi.sphere import (
     polynomial_map,
     sphere_embed,
 )
+from ratsemi.thermo import PreimageTree
 
 import oracles
 from oracles import cloud_entries, skew_preimages, word_derivative_norm, word_eval
@@ -184,6 +185,35 @@ def full_backward_cloud(mm, depth, cap, rng_seed=0):
     return PointCloud(levels, {"seed_point": seed_pt})
 
 
+def _seed_level(mm):
+    """Level 0 at the repelling seed with an empty word, as the reference needs."""
+    z, inf = _point_arrays(repelling_seed(mm)[0])
+    return CloudLevel(z, inf, np.zeros((1, 0), dtype=np.int8), np.zeros(1), np.zeros(1))
+
+
+def _check_capped_levels(mm, parent, cap, seed, depth):
+    """_expand_backward chained from parent beside oracles.backward_levels_ref:
+    at every depth the level keeps no words, and its z, inf, logd, logw and
+    min_step_norm are bit-identical to the reference level.  Returns the
+    reference levels, which keep their words."""
+    refs = oracles.backward_levels_ref(mm, parent, cap, seed, depth)
+    for n, ref in enumerate(refs, start=1):
+        parent = _expand_backward(mm, parent, cap, seed, n)
+        assert parent.words is None
+        for name in ("z", "inf", "logd", "logw"):
+            assert getattr(parent, name).tobytes() == getattr(ref, name).tobytes(), (n, name)
+        assert parent.min_step_norm == ref.min_step_norm
+    return refs
+
+
+def reference_cloud(mm, depth, cap, rng_seed=0):
+    """The backward tree of full_backward_cloud with the words of its rows:
+    the reference levels of _check_capped_levels from the repelling seed."""
+    root = _seed_level(mm)
+    levels = [root, *_check_capped_levels(mm, root, cap, rng_seed, depth)]
+    return PointCloud(levels, {"seed_point": repelling_seed(mm)[0]})
+
+
 def test_circle_cloud_sits_on_unit_circle():
     cloud = julia_backward_cloud(MultiMap([power_map(2)]), depth=12, cap=200_000)
     z, inf, depth = cloud.flat_arrays()
@@ -211,7 +241,7 @@ def test_gasket_cloud_stays_in_triangle():
 
 def test_cloud_is_exact_preimage_tree():
     mm = MultiMap([power_map(2), power_map(3)])
-    cloud = full_backward_cloud(mm, depth=4, cap=200_000)
+    cloud = reference_cloud(mm, depth=4, cap=200_000)
     seed = cloud.meta["seed_point"]
     for pt, word, depth in cloud_entries(cloud):
         assert len(word) == depth
@@ -220,7 +250,7 @@ def test_cloud_is_exact_preimage_tree():
 
 def test_capped_cloud_is_still_exact_and_bounded():
     mm = annulus_mm(0.5)
-    cloud = full_backward_cloud(mm, depth=6, cap=100, rng_seed=9)
+    cloud = reference_cloud(mm, depth=6, cap=100, rng_seed=9)
     seed = cloud.meta["seed_point"]
     assert all(lev.size <= 100 for lev in cloud.levels)
     for pt, word, depth in cloud_entries(cloud):
@@ -229,7 +259,7 @@ def test_capped_cloud_is_still_exact_and_bounded():
 
 
 def test_subsampling_is_stratified_by_first_symbol():
-    cloud = full_backward_cloud(annulus_mm(0.5), depth=5, cap=100, rng_seed=1)
+    cloud = reference_cloud(annulus_mm(0.5), depth=5, cap=100, rng_seed=1)
     lev = cloud.levels[5]  # 1024 children capped to 100
     assert lev.size == 100
     first = lev.words[:, -1]
@@ -245,7 +275,6 @@ def test_cloud_determinism_and_seed_sensitivity():
     for la, lb in zip(a.levels, b.levels):
         assert np.array_equal(la.z, lb.z)
         assert np.array_equal(la.inf, lb.inf)
-        assert np.array_equal(la.words, lb.words)
         assert np.array_equal(la.logd, lb.logd)
         assert np.array_equal(la.logw, lb.logw)
     c = full_backward_cloud(annulus_mm(0.5), depth=6, cap=150, rng_seed=8)
@@ -333,7 +362,7 @@ def test_backward_level_children_are_contiguous_under_their_parent():
         logd=np.array([0.1, 0.2, 0.3]),
         logw=np.array([0.0, -1.0, -2.0]),
     )
-    child = _expand_backward(mm, parent, parent.size * mm.total_degree, 0, 1)  # uncapped
+    (child,) = _check_capped_levels(mm, parent, parent.size * mm.total_degree, 0, 1)  # uncapped
     row = 0
     for j, f in enumerate(mm.generators, start=1):
         for i in range(parent.size):
@@ -347,8 +376,8 @@ def test_backward_level_children_are_contiguous_under_their_parent():
                 assert chordal_distance(f(pt), target) <= 1e-9
             row += f.degree
     assert row == child.size
-    kept = _expand_backward(mm, parent, 5, 0, 1)
-    assert not hasattr(kept, "step_norm")
+    assert not hasattr(_expand_backward(mm, parent, 5, 0, 1), "step_norm")
+    (kept,) = _check_capped_levels(mm, parent, 5, 0, 1)
     assert kept.min_step_norm == _min_step_norm_by_recompute(mm, kept)
 
 
@@ -386,43 +415,13 @@ def test_backward_level_with_infinite_parents_matches_oracle():
 def test_backward_levels_are_grouped_by_composition_word():
     mm = MultiMap([polynomial_map([0.2j, 0.0, 1.0]), polynomial_map([0.1, 0.0, 0.5]),
                    polynomial_map([-0.3, 0.0, 0.0, 1.0])])
-    cloud = full_backward_cloud(mm, depth=5, cap=60, rng_seed=2)
+    cloud = reference_cloud(mm, depth=5, cap=60, rng_seed=2)
     for lev in cloud.levels[1:]:
         words = [tuple(w) for w in lev.words[:, ::-1].tolist()]
         assert words == sorted(words)
-        assert not hasattr(lev, "step_norm")
         assert lev.min_step_norm == _min_step_norm_by_recompute(mm, lev)
     assert cloud.levels[5].size == 60
-
-
-def _columns(lev):
-    return lev.z, lev.inf, lev.words, lev.logd, lev.logw
-
-
-def _seed_level(mm):
-    return dynamics._root_level(*_point_arrays(repelling_seed(mm)[0]))
-
-
-def _check_capped_levels(mm, parent, cap, seed, depth, exact):
-    """_expand_backward against oracles.expand_then_subsample at every depth,
-    each from the same parent level; returns the level sizes."""
-    sizes = []
-    for n in range(1, depth + 1):
-        got = _expand_backward(mm, parent, cap, seed, n)
-        ref, ref_min = oracles.expand_then_subsample(mm, parent, cap, seed, n)
-        z, inf, words, logd, logw = _columns(got)
-        assert np.array_equal(words, ref[2]) and np.array_equal(inf, ref[1])
-        assert np.array_equal(logw, ref[4])
-        if exact:
-            assert np.array_equal(z, ref[0]) and np.array_equal(logd, ref[3])
-            assert got.min_step_norm == ref_min
-        else:
-            np.testing.assert_allclose(z, ref[0], rtol=1e-12, atol=0)
-            np.testing.assert_allclose(logd, ref[3], rtol=1e-12, atol=1e-12)
-            assert got.min_step_norm == pytest.approx(ref_min, rel=1e-12)
-        sizes.append(got.size)
-        parent = got
-    return sizes
+    assert not any(hasattr(lev, "step_norm") for lev in full_backward_cloud(mm, 5, 60, 2).levels)
 
 
 QUADRATIC_TRIPLES = (
@@ -438,17 +437,17 @@ def test_capped_backward_levels_match_expand_then_subsample(maps):
     mm = MultiMap(maps)
     root = _seed_level(mm)
     for cap, seed in ((1, 0), (2, 5), (37, 1), (500, 2)):
-        assert _check_capped_levels(mm, root, cap, seed, 6, exact=True)[-1] == cap
+        assert _check_capped_levels(mm, root, cap, seed, 6)[-1].size == cap
     # cap 2 over three strata of 2 children leaves the third generator with k = 0
-    assert _expand_backward(mm, root, 2, 0, 1).words[:, -1].tolist() == [1, 2]
+    assert _check_capped_levels(mm, root, 2, 0, 1)[0].words[:, -1].tolist() == [1, 2]
     # a cap equal to the level size keeps every child, then caps the next level
-    assert _check_capped_levels(mm, root, 6**3, 3, 4, exact=True) == [6, 36, 216, 216]
+    assert [lev.size for lev in _check_capped_levels(mm, root, 6**3, 3, 4)] == [6, 36, 216, 216]
 
 
 def test_capped_mixed_degree_levels_match_expand_then_subsample():
     mm = MultiMap([power_map(2), power_map(3)])
     for cap, seed in ((7, 0), (60, 4), (400, 11)):
-        assert _check_capped_levels(mm, _seed_level(mm), cap, seed, 6, exact=True)[-1] == cap
+        assert _check_capped_levels(mm, _seed_level(mm), cap, seed, 6)[-1].size == cap
 
 
 def test_capped_rational_levels_with_infinite_parents_match_expand_then_subsample():
@@ -464,7 +463,7 @@ def test_capped_rational_levels_with_infinite_parents_match_expand_then_subsampl
         logd=np.zeros(5), logw=np.zeros(5),
     )
     for cap in (1, 2, 5, 13, 30, 10**6):
-        _check_capped_levels(mm, parent, cap, 7, 3, exact=True)
+        _check_capped_levels(mm, parent, cap, 7, 3)
     last = _expand_backward(mm, _expand_backward(mm, parent, 13, 7, 1), 13, 7, 2)
     assert last.inf.any() and not last.inf.all()
 
@@ -491,13 +490,14 @@ def test_subsample_level_matches_reference_on_forward_levels():
     gap = CloudLevel(
         z=rng.normal(size=40) + 1j * rng.normal(size=40), inf=np.zeros(40, dtype=bool),
         words=np.repeat(np.array([[2, 1], [1, 3]], dtype=np.int8), [15, 25], axis=0),
-        logd=np.zeros(40), logw=rng.normal(size=40),
+        logw=rng.normal(size=40),
     )
     for level in (*cloud.levels[2:], gap):
         for cap in (1, 7, level.size - 1, level.size):
             got = _subsample_level(level, cap, 9, 4)
-            ref, _ = oracles.subsample_ref(level, cap, 9, 4)
-            for a, b in zip(_columns(got), ref):
+            (z, inf, words, logd, logw), _ = oracles.subsample_ref(level, cap, 9, 4)
+            assert got.logd is None and logd is None
+            for a, b in ((got.z, z), (got.inf, inf), (got.words, words), (got.logw, logw)):
                 assert np.array_equal(a, b)
 
 
@@ -556,6 +556,18 @@ def test_postcritical_cloud_matches_sort_then_dedupe_reference(name):
         assert cloud.levels[7].size == cap and np.any(cloud.levels[7].logw > 0)
     if name in ("coincident", "near-coincident"):
         assert cloud.levels[1].size < mm.num_generators * cloud.levels[0].size
+
+
+def test_backward_levels_keep_no_words_and_forward_levels_no_logd():
+    mm = annulus_mm(0.5)
+    tree = PreimageTree(mm, repelling_seed(mm)[0], cap=100, rng_seed=1)
+    tree.extend(5)  # levels 4 and 5 are capped
+    for lev in (*tree.levels, *full_backward_cloud(mm, 5, 100, 1).levels):
+        assert lev.words is None and lev.logd is not None
+    post = postcritical_cloud(FORWARD_SYSTEMS["quadratic-triple"], depth=7, cap=3000)
+    assert post.levels[7].size == 3000  # capped by _subsample_level
+    for n, lev in enumerate(post.levels):
+        assert lev.logd is None and lev.words.shape == (lev.size, n)
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,14 @@ def test_lyapunov_rejects_critical_preimages_at_every_t():
             lyapunov_and_entropy(mm, t, n=3, z=0.0)
 
 
+def test_lyapunov_rejects_a_depth_below_two_as_pressure_does():
+    mm = power_mm((2, 1.0))
+    for n in (-1, 0, 1):
+        for estimate in (lyapunov_and_entropy, pressure):
+            with pytest.raises(ValueError, match=r"pressure estimation needs depth >= 2"):
+                estimate(mm, 1.0, n=n)
+
+
 def test_bowen_accepts_config_and_overrides():
     cfg = ThermoConfig(depth=8, tol_t=1e-3)
     res = bowen_parameter(power_mm((2, 1.0), (2, 1.0)), cfg, tol_t=1e-4)
