@@ -2,9 +2,9 @@
 emission.  Single-threaded by design; --threads is accepted so batch scripts
 can pass it, but outputs never depend on it.
 
-Exit codes: 0 success, 1 other computation error, 2 config error,
-3 no repelling seed, 4 pressure never crosses zero, 5 critical preimage,
-6 open-set-condition failure, 7 hyperbolicity unverified.
+Exit codes: 0 success, 1 other computation error, 2 config error or
+unwritable output, 3 no repelling seed, 4 pressure never crosses zero,
+5 critical preimage, 6 open-set-condition failure, 7 hyperbolicity unverified.
 """
 from __future__ import annotations
 
@@ -39,9 +39,14 @@ def _fmt_point(pt) -> str:
 
 def _atomic_write(path: str, data: bytes) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError as e:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def _csv_text(header: str, rows) -> str:

@@ -115,47 +115,33 @@ def _allocate_largest_remainder(counts: np.ndarray, cap: int) -> np.ndarray:
 
 @dataclass
 class CloudLevel:
-    """One depth slice of an orbit cloud.
+    """One depth slice of an orbit cloud.  No level stores words.
 
     Backward levels (preimage trees) hold logd and logw, all a level sum
-    reads, and no words.  They are in construction order: by the generator
-    j of the newest symbol, then parent row, then root slot.  Each parent
-    level is thus grouped by composition-order word, so rows are
-    nondecreasing in that word and the kept children of a parent are
-    contiguous; rows sharing a word follow parent order, then root slot.  A
-    capped backward level holds only the children its subsample keeps.
-
-    Forward (postcritical) levels hold words and logw, and no logd: row i is
-    a critical value's image under the composition-order word words[i].
-    They are sorted by word, newest symbol first, then infinity, re and im.
+    reads.  They are in construction order: by the generator j of the
+    newest symbol, then parent row, then root slot.  Each parent level is
+    thus grouped by composition-order word, so rows are nondecreasing in
+    that word and the kept children of a parent are contiguous; rows
+    sharing a word follow parent order, then root slot.  A capped backward
+    level holds only the children its subsample keeps.
 
     A level of a block of B systems (stack_block) has z, inf and logd of
     shape (B, n), one row per system, and a min_step_norm per system.
 
-    A points-only level (julia_backward_cloud) holds z and inf alone: words,
-    logd and logw are None and min_step_norm stays inf.
+    A points-only level (julia_backward_cloud, postcritical_cloud) holds z
+    and inf alone: logd and logw are None and min_step_norm stays inf.
     """
 
     z: np.ndarray        # complex chart values; 0 placeholder where inf is set
     inf: np.ndarray      # bool mask for the point at infinity
-    words: np.ndarray | None = None  # int8, shape (n, depth); forward levels only
     logd: np.ndarray | None = None   # backward only: cumulative log word-derivative norm to the root
-    logw: np.ndarray | None = None   # log importance weight accumulated by subsampling
+    logw: np.ndarray | None = None   # backward only: log importance weight accumulated by subsampling
     min_step_norm: float = math.inf  # smallest newest-step derivative norm (backward)
 
     @property
     def size(self) -> int:
         # logw where it is kept: PreimageTree drops z and inf of all but its deepest level
         return int((self.z if self.logw is None else self.logw).shape[-1])
-
-
-def _canonical_order(z, inf, words) -> np.ndarray:
-    """Sort by word, newest symbol first, then infinity, then re, then im."""
-    re = np.where(inf, np.inf, z.real)
-    im = np.where(inf, 0.0, z.imag)
-    keys = [im, re, inf.astype(np.int8)]
-    keys.extend(words[:, k] for k in range(words.shape[1]))
-    return np.lexsort(keys)
 
 
 def _stratum_picks(counts, cap: int, seed: int, tag: int, symbols) -> list:
@@ -176,19 +162,17 @@ def _stratum_picks(counts, cap: int, seed: int, tag: int, symbols) -> list:
     return picks
 
 
-def _subsample_level(level: CloudLevel, cap: int, seed: int, tag: int) -> CloudLevel:
-    """Stratified by newest symbol; kept entries are reweighted in logw.
+def _subsample_level(sym: np.ndarray, cap: int, seed: int, tag: int) -> np.ndarray:
+    """Indices of the rows a forward level keeps under the cap, in row order.
 
-    The level must be a forward level, grouped by its newest symbol
-    words[:, -1] as sorted forward levels are.  Row order is preserved.
+    sym holds each row's newest symbol and must be nondecreasing, as it is
+    in canonical order; its runs are the strata of _stratum_picks.
     """
-    if level.size <= cap:
-        return level
-    symbols, starts, counts = np.unique(level.words[:, -1], return_index=True, return_counts=True)
+    if sym.size <= cap:
+        return np.arange(sym.size)
+    symbols, starts, counts = np.unique(sym, return_index=True, return_counts=True)
     picks = _stratum_picks(counts, cap, seed, tag, symbols)
-    idx = np.concatenate([start + c for start, (c, _) in zip(starts, picks)])
-    logw = np.concatenate([level.logw[start + c] + shift for start, (c, shift) in zip(starts, picks)])
-    return CloudLevel(level.z[idx], level.inf[idx], level.words[idx], logw=logw)
+    return np.concatenate([start + c for start, (c, _) in zip(starts, picks)])
 
 
 def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: int) -> CloudLevel:
@@ -322,9 +306,16 @@ def _cloud_meta(mm: MultiMap, kind: str, seed_point, depth, cap, rng_seed, **ext
             "rng_seed": rng_seed, "num_generators": mm.num_generators, "degrees": mm.degrees}
 
 
+def _check_budget(depth: int, cap: int) -> None:
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if cap < 1:
+        raise ValueError("cap must be positive")
+
+
 def _root_level(z, inf) -> CloudLevel:
-    """Level 0 of a backward tree at the points z, inf: zero logd and logw,
-    no words.  A block of B trees has z and inf of shape (B, 1)."""
+    """Level 0 of a backward tree at the points z, inf: zero logd and logw.
+    A block of B trees has z and inf of shape (B, 1)."""
     return CloudLevel(z, inf, logd=np.zeros(z.shape), logw=np.zeros(z.shape[-1]))
 
 
@@ -335,10 +326,7 @@ def julia_backward_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DE
     Its levels hold points only (see CloudLevel): z and inf bit for bit those
     of _expand_backward chained from _root_level with this cap and rng_seed.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if cap < 1:
-        raise ValueError("cap must be positive")
+    _check_budget(depth, cap)
     seed_pt, seed_sym = repelling_seed(mm)
     levels = [CloudLevel(*_point_arrays(seed_pt))]
     for n in range(1, depth + 1):
@@ -351,37 +339,14 @@ def julia_backward_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DE
 # forward (postcritical) cloud
 
 
-def _dedupe_level(level: CloudLevel) -> CloudLevel:
-    """Collapse entries with identical rounded coordinates into the
-    canonically first one (by word, then unrounded re and im, then row);
-    the result is in canonical order."""
-    re = np.where(level.inf, 0.0, np.round(level.z.real, 9))
-    im = np.where(level.inf, 0.0, np.round(level.z.imag, 9))
-    flag = level.inf.astype(np.int8)
-    keys = [np.where(level.inf, 0.0, level.z.imag), np.where(level.inf, np.inf, level.z.real)]
-    keys.extend(level.words[:, k] for k in range(level.words.shape[1]))
-    order = np.lexsort(keys + [im, re, flag])
-    re, im, flag = re[order], im[order], flag[order]
-    first = np.ones(order.size, dtype=bool)
-    if order.size > 1:
-        same = (flag[1:] == flag[:-1]) & (re[1:] == re[:-1]) & (im[1:] == im[:-1])
-        first[1:] = ~same
-    idx = order[first]
-    idx = idx[_canonical_order(level.z[idx], level.inf[idx], level.words[idx])]
-    return CloudLevel(level.z[idx], level.inf[idx], level.words[idx], logw=level.logw[idx])
-
-
-def _expand_forward(mm: MultiMap, level: CloudLevel) -> CloudLevel:
-    """Images of a level under every generator (words grow by appending), in
-    construction order: generator, then parent row."""
-    zs, infs, words = [], [], []
-    for j, f in enumerate(mm.generators, start=1):
-        z, inf = f.eval_many(level.z, level.inf)
-        zs.append(z)
-        infs.append(inf)
-        words.append(np.hstack([level.words, np.full((level.size, 1), j, dtype=np.int8)]))
-    return CloudLevel(np.concatenate(zs), np.concatenate(infs), np.vstack(words),
-                      logw=np.zeros(level.size * mm.num_generators))
+def _dedupe(z, inf, word) -> np.ndarray:
+    """Rows of a level in canonical order, the canonically first of each
+    group of equal rounded coordinates.  Canonical order is by word, newest
+    symbol first (word: each row's rank among its level's words), then
+    infinity, re, im and row."""
+    order = np.lexsort([np.where(inf, 0.0, z.imag), np.where(inf, np.inf, z.real), inf, word])
+    key = np.where(inf, complex(np.inf, 0.0), np.round(z, 9))[order]
+    return order[np.sort(np.unique(key, return_index=True)[1])]
 
 
 def postcritical_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFAULT_CAP,
@@ -389,23 +354,32 @@ def postcritical_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFA
     """Forward orbit of all critical values under all words up to depth.
 
     Level 0 is the deduplicated set of critical values themselves (identity
-    word); level n applies every generator to level n-1 and deduplicates.
-    Maps without critical points (degree one) contribute nothing, so the
-    cloud may be empty.
+    word); level n applies every generator to level n-1, deduplicates and
+    subsamples by newest symbol.  Levels hold points only (see CloudLevel),
+    in canonical order (see _dedupe).  Maps without critical points (degree
+    one) contribute nothing, so the cloud may be empty.
     """
-    crit = []
-    for f in mm.generators:
-        crit.extend(f.critical_values())
+    _check_budget(depth, cap)
+    crit = [p for f in mm.generators for p in f.critical_values()]
     z = np.array([0j if p.is_infinite else p.value for p in crit], dtype=complex)
     inf = np.array([p.is_infinite for p in crit], dtype=bool)
-    root = CloudLevel(z, inf, np.zeros((z.size, 0), dtype=np.int8), logw=np.zeros(z.size))
-    levels = [_dedupe_level(root)]
+    idx = _dedupe(z, inf, np.zeros(z.size, dtype=np.int64))
+    levels, word = [CloudLevel(z[idx], inf[idx])], np.zeros(idx.size, dtype=np.int64)
+    seed = _derive_seed(rng_seed, 0xF0)
     for n in range(1, depth + 1):
-        if levels[-1].size == 0:
-            levels.append(levels[-1])
+        parent = levels[-1]
+        if parent.size == 0:
+            levels.append(parent)
             continue
-        nxt = _dedupe_level(_expand_forward(mm, levels[-1]))
-        levels.append(_subsample_level(nxt, cap, _derive_seed(rng_seed, 0xF0), n))
+        images = [f.eval_many(parent.z, parent.inf) for f in mm.generators]
+        z, inf = (np.concatenate(part) for part in zip(*images))
+        w = int(word.max()) + 1
+        # the image of rank r under generator j (0-based) sorts as the longer word: key j * w + r
+        key = (np.arange(mm.num_generators)[:, None] * w + word).ravel()
+        idx = _dedupe(z, inf, key)
+        idx = idx[_subsample_level(key[idx] // w + 1, cap, seed, n)]
+        levels.append(CloudLevel(z[idx], inf[idx]))
+        word = np.unique(key[idx], return_inverse=True)[1]  # ranks again, or keys grow like s^n
     return PointCloud(levels, _cloud_meta(mm, "forward", None, depth, cap, rng_seed))
 
 

@@ -8,6 +8,7 @@ independent routes to the same number.
 """
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,8 +213,10 @@ def skew_preimages(mm, z):
 
 
 def cloud_entries(cloud):
-    """Yield (point, word, depth) over every retained entry of a PointCloud,
-    the word in composition order."""
+    """Yield (point, word, depth) over every entry of a PointCloud of
+    backward reference levels (RefLevel, as backward_levels_ref builds
+    them), the word in composition order: those levels keep the newest
+    symbol, which acts first, in the final column."""
     for depth, lev in enumerate(cloud.levels):
         for i in range(lev.size):
             word = tuple(int(x) for x in lev.words[i, ::-1])
@@ -283,28 +286,54 @@ def box_count_bf(points, eps, origin):
 # reference capped backward level: solve every child, then subsample
 
 
-def subsample_ref(level, cap, seed, tag, step_norm=None):
-    """Stratified subsample by newest symbol, strata found by masks in any
-    row order; the kept rows come out in row order.  Returns the reduced
-    (z, inf, words, logd, logw) columns, logd None for a level without one,
-    and the minimum step_norm of the kept rows (level.min_step_norm when no
-    step_norm is given)."""
+@dataclass
+class RefLevel:
+    """A reference level with the word of every row, int8 of shape
+    (n, depth); the library's CloudLevel keeps no words.  It can also
+    stand as a parent level for dynamics._expand_backward."""
+
+    z: np.ndarray
+    inf: np.ndarray
+    words: np.ndarray
+    logd: np.ndarray | None = None
+    logw: np.ndarray | None = None
+    min_step_norm: float = math.inf
+
+    @property
+    def size(self) -> int:
+        return int(self.z.shape[-1])
+
+
+def kept_rows_ref(strata, cap, seed, tag):
+    """Rows a stratified subsample by newest symbol keeps, strata found by
+    masks in any row order, in row order; and the log weight shift log(n / k)
+    of every row (0 where nothing is dropped)."""
     from ratsemi.dynamics import _allocate_largest_remainder, _bottom_k, _derive_seed
 
+    shift = np.zeros(strata.size)
+    if strata.size <= cap:
+        return np.arange(strata.size), shift
+    parts = [(int(s), np.flatnonzero(strata == s)) for s in np.unique(strata)]
+    alloc = _allocate_largest_remainder([p.size for _, p in parts], cap)
+    kept = []
+    for (sym, pos), k in zip(parts, alloc):
+        if k == 0:
+            continue
+        sel = pos[_bottom_k(_derive_seed(seed, tag, sym), pos.size, int(k))]
+        shift[sel] = math.log(pos.size / k)
+        kept.append(sel)
+    return np.sort(np.concatenate(kept)), shift
+
+
+def subsample_ref(level, cap, seed, tag, step_norm=None):
+    """kept_rows_ref on a RefLevel, strata by its words[:, -1].  Returns the
+    reduced (z, inf, words, logd, logw) columns, the kept rows reweighted
+    in logw, and the minimum step_norm of the kept rows (level.min_step_norm
+    when no step_norm is given)."""
     idx, logw = np.arange(level.size), level.logw
     if level.size > cap:
-        strata = level.words[:, -1]
-        parts = [(int(s), np.flatnonzero(strata == s)) for s in np.unique(strata)]
-        alloc = _allocate_largest_remainder([p.size for _, p in parts], cap)
-        logw = logw.copy()
-        kept = []
-        for (sym, pos), k in zip(parts, alloc):
-            if k == 0:
-                continue
-            sel = pos[_bottom_k(_derive_seed(seed, tag, sym), pos.size, int(k))]
-            logw[sel] += math.log(pos.size / k)
-            kept.append(sel)
-        idx = np.sort(np.concatenate(kept))
+        idx, shift = kept_rows_ref(level.words[:, -1], cap, seed, tag)
+        logw = logw + shift
     min_norm = level.min_step_norm if step_norm is None else float(step_norm[idx].min())
     logd = None if level.logd is None else level.logd[idx]
     return (level.z[idx], level.inf[idx], level.words[idx], logd, logw[idx]), min_norm
@@ -327,7 +356,7 @@ def expand_then_subsample(mm, level, cap, seed, tag):
         words[:, -1] = j
         parts.append((z, inf, words, logd, np.repeat(level.logw, d), norms))
     z, inf, words, logd, logw, norms = (np.concatenate(col) for col in zip(*parts))
-    full = type(level)(z, inf, words, logd, logw)
+    full = RefLevel(z, inf, words, logd, logw)
     return subsample_ref(full, cap, seed, tag, step_norm=norms)
 
 
@@ -336,11 +365,11 @@ def backward_levels_ref(mm, level, cap, seed, depth):
     drawn with tag n, as _expand_backward chains them.  Each keeps its
     min_step_norm and its words, newest symbol in the final column: that
     symbol acts first, so the composition-order word of row i is
-    tuple(words[i, ::-1]).  level must carry words, logd and logw."""
+    tuple(words[i, ::-1]).  level is a RefLevel with logd and logw."""
     out = []
     for n in range(1, depth + 1):
         cols, min_norm = expand_then_subsample(mm, level, cap, seed, n)
-        level = type(level)(*cols, min_step_norm=min_norm)
+        level = RefLevel(*cols, min_step_norm=min_norm)
         out.append(level)
     return out
 
@@ -374,16 +403,16 @@ def _dedupe_ref(z, inf, words):
 def postcritical_cloud_ref(mm, depth, cap, rng_seed=0):
     """The forward cloud the long way: each expanded level is sorted
     canonically before the dedupe and again after it, then subsampled by
-    subsample_ref.  Returns (z, inf, words, logw) per level."""
-    from ratsemi.dynamics import CloudLevel, _derive_seed
+    kept_rows_ref.  Returns (z, inf, words) per level; words grow by
+    appending, so words[i] is row i's word in composition order."""
+    from ratsemi.dynamics import _derive_seed
 
     crit = [p for f in mm.generators for p in f.critical_values()]
     z = np.array([0j if p.is_infinite else p.value for p in crit], dtype=complex)
     inf = np.array([p.is_infinite for p in crit], dtype=bool)
-    z, inf, words = _dedupe_ref(z, inf, np.zeros((len(crit), 0), dtype=np.int8))
-    levels = [(z, inf, words, np.zeros(z.size))]
+    levels = [_dedupe_ref(z, inf, np.zeros((len(crit), 0), dtype=np.int8))]
     for n in range(1, depth + 1):
-        z, inf, words, _ = levels[-1]
+        z, inf, words = levels[-1]
         if z.size == 0:
             levels.append(levels[-1])
             continue
@@ -394,7 +423,6 @@ def postcritical_cloud_ref(mm, depth, cap, rng_seed=0):
             infs.append(finf)
             ws.append(np.hstack([words, np.full((z.size, 1), j, dtype=np.int8)]))
         z, inf, words = _dedupe_ref(np.concatenate(zs), np.concatenate(infs), np.vstack(ws))
-        full = CloudLevel(z, inf, words, logw=np.zeros(z.size))
-        (z, inf, words, _, logw), _ = subsample_ref(full, cap, _derive_seed(rng_seed, 0xF0), n)
-        levels.append((z, inf, words, logw))
+        idx, _ = kept_rows_ref(words[:, -1], cap, _derive_seed(rng_seed, 0xF0), n)
+        levels.append((z[idx], inf[idx], words[idx]))
     return levels

@@ -649,6 +649,27 @@ def test_cli_sweep_deterministic(tmp_path, capsys):
     assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
+def test_cli_unwritable_out_is_a_config_error_and_leaves_no_temp_file(tmp_path, capsys):
+    lyap = write_cfg(tmp_path, {
+        "multimap": {"generators": [Z2, Z3]},
+        "t_values": [1.0],
+        "thermo": {"depth": 4, "cap": 1000},
+    }, name="lyap.json")
+    sweep = write_cfg(tmp_path, {
+        "family": family_scaled_square(),
+        "grid": {"re_min": 0.4, "re_max": 0.5, "re_n": 2,
+                 "im_min": 0.0, "im_max": 0.0, "im_n": 1},
+        "thermo": {"depth": 4, "cap": 1000, "hyper_depth": 4, "hyper_cap": 1000},
+    }, name="sweep.json")
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    for cmd, cfg, out in (("lyap", lyap, tmp_path / "missing" / "x.csv"), ("sweep", sweep, taken)):
+        assert main([cmd, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: cannot write {out}: "), err
+    assert not list(tmp_path.rglob("*.tmp.*"))
+
+
 def test_cli_boxdim_circle(tmp_path, capsys):
     path = write_cfg(tmp_path, {
         "multimap": {"generators": [Z2]},

@@ -6,7 +6,6 @@ import pytest
 
 from ratsemi import dynamics
 from ratsemi.dynamics import (
-    CloudLevel,
     MultiMap,
     PointCloud,
     check_hyperbolic,
@@ -31,7 +30,7 @@ from ratsemi.sphere import (
 from ratsemi.thermo import PreimageTree
 
 import oracles
-from oracles import cloud_entries, skew_preimages, word_derivative_norm, word_eval
+from oracles import RefLevel, cloud_entries, skew_preimages, word_derivative_norm, word_eval
 
 
 def power_map(d, a=1.0):
@@ -175,7 +174,7 @@ def test_no_repelling_seed_for_translation():
 
 
 def full_backward_cloud(mm, depth, cap, rng_seed=0):
-    """The backward tree with its bookkeeping (words, logd, logw, step norms):
+    """The backward tree with its bookkeeping (logd, logw, step norms):
     _expand_backward chained from a full root level at the repelling seed,
     with the cap and seed julia_backward_cloud would use."""
     seed_pt = repelling_seed(mm)[0]
@@ -188,18 +187,17 @@ def full_backward_cloud(mm, depth, cap, rng_seed=0):
 def _seed_level(mm):
     """Level 0 at the repelling seed with an empty word, as the reference needs."""
     z, inf = _point_arrays(repelling_seed(mm)[0])
-    return CloudLevel(z, inf, np.zeros((1, 0), dtype=np.int8), np.zeros(1), np.zeros(1))
+    return RefLevel(z, inf, np.zeros((1, 0), dtype=np.int8), np.zeros(1), np.zeros(1))
 
 
 def _check_capped_levels(mm, parent, cap, seed, depth):
     """_expand_backward chained from parent beside oracles.backward_levels_ref:
-    at every depth the level keeps no words, and its z, inf, logd, logw and
-    min_step_norm are bit-identical to the reference level.  Returns the
-    reference levels, which keep their words."""
+    at every depth its z, inf, logd, logw and min_step_norm are
+    bit-identical to the reference level.  Returns the reference levels,
+    which keep their words."""
     refs = oracles.backward_levels_ref(mm, parent, cap, seed, depth)
     for n, ref in enumerate(refs, start=1):
         parent = _expand_backward(mm, parent, cap, seed, n)
-        assert parent.words is None
         for name in ("z", "inf", "logd", "logw"):
             assert getattr(parent, name).tobytes() == getattr(ref, name).tobytes(), (n, name)
         assert parent.min_step_norm == ref.min_step_norm
@@ -312,7 +310,7 @@ def test_julia_cloud_points_equal_the_full_chain(mm, depth, cap, seed):
         assert lev.z.tobytes() == ref.z.tobytes()
         assert np.array_equal(lev.inf, ref.inf)
         assert lev.size == ref.size
-        assert lev.words is None and lev.logd is None and lev.logw is None
+        assert lev.logd is None and lev.logw is None
         assert lev.min_step_norm == math.inf
     if mm is NEWTON_SQUARE:
         assert all(lev.inf.any() for lev in cloud.levels)
@@ -355,7 +353,7 @@ def _min_step_norm_by_recompute(mm, level):
 def test_backward_level_children_are_contiguous_under_their_parent():
     # f(inf) = 2 for the second map, so its preimages of inf are finite
     mm = MultiMap([polynomial_map([0.1, 0.0, 1.0]), RationalMap([1.0, 0.0, 2.0], [0.0, 1.0, 1.0])])
-    parent = CloudLevel(
+    parent = RefLevel(
         z=np.array([0.3 + 0.2j, 0j, -1.5j]),
         inf=np.array([False, True, False]),
         words=np.array([[1], [1], [2]], dtype=np.int8),
@@ -390,7 +388,7 @@ def test_backward_level_with_infinite_parents_matches_oracle():
             polynomial_map([0.5, 0.0, 0.0, 1.0])]        # inf -> {inf, inf, inf}
     mm = MultiMap(maps)
     inf = np.array([True, False, False, True, False])
-    parent = CloudLevel(
+    parent = RefLevel(
         z=np.array([0j, 0j, 0.4 - 1.1j, 0j, 2.5j]), inf=inf,
         words=np.array([[1], [2], [3], [1], [2]], dtype=np.int8),
         logd=np.zeros(5), logw=np.zeros(5),
@@ -456,7 +454,7 @@ def test_capped_rational_levels_with_infinite_parents_match_expand_then_subsampl
     mm = MultiMap([RationalMap([0.0, 2.0], [1.0, 0.0, 1.0]),
                    RationalMap([1.0, 0.0, 1.0], [0.0, 1.0]),
                    polynomial_map([-0.5, 0.0, 1.0])])
-    parent = CloudLevel(
+    parent = RefLevel(
         z=np.array([0j, 0j, 0.4 - 1.1j, 0j, 2.5j]),
         inf=np.array([True, False, False, True, False]),
         words=np.array([[1], [2], [3], [1], [2]], dtype=np.int8),
@@ -484,21 +482,13 @@ def test_capped_level_solves_only_the_parents_of_kept_children(monkeypatch):
 
 def test_subsample_level_matches_reference_on_forward_levels():
     mm = MultiMap(QUADRATIC_TRIPLES[1])
-    cloud = postcritical_cloud(mm, depth=4, cap=10**6)
-    rng = np.random.default_rng(0)
+    ref = oracles.postcritical_cloud_ref(mm, depth=4, cap=10**6)
     # symbols 1 and 3 only, as deduplication can leave a level
-    gap = CloudLevel(
-        z=rng.normal(size=40) + 1j * rng.normal(size=40), inf=np.zeros(40, dtype=bool),
-        words=np.repeat(np.array([[2, 1], [1, 3]], dtype=np.int8), [15, 25], axis=0),
-        logw=rng.normal(size=40),
-    )
-    for level in (*cloud.levels[2:], gap):
-        for cap in (1, 7, level.size - 1, level.size):
-            got = _subsample_level(level, cap, 9, 4)
-            (z, inf, words, logd, logw), _ = oracles.subsample_ref(level, cap, 9, 4)
-            assert got.logd is None and logd is None
-            for a, b in ((got.z, z), (got.inf, inf), (got.words, words), (got.logw, logw)):
-                assert np.array_equal(a, b)
+    gap = np.repeat([1, 3], [15, 25])
+    for sym in (*(words[:, -1] for _, _, words in ref[2:]), gap):
+        for cap in (1, 7, sym.size - 1, sym.size):
+            got = _subsample_level(sym, cap, 9, 4)
+            assert np.array_equal(got, oracles.kept_rows_ref(sym, cap, 9, 4)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +498,8 @@ def test_subsample_level_matches_reference_on_forward_levels():
 def test_postcritical_cloud_of_power_pair_is_zero_and_infinity():
     cloud = postcritical_cloud(annulus_mm(0.5), depth=6, cap=1000)
     assert cloud.size > 0
-    for pt, word, depth in cloud_entries(cloud):
-        assert pt.is_infinite or abs(pt.value) < 1e-12
-        assert len(word) == depth
+    z, inf, _ = cloud.flat_arrays()
+    assert np.all(inf | (np.abs(z) < 1e-12))
 
 
 def test_postcritical_cloud_of_single_square():
@@ -548,14 +537,24 @@ def test_postcritical_cloud_matches_sort_then_dedupe_reference(name):
     cap = 3000
     cloud = postcritical_cloud(mm, depth=7, cap=cap, rng_seed=4)
     ref = oracles.postcritical_cloud_ref(mm, depth=7, cap=cap, rng_seed=4)
-    for lev, (z, inf, words, logw) in zip(cloud.levels, ref):
+    for lev, (z, inf, _) in zip(cloud.levels, ref, strict=True):
         assert lev.z.tobytes() == z.tobytes()
-        assert np.array_equal(lev.inf, inf) and np.array_equal(lev.words, words)
-        assert lev.logw.tobytes() == logw.tobytes()
+        assert lev.inf.tobytes() == inf.tobytes()
     if name == "quadratic-triple":
-        assert cloud.levels[7].size == cap and np.any(cloud.levels[7].logw > 0)
+        assert cloud.levels[7].size == cap
     if name in ("coincident", "near-coincident"):
         assert cloud.levels[1].size < mm.num_generators * cloud.levels[0].size
+
+
+@pytest.mark.parametrize("mm", [annulus_mm(0.5), *FORWARD_SYSTEMS.values()])
+def test_postcritical_reference_entries_are_word_images_of_critical_values(mm):
+    crit = [p for f in mm.generators for p in f.critical_values()]
+    for depth, (z, inf, words) in enumerate(oracles.postcritical_cloud_ref(mm, depth=4, cap=200)):
+        assert words.shape == (z.size, depth)
+        for i in range(z.size):
+            pt = INF if inf[i] else SpherePoint.of(complex(z[i]))
+            images = [word_eval(mm, tuple(int(x) for x in words[i]), c) for c in crit]
+            assert min(chordal_distance(pt, img) for img in images) <= 1e-9
 
 
 def test_backward_levels_keep_no_words_and_forward_levels_no_logd():
@@ -563,11 +562,15 @@ def test_backward_levels_keep_no_words_and_forward_levels_no_logd():
     tree = PreimageTree(mm, repelling_seed(mm)[0], cap=100, rng_seed=1)
     tree.extend(5)  # levels 4 and 5 are capped
     for lev in (*tree.levels, *full_backward_cloud(mm, 5, 100, 1).levels):
-        assert lev.words is None and lev.logd is not None
-    post = postcritical_cloud(FORWARD_SYSTEMS["quadratic-triple"], depth=7, cap=3000)
-    assert post.levels[7].size == 3000  # capped by _subsample_level
-    for n, lev in enumerate(post.levels):
-        assert lev.logd is None and lev.words.shape == (lev.size, n)
+        assert getattr(lev, "words", None) is None and lev.logd is not None
+    # forward levels hold points only: no words, logd or logw
+    for name, cap in (("quadratic-triple", 3000), ("coincident", 50)):
+        post = postcritical_cloud(FORWARD_SYSTEMS[name], depth=7, cap=cap)
+        assert post.levels[7].size == cap  # capped by _subsample_level
+        for lev in post.levels:
+            for field in ("words", "logd", "logw"):
+                assert getattr(lev, field, None) is None, field
+            assert lev.min_step_norm == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +656,16 @@ def test_hyperbolic_rejects_a_nonpositive_margin():
     for margin in (0.0, -1.0, math.nan):  # a margin <= 0 would pass every distance
         with pytest.raises(ValueError, match="margin"):
             check_hyperbolic(mm, depth=6, margin=margin)
+
+
+def test_forward_cloud_and_gate_reject_a_bad_depth_or_cap():
+    # the degree-one gasket has an empty forward cloud, which would pass vacuously
+    for mm in (gasket_mm(), annulus_mm(0.5)):
+        for kwargs, match in (({"cap": 0}, "cap"), ({"cap": -3}, "cap"), ({"depth": -3}, "depth")):
+            with pytest.raises(ValueError, match=f"{match} must be"):
+                postcritical_cloud(mm, **{"depth": 4, "cap": 100, **kwargs})
+            with pytest.raises(ValueError, match=f"{match} must be"):
+                check_hyperbolic(mm, **{"depth": 4, "cap": 100, **kwargs})
 
 
 # ---------------------------------------------------------------------------
