@@ -9,6 +9,7 @@ unwritable output, 3 no repelling seed, 4 pressure never crosses zero,
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -21,7 +22,7 @@ from .dynamics import julia_backward_cloud
 from .errors import ConfigError, HyperbolicityUnverified, InsufficientPoints, RatsemiError
 from .families import smoothness_diagnostic, submean_diagnostic, sweep_delta
 from .geometry import box_dimension, osc_check
-from .thermo import PreimageTree, _default_basepoint, bowen_parameter, lyapunov_and_entropy, pressure_curve
+from .thermo import PreimageTree, bowen_parameter, lyapunov_and_entropy, pressure_curve
 
 EXIT_OSC_FAIL = 6  # the one exit code no RatsemiError carries (errors.py has the rest)
 
@@ -47,6 +48,18 @@ def _atomic_write(path: str, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise ConfigError(f"cannot write {path}: {e.strerror or e}") from e
+
+
+def _resolve_out(cfg: RunConfig, args) -> None:
+    """Set args.out to the file the command writes: --out, else render.out for
+    julia and sweep.out for sweep.  A directory, or a path whose directory
+    does not exist, is rejected before any work."""
+    section = {"julia": "render", "sweep": "sweep"}.get(args.command)
+    out = args.out = args.out or (cfg.data[section]["out"] if section else None)
+    if out and os.path.isdir(out):
+        raise ConfigError(f"cannot write {out}: {os.strerror(errno.EISDIR)}")
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError(f"cannot write {out}: {os.strerror(errno.ENOENT)}")
 
 
 def _csv_text(header: str, rows) -> str:
@@ -103,9 +116,8 @@ def cmd_julia(cfg: RunConfig, args) -> int:
     else:
         col = np.zeros((px.size, 3), dtype=np.uint8)
     img[py, px] = col
-    out = args.out or rn["out"]
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    _atomic_write(out, header + img.tobytes())
+    _atomic_write(args.out, header + img.tobytes())
 
     r = np.abs(z)
     meta = cloud.meta
@@ -113,7 +125,7 @@ def cmd_julia(cfg: RunConfig, args) -> int:
     print(f"bounding box [{xmin:.6g}, {xmax:.6g}] x [{ymin:.6g}, {ymax:.6g}]")
     print(f"radial range [{float(r.min()):.6g}, {float(r.max()):.6g}]")
     print(f"seed {_fmt_point(meta['seed_point'])} from generator {meta['seed_generator']}")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -183,17 +195,11 @@ def cmd_pressure(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _preimage_tree(cfg: RunConfig, mm, tcfg) -> PreimageTree:
-    """The tree every t-value shares: configured basepoint, else the repelling seed."""
-    base = _default_basepoint(mm, cfg.basepoint())
-    return PreimageTree(mm, base, cap=tcfg.cap, rng_seed=tcfg.rng_seed)
-
-
 def cmd_poincare(cfg: RunConfig, args) -> int:
     mm = cfg.multimap()
     tcfg = cfg.thermo_config()
     N = cfg.data["poincare_N"]
-    tree = _preimage_tree(cfg, mm, tcfg)
+    tree = PreimageTree(mm, cfg.basepoint(), cap=tcfg.cap, rng_seed=tcfg.rng_seed)
     rows = []
     for t in cfg.data["t_values"]:
         value, residual = tree.poincare(float(t), N)
@@ -205,7 +211,7 @@ def cmd_poincare(cfg: RunConfig, args) -> int:
 def cmd_lyap(cfg: RunConfig, args) -> int:
     mm = cfg.multimap()
     tcfg = cfg.thermo_config()
-    tree = _preimage_tree(cfg, mm, tcfg)
+    tree = PreimageTree(mm, cfg.basepoint(), cap=tcfg.cap, rng_seed=tcfg.rng_seed)
     rows = []
     for t in cfg.data["t_values"]:
         diag = lyapunov_and_entropy(mm, float(t), n=tcfg.depth, tree=tree)
@@ -244,10 +250,9 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         ok = r.status == "ok"
         fit = [_g17(r.delta), _g17(r.pressure_residual), str(r.depth)] if ok else ["", "", ""]
         rows.append(",".join([_g17(r.lam.real), _g17(r.lam.imag), *fit, r.status]))
-    out = args.out or cfg.data["sweep"]["out"]
-    _write_csv(out, "re_lambda,im_lambda,delta,pressure_residual,depth,status", rows)
+    _write_csv(args.out, "re_lambda,im_lambda,delta,pressure_residual,depth,status", rows)
     n_ok = sum(1 for r in table.rows if r.status == "ok")
-    print(f"wrote {out} ({len(table.rows)} rows, {n_ok} ok)")
+    print(f"wrote {args.out} ({len(table.rows)} rows, {n_ok} ok)")
 
     sub = submean_diagnostic(table, radius=cfg.data["sweep"]["submean_radius"])
     print(
@@ -352,6 +357,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_file(args.config)
         _apply_flags(cfg, args)
+        _resolve_out(cfg, args)
         if args.verbose:
             sys.stderr.write(emit(cfg))
         return args.fn(cfg, args)

@@ -1,4 +1,10 @@
-"""Open-region primitives, sampled open-set-condition checks, box counting."""
+"""Open-region primitives, sampled open-set-condition checks, box counting.
+
+Each region class answers for itself on arrays of finite points: interior
+(strict membership), distance (Euclidean, to the closure), bounding_box (of
+the boundary) and max_modulus (largest |z| on the closure, inf if unbounded);
+holds_infinity says whether infinity lies in the region.
+"""
 from __future__ import annotations
 
 import math
@@ -19,13 +25,51 @@ MAX_BOX_SCALES = 24  # finest cell index at most 8 * 2^23, well inside half of a
 
 
 @dataclass(frozen=True)
-class Disc:
+class _Round:
+    """The fields, validation and bounding box that Disc and its complement share."""
+
     center: complex
     r: float
 
     def __post_init__(self):
         if not self.r > 0:
             raise ValueError("disc radius must be positive")
+
+    def bounding_box(self):
+        c, r = self.center, self.r
+        return c.real - r, c.real + r, c.imag - r, c.imag + r
+
+
+@dataclass(frozen=True)
+class Disc(_Round):
+    """Open disc |z - center| < r."""
+
+    holds_infinity = False
+
+    def interior(self, z: np.ndarray) -> np.ndarray:
+        return np.abs(z - self.center) < self.r
+
+    def distance(self, z: np.ndarray) -> np.ndarray:
+        return np.maximum(np.abs(z - self.center) - self.r, 0.0)
+
+    def max_modulus(self) -> float:
+        return abs(self.center) + self.r
+
+
+@dataclass(frozen=True)
+class ComplementDisc(_Round):
+    """Points outside the closed disc, plus infinity."""
+
+    holds_infinity = True
+
+    def interior(self, z: np.ndarray) -> np.ndarray:
+        return np.abs(z - self.center) > self.r
+
+    def distance(self, z: np.ndarray) -> np.ndarray:
+        return np.maximum(self.r - np.abs(z - self.center), 0.0)
+
+    def max_modulus(self) -> float:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -33,22 +77,26 @@ class Annulus:
     center: complex
     r1: float
     r2: float
+    holds_infinity = False
 
     def __post_init__(self):
         if not 0 < self.r1 < self.r2:
             raise ValueError("annulus needs 0 < r1 < r2")
 
+    def interior(self, z: np.ndarray) -> np.ndarray:
+        r = np.abs(z - self.center)
+        return (self.r1 < r) & (r < self.r2)
 
-@dataclass(frozen=True)
-class ComplementDisc:
-    """Points outside the closed disc, plus infinity."""
+    def distance(self, z: np.ndarray) -> np.ndarray:
+        r = np.abs(z - self.center)
+        return np.maximum(np.maximum(self.r1 - r, r - self.r2), 0.0)
 
-    center: complex
-    r: float
+    def bounding_box(self):
+        c, r = self.center, self.r2
+        return c.real - r, c.real + r, c.imag - r, c.imag + r
 
-    def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError("disc radius must be positive")
+    def max_modulus(self) -> float:
+        return abs(self.center) + self.r2
 
 
 @dataclass(frozen=True)
@@ -58,6 +106,7 @@ class Triangle:
     p1: complex
     p2: complex
     p3: complex
+    holds_infinity = False
 
     def __post_init__(self):
         a, b, c = complex(self.p1), complex(self.p2), complex(self.p3)
@@ -74,31 +123,28 @@ class Triangle:
     def vertices(self):
         return (self.p1, self.p2, self.p3)
 
-
-Region = (Disc, Annulus, ComplementDisc, Triangle)
-
-
-def _contains_finite_many(U, z: np.ndarray) -> np.ndarray:
-    """Strict-interior membership for an array of finite points."""
-    if isinstance(U, Disc):
-        return np.abs(z - U.center) < U.r
-    if isinstance(U, Annulus):
-        r = np.abs(z - U.center)
-        return (U.r1 < r) & (r < U.r2)
-    if isinstance(U, ComplementDisc):
-        return np.abs(z - U.center) > U.r
-    if isinstance(U, Triangle):
+    def interior(self, z: np.ndarray) -> np.ndarray:
         ok = np.ones(z.shape, dtype=bool)
-        a, b, c = U.vertices
+        a, b, c = self.vertices
         for p, q in ((a, b), (b, c), (c, a)):
             ok &= ((q - p).conjugate() * (z - p)).imag > 0.0
         return ok
-    raise TypeError(f"not a region: {U!r}")
 
+    def distance(self, z: np.ndarray) -> np.ndarray:
+        a, b, c = self.vertices
+        d = np.minimum(
+            _segment_distance(z, a, b),
+            np.minimum(_segment_distance(z, b, c), _segment_distance(z, c, a)),
+        )
+        return np.where(self.interior(z), 0.0, d)
 
-def region_contains(U, point) -> bool:
-    """Strict-interior membership; infinity belongs only to ComplementDisc."""
-    return bool(_contains_many(U, *_point_arrays(point))[0])
+    def bounding_box(self):
+        res = [v.real for v in self.vertices]
+        ims = [v.imag for v in self.vertices]
+        return min(res), max(res), min(ims), max(ims)
+
+    def max_modulus(self) -> float:
+        return max(abs(v) for v in self.vertices)
 
 
 def _segment_distance(z: np.ndarray, a: complex, b: complex) -> np.ndarray:
@@ -107,75 +153,28 @@ def _segment_distance(z: np.ndarray, a: complex, b: complex) -> np.ndarray:
     return np.abs(z - (a + t * ab))
 
 
-def _euclid_distance_to_closure(U, z: np.ndarray) -> np.ndarray:
-    """Euclidean distance from finite points to the closed region."""
-    if isinstance(U, Disc):
-        return np.maximum(np.abs(z - U.center) - U.r, 0.0)
-    if isinstance(U, Annulus):
-        r = np.abs(z - U.center)
-        return np.maximum(np.maximum(U.r1 - r, r - U.r2), 0.0)
-    if isinstance(U, ComplementDisc):
-        return np.maximum(U.r - np.abs(z - U.center), 0.0)
-    if isinstance(U, Triangle):
-        a, b, c = U.vertices
-        d = np.minimum(
-            _segment_distance(z, a, b),
-            np.minimum(_segment_distance(z, b, c), _segment_distance(z, c, a)),
-        )
-        return np.where(_contains_finite_many(U, z), 0.0, d)
-    raise TypeError(f"not a region: {U!r}")
-
-
-def _max_modulus_of_closure(U) -> float:
-    if isinstance(U, Disc):
-        return abs(U.center) + U.r
-    if isinstance(U, Annulus):
-        return abs(U.center) + U.r2
-    if isinstance(U, Triangle):
-        return max(abs(v) for v in U.vertices)
-    raise TypeError(f"unbounded region: {U!r}")
+def region_contains(U, point) -> bool:
+    """Strict-interior membership; infinity belongs only to a region that holds it."""
+    return bool(_contains_many(U, *_point_arrays(point))[0])
 
 
 def _fattened_contains_many(U, z: np.ndarray, inf: np.ndarray, eps: float) -> np.ndarray:
     """Membership in the chordal eps-neighborhood of the closed region.
 
     A chordal ball of radius eps at a finite z has Euclidean radius about
-    eps * (1 + |z|^2) / 2, which converts the fattening locally.
+    eps * (1 + |z|^2) / 2, which converts the fattening locally.  Infinity
+    lies within chordal distance 2 / sqrt(1 + m^2) of a closure of largest
+    modulus m, so an unbounded region (m = inf) always reaches it.
     """
-    out = np.zeros(z.shape, dtype=bool)
-    fin = ~inf
-    if np.any(fin):
-        zf = z[fin]
-        dist = _euclid_distance_to_closure(U, zf)
-        out[fin] = dist <= eps * (1.0 + np.abs(zf) ** 2) / 2.0
-    if np.any(inf):
-        if isinstance(U, ComplementDisc):
-            near = True
-        else:
-            m = _max_modulus_of_closure(U)
-            near = 2.0 / math.sqrt(1.0 + m * m) <= eps
-        out[inf] = near
+    m = U.max_modulus()
+    out = np.full(z.shape, 2.0 / math.sqrt(1.0 + m * m) <= eps)
+    zf = z[~inf]
+    out[~inf] = U.distance(zf) <= eps * (1.0 + np.abs(zf) ** 2) / 2.0
     return out
 
 
 # ---------------------------------------------------------------------------
 # open set condition
-
-
-def _bounding_box(U):
-    if isinstance(U, Disc):
-        c, r = U.center, U.r
-    elif isinstance(U, Annulus):
-        c, r = U.center, U.r2
-    elif isinstance(U, ComplementDisc):
-        c, r = U.center, U.r
-    elif isinstance(U, Triangle):
-        res = [v.real for v in U.vertices]
-        ims = [v.imag for v in U.vertices]
-        return min(res), max(res), min(ims), max(ims)
-    else:
-        raise TypeError(f"not a region: {U!r}")
-    return c.real - r, c.real + r, c.imag - r, c.imag + r
 
 
 def _lattice(x0, x1, y0, y1, n):
@@ -192,29 +191,24 @@ def _enlarged(x0, x1, y0, y1, factor):
 
 
 def _sample_points(U, grid_n: int, enlarge: float):
-    """Grid over the enlarged bounding box; ComplementDisc adds a 1/z-chart
-    grid and the point at infinity itself."""
-    x0, x1, y0, y1 = _enlarged(*_bounding_box(U), enlarge)
+    """Grid over the enlarged bounding box; a region holding infinity (a
+    ComplementDisc) adds a 1/z-chart grid and the point at infinity itself."""
+    x0, x1, y0, y1 = _enlarged(*U.bounding_box(), enlarge)
     z = _lattice(x0, x1, y0, y1, grid_n)
     spacing = max(x1 - x0, y1 - y0) / grid_n
-    inf = np.zeros(z.shape, dtype=bool)
-    if isinstance(U, ComplementDisc):
+    if U.holds_infinity:
         h = enlarge / U.r
         w = _lattice(-h, h, -h, h, grid_n)
         w = w[np.abs(w) > 1e-12]
         z = np.concatenate([z, 1.0 / w, [0.0]])
-        inf = np.zeros(z.shape, dtype=bool)
-        inf[-1] = True
+    inf = np.zeros(z.shape, dtype=bool)
+    inf[-1] = U.holds_infinity
     return z, inf, spacing
 
 
 def _contains_many(U, z: np.ndarray, inf: np.ndarray) -> np.ndarray:
-    out = np.zeros(z.shape, dtype=bool)
-    fin = ~inf
-    if np.any(fin):
-        out[fin] = _contains_finite_many(U, z[fin])
-    if np.any(inf):
-        out[inf] = isinstance(U, ComplementDisc)
+    out = np.full(z.shape, U.holds_infinity)
+    out[~inf] = U.interior(z[~inf])
     return out
 
 
@@ -252,25 +246,17 @@ def osc_check(
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
     z, inf, spacing = _sample_points(U, grid_n, enlarge)
-    in_u = _contains_many(U, z, inf)
-    # per generator: f(x) in U for the nesting test, and the membership the
-    # overlap test uses, fattened by epsilon in the separating variant
-    strict, fat = [], []
+    outside = ~_contains_many(U, z, inf)
+    # nesting: some f(x) in U with x outside U; overlap: at least two
+    # generators hit, fattened by epsilon in the separating variant
+    mask_a = np.zeros(z.shape, dtype=bool)
+    hits = np.zeros(z.shape, dtype=int)
     for f in mm.generators:
         img, img_inf = f.eval_many(z, inf)
-        strict.append(_contains_many(U, img, img_inf))
-        if variant == "separating":
-            fat.append(_fattened_contains_many(U, img, img_inf, epsilon))
-    if variant == "plain":
-        fat = strict
-
-    mask_a = np.zeros(z.shape, dtype=bool)
-    for h in strict:
-        mask_a |= h & ~in_u
-    mask_b = np.zeros(z.shape, dtype=bool)
-    for i in range(len(fat)):
-        for j in range(i + 1, len(fat)):
-            mask_b |= fat[i] & fat[j]
+        strict = _contains_many(U, img, img_inf)
+        mask_a |= strict & outside
+        hits += _fattened_contains_many(U, img, img_inf, epsilon) if variant == "separating" else strict
+    mask_b = hits >= 2
 
     witnesses = []
     if np.any(mask_a):

@@ -95,17 +95,19 @@ class SpectrumDiagnostics:
 
 
 class PreimageTree:
-    """Lazily extended backward tree, shared across t, from a basepoint; or,
-    given lists of same-signature MultiMaps and basepoints, of a block of B
-    systems.  Level n holds logd as (B, N), one row per system, and
-    min_step_norm per system; logw once, since capped picks depend only on
-    counts and the seed.  No level keeps words, and only the deepest keeps
+    """Lazily extended backward tree, shared across t, from a basepoint (by
+    default the system's repelling seed); or, given lists of same-signature
+    MultiMaps and basepoints, of a block of B systems.  Level n holds logd
+    as (B, N), one row per system, and min_step_norm per system; logw once,
+    since capped picks depend only on counts and the seed.  No level keeps words, and only the deepest keeps
     its points z and inf, which the next extension reads."""
 
-    def __init__(self, mm, basepoint, cap: int = DEFAULT_CAP, rng_seed: int = 0):
+    def __init__(self, mm, basepoint=None, cap: int = DEFAULT_CAP, rng_seed: int = 0):
         block = isinstance(mm, (list, tuple))
         self.mm = stack_block(mm) if block else mm
-        self.basepoints = [SpherePoint.of(p) for p in (basepoint if block else [basepoint])]
+        if not block:
+            basepoint = [repelling_seed(mm)[0] if basepoint is None else basepoint]
+        self.basepoints = [SpherePoint.of(p) for p in basepoint]
         self.cap = int(cap)
         self.rng_seed = int(rng_seed)
         z, inf = (np.concatenate(a)[:, None] for a in zip(*map(_point_arrays, self.basepoints)))
@@ -204,10 +206,6 @@ def _estimate_on_tree(tree: PreimageTree, t, depth: int, rtol: float) -> list:
     return out
 
 
-def _default_basepoint(mm: MultiMap, z):
-    return repelling_seed(mm)[0] if z is None else SpherePoint.of(z)
-
-
 def pressure(mm: MultiMap, t: float, z=None, n: int = DEFAULT_TREE_DEPTH, cap: int = DEFAULT_CAP,
              rng_seed: int = 0, rtol: float = 1e-6) -> PressureEstimate:
     """Topological pressure estimate at t from a depth-n preimage tree.
@@ -221,7 +219,7 @@ def pressure(mm: MultiMap, t: float, z=None, n: int = DEFAULT_TREE_DEPTH, cap: i
 def pressure_curve(mm: MultiMap, t_values, z=None, n: int = DEFAULT_TREE_DEPTH,
                    cap: int = DEFAULT_CAP, rng_seed: int = 0, rtol: float = 1e-6) -> list:
     """Pressure estimates over a grid of t values, sharing one preimage tree."""
-    tree = PreimageTree(mm, _default_basepoint(mm, z), cap=cap, rng_seed=rng_seed)
+    tree = PreimageTree(mm, z, cap=cap, rng_seed=rng_seed)
     return [_estimate_on_tree(tree, [t], n, rtol)[0] for t in t_values]
 
 
@@ -354,7 +352,7 @@ def lyapunov_and_entropy(mm: MultiMap, t: float, n: int = DEFAULT_TREE_DEPTH, z=
     if n < 2:  # as _estimate_on_tree, before check_critical reads levels 1..n
         raise ValueError("pressure estimation needs depth >= 2")
     if tree is None:
-        tree = PreimageTree(mm, _default_basepoint(mm, z), cap=cap, rng_seed=rng_seed)
+        tree = PreimageTree(mm, z, cap=cap, rng_seed=rng_seed)
     tree.check_critical(n)
     est = _estimate_on_tree(tree, [t], n, -1.0)[0]
     return SpectrumDiagnostics(t=float(t), lyapunov=-est.slope, entropy=est.value - t * est.slope,

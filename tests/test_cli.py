@@ -1,5 +1,6 @@
 """Config parsing and CLI subcommand tests (in-process via main())."""
 import ast
+import errno
 import json
 import math
 import os
@@ -517,6 +518,28 @@ def test_cli_osc_pass_and_fail(tmp_path, capsys):
     assert "witness" in out
 
 
+@pytest.mark.parametrize("gens,region,osc,verdict,code", [
+    # 3z -+ 2 pull the unit disc onto two disjoint discs of radius 1/3 inside it
+    ([gen_poly([-2, 3]), gen_poly([2, 3])],
+     {"kind": "disc", "center": [0.0, 0.0], "r": 1.0}, {"grid_n": 64}, "pass", 0),
+    ([Z3, gen_poly([0, 0, 0, 0.125])],
+     {"kind": "annulus", "center": [0.0, 0.0], "r1": 0.99, "r2": 2.85},
+     {"grid_n": 64, "variant": "separating"}, "pass", 0),
+    # z^2 and z^2/2 both keep |z| > sqrt(2) and infinity outside the unit disc
+    ([Z2, gen_poly([0, 0, 0.5])],
+     {"kind": "complement-disc", "center": [0.0, 0.0], "r": 1.0}, {"grid_n": 64}, "fail", 6),
+    ([{"num": [[-p.real, -p.imag], [2.0, 0.0]]} for p in oracles.TRIANGLE_RAW],
+     {"kind": "triangle", "vertices": [[p.real, p.imag] for p in oracles.TRIANGLE_RAW]},
+     {"grid_n": 64}, "pass", 0),
+], ids=["disc", "annulus", "complement-disc", "triangle"])
+def test_cli_osc_on_each_region_kind(tmp_path, capsys, gens, region, osc, verdict, code):
+    path = write_cfg(tmp_path, {"multimap": {"generators": gens}, "region": region, "osc": osc})
+    assert main(["osc", "--config", path]) == code
+    first = capsys.readouterr().out.splitlines()[0]
+    variant = osc.get("variant", "plain")
+    assert first.startswith(f"osc {verdict} (variant {variant}, grid 64, spacing "), first
+
+
 def test_cli_julia_render(tmp_path, capsys):
     path = write_cfg(tmp_path, {
         "family": family_scaled_square(lam=complex(0.5, 0)),
@@ -668,6 +691,36 @@ def test_cli_unwritable_out_is_a_config_error_and_leaves_no_temp_file(tmp_path, 
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: cannot write {out}: "), err
     assert not list(tmp_path.rglob("*.tmp.*"))
+
+
+def test_cli_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("the command ran before its output was checked")
+
+    for name in ("julia_backward_cloud", "sweep_delta", "PreimageTree", "bowen_parameter"):
+        monkeypatch.setattr(cli, name, work)
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    missing = tmp_path / "missing" / "x.out"
+    gens = {"multimap": {"generators": [Z2, Z3]}}
+    sweep = {"family": family_scaled_square(),
+             "grid": {"re_min": 0.4, "re_max": 0.5, "re_n": 2, "im_min": 0.0, "im_max": 0.0,
+                      "im_n": 1}}
+    runs = [
+        ("julia", {**gens, "render": {"out": str(taken)}}, [], taken),
+        ("julia", gens, ["--out", str(missing)], missing),
+        ("sweep", {**sweep, "sweep": {"out": str(missing)}}, [], missing),
+        ("sweep", sweep, ["--out", str(taken)], taken),
+        ("lyap", gens, ["--out", str(missing)], missing),
+        ("poincare", gens, ["--out", str(taken)], taken),
+        ("bowen", gens, ["--out", str(missing)], missing),
+    ]
+    for cmd, data, flags, out in runs:
+        assert main([cmd, "--config", write_cfg(tmp_path, data), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason = os.strerror(errno.EISDIR if out == taken else errno.ENOENT)
+        assert captured.err.splitlines() == [f"config error: cannot write {out}: {reason}"]
 
 
 def test_cli_boxdim_circle(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratsemi.dynamics import MultiMap, julia_backward_cloud
 from ratsemi.errors import InsufficientPoints
@@ -12,7 +13,9 @@ from ratsemi.geometry import (
     ComplementDisc,
     Disc,
     Triangle,
+    _contains_many,
     _fattened_contains_many,
+    _sample_points,
     box_dimension,
     osc_check,
     region_contains,
@@ -111,8 +114,67 @@ def test_fattened_membership_converts_chordal_to_local_euclidean():
     assert _fattened_contains_many(ComplementDisc(0.0, 1.0), zi, ii, eps)[0]
 
 
+_coord = st.floats(-4.0, 4.0, allow_nan=False)
+_centers = st.builds(complex, _coord, _coord)
+_radii = st.floats(0.01, 4.0)
+_REGION_KINDS = {
+    "disc": st.builds(Disc, _centers, _radii),
+    "annulus": st.builds(lambda c, r, w: Annulus(c, r, r + w), _centers, _radii, _radii),
+    "complement-disc": st.builds(ComplementDisc, _centers, _radii),
+    "triangle": st.tuples(_centers, _centers, _centers).filter(
+        lambda v: abs(((v[1] - v[0]).conjugate() * (v[2] - v[0])).imag) > 1e-3,
+    ).map(lambda v: Triangle(*v)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_REGION_KINDS))
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_region_answers_agree_on_finite_points(kind, data):
+    U = data.draw(_REGION_KINDS[kind])
+    z = np.array(data.draw(st.lists(_centers, min_size=1, max_size=64)))
+    x0, x1, y0, y1 = U.bounding_box()
+    slack = 1e-9 * (1.0 + max(abs(x0), abs(x1), abs(y0), abs(y1)))  # float rounding only
+    inside = U.interior(z)
+    assert np.all(U.distance(z)[inside] == 0.0)
+    # the box holds the boundary, so off the box only an unbounded region holds points
+    off_box = ((z.real < x0 - slack) | (z.real > x1 + slack)
+               | (z.imag < y0 - slack) | (z.imag > y1 + slack))
+    assert np.all(inside[off_box] == U.holds_infinity)
+    assert np.all(np.abs(z[inside]) <= U.max_modulus() + slack)
+    assert U.holds_infinity == math.isinf(U.max_modulus())
+
+
 # ---------------------------------------------------------------------------
 # open set condition
+
+
+@pytest.mark.parametrize("U", [Disc(0.0, 1.0), ComplementDisc(0.0, 1.0)])
+@pytest.mark.parametrize("variant", ["plain", "separating"])
+def test_osc_overlap_matches_pairwise_reference_on_three_generators(U, variant):
+    # f_j(z) = 1.5 z - 0.5 p_j pulls the unit disc onto discs of radius 2/3 around p_j / 3,
+    # which overlap pairwise and all three near 0
+    mm = MultiMap([polynomial_map([-0.5 * np.exp(2j * np.pi * k / 3), 1.5]) for k in range(3)])
+    eps = 0.01
+    rep = osc_check(mm, U, grid_n=64, variant=variant, epsilon=eps)
+    z, inf, _ = _sample_points(U, 64, 1.5)
+    masks = []
+    for f in mm.generators:
+        img, img_inf = f.eval_many(z, inf)
+        if variant == "separating":
+            masks.append(_fattened_contains_many(U, img, img_inf, eps))
+        else:
+            masks.append(_contains_many(U, img, img_inf))
+    overlap = np.zeros(z.shape, dtype=bool)
+    for i in range(3):
+        for j in range(i + 1, 3):
+            overlap |= masks[i] & masks[j]
+    assert rep.metrics["violations_overlap"] == int(overlap.sum()) > 0
+    k = min(np.flatnonzero(overlap),
+            key=lambda k: (math.inf, 0.0) if inf[k] else (z[k].real, z[k].imag))
+    pt, detail = rep.witnesses[-1]
+    assert "not disjoint" in detail
+    assert not pt.is_infinite and pt.value == z[k]
 
 
 def test_osc_passes_for_cubic_pair_on_annulus():

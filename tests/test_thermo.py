@@ -418,3 +418,11 @@ def test_preimage_tree_is_shared_and_lazy():
     tree.extend(5)
     assert tree.depth == 5
     assert tree.log_level_sum(0.0, 3) == s3
+
+
+def test_preimage_tree_defaults_to_the_repelling_seed():
+    mm = power_mm((2, 1.0), (2, 0.5))
+    default = PreimageTree(mm, cap=1000, rng_seed=4)
+    seeded = PreimageTree(mm, repelling_seed(mm)[0], cap=1000, rng_seed=4)
+    assert default.basepoints == seeded.basepoints
+    assert default.log_level_sum(1.0, 4) == seeded.log_level_sum(1.0, 4)
