@@ -69,57 +69,3 @@ from .thermo import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "INF",
-    "Annulus",
-    "AnnulusDomain",
-    "BoxCountResult",
-    "BowenResult",
-    "ComplementDisc",
-    "ConfigError",
-    "CriticalPreimage",
-    "Disc",
-    "FamilySpec",
-    "GridSpec",
-    "HyperbolicityUnverified",
-    "InsufficientPoints",
-    "InvalidInstance",
-    "MultiMap",
-    "NoRepellingSeed",
-    "NoSignChange",
-    "NonConvergence",
-    "PointCloud",
-    "PreimageTree",
-    "PressureEstimate",
-    "RatsemiError",
-    "RationalMap",
-    "RectDomain",
-    "SpectrumDiagnostics",
-    "SpherePoint",
-    "SweepRow",
-    "SweepTable",
-    "ThermoConfig",
-    "Triangle",
-    "VerificationReport",
-    "annulus_family",
-    "bowen_parameter",
-    "box_dimension",
-    "check_hyperbolic",
-    "chordal_distance",
-    "instantiate",
-    "julia_backward_cloud",
-    "lyapunov_and_entropy",
-    "osc_check",
-    "polynomial_map",
-    "postcritical_cloud",
-    "power_pair_family",
-    "pressure",
-    "pressure_curve",
-    "region_contains",
-    "repelling_seed",
-    "similarity_family",
-    "smoothness_diagnostic",
-    "submean_diagnostic",
-    "sweep_delta",
-]

@@ -8,7 +8,7 @@ y' under generator j satisfies f_j(y) = y' and has the word (j,) + word'.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -254,7 +254,8 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
 
 @dataclass
 class PointCloud:
-    """Levelled orbit cloud with its generation metadata."""
+    """Levelled orbit cloud.  meta holds the seed_point and seed_generator
+    (1-based) of a backward cloud, and is empty for a forward one."""
 
     levels: list
     meta: dict
@@ -301,11 +302,6 @@ def repelling_seed(mm: MultiMap):
     )
 
 
-def _cloud_meta(mm: MultiMap, kind: str, seed_point, depth, cap, rng_seed, **extra) -> dict:
-    return {"kind": kind, "seed_point": seed_point, **extra, "depth": depth, "cap": cap,
-            "rng_seed": rng_seed, "num_generators": mm.num_generators, "degrees": mm.degrees}
-
-
 def _check_budget(depth: int, cap: int) -> None:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -331,8 +327,7 @@ def julia_backward_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DE
     levels = [CloudLevel(*_point_arrays(seed_pt))]
     for n in range(1, depth + 1):
         levels.append(_expand_backward(mm, levels[-1], cap, rng_seed, n))
-    meta = _cloud_meta(mm, "backward", seed_pt, depth, cap, rng_seed, seed_generator=seed_sym)
-    return PointCloud(levels, meta)
+    return PointCloud(levels, {"seed_point": seed_pt, "seed_generator": seed_sym})
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +375,7 @@ def postcritical_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFA
         idx = idx[_subsample_level(key[idx] // w + 1, cap, seed, n)]
         levels.append(CloudLevel(z[idx], inf[idx]))
         word = np.unique(key[idx], return_inverse=True)[1]  # ranks again, or keys grow like s^n
-    return PointCloud(levels, _cloud_meta(mm, "forward", None, depth, cap, rng_seed))
+    return PointCloud(levels, {})
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +384,15 @@ def postcritical_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFA
 
 @dataclass
 class VerificationReport:
-    """Sampled check outcome: pass / fail / inconclusive plus evidence."""
+    """Sampled check outcome.  verdict is pass, fail or inconclusive;
+    witnesses are (point, detail) pairs; margin is the separation asked for
+    (check_hyperbolic) or the lattice spacing (osc_check); metrics hold the
+    counts and distances the check measured."""
 
     verdict: str
     witnesses: list
     margin: float
-    parameters: dict
-    metrics: dict = field(default_factory=dict)
+    metrics: dict
 
     @property
     def passed(self) -> bool:
@@ -438,10 +435,9 @@ def check_hyperbolic(mm: MultiMap, depth: int = 8, margin: float = 0.05, cap: in
     """
     if not margin > 0.0:
         raise ValueError(f"margin must be positive, got {margin!r}")
-    params = {"depth": depth, "margin": margin, "cap": cap, "rng_seed": rng_seed}
     post = postcritical_cloud(mm, depth=depth, cap=cap, rng_seed=rng_seed)
     if post.size == 0:
-        return VerificationReport("pass", [], margin, params,
+        return VerificationReport("pass", [], margin,
                                   {"min_distance": math.inf, "postcritical_size": 0})
     cloud = julia_backward_cloud(mm, depth=depth, cap=cap, rng_seed=rng_seed)
     jz, jinf, _ = cloud.flat_arrays()
@@ -451,9 +447,9 @@ def check_hyperbolic(mm: MultiMap, depth: int = 8, margin: float = 0.05, cap: in
     j_pt = _array_point(jz[i], jinf[i])
     metrics = {"min_distance": min_dist, "postcritical_size": post.size, "julia_size": cloud.size}
     if min_dist >= margin:
-        return VerificationReport("pass", [], margin, params, metrics)
+        return VerificationReport("pass", [], margin, metrics)
     witness = [(p_pt, f"postcritical point at chordal distance {min_dist:.6g} from "
                       f"backward-orbit point {_fmt_point(j_pt)}")]
     verdict = "fail" if min_dist < margin / 2.0 else "inconclusive"
-    return VerificationReport(verdict, witness, margin, params, metrics)
+    return VerificationReport(verdict, witness, margin, metrics)
 

@@ -171,7 +171,6 @@ class SweepRow:
 class SweepTable:
     rows: list
     grid: GridSpec
-    config: ThermoConfig
 
     @property
     def shape(self):
@@ -240,7 +239,7 @@ def sweep_delta(fam: FamilySpec, grid: GridSpec, config: ThermoConfig | None = N
         block.append((len(rows) - 1, mm, seed))
     if block:
         flush()
-    return SweepTable(rows, grid, cfg)
+    return SweepTable(rows, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +248,6 @@ def sweep_delta(fam: FamilySpec, grid: GridSpec, config: ThermoConfig | None = N
 
 @dataclass
 class SubmeanReport:
-    radius: int
     tol_sub: float
     centers_checked: int
     worst_violation: float
@@ -298,19 +296,16 @@ def submean_diagnostic(table: SweepTable, radius: int = 1) -> SubmeanReport:
             if v > tol_sub or vi > tol_sub:
                 flagged.append((lam, max(v, vi)))
     verdict = "inconclusive" if checked == 0 else "fail" if flagged else "pass"
-    return SubmeanReport(k, tol_sub, checked, worst, worst_at, worst_inv,
+    return SubmeanReport(tol_sub, checked, worst, worst_at, worst_inv,
                          worst_inv_at, flagged, verdict)
 
 
 @dataclass
 class SmoothnessReport:
-    line: tuple
-    fit_degree: int
     points_used: int
     max_residual: float
     error_scale: float
     residual_ratio: float
-    coefficients: np.ndarray
     min_psh_indicator: float | None
     psh_noise: float | None
     psh_argmin: complex | None
@@ -362,10 +357,7 @@ def smoothness_diagnostic(table: SweepTable, line, fit_degree: int = 4) -> Smoot
                 + abs(lap[k]) * e
                 + 4 * (abs(gx[k]) / hx + abs(gy[k]) / hy) * e
             )
-    return SmoothnessReport(
-        (axis, idx), fit_degree, int(s.size), max_resid, scale,
-        max_resid / scale, coeffs, min_q, noise, argmin,
-    )
+    return SmoothnessReport(int(s.size), max_resid, scale, max_resid / scale, min_q, noise, argmin)
 
 
 # ---------------------------------------------------------------------------

@@ -271,20 +271,13 @@ def osc_check(
             (pt, f"two generators map this point into the {tag}region, so the "
                  "preimages are not disjoint")
         )
-    params = {
-        "grid_n": grid_n,
-        "variant": variant,
-        "epsilon": epsilon if variant == "separating" else None,
-        "enlarge": enlarge,
-        "region": U,
-    }
     metrics = {
         "samples": int(z.size),
         "violations_nesting": int(mask_a.sum()),
         "violations_overlap": int(mask_b.sum()),
     }
     verdict = "fail" if witnesses else "pass"
-    return VerificationReport(verdict, witnesses, float(spacing), params, metrics)
+    return VerificationReport(verdict, witnesses, float(spacing), metrics)
 
 
 # ---------------------------------------------------------------------------

@@ -139,9 +139,12 @@ class PreimageTree:
         Importance weights keep the capped sum unbiased; the derivative is
         minus the mean of logd under the weights of S_n.  Each reduction is a
         numpy sum along a row: no BLAS, so neither a point's block nor the
-        BLAS thread count changes its bits."""
+        BLAS thread count changes its bits.  Level 0 is the basepoint alone,
+        so log S_0 = 0 at every t."""
+        if n < 0:
+            raise ValueError(f"level must be nonnegative, got {n}")
         self.extend(n)
-        if np.any(t > 0):
+        if n > 0 and np.any(t > 0):
             self.check_critical(n)
         lev = self.levels[n]
         logd = lev.logd if rows.size == len(self.basepoints) else lev.logd[rows]
@@ -159,11 +162,9 @@ class PreimageTree:
             log_sum = np.where(finite, top + np.log(total), top)
             return log_sum, np.where(finite, -(a.sum(axis=1) / total), math.nan)
 
-    def log_level_sum(self, t: float, n: int, derivative: bool = False):
-        """log S_n(t) of a one-point tree; with derivative, (log S_n(t),
-        d/dt log S_n(t)).  See _log_level_sums."""
-        log_sum, slope = self._log_level_sums(np.array([float(t)]), n, np.arange(1))
-        return (float(log_sum[0]), float(slope[0])) if derivative else float(log_sum[0])
+    def log_level_sum(self, t: float, n: int) -> float:
+        """log S_n(t) of a one-point tree; see _log_level_sums."""
+        return float(self._log_level_sums(np.array([float(t)]), n, np.arange(1))[0][0])
 
     def poincare(self, t: float, N: int) -> tuple:
         """(sum of S_n(t) for n = 1..N, residual): the residual is the spread

@@ -330,7 +330,7 @@ def make_table(re_vals, im_vals, fn, err=1e-4):
         for im in grid.im_values:
             lam = complex(re, im)
             rows.append(SweepRow(lam, fn(lam), err / 3.0, 8, "ok", err))
-    return SweepTable(rows, grid, ThermoConfig())
+    return SweepTable(rows, grid)
 
 
 def test_submean_constant_table_has_zero_violation():

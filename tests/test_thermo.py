@@ -68,13 +68,14 @@ def test_level_sum_at_t_zero_counts_the_tree():
 _LEVEL_SUM_SCRIPT = """
 import sys
 sys.path.insert(0, {src!r})
+import numpy as np
 from ratsemi.dynamics import MultiMap
 from ratsemi.sphere import polynomial_map
 from ratsemi.thermo import PreimageTree
 
 mm = MultiMap([polynomial_map([0.0, 0.0, 1.0]), polynomial_map([0.0, 0.0, 0.0, 0.5 + 0.25j])])
 tree = PreimageTree(mm, 1.3 + 0.2j)
-print(tree.levels[0].size, *(float(v).hex() for v in tree.log_level_sum(1.7, 7, derivative=True)))
+print(tree.levels[0].size, *(float(v[0]).hex() for v in tree._log_level_sums(np.array([1.7]), 7, np.arange(1))))
 print(tree.levels[7].size)
 """
 
@@ -418,6 +419,20 @@ def test_preimage_tree_is_shared_and_lazy():
     tree.extend(5)
     assert tree.depth == 5
     assert tree.log_level_sum(0.0, 3) == s3
+
+
+def test_level_zero_sum_is_one_and_negative_levels_raise():
+    mm = power_mm((2, 1.0), (2, 0.5))
+    tree = PreimageTree(mm, 1.0, cap=1000, rng_seed=4)
+    for t in (0.0, 1.0, 2.5):
+        assert tree.log_level_sum(t, 0) == 0.0
+    # level 0 takes no step, so a critical basepoint does not count against it
+    assert PreimageTree(mm, 0.0).log_level_sum(1.0, 0) == 0.0
+    tree.extend(5)
+    assert tree.log_level_sum(1.0, 0) == 0.0
+    for n in (-1, -6):
+        with pytest.raises(ValueError, match="nonnegative"):
+            tree.log_level_sum(0.0, n)
 
 
 def test_preimage_tree_defaults_to_the_repelling_seed():
