@@ -102,9 +102,11 @@ def cmd_julia(cfg: RunConfig, args) -> int:
     px = np.floor((z.real - vx0) / (vx1 - vx0) * w).astype(np.int64)
     py = np.floor((vy1 - z.imag) / (vy1 - vy0) * h).astype(np.int64)
     keep = (px >= 0) & (px < w) & (py >= 0) & (py < h)
-    px, py, dep = px[keep], py[keep], depths[keep]  # level by level, so deeper levels overwrite
+    if not keep.all():  # the padded default viewport keeps every point and copies nothing
+        # level by level, so deeper levels overwrite
+        px, py, depths = px[keep], py[keep], depths[keep]
     if rn["depth_coloring"] and cloud.depth > 0:
-        f = dep / float(cloud.depth)
+        f = depths / float(cloud.depth)
         col = np.stack(
             [
                 np.round(230 * (1.0 - f)).astype(np.uint8),

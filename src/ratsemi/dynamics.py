@@ -80,33 +80,19 @@ def _derive_seed(*parts) -> int:
     return s
 
 
-def _bottom_k(seed: int, m: int, k: int) -> np.ndarray:
-    """Uniform k-subset of range(m), 1 <= k: sorted indices of the k smallest keys.
+def _jittered(seed: int, m: int, k: int) -> np.ndarray:
+    """Jittered systematic picks of k from range(m) in order, 1 <= k, m < 2^32.
 
-    Ties at the k-th key go to the lower index.  Nested in k for a fixed
-    seed, so raising the cap only adds points.
+    range(m) is cut into k slices of width m / k, and slice i draws
+    floor((i + u_i) m / k), u_i the top 32 bits of the seeded splitmix64
+    stream over 2^32.  Each index is drawn k / m times in expectation.  When
+    m / k is not an integer, neighbouring slices can both draw the index on
+    their border.  Within the cap (k >= m) every index is kept once.
     """
     if k >= m:
         return np.arange(m)
-    keys = _mix64(seed, np.arange(1, m + 1, dtype=np.uint64))
-    kth = np.partition(keys, k - 1)[k - 1]
-    keep = keys < kth
-    ties = np.flatnonzero(keys == kth)
-    keep[ties[: k - np.count_nonzero(keep)]] = True
-    return np.flatnonzero(keep)
-
-
-def _allocate_largest_remainder(counts: np.ndarray, cap: int) -> np.ndarray:
-    """Proportional allocation of cap across strata; ties go to lower index."""
-    counts = np.asarray(counts, dtype=np.int64)
-    quota = counts * (cap / counts.sum())
-    base = np.floor(quota).astype(np.int64)
-    frac = quota - base
-    rem = cap - int(base.sum())
-    order = np.argsort(-frac, kind="stable")
-    for idx in order[:rem]:
-        base[idx] += 1
-    return base
+    u = _mix64(seed, np.arange(1, k + 1, dtype=np.uint64)) >> np.uint64(32)
+    return (np.arange(k) * m + (u * np.uint64(m) >> np.uint64(32)).astype(np.int64)) // k
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +109,8 @@ class CloudLevel:
     thus grouped by composition-order word, so rows are nondecreasing in
     that word and the kept children of a parent are contiguous; rows
     sharing a word follow parent order, then root slot.  A capped backward
-    level holds only the children its subsample keeps.
+    level holds only the children its subsample keeps, in two rows a child
+    drawn twice.
 
     A level of a block of B systems (stack_block) has z, inf and logd of
     shape (B, n), one row per system, and a min_step_norm per system.
@@ -144,49 +131,26 @@ class CloudLevel:
         return int((self.z if self.logw is None else self.logw).shape[-1])
 
 
-def _stratum_picks(counts, cap: int, seed: int, tag: int, symbols) -> list:
-    """(kept indices, log weight shift) per stratum of a level over the cap.
-
-    Stratum i holds counts[i] rows whose newest symbol is symbols[i]; the cap
-    is shared by largest remainder and each stratum keeps the sorted
-    _bottom_k subset of its seeded stream, reweighted by log(n / k).  The
-    choice depends on the counts and the seed alone, never on the points.
-    """
-    alloc = _allocate_largest_remainder(counts, cap)
-    picks = []
-    for sym, n, k in zip(symbols, counts.tolist(), alloc.tolist()):
-        if k == 0:
-            picks.append((np.empty(0, dtype=np.int64), 0.0))
-        else:
-            picks.append((_bottom_k(_derive_seed(seed, tag, sym), n, k), math.log(n / k)))
-    return picks
-
-
-def _subsample_level(sym: np.ndarray, cap: int, seed: int, tag: int) -> np.ndarray:
-    """Indices of the rows a forward level keeps under the cap, in row order.
-
-    sym holds each row's newest symbol and must be nondecreasing, as it is
-    in canonical order; its runs are the strata of _stratum_picks.
-    """
-    if sym.size <= cap:
-        return np.arange(sym.size)
-    symbols, starts, counts = np.unique(sym, return_index=True, return_counts=True)
-    picks = _stratum_picks(counts, cap, seed, tag, symbols)
-    return np.concatenate([start + c for start, (c, _) in zip(starts, picks)])
+def _subsample_level(rows: np.ndarray, cap: int, seed: int, tag: int) -> np.ndarray:
+    """The rows a level keeps under the cap: the _jittered picks of seed and
+    tag over them, in their order, repeats included."""
+    return rows[_jittered(_derive_seed(seed, tag), rows.size, cap)]
 
 
 def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: int) -> CloudLevel:
     """Skew-product preimages of a level, subsampled to cap, in construction order.
 
-    Rows run over (generator j, parent row, root slot); see CloudLevel.  The
-    children of generator j form one stratum of m * d_j rows.  Over the cap,
-    the kept child indices c of each stratum are chosen first (_stratum_picks
-    with seed and tag), and roots and derivative norms are solved only for
-    them: preimages_many on the distinct parents c // d_j, slot c % d_j of
-    each.  Within the cap every child is kept.  Parents at infinity go
-    through the same calls.  A kept row adds its log step norm to its
-    parent's logd and its stratum's log(n / k) to its parent's logw.
-    min_step_norm is the smallest newest-step derivative norm of the kept rows.
+    Rows run over (generator j, parent row, root slot); see CloudLevel.  Over
+    the cap, the kept child indices are chosen first (_jittered with seed and
+    tag over all n children, so the choice depends on the counts and the seed
+    alone) and split by generator into sorted indices c, and roots and
+    derivative norms are solved only for them: preimages_many on the
+    distinct parents c // d_j, slot c % d_j of each.  A child drawn twice
+    fills two rows.  Within the cap every child is kept.  Parents
+    at infinity go through the same calls.  A kept row adds its log step
+    norm to its parent's logd, and log(n / cap) to its parent's logw when
+    capped, so level sums stay unbiased.  min_step_norm is the smallest
+    newest-step derivative norm of the kept rows.
 
     A level of a block (see stack_block) carries a leading point axis on z,
     inf and logd and a min_step_norm per point; its logw, like the picks,
@@ -200,10 +164,14 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
     lead = level.z.shape[:-1]  # () for one system, (B,) for a block
     full = level.logd is not None
     m = level.size
-    counts = np.array([m * d for d in mm.degrees], dtype=np.int64)
-    n, picks = int(counts.sum()), None
+    n, picks, shift = m * mm.total_degree, None, 0.0
     if n > cap:
-        n, picks = cap, _stratum_picks(counts, cap, seed, tag, range(1, mm.num_generators + 1))
+        starts = np.cumsum([0, *(m * d for d in mm.degrees[:-1])])
+        kept = _jittered(_derive_seed(seed, tag), n, cap)
+        picks = np.split(kept, np.searchsorted(kept, starts[1:]))
+        for c, start in zip(picks, starts):
+            c -= start  # views of kept, offset in place: a second index array costs peak memory
+        n, shift = cap, math.log(n / cap)
     # the level arrays come before the solver temporaries, which leave no heap hole under them
     z = np.empty(lead + (n,), dtype=complex)
     inf = np.empty(lead + (n,), dtype=bool)
@@ -213,7 +181,7 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
     min_norm, row = np.full(lead, math.inf), 0
     for j, f in enumerate(mm.generators, start=1):
         d = f.degree
-        c, shift = (None, 0.0) if picks is None else picks[j - 1]
+        c = None if picks is None else picks[j - 1]
         n_j = m * d if c is None else c.size  # children of generator j
         parts = max(1, math.ceil(n_j / d * math.prod(lead) / _EXPAND_ROWS))  # equal chunks
         rows = max(1, math.ceil(n_j / parts / d)) * d  # children per chunk, whole parents
@@ -350,7 +318,7 @@ def postcritical_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFA
 
     Level 0 is the deduplicated set of critical values themselves (identity
     word); level n applies every generator to level n-1, deduplicates and
-    subsamples by newest symbol.  Levels hold points only (see CloudLevel),
+    subsamples (_subsample_level).  Levels hold points only (see CloudLevel),
     in canonical order (see _dedupe).  Maps without critical points (degree
     one) contribute nothing, so the cloud may be empty.
     """
@@ -371,8 +339,7 @@ def postcritical_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFA
         w = int(word.max()) + 1
         # the image of rank r under generator j (0-based) sorts as the longer word: key j * w + r
         key = (np.arange(mm.num_generators)[:, None] * w + word).ravel()
-        idx = _dedupe(z, inf, key)
-        idx = idx[_subsample_level(key[idx] // w + 1, cap, seed, n)]
+        idx = _subsample_level(_dedupe(z, inf, key), cap, seed, n)
         levels.append(CloudLevel(z[idx], inf[idx]))
         word = np.unique(key[idx], return_inverse=True)[1]  # ranks again, or keys grow like s^n
     return PointCloud(levels, {})

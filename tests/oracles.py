@@ -304,39 +304,45 @@ class RefLevel:
         return int(self.z.shape[-1])
 
 
-def kept_rows_ref(strata, cap, seed, tag):
-    """Rows a stratified subsample by newest symbol keeps, strata found by
-    masks in any row order, in row order; and the log weight shift log(n / k)
-    of every row (0 where nothing is dropped)."""
-    from ratsemi.dynamics import _allocate_largest_remainder, _bottom_k, _derive_seed
+def _splitmix64_ref(seed, counter):
+    """Output number counter of the splitmix64 stream of seed, in Python ints."""
+    mask = (1 << 64) - 1
+    x = (seed + counter * 0x9E3779B97F4A7C15) & mask
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+    return x ^ (x >> 31)
 
-    shift = np.zeros(strata.size)
-    if strata.size <= cap:
-        return np.arange(strata.size), shift
-    parts = [(int(s), np.flatnonzero(strata == s)) for s in np.unique(strata)]
-    alloc = _allocate_largest_remainder([p.size for _, p in parts], cap)
-    kept = []
-    for (sym, pos), k in zip(parts, alloc):
-        if k == 0:
-            continue
-        sel = pos[_bottom_k(_derive_seed(seed, tag, sym), pos.size, int(k))]
-        shift[sel] = math.log(pos.size / k)
-        kept.append(sel)
-    return np.sort(np.concatenate(kept)), shift
+
+def jittered_ref(seed, m, k):
+    """Jittered systematic picks of k from range(m), one scalar at a time:
+    slice i draws floor((i + u_i) m / k) with u_i = (top 32 bits of output
+    i + 1 of the stream) / 2^32, in exact integer arithmetic.  Every index
+    once when k >= m."""
+    if k >= m:
+        return list(range(m))
+    return [((i << 32) + (_splitmix64_ref(seed, i + 1) >> 32)) * m // (k << 32) for i in range(k)]
+
+
+def kept_rows_ref(n, cap, seed, tag):
+    """Rows of an n-row level a capped subsample keeps, in row order with
+    repeats, and the log weight shift log(n / cap) of every kept row (0
+    where nothing is dropped)."""
+    from ratsemi.dynamics import _derive_seed
+
+    if n <= cap:
+        return np.arange(n), 0.0
+    return np.array(jittered_ref(_derive_seed(seed, tag), n, cap)), math.log(n / cap)
 
 
 def subsample_ref(level, cap, seed, tag, step_norm=None):
-    """kept_rows_ref on a RefLevel, strata by its words[:, -1].  Returns the
-    reduced (z, inf, words, logd, logw) columns, the kept rows reweighted
-    in logw, and the minimum step_norm of the kept rows (level.min_step_norm
-    when no step_norm is given)."""
-    idx, logw = np.arange(level.size), level.logw
-    if level.size > cap:
-        idx, shift = kept_rows_ref(level.words[:, -1], cap, seed, tag)
-        logw = logw + shift
+    """kept_rows_ref on a RefLevel.  Returns the reduced (z, inf, words,
+    logd, logw) columns, the kept rows reweighted in logw, and the minimum
+    step_norm of the kept rows (level.min_step_norm when no step_norm is
+    given)."""
+    idx, shift = kept_rows_ref(level.size, cap, seed, tag)
     min_norm = level.min_step_norm if step_norm is None else float(step_norm[idx].min())
     logd = None if level.logd is None else level.logd[idx]
-    return (level.z[idx], level.inf[idx], level.words[idx], logd, logw[idx]), min_norm
+    return (level.z[idx], level.inf[idx], level.words[idx], logd, level.logw[idx] + shift), min_norm
 
 
 def expand_then_subsample(mm, level, cap, seed, tag):
@@ -423,6 +429,6 @@ def postcritical_cloud_ref(mm, depth, cap, rng_seed=0):
             infs.append(finf)
             ws.append(np.hstack([words, np.full((z.size, 1), j, dtype=np.int8)]))
         z, inf, words = _dedupe_ref(np.concatenate(zs), np.concatenate(infs), np.vstack(ws))
-        idx, _ = kept_rows_ref(words[:, -1], cap, _derive_seed(rng_seed, 0xF0), n)
+        idx, _ = kept_rows_ref(z.size, cap, _derive_seed(rng_seed, 0xF0), n)
         levels.append((z[idx], inf[idx], words[idx]))
     return levels

@@ -9,7 +9,6 @@ from ratsemi.dynamics import (
     MultiMap,
     PointCloud,
     check_hyperbolic,
-    _bottom_k,
     _expand_backward,
     _subsample_level,
     julia_backward_cloud,
@@ -317,27 +316,21 @@ def test_julia_cloud_points_equal_the_full_chain(mm, depth, cap, seed):
         assert not cloud.levels[-1].inf.all()
 
 
-def _bottom_k_by_lexsort(seed, m, k):
-    """Reference selection: full sort by (key, index), first k, index order."""
-    if k >= m:
-        return np.arange(m)
-    keys = dynamics._mix64(seed, np.arange(1, m + 1, dtype=np.uint64))
-    return np.sort(np.lexsort((np.arange(m), keys))[:k])
-
-
-def test_bottom_k_matches_lexsort_selection(monkeypatch):
-    for seed, m in ((0, 1), (7, 50), (123456789, 997)):
-        for k in sorted({1, 2, m // 3, m - 1, m, m + 5} - {0}):
-            assert np.array_equal(_bottom_k(seed, m, k), _bottom_k_by_lexsort(seed, m, k))
-
-    # five distinct keys over many indices: every k-th key is tied
-    def tied(seed, counters):
-        return (counters.astype(np.uint64) * np.uint64(7) + np.uint64(seed)) % np.uint64(5)
-
-    monkeypatch.setattr(dynamics, "_mix64", tied)
-    for seed, m in ((0, 40), (3, 41)):
-        for k in range(1, m + 1):
-            assert np.array_equal(_bottom_k(seed, m, k), _bottom_k_by_lexsort(seed, m, k))
+def test_jittered_matches_reference_and_draws_one_pick_per_slice():
+    cases = [(0, 1, 1), (3, 5, 9), (7, 50, 50),    # k >= m: every index once
+             (1, 60, 12), (5, 1296, 6), (9, 600, 600 // 7),  # integer m / k
+             (2, 7, 3), (123456789, 997, 100), (4, 1024, 100), (8, 2**32 - 5, 1000)]
+    for seed, m, k in cases:
+        got = dynamics._jittered(seed, m, k)
+        assert got.tolist() == oracles.jittered_ref(seed, m, k), (seed, m, k)
+        if k >= m:
+            continue
+        i = np.arange(k)
+        # pick i lies in slice i, [i m / k, (i + 1) m / k)
+        assert np.all((got * k < (i + 1) * m) & ((got + 1) * k > i * m)), (seed, m, k)
+    # each index is drawn k / m times in expectation, border indices included
+    draws = sum(np.bincount(dynamics._jittered(seed, 7, 3), minlength=7) for seed in range(4000))
+    np.testing.assert_allclose(draws / 4000, 3 / 7, atol=0.03)
 
 
 def _min_step_norm_by_recompute(mm, level):
@@ -436,8 +429,10 @@ def test_capped_backward_levels_match_expand_then_subsample(maps):
     root = _seed_level(mm)
     for cap, seed in ((1, 0), (2, 5), (37, 1), (500, 2)):
         assert _check_capped_levels(mm, root, cap, seed, 6)[-1].size == cap
-    # cap 2 over three strata of 2 children leaves the third generator with k = 0
-    assert _check_capped_levels(mm, root, 2, 0, 1)[0].words[:, -1].tolist() == [1, 2]
+    # cap 2 over the six children of the root: one pick in each half
+    kept, _ = oracles.kept_rows_ref(6, 2, 0, 1)
+    assert (kept // 3).tolist() == [0, 1]
+    assert _check_capped_levels(mm, root, 2, 0, 1)[0].words[:, -1].tolist() == (kept // 2 + 1).tolist()
     # a cap equal to the level size keeps every child, then caps the next level
     assert [lev.size for lev in _check_capped_levels(mm, root, 6**3, 3, 4)] == [6, 36, 216, 216]
 
@@ -462,7 +457,7 @@ def test_capped_rational_levels_with_infinite_parents_match_expand_then_subsampl
     )
     for cap in (1, 2, 5, 13, 30, 10**6):
         _check_capped_levels(mm, parent, cap, 7, 3)
-    last = _expand_backward(mm, _expand_backward(mm, parent, 13, 7, 1), 13, 7, 2)
+    last = _expand_backward(mm, _expand_backward(mm, parent, 30, 7, 1), 30, 7, 2)
     assert last.inf.any() and not last.inf.all()
 
 
@@ -475,20 +470,20 @@ def test_capped_level_solves_only_the_parents_of_kept_children(monkeypatch):
                         lambda f, z, inf=None: solved.append(len(z)) or solve(f, z, inf))
     got = _expand_backward(mm, parent, 2000, 1, 5)
     assert got.size == 2000
-    picks = dynamics._stratum_picks(np.full(3, 2 * parent.size), 2000, 1, 5, (1, 2, 3))
-    assert solved == [np.unique(c // 2).size for c, _ in picks]
+    kept = dynamics._jittered(dynamics._derive_seed(1, 5), 6 * parent.size, 2000)
+    by_generator = np.split(kept, np.searchsorted(kept, [2 * parent.size, 4 * parent.size]))
+    assert solved == [np.unique(c // 2).size for c in by_generator]
     assert sum(solved) < 2000  # kept siblings share one solve
 
 
 def test_subsample_level_matches_reference_on_forward_levels():
     mm = MultiMap(QUADRATIC_TRIPLES[1])
     ref = oracles.postcritical_cloud_ref(mm, depth=4, cap=10**6)
-    # symbols 1 and 3 only, as deduplication can leave a level
-    gap = np.repeat([1, 3], [15, 25])
-    for sym in (*(words[:, -1] for _, _, words in ref[2:]), gap):
-        for cap in (1, 7, sym.size - 1, sym.size):
-            got = _subsample_level(sym, cap, 9, 4)
-            assert np.array_equal(got, oracles.kept_rows_ref(sym, cap, 9, 4)[0])
+    for z, _, _ in ref[2:]:
+        rows = 3 * np.arange(z.size)[::-1]  # the picks index the rows given, in their order
+        for cap in (1, 7, rows.size - 1, rows.size):
+            got = _subsample_level(rows, cap, 9, 4)
+            assert np.array_equal(got, rows[oracles.kept_rows_ref(rows.size, cap, 9, 4)[0]])
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,17 @@ def test_level_sum_subsampling_is_unbiased():
     assert abs(vals.mean() - exact) <= 2.0 * se
 
 
+def test_bowen_error_bar_covers_the_closed_form_on_capped_trees():
+    # calibration: every level from 5 on (6^5 = 7,776 children) is subsampled to 5,000,
+    # and the printed delta_error must cover 1 + log 3 / log 2 on at least 90 % of 30 seeds
+    mm = power_mm((2, 1.0), (2, 0.25), (2, 1.0 / 3.0))
+    covered = 0
+    for seed in range(30):
+        res = bowen_parameter(mm, ThermoConfig(depth=10, cap=5000, rng_seed=seed))
+        covered += abs(res.delta - oracles.DELTA_Z2_Z2_Z2) <= res.delta_error
+    assert covered >= 27
+
+
 # ---------------------------------------------------------------------------
 # pressure
 
