@@ -201,7 +201,7 @@ def cmd_poincare(cfg: RunConfig, args) -> int:
     mm = cfg.multimap()
     tcfg = cfg.thermo_config()
     N = cfg.data["poincare_N"]
-    tree = PreimageTree(mm, cfg.basepoint(), cap=tcfg.cap, rng_seed=tcfg.rng_seed)
+    tree = PreimageTree(mm, cfg.basepoint(), depth=N, cap=tcfg.cap, rng_seed=tcfg.rng_seed)
     rows = []
     for t in cfg.data["t_values"]:
         value, residual = tree.poincare(float(t), N)
@@ -213,7 +213,7 @@ def cmd_poincare(cfg: RunConfig, args) -> int:
 def cmd_lyap(cfg: RunConfig, args) -> int:
     mm = cfg.multimap()
     tcfg = cfg.thermo_config()
-    tree = PreimageTree(mm, cfg.basepoint(), cap=tcfg.cap, rng_seed=tcfg.rng_seed)
+    tree = PreimageTree(mm, cfg.basepoint(), depth=tcfg.depth, cap=tcfg.cap, rng_seed=tcfg.rng_seed)
     rows = []
     for t in cfg.data["t_values"]:
         diag = lyapunov_and_entropy(mm, float(t), n=tcfg.depth, tree=tree)

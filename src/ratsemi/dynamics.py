@@ -116,18 +116,20 @@ class CloudLevel:
     shape (B, n), one row per system, and a min_step_norm per system.
 
     A points-only level (julia_backward_cloud, postcritical_cloud) holds z
-    and inf alone: logd and logw are None and min_step_norm stays inf.
+    and inf alone: logd and logw are None and min_step_norm stays inf.  A
+    PreimageTree level holds z and inf only while it is the frontier; the
+    tree's deepest level never holds them.
     """
 
-    z: np.ndarray        # complex chart values; 0 placeholder where inf is set
-    inf: np.ndarray      # bool mask for the point at infinity
+    z: np.ndarray | None    # complex chart values; 0 placeholder where inf is set
+    inf: np.ndarray | None  # bool mask for the point at infinity
     logd: np.ndarray | None = None   # backward only: cumulative log word-derivative norm to the root
     logw: np.ndarray | None = None   # backward only: log importance weight accumulated by subsampling
     min_step_norm: float = math.inf  # smallest newest-step derivative norm (backward)
 
     @property
     def size(self) -> int:
-        # logw where it is kept: PreimageTree drops z and inf of all but its deepest level
+        # logw where it is kept: a PreimageTree level may hold no z
         return int((self.z if self.logw is None else self.logw).shape[-1])
 
 
@@ -137,7 +139,8 @@ def _subsample_level(rows: np.ndarray, cap: int, seed: int, tag: int) -> np.ndar
     return rows[_jittered(_derive_seed(seed, tag), rows.size, cap)]
 
 
-def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: int) -> CloudLevel:
+def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: int,
+                     points: bool = True) -> CloudLevel:
     """Skew-product preimages of a level, subsampled to cap, in construction order.
 
     Rows run over (generator j, parent row, root slot); see CloudLevel.  Over
@@ -159,7 +162,9 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
 
     A points-only parent (logd None, see CloudLevel) gives a points-only
     level: the same picks, solves and z, inf bit for bit, without derivative
-    norms, logd or logw.
+    norms, logd or logw.  points False, for a tree's deepest level, which
+    nothing expands, allocates no z or inf (both None): each chunk's roots
+    give its derivative norms and are dropped.
     """
     lead = level.z.shape[:-1]  # () for one system, (B,) for a block
     full = level.logd is not None
@@ -173,8 +178,7 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
             c -= start  # views of kept, offset in place: a second index array costs peak memory
         n, shift = cap, math.log(n / cap)
     # the level arrays come before the solver temporaries, which leave no heap hole under them
-    z = np.empty(lead + (n,), dtype=complex)
-    inf = np.empty(lead + (n,), dtype=bool)
+    z, inf = (np.empty(lead + (n,), dtype=t) if points else None for t in (complex, bool))
     if full:
         logd = np.empty(lead + (n,))
         logw = np.empty(n)
@@ -203,7 +207,8 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
 
             block = slice(row, row + zj.shape[-1])
             row = block.stop
-            z[..., block], inf[..., block] = zj, infj
+            if points:
+                z[..., block], inf[..., block] = zj, infj
             if not full:
                 continue
 

@@ -27,9 +27,10 @@ from .thermo import (
     bowen_parameter,  # noqa: F401  unused here; perfbench/spans.py patches this name
 )
 
-# deepest-level tree nodes of one sweep block, all its points together: three
-# similarity points (depth 9, 19,683 nodes each); four add about 1.5 MiB of peak RSS
-_BLOCK_NODES = 60_000
+# deepest-level tree nodes of one sweep block, all its points together: six
+# similarity points (depth 9, 19,683 nodes each).  The deepest level keeps no
+# points; the similarity sweep peaks at 35.2 MiB RSS, 0.8 MiB above blocks of three
+_BLOCK_NODES = 120_000
 
 
 def _as_poly(c) -> LambdaPoly:
@@ -194,7 +195,8 @@ def _solve_block(mms, seeds, cfg: ThermoConfig) -> list:
     """The BowenResult (gate None) or own RatsemiError of each prepared point,
     searched in lockstep on one tree; if the shared tree raises, in blocks of one."""
     try:
-        return _bowen_search(PreimageTree(mms, seeds, cap=cfg.cap, rng_seed=cfg.rng_seed), cfg)
+        return _bowen_search(PreimageTree(mms, seeds, depth=cfg.depth, cap=cfg.cap,
+                                         rng_seed=cfg.rng_seed), cfg)
     except RatsemiError as e:
         if len(mms) == 1:
             return [e]

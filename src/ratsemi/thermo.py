@@ -97,36 +97,40 @@ class SpectrumDiagnostics:
 class PreimageTree:
     """Lazily extended backward tree, shared across t, from a basepoint (by
     default the system's repelling seed); or, given lists of same-signature
-    MultiMaps and basepoints, of a block of B systems.  Level n holds logd
-    as (B, N), one row per system, and min_step_norm per system; logw once,
-    since capped picks depend only on counts and the seed.  No level keeps words, and only the deepest keeps
-    its points z and inf, which the next extension reads."""
+    MultiMaps and basepoints, of a block of B systems.  depth is the deepest
+    level a caller may read.  Level n holds logd as (B, N), one row per
+    system, and min_step_norm per system; logw once, since capped picks
+    depend only on counts and the seed.  No level keeps words.  Only the
+    frontier keeps its points z and inf, which the next extension reads;
+    level depth is built without them."""
 
-    def __init__(self, mm, basepoint=None, cap: int = DEFAULT_CAP, rng_seed: int = 0):
+    def __init__(self, mm, basepoint=None, *, depth: int, cap: int = DEFAULT_CAP, rng_seed: int = 0):
         block = isinstance(mm, (list, tuple))
         self.mm = stack_block(mm) if block else mm
         if not block:
             basepoint = [repelling_seed(mm)[0] if basepoint is None else basepoint]
         self.basepoints = [SpherePoint.of(p) for p in basepoint]
+        self.depth = int(depth)
         self.cap = int(cap)
         self.rng_seed = int(rng_seed)
         z, inf = (np.concatenate(a)[:, None] for a in zip(*map(_point_arrays, self.basepoints)))
         self.levels = [_root_level(z, inf)]
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
+        self._min_norms = [np.full(len(self.basepoints), math.inf)]  # entry n: per system, levels 1..n
 
     def extend(self, n: int) -> None:
-        while self.depth < n:
-            last = self.levels[-1]
-            self.levels.append(_expand_backward(self.mm, last, self.cap, self.rng_seed, self.depth + 1))
+        if n > self.depth:
+            raise ValueError(f"level {n} is past the tree's depth {self.depth}")
+        while len(self.levels) <= n:
+            last, k = self.levels[-1], len(self.levels)
+            lev = _expand_backward(self.mm, last, self.cap, self.rng_seed, k, points=k < self.depth)
+            self.levels.append(lev)
+            self._min_norms.append(np.minimum(self._min_norms[-1], lev.min_step_norm))
             last.z = last.inf = None
 
     def check_critical(self, n: int) -> None:
         """Raise CriticalPreimage if a step derivative norm within depth n vanishes."""
         self.extend(n)
-        norms = np.min([lev.min_step_norm for lev in self.levels[1 : n + 1]], axis=0)
+        norms = self._min_norms[n]
         b = int(np.argmin(norms))
         if norms[b] < _CRIT_NORM:
             raise CriticalPreimage(
@@ -220,7 +224,7 @@ def pressure(mm: MultiMap, t: float, z=None, n: int = DEFAULT_TREE_DEPTH, cap: i
 def pressure_curve(mm: MultiMap, t_values, z=None, n: int = DEFAULT_TREE_DEPTH,
                    cap: int = DEFAULT_CAP, rng_seed: int = 0, rtol: float = 1e-6) -> list:
     """Pressure estimates over a grid of t values, sharing one preimage tree."""
-    tree = PreimageTree(mm, z, cap=cap, rng_seed=rng_seed)
+    tree = PreimageTree(mm, z, depth=n, cap=cap, rng_seed=rng_seed)
     return [_estimate_on_tree(tree, [t], n, rtol)[0] for t in t_values]
 
 
@@ -332,8 +336,8 @@ def bowen_parameter(mm: MultiMap, config: ThermoConfig = None, **overrides) -> B
     """
     config = replace(config or ThermoConfig(), **overrides)
     gate, seed_pt = _prepare(mm, config)
-    (res,) = _bowen_search(PreimageTree(mm, seed_pt, cap=config.cap, rng_seed=config.rng_seed),
-                           config)
+    tree = PreimageTree(mm, seed_pt, depth=config.depth, cap=config.cap, rng_seed=config.rng_seed)
+    (res,) = _bowen_search(tree, config)
     if isinstance(res, RatsemiError):
         raise res
     return replace(res, gate=gate)
@@ -353,7 +357,7 @@ def lyapunov_and_entropy(mm: MultiMap, t: float, n: int = DEFAULT_TREE_DEPTH, z=
     if n < 2:  # as _estimate_on_tree, before check_critical reads levels 1..n
         raise ValueError("pressure estimation needs depth >= 2")
     if tree is None:
-        tree = PreimageTree(mm, z, cap=cap, rng_seed=rng_seed)
+        tree = PreimageTree(mm, z, depth=n, cap=cap, rng_seed=rng_seed)
     tree.check_critical(n)
     est = _estimate_on_tree(tree, [t], n, -1.0)[0]
     return SpectrumDiagnostics(t=float(t), lyapunov=-est.slope, entropy=est.value - t * est.slope,

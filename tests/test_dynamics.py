@@ -554,7 +554,7 @@ def test_postcritical_reference_entries_are_word_images_of_critical_values(mm):
 
 def test_backward_levels_keep_no_words_and_forward_levels_no_logd():
     mm = annulus_mm(0.5)
-    tree = PreimageTree(mm, repelling_seed(mm)[0], cap=100, rng_seed=1)
+    tree = PreimageTree(mm, repelling_seed(mm)[0], depth=5, cap=100, rng_seed=1)
     tree.extend(5)  # levels 4 and 5 are capped
     for lev in (*tree.levels, *full_backward_cloud(mm, 5, 100, 1).levels):
         assert getattr(lev, "words", None) is None and lev.logd is not None

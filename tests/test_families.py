@@ -1,12 +1,15 @@
 """Family tests: instantiation, sweeps, sub-mean and smoothness diagnostics."""
 import math
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial as LambdaPoly
 
-from ratsemi import errors, families, sphere
+from ratsemi import errors, families, sphere, thermo
+from ratsemi.config import parse_file
 from ratsemi.errors import InsufficientPoints, InvalidInstance
 from ratsemi.families import (
     AnnulusDomain,
@@ -275,6 +278,26 @@ def test_lockstep_sweep_equals_blocks_of_one(fam, grid, config, monkeypatch):
     assert max(sizes) > 1 and sum(sizes) == len(table.rows)
     assert all(r.status == "ok" for r in table.rows)
     assert table.rows == alone.rows
+
+
+def test_block_of_six_similarity_points_stays_within_its_memory_budget():
+    # the deepest level of a tree keeps no points, which lets _BLOCK_NODES hold six
+    # depth-9 similarity points: each costs about 500 KiB of traced peak in a
+    # block, and about 820 KiB if that level kept its z and inf
+    cfg = parse_file(str(Path(__file__).parent.parent / "demos" / "configs" / "similarity_sweep.json"))
+    fam, grid, tcfg = cfg.family_spec(), cfg.grid_spec(), cfg.thermo_config()
+    lams = list(grid.points())[-grid.im_n :][:6]  # the last grid row
+    mms = [instantiate(fam, lam) for lam in lams]
+    seeds = [thermo._prepare(mm, tcfg)[1] for mm in mms]
+    assert 6 * 3 ** tcfg.depth <= families._BLOCK_NODES < 7 * 3 ** tcfg.depth
+    tracemalloc.start()
+    try:
+        results = families._solve_block(mms, seeds, tcfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any(isinstance(r, errors.RatsemiError) for r in results)
+    assert peak / len(mms) < 600 * 1024
 
 
 def test_lockstep_sweep_keeps_each_points_own_status(monkeypatch):

@@ -48,7 +48,7 @@ def similarity_mm(lam=complex(0.3, 0.05)):
 
 def level_sum(mm, t, z, n, cap=DEFAULT_CAP, rng_seed=0):
     """S_n(t, z) from a fresh one-point tree."""
-    return math.exp(PreimageTree(mm, z, cap=cap, rng_seed=rng_seed).log_level_sum(t, n))
+    return math.exp(PreimageTree(mm, z, depth=n, cap=cap, rng_seed=rng_seed).log_level_sum(t, n))
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +74,7 @@ from ratsemi.sphere import polynomial_map
 from ratsemi.thermo import PreimageTree
 
 mm = MultiMap([polynomial_map([0.0, 0.0, 1.0]), polynomial_map([0.0, 0.0, 0.0, 0.5 + 0.25j])])
-tree = PreimageTree(mm, 1.3 + 0.2j)
+tree = PreimageTree(mm, 1.3 + 0.2j, depth=7)
 print(tree.levels[0].size, *(float(v[0]).hex() for v in tree._log_level_sums(np.array([1.7]), 7, np.arange(1))))
 print(tree.levels[7].size)
 """
@@ -310,7 +310,7 @@ def test_pressure_slope_matches_central_difference():
         (similarity_mm(), 0.9, DEFAULT_CAP, 8),        # 3^8 nodes: uncapped
     ]
     for mm, t, cap, depth in cases:
-        tree = PreimageTree(mm, repelling_seed(mm)[0], cap=cap, rng_seed=3)
+        tree = PreimageTree(mm, repelling_seed(mm)[0], depth=depth, cap=cap, rng_seed=3)
         (est,) = thermo._estimate_on_tree(tree, [t], depth, -1.0)
         (up,) = thermo._estimate_on_tree(tree, [t + h], depth, -1.0)
         (down,) = thermo._estimate_on_tree(tree, [t - h], depth, -1.0)
@@ -381,13 +381,13 @@ def test_bowen_accepts_config_and_overrides():
 
 
 def test_poincare_partial_of_square_decays():
-    val = PreimageTree(power_mm((2, 1.0)), 1.0).poincare(2.0, 4)[0]
+    val = PreimageTree(power_mm((2, 1.0)), 1.0, depth=4).poincare(2.0, 4)[0]
     assert val == pytest.approx(sum(2.0**-n for n in range(1, 5)), rel=1e-10)
 
 
 def test_poincare_partial_across_the_critical_exponent():
     mm = power_mm((2, 1.0), (2, 1.0))
-    tree = PreimageTree(mm, 1.0)
+    tree = PreimageTree(mm, 1.0, depth=6)
     decaying = tree.poincare(3.0, 6)[0]
     assert decaying == pytest.approx(sum(2.0**-n for n in range(1, 7)), rel=1e-9)
     growing = tree.poincare(1.0, 6)[0]
@@ -423,22 +423,40 @@ def test_gasket_spectrum_near_similarity_values():
 
 def test_preimage_tree_is_shared_and_lazy():
     mm = power_mm((2, 1.0), (2, 0.5))
-    tree = PreimageTree(mm, 1.0, cap=1000, rng_seed=4)
+    tree = PreimageTree(mm, 1.0, depth=5, cap=1000, rng_seed=4)
     tree.extend(3)
-    assert tree.depth == 3
+    assert len(tree.levels) == 4
     s3 = tree.log_level_sum(0.0, 3)
     tree.extend(5)
-    assert tree.depth == 5
+    assert len(tree.levels) == 6
     assert tree.log_level_sum(0.0, 3) == s3
+
+
+def test_deepest_level_keeps_no_points_and_sums_as_a_deeper_tree():
+    # the power pair is capped from level 4 on (4^4 = 256 > 200), the similarity tree never
+    for mm, d in ((power_mm((2, 1.0), (2, 0.5)), 6), (similarity_mm(), 4)):
+        tree = PreimageTree(mm, depth=d, cap=200, rng_seed=4)
+        deeper = PreimageTree(mm, depth=d + 1, cap=200, rng_seed=4)
+        for n in range(d + 1):
+            for t in (0.0, 0.7, 1.9):
+                assert tree.log_level_sum(t, n) == deeper.log_level_sum(t, n)
+        last = tree.levels[d]
+        assert last.z is None and last.inf is None and last.size == deeper.levels[d].size
+        assert deeper.levels[d].z is not None  # the frontier of the deeper tree
+        assert np.array_equal(last.logd, deeper.levels[d].logd)
+        with pytest.raises(ValueError, match=f"depth {d}"):
+            tree.extend(d + 1)
+        with pytest.raises(ValueError, match=f"depth {d}"):
+            tree.log_level_sum(1.0, d + 1)
 
 
 def test_level_zero_sum_is_one_and_negative_levels_raise():
     mm = power_mm((2, 1.0), (2, 0.5))
-    tree = PreimageTree(mm, 1.0, cap=1000, rng_seed=4)
+    tree = PreimageTree(mm, 1.0, depth=5, cap=1000, rng_seed=4)
     for t in (0.0, 1.0, 2.5):
         assert tree.log_level_sum(t, 0) == 0.0
     # level 0 takes no step, so a critical basepoint does not count against it
-    assert PreimageTree(mm, 0.0).log_level_sum(1.0, 0) == 0.0
+    assert PreimageTree(mm, 0.0, depth=0).log_level_sum(1.0, 0) == 0.0
     tree.extend(5)
     assert tree.log_level_sum(1.0, 0) == 0.0
     for n in (-1, -6):
@@ -448,7 +466,7 @@ def test_level_zero_sum_is_one_and_negative_levels_raise():
 
 def test_preimage_tree_defaults_to_the_repelling_seed():
     mm = power_mm((2, 1.0), (2, 0.5))
-    default = PreimageTree(mm, cap=1000, rng_seed=4)
-    seeded = PreimageTree(mm, repelling_seed(mm)[0], cap=1000, rng_seed=4)
+    default = PreimageTree(mm, depth=4, cap=1000, rng_seed=4)
+    seeded = PreimageTree(mm, repelling_seed(mm)[0], depth=4, cap=1000, rng_seed=4)
     assert default.basepoints == seeded.basepoints
     assert default.log_level_sum(1.0, 4) == seeded.log_level_sum(1.0, 4)
