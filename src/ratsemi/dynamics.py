@@ -103,14 +103,15 @@ def _jittered(seed: int, m: int, k: int) -> np.ndarray:
 class CloudLevel:
     """One depth slice of an orbit cloud.  No level stores words.
 
-    Backward levels (preimage trees) hold logd and logw, all a level sum
-    reads.  They are in construction order: by the generator j of the
-    newest symbol, then parent row, then root slot.  Each parent level is
-    thus grouped by composition-order word, so rows are nondecreasing in
-    that word and the kept children of a parent are contiguous; rows
-    sharing a word follow parent order, then root slot.  A capped backward
-    level holds only the children its subsample keeps, in two rows a child
-    drawn twice.
+    Every level is in construction order: by the generator j of the newest
+    symbol, then parent row, then (backward) root slot, so rows are
+    nondecreasing in their word read from the newest symbol.  On a backward
+    level the newest symbol acts first, so that is the composition-order
+    word, the kept children of a parent are contiguous and rows sharing a
+    word follow parent order, then root slot.  A forward level keeps the
+    first row of equal points (_dedupe).  Backward levels (preimage trees)
+    hold logd and logw, all a level sum reads.  A capped level holds only
+    the rows its subsample keeps, in two rows a row drawn twice.
 
     A level of a block of B systems (stack_block) has z, inf and logd of
     shape (B, n), one row per system, and a min_step_norm per system.
@@ -307,14 +308,11 @@ def julia_backward_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DE
 # forward (postcritical) cloud
 
 
-def _dedupe(z, inf, word) -> np.ndarray:
-    """Rows of a level in canonical order, the canonically first of each
-    group of equal rounded coordinates.  Canonical order is by word, newest
-    symbol first (word: each row's rank among its level's words), then
-    infinity, re, im and row."""
-    order = np.lexsort([np.where(inf, 0.0, z.imag), np.where(inf, np.inf, z.real), inf, word])
-    key = np.where(inf, complex(np.inf, 0.0), np.round(z, 9))[order]
-    return order[np.sort(np.unique(key, return_index=True)[1])]
+def _dedupe(z, inf) -> np.ndarray:
+    """Rows of a level in construction order, the first of each group of
+    equal rounded coordinates."""
+    key = np.where(inf, complex(np.inf, 0.0), np.round(z, 9))
+    return np.sort(np.unique(key, return_index=True)[1])
 
 
 def postcritical_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFAULT_CAP,
@@ -323,16 +321,16 @@ def postcritical_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFA
 
     Level 0 is the deduplicated set of critical values themselves (identity
     word); level n applies every generator to level n-1, deduplicates and
-    subsamples (_subsample_level).  Levels hold points only (see CloudLevel),
-    in canonical order (see _dedupe).  Maps without critical points (degree
+    subsamples (_subsample_level).  Levels hold points only, in construction
+    order (see CloudLevel, _dedupe).  Maps without critical points (degree
     one) contribute nothing, so the cloud may be empty.
     """
     _check_budget(depth, cap)
     crit = [p for f in mm.generators for p in f.critical_values()]
     z = np.array([0j if p.is_infinite else p.value for p in crit], dtype=complex)
     inf = np.array([p.is_infinite for p in crit], dtype=bool)
-    idx = _dedupe(z, inf, np.zeros(z.size, dtype=np.int64))
-    levels, word = [CloudLevel(z[idx], inf[idx])], np.zeros(idx.size, dtype=np.int64)
+    idx = _dedupe(z, inf)
+    levels = [CloudLevel(z[idx], inf[idx])]
     seed = _derive_seed(rng_seed, 0xF0)
     for n in range(1, depth + 1):
         parent = levels[-1]
@@ -341,12 +339,8 @@ def postcritical_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFA
             continue
         images = [f.eval_many(parent.z, parent.inf) for f in mm.generators]
         z, inf = (np.concatenate(part) for part in zip(*images))
-        w = int(word.max()) + 1
-        # the image of rank r under generator j (0-based) sorts as the longer word: key j * w + r
-        key = (np.arange(mm.num_generators)[:, None] * w + word).ravel()
-        idx = _subsample_level(_dedupe(z, inf, key), cap, seed, n)
+        idx = _subsample_level(_dedupe(z, inf), cap, seed, n)
         levels.append(CloudLevel(z[idx], inf[idx]))
-        word = np.unique(key[idx], return_inverse=True)[1]  # ranks again, or keys grow like s^n
     return PointCloud(levels, {})
 
 

@@ -145,24 +145,15 @@ def _coeffs(c):
 def horner(coeffs, z):
     """Evaluate ascending-coefficient polynomial(s) at a scalar or array z; the
     coefficient rows coeffs[k] broadcast against z, so 2-d coefficients hold
-    one polynomial per column, and a constant comes back as its row.  Not in
-    place: numpy rounds an in-place complex product of length-1 arrays
-    differently, which would make a value depend on its batch."""
+    one polynomial per column, and a constant comes back as its row.  Each
+    product is new: numpy rounds an in-place complex product of length-1
+    arrays differently, which would make a value depend on its batch."""
     c = np.asarray(coeffs, dtype=complex)
     acc = c[-1, ...]  # a 0-d array for 1-d coeffs: a scalar z takes the same ufunc loop as an array
     for k in range(len(c) - 2, -1, -1):
-        acc = acc * z + c[k]
+        acc = acc * z
+        acc += c[k]
     return complex(acc) if np.ndim(acc) == 0 else acc
-
-
-def _horner_cols(C, Z):
-    """Horner per polynomial: C is (n+1, m) ascending coefficients, one column per
-    polynomial (n >= 1), and Z is (r, m), column j evaluated with C[:, j]."""
-    acc = C[-1] * Z + C[-2]
-    for k in range(len(C) - 3, -1, -1):
-        acc *= Z
-        acc += C[k]
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +165,7 @@ _ABERTH_BLOCK = 4096  # polynomials per block: bounds the (n, n, block) pair dif
 def _resid_ok(C, z):
     """Columns of C whose roots z, (n, m), all meet the residual bound."""
     bound = _ROOT_RESID * (1.0 + np.max(np.abs(C), axis=0)) * (1.0 + np.abs(z)) ** (len(C) - 1)
-    return np.all(np.abs(_horner_cols(C, z)) <= bound, axis=0)
+    return np.all(np.abs(horner(C, z)) <= bound, axis=0)
 
 
 def _aberth_block(C, circle):
@@ -188,9 +179,9 @@ def _aberth_block(C, circle):
     act, diag = np.arange(C.shape[1]), np.arange(n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(_ABERTH_MAX_ITER):
-            pd = _horner_cols(Cd, za)
+            pd = horner(Cd, za)
             pd[pd == 0] = 1e-300
-            newton = _horner_cols(Cm, za) / pd
+            newton = horner(Cm, za) / pd
             diff = za[:, None] - za
             diff[diag, diag] = np.inf
             inv = 1.0 / diff
@@ -334,10 +325,11 @@ class MapStack:
 
     Point arrays are read as (K, U), row b under map b, and results come
     back in the input's shape.  P and Q are ascending (d + 1, K) coefficient
-    arrays.  fwd holds the Wronskian W = P'Q - PQ', P and Q for the
-    derivative norm's z chart, rev w^(2d-2) W(1/w), w^d P(1/w), w^d Q(1/w)
-    for its 1/z chart, without the leading coefficients that vanish in every
-    column: they change Horner's values by the sign of a zero at most.
+    arrays, each map's num and den over one power of two (RationalMap).  fwd
+    holds the Wronskian W = P'Q - PQ', P and Q for the derivative norm's z
+    chart, rev w^(2d-2) W(1/w), w^d P(1/w), w^d Q(1/w) for its 1/z chart,
+    without the leading coefficients that vanish in every column: they
+    change Horner's values by the sign of a zero at most.
     """
 
     __slots__ = ("degree", "P", "Q", "fwd", "rev")
@@ -359,7 +351,7 @@ class MapStack:
                 n -= 1
             return C[:n]
 
-        self.P, self.Q = cols([f.num for f in maps], d + 1), cols([f.den for f in maps], d + 1)
+        self.P, self.Q = (cols(pq, d + 1) for pq in zip(*(f._pq for f in maps)))
         W = cols([f._wron for f in maps], 2 * d - 1)
         self.fwd = (trimmed(W), trimmed(self.P), trimmed(self.Q))
         self.rev = (trimmed(W[::-1]), trimmed(self.P[::-1]), trimmed(self.Q[::-1]))
@@ -440,7 +432,7 @@ class RationalMap(MapStack):
     evaluation is total: a vanishing denominator means a genuine pole.
     """
 
-    __slots__ = ("num", "den", "_wron")
+    __slots__ = ("num", "den", "_pq", "_wron")
 
     def __init__(self, num, den=(1.0,)):
         P, Q = self.num, self.den = _coeffs(num), _coeffs(den)
@@ -450,17 +442,17 @@ class RationalMap(MapStack):
         if d < 1:
             raise ValueError("map must have degree >= 1 (not constant)")
         self._check_reduced()
-
+        # P, Q over a power of two (exact) that takes them below 2, so P'Q and PQ' cannot overflow
+        s = 2.0 ** -max(math.frexp(max(np.abs(P).max(), np.abs(Q).max()))[1] - 1, 0)
+        P, Q = self._pq = P * s, Q * s
         # P'Q - PQ' accumulated into zeros: a zero coefficient is +0 whatever its products' signs
         W = np.zeros(P.size + Q.size - 2, dtype=complex)
-        with np.errstate(invalid="ignore"):  # an overflowed product is rejected below
-            if P.size > 1:
-                W += np.convolve(P[1:] * np.arange(1, P.size), Q)
-            if Q.size > 1:
-                W -= np.convolve(P, Q[1:] * np.arange(1, Q.size))
-        # the degree 2d - 1 terms cancel exactly in theory, not always in floating
-        # point; they are cut only after all of W is checked finite
-        self._wron = _coeffs(_coeffs(W)[: 2 * d - 1])
+        if P.size > 1:
+            W += np.convolve(P[1:] * np.arange(1, P.size), Q)
+        if Q.size > 1:
+            W -= np.convolve(P, Q[1:] * np.arange(1, Q.size))
+        # the degree 2d - 1 terms cancel exactly in theory, not always in floating point
+        self._wron = _coeffs(W[: 2 * d - 1])
         if not self._wron.any():
             raise ValueError("map is constant (vanishing derivative)")
         super().__init__([self])

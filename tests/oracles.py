@@ -381,42 +381,34 @@ def backward_levels_ref(mm, level, cap, seed, depth):
 
 
 # ---------------------------------------------------------------------------
-# reference forward (postcritical) cloud: sort every expanded level, then dedupe
+# reference forward (postcritical) cloud: expand every level, keep first occurrences
 
 
-def _canonical_sort_ref(z, inf, words):
-    re = np.where(inf, np.inf, z.real)
-    im = np.where(inf, 0.0, z.imag)
-    order = np.lexsort([im, re, inf.astype(np.int8)] + [words[:, k] for k in range(words.shape[1])])
-    return z[order], inf[order], words[order]
-
-
-def _dedupe_ref(z, inf, words):
-    """Canonical sort, then a stable sort on the rounded coordinates and the
-    word keeps the first row of every group of equal rounded coordinates."""
-    z, inf, words = _canonical_sort_ref(z, inf, words)
-    re = np.where(inf, 0.0, np.round(z.real, 9))
-    im = np.where(inf, 0.0, np.round(z.imag, 9))
-    flag = inf.astype(np.int8)
-    order = np.lexsort([words[:, k] for k in range(words.shape[1])] + [im, re, flag])
-    key = np.stack([flag[order], re[order], im[order]], axis=1)
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = np.any(key[1:] != key[:-1], axis=1)
-    idx = order[first]
-    return _canonical_sort_ref(z[idx], inf[idx], words[idx])
+def _first_occurrences_ref(z, inf, words):
+    """The rows of a level whose rounded coordinates (9 decimals; infinity
+    one key of its own) no earlier row has, in row order, found with a
+    Python dict instead of a sort."""
+    first = {}
+    for i in range(z.size):
+        key = "inf" if inf[i] else (float(np.round(z[i].real, 9)), float(np.round(z[i].imag, 9)))
+        first.setdefault(key, i)
+    idx = np.fromiter(first.values(), dtype=np.int64, count=len(first))  # insertion order
+    return z[idx], inf[idx], words[idx]
 
 
 def postcritical_cloud_ref(mm, depth, cap, rng_seed=0):
-    """The forward cloud the long way: each expanded level is sorted
-    canonically before the dedupe and again after it, then subsampled by
-    kept_rows_ref.  Returns (z, inf, words) per level; words grow by
-    appending, so words[i] is row i's word in composition order."""
+    """The forward cloud the long way: level 0 is the critical values of
+    every generator in generator order, level n every generator's images
+    of level n - 1, generator by generator; each is cut to its first
+    occurrences and then subsampled by kept_rows_ref.  Returns (z, inf,
+    words) per level; words grow by appending, so words[i] is row i's word
+    in composition order."""
     from ratsemi.dynamics import _derive_seed
 
     crit = [p for f in mm.generators for p in f.critical_values()]
     z = np.array([0j if p.is_infinite else p.value for p in crit], dtype=complex)
     inf = np.array([p.is_infinite for p in crit], dtype=bool)
-    levels = [_dedupe_ref(z, inf, np.zeros((len(crit), 0), dtype=np.int8))]
+    levels = [_first_occurrences_ref(z, inf, np.zeros((len(crit), 0), dtype=np.int8))]
     for n in range(1, depth + 1):
         z, inf, words = levels[-1]
         if z.size == 0:
@@ -428,7 +420,7 @@ def postcritical_cloud_ref(mm, depth, cap, rng_seed=0):
             zs.append(fz)
             infs.append(finf)
             ws.append(np.hstack([words, np.full((z.size, 1), j, dtype=np.int8)]))
-        z, inf, words = _dedupe_ref(np.concatenate(zs), np.concatenate(infs), np.vstack(ws))
+        z, inf, words = _first_occurrences_ref(np.concatenate(zs), np.concatenate(infs), np.vstack(ws))
         idx, _ = kept_rows_ref(z.size, cap, _derive_seed(rng_seed, 0xF0), n)
         levels.append((z[idx], inf[idx], words[idx]))
     return levels

@@ -516,9 +516,9 @@ FORWARD_SYSTEMS = {
     # z^2 + 0.1 sends the critical values -2 and 2 of z^3 - 3z to the same point
     "coincident": MultiMap([polynomial_map([0.0, -3.0, 0.0, 1.0]),
                             polynomial_map([0.1, 0.0, 1.0])]),
-    # the same two images 8e-11 apart, equal once rounded: the smaller re must
-    # win although its parent comes second
-    "near-coincident": MultiMap([polynomial_map([-1e-11, -3.0, 0.0, 1.0]),
+    # the same two images 8e-11 apart, equal once rounded: the first image in
+    # construction order must win although its re is the larger
+    "near-coincident": MultiMap([polynomial_map([1e-11, -3.0, 0.0, 1.0]),
                                  polynomial_map([0.1, 0.0, 1.0])]),
     # z^2 and z^3 conjugated by (z - 1)/(z + 1): both fix their critical values -1 and 1
     "rational": MultiMap([RationalMap([0.0, 2.0], [1.0, 0.0, 1.0]),
@@ -539,6 +539,11 @@ def test_postcritical_cloud_matches_sort_then_dedupe_reference(name):
         assert cloud.levels[7].size == cap
     if name in ("coincident", "near-coincident"):
         assert cloud.levels[1].size < mm.num_generators * cloud.levels[0].size
+    if name == "near-coincident":
+        # z^2 + 0.1 of level 0's first two rows, 2 + 1e-11 and -2 + 1e-11
+        first, second = mm.generators[1].eval_many(cloud.levels[0].z[:2])[0]
+        assert first.real > second.real
+        assert first in cloud.levels[1].z and second not in cloud.levels[1].z
 
 
 @pytest.mark.parametrize("mm", [annulus_mm(0.5), *FORWARD_SYSTEMS.values()])
@@ -630,6 +635,16 @@ def test_hyperbolic_fail_with_witness_on_escaping_critical_orbit():
     assert rep.witnesses, "fail verdict must carry a witness"
     pt, detail = rep.witnesses[0]
     assert "chordal distance" in detail
+
+
+def test_gate_distance_on_a_capped_forward_cloud_matches_brute_force():
+    mm = FORWARD_SYSTEMS["quadratic-triple"]
+    rep = check_hyperbolic(mm, depth=7, margin=0.05, cap=3000)
+    post = postcritical_cloud(mm, depth=7, cap=3000)
+    assert post.levels[7].size == 3000  # capped, so the kept points follow the level order
+    julia = julia_backward_cloud(mm, depth=7, cap=3000)
+    assert rep.metrics["min_distance"] == pytest.approx(bf_min_distance(post, julia), abs=1e-12)
+    assert rep.verdict == "fail"
 
 
 def test_hyperbolic_verdict_rule_is_consistent():

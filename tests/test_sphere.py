@@ -147,6 +147,19 @@ def test_sphere_embedding_is_isometric_to_chordal():
 # polynomial roots
 
 
+def test_horner_on_coefficient_columns_matches_each_column_bit_for_bit():
+    # the Aberth solver evaluates (n+1, m) coefficient columns at its (n, m) iterates,
+    # n >= 2, and the residual check at the roots; poly_roots passes one column
+    rng = np.random.default_rng(19)
+    for n, m in ((2, 1), (3, 1), (6, 1), (2, 9), (3, 40), (6, 257)):
+        C = rand_complex(rng, (n + 1) * m).reshape(n + 1, m)
+        Z = rand_complex(rng, n * m, scale=2.0).reshape(n, m)
+        got = horner(C, Z)
+        assert got.shape == (n, m)
+        for j in range(m):
+            assert got[:, j].tobytes() == horner(C[:, j], Z[:, j]).tobytes()
+
+
 def test_cubic_roots_of_eight():
     roots = poly_roots([-8.0, 0.0, 0.0, 1.0])
     expect = oracles.sorted_points(oracles.np_roots([-8.0, 0.0, 0.0, 1.0]))
@@ -588,8 +601,12 @@ def test_validation_rejects_shared_roots_and_constants():
         RationalMap([0.0, float("nan")])
     with pytest.raises(ValueError, match="must be finite"):
         RationalMap([0.0, 1.0], [complex(1.0, math.inf)])
-    with pytest.raises(ValueError, match="must be finite"):
-        RationalMap([0.0, 0.0, 1e155], [1e140, 0.0, 1e155])  # P'Q and PQ' overflow
+    # z^2 / (z^2 + 1e-15) with P and Q times 1e155: P'Q and PQ' would overflow
+    # had P and Q not been scaled down first; f = 0.3 at z^2 = 0.3e-15 / 0.7
+    f = RationalMap([0.0, 0.0, 1e155], [1e140, 0.0, 1e155])
+    assert f.critical_points() == [SpherePoint(0j), INF]
+    root = math.sqrt(0.3e-15 / 0.7)  # 2.0702e-8
+    assert [p.value for p in f.preimages(0.3)] == pytest.approx([-root, root], rel=1e-9)
     with pytest.raises(ValueError, match="non-empty 1-d"):
         RationalMap([])
     with pytest.raises(ValueError, match="non-empty 1-d"):
