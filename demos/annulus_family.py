@@ -35,10 +35,10 @@ def main():
     print(f"{'lambda':>7}  {'|z| range of cloud':>22}  {'delta':>8}  {'box':>6}")
     for lam in (0.3, 0.5, 0.7):
         mm = MultiMap([scaled_square(1.0), scaled_square(lam)])
-        z, _ = julia_backward_cloud(mm, depth=12).finite_points()
-        radii = np.abs(z)
+        cloud = julia_backward_cloud(mm, depth=12)
+        radii = np.abs(cloud.finite_points()[0])
         res = bowen_parameter(mm, ThermoConfig(depth=10))
-        box = box_dimension(julia_backward_cloud(mm, depth=12))
+        box = box_dimension(cloud)
         print(f"{lam:7.2f}  [{radii.min():8.5f}, {radii.max():8.5f}]"
               f"  expected [1, {1.0 / lam:.4f}]"
               f"  {res.delta:8.5f}  {box.slope:6.4f}")

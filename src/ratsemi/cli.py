@@ -21,7 +21,7 @@ from .dynamics import check_hyperbolic  # noqa: F401  unused here; perfbench/spa
 from .dynamics import julia_backward_cloud
 from .errors import ConfigError, HyperbolicityUnverified, InsufficientPoints, RatsemiError
 from .families import smoothness_diagnostic, submean_diagnostic, sweep_delta
-from .geometry import box_dimension, osc_check
+from .geometry import _extent, box_dimension, osc_check
 from .thermo import PreimageTree, bowen_parameter, lyapunov_and_entropy, pressure_curve
 
 EXIT_OSC_FAIL = 6  # the one exit code no RatsemiError carries (errors.py has the rest)
@@ -84,12 +84,12 @@ def _julia_cloud(cfg: RunConfig):
 def cmd_julia(cfg: RunConfig, args) -> int:
     cloud = _julia_cloud(cfg)
     rn = cfg.data["render"]
-    z, depths = cloud.finite_points()
-    n_inf = cloud.size - z.size
-    if z.size == 0:
+    levels = list(cloud.finite_levels())  # read level by level: the cloud is never concatenated
+    zs = [z for _, z in levels]
+    n_finite = sum(z.size for z in zs)
+    if n_finite == 0:
         raise RatsemiError("cloud has no finite points to render")
-    xmin, xmax = float(z.real.min()), float(z.real.max())
-    ymin, ymax = float(z.imag.min()), float(z.imag.max())
+    (xmin, xmax), (ymin, ymax) = _extent(zs, np.real), _extent(zs, np.imag)
     if rn["viewport"] is not None:
         vx0, vx1, vy0, vy1 = rn["viewport"]
     else:
@@ -99,33 +99,23 @@ def cmd_julia(cfg: RunConfig, args) -> int:
 
     w, h = rn["width"], rn["height"]
     img = np.full((h, w, 3), 255, dtype=np.uint8)
-    px = np.floor((z.real - vx0) / (vx1 - vx0) * w).astype(np.int64)
-    py = np.floor((vy1 - z.imag) / (vy1 - vy0) * h).astype(np.int64)
-    keep = (px >= 0) & (px < w) & (py >= 0) & (py < h)
-    if not keep.all():  # the padded default viewport keeps every point and copies nothing
-        # level by level, so deeper levels overwrite
-        px, py, depths = px[keep], py[keep], depths[keep]
-    if rn["depth_coloring"] and cloud.depth > 0:
-        f = depths / float(cloud.depth)
-        col = np.stack(
-            [
-                np.round(230 * (1.0 - f)).astype(np.uint8),
-                np.full(f.size, 30, dtype=np.uint8),
-                np.round(230 * f).astype(np.uint8),
-            ],
-            axis=1,
-        )
-    else:
-        col = np.zeros((px.size, 3), dtype=np.uint8)
-    img[py, px] = col
+    for d, z in levels:  # in depth order, so deeper levels overwrite
+        px = np.floor((z.real - vx0) / (vx1 - vx0) * w).astype(np.int64)
+        py = np.floor((vy1 - z.imag) / (vy1 - vy0) * h).astype(np.int64)
+        keep = (px >= 0) & (px < w) & (py >= 0) & (py < h)
+        if not keep.all():  # the padded default viewport keeps every point and copies nothing
+            px, py = px[keep], py[keep]
+        f = d / cloud.depth if rn["depth_coloring"] and cloud.depth > 0 else None
+        img[py, px] = 0 if f is None else np.round([230 * (1.0 - f), 30, 230 * f]).astype(np.uint8)
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
     _atomic_write(args.out, header + img.tobytes())
 
-    r = np.abs(z)
+    rmin, rmax = _extent(zs, np.abs)
     meta = cloud.meta
-    print(f"points {z.size} finite + {n_inf} at infinity ({cloud.size} total, depth {cloud.depth})")
+    print(f"points {n_finite} finite + {cloud.size - n_finite} at infinity "
+          f"({cloud.size} total, depth {cloud.depth})")
     print(f"bounding box [{xmin:.6g}, {xmax:.6g}] x [{ymin:.6g}, {ymax:.6g}]")
-    print(f"radial range [{float(r.min()):.6g}, {float(r.max()):.6g}]")
+    print(f"radial range [{rmin:.6g}, {rmax:.6g}]")
     print(f"seed {_fmt_point(meta['seed_point'])} from generator {meta['seed_generator']}")
     print(f"wrote {args.out}")
     return 0

@@ -229,7 +229,8 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
 @dataclass
 class PointCloud:
     """Levelled orbit cloud.  meta holds the seed_point and seed_generator
-    (1-based) of a backward cloud, and is empty for a forward one."""
+    (1-based) of a backward cloud, and is empty for a forward one.  cli
+    julia and box_dimension read it level by level (finite_levels)."""
 
     levels: list
     meta: dict
@@ -251,10 +252,16 @@ class PointCloud:
         )
         return z, inf, depth
 
+    def finite_levels(self):
+        """(depth, z) for each level's finite points, in depth order: z is the
+        level's own array when it holds no point at infinity, else a masked copy."""
+        for d, lev in enumerate(self.levels):
+            yield d, lev.z[~lev.inf] if lev.inf.any() else lev.z
+
     def finite_points(self):
-        """Finite-chart values with their depths (rendering, box counting)."""
-        z, inf, depth = self.flat_arrays()
-        return z[~inf], depth[~inf]
+        """Concatenated finite-chart values with their depths."""
+        z, depth = zip(*((z, np.full(z.size, d, dtype=np.int64)) for d, z in self.finite_levels()))
+        return np.concatenate(z), np.concatenate(depth)
 
 
 def repelling_seed(mm: MultiMap):

@@ -284,6 +284,13 @@ def osc_check(
 # box-counting dimension
 
 
+def _extent(zs, part):
+    """(min, max) of part(z) over the points of every array in zs, which are
+    not all empty: exact, since min and max are, however zs is split."""
+    lo, hi = zip(*((float(a.min()), float(a.max())) for a in map(part, zs) if a.size))
+    return min(lo), max(hi)
+
+
 @dataclass
 class BoxCountResult:
     scales: list
@@ -295,45 +302,47 @@ class BoxCountResult:
 def box_dimension(cloud, scale_count: int = 6, viewport=None) -> BoxCountResult:
     """Dyadic box-counting slope of a planar point cloud.
 
-    cloud is a PointCloud or an array of finite complex points; viewport is
-    (xmin, xmax, ymin, ymax) and defaults to the cloud's bounding box.  The
-    base scale is an eighth of the viewport's longer side, and scale k is
-    eps_k = eps_0 * 2^-k for k < scale_count, 2 <= scale_count <= 24.
+    cloud is a PointCloud, read level by level (finite_levels) and never
+    concatenated, or an array of finite complex points, read as one level.
+    viewport is (xmin, xmax, ymin, ymax) and defaults to the cloud's
+    bounding box.  The base scale is an eighth of the viewport's longer
+    side, and scale k is eps_k = eps_0 * 2^-k for k < scale_count,
+    2 <= scale_count <= 24.
 
-    The points are binned once, at the finest scale: dividing by a power of
-    two is exact, so a point's cell at scale k is its finest cell shifted
-    right by the scale difference.  Cell indices are at most 8 * 2^23, so
-    both 32-bit halves of the packed cell key shift exactly.
+    The points are binned once, at the finest scale; each level's occupied
+    cells are found apart, then merged.  Dividing by a power of two is
+    exact, so a point's cell at scale k is its finest cell shifted right by
+    the scale difference.  Cell indices are at most 8 * 2^23, so both
+    32-bit halves of the packed cell key shift exactly.
     """
     if not 2 <= scale_count <= MAX_BOX_SCALES:
         raise ValueError(f"scale_count must be in 2..{MAX_BOX_SCALES}, got {scale_count}")
     if isinstance(cloud, PointCloud):
-        z, _ = cloud.finite_points()
+        zs = [z for _, z in cloud.finite_levels()]
     else:
-        z = np.asarray(cloud, dtype=complex).ravel()
+        zs = [np.asarray(cloud, dtype=complex).ravel()]
     if viewport is None:
-        if z.size == 0:
+        if not any(z.size for z in zs):
             raise InsufficientPoints("empty cloud")
-        viewport = (
-            float(z.real.min()),
-            float(z.real.max()),
-            float(z.imag.min()),
-            float(z.imag.max()),
-        )
+        viewport = (*_extent(zs, np.real), *_extent(zs, np.imag))
     x0, x1, y0, y1 = map(float, viewport)
-    keep = (z.real >= x0) & (z.real <= x1) & (z.imag >= y0) & (z.imag <= y1)
-    z = z[keep]
-    if z.size < MIN_BOX_POINTS:
+    keeps = [(z.real >= x0) & (z.real <= x1) & (z.imag >= y0) & (z.imag <= y1) for z in zs]
+    n = sum(int(np.count_nonzero(k)) for k in keeps)
+    if n < MIN_BOX_POINTS:
         raise InsufficientPoints(
-            f"{z.size} points in viewport; box counting needs {MIN_BOX_POINTS}"
+            f"{n} points in viewport; box counting needs {MIN_BOX_POINTS}"
         )
     side = max(x1 - x0, y1 - y0)
     if side <= 0:
         raise InsufficientPoints("degenerate viewport")
     scales = [side / 8.0 / 2.0**k for k in range(scale_count)]
-    ix = np.floor((z.real - x0) / scales[-1]).astype(np.int64)
-    iy = np.floor((z.imag - y0) / scales[-1]).astype(np.int64)
-    cells = np.unique(ix << 32 | iy)  # occupied finest cells
+
+    def finest(z):  # the occupied finest cells of one level, as packed keys
+        ix = np.floor((z.real - x0) / scales[-1]).astype(np.int64)
+        iy = np.floor((z.imag - y0) / scales[-1]).astype(np.int64)
+        return np.unique(ix << 32 | iy)
+
+    cells = np.unique(np.concatenate([finest(z if k.all() else z[k]) for z, k in zip(zs, keeps)]))
     counts = [int(cells.size)]
     for _ in range(scale_count - 1):
         cells = np.unique(cells >> 33 << 32 | (cells & 0xFFFFFFFF) >> 1)

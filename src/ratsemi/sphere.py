@@ -147,9 +147,11 @@ def horner(coeffs, z):
     coefficient rows coeffs[k] broadcast against z, so 2-d coefficients hold
     one polynomial per column, and a constant comes back as its row.  Each
     product is new: numpy rounds an in-place complex product of length-1
-    arrays differently, which would make a value depend on its batch."""
+    arrays differently.  Even so, 0-d and length-1 inputs may round
+    differently from the same value inside a longer array, so callers pass
+    arrays."""
     c = np.asarray(coeffs, dtype=complex)
-    acc = c[-1, ...]  # a 0-d array for 1-d coeffs: a scalar z takes the same ufunc loop as an array
+    acc = c[-1, ...]
     for k in range(len(c) - 2, -1, -1):
         acc = acc * z
         acc += c[k]
@@ -325,7 +327,7 @@ class MapStack:
 
     Point arrays are read as (K, U), row b under map b, and results come
     back in the input's shape.  P and Q are ascending (d + 1, K) coefficient
-    arrays, each map's num and den over one power of two (RationalMap).  fwd
+    arrays, each map's num and den times one power of two (RationalMap).  fwd
     holds the Wronskian W = P'Q - PQ', P and Q for the derivative norm's z
     chart, rev w^(2d-2) W(1/w), w^d P(1/w), w^d Q(1/w) for its 1/z chart,
     without the leading coefficients that vanish in every column: they
@@ -442,9 +444,13 @@ class RationalMap(MapStack):
         if d < 1:
             raise ValueError("map must have degree >= 1 (not constant)")
         self._check_reduced()
-        # P, Q over a power of two (exact) that takes them below 2, so P'Q and PQ' cannot overflow
-        s = 2.0 ** -max(math.frexp(max(np.abs(P).max(), np.abs(Q).max()))[1] - 1, 0)
-        P, Q = self._pq = P * s, Q * s
+        # P, Q times the power of two (exact) that brings the largest |coefficient| into [1, 2),
+        # so P'Q and PQ' can neither overflow nor underflow to a vanishing Wronskian
+        e = 1 - math.frexp(max(np.abs(P).max(), np.abs(Q).max()))[1]
+        self._pq = np.empty_like(P), np.empty_like(Q)
+        for c, out in zip((P, Q), self._pq):
+            np.ldexp(c.view(float), e, out=out.view(float))  # 2.0 ** e overflows for e > 1023
+        P, Q = self._pq
         # P'Q - PQ' accumulated into zeros: a zero coefficient is +0 whatever its products' signs
         W = np.zeros(P.size + Q.size - 2, dtype=complex)
         if P.size > 1:
@@ -476,15 +482,16 @@ class RationalMap(MapStack):
 
         inf marks targets at infinity (their z entries are ignored); None
         means all finite.  Points with |z| > 1 and infinity go through the
-        1/z chart, so nothing overflows on the way to the ratio.
+        1/z chart, so nothing overflows on the way to the ratio.  Both charts
+        read the scaled P and Q, so tiny coefficients give no 0/0 either.
         """
         z = np.asarray(z, dtype=complex)
         near, far, w, _ = _charts(z, inf)
         pz = np.empty_like(z)
         qz = np.empty_like(z)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            pz[near] = horner(self.num, z[near])
-            qz[near] = horner(self.den, z[near])
+            pz[near] = horner(self._pq[0], z[near])
+            qz[near] = horner(self._pq[1], z[near])
             pz[far] = horner(self.P[::-1, 0], w)
             qz[far] = horner(self.Q[::-1, 0], w)
             return self._ratio_many(pz, qz)

@@ -282,6 +282,41 @@ def box_count_bf(points, eps, origin):
     return len(cells)
 
 
+def julia_render_ref(cloud, width, height, viewport=None, depth_coloring=False):
+    """cli julia's PPM bytes and its points, bounding-box and radial-range
+    lines, from the whole cloud at once: its finite points concatenated and
+    painted in one fancy-index assignment, where a later row (a deeper
+    level) overwrites an earlier one."""
+    z, inf, depths = cloud.flat_arrays()
+    z, depths = z[~inf], depths[~inf]
+    xmin, xmax = float(z.real.min()), float(z.real.max())
+    ymin, ymax = float(z.imag.min()), float(z.imag.max())
+    if viewport is None:
+        pad = 0.05 * max(xmax - xmin, ymax - ymin, 1e-9)
+        viewport = xmin - pad, xmax + pad, ymin - pad, ymax + pad
+    vx0, vx1, vy0, vy1 = viewport
+    img = np.full((height, width, 3), 255, dtype=np.uint8)
+    px = np.floor((z.real - vx0) / (vx1 - vx0) * width).astype(np.int64)
+    py = np.floor((vy1 - z.imag) / (vy1 - vy0) * height).astype(np.int64)
+    keep = (px >= 0) & (px < width) & (py >= 0) & (py < height)
+    px, py, depths = px[keep], py[keep], depths[keep]
+    col = np.zeros((px.size, 3), dtype=np.uint8)
+    if depth_coloring and cloud.depth > 0:
+        f = depths / float(cloud.depth)
+        col[:, 0] = np.round(230 * (1.0 - f))
+        col[:, 1] = 30
+        col[:, 2] = np.round(230 * f)
+    img[py, px] = col
+    r = np.abs(z)
+    lines = [
+        f"points {z.size} finite + {cloud.size - z.size} at infinity "
+        f"({cloud.size} total, depth {cloud.depth})",
+        f"bounding box [{xmin:.6g}, {xmax:.6g}] x [{ymin:.6g}, {ymax:.6g}]",
+        f"radial range [{float(r.min()):.6g}, {float(r.max()):.6g}]",
+    ]
+    return f"P6\n{width} {height}\n255\n".encode("ascii") + img.tobytes(), lines
+
+
 # ---------------------------------------------------------------------------
 # reference capped backward level: solve every child, then subsample
 

@@ -108,13 +108,13 @@ def test_criterion_04_sierpinski_dimension():
 def test_criterion_05_annulus_family():
     for lam in (0.3, 0.5, 0.7):
         mm = power_mm((2, 1.0), (2, lam))
-        z, _depth = julia_backward_cloud(mm, depth=12).finite_points()
-        radii = np.abs(z)
+        cloud = julia_backward_cloud(mm, depth=12)
+        radii = np.abs(cloud.finite_points()[0])
         assert radii.min() >= 1.0 - 1e-3
         assert radii.max() <= 1.0 / lam + 1e-3
         res = bowen_parameter(mm, ThermoConfig(depth=10))
         assert res.delta == pytest.approx(2.0, abs=1e-2)
-        box = box_dimension(julia_backward_cloud(mm, depth=12))
+        box = box_dimension(cloud)
         assert box.slope >= 1.8
     report(5, "cloud bounds, delta = 2, box slope >= 1.8 for lambda in {.3,.5,.7}")
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -593,6 +594,30 @@ def test_cli_other_library_error_exit_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: 15 points in viewport; box counting needs 10000\n"
+
+
+def test_julia_and_boxdim_peak_below_the_bytes_of_the_cloud_they_read(tmp_path, capsys,
+                                                                       monkeypatch):
+    # annulus.json's depth-12 cloud: 887,381 points, 15.1 MB of z and inf.  Reading it
+    # concatenated peaked at 3.4 times that in box_dimension and 4.1 times in cmd_julia
+    path = str(Path(__file__).parent.parent / "demos" / "configs" / "annulus.json")
+    cfg = parse_file(path)
+    cloud = cli._julia_cloud(cfg)
+    own = sum(lev.z.nbytes + lev.inf.nbytes for lev in cloud.levels)
+    monkeypatch.setattr(cli, "_julia_cloud", lambda cfg: cloud)
+    runs = {
+        "boxdim": lambda: cli.box_dimension(cloud, **cfg.data["boxdim"]),
+        "julia": lambda: main(["julia", "--config", path, "--out", str(tmp_path / "j.ppm")]),
+    }
+    peaks = {}
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) < own, (peaks, own)
 
 
 def test_cli_julia_no_seed_exit_3(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """Dynamics tests: words, skew preimages, orbit clouds, verification checks."""
+import json
 import math
 
 import numpy as np
 import pytest
 
-from ratsemi import dynamics
+from ratsemi import cli, dynamics
 from ratsemi.dynamics import (
     MultiMap,
     PointCloud,
@@ -16,6 +17,7 @@ from ratsemi.dynamics import (
     repelling_seed,
 )
 from ratsemi.errors import NoRepellingSeed
+from ratsemi.geometry import box_dimension
 from ratsemi.sphere import (
     INF,
     RationalMap,
@@ -314,6 +316,55 @@ def test_julia_cloud_points_equal_the_full_chain(mm, depth, cap, seed):
     if mm is NEWTON_SQUARE:
         assert all(lev.inf.any() for lev in cloud.levels)
         assert not cloud.levels[-1].inf.all()
+
+
+# a clipping viewport for julia_backward_cloud(NEWTON_SQUARE, **NEWTON_CLOUD): it keeps 15,193
+# of the 17,860 finite points, and cuts points from every level from 3 on
+NEWTON_CLOUD = {"depth": 9, "cap": 5000, "rng_seed": 1}
+NEWTON_VIEWPORT = [-2.5, 2.5, -1.5, 1.5]
+
+
+def test_finite_levels_are_each_levels_finite_points_in_depth_order():
+    for cloud in (julia_backward_cloud(NEWTON_SQUARE, **NEWTON_CLOUD),
+                  julia_backward_cloud(annulus_mm(0.5), depth=6, cap=500)):
+        levels = list(cloud.finite_levels())
+        assert [d for d, _ in levels] == list(range(cloud.depth + 1))
+        for (_, z), lev in zip(levels, cloud.levels):
+            if lev.inf.any():
+                assert z.tobytes() == lev.z[~lev.inf].tobytes()
+            else:
+                assert z is lev.z  # no copy
+        z, inf, depth = cloud.flat_arrays()
+        fz, fdepth = cloud.finite_points()
+        assert fz.tobytes() == z[~inf].tobytes()
+        assert fdepth.tobytes() == depth[~inf].tobytes()
+
+
+@pytest.mark.parametrize("viewport, coloring", [
+    (None, True), (NEWTON_VIEWPORT, True), (NEWTON_VIEWPORT, False),
+])
+def test_cli_julia_paints_what_the_whole_cloud_at_once_paints(tmp_path, capsys, monkeypatch,
+                                                               viewport, coloring):
+    # level 0 is the seed at infinity alone, and every level keeps points there
+    cloud = julia_backward_cloud(NEWTON_SQUARE, **NEWTON_CLOUD)
+    monkeypatch.setattr(cli, "_julia_cloud", lambda cfg: cloud)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "multimap": {"generators": [{"num": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}]},
+        "render": {"width": 96, "height": 64, "viewport": viewport, "depth_coloring": coloring},
+    }))
+    out = tmp_path / "julia.ppm"
+    assert cli.main(["julia", "--config", str(path), "--out", str(out)]) == 0
+    ppm, lines = oracles.julia_render_ref(cloud, 96, 64, viewport, coloring)
+    assert out.read_bytes() == ppm
+    assert capsys.readouterr().out.splitlines()[:3] == lines
+
+
+@pytest.mark.parametrize("viewport", [None, NEWTON_VIEWPORT])
+def test_box_dimension_of_a_cloud_is_that_of_its_finite_points(viewport):
+    cloud = julia_backward_cloud(NEWTON_SQUARE, **NEWTON_CLOUD)
+    got = box_dimension(cloud, viewport=viewport)
+    assert got == box_dimension(cloud.finite_points()[0], viewport=viewport)  # every field exact
 
 
 def test_jittered_matches_reference_and_draws_one_pick_per_slice():

@@ -1,5 +1,6 @@
 """Sphere-core tests: points, chordal metric, roots, maps, derivative norms."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -618,3 +619,23 @@ def test_validation_rejects_shared_roots_and_constants():
     assert f.degree == 2
     assert f.num.tolist() == [0, 0, 1]
     assert not f.num.flags.writeable
+
+
+def test_tiny_coefficients_are_scaled_up_before_the_wronskian_and_evaluation():
+    # the identity with coefficients 1e-200: P'Q - PQ' = 1e-400 underflowed to a "constant" map
+    z = np.array([0.3 + 0.1j, 0.0, 2.0 - 5.0j, 0.0])
+    inf = np.array([False, False, False, True])
+    f = RationalMap([0.0, 1e-200], [1e-200])
+    vals, vinf = f.eval_many(z, inf)
+    assert vals == pytest.approx(z, rel=1e-15) and vinf.tolist() == inf.tolist()
+    assert f.spherical_derivative_norm_many(z, inf) == pytest.approx(np.ones(4), rel=1e-15)
+    roots, rinf = f.preimages_many(z, inf)
+    assert roots[:, 0] == pytest.approx(z, rel=1e-15) and rinf[:, 0].tolist() == inf.tolist()
+    # all coefficients subnormal: the unscaled z chart divided 5e-311 by 1e-310 into inf+nanj
+    a, b = 5e-311, 1e-310
+    g = RationalMap([a, b], [b])
+    vals, vinf = g.eval_many(z, inf)
+    assert np.isfinite(vals).all() and vinf.tolist() == inf.tolist()
+    shift = float(Fraction(a) / Fraction(b))  # 0.5 up to the subnormals' rounding
+    assert vals[:3] == pytest.approx(z[:3] + shift, rel=1e-15, abs=1e-15)
+    assert g.critical_points() == [] and g.fixed_points() == [(INF, 1.0)]
