@@ -288,11 +288,11 @@ class RunConfig:
             den = tuple(LambdaPoly([complex(*c) for c in p]) for p in g["den"])
             gens.append((num, den))
         dom = fam["domain"]
-        if dom["kind"] == "rect":
-            domain = RectDomain(dom["re_min"], dom["re_max"], dom["im_min"], dom["im_max"])
-        else:
-            domain = AnnulusDomain(complex(*dom["center"]), dom["r1"], dom["r2"])
         try:
+            if dom["kind"] == "rect":
+                domain = RectDomain(dom["re_min"], dom["re_max"], dom["im_min"], dom["im_max"])
+            else:
+                domain = AnnulusDomain(complex(*dom["center"]), dom["r1"], dom["r2"])
             return FamilySpec(
                 generators=tuple(gens),
                 domain=domain,

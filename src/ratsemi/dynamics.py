@@ -110,11 +110,13 @@ class CloudLevel:
     word, the kept children of a parent are contiguous and rows sharing a
     word follow parent order, then root slot.  A forward level keeps the
     first row of equal points (_dedupe).  Backward levels (preimage trees)
-    hold logd and logw, all a level sum reads.  A capped level holds only
-    the rows its subsample keeps, in two rows a row drawn twice.
+    hold logd per row and one logw, all a level sum reads.  A capped level
+    holds only the rows its subsample keeps, in two rows a row drawn twice;
+    its picks keep each child cap/n times in expectation, so one importance
+    weight, the float logw, serves every row.
 
     A level of a block of B systems (stack_block) has z, inf and logd of
-    shape (B, n), one row per system, and a min_step_norm per system.
+    shape (B, n), one row per system, a min_step_norm per system and one logw.
 
     A points-only level (julia_backward_cloud, postcritical_cloud) holds z
     and inf alone: logd and logw are None and min_step_norm stays inf.  A
@@ -125,13 +127,13 @@ class CloudLevel:
     z: np.ndarray | None    # complex chart values; 0 placeholder where inf is set
     inf: np.ndarray | None  # bool mask for the point at infinity
     logd: np.ndarray | None = None   # backward only: cumulative log word-derivative norm to the root
-    logw: np.ndarray | None = None   # backward only: log importance weight accumulated by subsampling
+    logw: float | None = None        # backward only: log importance weight shared by every row
     min_step_norm: float = math.inf  # smallest newest-step derivative norm (backward)
 
     @property
     def size(self) -> int:
-        # logw where it is kept: a PreimageTree level may hold no z
-        return int((self.z if self.logw is None else self.logw).shape[-1])
+        # logd where it is kept: a PreimageTree level may hold no z
+        return int((self.z if self.logd is None else self.logd).shape[-1])
 
 
 def _subsample_level(rows: np.ndarray, cap: int, seed: int, tag: int) -> np.ndarray:
@@ -152,9 +154,9 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
     distinct parents c // d_j, slot c % d_j of each.  A child drawn twice
     fills two rows.  Within the cap every child is kept.  Parents
     at infinity go through the same calls.  A kept row adds its log step
-    norm to its parent's logd, and log(n / cap) to its parent's logw when
-    capped, so level sums stay unbiased.  min_step_norm is the smallest
-    newest-step derivative norm of the kept rows.
+    norm to its parent's logd.  The level's logw is the parent's plus
+    log(n / cap) when capped, so level sums stay unbiased.  min_step_norm is
+    the smallest newest-step derivative norm of the kept rows.
 
     A level of a block (see stack_block) carries a leading point axis on z,
     inf and logd and a min_step_norm per point; its logw, like the picks,
@@ -182,7 +184,6 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
     z, inf = (np.empty(lead + (n,), dtype=t) if points else None for t in (complex, bool))
     if full:
         logd = np.empty(lead + (n,))
-        logw = np.empty(n)
     min_norm, row = np.full(lead, math.inf), 0
     for j, f in enumerate(mm.generators, start=1):
         d = f.degree
@@ -212,18 +213,16 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
                 z[..., block], inf[..., block] = zj, infj
             if not full:
                 continue
-
-            def take(a):  # the parent of each child, along the node axis
-                return np.repeat(a[..., p], d, axis=-1) if c is None else np.take(a, parents, axis=-1)
-
+            # the parent's logd of each child, along the node axis
+            up = level.logd[..., p].repeat(d, axis=-1) if c is None else level.logd[..., parents]
             norms = f.spherical_derivative_norm_many(zj, infj)
             np.minimum(min_norm, norms.min(axis=-1, initial=math.inf), out=min_norm)
             with np.errstate(divide="ignore"):
-                np.add(take(level.logd), np.log(norms, out=norms), out=logd[..., block])
-            np.add(take(level.logw), shift, out=logw[block])
+                np.add(up, np.log(norms, out=norms), out=logd[..., block])
     if not full:
         return CloudLevel(z, inf)
-    return CloudLevel(z, inf, logd=logd, logw=logw, min_step_norm=min_norm if lead else float(min_norm))
+    return CloudLevel(z, inf, logd=logd, logw=level.logw + shift,
+                      min_step_norm=min_norm if lead else float(min_norm))
 
 
 @dataclass
@@ -291,9 +290,9 @@ def _check_budget(depth: int, cap: int) -> None:
 
 
 def _root_level(z, inf) -> CloudLevel:
-    """Level 0 of a backward tree at the points z, inf: zero logd and logw.
-    A block of B trees has z and inf of shape (B, 1)."""
-    return CloudLevel(z, inf, logd=np.zeros(z.shape), logw=np.zeros(z.shape[-1]))
+    """Level 0 of a backward tree at the points z, inf: zero logd, and
+    logw 0.0.  A block of B trees has z and inf of shape (B, 1)."""
+    return CloudLevel(z, inf, logd=np.zeros(z.shape), logw=0.0)
 
 
 def julia_backward_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFAULT_CAP,

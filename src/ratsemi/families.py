@@ -29,7 +29,7 @@ from .thermo import (
 
 # deepest-level tree nodes of one sweep block, all its points together: six
 # similarity points (depth 9, 19,683 nodes each).  The deepest level keeps no
-# points; the similarity sweep peaks at 35.2 MiB RSS, 0.8 MiB above blocks of three
+# points; the similarity sweep peaks at 35.2 MiB RSS, about 1 MiB above blocks of three
 _BLOCK_NODES = 120_000
 
 

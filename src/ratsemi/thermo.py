@@ -99,8 +99,8 @@ class PreimageTree:
     default the system's repelling seed); or, given lists of same-signature
     MultiMaps and basepoints, of a block of B systems.  depth is the deepest
     level a caller may read.  Level n holds logd as (B, N), one row per
-    system, and min_step_norm per system; logw once, since capped picks
-    depend only on counts and the seed.  No level keeps words.  Only the
+    system, and min_step_norm per system; logw is one float for all rows and
+    systems (see CloudLevel).  No level keeps words.  Only the
     frontier keeps its points z and inf, which the next extension reads;
     level depth is built without them."""
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ratsemi.sphere import SpherePoint, _array_point
+from ratsemi.dynamics import MultiMap
+from ratsemi.sphere import SpherePoint, _array_point, polynomial_map
 
 # ---------------------------------------------------------------------------
 # frozen constants
@@ -41,6 +42,26 @@ TRIANGLE_UNIT = tuple(
 )
 # Same triangle before centering (vertices 0, 1, (1+i sqrt 3)/2).
 TRIANGLE_RAW = (0.0 + 0.0j, 1.0 + 0.0j, 0.5 + 0.5j * math.sqrt(3.0))
+
+
+# ---------------------------------------------------------------------------
+# test systems
+
+
+def power_map(d, a=1.0):
+    """a z^d."""
+    return polynomial_map([0.0] * d + [a])
+
+
+def power_mm(*specs):
+    """The MultiMap of power_map(d, a) for each (d, a) in specs."""
+    return MultiMap([power_map(d, a) for d, a in specs])
+
+
+def gasket_mm(vertices=TRIANGLE_RAW):
+    """Doubling maps 2(z - p) + p = 2z - p, one per vertex p; their inverse
+    branches halve toward p, so the Julia set is the Sierpinski gasket."""
+    return MultiMap([polynomial_map([-p, 2.0]) for p in vertices])
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +345,15 @@ def julia_render_ref(cloud, width, height, viewport=None, depth_coloring=False):
 @dataclass
 class RefLevel:
     """A reference level with the word of every row, int8 of shape
-    (n, depth); the library's CloudLevel keeps no words.  It can also
+    (n, depth); the library's CloudLevel keeps no words.  It keeps logw per
+    row, where CloudLevel keeps one float.  With a float logw it can also
     stand as a parent level for dynamics._expand_backward."""
 
     z: np.ndarray
     inf: np.ndarray
     words: np.ndarray
     logd: np.ndarray | None = None
-    logw: np.ndarray | None = None
+    logw: np.ndarray | float | None = None
     min_step_norm: float = math.inf
 
     @property
@@ -395,7 +417,7 @@ def expand_then_subsample(mm, level, cap, seed, tag):
         words = np.empty((z.size, level.words.shape[1] + 1), dtype=np.int8)
         words[:, :-1] = np.repeat(level.words, d, axis=0)
         words[:, -1] = j
-        parts.append((z, inf, words, logd, np.repeat(level.logw, d), norms))
+        parts.append((z, inf, words, logd, np.repeat(np.broadcast_to(level.logw, level.size), d), norms))
     z, inf, words, logd, logw, norms = (np.concatenate(col) for col in zip(*parts))
     full = RefLevel(z, inf, words, logd, logw)
     return subsample_ref(full, cap, seed, tag, step_norm=norms)

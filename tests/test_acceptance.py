@@ -20,7 +20,6 @@ from ratsemi.families import (
     sweep_delta,
 )
 from ratsemi.geometry import Annulus, Triangle, box_dimension, osc_check
-from ratsemi.sphere import polynomial_map
 from ratsemi.thermo import (
     ThermoConfig,
     bowen_parameter,
@@ -29,18 +28,7 @@ from ratsemi.thermo import (
 )
 
 import oracles
-
-
-def power_map(d, a=1.0):
-    return polynomial_map([0.0] * d + [a])
-
-
-def power_mm(*specs):
-    return MultiMap([power_map(d, a) for d, a in specs])
-
-
-def gasket_mm():
-    return MultiMap([polynomial_map([-p, 2.0]) for p in oracles.TRIANGLE_UNIT])
+from oracles import gasket_mm, power_map, power_mm
 
 
 SUPERCRITICAL = ((2, 1.0), (2, 0.25), (2, 1.0 / 3.0))
@@ -94,7 +82,7 @@ def test_criterion_03_mixed_degree_moran_root():
 
 def test_criterion_04_sierpinski_dimension():
     t0 = time.perf_counter()
-    mm = gasket_mm()
+    mm = gasket_mm(oracles.TRIANGLE_UNIT)
     res = bowen_parameter(mm, ThermoConfig(depth=10))
     assert abs(res.delta - oracles.DELTA_GASKET) <= 5e-3
     cloud = julia_backward_cloud(mm, depth=10)
@@ -149,7 +137,7 @@ def test_criterion_07_pressure_monotonicity_and_slope():
         "z3,z3": power_mm((3, 1.0), (3, 1.0)),
         "z2,z2,z2": power_mm((2, 1.0), (2, 1.0), (2, 1.0)),
         "z2,z3": power_mm((2, 1.0), (3, 1.0)),
-        "gasket": gasket_mm(),
+        "gasket": gasket_mm(oracles.TRIANGLE_UNIT),
         "annulus": power_mm((2, 1.0), (2, 0.5)),
         "supercritical": power_mm(*SUPERCRITICAL),
     }
@@ -185,7 +173,7 @@ def test_criterion_09_osc_checker():
     assert first.witnesses[0][0].value == second.witnesses[0][0].value
     assert first.witnesses[0][1] == second.witnesses[0][1]
 
-    gasket = gasket_mm()
+    gasket = gasket_mm(oracles.TRIANGLE_UNIT)
     tri = Triangle(*oracles.TRIANGLE_UNIT)
     assert osc_check(gasket, tri, grid_n=128).verdict == "pass"
     sep = osc_check(gasket, tri, grid_n=512, variant="separating", epsilon=0.01)

@@ -669,6 +669,28 @@ def test_cli_sweep_puncture_rows_still_written(tmp_path, capsys):
     assert lines[3].split(",")[5] == "ok"
 
 
+@pytest.mark.parametrize("domain, message", [
+    ({"kind": "rect", "re_min": 1.0, "re_max": 0.99, "im_min": -0.99, "im_max": 0.99},
+     "rectangle bounds must be ordered"),
+    ({"kind": "annulus", "center": [0.0, 0.0], "r1": 2.0, "r2": 2.0}, "annulus needs 0 <= r1 < r2"),
+])
+def test_cli_sweep_reports_a_bad_family_domain_as_a_config_error(tmp_path, domain, message):
+    # run as a process, so a traceback would reach stderr instead of failing the test
+    path = write_cfg(tmp_path, {
+        "family": {**family_scaled_square(), "domain": domain},
+        "grid": {"re_min": 0.4, "re_max": 0.5, "re_n": 3, "im_min": 0.0, "im_max": 0.0, "im_n": 1},
+    })
+    out = tmp_path / "sweep.csv"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argv = [sys.executable, "-m", "ratsemi.cli", "sweep", "--config", path, "--out", str(out)]
+    proc = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert f"config error: config.family: {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_cli_sweep_rejects_an_out_of_range_smooth_line_before_sweeping(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "sweep_delta", lambda *args: pytest.fail("the sweep ran"))
     for line in (["col", 1], ["row", 3]):

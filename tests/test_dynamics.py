@@ -31,16 +31,16 @@ from ratsemi.sphere import (
 from ratsemi.thermo import PreimageTree
 
 import oracles
-from oracles import RefLevel, cloud_entries, skew_preimages, word_derivative_norm, word_eval
-
-
-def power_map(d, a=1.0):
-    return polynomial_map([0.0] * d + [a])
-
-
-def gasket_mm(vertices=oracles.TRIANGLE_RAW):
-    # doubling maps 2(z - p) + p = 2z - p; inverse branches halve toward p
-    return MultiMap([polynomial_map([-p, 2.0]) for p in vertices])
+from oracles import (
+    RefLevel,
+    cloud_entries,
+    gasket_mm,
+    power_map,
+    power_mm,
+    skew_preimages,
+    word_derivative_norm,
+    word_eval,
+)
 
 
 def annulus_mm(lam=0.5):
@@ -188,19 +188,21 @@ def full_backward_cloud(mm, depth, cap, rng_seed=0):
 def _seed_level(mm):
     """Level 0 at the repelling seed with an empty word, as the reference needs."""
     z, inf = _point_arrays(repelling_seed(mm)[0])
-    return RefLevel(z, inf, np.zeros((1, 0), dtype=np.int8), np.zeros(1), np.zeros(1))
+    return RefLevel(z, inf, np.zeros((1, 0), dtype=np.int8), np.zeros(1), 0.0)
 
 
 def _check_capped_levels(mm, parent, cap, seed, depth):
     """_expand_backward chained from parent beside oracles.backward_levels_ref:
-    at every depth its z, inf, logd, logw and min_step_norm are
-    bit-identical to the reference level.  Returns the reference levels,
-    which keep their words."""
+    at every depth its z, inf, logd and min_step_norm are bit-identical to
+    the reference level, and its one float logw to every reference row's
+    weight.  Returns the reference levels, which keep their words."""
     refs = oracles.backward_levels_ref(mm, parent, cap, seed, depth)
     for n, ref in enumerate(refs, start=1):
         parent = _expand_backward(mm, parent, cap, seed, n)
-        for name in ("z", "inf", "logd", "logw"):
+        for name in ("z", "inf", "logd"):
             assert getattr(parent, name).tobytes() == getattr(ref, name).tobytes(), (n, name)
+        assert type(parent.logw) is float
+        assert np.full(ref.size, parent.logw).tobytes() == ref.logw.tobytes(), n
         assert parent.min_step_norm == ref.min_step_norm
     return refs
 
@@ -402,7 +404,7 @@ def test_backward_level_children_are_contiguous_under_their_parent():
         inf=np.array([False, True, False]),
         words=np.array([[1], [1], [2]], dtype=np.int8),
         logd=np.array([0.1, 0.2, 0.3]),
-        logw=np.array([0.0, -1.0, -2.0]),
+        logw=-1.0,
     )
     (child,) = _check_capped_levels(mm, parent, parent.size * mm.total_degree, 0, 1)  # uncapped
     row = 0
@@ -411,7 +413,7 @@ def test_backward_level_children_are_contiguous_under_their_parent():
             block = slice(row, row + f.degree)
             assert np.all(child.words[block, :-1] == parent.words[i])
             assert np.all(child.words[block, -1] == j)
-            assert np.all(child.logw[block] == parent.logw[i])
+            assert np.all(child.logw[block] == parent.logw)  # uncapped: the parent's weight
             target = INF if parent.inf[i] else SpherePoint.of(complex(parent.z[i]))
             for k in range(block.start, block.stop):
                 pt = INF if child.inf[k] else SpherePoint.of(complex(child.z[k]))
@@ -435,7 +437,7 @@ def test_backward_level_with_infinite_parents_matches_oracle():
     parent = RefLevel(
         z=np.array([0j, 0j, 0.4 - 1.1j, 0j, 2.5j]), inf=inf,
         words=np.array([[1], [2], [3], [1], [2]], dtype=np.int8),
-        logd=np.zeros(5), logw=np.zeros(5),
+        logd=np.zeros(5), logw=0.0,
     )
     child = _expand_backward(mm, parent, parent.size * mm.total_degree, 0, 1)  # uncapped
     row = 0
@@ -494,6 +496,23 @@ def test_capped_mixed_degree_levels_match_expand_then_subsample():
         assert _check_capped_levels(mm, _seed_level(mm), cap, seed, 6)[-1].size == cap
 
 
+def test_capped_tree_level_weight_is_one_float_summed_over_capped_levels():
+    # a capped level of n children keeps each cap / n times in expectation, so all
+    # its rows share the weight log(n / cap) added to the parent level's
+    mm = power_mm((2, 1.0), (2, 0.25), (2, 1 / 3))
+    tree = PreimageTree(mm, depth=8, cap=500)
+    tree.extend(8)
+    w, capped = 0.0, 0
+    for k, lev in enumerate(tree.levels):
+        if k:
+            n = tree.levels[k - 1].size * mm.total_degree
+            if n > 500:
+                w, capped = w + math.log(n / 500), capped + 1
+        assert type(lev.logw) is float, k
+        assert lev.logw == w, k
+    assert capped == 5 and tree.levels[8].size == 500
+
+
 def test_capped_rational_levels_with_infinite_parents_match_expand_then_subsample():
     # parents at infinity, degree-dropping targets (0 under the first map,
     # infinity under the second) and critical children at infinity (third map)
@@ -504,7 +523,7 @@ def test_capped_rational_levels_with_infinite_parents_match_expand_then_subsampl
         z=np.array([0j, 0j, 0.4 - 1.1j, 0j, 2.5j]),
         inf=np.array([True, False, False, True, False]),
         words=np.array([[1], [2], [3], [1], [2]], dtype=np.int8),
-        logd=np.zeros(5), logw=np.zeros(5),
+        logd=np.zeros(5), logw=0.0,
     )
     for cap in (1, 2, 5, 13, 30, 10**6):
         _check_capped_levels(mm, parent, cap, 7, 3)

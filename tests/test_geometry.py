@@ -23,14 +23,7 @@ from ratsemi.geometry import (
 from ratsemi.sphere import INF, polynomial_map
 
 import oracles
-
-
-def power_map(d, a=1.0):
-    return polynomial_map([0.0] * d + [a])
-
-
-def gasket_mm(vertices=oracles.TRIANGLE_RAW):
-    return MultiMap([polynomial_map([-p, 2.0]) for p in vertices])
+from oracles import gasket_mm, power_map
 
 
 # ---------------------------------------------------------------------------

@@ -28,18 +28,7 @@ from ratsemi.thermo import (
 )
 
 import oracles
-
-
-def power_map(d, a=1.0):
-    return polynomial_map([0.0] * d + [a])
-
-
-def power_mm(*specs):
-    return MultiMap([power_map(d, a) for d, a in specs])
-
-
-def gasket_mm(vertices=oracles.TRIANGLE_RAW):
-    return MultiMap([polynomial_map([-p, 2.0]) for p in vertices])
+from oracles import gasket_mm, power_map, power_mm
 
 
 def similarity_mm(lam=complex(0.3, 0.05)):
