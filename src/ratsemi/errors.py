@@ -14,8 +14,9 @@ class RatsemiError(Exception):
 
 
 class NonConvergence(RatsemiError):
-    """A root solve missed its residual bound with Aberth and then with the
-    companion eigenvalues, or a Bowen root search ran away."""
+    """A root solve missed its residual bound with every solver it reached
+    (the cubic closed form, Aberth, then the companion eigenvalues), or a
+    Bowen root search ran away."""
 
     status = "non-convergence"
 

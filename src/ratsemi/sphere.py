@@ -10,6 +10,10 @@ Each RationalMap operation (evaluation, derivative norm, preimages) is
 implemented once, batched over parallel arrays (z, inf) with the bool mask
 inf marking infinity; it handles infinity and degree drops (cancelling
 leading coefficients), and the scalar methods are 1-element wrappers.
+Polynomial roots, batched the same way in roots_batch, come from closed
+forms up to degree 3 and from the Aberth-Ehrlich iteration above; a cubic
+the closed form misses goes to Aberth, and a polynomial Aberth misses to
+the companion eigenvalues.
 
 Conventions:
   - polynomial coefficients are stored ascending (coeffs[k] multiplies z^k)
@@ -159,15 +163,41 @@ def horner(coeffs, z):
 
 
 # ---------------------------------------------------------------------------
-# root finding (Aberth-Ehrlich simultaneous iteration)
+# root finding: closed forms up to degree 3, Aberth-Ehrlich iteration above
 
-_ABERTH_BLOCK = 4096  # polynomials per block: bounds the (n, n, block) pair differences
+# polynomials per block of the Aberth and cubic solvers: bounds their temporaries,
+# such as Aberth's (n, n, block) pair differences
+_ABERTH_BLOCK = 4096
 
 
 def _resid_ok(C, z):
-    """Columns of C whose roots z, (n, m), all meet the residual bound."""
-    bound = _ROOT_RESID * (1.0 + np.max(np.abs(C), axis=0)) * (1.0 + np.abs(z)) ** (len(C) - 1)
-    return np.all(np.abs(horner(C, z)) <= bound, axis=0)
+    """Columns of C whose roots z, (n, m), all meet the residual bound
+    |p(z)| <= 1e-8 (1 + max|c|) (1 + |z|)^n, tested as p(z) / s^n with
+    s = 1 + |z|: Horner in z / s on the coefficients c_k s^(k - n), so
+    neither side overflows however large z is."""
+    s = 1.0 + np.abs(z)
+    x, inv = z / s, 1.0 / s
+    acc, scale = C[-1], 1.0
+    for k in range(len(C) - 2, -1, -1):
+        scale = scale * inv
+        acc = acc * x + C[k] * scale
+    return np.all(np.abs(acc) <= _ROOT_RESID * (1.0 + np.max(np.abs(C), axis=0)), axis=0)
+
+
+def _solve_blocks(C, solve):
+    """Roots (m, n) that solve gives for the columns of C, one block of
+    _ABERTH_BLOCK columns at a time, and the indices of the columns whose
+    roots are not all finite or miss the residual bound."""
+    # allocated before the temporaries, so freeing them leaves no heap hole under it
+    out = np.empty((C.shape[1], len(C) - 1), dtype=complex)
+    missed = []
+    for s in range(0, C.shape[1], _ABERTH_BLOCK):
+        Cb = C[:, s : s + _ABERTH_BLOCK]
+        z = out[s : s + Cb.shape[1]] = solve(Cb)
+        ok = np.isfinite(z).all(axis=1)
+        ok[ok] = _resid_ok(Cb[:, ok], z[ok].T)
+        missed.extend(s + np.flatnonzero(~ok))
+    return out, missed
 
 
 def _aberth_block(C, circle):
@@ -175,7 +205,10 @@ def _aberth_block(C, circle):
     one of its own steps is below 1e-13 (1 + |z|)."""
     n = len(C) - 1
     Cm = C / C[-1]  # monic
-    radius = 1.0 + np.max(np.abs(Cm[:-1]), axis=0)
+    # the roots' scale max_k |c_k / c_n|^(1 / (n - k)): every root lies within twice it
+    # (Fujiwara), so iterates started there do not overflow; 0 only when all roots are 0
+    radius = np.max(np.abs(Cm[:-1]) ** (1.0 / np.arange(n, 0, -1))[:, None], axis=0)
+    radius[radius == 0] = 1.0
     z = za = radius * circle
     Cd = Cm[1:] * np.arange(1, n + 1)[:, None]
     act, diag = np.arange(C.shape[1]), np.arange(n)
@@ -221,19 +254,14 @@ def _aberth_batch(C):
     (np.roots) under the same bound; NonConvergence if it misses it again.
     """
     C = np.asarray(C, dtype=complex)
-    n, m = len(C) - 1, C.shape[1]
+    n = len(C) - 1
     if n == 1:
         return (-C[0] / C[1])[:, None]
-    out = np.empty((m, n), dtype=complex)
     if n == 0:
-        return out
-    # deterministic start: Cauchy circle with a fixed symmetry-breaking offset
+        return np.empty((C.shape[1], 0), dtype=complex)
+    # deterministic start: a circle at the roots' scale with a fixed symmetry-breaking offset
     circle = np.exp(1j * (2.0 * np.pi * (np.arange(n) + 0.354) / n + 0.5))[:, None]
-    failed = []
-    for s in range(0, m, _ABERTH_BLOCK):
-        z = _aberth_block(C[:, s : s + _ABERTH_BLOCK], circle)
-        out[s : s + z.shape[1]] = z.T
-        failed.extend(s + np.flatnonzero(~_resid_ok(C[:, s : s + _ABERTH_BLOCK], z)))
+    out, failed = _solve_blocks(C, lambda Cb: _aberth_block(Cb, circle).T)
     for i in failed:
         out[i] = np.roots(C[::-1, i])
     bad_rows = [i for i in failed if not _resid_ok(C[:, i, None], out[i, :, None])[0]]
@@ -248,8 +276,9 @@ def _aberth_batch(C):
 def poly_roots(coeffs) -> list[complex]:
     """All complex roots of a polynomial, multiplicity as repeated entries.
 
-    Aberth-Ehrlich iteration from a deterministic start (reproducible), with
-    a companion-eigenvalue fallback.  Residual acceptance per root:
+    The one-column case of roots_batch, so deterministic: closed forms up to
+    degree 3, the Aberth-Ehrlich iteration above, with the fallbacks there.
+    Residual acceptance per root:
     |p(root)| <= 1e-8 * (1 + max|coeff|) * (1 + |root|)^degree.
     """
     p = _coeffs(coeffs)
@@ -257,7 +286,7 @@ def poly_roots(coeffs) -> list[complex]:
         raise ValueError("zero polynomial has no well-defined root set")
     if p.size == 1:
         return []
-    roots = _aberth_batch(p[:, None])[0]
+    roots = roots_batch(p[:, None])[0]
     return sorted((complex(r) for r in roots), key=lambda r: (r.real, r.imag))
 
 
@@ -280,19 +309,58 @@ def _quadratic_roots_batch(C):
     return out
 
 
+_OMEGA = np.exp(2j * np.pi * np.arange(3) / 3)  # the cube roots of unity
+
+
+def _cubic_roots_batch(C):
+    """Closed-form roots for (4, m) coefficient-major cubics, (m, 3): Cardano
+    on the depressed cubic t^3 + p t + q, z = t - a/3, each root then
+    polished by one Newton step.  A root whose step is not below
+    1e-8 (1 + |z|) comes back as NaN."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a, b, c = C[2] / C[3], C[1] / C[3], C[0] / C[3]
+        a3 = a / 3.0
+        p = b - a * a3
+        # a temporary goes left of a complex product: numpy may compute x * (temporary)
+        # in place as temporary * x on large arrays, and the two differ in the last bit
+        h = 0.5 * (c - (b - 2.0 * a3 * a3) * a3)  # q / 2
+        sq = np.sqrt(h * h + (p / 3.0) ** 3)
+        # pick the sign that avoids cancellation in -q/2 -+ sqrt(disc)
+        sq = np.where(np.real(np.conj(h) * sq) < 0, -sq, sq)
+        u3 = -(h + sq)
+        u = np.cbrt(np.abs(u3)) * np.exp(1j * np.angle(u3) / 3.0)  # principal cube root
+        wu = _OMEGA[:, None] * u
+        t = np.where(u == 0, 0.0, wu - p / (3.0 * wu))  # u = 0: the triple root t = 0
+        z = t - a3
+        step = horner(C, z) / horner(C[1:] * np.arange(1.0, 4.0)[:, None], z)
+        step[~np.isfinite(step)] = 0.0
+        z -= step
+        # a longer step means cancellation cost the root its digits (coefficients of
+        # widely different sizes, clustered roots): NaN hands the column to Aberth
+        z[np.abs(step) > 1e-8 * (1.0 + np.abs(z))] = np.nan
+    return z.T
+
+
 def roots_batch(C):
     """Roots for a batch of same-degree polynomials, in solver order.
 
     C is (n+1, m), coefficient-major: column j holds the ascending
     coefficients of polynomial j, each coefficient is one contiguous row,
-    and the last row is nonzero.  Returns (m, n).  Degree 1 and 2 take
+    and the last row is nonzero.  Returns (m, n).  Degree 1, 2 and 3 take
     closed forms, higher degrees the Aberth iteration (stopped per
-    polynomial, with a companion-eigenvalue fallback).  Row j of the result
-    depends only on polynomial j, in solver order: deterministic, unsorted.
+    polynomial, with a companion-eigenvalue fallback).  A cubic whose closed
+    form is not finite or misses the residual bound is re-solved by Aberth.
+    Row j of the result depends only on polynomial j, in solver order:
+    deterministic, unsorted.
     """
     if C.shape[0] == 3:
         return _quadratic_roots_batch(C)
-    return _aberth_batch(C)
+    if C.shape[0] != 4:
+        return _aberth_batch(C)
+    out, missed = _solve_blocks(C, _cubic_roots_batch)
+    if missed:
+        out[missed] = _aberth_batch(C[:, missed])
+    return out
 
 
 # ---------------------------------------------------------------------------

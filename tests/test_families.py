@@ -319,17 +319,23 @@ def test_lockstep_sweep_keeps_each_points_own_status(monkeypatch):
 
 
 def test_failed_root_solve_in_a_block_lands_on_its_own_point(monkeypatch):
-    # Aberth stops after one step, so every cubic goes to np.roots, which
-    # returns garbage for the tree polynomials c z^3 - y of the middle point only
+    # the tree polynomials c z^3 - y of the middle point only miss the closed form;
+    # Aberth stops after one step, so they go to np.roots, which returns garbage for them
     grid = GridSpec(0.4, 0.7, 3, 0.0, 0.0, 1)
     bad = complex(grid.re_values[1])
-    roots = np.roots
+    roots, cubic_roots = np.roots, sphere._cubic_roots_batch
 
     def roots_failing_on_one_point(p):
         if p[0] == bad and not np.any(p[1:-1]):
             return np.zeros(len(p) - 1, dtype=complex)
         return roots(p)
 
+    def cubic_roots_missing_on_one_point(C):
+        out = cubic_roots(C)
+        out[(C[3] == bad) & ~C[1:3].any(axis=0)] = np.nan
+        return out
+
+    monkeypatch.setattr(sphere, "_cubic_roots_batch", cubic_roots_missing_on_one_point)
     monkeypatch.setattr(sphere, "_ABERTH_MAX_ITER", 1)
     monkeypatch.setattr(np, "roots", roots_failing_on_one_point)
     # a gate of depth 0 solves no preimages, so the failure can only come from the block's tree

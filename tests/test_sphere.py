@@ -1,4 +1,5 @@
 """Sphere-core tests: points, chordal metric, roots, maps, derivative norms."""
+import itertools
 import math
 from fractions import Fraction
 
@@ -247,6 +248,90 @@ def test_nonconvergence_when_the_fallback_also_misses(monkeypatch):
     monkeypatch.setattr(np, "roots", lambda c: np.full(c.size - 1, 1e3 + 0j))
     with pytest.raises(NonConvergence, match=r"on 3 polynomial\(s\); first failing row index 0"):
         sphere._aberth_batch(C)
+
+
+def _worst_root_error(got, ref):
+    """Largest |g - e| / (1 + |e|) between two root lists under the best pairing."""
+    return min(max(abs(g - e) / (1.0 + abs(e)) for g, e in zip(perm, ref))
+               for perm in itertools.permutations(got))
+
+
+def test_cubic_closed_form_matches_companion_eigenvalues():
+    # coefficients of widely different sizes cost Cardano the small roots' digits
+    rng, m = np.random.default_rng(33), 3000
+    C = rand_complex(rng, 4 * m).reshape(4, m) * 10.0 ** rng.uniform(-6.0, 6.0, (4, m))
+    a = 0.3 - 1.7j
+    special = [[2.0, -3.0, 0.0, 1.0],                       # (z - 1)^2 (z + 2)
+               [0.0, 0.0, 0.0, 1.0],                        # z^3
+               [-a**3, 3 * a**2, -3 * a, 1.0],              # (z - a)^3
+               [0.0, 1.5 + 2j, -0.25j, 3.0]]                # zero constant term
+    C = np.concatenate([C, np.array(special, dtype=complex).T], axis=1)
+    got = sphere.roots_batch(C)
+    assert got.shape == (C.shape[1], 3)
+    for j in range(C.shape[1]):
+        # a k-fold root moves by about eps^(1/k) under rounding of the coefficients
+        tol = 1e-5 if j >= m else 1e-6
+        assert _worst_root_error(got[j].tolist(), oracles.np_roots(C[:, j])) <= tol
+
+
+def test_cubic_rows_do_not_depend_on_their_batch(monkeypatch):
+    # some columns miss the closed form and go to Aberth; blocks of 40,000 columns
+    # make numpy elide temporaries, which a complex product may not commute with
+    rng, m = np.random.default_rng(8), 40000
+    C = rand_complex(rng, 4 * m).reshape(4, m) * 10.0 ** rng.uniform(-3.0, 3.0, (4, m))
+    batch = sphere.roots_batch(C)
+    alone = np.concatenate([sphere.roots_batch(C[:, i : i + 1]) for i in range(300)])
+    chunked = np.concatenate([sphere.roots_batch(C[:, i : i + 7000]) for i in range(0, m, 7000)])
+    monkeypatch.setattr(sphere, "_ABERTH_BLOCK", m)
+    one_block = sphere.roots_batch(C)
+    assert alone.tobytes() == batch[:300].tobytes()
+    assert chunked.tobytes() == batch.tobytes() == one_block.tobytes()
+
+
+def test_cubic_rows_missing_the_closed_form_reach_aberth(monkeypatch):
+    # columns 1 and 4 come back non-finite, columns 2 and 5 finite but off the bound
+    rng = np.random.default_rng(12)
+    C = rand_complex(rng, 4 * 8).reshape(4, 8)
+    cubic_roots, aberth = sphere._cubic_roots_batch, sphere._aberth_batch
+    seen = []
+
+    def cubic_roots_missing(C):
+        out = cubic_roots(C)
+        out[[1, 4], 1] = np.nan
+        out[[2, 5]] += 1e-3
+        return out
+
+    monkeypatch.setattr(sphere, "_cubic_roots_batch", cubic_roots_missing)
+    monkeypatch.setattr(sphere, "_aberth_batch", lambda C: seen.append(C.copy()) or aberth(C))
+    got = sphere.roots_batch(C)
+    assert len(seen) == 1 and seen[0].tobytes() == C[:, [1, 2, 4, 5]].tobytes()
+    assert got[[1, 2, 4, 5]].tobytes() == aberth(C[:, [1, 2, 4, 5]]).tobytes()
+    for j in range(8):
+        assert _worst_root_error(got[j].tolist(), oracles.np_roots(C[:, j])) <= 1e-10
+
+
+def test_cubic_nonconvergence_when_the_fallback_also_misses(monkeypatch):
+    C = np.array([[-8.0, 1.0], [0.0, 0.0], [0.0, 1.0], [1.0, 1.0]], dtype=complex)
+    monkeypatch.setattr(sphere, "_cubic_roots_batch", lambda C: np.full((C.shape[1], 3), np.nan))
+    monkeypatch.setattr(sphere, "_ABERTH_MAX_ITER", 1)
+    monkeypatch.setattr(np, "roots", lambda c: np.full(c.size - 1, 1e3 + 0j))
+    with pytest.raises(NonConvergence, match=r"on 2 polynomial\(s\)"):
+        sphere.roots_batch(C)
+
+
+@pytest.mark.parametrize("degree", [3, 4, 6])
+def test_preimages_of_huge_and_tiny_targets_match_companion_eigenvalues(degree):
+    # (1 + |z|)^n in an unscaled residual bound, and Aberth iterates started at radius
+    # 1 + max|c_k / c_n|, overflow for |w| > 10^(308 / d): wrong roots then pass the bound
+    c = np.zeros(degree + 1, dtype=complex)
+    c[0], c[-1] = 0.3, 1.0
+    f = polynomial_map(c)
+    for w in (1e40, 1e100, 1e149, 1e-149):
+        got, infm = f.preimages_many(np.array([w + 0j]))
+        assert not infm.any()
+        ref = oracles.np_roots(c - np.eye(degree + 1)[0] * w)
+        for g in got[0]:
+            assert min(abs(g - e) for e in ref) <= 1e-13 * abs(g)
 
 
 def _cluster_size(roots, radius=1e-2):
