@@ -12,8 +12,6 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from numpy.polynomial import Polynomial as LambdaPoly
-
 from .dynamics import DEFAULT_CAP, DEFAULT_DEPTH, MultiMap
 from .errors import ConfigError
 from .families import AnnulusDomain, FamilySpec, GridSpec, RectDomain
@@ -282,11 +280,8 @@ class RunConfig:
         if "family" not in self.data:
             raise ConfigError("this command needs a family config")
         fam = self.data["family"]
-        gens = []
-        for g in fam["generators"]:
-            num = tuple(LambdaPoly([complex(*c) for c in p]) for p in g["num"])
-            den = tuple(LambdaPoly([complex(*c) for c in p]) for p in g["den"])
-            gens.append((num, den))
+        gens = [tuple([[complex(*c) for c in p] for p in g[k]] for k in ("num", "den"))
+                for g in fam["generators"]]
         dom = fam["domain"]
         try:
             if dom["kind"] == "rect":

@@ -17,7 +17,7 @@ from .sphere import MapStack, SpherePoint, _array_point, _point_arrays, sphere_e
 
 _REPEL_TOL = 1e-6
 _CLOSEST_PAIR_BLOCK = 1 << 20  # entries of one row block of the closest-pair search
-_EXPAND_ROWS = 1 << 13  # solve rows (parents times block points) per chunk of a backward level, at most
+_EXPAND_ROWS = 1 << 13  # solve rows per chunk of an uncapped backward level (_expand_backward)
 DEFAULT_DEPTH = 12
 DEFAULT_CAP = 200_000
 
@@ -161,7 +161,10 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
     A level of a block (see stack_block) carries a leading point axis on z,
     inf and logd and a min_step_norm per point; its logw, like the picks,
     is shared.  Each generator is solved in equal chunks of about
-    _EXPAND_ROWS solve rows over the block, so temporaries do not grow with it.
+    d _EXPAND_ROWS / B children, B the block's points, so temporaries do not
+    grow with the block: _EXPAND_ROWS solve rows (parents times B) when
+    uncapped, up to d times as many when capped, as kept children can all
+    have distinct parents.
 
     A points-only parent (logd None, see CloudLevel) gives a points-only
     level: the same picks, solves and z, inf bit for bit, without derivative

@@ -16,7 +16,9 @@ class RatsemiError(Exception):
 class NonConvergence(RatsemiError):
     """A root solve missed its residual bound with every solver it reached
     (the cubic closed form, Aberth, then the companion eigenvalues), or a
-    Bowen root search ran away."""
+    Bowen root search ran away.  sphere.roots_batch raises it in one place,
+    naming how many polynomials of its batch missed and the first one by its
+    ascending coefficients, which no split of the batch can mislabel."""
 
     status = "non-convergence"
 

@@ -2,8 +2,9 @@
 grids in the parameter plane, and sub-mean-value / smoothness diagnostics.
 
 A family holds generators whose numerator and denominator coefficients are
-polynomials in a single complex parameter.  Instantiating at a parameter value
-evaluates every coefficient polynomial and builds the multi-map.  Sweeps
+polynomials in a single complex parameter, kept as tuples of ascending
+complex coefficients.  Instantiating at a parameter value evaluates every
+coefficient polynomial with sphere.horner and builds the multi-map.  Sweeps
 instantiate, gate and seed each grid point on its own, then run the Bowen
 root searches of consecutive same-signature points in lockstep blocks on one
 shared preimage tree, and record failures as row statuses instead of raising.
@@ -14,11 +15,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import Polynomial as LambdaPoly
 
 from .dynamics import MultiMap
 from .errors import InsufficientPoints, InvalidInstance, RatsemiError
-from .sphere import RationalMap
+from .sphere import RationalMap, horner
 from .thermo import (
     PreimageTree,
     ThermoConfig,
@@ -33,12 +33,19 @@ from .thermo import (
 _BLOCK_NODES = 120_000
 
 
-def _as_poly(c) -> LambdaPoly:
-    if isinstance(c, LambdaPoly):
-        return c
+def _as_poly(c) -> tuple:
+    """One coefficient of a FamilySpec generator as an ascending tuple."""
     if isinstance(c, (int, float, complex, np.number)):
-        return LambdaPoly([complex(c)])
-    return LambdaPoly(np.asarray(c, dtype=complex))
+        return (complex(c),)
+    if hasattr(c, "coef"):
+        if type(c).__name__ != "Polynomial" or not np.array_equal(c.domain, c.window):
+            raise ValueError(f"parameter polynomial {c!r} is not a Polynomial whose domain "
+                             "equals its window; pass its ascending coefficients instead")
+        c = c.coef
+    c = np.asarray(c, dtype=complex)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("a parameter polynomial needs a non-empty 1-d list of coefficients")
+    return tuple(c.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +84,10 @@ class AnnulusDomain:
 @dataclass
 class FamilySpec:
     """Generators as (numerator, denominator) tuples of coefficient
-    polynomials in the parameter, plus the parameter domain and punctures."""
+    polynomials in the parameter, plus the parameter domain and punctures.
+    A coefficient is a number, a non-empty sequence of ascending coefficients
+    in the parameter, or a numpy Polynomial whose domain equals its window
+    (read by its coef); each is stored as a tuple of complex numbers."""
 
     generators: tuple
     domain: object
@@ -105,8 +115,8 @@ def instantiate(fam: FamilySpec, lam) -> MultiMap:
             raise InvalidInstance(f"parameter {lam} is an excluded puncture")
     maps = []
     for k, (num_polys, den_polys) in enumerate(fam.generators, start=1):
-        num = [q(lam) for q in num_polys]
-        den = [q(lam) for q in den_polys]
+        num = [horner(q, lam) for q in num_polys]
+        den = [horner(q, lam) for q in den_polys]
         try:
             maps.append(RationalMap(num, den))
         except ValueError as e:
@@ -370,7 +380,7 @@ def annulus_family() -> FamilySpec:
     """(z^2, c z^2): the second generator's scale is the parameter; Julia
     clouds fill round annuli and the Bowen parameter stays 2."""
     z2 = ((0.0, 0.0, 1.0), (1.0,))
-    cz2 = ((0.0, 0.0, LambdaPoly([0.0, 1.0])), (1.0,))
+    cz2 = ((0.0, 0.0, (0.0, 1.0)), (1.0,))
     return FamilySpec(
         generators=(z2, cz2),
         domain=RectDomain(-0.99, 0.99, -0.99, 0.99),
@@ -384,8 +394,8 @@ def similarity_family(vertices) -> FamilySpec:
     gens = []
     for p in vertices:
         p = complex(p)
-        num = (LambdaPoly([-p, p]), LambdaPoly([1.0]))
-        den = (LambdaPoly([0.0, 1.0]),)
+        num = ((-p, p), 1.0)
+        den = ((0.0, 1.0),)
         gens.append((num, den))
     return FamilySpec(
         generators=tuple(gens),
@@ -397,7 +407,7 @@ def similarity_family(vertices) -> FamilySpec:
 def power_pair_family() -> FamilySpec:
     """(z^2, c z^3): mixed-degree sanity family."""
     z2 = ((0.0, 0.0, 1.0), (1.0,))
-    cz3 = ((0.0, 0.0, 0.0, LambdaPoly([0.0, 1.0])), (1.0,))
+    cz3 = ((0.0, 0.0, 0.0, (0.0, 1.0)), (1.0,))
     return FamilySpec(
         generators=(z2, cz3),
         domain=RectDomain(-0.99, 0.99, -0.99, 0.99),

@@ -10,10 +10,10 @@ Each RationalMap operation (evaluation, derivative norm, preimages) is
 implemented once, batched over parallel arrays (z, inf) with the bool mask
 inf marking infinity; it handles infinity and degree drops (cancelling
 leading coefficients), and the scalar methods are 1-element wrappers.
-Polynomial roots, batched the same way in roots_batch, come from closed
-forms up to degree 3 and from the Aberth-Ehrlich iteration above; a cubic
-the closed form misses goes to Aberth, and a polynomial Aberth misses to
-the companion eigenvalues.
+Every polynomial of the library is its ascending complex coefficients,
+evaluated by horner, and roots_batch is its one root solver: closed forms up
+to degree 3, Aberth-Ehrlich above, Aberth again for a cubic the closed form
+misses, and the companion eigenvalues for a polynomial Aberth misses.
 
 Conventions:
   - polynomial coefficients are stored ascending (coeffs[k] multiplies z^k)
@@ -152,8 +152,8 @@ def horner(coeffs, z):
     one polynomial per column, and a constant comes back as its row.  Each
     product is new: numpy rounds an in-place complex product of length-1
     arrays differently.  Even so, 0-d and length-1 inputs may round
-    differently from the same value inside a longer array, so callers pass
-    arrays."""
+    differently from the same value inside a longer array, so callers whose
+    values must match a batch's pass arrays."""
     c = np.asarray(coeffs, dtype=complex)
     acc = c[-1, ...]
     for k in range(len(c) - 2, -1, -1):
@@ -185,9 +185,9 @@ def _resid_ok(C, z):
 
 
 def _solve_blocks(C, solve):
-    """Roots (m, n) that solve gives for the columns of C, one block of
-    _ABERTH_BLOCK columns at a time, and the indices of the columns whose
-    roots are not all finite or miss the residual bound."""
+    """Roots (m, n) that the kernel solve gives for the columns of C, one
+    block of _ABERTH_BLOCK columns at a time, and the indices of the columns
+    whose roots are not all finite or miss the residual bound; no raise."""
     # allocated before the temporaries, so freeing them leaves no heap hole under it
     out = np.empty((C.shape[1], len(C) - 1), dtype=complex)
     missed = []
@@ -200,10 +200,11 @@ def _solve_blocks(C, solve):
     return out, missed
 
 
-def _aberth_block(C, circle):
-    """Aberth iterates (n, m) for the columns of C; a column stops once every
-    one of its own steps is below 1e-13 (1 + |z|)."""
+def _aberth_block(C):
+    """Aberth roots (m, n) for the columns of C from a fixed start circle; a
+    column stops once every one of its own steps is below 1e-13 (1 + |z|)."""
     n = len(C) - 1
+    circle = np.exp(1j * (2.0 * np.pi * (np.arange(n) + 0.354) / n + 0.5))[:, None]
     Cm = C / C[-1]  # monic
     # the roots' scale max_k |c_k / c_n|^(1 / (n - k)): every root lies within twice it
     # (Fujiwara), so iterates started there do not overflow; 0 only when all roots are 0
@@ -239,38 +240,7 @@ def _aberth_block(C, circle):
                 if act.size == 0:
                     break
     z[:, act] = za  # columns still moving at the iteration cap
-    return z
-
-
-def _aberth_batch(C):
-    """All roots of each column of C: (n+1, m) ascending coefficients,
-    coefficient-major (one polynomial per column), with a nonzero last row.
-
-    Returns (m, n) roots, unordered within rows.  Runs in blocks of
-    _ABERTH_BLOCK columns, and only the polynomials whose own steps are not
-    yet all below 1e-13 (1 + |z|) keep iterating, so a polynomial's roots
-    never depend on its batch.  One that misses the residual bound after
-    _ABERTH_MAX_ITER steps is re-solved from its companion eigenvalues
-    (np.roots) under the same bound; NonConvergence if it misses it again.
-    """
-    C = np.asarray(C, dtype=complex)
-    n = len(C) - 1
-    if n == 1:
-        return (-C[0] / C[1])[:, None]
-    if n == 0:
-        return np.empty((C.shape[1], 0), dtype=complex)
-    # deterministic start: a circle at the roots' scale with a fixed symmetry-breaking offset
-    circle = np.exp(1j * (2.0 * np.pi * (np.arange(n) + 0.354) / n + 0.5))[:, None]
-    out, failed = _solve_blocks(C, lambda Cb: _aberth_block(Cb, circle).T)
-    for i in failed:
-        out[i] = np.roots(C[::-1, i])
-    bad_rows = [i for i in failed if not _resid_ok(C[:, i, None], out[i, :, None])[0]]
-    if bad_rows:
-        raise NonConvergence(
-            f"root solver missed the residual bound on {len(bad_rows)} "
-            f"polynomial(s); first failing row index {bad_rows[0]}"
-        )
-    return out
+    return z.T
 
 
 def poly_roots(coeffs) -> list[complex]:
@@ -346,20 +316,32 @@ def roots_batch(C):
 
     C is (n+1, m), coefficient-major: column j holds the ascending
     coefficients of polynomial j, each coefficient is one contiguous row,
-    and the last row is nonzero.  Returns (m, n).  Degree 1, 2 and 3 take
-    closed forms, higher degrees the Aberth iteration (stopped per
-    polynomial, with a companion-eigenvalue fallback).  A cubic whose closed
-    form is not finite or misses the residual bound is re-solved by Aberth.
-    Row j of the result depends only on polynomial j, in solver order:
-    deterministic, unsorted.
+    and the last row is nonzero.  Returns (m, n).  Degrees 0-2 take closed
+    forms, degree 3 _cubic_roots_batch and higher ones _aberth_block, in one
+    _solve_blocks pass; cubics it misses get an _aberth_block pass, then
+    any miss np.roots.  NonConvergence if that misses the bound too, with
+    the count and the first such polynomial's coefficients.  Row j depends
+    only on polynomial j: deterministic, unsorted.
     """
-    if C.shape[0] == 3:
+    C = np.asarray(C, dtype=complex)
+    n = len(C) - 1
+    if n == 0:
+        return np.empty((C.shape[1], 0), dtype=complex)
+    if n == 1:
+        return (-C[0] / C[1])[:, None]
+    if n == 2:
         return _quadratic_roots_batch(C)
-    if C.shape[0] != 4:
-        return _aberth_batch(C)
-    out, missed = _solve_blocks(C, _cubic_roots_batch)
-    if missed:
-        out[missed] = _aberth_batch(C[:, missed])
+    out, missed = _solve_blocks(C, _cubic_roots_batch if n == 3 else _aberth_block)
+    if n == 3 and missed:
+        out[missed], still = _solve_blocks(C[:, missed], _aberth_block)
+        missed = [missed[i] for i in still]
+    for i in missed:
+        out[i] = np.roots(C[::-1, i])
+    bad = [i for i in missed if not _resid_ok(C[:, i, None], out[i, :, None])[0]]
+    if bad:
+        coeffs = ", ".join(f"{c:.6g}" for c in C[:, bad[0]])
+        raise NonConvergence(f"root solver missed the residual bound on {len(bad)} polynomial(s); "
+                             f"the first has ascending coefficients [{coeffs}]")
     return out
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -431,6 +432,22 @@ def test_importing_cli_leaves_scipy_spatial_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_cli_leaves_numpy_polynomial_unloaded():
+    # family coefficients are plain ascending tuples evaluated by sphere.horner
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys; import ratsemi.cli; sys.exit('numpy.polynomial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_output_digests_runs_every_subcommand_on_an_existing_config():
+    root = Path(__file__).resolve().parent.parent
+    commands = runpy.run_path(str(root / "tools" / "output_digests.py"))["COMMANDS"]
+    assert {cmd for cmd, _ in commands} == {name for name, _, _ in cli._COMMANDS}
+    assert all((root / "demos" / "configs" / f"{c}.json").is_file() for _, c in commands)
 
 
 def test_bowen_runs_without_scipy():

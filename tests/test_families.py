@@ -106,6 +106,49 @@ def test_coefficients_vary_polynomially():
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def _reference_coeffs(polys, lam):
+    """The coefficients of one generator side at lam, evaluated by numpy.polynomial."""
+    return sphere._coeffs([LambdaPoly(q)(lam) for q in polys])
+
+
+def test_instantiate_matches_numpy_polynomial_bit_for_bit_on_the_similarity_grid():
+    # the demo grid's products are exact, so the array Horner loop and numpy.polynomial's
+    # scalar one agree to the last bit on all 441 x 9 coefficients
+    cfg = parse_file(Path(__file__).resolve().parent.parent / "demos/configs/similarity_sweep.json")
+    fam, grid = cfg.family_spec(), cfg.grid_spec()
+    points = 0
+    for lam in grid.points():
+        for f, (num, den) in zip(instantiate(fam, lam).generators, fam.generators):
+            assert f.num.tobytes() == _reference_coeffs(num, lam).tobytes()
+            assert f.den.tobytes() == _reference_coeffs(den, lam).tobytes()
+        points += 1
+    assert points == 441
+
+
+def test_instantiate_matches_numpy_polynomial_on_random_coefficients():
+    # a fused first product may move the last bits, nothing more
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        num = [rng.normal(size=k) + 1j * rng.normal(size=k) for k in rng.integers(1, 6, size=3)]
+        fam = FamilySpec(generators=((num, (1.0,)),), domain=RectDomain(-5.0, 5.0, -5.0, 5.0))
+        lam = complex(*rng.uniform(-5.0, 5.0, size=2))
+        got = instantiate(fam, lam).generators[0].num
+        ref = _reference_coeffs(num, lam)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+
+def test_family_spec_coefficient_forms():
+    spec = FamilySpec(generators=(((2, (0.0, 1.0), LambdaPoly([1.0, 0.0, 3j])), [1.5]),),
+                      domain=RectDomain(-1.0, 1.0, -1.0, 1.0))
+    assert spec.generators == ((((2 + 0j,), (0j, 1 + 0j), (1 + 0j, 0j, 3j)), ((1.5 + 0j,),)),)
+    assert annulus_family() == annulus_family()
+    assert similarity_family([0, 1, 1j]) == similarity_family([0, 1, 1j])
+    for bad in ([], LambdaPoly([0.0, 1.0], domain=[0.0, 2.0])):
+        with pytest.raises(ValueError):
+            FamilySpec(generators=(((0.0, bad), (1.0,)),), domain=RectDomain(-1.0, 1.0, -1.0, 1.0))
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 

@@ -211,16 +211,20 @@ def test_roots_deterministic():
     assert poly_roots(c) == poly_roots(c)
 
 
+def _aberth(C):
+    return sphere._solve_blocks(C, sphere._aberth_block)[0]
+
+
 def test_aberth_rows_do_not_depend_on_their_batch(monkeypatch):
     # each row stops on its own steps, so alone, in one batch and split
     # across blocks it runs the same iterations to the same bits
     rng = np.random.default_rng(7)
     for n in (3, 4, 5, 6):
         C = rand_complex(rng, (n + 1) * 200).reshape(n + 1, 200)
-        batch = sphere._aberth_batch(C)
-        alone = np.concatenate([sphere._aberth_batch(C[:, i : i + 1]) for i in range(200)])
+        batch = _aberth(C)
+        alone = np.concatenate([_aberth(C[:, i : i + 1]) for i in range(200)])
         monkeypatch.setattr(sphere, "_ABERTH_BLOCK", 7)
-        blocked = sphere._aberth_batch(C)
+        blocked = _aberth(C)
         monkeypatch.undo()
         assert batch.tobytes() == alone.tobytes() == blocked.tobytes()
 
@@ -242,12 +246,38 @@ def test_rows_missing_the_residual_fall_back_to_companion_eigenvalues(monkeypatc
 
 
 def test_nonconvergence_when_the_fallback_also_misses(monkeypatch):
-    C = np.array([[-8.0, 1.0, 0.5j], [0.0, 0.0, 2.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    C = np.array([[-8.0, 1.0, 0.5j], [0.0, 0.0, 2.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0],
+                  [1.0, 1.0, 1.0]])
     monkeypatch.setattr(sphere, "_ABERTH_MAX_ITER", 1)
     monkeypatch.setattr(sphere, "_ABERTH_BLOCK", 2)
     monkeypatch.setattr(np, "roots", lambda c: np.full(c.size - 1, 1e3 + 0j))
-    with pytest.raises(NonConvergence, match=r"on 3 polynomial\(s\); first failing row index 0"):
-        sphere._aberth_batch(C)
+    with pytest.raises(NonConvergence, match=r"on 3 polynomial\(s\); the first has ascending "
+                                             r"coefficients \[-8\+0j, 0\+0j, 0\+0j, 0\+0j, 1\+0j\]"):
+        sphere.roots_batch(C)
+
+
+def test_nonconvergence_names_the_failing_polynomial_not_its_batch_row(monkeypatch):
+    # the closed form misses columns 2 and 5, Aberth misses both after one step, and the
+    # companion eigenvalues miss column 5 only: the message names column 5's coefficients,
+    # not its row among the misses
+    rng = np.random.default_rng(21)
+    C = rand_complex(rng, 4 * 6).reshape(4, 6)
+    cubic_roots, roots_fn = sphere._cubic_roots_batch, np.roots
+
+    def cubic_roots_missing(C):
+        out = cubic_roots(C)
+        out[[2, 5], 0] = np.nan
+        return out
+
+    monkeypatch.setattr(sphere, "_cubic_roots_batch", cubic_roots_missing)
+    monkeypatch.setattr(sphere, "_ABERTH_MAX_ITER", 1)
+    monkeypatch.setattr(np, "roots", lambda c: np.full(3, 1e3 + 0j)
+                        if np.array_equal(c, C[::-1, 5]) else roots_fn(c))
+    coeffs = ", ".join(f"{c:.6g}" for c in C[:, 5])
+    with pytest.raises(NonConvergence) as info:
+        sphere.roots_batch(C)
+    assert str(info.value).endswith(f"on 1 polynomial(s); the first has ascending "
+                                    f"coefficients [{coeffs}]")
 
 
 def _worst_root_error(got, ref):
@@ -292,7 +322,7 @@ def test_cubic_rows_missing_the_closed_form_reach_aberth(monkeypatch):
     # columns 1 and 4 come back non-finite, columns 2 and 5 finite but off the bound
     rng = np.random.default_rng(12)
     C = rand_complex(rng, 4 * 8).reshape(4, 8)
-    cubic_roots, aberth = sphere._cubic_roots_batch, sphere._aberth_batch
+    cubic_roots, aberth = sphere._cubic_roots_batch, sphere._aberth_block
     seen = []
 
     def cubic_roots_missing(C):
@@ -302,10 +332,11 @@ def test_cubic_rows_missing_the_closed_form_reach_aberth(monkeypatch):
         return out
 
     monkeypatch.setattr(sphere, "_cubic_roots_batch", cubic_roots_missing)
-    monkeypatch.setattr(sphere, "_aberth_batch", lambda C: seen.append(C.copy()) or aberth(C))
+    monkeypatch.setattr(sphere, "_aberth_block", lambda C: seen.append(C.copy()) or aberth(C))
     got = sphere.roots_batch(C)
     assert len(seen) == 1 and seen[0].tobytes() == C[:, [1, 2, 4, 5]].tobytes()
-    assert got[[1, 2, 4, 5]].tobytes() == aberth(C[:, [1, 2, 4, 5]]).tobytes()
+    monkeypatch.undo()
+    assert got[[1, 2, 4, 5]].tobytes() == _aberth(C[:, [1, 2, 4, 5]]).tobytes()
     for j in range(8):
         assert _worst_root_error(got[j].tolist(), oracles.np_roots(C[:, j])) <= 1e-10
 

@@ -1,0 +1,59 @@
+"""Run every CLI subcommand on the demo configs and print digests of what it wrote.
+
+Usage: python tools/output_digests.py
+
+Runs the subcommand list of CI's warning-free step, each as
+``python -W error -m ratsemi.cli CMD --config demos/configs/CONFIG.json --out
+DIR/CONFIG-CMD.out`` with the package from this checkout's ``src``, in a
+temporary directory that is removed afterwards.  Prints one ``sha256 label``
+line per stdout (the temporary directory's path replaced by ``$OUT``) and per
+output file, passes every command's stderr through, and exits 1 if any
+command exits non-zero.
+
+To check that a change keeps every output byte-identical, run the tool in the
+parent's checkout and in the change's, and ``diff`` the two outputs.
+"""
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+COMMANDS = (
+    [(cmd, c) for c in ("annulus", "gasket") for cmd in ("julia", "boxdim", "osc")]
+    + [("bowen", c) for c in ("supercritical", "gasket", "annulus", "power_pair")]
+    + [(cmd, "power_pair") for cmd in ("pressure", "poincare", "lyap")]
+    + [("sweep", "similarity_sweep")]
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    failed = 0
+    with tempfile.TemporaryDirectory() as out:
+        for cmd, config in COMMANDS:
+            argv = [sys.executable, "-W", "error", "-m", "ratsemi.cli", cmd,
+                    "--config", f"demos/configs/{config}.json",
+                    "--out", os.path.join(out, f"{config}-{cmd}.out")]
+            print(f"== {cmd} {config}", file=sys.stderr, flush=True)
+            proc = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE)
+            if proc.returncode != 0:
+                print(f"{cmd} {config}: exit code {proc.returncode}", file=sys.stderr)
+                failed += 1
+            stdout = proc.stdout.replace(out.encode(), b"$OUT")
+            print(f"{_sha(stdout)}  stdout {cmd} {config}", flush=True)
+        for path in sorted(Path(out).iterdir()):
+            print(f"{_sha(path.read_bytes())}  {path.name}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
