@@ -64,11 +64,11 @@ def main():
 
     print()
     print("== entropy identity at t = 2 for (z^2, z^2) ==")
-    diag = lyapunov_and_entropy(power_mm((2, 1.0), (2, 1.0)), t=2.0)
-    print(f"lyapunov = {diag.lyapunov:.6f}   (log 2 = {math.log(2):.6f})")
-    print(f"entropy  = {diag.entropy:.6f}   (log 4 = {math.log(4):.6f})")
-    print(f"entropy - t * lyapunov = {diag.entropy - 2.0 * diag.lyapunov:.2e}"
-          f"  vs pressure {diag.pressure:.2e}")
+    (est,) = lyapunov_and_entropy(power_mm((2, 1.0), (2, 1.0)), [2.0])
+    print(f"lyapunov = {est.lyapunov:.6f}   (log 2 = {math.log(2):.6f})")
+    print(f"entropy  = {est.entropy:.6f}   (log 4 = {math.log(4):.6f})")
+    print(f"entropy - t * lyapunov = {est.entropy - 2.0 * est.lyapunov:.2e}"
+          f"  vs pressure {est.value:.2e}")
 
 
 if __name__ == "__main__":

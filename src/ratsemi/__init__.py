@@ -60,7 +60,6 @@ from .thermo import (
     BowenResult,
     PreimageTree,
     PressureEstimate,
-    SpectrumDiagnostics,
     ThermoConfig,
     bowen_parameter,
     lyapunov_and_entropy,

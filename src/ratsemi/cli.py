@@ -169,17 +169,8 @@ def _emit_t_csv(rows, out) -> None:
 
 
 def cmd_pressure(cfg: RunConfig, args) -> int:
-    mm = cfg.multimap()
-    tcfg = cfg.thermo_config()
-    ests = pressure_curve(
-        mm,
-        cfg.data["t_values"],
-        z=cfg.basepoint(),
-        n=tcfg.depth,
-        cap=tcfg.cap,
-        rng_seed=tcfg.rng_seed,
-        rtol=tcfg.rtol_pressure,
-    )
+    ests = pressure_curve(cfg.multimap(), cfg.data["t_values"], cfg.thermo_config(),
+                          cfg.basepoint())
     _emit_t_csv(
         [(_g17(e.t), _g17(e.value), _g17(e.residual), str(e.depth)) for e in ests],
         args.out,
@@ -201,14 +192,12 @@ def cmd_poincare(cfg: RunConfig, args) -> int:
 
 
 def cmd_lyap(cfg: RunConfig, args) -> int:
-    mm = cfg.multimap()
-    tcfg = cfg.thermo_config()
-    tree = PreimageTree(mm, cfg.basepoint(), depth=tcfg.depth, cap=tcfg.cap, rng_seed=tcfg.rng_seed)
-    rows = []
-    for t in cfg.data["t_values"]:
-        diag = lyapunov_and_entropy(mm, float(t), n=tcfg.depth, tree=tree)
-        rows.append((_g17(diag.t), _g17(diag.lyapunov), _g17(diag.residual), str(diag.depth)))
-    _emit_t_csv(rows, args.out)
+    ests = lyapunov_and_entropy(cfg.multimap(), cfg.data["t_values"], cfg.thermo_config(),
+                                cfg.basepoint())
+    _emit_t_csv(
+        [(_g17(e.t), _g17(e.lyapunov), _g17(e.residual), str(e.depth)) for e in ests],
+        args.out,
+    )
     return 0
 
 

@@ -20,9 +20,9 @@ from .dynamics import MultiMap
 from .errors import InsufficientPoints, InvalidInstance, RatsemiError
 from .sphere import RationalMap, horner
 from .thermo import (
-    PreimageTree,
     ThermoConfig,
     _bowen_search,
+    _config_tree,
     _prepare,
     bowen_parameter,  # noqa: F401  unused here; perfbench/spans.py patches this name
 )
@@ -205,8 +205,7 @@ def _solve_block(mms, seeds, cfg: ThermoConfig) -> list:
     """The BowenResult (gate None) or own RatsemiError of each prepared point,
     searched in lockstep on one tree; if the shared tree raises, in blocks of one."""
     try:
-        return _bowen_search(PreimageTree(mms, seeds, depth=cfg.depth, cap=cfg.cap,
-                                         rng_seed=cfg.rng_seed), cfg)
+        return _bowen_search(_config_tree(mms, seeds, cfg), cfg)
     except RatsemiError as e:
         if len(mms) == 1:
             return [e]

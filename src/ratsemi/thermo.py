@@ -1,4 +1,4 @@
-"""Transfer-operator level sums, pressure, Bowen parameter, spectrum diagnostics.
+"""Transfer-operator level sums, pressure, Bowen parameter, Lyapunov exponent and entropy.
 
 The level sum S_n(t, z) adds ||(f_w)'(y)||^(-t) over every length-n word w
 and every solution of f_w(y) = z, with multiplicity.  The pressure estimate
@@ -70,6 +70,16 @@ class PressureEstimate:
     residual: float
     slope: float  # exact dP/dt of value
 
+    @property
+    def lyapunov(self) -> float:
+        """Lyapunov exponent of the equilibrium state at t: -dP/dt."""
+        return -self.slope
+
+    @property
+    def entropy(self) -> float:
+        """Entropy of the equilibrium state at t: P(t) + t * lyapunov."""
+        return self.value + self.t * self.lyapunov
+
 
 @dataclass
 class BowenResult:
@@ -82,16 +92,6 @@ class BowenResult:
     pressure_residual: float
     delta_error: float
     gate: VerificationReport  # the hyperbolicity check bowen_parameter ran first
-
-
-@dataclass
-class SpectrumDiagnostics:
-    t: float
-    lyapunov: float
-    entropy: float
-    pressure: float
-    residual: float
-    depth: int
 
 
 class PreimageTree:
@@ -144,7 +144,8 @@ class PreimageTree:
         minus the mean of logd under the weights of S_n.  Each reduction is a
         numpy sum along a row: no BLAS, so neither a point's block nor the
         BLAS thread count changes its bits.  Level 0 is the basepoint alone,
-        so log S_0 = 0 at every t."""
+        so log S_0 = 0 at every t.  A t so large that t * logd overflows
+        raises RatsemiError instead of returning nan."""
         if n < 0:
             raise ValueError(f"level must be nonnegative, got {n}")
         self.extend(n)
@@ -152,19 +153,23 @@ class PreimageTree:
             self.check_critical(n)
         lev = self.levels[n]
         logd = lev.logd if rows.size == len(self.basepoints) else lev.logd[rows]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            a = t[:, None] * logd
-            np.subtract(lev.logw, a, out=a)
-            # at t = 0 avoid 0 * (-inf) = nan when the tree contains critical preimages
-            a[t == 0.0] = lev.logw
-            top = a.max(axis=1, initial=-np.inf)
-            a -= top[:, None]
-            np.exp(a, out=a)
-            total = a.sum(axis=1)
-            a *= logd
-            finite = np.isfinite(top)
-            log_sum = np.where(finite, top + np.log(total), top)
-            return log_sum, np.where(finite, -(a.sum(axis=1) / total), math.nan)
+        try:
+            with np.errstate(invalid="ignore", divide="ignore", over="raise"):
+                a = t[:, None] * logd
+                np.subtract(lev.logw, a, out=a)
+                # at t = 0 avoid 0 * (-inf) = nan when the tree contains critical preimages
+                a[t == 0.0] = lev.logw
+                top = a.max(axis=1, initial=-np.inf)
+                a -= top[:, None]
+                np.exp(a, out=a)
+                total = a.sum(axis=1)
+                a *= logd
+                finite = np.isfinite(top)
+                log_sum = np.where(finite, top + np.log(total), top)
+                return log_sum, np.where(finite, -(a.sum(axis=1) / total), math.nan)
+        except FloatingPointError:
+            worst = float(t[np.argmax(np.abs(t))])
+            raise RatsemiError(f"level sum S_{n} at t = {worst} overflows float range") from None
 
     def log_level_sum(self, t: float, n: int) -> float:
         """log S_n(t) of a one-point tree; see _log_level_sums."""
@@ -172,11 +177,15 @@ class PreimageTree:
 
     def poincare(self, t: float, N: int) -> tuple:
         """(sum of S_n(t) for n = 1..N, residual): the residual is the spread
-        of the last three level log ratios log(S_n / S_{n-1}), inf when N < 4."""
+        of the last three level log ratios log(S_n / S_{n-1}), inf when N < 4.
+        A sum past float range raises RatsemiError."""
         logs = [self.log_level_sum(t, n) for n in range(1, N + 1)]
         ratios = [b - a for a, b in zip(logs, logs[1:])][-3:]
         residual = max(ratios) - min(ratios) if len(ratios) >= 3 else math.inf
-        return math.fsum(math.exp(s) for s in logs), residual
+        try:
+            return math.fsum(math.exp(s) for s in logs), residual
+        except OverflowError:
+            raise RatsemiError(f"Poincare partial sum at t = {t} overflows float range") from None
 
 
 def _estimate_on_tree(tree: PreimageTree, t, depth: int, rtol: float) -> list:
@@ -211,21 +220,29 @@ def _estimate_on_tree(tree: PreimageTree, t, depth: int, rtol: float) -> list:
     return out
 
 
-def pressure(mm: MultiMap, t: float, z=None, n: int = DEFAULT_TREE_DEPTH, cap: int = DEFAULT_CAP,
-             rng_seed: int = 0, rtol: float = 1e-6) -> PressureEstimate:
-    """Topological pressure estimate at t from a depth-n preimage tree.
+def _config_tree(mm, basepoint, config: ThermoConfig) -> PreimageTree:
+    """The preimage tree of mm (or of a block of MultiMaps) at the config's
+    depth, cap and seed, from basepoint (the repelling seed if None)."""
+    return PreimageTree(mm, basepoint, depth=config.depth, cap=config.cap, rng_seed=config.rng_seed)
+
+
+def pressure(mm: MultiMap, t: float, config: ThermoConfig = None, basepoint=None,
+             **overrides) -> PressureEstimate:
+    """Topological pressure estimate at t from a preimage tree of the config's depth.
 
     The basepoint defaults to the deterministic repelling seed.  Stops early
-    once the last three log ratios agree within rtol.
+    once the last three log ratios agree within rtol_pressure.  Keyword
+    overrides replace config fields, as in bowen_parameter.
     """
-    return pressure_curve(mm, [t], z, n, cap, rng_seed, rtol)[0]
+    return pressure_curve(mm, [t], config, basepoint, **overrides)[0]
 
 
-def pressure_curve(mm: MultiMap, t_values, z=None, n: int = DEFAULT_TREE_DEPTH,
-                   cap: int = DEFAULT_CAP, rng_seed: int = 0, rtol: float = 1e-6) -> list:
+def pressure_curve(mm: MultiMap, t_values, config: ThermoConfig = None, basepoint=None,
+                   **overrides) -> list:
     """Pressure estimates over a grid of t values, sharing one preimage tree."""
-    tree = PreimageTree(mm, z, depth=n, cap=cap, rng_seed=rng_seed)
-    return [_estimate_on_tree(tree, [t], n, rtol)[0] for t in t_values]
+    config = replace(config or ThermoConfig(), **overrides)
+    tree = _config_tree(mm, basepoint, config)
+    return [_estimate_on_tree(tree, [t], config.depth, config.rtol_pressure)[0] for t in t_values]
 
 
 def _prepare(mm: MultiMap, config: ThermoConfig):
@@ -336,30 +353,21 @@ def bowen_parameter(mm: MultiMap, config: ThermoConfig = None, **overrides) -> B
     """
     config = replace(config or ThermoConfig(), **overrides)
     gate, seed_pt = _prepare(mm, config)
-    tree = PreimageTree(mm, seed_pt, depth=config.depth, cap=config.cap, rng_seed=config.rng_seed)
-    (res,) = _bowen_search(tree, config)
+    (res,) = _bowen_search(_config_tree(mm, seed_pt, config), config)
     if isinstance(res, RatsemiError):
         raise res
     return replace(res, gate=gate)
 
 
-def lyapunov_and_entropy(mm: MultiMap, t: float, n: int = DEFAULT_TREE_DEPTH, z=None,
-                         cap: int = DEFAULT_CAP, rng_seed: int = 0,
-                         tree: PreimageTree | None = None) -> SpectrumDiagnostics:
-    """Lyapunov exponent and equilibrium entropy at t from the exact slope.
-
-    lyapunov = -dP/dt and entropy = P(t) + t * lyapunov, from one estimate
-    at the fixed depth n.  A critical preimage within depth n
-    raises CriticalPreimage at every t.  Pass tree to share one PreimageTree
-    across several t; mm, z, cap and rng_seed then go unused, since the tree
-    already fixes them.
+def lyapunov_and_entropy(mm: MultiMap, t_values, config: ThermoConfig = None, basepoint=None,
+                         **overrides) -> list:
+    """Pressure estimates at the config's fixed depth over a grid of t values,
+    sharing one preimage tree; each estimate's lyapunov (-dP/dt, from the
+    exact slope) and entropy (P(t) + t * lyapunov) are those of the
+    equilibrium state at its t.  No estimate stops early, and a critical
+    preimage within the depth raises CriticalPreimage at every t.
     """
-    if n < 2:  # as _estimate_on_tree, before check_critical reads levels 1..n
-        raise ValueError("pressure estimation needs depth >= 2")
-    if tree is None:
-        tree = PreimageTree(mm, z, depth=n, cap=cap, rng_seed=rng_seed)
-    tree.check_critical(n)
-    est = _estimate_on_tree(tree, [t], n, -1.0)[0]
-    return SpectrumDiagnostics(t=float(t), lyapunov=-est.slope, entropy=est.value - t * est.slope,
-                               pressure=est.value, residual=est.residual, depth=est.depth)
-
+    config = replace(config or ThermoConfig(), **overrides)
+    tree = _config_tree(mm, basepoint, config)
+    tree.check_critical(config.depth)
+    return [_estimate_on_tree(tree, [t], config.depth, -1.0)[0] for t in t_values]

@@ -6,11 +6,13 @@ companion matrices instead of simultaneous iteration, explicit word
 enumeration instead of level-by-level trees) so each test compares two
 independent routes to the same number.
 """
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 
 from ratsemi.dynamics import MultiMap
 from ratsemi.sphere import SpherePoint, _array_point, polynomial_map
@@ -94,6 +96,17 @@ def poly_compose(outer, inner):
         out = new
         acc = np.convolve(acc, inner)
     return out
+
+
+def rational_compose(outer, inner):
+    """(num, den) of outer(inner(z)), each map a (num, den) pair of ascending
+    coefficients: outer's terms c_k z^k become c_k N^k D^(d - k) for inner = N/D
+    and d the degree of outer."""
+    N, D = (np.asarray(c, dtype=complex) for c in inner)
+    d = max(len(c) for c in outer) - 1
+    terms = [npp.polymul(npp.polypow(N, k), npp.polypow(D, d - k)) for k in range(d + 1)]
+    return tuple(functools.reduce(npp.polyadd, [c * term for c, term in zip(coeffs, terms)])
+                 for coeffs in outer)
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ def test_criterion_07_pressure_monotonicity_and_slope():
 
 
 def test_criterion_08_entropy_identity():
-    diag = lyapunov_and_entropy(power_mm((2, 1.0), (2, 1.0)), t=2.0)
+    (diag,) = lyapunov_and_entropy(power_mm((2, 1.0), (2, 1.0)), [2.0])
     assert diag.entropy == pytest.approx(math.log(4.0), abs=1e-3)
     assert diag.lyapunov == pytest.approx(math.log(2.0), abs=1e-4)
     report(8, f"entropy {diag.entropy:.6f} = log 4, lyapunov {diag.lyapunov:.6f}")

@@ -414,6 +414,30 @@ def test_cli_pressure_critical_basepoint_exit_5(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, t", [
+    ("poincare", -800.0),  # the partial sums pass float range
+    ("poincare", 1e308),   # t times a level-2 log norm overflows
+    ("pressure", 1e308),
+    ("lyap", 1e308),
+])
+def test_cli_t_past_float_range_exits_1_without_warnings(tmp_path, command, t):
+    # run as a process under -W error, so a traceback or a leaked warning reaches stderr
+    path = write_cfg(tmp_path, {
+        "multimap": {"generators": [Z2, Z3]},
+        "t_values": [t],
+        "thermo": {"depth": 4},
+        "poincare_N": 4,
+    })
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argv = [sys.executable, "-W", "error", "-m", "ratsemi.cli", command, "--config", path]
+    proc = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and f"at t = {t!r} overflows" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "nan" not in proc.stdout
+
+
 @pytest.mark.filterwarnings("error")
 def test_cli_bowen_critical_preimage_exit_5_without_warnings(tmp_path, capsys):
     # z^2 - 2 maps its critical point 0 onto the seed 2 in two steps; force skips the gate
@@ -446,8 +470,8 @@ def test_importing_cli_leaves_numpy_polynomial_unloaded():
 def test_output_digests_runs_every_subcommand_on_an_existing_config():
     root = Path(__file__).resolve().parent.parent
     commands = runpy.run_path(str(root / "tools" / "output_digests.py"))["COMMANDS"]
-    assert {cmd for cmd, _ in commands} == {name for name, _, _ in cli._COMMANDS}
-    assert all((root / "demos" / "configs" / f"{c}.json").is_file() for _, c in commands)
+    assert {cmd for cmd, _, _ in commands} == {name for name, _, _ in cli._COMMANDS}
+    assert all((root / "demos" / "configs" / f"{c}.json").is_file() for _, c, _ in commands)
 
 
 def test_bowen_runs_without_scipy():
@@ -512,7 +536,7 @@ def test_cli_lyap_shares_one_tree_and_matches_per_t_calls(tmp_path, capsys, monk
     lines = capsys.readouterr().out.splitlines()
     mm = parse_file(path).multimap()
     for line, t in zip(lines[1:], (0.5, 1.0, 1.8)):
-        d = thermo.lyapunov_and_entropy(mm, t, n=6, cap=300, rng_seed=5)
+        (d,) = thermo.lyapunov_and_entropy(mm, [t], depth=6, cap=300, rng_seed=5)
         assert line == f"{t:.17g},{d.lyapunov:.17g},{d.residual:.17g},{d.depth}"
     assert len(lines) == 4
 

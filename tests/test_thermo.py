@@ -1,4 +1,5 @@
-"""Thermo tests: level sums, pressure, Bowen parameter, spectrum diagnostics."""
+"""Thermo tests: level sums, pressure, Bowen parameter, Lyapunov exponent and entropy."""
+import cmath
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratsemi import thermo
 from ratsemi.dynamics import MultiMap, check_hyperbolic, repelling_seed
@@ -17,7 +19,7 @@ from ratsemi.errors import (
     NoSignChange,
 )
 from ratsemi.families import instantiate, similarity_family
-from ratsemi.sphere import polynomial_map
+from ratsemi.sphere import INF, RationalMap, polynomial_map
 from ratsemi.thermo import (
     DEFAULT_CAP,
     PreimageTree,
@@ -162,7 +164,7 @@ def test_pressure_zero_of_square_pair_at_two():
 
 def test_pressure_at_zero_is_log_total_degree():
     for mm in (power_mm((2, 1.0), (3, 1.0)), gasket_mm()):
-        est = pressure(mm, 0.0, n=6)
+        est = pressure(mm, 0.0, depth=6)
         assert est.value == pytest.approx(math.log(mm.total_degree), abs=1e-9)
 
 
@@ -185,7 +187,7 @@ def test_pressure_matches_power_oracle_on_degree_pairs():
 
 
 def test_pressure_estimate_fields_are_consistent():
-    est = pressure(gasket_mm(), 1.2, n=7)
+    est = pressure(gasket_mm(), 1.2, depth=7)
     assert len(est.ratio_history) == est.depth - 1
     assert est.value == est.ratio_history[-1]
     assert est.residual == pytest.approx(
@@ -197,14 +199,14 @@ def test_pressure_estimate_fields_are_consistent():
 
 def test_pressure_is_strictly_decreasing_in_t():
     for mm in (power_mm((2, 1.0), (3, 1.0)), gasket_mm()):
-        vals = [pressure(mm, t, n=6).value for t in np.arange(0.0, 4.5, 0.5)]
+        vals = [pressure(mm, t, depth=6).value for t in np.arange(0.0, 4.5, 0.5)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_pressure_determinism():
     mm = power_mm((2, 1.0), (2, 0.5))
-    a = pressure(mm, 1.3, n=8, cap=300, rng_seed=11)
-    b = pressure(mm, 1.3, n=8, cap=300, rng_seed=11)
+    a = pressure(mm, 1.3, depth=8, cap=300, rng_seed=11)
+    b = pressure(mm, 1.3, depth=8, cap=300, rng_seed=11)
     assert a.value == b.value and a.ratio_history == b.ratio_history
 
 
@@ -348,15 +350,15 @@ def test_lyapunov_rejects_critical_preimages_at_every_t():
     mm = power_mm((2, 1.0))
     for t in (0.0, 1.0):
         with pytest.raises(CriticalPreimage):
-            lyapunov_and_entropy(mm, t, n=3, z=0.0)
+            lyapunov_and_entropy(mm, [t], depth=3, basepoint=0.0)
 
 
 def test_lyapunov_rejects_a_depth_below_two_as_pressure_does():
     mm = power_mm((2, 1.0))
     for n in (-1, 0, 1):
-        for estimate in (lyapunov_and_entropy, pressure):
+        for estimate, t in ((lyapunov_and_entropy, [1.0]), (pressure, 1.0)):
             with pytest.raises(ValueError, match=r"pressure estimation needs depth >= 2"):
-                estimate(mm, 1.0, n=n)
+                estimate(mm, t, depth=n)
 
 
 def test_bowen_accepts_config_and_overrides():
@@ -388,22 +390,92 @@ def test_poincare_partial_across_the_critical_exponent():
 
 
 def test_lyapunov_of_square_is_log_two():
-    diag = lyapunov_and_entropy(power_mm((2, 1.0)), 1.0)
+    (diag,) = lyapunov_and_entropy(power_mm((2, 1.0)), [1.0])
     assert diag.lyapunov == pytest.approx(math.log(2.0), abs=1e-6)
     assert diag.entropy == pytest.approx(math.log(2.0), abs=1e-6)
 
 
 def test_entropy_identity_for_square_pair_at_delta():
-    diag = lyapunov_and_entropy(power_mm((2, 1.0), (2, 1.0)), 2.0)
+    (diag,) = lyapunov_and_entropy(power_mm((2, 1.0), (2, 1.0)), [2.0])
     assert diag.lyapunov == pytest.approx(math.log(2.0), abs=1e-4)
     assert diag.entropy == pytest.approx(math.log(4.0), abs=1e-3)
-    assert diag.pressure == pytest.approx(0.0, abs=1e-9)
+    assert diag.value == pytest.approx(0.0, abs=1e-9)
 
 
 def test_gasket_spectrum_near_similarity_values():
-    diag = lyapunov_and_entropy(gasket_mm(), oracles.DELTA_GASKET, n=9)
+    (diag,) = lyapunov_and_entropy(gasket_mm(), [oracles.DELTA_GASKET], depth=9)
     assert diag.lyapunov == pytest.approx(math.log(2.0), abs=1e-2)
     assert diag.entropy == pytest.approx(math.log(3.0), abs=1e-2)
+
+
+# ---------------------------------------------------------------------------
+# exact invariances, on uncapped trees of random hyperbolic pairs
+
+
+def _reals(lo, hi):
+    # rounded to 6 decimals, so every part is 0 or at least 1e-6.  Tiny nonzero parts leave
+    # subnormal roundoff in a conjugate's coefficient that should vanish, and RationalMap's
+    # reduced-fraction check overflows on coefficient ratios past float range
+    return st.floats(lo, hi).map(lambda x: round(x, 6))
+
+
+def _polar(r_min, r_max):
+    return st.builds(cmath.rect, _reals(r_min, r_max), _reals(0.0, 2.0 * math.pi))
+
+
+# a z^d: 0 and inf are superattracting for every generator.  a z^2 + b z + c with
+# |a| >= 0.7 and |b|, |c| <= 0.05: every generator maps |z| < 0.2 into |z| < 0.1
+_HYPERBOLIC_PAIRS = st.one_of(
+    st.lists(st.builds(power_map, st.sampled_from((2, 3)), _polar(0.5, 2.0)),
+             min_size=2, max_size=2),
+    st.lists(st.builds(lambda a, b, c: polynomial_map([c, b, a]),
+                       _polar(0.7, 1.0), _polar(0.0, 0.05), _polar(0.0, 0.05)),
+             min_size=2, max_size=2),
+).map(MultiMap)
+_UNCAPPED = 10**6  # above every level of these trees: 6^6 = 46,656 nodes at most
+
+
+@settings(max_examples=20, deadline=None)
+@given(_HYPERBOLIC_PAIRS, st.floats(-1.0, 4.0))
+def test_two_letter_refinement_gives_the_even_level_sums(mm, t):
+    # a length-n word over the s^2 compositions f_i o f_j is a length-2n word over mm, and
+    # derivative norms multiply along it: S2_n = S_2n, so the refined pressure is 2P
+    refined = MultiMap([RationalMap(*oracles.rational_compose((f.num, f.den), (g.num, g.den)))
+                        for f in mm.generators for g in mm.generators])
+    b = repelling_seed(mm)[0]
+    tree = PreimageTree(mm, b, depth=6, cap=_UNCAPPED)
+    tree2 = PreimageTree(refined, b, depth=3, cap=_UNCAPPED)
+    t, one = np.array([t]), np.arange(1)
+    for n in (1, 2, 3):
+        (log_s2,), (slope2,) = tree2._log_level_sums(t, n, one)
+        (log_s,), (slope,) = tree._log_level_sums(t, 2 * n, one)
+        assert abs(log_s2 - log_s) <= 1e-9
+        assert slope2 == pytest.approx(slope, rel=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_HYPERBOLIC_PAIRS, st.booleans(), _reals(0.0, 0.5 * math.pi), _reals(0.0, 2.0 * math.pi),
+       _reals(0.0, 2.0 * math.pi), st.floats(-1.0, 4.0))
+def test_sphere_rotation_conjugacy_keeps_the_estimates(mm, through_inf, theta, phi, psi, t):
+    # M(z) = (a z - conj c) / (c z + conj a) with |a|^2 + |c|^2 = 1 is a chordal isometry,
+    # so M o f o M^-1 from M(b) has the tree of f from b, moved by M, with the same norms
+    b = repelling_seed(mm)[0]
+    a, c = cmath.rect(math.cos(theta), phi), cmath.rect(math.sin(theta), psi)
+    if through_inf:  # put M's pole -conj(a) / c at b: the conjugate's J passes through inf
+        c = cmath.rect(1.0 / math.hypot(1.0, abs(b.value)), psi)
+        a = (-c * b.value).conjugate()
+    m = ([-c.conjugate(), a], [a.conjugate(), c])
+    m_inv = ([c.conjugate(), a.conjugate()], [a, -c])
+    conj = MultiMap([
+        RationalMap(*oracles.rational_compose(m, oracles.rational_compose((f.num, f.den), m_inv)))
+        for f in mm.generators
+    ])
+    (want,) = lyapunov_and_entropy(mm, [t], depth=5, basepoint=b, cap=_UNCAPPED)
+    (got,) = lyapunov_and_entropy(conj, [t], depth=5, basepoint=INF if through_inf else
+                                  RationalMap(*m)(b), cap=_UNCAPPED)
+    for x, y in ((got.value, want.value), (got.lyapunov, want.lyapunov),
+                 (got.entropy, want.entropy)):
+        assert math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

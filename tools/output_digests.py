@@ -3,12 +3,13 @@
 Usage: python tools/output_digests.py
 
 Runs the subcommand list of CI's warning-free step, each as
-``python -W error -m ratsemi.cli CMD --config demos/configs/CONFIG.json --out
-DIR/CONFIG-CMD.out`` with the package from this checkout's ``src``, in a
-temporary directory that is removed afterwards.  Prints one ``sha256 label``
-line per stdout (the temporary directory's path replaced by ``$OUT``) and per
-output file, passes every command's stderr through, and exits 1 if any
-command exits non-zero.
+``python -W error -m ratsemi.cli CMD --config demos/configs/CONFIG.json
+[EXTRA...] --out DIR/CONFIG-CMD[-EXTRA...].out`` with the package from this
+checkout's ``src``, in a temporary directory that is removed afterwards.
+EXTRA are the entry's own CLI arguments, such as the benchmark's
+``lyap --depth 8``.  Prints one ``sha256 label`` line per stdout (the
+temporary directory's path replaced by ``$OUT``) and per output file, passes
+every command's stderr through, and exits 1 if any command exits non-zero.
 
 To check that a change keeps every output byte-identical, run the tool in the
 parent's checkout and in the change's, and ``diff`` the two outputs.
@@ -22,11 +23,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# (subcommand, config, extra CLI arguments)
 COMMANDS = (
-    [(cmd, c) for c in ("annulus", "gasket") for cmd in ("julia", "boxdim", "osc")]
-    + [("bowen", c) for c in ("supercritical", "gasket", "annulus", "power_pair")]
-    + [(cmd, "power_pair") for cmd in ("pressure", "poincare", "lyap")]
-    + [("sweep", "similarity_sweep")]
+    [(cmd, c, ()) for c in ("annulus", "gasket") for cmd in ("julia", "boxdim", "osc")]
+    + [("bowen", c, ()) for c in ("supercritical", "gasket", "annulus", "power_pair")]
+    + [(cmd, "power_pair", ()) for cmd in ("pressure", "poincare", "lyap")]
+    + [("lyap", "power_pair", ("--depth", "8"))]  # the lyap-mixed-degree benchmark run
+    + [("sweep", "similarity_sweep", ())]
 )
 
 
@@ -39,17 +42,18 @@ def main() -> int:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     failed = 0
     with tempfile.TemporaryDirectory() as out:
-        for cmd, config in COMMANDS:
+        for cmd, config, extra in COMMANDS:
+            label = " ".join([cmd, config, *extra])
             argv = [sys.executable, "-W", "error", "-m", "ratsemi.cli", cmd,
-                    "--config", f"demos/configs/{config}.json",
-                    "--out", os.path.join(out, f"{config}-{cmd}.out")]
-            print(f"== {cmd} {config}", file=sys.stderr, flush=True)
+                    "--config", f"demos/configs/{config}.json", *extra,
+                    "--out", os.path.join(out, "-".join([config, cmd, *extra]) + ".out")]
+            print(f"== {label}", file=sys.stderr, flush=True)
             proc = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE)
             if proc.returncode != 0:
-                print(f"{cmd} {config}: exit code {proc.returncode}", file=sys.stderr)
+                print(f"{label}: exit code {proc.returncode}", file=sys.stderr)
                 failed += 1
             stdout = proc.stdout.replace(out.encode(), b"$OUT")
-            print(f"{_sha(stdout)}  stdout {cmd} {config}", flush=True)
+            print(f"{_sha(stdout)}  stdout {label}", flush=True)
         for path in sorted(Path(out).iterdir()):
             print(f"{_sha(path.read_bytes())}  {path.name}")
     return 1 if failed else 0
