@@ -190,9 +190,10 @@ class SweepTable:
     def row_at(self, i: int, j: int) -> SweepRow:
         return self.rows[i * self.grid.im_n + j]
 
-    def delta_grid(self) -> np.ndarray:
-        deltas = [r.delta if r.status == "ok" else np.nan for r in self.rows]
-        return np.array(deltas, dtype=float).reshape(self.shape)
+    def field(self, name: str, dtype=float) -> np.ndarray:
+        """The named SweepRow field over the grid, nan where the row is not ok."""
+        values = [getattr(r, name) if r.status == "ok" else np.nan for r in self.rows]
+        return np.array(values, dtype=dtype).reshape(self.shape)
 
     def error_scale(self) -> float:
         errs = [r.delta_error for r in self.rows if r.status == "ok"]
@@ -269,9 +270,13 @@ class SubmeanReport:
     verdict: str
 
 
-def _ring_offsets(k: int):
-    return [(di, dj) for di in range(-k, k + 1) for dj in range(-k, k + 1)
-            if max(abs(di), abs(dj)) == k]
+def _first_max(values, lam):
+    """The first maximum of values above -inf and its parameter, else (-inf, None)."""
+    live = values > -math.inf
+    if not live.any():
+        return -math.inf, None
+    i = np.argmax(np.where(live, values, -math.inf))
+    return float(values[i]), complex(lam[i])
 
 
 def submean_diagnostic(table: SweepTable, radius: int = 1) -> SubmeanReport:
@@ -282,33 +287,24 @@ def submean_diagnostic(table: SweepTable, radius: int = 1) -> SubmeanReport:
     k = int(radius)
     if k < 1:
         raise ValueError("radius must be a positive number of grid steps")
-    D = table.delta_grid()
-    re_n, im_n = table.shape
+    D = table.field("delta")
     scale = table.error_scale()
     tol_sub = 3.0 * scale if math.isfinite(scale) else math.inf
-    offs = _ring_offsets(k)
-    checked, worst, worst_at, worst_inv, worst_inv_at, flagged = 0, -math.inf, None, -math.inf, None, []
-    for i in range(k, re_n - k):
-        for j in range(k, im_n - k):
-            center = D[i, j]
-            if not math.isfinite(center):
-                continue
-            ring = np.array([D[i + di, j + dj] for di, dj in offs])
-            if not np.all(np.isfinite(ring)):
-                continue
-            checked += 1
-            lam = complex(table.row_at(i, j).lam)
-            v = center - float(ring.mean())
-            vi = float((1.0 / ring).mean()) - 1.0 / center
-            if v > worst:
-                worst, worst_at = v, lam
-            if vi > worst_inv:
-                worst_inv, worst_inv_at = vi, lam
-            if v > tol_sub or vi > tol_sub:
-                flagged.append((lam, max(v, vi)))
-    verdict = "inconclusive" if checked == 0 else "fail" if flagged else "pass"
-    return SubmeanReport(tol_sub, checked, worst, worst_at, worst_inv,
-                         worst_inv_at, flagged, verdict)
+    # each cell's radius-k ring on a last, contiguous axis, offsets in row-major order,
+    # so a ring's mean is numpy's pairwise sum over it; the nan padding leaves the
+    # rings of cells within k of the edge incomplete
+    P, (re_n, im_n) = np.pad(D, k, constant_values=np.nan), D.shape
+    ring = np.stack([P[i:i + re_n, j:j + im_n] for i in range(2 * k + 1) for j in range(2 * k + 1)
+                     if max(abs(i - k), abs(j - k)) == k], axis=-1)
+    checked = np.isfinite(D) & np.isfinite(ring).all(axis=-1)
+    center, ring, lam = D[checked], ring[checked], table.field("lam", complex)[checked]
+    v = center - ring.mean(axis=-1)
+    vi = (1.0 / ring).mean(axis=-1) - 1.0 / center
+    bad = (v > tol_sub) | (vi > tol_sub)
+    flagged = list(zip(lam[bad].tolist(), np.where(vi > v, vi, v)[bad].tolist()))
+    verdict = "inconclusive" if not checked.any() else "fail" if flagged else "pass"
+    return SubmeanReport(tol_sub, int(checked.sum()), *_first_max(v, lam), *_first_max(vi, lam),
+                         flagged, verdict)
 
 
 @dataclass
@@ -331,17 +327,12 @@ def smoothness_diagnostic(table: SweepTable, line, fit_degree: int = 4) -> Smoot
     table.grid.check_line(line)
     axis, idx = line
     re_n, im_n = table.shape
-    if axis == "row":
-        params = table.grid.im_values
-        rows = [table.row_at(idx, j) for j in range(im_n)]
-    else:
-        params = table.grid.re_values
-        rows = [table.row_at(i, idx) for i in range(re_n)]
-    s = np.array([p for p, r in zip(params, rows) if r.status == "ok"])
-    phi = np.array([r.delta for r in rows if r.status == "ok"])
+    D, E = table.field("delta"), table.field("delta_error")
+    s, cut = (table.grid.im_values, idx) if axis == "row" else (table.grid.re_values, np.s_[:, idx])
+    ok = ~np.isnan(D[cut])  # an ok row has a finite delta
+    s, phi, errs = s[ok], D[cut][ok], E[cut][ok]
     if s.size < fit_degree + 4:
         raise InsufficientPoints(f"{s.size} usable points on the line; need {fit_degree + 4}")
-    errs = [r.delta_error for r in rows if r.status == "ok"]
     scale = max(float(np.median(errs)), 1e-15)
     coeffs = np.polyfit(s, phi, fit_degree)
     resid = phi - np.polyval(coeffs, s)
@@ -349,7 +340,6 @@ def smoothness_diagnostic(table: SweepTable, line, fit_degree: int = 4) -> Smoot
 
     min_q = noise = argmin = None
     if re_n >= 3 and im_n >= 3:
-        D = table.delta_grid()
         hx = (table.grid.re_max - table.grid.re_min) / (re_n - 1)
         hy = (table.grid.im_max - table.grid.im_min) / (im_n - 1)
         e = table.error_scale()

@@ -34,6 +34,9 @@ BIG_MODULUS = 1e150
 # residual acceptance factor for the root solver
 _ROOT_RESID = 1e-8
 _ABERTH_MAX_ITER = 500
+# smallest |leading| / max |coefficient| of a map's num or den: the root solvers divide by the
+# leading coefficient, and below this ratio the monic form nears the end of float range
+_MIN_LEAD_RATIO = 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +496,11 @@ class RationalMap(MapStack):
         d = self.degree = max(P.size, Q.size) - 1
         if d < 1:
             raise ValueError("map must have degree >= 1 (not constant)")
+        for name, c in (("numerator", P), ("denominator", Q)):
+            ratio = abs(c[-1]) / np.abs(c).max()
+            if ratio < _MIN_LEAD_RATIO:
+                raise ValueError(f"{name} leading coefficient is {ratio:.3g} times its largest, "
+                                 f"below {_MIN_LEAD_RATIO:g}: its monic form leaves float range")
         self._check_reduced()
         # P, Q times the power of two (exact) that brings the largest |coefficient| into [1, 2),
         # so P'Q and PQ' can neither overflow nor underflow to a vanishing Wronskian

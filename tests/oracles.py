@@ -15,6 +15,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from ratsemi.dynamics import MultiMap
+from ratsemi.errors import InsufficientPoints
+from ratsemi.families import SmoothnessReport, SubmeanReport
 from ratsemi.sphere import SpherePoint, _array_point, polynomial_map
 
 # ---------------------------------------------------------------------------
@@ -305,6 +307,88 @@ def moran_root_bf(ratios, lo=0.0, hi=64.0):
     if f(lo) <= 0.0:
         return lo
     return brentq(f, lo, hi, xtol=1e-13)
+
+
+def _delta_rows_ref(table):
+    """The deltas of a sweep table as a grid, nan where the row is not ok."""
+    deltas = [r.delta if r.status == "ok" else np.nan for r in table.rows]
+    return np.array(deltas, dtype=float).reshape(table.shape)
+
+
+def submean_ref(table, radius):
+    """families.submean_diagnostic by a loop over the grid's cells: each
+    ring is gathered cell by cell in row-major offset order and averaged as
+    its own array."""
+    k = radius
+    D = _delta_rows_ref(table)
+    re_n, im_n = table.shape
+    scale = table.error_scale()
+    tol_sub = 3.0 * scale if math.isfinite(scale) else math.inf
+    offs = [(di, dj) for di in range(-k, k + 1) for dj in range(-k, k + 1)
+            if max(abs(di), abs(dj)) == k]
+    checked, worst, worst_at, worst_inv, worst_inv_at, flagged = 0, -math.inf, None, -math.inf, None, []
+    for i in range(k, re_n - k):
+        for j in range(k, im_n - k):
+            center = D[i, j]
+            if not math.isfinite(center):
+                continue
+            ring = np.array([D[i + di, j + dj] for di, dj in offs])
+            if not np.all(np.isfinite(ring)):
+                continue
+            checked += 1
+            lam = complex(table.row_at(i, j).lam)
+            v = center - float(ring.mean())
+            vi = float((1.0 / ring).mean()) - 1.0 / center
+            if v > worst:
+                worst, worst_at = v, lam
+            if vi > worst_inv:
+                worst_inv, worst_inv_at = vi, lam
+            if v > tol_sub or vi > tol_sub:
+                flagged.append((lam, max(v, vi)))
+    verdict = "inconclusive" if checked == 0 else "fail" if flagged else "pass"
+    return SubmeanReport(tol_sub, checked, worst, worst_at, worst_inv,
+                         worst_inv_at, flagged, verdict)
+
+
+def smoothness_ref(table, line, fit_degree):
+    """families.smoothness_diagnostic with the line taken as a list of rows
+    and the psh indicator computed by a loop over the interior cells."""
+    axis, idx = line
+    re_n, im_n = table.shape
+    if axis == "row":
+        params = table.grid.im_values
+        rows = [table.row_at(idx, j) for j in range(im_n)]
+    else:
+        params = table.grid.re_values
+        rows = [table.row_at(i, idx) for i in range(re_n)]
+    s = np.array([p for p, r in zip(params, rows) if r.status == "ok"])
+    phi = np.array([r.delta for r in rows if r.status == "ok"])
+    if s.size < fit_degree + 4:
+        raise InsufficientPoints(f"{s.size} usable points on the line; need {fit_degree + 4}")
+    errs = [r.delta_error for r in rows if r.status == "ok"]
+    scale = max(float(np.median(errs)), 1e-15)
+    resid = phi - np.polyval(np.polyfit(s, phi, fit_degree), s)
+    max_resid = float(np.max(np.abs(resid)))
+
+    min_q = noise = argmin = None
+    if re_n >= 3 and im_n >= 3:
+        D = _delta_rows_ref(table)
+        hx = (table.grid.re_max - table.grid.re_min) / (re_n - 1)
+        hy = (table.grid.im_max - table.grid.im_min) / (im_n - 1)
+        e = table.error_scale()
+        for i in range(1, re_n - 1):
+            for j in range(1, im_n - 1):
+                c, up, dn, rt, lf = D[i, j], D[i + 1, j], D[i - 1, j], D[i, j + 1], D[i, j - 1]
+                if not all(math.isfinite(x) for x in (c, up, dn, rt, lf)):
+                    continue
+                lap = (up + dn - 2 * c) / hx**2 + (rt + lf - 2 * c) / hy**2
+                gx, gy = (up - dn) / (2 * hx), (rt - lf) / (2 * hy)
+                q = c * lap - 2.0 * (gx * gx + gy * gy)
+                if q < (math.inf if min_q is None else min_q):
+                    min_q, argmin = float(q), complex(table.row_at(i, j).lam)
+                    noise = (abs(c) * (4 * e / hx**2 + 4 * e / hy**2) + abs(lap) * e
+                             + 4 * (abs(gx) / hx + abs(gy) / hy) * e)
+    return SmoothnessReport(int(s.size), max_resid, scale, max_resid / scale, min_q, noise, argmin)
 
 
 def box_count_bf(points, eps, origin):

@@ -438,6 +438,23 @@ def test_cli_t_past_float_range_exits_1_without_warnings(tmp_path, command, t):
     assert "nan" not in proc.stdout
 
 
+@pytest.mark.parametrize("den", [
+    [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1e-313, 0.0]],  # was np.roots on infs
+    [[1.0, 0.0], [0.0, 0.0], [1e-313, 0.0]],  # was a false shared root near 0
+])
+def test_cli_leading_coefficient_past_float_range_exits_2(tmp_path, den):
+    # run as a process under -W error, so a traceback or a leaked warning reaches stderr
+    path = write_cfg(tmp_path, {"multimap": {"generators": [{"num": Z2["num"], "den": den}]}})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argv = [sys.executable, "-W", "error", "-m", "ratsemi.cli", "bowen", "--config", path]
+    proc = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("config error: config.multimap.generators[0]: denominator leading "
+                           "coefficient is 1e-313 times its largest, below 1e-300: its monic "
+                           "form leaves float range\n")
+
+
 @pytest.mark.filterwarnings("error")
 def test_cli_bowen_critical_preimage_exit_5_without_warnings(tmp_path, capsys):
     # z^2 - 2 maps its critical point 0 onto the seed 2 in two steps; force skips the gate

@@ -1,5 +1,6 @@
 """Family tests: instantiation, sweeps, sub-mean and smoothness diagnostics."""
 import math
+import struct
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -60,6 +61,17 @@ def test_instantiate_degenerate_parameter():
     fam = annulus_family()
     with pytest.raises(InvalidInstance, match="degenerate"):
         instantiate(fam, 0.0)
+
+
+def test_leading_coefficient_past_float_range_is_an_invalid_instance():
+    # generator 2 is 1 + lam z^2: at lam = 1e-301 its monic form 1/lam + z^2 leaves float range
+    fam = FamilySpec(generators=(((0.0, 0.0, 1.0), (1.0,)), ((1.0, 0.0, (0.0, 1.0)), (1.0,))),
+                     domain=RectDomain(-1.0, 1.0, -1.0, 1.0))
+    with pytest.raises(InvalidInstance, match=r"generator 2 is degenerate at parameter \(1e-301\+0j\): "
+                                              r"numerator leading coefficient is 1e-301 times its largest"):
+        instantiate(fam, 1e-301)
+    table = sweep_delta(fam, GridSpec(1e-301, 1e-301, 1, 0.0, 0.0, 1), FAST)
+    assert [r.status for r in table.rows] == ["invalid-instance"]
 
 
 def test_instantiate_puncture_and_domain():
@@ -450,6 +462,55 @@ def test_submean_skips_incomplete_rings_and_radius():
     assert rep2.verdict == "inconclusive"
     with pytest.raises(ValueError):
         submean_diagnostic(table, radius=0)
+
+
+def _bits(x):
+    """x with every float as its IEEE-754 bytes, so equal means bit-identical."""
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_bits(y) for y in x]
+    if isinstance(x, complex):
+        return _bits(x.real), _bits(x.imag)
+    return struct.pack("<d", x) if isinstance(x, float) else x
+
+
+def _random_table(rng):
+    """A 1x1 to 8x8 table of random deltas and delta errors, about a fifth of its rows not ok."""
+    re_n, im_n = (int(n) for n in rng.integers(1, 9, size=2))
+    grid = GridSpec(0.1, 0.1 + 0.05 * (re_n - 1), re_n, -0.2, -0.2 + 0.04 * (im_n - 1), im_n)
+    rows = []
+    for lam in grid.points():
+        if rng.random() < 0.2:
+            rows.append(SweepRow(lam, None, None, None, "non-convergence", None))
+        else:
+            rows.append(SweepRow(lam, rng.uniform(0.5, 2.0), 1e-9, 8, "ok", 10 ** rng.uniform(-9, -1)))
+    return SweepTable(rows, grid)
+
+
+def test_diagnostics_match_the_per_cell_reference_bit_for_bit():
+    # random values with small errors flag most centres, so every ring mean reaches
+    # the report; summing a ring in another order changes some of them in the last bit
+    rng = np.random.default_rng(20261019)
+    fits = 0
+    for _ in range(500):
+        table = _random_table(rng)
+        for radius in (1, 2, 3):
+            got = submean_diagnostic(table, radius)
+            assert _bits(vars(got)) == _bits(vars(oracles.submean_ref(table, radius)))
+            assert type(got.worst_violation) is float and type(got.worst_reciprocal_violation) is float
+        re_n, im_n = table.shape
+        for line in [("row", i) for i in range(re_n)] + [("col", j) for j in range(im_n)]:
+            degree = int(rng.integers(1, 5))
+            try:
+                want = oracles.smoothness_ref(table, line, degree)
+            except InsufficientPoints as e:
+                with pytest.raises(InsufficientPoints, match=str(e)):
+                    smoothness_diagnostic(table, line, degree)
+                continue
+            assert _bits(vars(smoothness_diagnostic(table, line, degree))) == _bits(vars(want))
+            fits += 1
+    assert fits > 500
 
 
 def test_smoothness_cubic_table_fits_exactly():

@@ -755,3 +755,24 @@ def test_tiny_coefficients_are_scaled_up_before_the_wronskian_and_evaluation():
     shift = float(Fraction(a) / Fraction(b))  # 0.5 up to the subnormals' rounding
     assert vals[:3] == pytest.approx(z[:3] + shift, rel=1e-15, abs=1e-15)
     assert g.critical_points() == [] and g.fixed_points() == [(INF, 1.0)]
+
+
+def test_leading_coefficient_ratio_bound():
+    # the root solvers divide by the leading coefficient; 1e-313 of the largest left float
+    # range there (an overflow warning, then a false shared root or np.roots on infs)
+    for den in ([1.0, 0.0, 1e-313], [1.0, 0.0, 0.0, 1e-313]):
+        with pytest.raises(ValueError, match=r"denominator leading coefficient is 1e-313 times its "
+                                             r"largest, below 1e-300: its monic form leaves float range"):
+            RationalMap([0.0, 0.0, 1.0], den)
+    with pytest.raises(ValueError, match="numerator leading coefficient is 5e-301 times"):
+        RationalMap([2.0, 0.0, 0.0, 1e-300], [1.0, 1.0])
+    # just inside the bound, building, evaluating and solving raise no warning
+    z = np.array([0.3 + 0.1j, 0.0, 2.0 - 5.0j, 1e3, 0.0])
+    inf = np.array([False, False, False, False, True])
+    for num, den in (([0.0, 0.0, 1.0], [1.0, 0.0, 1e-300]), ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1e-300]),
+                     ([2.0, 0.0, 0.0, 2e-300], [1.0, 1.0]), ([1.0, 0.0, 0.0, 0.0, 0.0, 1e-300], [0.5])):
+        f = RationalMap(num, den)
+        roots, rinf = f.preimages_many(z, inf)
+        assert roots.shape == (5, f.degree) and not np.isnan(roots).any()
+        vals, vinf = f.eval_many(z, inf)
+        assert not np.isnan(vals).any()
