@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoRepellingSeed
-from .sphere import MapStack, SpherePoint, _array_point, _point_arrays, sphere_embed
+from .sphere import INF_Z, MapStack, SpherePoint, _point_array, sphere_embed
 
 _REPEL_TOL = 1e-6
 _CLOSEST_PAIR_BLOCK = 1 << 20  # entries of one row block of the closest-pair search
@@ -115,17 +115,16 @@ class CloudLevel:
     its picks keep each child cap/n times in expectation, so one importance
     weight, the float logw, serves every row.
 
-    A level of a block of B systems (stack_block) has z, inf and logd of
-    shape (B, n), one row per system, a min_step_norm per system and one logw.
+    A level of a block of B systems (stack_block) has z and logd of shape
+    (B, n), one row per system, a min_step_norm per system and one logw.
 
     A points-only level (julia_backward_cloud, postcritical_cloud) holds z
-    and inf alone: logd and logw are None and min_step_norm stays inf.  A
-    PreimageTree level holds z and inf only while it is the frontier; the
-    tree's deepest level never holds them.
+    alone: logd and logw are None and min_step_norm stays inf.  A
+    PreimageTree level holds z only while it is the frontier; the tree's
+    deepest level never holds it.
     """
 
-    z: np.ndarray | None    # complex chart values; 0 placeholder where inf is set
-    inf: np.ndarray | None  # bool mask for the point at infinity
+    z: np.ndarray | None  # point array: complex values, INF_Z for the point at infinity
     logd: np.ndarray | None = None   # backward only: cumulative log word-derivative norm to the root
     logw: float | None = None        # backward only: log importance weight shared by every row
     min_step_norm: float = math.inf  # smallest newest-step derivative norm (backward)
@@ -158,8 +157,8 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
     log(n / cap) when capped, so level sums stay unbiased.  min_step_norm is
     the smallest newest-step derivative norm of the kept rows.
 
-    A level of a block (see stack_block) carries a leading point axis on z,
-    inf and logd and a min_step_norm per point; its logw, like the picks,
+    A level of a block (see stack_block) carries a leading point axis on z
+    and logd and a min_step_norm per point; its logw, like the picks,
     is shared.  Each generator is solved in equal chunks of about
     d _EXPAND_ROWS / B children, B the block's points, so temporaries do not
     grow with the block: _EXPAND_ROWS solve rows (parents times B) when
@@ -167,10 +166,10 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
     have distinct parents.
 
     A points-only parent (logd None, see CloudLevel) gives a points-only
-    level: the same picks, solves and z, inf bit for bit, without derivative
+    level: the same picks, solves and z bit for bit, without derivative
     norms, logd or logw.  points False, for a tree's deepest level, which
-    nothing expands, allocates no z or inf (both None): each chunk's roots
-    give its derivative norms and are dropped.
+    nothing expands, allocates no z (None): each chunk's roots give its
+    derivative norms and are dropped.
     """
     lead = level.z.shape[:-1]  # () for one system, (B,) for a block
     full = level.logd is not None
@@ -184,7 +183,7 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
             c -= start  # views of kept, offset in place: a second index array costs peak memory
         n, shift = cap, math.log(n / cap)
     # the level arrays come before the solver temporaries, which leave no heap hole under them
-    z, inf = (np.empty(lead + (n,), dtype=t) if points else None for t in (complex, bool))
+    z = np.empty(lead + (n,), dtype=complex) if points else None
     if full:
         logd = np.empty(lead + (n,))
     min_norm, row = np.full(lead, math.inf), 0
@@ -199,32 +198,30 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
                 # every child kept: views and repeats, no index arrays; running uncapped levels
                 # through the gathers below made sweep-similarity job_s 8-22 % slower (2-core host)
                 p = slice(s // d, (s + rows) // d)
-                roots, rinf = f.preimages_many(level.z[..., p], level.inf[..., p])
-                zj, infj = roots.reshape(lead + (-1,)), rinf.reshape(lead + (-1,))
+                zj = f.preimages_many(level.z[..., p]).reshape(lead + (-1,))
             else:
                 cs = c[s : s + rows]
                 parents = cs // d
                 new = np.ones(cs.size, dtype=bool)
                 new[1:] = parents[1:] != parents[:-1]  # c is sorted, so parents are too
-                roots, rinf = f.preimages_many(level.z[..., parents[new]], level.inf[..., parents[new]])
-                at, slot = np.cumsum(new) - 1, cs % d
-                zj, infj = roots[..., at, slot], rinf[..., at, slot]
+                roots = f.preimages_many(level.z[..., parents[new]])
+                zj = roots[..., np.cumsum(new) - 1, cs % d]
 
             block = slice(row, row + zj.shape[-1])
             row = block.stop
             if points:
-                z[..., block], inf[..., block] = zj, infj
+                z[..., block] = zj
             if not full:
                 continue
             # the parent's logd of each child, along the node axis
             up = level.logd[..., p].repeat(d, axis=-1) if c is None else level.logd[..., parents]
-            norms = f.spherical_derivative_norm_many(zj, infj)
+            norms = f.spherical_derivative_norm_many(zj)
             np.minimum(min_norm, norms.min(axis=-1, initial=math.inf), out=min_norm)
             with np.errstate(divide="ignore"):
                 np.add(up, np.log(norms, out=norms), out=logd[..., block])
     if not full:
-        return CloudLevel(z, inf)
-    return CloudLevel(z, inf, logd=logd, logw=level.logw + shift,
+        return CloudLevel(z)
+    return CloudLevel(z, logd=logd, logw=level.logw + shift,
                       min_step_norm=min_norm if lead else float(min_norm))
 
 
@@ -246,19 +243,19 @@ class PointCloud:
         return len(self.levels) - 1
 
     def flat_arrays(self):
-        """Concatenated (z, inf, depth) arrays across all levels."""
+        """Concatenated (z, depth) arrays across all levels."""
         z = np.concatenate([lev.z for lev in self.levels])
-        inf = np.concatenate([lev.inf for lev in self.levels])
         depth = np.concatenate(
             [np.full(lev.size, d, dtype=np.int64) for d, lev in enumerate(self.levels)]
         )
-        return z, inf, depth
+        return z, depth
 
     def finite_levels(self):
         """(depth, z) for each level's finite points, in depth order: z is the
         level's own array when it holds no point at infinity, else a masked copy."""
         for d, lev in enumerate(self.levels):
-            yield d, lev.z[~lev.inf] if lev.inf.any() else lev.z
+            finite = np.isfinite(lev.z)
+            yield d, lev.z if finite.all() else lev.z[finite]
 
     def finite_points(self):
         """Concatenated finite-chart values with their depths."""
@@ -292,22 +289,22 @@ def _check_budget(depth: int, cap: int) -> None:
         raise ValueError("cap must be positive")
 
 
-def _root_level(z, inf) -> CloudLevel:
-    """Level 0 of a backward tree at the points z, inf: zero logd, and
-    logw 0.0.  A block of B trees has z and inf of shape (B, 1)."""
-    return CloudLevel(z, inf, logd=np.zeros(z.shape), logw=0.0)
+def _root_level(z) -> CloudLevel:
+    """Level 0 of a backward tree at the point array z: zero logd, and
+    logw 0.0.  A block of B trees has z of shape (B, 1)."""
+    return CloudLevel(z, logd=np.zeros(z.shape), logw=0.0)
 
 
 def julia_backward_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFAULT_CAP,
                          rng_seed: int = 0) -> PointCloud:
     """Backward-orbit tree of a repelling seed, one capped level per depth.
 
-    Its levels hold points only (see CloudLevel): z and inf bit for bit those
+    Its levels hold points only (see CloudLevel): z bit for bit that
     of _expand_backward chained from _root_level with this cap and rng_seed.
     """
     _check_budget(depth, cap)
     seed_pt, seed_sym = repelling_seed(mm)
-    levels = [CloudLevel(*_point_arrays(seed_pt))]
+    levels = [CloudLevel(_point_array(seed_pt))]
     for n in range(1, depth + 1):
         levels.append(_expand_backward(mm, levels[-1], cap, rng_seed, n))
     return PointCloud(levels, {"seed_point": seed_pt, "seed_generator": seed_sym})
@@ -317,11 +314,10 @@ def julia_backward_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DE
 # forward (postcritical) cloud
 
 
-def _dedupe(z, inf) -> np.ndarray:
+def _dedupe(z) -> np.ndarray:
     """Rows of a level in construction order, the first of each group of
-    equal rounded coordinates."""
-    key = np.where(inf, complex(np.inf, 0.0), np.round(z, 9))
-    return np.sort(np.unique(key, return_index=True)[1])
+    equal rounded coordinates; INF_Z rounds to itself."""
+    return np.sort(np.unique(np.round(z, 9), return_index=True)[1])
 
 
 def postcritical_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFAULT_CAP,
@@ -336,20 +332,16 @@ def postcritical_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFA
     """
     _check_budget(depth, cap)
     crit = [p for f in mm.generators for p in f.critical_values()]
-    z = np.array([0j if p.is_infinite else p.value for p in crit], dtype=complex)
-    inf = np.array([p.is_infinite for p in crit], dtype=bool)
-    idx = _dedupe(z, inf)
-    levels = [CloudLevel(z[idx], inf[idx])]
+    z = np.array([INF_Z if p.is_infinite else p.value for p in crit], dtype=complex)
+    levels = [CloudLevel(z[_dedupe(z)])]
     seed = _derive_seed(rng_seed, 0xF0)
     for n in range(1, depth + 1):
         parent = levels[-1]
         if parent.size == 0:
             levels.append(parent)
             continue
-        images = [f.eval_many(parent.z, parent.inf) for f in mm.generators]
-        z, inf = (np.concatenate(part) for part in zip(*images))
-        idx = _subsample_level(_dedupe(z, inf), cap, seed, n)
-        levels.append(CloudLevel(z[idx], inf[idx]))
+        z = np.concatenate([f.eval_many(parent.z) for f in mm.generators])
+        levels.append(CloudLevel(z[_subsample_level(_dedupe(z), cap, seed, n)]))
     return PointCloud(levels, {})
 
 
@@ -415,11 +407,10 @@ def check_hyperbolic(mm: MultiMap, depth: int = 8, margin: float = 0.05, cap: in
         return VerificationReport("pass", [], margin,
                                   {"min_distance": math.inf, "postcritical_size": 0})
     cloud = julia_backward_cloud(mm, depth=depth, cap=cap, rng_seed=rng_seed)
-    jz, jinf, _ = cloud.flat_arrays()
-    pz, pinf, _ = post.flat_arrays()
-    k, i, min_dist = _closest_pair(sphere_embed(pz, pinf), sphere_embed(jz, jinf))
-    p_pt = _array_point(pz[k], pinf[k])
-    j_pt = _array_point(jz[i], jinf[i])
+    jz, _ = cloud.flat_arrays()
+    pz, _ = post.flat_arrays()
+    k, i, min_dist = _closest_pair(sphere_embed(pz), sphere_embed(jz))
+    p_pt, j_pt = SpherePoint.of(pz[k]), SpherePoint.of(jz[i])
     metrics = {"min_distance": min_dist, "postcritical_size": post.size, "julia_size": cloud.size}
     if min_dist >= margin:
         return VerificationReport("pass", [], margin, metrics)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dynamics import MultiMap, PointCloud, VerificationReport
 from .errors import InsufficientPoints
-from .sphere import _array_point, _point_arrays
+from .sphere import INF_Z, SpherePoint, _point_array
 
 MIN_BOX_POINTS = 10_000
 MAX_BOX_SCALES = 24  # finest cell index at most 8 * 2^23, well inside half of a packed cell key
@@ -155,10 +155,10 @@ def _segment_distance(z: np.ndarray, a: complex, b: complex) -> np.ndarray:
 
 def region_contains(U, point) -> bool:
     """Strict-interior membership; infinity belongs only to a region that holds it."""
-    return bool(_contains_many(U, *_point_arrays(point))[0])
+    return bool(_contains_many(U, _point_array(point))[0])
 
 
-def _fattened_contains_many(U, z: np.ndarray, inf: np.ndarray, eps: float) -> np.ndarray:
+def _fattened_contains_many(U, z: np.ndarray, eps: float) -> np.ndarray:
     """Membership in the chordal eps-neighborhood of the closed region.
 
     A chordal ball of radius eps at a finite z has Euclidean radius about
@@ -168,8 +168,9 @@ def _fattened_contains_many(U, z: np.ndarray, inf: np.ndarray, eps: float) -> np
     """
     m = U.max_modulus()
     out = np.full(z.shape, 2.0 / math.sqrt(1.0 + m * m) <= eps)
-    zf = z[~inf]
-    out[~inf] = U.distance(zf) <= eps * (1.0 + np.abs(zf) ** 2) / 2.0
+    finite = np.isfinite(z)
+    zf = z[finite]
+    out[finite] = U.distance(zf) <= eps * (1.0 + np.abs(zf) ** 2) / 2.0
     return out
 
 
@@ -200,24 +201,21 @@ def _sample_points(U, grid_n: int, enlarge: float):
         h = enlarge / U.r
         w = _lattice(-h, h, -h, h, grid_n)
         w = w[np.abs(w) > 1e-12]
-        z = np.concatenate([z, 1.0 / w, [0.0]])
-    inf = np.zeros(z.shape, dtype=bool)
-    inf[-1] = U.holds_infinity
-    return z, inf, spacing
+        z = np.concatenate([z, 1.0 / w, [INF_Z]])
+    return z, spacing
 
 
-def _contains_many(U, z: np.ndarray, inf: np.ndarray) -> np.ndarray:
+def _contains_many(U, z: np.ndarray) -> np.ndarray:
     out = np.full(z.shape, U.holds_infinity)
-    out[~inf] = U.interior(z[~inf])
+    finite = np.isfinite(z)
+    out[finite] = U.interior(z[finite])
     return out
 
 
-def _smallest_witness(z: np.ndarray, inf: np.ndarray, mask: np.ndarray):
+def _smallest_witness(z: np.ndarray, mask: np.ndarray):
+    """The point of z under mask with the least (real, imag); INF_Z sorts last."""
     idx = np.flatnonzero(mask)
-    re = np.where(inf[idx], np.inf, z[idx].real)
-    im = np.where(inf[idx], 0.0, z[idx].imag)
-    k = idx[np.lexsort((im, re))[0]]
-    return _array_point(z[k], inf[k])
+    return SpherePoint.of(z[idx[np.lexsort((z[idx].imag, z[idx].real))[0]]])
 
 
 def osc_check(
@@ -245,27 +243,27 @@ def osc_check(
         raise ValueError(f"unknown variant {variant!r}")
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
-    z, inf, spacing = _sample_points(U, grid_n, enlarge)
-    outside = ~_contains_many(U, z, inf)
+    z, spacing = _sample_points(U, grid_n, enlarge)
+    outside = ~_contains_many(U, z)
     # nesting: some f(x) in U with x outside U; overlap: at least two
     # generators hit, fattened by epsilon in the separating variant
     mask_a = np.zeros(z.shape, dtype=bool)
     hits = np.zeros(z.shape, dtype=int)
     for f in mm.generators:
-        img, img_inf = f.eval_many(z, inf)
-        strict = _contains_many(U, img, img_inf)
+        img = f.eval_many(z)
+        strict = _contains_many(U, img)
         mask_a |= strict & outside
-        hits += _fattened_contains_many(U, img, img_inf, epsilon) if variant == "separating" else strict
+        hits += _fattened_contains_many(U, img, epsilon) if variant == "separating" else strict
     mask_b = hits >= 2
 
     witnesses = []
     if np.any(mask_a):
-        pt = _smallest_witness(z, inf, mask_a)
+        pt = _smallest_witness(z, mask_a)
         witnesses.append(
             (pt, "some generator maps this point into U although it lies outside U")
         )
     if np.any(mask_b):
-        pt = _smallest_witness(z, inf, mask_b)
+        pt = _smallest_witness(z, mask_b)
         tag = "closed " if variant == "separating" else ""
         witnesses.append(
             (pt, f"two generators map this point into the {tag}region, so the "

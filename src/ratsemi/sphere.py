@@ -6,10 +6,11 @@ two quantities the rest of the library is built on; both are evaluated
 through the 1/z chart whenever moduli get large, so no intermediate blows
 up and the two charts agree to near machine precision on their overlap.
 
-Each RationalMap operation (evaluation, derivative norm, preimages) is
-implemented once, batched over parallel arrays (z, inf) with the bool mask
-inf marking infinity; it handles infinity and degree drops (cancelling
-leading coefficients), and the scalar methods are 1-element wrappers.
+A point array is one complex array with infinity stored as the value
+INF_Z = inf + 0j.  Each RationalMap operation (evaluation, derivative norm,
+preimages) is implemented once, batched over such arrays; it handles
+infinity and degree drops (cancelling leading coefficients), and the scalar
+methods are 1-element wrappers.
 Every polynomial of the library is its ascending complex coefficients,
 evaluated by horner, and roots_batch is its one root solver: closed forms up
 to degree 3, Aberth-Ehrlich above, Aberth again for a cubic the closed form
@@ -30,6 +31,7 @@ import numpy as np
 from .errors import NonConvergence
 
 BIG_MODULUS = 1e150
+INF_Z = complex(math.inf, 0.0)  # the point at infinity in a point array
 
 # residual acceptance factor for the root solver
 _ROOT_RESID = 1e-8
@@ -37,6 +39,7 @@ _ABERTH_MAX_ITER = 500
 # smallest |leading| / max |coefficient| of a map's num or den: the root solvers divide by the
 # leading coefficient, and below this ratio the monic form nears the end of float range
 _MIN_LEAD_RATIO = 1e-300
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 # ---------------------------------------------------------------------------
@@ -85,25 +88,27 @@ class SpherePoint:
 INF = SpherePoint(None)
 
 
-def _point_arrays(point):
-    """A point as the 1-element (z, inf) arrays the batched methods take."""
+def _point_array(point):
+    """A point as the 1-element point array the batched methods take."""
     pt = SpherePoint.of(point)
-    return np.array([0j if pt.is_infinite else pt.value]), np.array([pt.is_infinite])
+    return np.array([INF_Z if pt.is_infinite else pt.value])
 
 
-def _array_point(z, inf) -> SpherePoint:
-    return INF if inf else SpherePoint.of(complex(z))
+def _split(z):
+    """(z with 0 at infinity, the mask of infinity): what a kernel's arithmetic reads."""
+    z = np.asarray(z, dtype=complex)
+    inf = np.isinf(z)
+    return (np.where(inf, 0j, z) if inf.any() else z), inf
 
 
 def chordal_distance(a, b) -> float:
     """Chordal metric on the sphere; range [0, 2], with 2 for antipodes."""
-    return float(chordal_distance_many(*_point_arrays(a), *_point_arrays(b))[0])
+    return float(chordal_distance_many(_point_array(a), _point_array(b))[0])
 
 
-def chordal_distance_many(z1, inf1, z2, inf2):
-    """Vectorized chordal distance for parallel arrays with infinity masks."""
-    z1 = np.asarray(z1, dtype=complex)
-    z2 = np.asarray(z2, dtype=complex)
+def chordal_distance_many(z1, z2):
+    """Vectorized chordal distance between point arrays."""
+    (z1, inf1), (z2, inf2) = _split(z1), _split(z2)
     s1 = np.hypot(1.0, np.abs(z1))
     s2 = np.hypot(1.0, np.abs(z2))
     d = 2.0 * np.abs(z1 - z2) / (s1 * s2)
@@ -114,10 +119,10 @@ def chordal_distance_many(z1, inf1, z2, inf2):
     return d
 
 
-def sphere_embed(z, inf):
-    """Map plane points to R^3 on the unit sphere; chordal distance equals
+def sphere_embed(z):
+    """Map a point array to R^3 on the unit sphere; chordal distance equals
     Euclidean distance there, which check_hyperbolic's closest-pair search relies on."""
-    z = np.asarray(z, dtype=complex)
+    z, inf = _split(z)
     r2 = np.abs(z) ** 2
     denom = 1.0 + r2
     out = np.empty(z.shape + (3,))
@@ -352,25 +357,30 @@ def roots_batch(C):
 # rational maps
 
 
-def _charts(z, inf):
-    """(near, far, w, |z|): |z| <= 1 is read in z, the rest as w = 1/z, infinity as w = 0."""
-    inf = np.zeros(z.shape, dtype=bool) if inf is None else inf
+def _charts(z):
+    """(near, far, w, |z|): |z| <= 1 is read in z, the rest as w = 1/z; infinity
+    has |z| = inf, so it is far, and 1/INF_Z is exactly 0."""
     az = np.abs(z)
-    near = ~inf & (az <= 1.0)
+    near = az <= 1.0
     far = ~near
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = 1.0 / z[far]
-    w[inf[far]] = 0.0
-    return near, far, w, az
+    return near, far, 1.0 / z[far], az
 
 
 def _chart_norm(x, ax, W, P, Q):
     """|W(x)| (1 + |x|^2) / (|P(x)|^2 + |Q(x)|^2) with ax = |x|; coefficient
-    rows broadcast against x."""
+    rows broadcast against x.  Where |P|^2 + |Q|^2 underflows the normal
+    float range, numerator and denominator are first divided by
+    max(|P|, |Q|)^2; every other norm keeps its bits.  It cannot overflow:
+    |x| <= 1 in both charts, and the largest |coefficient| is below 2."""
     wz = np.abs(horner(W, x))
     pz = np.abs(horner(P, x))
     qz = np.abs(horner(Q, x))
-    return wz * (1.0 + ax**2) / (pz * pz + qz * qz)
+    den = pz * pz + qz * qz
+    if den.min() < _TINY:
+        s = np.where(den < _TINY, np.maximum(pz, qz), 1.0)  # dividing by 1 is exact
+        wz, pz, qz = wz / s / s, pz / s, qz / s
+        den = pz * pz + qz * qz
+    return wz * (1.0 + ax**2) / den
 
 
 class MapStack:
@@ -411,14 +421,14 @@ class MapStack:
         self.fwd = (trimmed(W), trimmed(self.P), trimmed(self.Q))
         self.rev = (trimmed(W[::-1]), trimmed(self.P[::-1]), trimmed(self.Q[::-1]))
 
-    def spherical_derivative_norm_many(self, z, inf=None):
-        """Norm of the derivative in the spherical metric at parallel point
-        arrays: |f'(z)| (1+|z|^2)/(1+|f(z)|^2), read through the 1/z chart
-        when |z| > 1, so the two charts agree to relative 1e-10 on their
-        overlap and the value is finite everywhere."""
+    def spherical_derivative_norm_many(self, z):
+        """Norm of the derivative in the spherical metric at a point array:
+        |f'(z)| (1+|z|^2)/(1+|f(z)|^2), read through the 1/z chart when
+        |z| > 1, so the two charts agree to relative 1e-10 on their overlap
+        and the value is finite everywhere."""
         shape = np.shape(z)
         z = np.asarray(z, dtype=complex).reshape(self.P.shape[1], -1)
-        near, far, w, az = _charts(z, None if inf is None else np.reshape(inf, z.shape))
+        near, far, w, az = _charts(z)
         if near.all():
             return _chart_norm(z, az, *(c[:, :, None] for c in self.fwd)).reshape(shape)
 
@@ -431,27 +441,26 @@ class MapStack:
         out[far] = _chart_norm(w, np.abs(w), *cols(far, self.rev))
         return out.reshape(shape)
 
-    def preimages_many(self, z, inf=None):
-        """Preimages for parallel target arrays; inf marks targets at infinity.
+    def preimages_many(self, z):
+        """Preimages of a target point array.
 
-        Returns (roots, inf_mask) of shape z.shape + (d,), each row in
+        Returns the roots, a point array of shape z.shape + (d,), each row in
         roots_batch's solver order rather than sorted.  A finite target z
         solves P - zQ = 0, a target at infinity Q = 0, built coefficient-major
         (one contiguous row per power), the layout roots_batch reads.  When
         the k leading coefficients of a row cancel (|c| <= 1e-12 (|P_d| +
         |z| |Q_d|), or exactly zero for infinity) the row loses k degrees:
         its remaining roots fill the first d - k slots and the last k are
-        infinity.  Rows are solved in one roots_batch call per k; each row's
+        INF_Z.  Rows are solved in one roots_batch call per k; each row's
         roots depend only on its own target and map.
         """
         shape, d = np.shape(z), self.degree
-        z = np.asarray(z, dtype=complex).reshape(self.P.shape[1], -1)
+        z, inf = _split(np.reshape(z, (self.P.shape[1], -1)))
         C = np.empty((d + 1,) + z.shape, dtype=complex)
         for c, p, q in zip(C, self.P[:, :, None], self.Q[:, :, None]):
             np.subtract(p, np.multiply(z, q, out=c), out=c)
-        has_inf = inf is not None and inf.any()
+        has_inf = inf.any()
         if has_inf:
-            inf = np.reshape(inf, z.shape)
             C[:, inf] = self.Q[:, np.nonzero(inf)[0]]
         qd = np.abs(self.Q[d])[:, None]
         # without a Q_d in any column, |z| |Q_d| is 0 and a finite row's top is P_d
@@ -462,20 +471,18 @@ class MapStack:
         drop = np.abs(C[-1] if has_inf or qd.any() else self.P[d][:, None]) <= tol
         C = C.reshape(d + 1, -1)
         if not drop.any():
-            return roots_batch(C).reshape(shape + (d,)), np.zeros(shape + (d,), dtype=bool)
+            return roots_batch(C).reshape(shape + (d,))
         drop, tol = np.broadcast_to(drop, z.shape).ravel(), np.broadcast_to(tol, z.shape).ravel()
         # k = number of cancelled leading coefficients; the constant one stays
         k = np.zeros(drop.size, dtype=np.int64)
         small = np.abs(C[:0:-1, drop]) <= tol[drop]
         k[drop] = np.cumprod(small, axis=0).sum(axis=0)
-        roots = np.zeros((drop.size, d), dtype=complex)
-        infm = np.zeros((drop.size, d), dtype=bool)
+        roots = np.full((drop.size, d), INF_Z)
         for kk in np.unique(k):
             rows = np.flatnonzero(k == kk)
             n = d - kk
             roots[rows, :n] = roots_batch(C[: n + 1, rows])
-            infm[rows, n:] = True
-        return roots.reshape(shape + (d,)), infm.reshape(shape + (d,))
+        return roots.reshape(shape + (d,))
 
 
 class RationalMap(MapStack):
@@ -532,19 +539,17 @@ class RationalMap(MapStack):
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, point) -> SpherePoint:
-        vals, inf = self.eval_many(*_point_arrays(point))
-        return _array_point(vals[0], inf[0])
+        return SpherePoint.of(self.eval_many(_point_array(point))[0])
 
-    def eval_many(self, z, inf=None):
-        """Evaluate at parallel point arrays; returns (values, inf_mask).
+    def eval_many(self, z):
+        """Evaluate at a point array; returns the values, a point array.
 
-        inf marks targets at infinity (their z entries are ignored); None
-        means all finite.  Points with |z| > 1 and infinity go through the
-        1/z chart, so nothing overflows on the way to the ratio.  Both charts
-        read the scaled P and Q, so tiny coefficients give no 0/0 either.
+        Points with |z| > 1 and infinity go through the 1/z chart, so
+        nothing overflows on the way to the ratio.  Both charts read the
+        scaled P and Q, so tiny coefficients give no 0/0 either.
         """
         z = np.asarray(z, dtype=complex)
-        near, far, w, _ = _charts(z, inf)
+        near, far, w, _ = _charts(z)
         pz = np.empty_like(z)
         qz = np.empty_like(z)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -566,20 +571,18 @@ class RationalMap(MapStack):
         big = ~np.isfinite(vals) | (np.abs(vals.real) > BIG_MODULUS) | (
             np.abs(vals.imag) > BIG_MODULUS
         )
-        inf = pole | big
-        vals = np.where(inf, 0.0, vals)
-        return vals, inf
+        return np.where(pole | big, INF_Z, vals)
 
     # -- scalar wrappers ---------------------------------------------------------
 
     def spherical_derivative_norm(self, point) -> float:
         """Norm of the derivative in the spherical metric at one point."""
-        return self.spherical_derivative_norm_many(*_point_arrays(point))[0]
+        return self.spherical_derivative_norm_many(_point_array(point))[0]
 
     def preimages(self, point) -> list[SpherePoint]:
         """All degree-many solutions w of f(w) = point, with multiplicity, sorted."""
-        roots, inf = self.preimages_many(*_point_arrays(point))
-        return sorted(map(_array_point, roots[0], inf[0]), key=SpherePoint.sort_key)
+        return sorted(map(SpherePoint.of, self.preimages_many(_point_array(point))[0]),
+                      key=SpherePoint.sort_key)
 
     # -- critical and fixed points ---------------------------------------------
 

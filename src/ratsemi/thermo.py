@@ -37,7 +37,7 @@ from .errors import (
     NoSignChange,
     RatsemiError,
 )
-from .sphere import SpherePoint, _point_arrays
+from .sphere import SpherePoint, _point_array
 
 _CRIT_NORM = 1e-12
 DEFAULT_TREE_DEPTH = 10
@@ -101,7 +101,7 @@ class PreimageTree:
     level a caller may read.  Level n holds logd as (B, N), one row per
     system, and min_step_norm per system; logw is one float for all rows and
     systems (see CloudLevel).  No level keeps words.  Only the
-    frontier keeps its points z and inf, which the next extension reads;
+    frontier keeps its points z, which the next extension reads;
     level depth is built without them."""
 
     def __init__(self, mm, basepoint=None, *, depth: int, cap: int = DEFAULT_CAP, rng_seed: int = 0):
@@ -113,8 +113,7 @@ class PreimageTree:
         self.depth = int(depth)
         self.cap = int(cap)
         self.rng_seed = int(rng_seed)
-        z, inf = (np.concatenate(a)[:, None] for a in zip(*map(_point_arrays, self.basepoints)))
-        self.levels = [_root_level(z, inf)]
+        self.levels = [_root_level(np.concatenate([_point_array(p) for p in self.basepoints])[:, None])]
         self._min_norms = [np.full(len(self.basepoints), math.inf)]  # entry n: per system, levels 1..n
 
     def extend(self, n: int) -> None:
@@ -125,7 +124,7 @@ class PreimageTree:
             lev = _expand_backward(self.mm, last, self.cap, self.rng_seed, k, points=k < self.depth)
             self.levels.append(lev)
             self._min_norms.append(np.minimum(self._min_norms[-1], lev.min_step_norm))
-            last.z = last.inf = None
+            last.z = None
 
     def check_critical(self, n: int) -> None:
         """Raise CriticalPreimage if a step derivative norm within depth n vanishes."""

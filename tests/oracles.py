@@ -17,7 +17,7 @@ from numpy.polynomial import polynomial as npp
 from ratsemi.dynamics import MultiMap
 from ratsemi.errors import InsufficientPoints
 from ratsemi.families import SmoothnessReport, SubmeanReport
-from ratsemi.sphere import SpherePoint, _array_point, polynomial_map
+from ratsemi.sphere import INF_Z, SpherePoint, polynomial_map
 
 # ---------------------------------------------------------------------------
 # frozen constants
@@ -256,7 +256,7 @@ def cloud_entries(cloud):
     for depth, lev in enumerate(cloud.levels):
         for i in range(lev.size):
             word = tuple(int(x) for x in lev.words[i, ::-1])
-            yield _array_point(lev.z[i], lev.inf[i]), word, depth
+            yield SpherePoint.of(lev.z[i]), word, depth
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +405,9 @@ def julia_render_ref(cloud, width, height, viewport=None, depth_coloring=False):
     lines, from the whole cloud at once: its finite points concatenated and
     painted in one fancy-index assignment, where a later row (a deeper
     level) overwrites an earlier one."""
-    z, inf, depths = cloud.flat_arrays()
-    z, depths = z[~inf], depths[~inf]
+    z, depths = cloud.flat_arrays()
+    finite = np.isfinite(z)
+    z, depths = z[finite], depths[finite]
     xmin, xmax = float(z.real.min()), float(z.real.max())
     ymin, ymax = float(z.imag.min()), float(z.imag.max())
     if viewport is None:
@@ -447,7 +448,6 @@ class RefLevel:
     stand as a parent level for dynamics._expand_backward."""
 
     z: np.ndarray
-    inf: np.ndarray
     words: np.ndarray
     logd: np.ndarray | None = None
     logw: np.ndarray | float | None = None
@@ -489,14 +489,14 @@ def kept_rows_ref(n, cap, seed, tag):
 
 
 def subsample_ref(level, cap, seed, tag, step_norm=None):
-    """kept_rows_ref on a RefLevel.  Returns the reduced (z, inf, words,
-    logd, logw) columns, the kept rows reweighted in logw, and the minimum
+    """kept_rows_ref on a RefLevel.  Returns the reduced (z, words, logd,
+    logw) columns, the kept rows reweighted in logw, and the minimum
     step_norm of the kept rows (level.min_step_norm when no step_norm is
     given)."""
     idx, shift = kept_rows_ref(level.size, cap, seed, tag)
     min_norm = level.min_step_norm if step_norm is None else float(step_norm[idx].min())
     logd = None if level.logd is None else level.logd[idx]
-    return (level.z[idx], level.inf[idx], level.words[idx], logd, level.logw[idx] + shift), min_norm
+    return (level.z[idx], level.words[idx], logd, level.logw[idx] + shift), min_norm
 
 
 def expand_then_subsample(mm, level, cap, seed, tag):
@@ -506,17 +506,16 @@ def expand_then_subsample(mm, level, cap, seed, tag):
     parts = []
     for j, f in enumerate(mm.generators, start=1):
         d = f.degree
-        z, inf = f.preimages_many(level.z, level.inf)
-        z, inf = z.ravel(), inf.ravel()
-        norms = f.spherical_derivative_norm_many(z, inf)
+        z = f.preimages_many(level.z).ravel()
+        norms = f.spherical_derivative_norm_many(z)
         with np.errstate(divide="ignore"):
             logd = np.repeat(level.logd, d) + np.log(norms)
         words = np.empty((z.size, level.words.shape[1] + 1), dtype=np.int8)
         words[:, :-1] = np.repeat(level.words, d, axis=0)
         words[:, -1] = j
-        parts.append((z, inf, words, logd, np.repeat(np.broadcast_to(level.logw, level.size), d), norms))
-    z, inf, words, logd, logw, norms = (np.concatenate(col) for col in zip(*parts))
-    full = RefLevel(z, inf, words, logd, logw)
+        parts.append((z, words, logd, np.repeat(np.broadcast_to(level.logw, level.size), d), norms))
+    z, words, logd, logw, norms = (np.concatenate(col) for col in zip(*parts))
+    full = RefLevel(z, words, logd, logw)
     return subsample_ref(full, cap, seed, tag, step_norm=norms)
 
 
@@ -538,43 +537,40 @@ def backward_levels_ref(mm, level, cap, seed, depth):
 # reference forward (postcritical) cloud: expand every level, keep first occurrences
 
 
-def _first_occurrences_ref(z, inf, words):
+def _first_occurrences_ref(z, words):
     """The rows of a level whose rounded coordinates (9 decimals; infinity
     one key of its own) no earlier row has, in row order, found with a
     Python dict instead of a sort."""
     first = {}
     for i in range(z.size):
-        key = "inf" if inf[i] else (float(np.round(z[i].real, 9)), float(np.round(z[i].imag, 9)))
+        key = "inf" if np.isinf(z[i]) else (float(np.round(z[i].real, 9)), float(np.round(z[i].imag, 9)))
         first.setdefault(key, i)
     idx = np.fromiter(first.values(), dtype=np.int64, count=len(first))  # insertion order
-    return z[idx], inf[idx], words[idx]
+    return z[idx], words[idx]
 
 
 def postcritical_cloud_ref(mm, depth, cap, rng_seed=0):
     """The forward cloud the long way: level 0 is the critical values of
     every generator in generator order, level n every generator's images
     of level n - 1, generator by generator; each is cut to its first
-    occurrences and then subsampled by kept_rows_ref.  Returns (z, inf,
-    words) per level; words grow by appending, so words[i] is row i's word
+    occurrences and then subsampled by kept_rows_ref.  Returns (z, words)
+    per level; words grow by appending, so words[i] is row i's word
     in composition order."""
     from ratsemi.dynamics import _derive_seed
 
     crit = [p for f in mm.generators for p in f.critical_values()]
-    z = np.array([0j if p.is_infinite else p.value for p in crit], dtype=complex)
-    inf = np.array([p.is_infinite for p in crit], dtype=bool)
-    levels = [_first_occurrences_ref(z, inf, np.zeros((len(crit), 0), dtype=np.int8))]
+    z = np.array([INF_Z if p.is_infinite else p.value for p in crit], dtype=complex)
+    levels = [_first_occurrences_ref(z, np.zeros((len(crit), 0), dtype=np.int8))]
     for n in range(1, depth + 1):
-        z, inf, words = levels[-1]
+        z, words = levels[-1]
         if z.size == 0:
             levels.append(levels[-1])
             continue
-        zs, infs, ws = [], [], []
+        zs, ws = [], []
         for j, f in enumerate(mm.generators, start=1):
-            fz, finf = f.eval_many(z, inf)
-            zs.append(fz)
-            infs.append(finf)
+            zs.append(f.eval_many(z))
             ws.append(np.hstack([words, np.full((z.size, 1), j, dtype=np.int8)]))
-        z, inf, words = _first_occurrences_ref(np.concatenate(zs), np.concatenate(infs), np.vstack(ws))
+        z, words = _first_occurrences_ref(np.concatenate(zs), np.vstack(ws))
         idx, _ = kept_rows_ref(z.size, cap, _derive_seed(rng_seed, 0xF0), n)
-        levels.append((z[idx], inf[idx], words[idx]))
+        levels.append((z[idx], words[idx]))
     return levels

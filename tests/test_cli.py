@@ -656,12 +656,12 @@ def test_cli_other_library_error_exit_1(tmp_path, capsys):
 
 def test_julia_and_boxdim_peak_below_the_bytes_of_the_cloud_they_read(tmp_path, capsys,
                                                                        monkeypatch):
-    # annulus.json's depth-12 cloud: 887,381 points, 15.1 MB of z and inf.  Reading it
-    # concatenated peaked at 3.4 times that in box_dimension and 4.1 times in cmd_julia
+    # annulus.json's depth-12 cloud: 887,381 points, 14.2 MB of z.  Reading it concatenated,
+    # with a bool mask beside z, peaked at 3.4 times 15.1 MB in box_dimension, 4.1 in cmd_julia
     path = str(Path(__file__).parent.parent / "demos" / "configs" / "annulus.json")
     cfg = parse_file(path)
     cloud = cli._julia_cloud(cfg)
-    own = sum(lev.z.nbytes + lev.inf.nbytes for lev in cloud.levels)
+    own = sum(lev.z.nbytes for lev in cloud.levels)
     monkeypatch.setattr(cli, "_julia_cloud", lambda cfg: cloud)
     runs = {
         "boxdim": lambda: cli.box_dimension(cloud, **cfg.data["boxdim"]),

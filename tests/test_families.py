@@ -337,8 +337,8 @@ def test_lockstep_sweep_equals_blocks_of_one(fam, grid, config, monkeypatch):
 
 def test_block_of_six_similarity_points_stays_within_its_memory_budget():
     # the deepest level of a tree keeps no points, which lets _BLOCK_NODES hold six
-    # depth-9 similarity points: each costs about 470 KiB of traced peak in a
-    # block, and about 800 KiB if that level kept its z and inf
+    # depth-9 similarity points: each costs about 460 KiB of traced peak in a
+    # block, and about 800 KiB if that level kept its z
     cfg = parse_file(str(Path(__file__).parent.parent / "demos" / "configs" / "similarity_sweep.json"))
     fam, grid, tcfg = cfg.family_spec(), cfg.grid_spec(), cfg.thermo_config()
     lams = list(grid.points())[-grid.im_n :][:6]  # the last grid row

@@ -20,7 +20,7 @@ from ratsemi.geometry import (
     osc_check,
     region_contains,
 )
-from ratsemi.sphere import INF, polynomial_map
+from ratsemi.sphere import INF, INF_Z, polynomial_map
 
 import oracles
 from oracles import gasket_mm, power_map
@@ -95,16 +95,14 @@ def test_fattened_membership_converts_chordal_to_local_euclidean():
     near = 2.0 + 0.9 * eps * (1.0 + 4.0) / 2.0
     far = 2.0 + 2.0 * eps * (1.0 + 4.0) / 2.0
     z = np.array([near, far, 1.5, 0.2], dtype=complex)
-    inf = np.zeros(4, dtype=bool)
-    got = _fattened_contains_many(U, z, inf, eps)
+    got = _fattened_contains_many(U, z, eps)
     assert got.tolist() == [True, False, True, False]
     # infinity joins only once the fattening reaches it chordally
-    zi = np.array([0j])
-    ii = np.array([True])
-    assert not _fattened_contains_many(U, zi, ii, eps)[0]
+    zi = np.array([INF_Z])
+    assert not _fattened_contains_many(U, zi, eps)[0]
     reach = 2.0 / math.sqrt(1.0 + 2.0**2)
-    assert _fattened_contains_many(U, zi, ii, reach * 1.01)[0]
-    assert _fattened_contains_many(ComplementDisc(0.0, 1.0), zi, ii, eps)[0]
+    assert _fattened_contains_many(U, zi, reach * 1.01)[0]
+    assert _fattened_contains_many(ComplementDisc(0.0, 1.0), zi, eps)[0]
 
 
 _coord = st.floats(-4.0, 4.0, allow_nan=False)
@@ -150,21 +148,21 @@ def test_osc_overlap_matches_pairwise_reference_on_three_generators(U, variant):
     mm = MultiMap([polynomial_map([-0.5 * np.exp(2j * np.pi * k / 3), 1.5]) for k in range(3)])
     eps = 0.01
     rep = osc_check(mm, U, grid_n=64, variant=variant, epsilon=eps)
-    z, inf, _ = _sample_points(U, 64, 1.5)
+    z, _ = _sample_points(U, 64, 1.5)
     masks = []
     for f in mm.generators:
-        img, img_inf = f.eval_many(z, inf)
+        img = f.eval_many(z)
         if variant == "separating":
-            masks.append(_fattened_contains_many(U, img, img_inf, eps))
+            masks.append(_fattened_contains_many(U, img, eps))
         else:
-            masks.append(_contains_many(U, img, img_inf))
+            masks.append(_contains_many(U, img))
     overlap = np.zeros(z.shape, dtype=bool)
     for i in range(3):
         for j in range(i + 1, 3):
             overlap |= masks[i] & masks[j]
     assert rep.metrics["violations_overlap"] == int(overlap.sum()) > 0
     k = min(np.flatnonzero(overlap),
-            key=lambda k: (math.inf, 0.0) if inf[k] else (z[k].real, z[k].imag))
+            key=lambda k: (math.inf, 0.0) if np.isinf(z[k]) else (z[k].real, z[k].imag))
     pt, detail = rep.witnesses[-1]
     assert "not disjoint" in detail
     assert not pt.is_infinite and pt.value == z[k]

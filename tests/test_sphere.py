@@ -11,7 +11,7 @@ from ratsemi import sphere
 from ratsemi.errors import NonConvergence
 from ratsemi.sphere import (
     INF,
-    _array_point,
+    INF_Z,
     _chart_norm,
     BIG_MODULUS,
     RationalMap,
@@ -29,9 +29,9 @@ import oracles
 RNG = np.random.default_rng(20260815)
 
 
-def _bf(z, inf):
-    """A batched (z, inf) entry in the oracles' notation: complex or 'inf'."""
-    return "inf" if inf else complex(z)
+def _bf(z):
+    """A point-array entry in the oracles' notation: complex or 'inf'."""
+    return "inf" if np.isinf(z) else complex(z)
 
 
 def _bf_point(pt):
@@ -121,9 +121,10 @@ def test_chordal_many_matches_scalar():
     z2 = rand_complex(rng, 30, 5.0)
     i1 = rng.random(30) < 0.2
     i2 = rng.random(30) < 0.2
-    d = chordal_distance_many(z1, i1, z2, i2)
+    z1[i1], z2[i2] = INF_Z, INF_Z
+    d = chordal_distance_many(z1, z2)
     for k in range(30):
-        ref = oracles.chordal_bf(_bf(z1[k], i1[k]), _bf(z2[k], i2[k]))
+        ref = oracles.chordal_bf(_bf(z1[k]), _bf(z2[k]))
         a = INF if i1[k] else z1[k]
         b = INF if i2[k] else z2[k]
         assert d[k] == pytest.approx(ref, abs=1e-14)
@@ -135,7 +136,8 @@ def test_sphere_embedding_is_isometric_to_chordal():
     z = rand_complex(rng, 25, 4.0)
     inf = np.zeros(25, dtype=bool)
     inf[-1] = True
-    X = sphere_embed(z, inf)
+    z[inf] = INF_Z
+    X = sphere_embed(z)
     for i in range(25):
         for j in range(25):
             a = INF if inf[i] else z[i]
@@ -237,9 +239,9 @@ def test_rows_missing_the_residual_fall_back_to_companion_eigenvalues(monkeypatc
     roots_fn = np.roots
     monkeypatch.setattr(sphere, "_ABERTH_MAX_ITER", 1)  # one step leaves every row unsolved
     monkeypatch.setattr(np, "roots", lambda c: solved.append(c) or roots_fn(c))
-    roots, infm = f.preimages_many(z)
+    roots = f.preimages_many(z)
     monkeypatch.undo()
-    assert len(solved) == 30 and not infm.any()
+    assert len(solved) == 30 and np.isfinite(roots).all()
     for i in range(z.size):
         ref = oracles.preimages_bf(f.num, f.den, z[i])
         assert oracles.best_match(roots[i].tolist(), ref) < 1e-8
@@ -358,8 +360,8 @@ def test_preimages_of_huge_and_tiny_targets_match_companion_eigenvalues(degree):
     c[0], c[-1] = 0.3, 1.0
     f = polynomial_map(c)
     for w in (1e40, 1e100, 1e149, 1e-149):
-        got, infm = f.preimages_many(np.array([w + 0j]))
-        assert not infm.any()
+        got = f.preimages_many(np.array([w + 0j]))
+        assert np.isfinite(got).all()
         ref = oracles.np_roots(c - np.eye(degree + 1)[0] * w)
         for g in got[0]:
             assert min(abs(g - e) for e in ref) <= 1e-13 * abs(g)
@@ -383,8 +385,8 @@ def test_preimages_many_fuzz_with_clustered_roots(data):
     lead = complex(data.draw(st.floats(0.1, 10.0)), data.draw(coord))
     f = polynomial_map(lead * np.poly(roots)[::-1])
     z = np.array([0j, complex(data.draw(coord), data.draw(coord))])
-    got, infm = f.preimages_many(z)
-    assert got.shape == (2, n) and not infm.any()
+    got = f.preimages_many(z)
+    assert got.shape == (2, n) and np.isfinite(got).all()
     for i in range(2):
         c = f.num - np.eye(n + 1)[0] * z[i]
         bound = 1e-8 * (1.0 + np.max(np.abs(c))) * (1.0 + np.abs(got[i])) ** n
@@ -429,16 +431,16 @@ def test_eval_many_matches_scalar():
     for _ in range(10):
         f = random_rational_map(rng)
         z = rand_complex(rng, 50, scale=3.0)
-        vals, inf = f.eval_many(z)
+        vals = f.eval_many(z)
         for k in range(50):
             ref = oracles.rational_eval_bf(f.num, f.den, z[k])
             scalar = _bf_point(f(z[k]))
-            assert inf[k] == (ref == "inf") == (scalar == "inf")
-            assert oracles.chordal_bf(_bf(vals[k], inf[k]), ref) < 1e-10
+            assert np.isinf(vals[k]) == (ref == "inf") == (scalar == "inf")
+            assert oracles.chordal_bf(_bf(vals[k]), ref) < 1e-10
             assert oracles.chordal_bf(scalar, ref) < 1e-10
 
 
-def test_eval_many_infinity_mask_matches_scalar_at_infinity():
+def test_eval_many_at_infinity_matches_scalar_at_infinity():
     rng = np.random.default_rng(22)
     maps = [random_rational_map(rng) for _ in range(4)]
     maps += [polynomial_map([0.0, 0.0, 1.0]), RationalMap([1.0], [0.0, 0.0, 1.0]),
@@ -446,17 +448,17 @@ def test_eval_many_infinity_mask_matches_scalar_at_infinity():
     z = rand_complex(rng, 12, scale=2.0)
     inf = np.zeros(12, dtype=bool)
     inf[[0, 5, 11]] = True
-    z[5] = np.nan  # the z entry of a masked point is never read
+    z[inf] = INF_Z
     for f in maps:
-        vals, vinf = f.eval_many(z, inf)
+        vals = f.eval_many(z)
         ref = oracles.rational_eval_bf(f.num, f.den, "inf")
         for k in range(z.size):
             if inf[k]:
-                assert chordal_distance(_array_point(vals[k], vinf[k]), f(INF)) < 1e-15
-                assert oracles.chordal_bf(_bf(vals[k], vinf[k]), ref) < 1e-12
+                assert chordal_distance(SpherePoint.of(vals[k]), f(INF)) < 1e-15
+                assert oracles.chordal_bf(_bf(vals[k]), ref) < 1e-12
             else:
                 fin_ref = oracles.rational_eval_bf(f.num, f.den, z[k])
-                assert oracles.chordal_bf(_bf(vals[k], vinf[k]), fin_ref) < 1e-10
+                assert oracles.chordal_bf(_bf(vals[k]), fin_ref) < 1e-10
 
 
 def test_ratio_rejects_unreduced_zero_over_zero():
@@ -524,10 +526,11 @@ def test_derivative_norm_many_matches_scalar_with_infinity():
     z = rand_complex(rng, 30, scale=2.0)
     inf = np.zeros(30, dtype=bool)
     inf[5] = True
-    vals = f.spherical_derivative_norm_many(z, inf)
+    z[inf] = INF_Z
+    vals = f.spherical_derivative_norm_many(z)
     for k in range(30):
         pt = INF if inf[k] else z[k]
-        ref = oracles.sph_deriv_sphere_bf(num, den, _bf(z[k], inf[k]))
+        ref = oracles.sph_deriv_sphere_bf(num, den, _bf(z[k]))
         assert vals[k] == pytest.approx(ref, rel=1e-12)
         assert f.spherical_derivative_norm(pt) == pytest.approx(ref, rel=1e-12)
 
@@ -598,10 +601,10 @@ def test_preimages_many_matches_scalar():
     for _ in range(8):
         f = random_rational_map(rng)
         z = rand_complex(rng, 40, scale=2.0)
-        roots, infm = f.preimages_many(z)
+        roots = f.preimages_many(z)
         assert roots.shape == (40, f.degree)
         for i in range(40):
-            got = [_bf(roots[i, k], infm[i, k]) for k in range(f.degree)]
+            got = [_bf(roots[i, k]) for k in range(f.degree)]
             ref = oracles.preimages_bf(f.num, f.den, z[i])
             scalar = f.preimages(z[i])
             assert scalar == sorted(scalar, key=SpherePoint.sort_key)
@@ -620,9 +623,9 @@ def test_preimages_many_rows_are_permutations_of_scalar_preimages():
         z = rand_complex(rng, 25, scale=2.0)
         if f.den.size - 1 == f.degree:
             z[0] = f(INF).value  # a target whose leading coefficient cancels
-        roots, infm = f.preimages_many(z)
+        roots = f.preimages_many(z)
         for i in range(z.size):
-            got = [_bf(roots[i, k], infm[i, k]) for k in range(f.degree)]
+            got = [_bf(roots[i, k]) for k in range(f.degree)]
             ref = oracles.preimages_bf(f.num, f.den, z[i])
             scalar = [_bf_point(p) for p in f.preimages(z[i])]
             assert got.count("inf") == ref.count("inf") == scalar.count("inf")
@@ -637,15 +640,13 @@ def test_preimages_many_mixes_infinity_and_degree_drops():
     den = np.array([1.0, 0.0, 10.0, 1.0])
     num = den + np.array([2.0, 1.0, 0.0, 0.0])
     f = RationalMap(num, den)
-    z = np.array([0.3 + 0.1j, 0j, 1.0, -2.0j, 1.0 + 1e-12, 0j])
-    inf = np.array([False, True, False, False, False, True])
+    z = np.array([0.3 + 0.1j, INF_Z, 1.0, -2.0j, 1.0 + 1e-12, INF_Z])
     drops = [0, 0, 2, 0, 1, 0]
-    roots, infm = f.preimages_many(z, inf)
+    roots = f.preimages_many(z)
     for i, k in enumerate(drops):
-        assert infm[i].tolist() == [False] * (3 - k) + [True] * k
-        target = "inf" if inf[i] else z[i]
-        ref = oracles.preimages_bf(f.num, f.den, target)
-        assert oracles.best_match([_bf(r, m) for r, m in zip(roots[i], infm[i])], ref) < 1e-8
+        assert np.isinf(roots[i]).tolist() == [False] * (3 - k) + [True] * k
+        ref = oracles.preimages_bf(f.num, f.den, _bf(z[i]))
+        assert oracles.best_match([_bf(r) for r in roots[i]], ref) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -739,19 +740,19 @@ def test_validation_rejects_shared_roots_and_constants():
 
 def test_tiny_coefficients_are_scaled_up_before_the_wronskian_and_evaluation():
     # the identity with coefficients 1e-200: P'Q - PQ' = 1e-400 underflowed to a "constant" map
-    z = np.array([0.3 + 0.1j, 0.0, 2.0 - 5.0j, 0.0])
-    inf = np.array([False, False, False, True])
+    z = np.array([0.3 + 0.1j, 0.0, 2.0 - 5.0j, INF_Z])
+    inf = np.isinf(z)
     f = RationalMap([0.0, 1e-200], [1e-200])
-    vals, vinf = f.eval_many(z, inf)
-    assert vals == pytest.approx(z, rel=1e-15) and vinf.tolist() == inf.tolist()
-    assert f.spherical_derivative_norm_many(z, inf) == pytest.approx(np.ones(4), rel=1e-15)
-    roots, rinf = f.preimages_many(z, inf)
-    assert roots[:, 0] == pytest.approx(z, rel=1e-15) and rinf[:, 0].tolist() == inf.tolist()
+    vals = f.eval_many(z)
+    assert vals == pytest.approx(z, rel=1e-15) and np.isinf(vals).tolist() == inf.tolist()
+    assert f.spherical_derivative_norm_many(z) == pytest.approx(np.ones(4), rel=1e-15)
+    roots = f.preimages_many(z)
+    assert roots[:, 0] == pytest.approx(z, rel=1e-15) and np.isinf(roots[:, 0]).tolist() == inf.tolist()
     # all coefficients subnormal: the unscaled z chart divided 5e-311 by 1e-310 into inf+nanj
     a, b = 5e-311, 1e-310
     g = RationalMap([a, b], [b])
-    vals, vinf = g.eval_many(z, inf)
-    assert np.isfinite(vals).all() and vinf.tolist() == inf.tolist()
+    vals = g.eval_many(z)
+    assert np.isfinite(vals[~inf]).all() and np.isinf(vals).tolist() == inf.tolist()
     shift = float(Fraction(a) / Fraction(b))  # 0.5 up to the subnormals' rounding
     assert vals[:3] == pytest.approx(z[:3] + shift, rel=1e-15, abs=1e-15)
     assert g.critical_points() == [] and g.fixed_points() == [(INF, 1.0)]
@@ -767,12 +768,23 @@ def test_leading_coefficient_ratio_bound():
     with pytest.raises(ValueError, match="numerator leading coefficient is 5e-301 times"):
         RationalMap([2.0, 0.0, 0.0, 1e-300], [1.0, 1.0])
     # just inside the bound, building, evaluating and solving raise no warning
-    z = np.array([0.3 + 0.1j, 0.0, 2.0 - 5.0j, 1e3, 0.0])
-    inf = np.array([False, False, False, False, True])
+    z = np.array([0.3 + 0.1j, 0.0, 2.0 - 5.0j, 1e3, INF_Z])
     for num, den in (([0.0, 0.0, 1.0], [1.0, 0.0, 1e-300]), ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1e-300]),
                      ([2.0, 0.0, 0.0, 2e-300], [1.0, 1.0]), ([1.0, 0.0, 0.0, 0.0, 0.0, 1e-300], [0.5])):
         f = RationalMap(num, den)
-        roots, rinf = f.preimages_many(z, inf)
+        roots = f.preimages_many(z)
         assert roots.shape == (5, f.degree) and not np.isnan(roots).any()
-        vals, vinf = f.eval_many(z, inf)
+        vals = f.eval_many(z)
         assert not np.isnan(vals).any()
+
+
+@pytest.mark.parametrize("r", [1e-150, 1e-170])
+def test_derivative_norm_at_infinity_with_a_tiny_leading_coefficient(r):
+    # at infinity the 1/z chart reads |P|^2 + |Q|^2 = r^2, which underflows to 0 for r = 1e-170:
+    # 1/0 and 0/0 there, unless the norm rescales by max(|P|, |Q|) first
+    f = RationalMap([0.0, 0.0, 1.0], [1.0, 0.0, 0.0, r])  # about 1/(r z) near infinity
+    assert f.spherical_derivative_norm(INF) == pytest.approx(1.0 / r, rel=1e-12)
+    for num, den in (([2.0, 0.0, 0.0, r], [1.0, 1.0]), ([1.0, 0.0, 0.0, 0.0, 0.0, r], [0.5])):
+        g = RationalMap(num, den)
+        assert INF in g.critical_points()
+        assert g.spherical_derivative_norm(INF) == 0.0

@@ -424,13 +424,15 @@ def _polar(r_min, r_max):
 
 
 # a z^d: 0 and inf are superattracting for every generator.  a z^2 + b z + c with
-# |a| >= 0.7 and |b|, |c| <= 0.05: every generator maps |z| < 0.2 into |z| < 0.1
+# |a| >= 0.7 and |b|, |c| <= 0.05: every generator maps |z| < 0.2 into |z| < 0.1, and so
+# does a z^d with |a| <= 2, so a mixed pair of one of each is hyperbolic too
+_POWER = st.builds(power_map, st.sampled_from((2, 3)), _polar(0.5, 2.0))
+_QUADRATIC = st.builds(lambda a, b, c: polynomial_map([c, b, a]),
+                       _polar(0.7, 1.0), _polar(0.0, 0.05), _polar(0.0, 0.05))
 _HYPERBOLIC_SYSTEMS = st.one_of(
-    st.lists(st.builds(power_map, st.sampled_from((2, 3)), _polar(0.5, 2.0)),
-             min_size=2, max_size=3),
-    st.lists(st.builds(lambda a, b, c: polynomial_map([c, b, a]),
-                       _polar(0.7, 1.0), _polar(0.0, 0.05), _polar(0.0, 0.05)),
-             min_size=2, max_size=3),
+    st.lists(_POWER, min_size=2, max_size=3),
+    st.lists(_QUADRATIC, min_size=2, max_size=3),
+    st.tuples(_POWER, _QUADRATIC),
 ).map(MultiMap)
 _UNCAPPED = 10**6  # above every level of these trees: 9^5 = 59,049 nodes at most
 
@@ -513,7 +515,7 @@ def test_deepest_level_keeps_no_points_and_sums_as_a_deeper_tree():
             for t in (0.0, 0.7, 1.9):
                 assert tree.log_level_sum(t, n) == deeper.log_level_sum(t, n)
         last = tree.levels[d]
-        assert last.z is None and last.inf is None and last.size == deeper.levels[d].size
+        assert last.z is None and last.size == deeper.levels[d].size
         assert deeper.levels[d].z is not None  # the frontier of the deeper tree
         assert np.array_equal(last.logd, deeper.levels[d].logd)
         with pytest.raises(ValueError, match=f"depth {d}"):

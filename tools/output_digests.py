@@ -1,4 +1,5 @@
-"""Run every CLI subcommand on the demo configs and print digests of what it wrote.
+"""Run every CLI subcommand on the demo configs and every demo script, and print
+digests of what they wrote.
 
 Usage: python tools/output_digests.py
 
@@ -7,9 +8,11 @@ Runs the subcommand list of CI's warning-free step, each as
 [EXTRA...] --out DIR/CONFIG-CMD[-EXTRA...].out`` with the package from this
 checkout's ``src``, in a temporary directory that is removed afterwards.
 EXTRA are the entry's own CLI arguments, such as the benchmark's
-``lyap --depth 8``.  Prints one ``sha256 label`` line per stdout (the
-temporary directory's path replaced by ``$OUT``) and per output file, passes
-every command's stderr through, and exits 1 if any command exits non-zero.
+``lyap --depth 8``.  Then runs each ``demos/*.py`` as ``python -W error
+demos/NAME.py``; the demos write no files.  Prints one ``sha256 label`` line
+per stdout (the temporary directory's path replaced by ``$OUT``) and per
+output file, passes every command's stderr through, and exits 1 if any
+command exits non-zero.
 
 To check that a change keeps every output byte-identical, run the tool in the
 parent's checkout and in the change's, and ``diff`` the two outputs.
@@ -42,13 +45,16 @@ def main() -> int:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     failed = 0
     with tempfile.TemporaryDirectory() as out:
-        for cmd, config, extra in COMMANDS:
-            label = " ".join([cmd, config, *extra])
-            argv = [sys.executable, "-W", "error", "-m", "ratsemi.cli", cmd,
-                    "--config", f"demos/configs/{config}.json", *extra,
-                    "--out", os.path.join(out, "-".join([config, cmd, *extra]) + ".out")]
+        runs = [(" ".join([cmd, config, *extra]),
+                 ["-m", "ratsemi.cli", cmd, "--config", f"demos/configs/{config}.json", *extra,
+                  "--out", os.path.join(out, "-".join([config, cmd, *extra]) + ".out")])
+                for cmd, config, extra in COMMANDS]
+        runs += [(f"demo {demo.name}", [f"demos/{demo.name}"])
+                 for demo in sorted((ROOT / "demos").glob("*.py"))]
+        for label, args in runs:
             print(f"== {label}", file=sys.stderr, flush=True)
-            proc = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE)
+            proc = subprocess.run([sys.executable, "-W", "error", *args], cwd=ROOT, env=env,
+                                  stdout=subprocess.PIPE)
             if proc.returncode != 0:
                 print(f"{label}: exit code {proc.returncode}", file=sys.stderr)
                 failed += 1
