@@ -17,7 +17,7 @@ from .sphere import INF_Z, MapStack, SpherePoint, _point_array, sphere_embed
 
 _REPEL_TOL = 1e-6
 _CLOSEST_PAIR_BLOCK = 1 << 20  # entries of one row block of the closest-pair search
-_EXPAND_ROWS = 1 << 13  # solve rows per chunk of an uncapped backward level (_expand_backward)
+_EXPAND_ROWS = 1 << 13  # solve rows per chunk of a backward level (_expand_backward)
 DEFAULT_DEPTH = 12
 DEFAULT_CAP = 200_000
 
@@ -65,12 +65,16 @@ def stack_block(mms) -> MultiMap:
 # deterministic subsampling: stateless splitmix64 counter stream
 
 
-def _mix64(seed: int, counters: np.ndarray) -> np.ndarray:
-    golden = np.uint64(0x9E3779B97F4A7C15)
-    x = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + counters.astype(np.uint64) * golden
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+def _mix64(seed: int, x: np.ndarray) -> np.ndarray:
+    """splitmix64 of seed at the uint64 counters x, computed in place in x."""
+    x *= np.uint64(0x9E3779B97F4A7C15)
+    x += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    t = np.empty_like(x)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        x ^= np.right_shift(x, np.uint64(shift), out=t)
+        x *= np.uint64(mult)
+    x ^= np.right_shift(x, np.uint64(31), out=t)
+    return x
 
 
 def _derive_seed(*parts) -> int:
@@ -91,8 +95,13 @@ def _jittered(seed: int, m: int, k: int) -> np.ndarray:
     """
     if k >= m:
         return np.arange(m)
-    u = _mix64(seed, np.arange(1, k + 1, dtype=np.uint64)) >> np.uint64(32)
-    return (np.arange(k) * m + (u * np.uint64(m) >> np.uint64(32)).astype(np.int64)) // k
+    u = _mix64(seed, np.arange(1, k + 1, dtype=np.uint64))
+    u >>= np.uint64(32)
+    u *= np.uint64(m)
+    u >>= np.uint64(32)  # floor(u_i m), below m < 2^32: the same value as an int64
+    picks = u.view(np.int64)
+    picks += np.arange(0, k * m, m)
+    return np.floor_divide(picks, k, out=picks)
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +169,9 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
     A level of a block (see stack_block) carries a leading point axis on z
     and logd and a min_step_norm per point; its logw, like the picks,
     is shared.  Each generator is solved in equal chunks of about
-    d _EXPAND_ROWS / B children, B the block's points, so temporaries do not
-    grow with the block: _EXPAND_ROWS solve rows (parents times B) when
-    uncapped, up to d times as many when capped, as kept children can all
-    have distinct parents.
+    _EXPAND_ROWS / B parents, distinct ones when capped, B the block's
+    points, so a chunk solves about _EXPAND_ROWS rows (parents times B)
+    and temporaries do not grow with the block.
 
     A points-only parent (logd None, see CloudLevel) gives a points-only
     level: the same picks, solves and z bit for bit, without derivative
@@ -186,26 +194,27 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
     z = np.empty(lead + (n,), dtype=complex) if points else None
     if full:
         logd = np.empty(lead + (n,))
-    min_norm, row = np.full(lead, math.inf), 0
+    min_norm, row, B = np.full(lead, math.inf), 0, math.prod(lead)
     for j, f in enumerate(mm.generators, start=1):
         d = f.degree
-        c = None if picks is None else picks[j - 1]
-        n_j = m * d if c is None else c.size  # children of generator j
-        parts = max(1, math.ceil(n_j / d * math.prod(lead) / _EXPAND_ROWS))  # equal chunks
-        rows = max(1, math.ceil(n_j / parts / d)) * d  # children per chunk, whole parents
-        for s in range(0, n_j, rows):
-            if c is None:
+        if picks is not None:
+            c = picks[j - 1]
+            slot = np.divmod(c, d, out=(c, np.empty_like(c)))[1]  # c now holds the parents
+            new = np.diff(c, prepend=-1) != 0  # the first child of each parent (c is sorted)
+        # equal chunks of about _EXPAND_ROWS / B parents, distinct ones when capped
+        units = m if picks is None else np.count_nonzero(new)
+        per = max(1, -(-units // max(1, math.ceil(units * B / _EXPAND_ROWS))))
+        bounds = range(0, m * d, per * d) if picks is None else np.flatnonzero(new)[::per].tolist()
+        for s, e in zip(bounds, [*bounds[1:], m * d if picks is None else c.size]):
+            if picks is None:
                 # every child kept: views and repeats, no index arrays; running uncapped levels
                 # through the gathers below made sweep-similarity job_s 8-22 % slower (2-core host)
-                p = slice(s // d, (s + rows) // d)
+                p = slice(s // d, e // d)
                 zj = f.preimages_many(level.z[..., p]).reshape(lead + (-1,))
             else:
-                cs = c[s : s + rows]
-                parents = cs // d
-                new = np.ones(cs.size, dtype=bool)
-                new[1:] = parents[1:] != parents[:-1]  # c is sorted, so parents are too
-                roots = f.preimages_many(level.z[..., parents[new]])
-                zj = roots[..., np.cumsum(new) - 1, cs % d]
+                p, first = c[s:e], new[s:e]
+                roots = f.preimages_many(level.z[..., p[first]]).reshape(lead + (-1,))
+                zj = np.take(roots, (np.cumsum(first) - 1) * d + slot[s:e], axis=-1)
 
             block = slice(row, row + zj.shape[-1])
             row = block.stop
@@ -214,7 +223,7 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
             if not full:
                 continue
             # the parent's logd of each child, along the node axis
-            up = level.logd[..., p].repeat(d, axis=-1) if c is None else level.logd[..., parents]
+            up = level.logd[..., p] if picks is not None else level.logd[..., p].repeat(d, axis=-1)
             norms = f.spherical_derivative_norm_many(zj)
             np.minimum(min_norm, norms.min(axis=-1, initial=math.inf), out=min_norm)
             with np.errstate(divide="ignore"):

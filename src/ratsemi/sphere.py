@@ -14,7 +14,10 @@ methods are 1-element wrappers.
 Every polynomial of the library is its ascending complex coefficients,
 evaluated by horner, and roots_batch is its one root solver: closed forms up
 to degree 3, Aberth-Ehrlich above, Aberth again for a cubic the closed form
-misses, and the companion eigenvalues for a polynomial Aberth misses.
+misses, and the companion eigenvalues for a polynomial Aberth misses.  Of
+P - zQ, preimages build only the rows that vary with z (row 0 for a
+polynomial); the closed forms read the rest as per-map columns, the
+Aberth and companion fallbacks read dense columns.
 
 Conventions:
   - polynomial coefficients are stored ascending (coeffs[k] multiplies z^k)
@@ -141,7 +144,7 @@ def sphere_embed(z):
 def _coeffs(c):
     """c as a read-only ascending complex coefficient array: non-empty, 1-d
     and finite, with trailing (high-order) exact zeros stripped down to one entry."""
-    c = np.array(c, dtype=complex, ndmin=1)
+    c = np.array(c, dtype=complex, ndmin=1) + 0.0  # -0 to +0: a zero row of P - zQ is then +0
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficients must be a non-empty 1-d sequence")
     if not np.isfinite(c).all():
@@ -156,14 +159,14 @@ def _coeffs(c):
 
 def horner(coeffs, z):
     """Evaluate ascending-coefficient polynomial(s) at a scalar or array z; the
-    coefficient rows coeffs[k] broadcast against z, so 2-d coefficients hold
-    one polynomial per column, and a constant comes back as its row.  Each
-    product is new: numpy rounds an in-place complex product of length-1
-    arrays differently.  Even so, 0-d and length-1 inputs may round
-    differently from the same value inside a longer array, so callers whose
-    values must match a batch's pass arrays."""
-    c = np.asarray(coeffs, dtype=complex)
-    acc = c[-1, ...]
+    coefficient rows coeffs[k] (a list: rows of any broadcasting shapes)
+    broadcast against z, so 2-d coefficients hold one polynomial per column,
+    and a constant comes back as its row.  Each product is new: numpy rounds
+    an in-place complex product of length-1 arrays differently.  Even so,
+    0-d and length-1 inputs may round differently from the same value inside
+    a longer array, so callers whose values must match a batch's pass arrays."""
+    c = coeffs if isinstance(coeffs, list) else np.asarray(coeffs, dtype=complex)
+    acc = np.asarray(c[-1])
     for k in range(len(c) - 2, -1, -1):
         acc = acc * z
         acc += c[k]
@@ -179,32 +182,36 @@ _ABERTH_BLOCK = 4096
 
 
 def _resid_ok(C, z):
-    """Columns of C whose roots z, (n, m), all meet the residual bound
+    """Columns of C whose roots z, (n,) + columns, all meet the residual bound
     |p(z)| <= 1e-8 (1 + max|c|) (1 + |z|)^n, tested as p(z) / s^n with
     s = 1 + |z|: Horner in z / s on the coefficients c_k s^(k - n), so
     neither side overflows however large z is."""
     s = 1.0 + np.abs(z)
     x, inv = z / s, 1.0 / s
-    acc, scale = C[-1], 1.0
+    acc, top, scale = C[-1], np.abs(C[-1]), 1.0
     for k in range(len(C) - 2, -1, -1):
         scale = scale * inv
         acc = acc * x + C[k] * scale
-    return np.all(np.abs(acc) <= _ROOT_RESID * (1.0 + np.max(np.abs(C), axis=0)), axis=0)
+        top = np.maximum(top, np.abs(C[k]))
+    return np.all(np.abs(acc) <= _ROOT_RESID * (1.0 + top), axis=0)
 
 
 def _solve_blocks(C, solve):
-    """Roots (m, n) that the kernel solve gives for the columns of C, one
-    block of _ABERTH_BLOCK columns at a time, and the indices of the columns
-    whose roots are not all finite or miss the residual bound; no raise."""
+    """Roots, columns + (n,), that the kernel solve gives for the columns of
+    C (see roots_batch), _ABERTH_BLOCK of the last column axis at a time, and
+    the mask of the columns whose roots are not all finite or miss the
+    residual bound; no raise."""
+    cols = np.broadcast_shapes(*map(np.shape, C))
     # allocated before the temporaries, so freeing them leaves no heap hole under it
-    out = np.empty((C.shape[1], len(C) - 1), dtype=complex)
-    missed = []
-    for s in range(0, C.shape[1], _ABERTH_BLOCK):
-        Cb = C[:, s : s + _ABERTH_BLOCK]
-        z = out[s : s + Cb.shape[1]] = solve(Cb)
-        ok = np.isfinite(z).all(axis=1)
-        ok[ok] = _resid_ok(Cb[:, ok], z[ok].T)
-        missed.extend(s + np.flatnonzero(~ok))
+    out = np.empty(cols + (len(C) - 1,), dtype=complex)
+    missed = np.empty(cols, dtype=bool)
+    for s in range(0, cols[-1], _ABERTH_BLOCK):
+        b = slice(s, s + _ABERTH_BLOCK)
+        Cb = [c if c.shape[-1] == 1 else c[..., b] for c in C] if isinstance(C, list) else C[..., b]
+        out[..., b, :] = z = solve(Cb)
+        z = np.moveaxis(z, -1, 0)  # the kernel's own (n,) + columns layout
+        with np.errstate(invalid="ignore"):  # a non-finite root fails the bound
+            missed[..., b] = ~(np.isfinite(z).all(axis=0) & _resid_ok(Cb, z))
     return out, missed
 
 
@@ -269,10 +276,10 @@ def poly_roots(coeffs) -> list[complex]:
 
 
 def _quadratic_roots_batch(C):
-    """Stable closed-form roots for (3, m) coefficient-major quadratics."""
-    # allocated before the temporaries, so freeing them leaves no heap hole under it
-    out = np.empty((C.shape[1], 2), dtype=complex)
+    """Stable closed-form roots, columns + (2,), for the columns of 3 coefficient rows."""
     c0, c1, c2 = C
+    # allocated before the temporaries, so freeing them leaves no heap hole under it
+    out = np.empty(np.broadcast(c0, c1, c2).shape + (2,), dtype=complex)
     disc = c1 * c1 - 4.0 * c2 * c0
     sq = np.sqrt(disc)
     # pick the sign that avoids cancellation in -b -+ sqrt(disc)
@@ -282,8 +289,8 @@ def _quadratic_roots_batch(C):
     with np.errstate(invalid="ignore", divide="ignore"):
         r1 = q / c2
         r2 = np.where(q != 0, c0 / np.where(q == 0, 1.0, q), 0.0)
-    out[:, 0] = np.where(np.isfinite(r1), r1, 0.0)
-    out[:, 1] = r2
+    out[..., 0] = np.where(np.isfinite(r1), r1, 0.0)
+    out[..., 1] = r2
     return out
 
 
@@ -291,7 +298,8 @@ _OMEGA = np.exp(2j * np.pi * np.arange(3) / 3)  # the cube roots of unity
 
 
 def _cubic_roots_batch(C):
-    """Closed-form roots for (4, m) coefficient-major cubics, (m, 3): Cardano
+    """Closed-form roots, columns + (3,), for 4 coefficient rows (per-map
+    rows give per-map a, b, p and derivative rows): Cardano
     on the depressed cubic t^3 + p t + q, z = t - a/3, each root then
     polished by one Newton step.  A root whose step is not below
     1e-8 (1 + |z|) comes back as NaN."""
@@ -307,16 +315,16 @@ def _cubic_roots_batch(C):
         sq = np.where(np.real(np.conj(h) * sq) < 0, -sq, sq)
         u3 = -(h + sq)
         u = np.cbrt(np.abs(u3)) * np.exp(1j * np.angle(u3) / 3.0)  # principal cube root
-        wu = _OMEGA[:, None] * u
+        wu = np.multiply.outer(_OMEGA, u)
         t = np.where(u == 0, 0.0, wu - p / (3.0 * wu))  # u = 0: the triple root t = 0
         z = t - a3
-        step = horner(C, z) / horner(C[1:] * np.arange(1.0, 4.0)[:, None], z)
+        step = horner(C, z) / horner([C[k] * float(k) for k in (1, 2, 3)], z)
         step[~np.isfinite(step)] = 0.0
         z -= step
         # a longer step means cancellation cost the root its digits (coefficients of
         # widely different sizes, clustered roots): NaN hands the column to Aberth
         z[np.abs(step) > 1e-8 * (1.0 + np.abs(z))] = np.nan
-    return z.T
+    return np.moveaxis(z, 0, -1)
 
 
 def roots_batch(C):
@@ -324,46 +332,42 @@ def roots_batch(C):
 
     C is (n+1, m), coefficient-major: column j holds the ascending
     coefficients of polynomial j, each coefficient is one contiguous row,
-    and the last row is nonzero.  Returns (m, n).  Degrees 0-2 take closed
-    forms, degree 3 _cubic_roots_batch and higher ones _aberth_block, in one
-    _solve_blocks pass; cubics it misses get an _aberth_block pass, then
-    any miss np.roots.  NonConvergence if that misses the bound too, with
-    the count and the first such polynomial's coefficients.  Row j depends
-    only on polynomial j: deterministic, unsorted.
+    and the last row is nonzero; or a list of n+1 rows that broadcast to
+    columns (K, U), such as per-map (K, 1) rows beside per-target ones.
+    Returns (m, n), or (K, U, n).  Degrees 0-2 take closed forms, degree 3
+    _cubic_roots_batch and higher ones _aberth_block, in one _solve_blocks
+    pass; the columns it misses are gathered dense, cubics get an
+    _aberth_block pass, then any miss np.roots.  NonConvergence if that
+    misses the bound too, with the count and the first such polynomial's
+    coefficients.  Row j depends only on polynomial j: deterministic, unsorted.
     """
-    C = np.asarray(C, dtype=complex)
+    C = C if isinstance(C, list) else np.asarray(C, dtype=complex)
     n = len(C) - 1
     if n == 0:
         return np.empty((C.shape[1], 0), dtype=complex)
     if n == 1:
-        return (-C[0] / C[1])[:, None]
+        return (-C[0] / C[1])[..., None]
     if n == 2:
         return _quadratic_roots_batch(C)
     out, missed = _solve_blocks(C, _cubic_roots_batch if n == 3 else _aberth_block)
-    if n == 3 and missed:
-        out[missed], still = _solve_blocks(C[:, missed], _aberth_block)
-        missed = [missed[i] for i in still]
-    for i in missed:
-        out[i] = np.roots(C[::-1, i])
-    bad = [i for i in missed if not _resid_ok(C[:, i, None], out[i, :, None])[0]]
+    if not missed.any():
+        return out
+    Cm = np.array([np.broadcast_to(c, missed.shape)[missed] for c in C])
+    zm, still = _solve_blocks(Cm, _aberth_block) if n == 3 else (out[missed], np.ones(Cm.shape[1], bool))
+    still = np.flatnonzero(still)
+    for i in still:
+        zm[i] = np.roots(Cm[::-1, i])
+    bad = [i for i in still if not _resid_ok(Cm[:, i, None], zm[i, :, None])[0]]
     if bad:
-        coeffs = ", ".join(f"{c:.6g}" for c in C[:, bad[0]])
+        coeffs = ", ".join(f"{c:.6g}" for c in Cm[:, bad[0]])
         raise NonConvergence(f"root solver missed the residual bound on {len(bad)} polynomial(s); "
                              f"the first has ascending coefficients [{coeffs}]")
+    out[missed] = zm
     return out
 
 
 # ---------------------------------------------------------------------------
 # rational maps
-
-
-def _charts(z):
-    """(near, far, w, |z|): |z| <= 1 is read in z, the rest as w = 1/z; infinity
-    has |z| = inf, so it is far, and 1/INF_Z is exactly 0."""
-    az = np.abs(z)
-    near = az <= 1.0
-    far = ~near
-    return near, far, 1.0 / z[far], az
 
 
 def _chart_norm(x, ax, W, P, Q):
@@ -428,16 +432,21 @@ class MapStack:
         and the value is finite everywhere."""
         shape = np.shape(z)
         z = np.asarray(z, dtype=complex).reshape(self.P.shape[1], -1)
-        near, far, w, az = _charts(z)
-        if near.all():
-            return _chart_norm(z, az, *(c[:, :, None] for c in self.fwd)).reshape(shape)
+        # |z| <= 1 is read in z, the rest as w = 1/z: infinity is far, and 1/INF_Z is exactly 0
+        az = np.abs(z)
+        near = az <= 1.0
+        far = ~near
+        if near.all() or far.all():  # one chart: read whole, no gathers
+            x, coeffs = (z, self.fwd) if near.all() else (1.0 / z, self.rev)
+            return _chart_norm(x, az if x is z else np.abs(x),
+                               *(c[:, :, None] for c in coeffs)).reshape(shape)
 
         def cols(mask, coeffs):  # the map column of every masked entry
             return coeffs if len(self.P[0]) == 1 else [c[:, np.nonzero(mask)[0]] for c in coeffs]
 
         out = np.empty(z.shape)
-        if near.any():
-            out[near] = _chart_norm(z[near], az[near], *cols(near, self.fwd))
+        out[near] = _chart_norm(z[near], az[near], *cols(near, self.fwd))
+        w = 1.0 / z[far]
         out[far] = _chart_norm(w, np.abs(w), *cols(far, self.rev))
         return out.reshape(shape)
 
@@ -446,21 +455,23 @@ class MapStack:
 
         Returns the roots, a point array of shape z.shape + (d,), each row in
         roots_batch's solver order rather than sorted.  A finite target z
-        solves P - zQ = 0, a target at infinity Q = 0, built coefficient-major
-        (one contiguous row per power), the layout roots_batch reads.  When
-        the k leading coefficients of a row cancel (|c| <= 1e-12 (|P_d| +
-        |z| |Q_d|), or exactly zero for infinity) the row loses k degrees:
-        its remaining roots fill the first d - k slots and the last k are
-        INF_Z.  Rows are solved in one roots_batch call per k; each row's
-        roots depend only on its own target and map.
+        solves P - zQ = 0, a target at infinity Q = 0, coefficient-major (one
+        row per power).  Row k varies with z only if some map has Q_k != 0
+        (row 0 alone for a polynomial); the other rows stay per-map (K, 1)
+        columns.  Targets at infinity, degree drops and degrees above 3 build
+        the dense (d + 1, K U) matrix.  When the k leading coefficients of a
+        row cancel (|c| <= 1e-12 (|P_d| + |z| |Q_d|), or exactly zero for
+        infinity) the row loses k degrees: its remaining roots fill the first
+        d - k slots and the last k are INF_Z.  Rows are solved in one
+        roots_batch call per k; each row's roots depend only on its own
+        target and map.
         """
         shape, d = np.shape(z), self.degree
         z, inf = _split(np.reshape(z, (self.P.shape[1], -1)))
-        C = np.empty((d + 1,) + z.shape, dtype=complex)
-        for c, p, q in zip(C, self.P[:, :, None], self.Q[:, :, None]):
-            np.subtract(p, np.multiply(z, q, out=c), out=c)
+        C = [p[:, None] - z * q[:, None] if q.any() else p[:, None] for p, q in zip(self.P, self.Q)]
         has_inf = inf.any()
-        if has_inf:
+        if has_inf or d > 3:  # dense: roots_batch's Aberth reads whole columns
+            C = np.array(np.broadcast_arrays(*C))
             C[:, inf] = self.Q[:, np.nonzero(inf)[0]]
         qd = np.abs(self.Q[d])[:, None]
         # without a Q_d in any column, |z| |Q_d| is 0 and a finite row's top is P_d
@@ -468,16 +479,12 @@ class MapStack:
         if has_inf:
             scale = np.where(inf, qd, scale)
         tol = 1e-12 * (scale + 1e-300)
-        drop = np.abs(C[-1] if has_inf or qd.any() else self.P[d][:, None]) <= tol
-        C = C.reshape(d + 1, -1)
-        if not drop.any():
-            return roots_batch(C).reshape(shape + (d,))
-        drop, tol = np.broadcast_to(drop, z.shape).ravel(), np.broadcast_to(tol, z.shape).ravel()
+        if not (np.abs(C[-1]) <= tol).any():
+            return roots_batch(C if d <= 3 else C.reshape(d + 1, -1)).reshape(shape + (d,))
+        C = np.reshape(C if isinstance(C, np.ndarray) else np.broadcast_arrays(*C), (d + 1, -1))
         # k = number of cancelled leading coefficients; the constant one stays
-        k = np.zeros(drop.size, dtype=np.int64)
-        small = np.abs(C[:0:-1, drop]) <= tol[drop]
-        k[drop] = np.cumprod(small, axis=0).sum(axis=0)
-        roots = np.full((drop.size, d), INF_Z)
+        k = np.cumprod(np.abs(C[:0:-1]) <= np.broadcast_to(tol, z.shape).ravel(), axis=0).sum(axis=0)
+        roots = np.full((k.size, d), INF_Z)
         for kk in np.unique(k):
             rows = np.flatnonzero(k == kk)
             n = d - kk
@@ -549,7 +556,9 @@ class RationalMap(MapStack):
         scaled P and Q, so tiny coefficients give no 0/0 either.
         """
         z = np.asarray(z, dtype=complex)
-        near, far, w, _ = _charts(z)
+        near = np.abs(z) <= 1.0  # the charts of spherical_derivative_norm_many
+        far = ~near
+        w = 1.0 / z[far]
         pz = np.empty_like(z)
         qz = np.empty_like(z)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):

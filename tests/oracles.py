@@ -17,7 +17,7 @@ from numpy.polynomial import polynomial as npp
 from ratsemi.dynamics import MultiMap
 from ratsemi.errors import InsufficientPoints
 from ratsemi.families import SmoothnessReport, SubmeanReport
-from ratsemi.sphere import INF_Z, SpherePoint, polynomial_map
+from ratsemi.sphere import INF_Z, SpherePoint, polynomial_map, roots_batch
 
 # ---------------------------------------------------------------------------
 # frozen constants
@@ -475,6 +475,44 @@ def jittered_ref(seed, m, k):
     if k >= m:
         return list(range(m))
     return [((i << 32) + (_splitmix64_ref(seed, i + 1) >> 32)) * m // (k << 32) for i in range(k)]
+
+
+def jittered_expr_ref(seed, m, k):
+    """The jittered picks as one out-of-place numpy expression: the splitmix64
+    stream of seed at counters 1..k, its top 32 bits u_i, then
+    (i m + floor(u_i m / 2^32)) // k.  Every index once when k >= m."""
+    if k >= m:
+        return np.arange(m)
+    counters = np.arange(1, k + 1, dtype=np.uint64)
+    x = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + counters * np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    u = (x ^ (x >> np.uint64(31))) >> np.uint64(32)
+    return (np.arange(k) * m + (u * np.uint64(m) >> np.uint64(32)).astype(np.int64)) // k
+
+
+def preimages_dense_ref(stack, z):
+    """MapStack.preimages_many the dense way: the full (d + 1, K U) matrix of
+    P - zQ, Q for a target at infinity, then one sphere.roots_batch call per
+    number k of cancelled leading coefficients (|c| <= 1e-12 (|P_d| + |z|
+    |Q_d|), or zero at infinity), whose rows end in k INF_Z."""
+    d, shape = stack.degree, np.shape(z)
+    z = np.asarray(z, dtype=complex).reshape(stack.P.shape[1], -1)
+    inf = np.isinf(z)
+    z = np.where(inf, 0j, z)
+    C = np.empty((d + 1,) + z.shape, dtype=complex)
+    for c, p, q in zip(C, stack.P[:, :, None], stack.Q[:, :, None]):
+        np.subtract(p, np.multiply(z, q, out=c), out=c)
+    C[:, inf] = stack.Q[:, np.nonzero(inf)[0]]
+    qd = np.abs(stack.Q[d])[:, None]
+    tol = 1e-12 * (np.where(inf, qd, np.abs(stack.P[d])[:, None] + np.abs(z) * qd) + 1e-300)
+    C, tol = C.reshape(d + 1, -1), tol.ravel()
+    k = np.cumprod(np.abs(C[:0:-1]) <= tol, axis=0).sum(axis=0)
+    roots = np.full((C.shape[1], d), INF_Z)
+    for kk in np.unique(k):
+        rows = np.flatnonzero(k == kk)
+        roots[rows, : d - kk] = roots_batch(C[: d - kk + 1, rows])
+    return roots.reshape(shape + (d,))
 
 
 def kept_rows_ref(n, cap, seed, tag):

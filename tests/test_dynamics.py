@@ -386,6 +386,17 @@ def test_jittered_matches_reference_and_draws_one_pick_per_slice():
     np.testing.assert_allclose(draws / 4000, 3 / 7, atol=0.03)
 
 
+def test_jittered_equals_the_out_of_place_expression_on_random_draws():
+    # _mix64 and _jittered work in place on their arrays; the values must not move
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        m = int(rng.integers(1, 2**32 if rng.random() < 0.3 else 5000))
+        k = int(rng.integers(1, min(m, 3000) + 2))
+        seed = int(rng.integers(0, 2**63)) * 2 + int(rng.integers(0, 2))
+        got = dynamics._jittered(seed, m, k)
+        assert got.tobytes() == oracles.jittered_expr_ref(seed, m, k).tobytes(), (seed, m, k)
+
+
 def _min_step_norm_by_recompute(mm, level):
     """Reference: step norms of the kept rows, recomputed per newest symbol."""
     out = math.inf

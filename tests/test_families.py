@@ -387,7 +387,7 @@ def test_failed_root_solve_in_a_block_lands_on_its_own_point(monkeypatch):
 
     def cubic_roots_missing_on_one_point(C):
         out = cubic_roots(C)
-        out[(C[3] == bad) & ~C[1:3].any(axis=0)] = np.nan
+        out[np.broadcast_to((C[3] == bad) & ~np.any(C[1:3], axis=0), out.shape[:-1])] = np.nan
         return out
 
     monkeypatch.setattr(sphere, "_cubic_roots_batch", cubic_roots_missing_on_one_point)

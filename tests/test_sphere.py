@@ -14,6 +14,7 @@ from ratsemi.sphere import (
     INF_Z,
     _chart_norm,
     BIG_MODULUS,
+    MapStack,
     RationalMap,
     SpherePoint,
     chordal_distance,
@@ -647,6 +648,40 @@ def test_preimages_many_mixes_infinity_and_degree_drops():
         assert np.isinf(roots[i]).tolist() == [False] * (3 - k) + [True] * k
         ref = oracles.preimages_bf(f.num, f.den, _bf(z[i]))
         assert oracles.best_match([_bf(r) for r in roots[i]], ref) < 1e-8
+
+
+def _dense_ref_maps(rng, d):
+    """Random degree-d maps: a polynomial, a rational map with deg Q < d (rows
+    0 to d - 1 vary with the target), one with deg Q = d (every row varies)
+    and, for d >= 2, one whose target f(inf) cancels two leading coefficients."""
+    out = [polynomial_map(rand_complex(rng, d + 1)),
+           RationalMap(rand_complex(rng, d + 1), rand_complex(rng, d)),
+           RationalMap(rand_complex(rng, d + 1), rand_complex(rng, d + 1))]
+    if d >= 2:
+        den = rand_complex(rng, d + 1)
+        out.append(RationalMap(0.7 * den + np.r_[rand_complex(rng, d - 1), 0, 0], den))
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_preimages_many_equals_the_dense_reference_bit_for_bit(d):
+    # preimages_many builds only the rows of P - zQ that vary with the target; the
+    # reference builds all d + 1 for every target, and the roots must match to the bit
+    rng = np.random.default_rng(40 + d)
+    maps = _dense_ref_maps(rng, d)
+    blocks = [[f] for f in maps] + [[f, g, f] for f, g in zip(maps, maps[1:] + maps[:1])]
+    for gens in blocks:
+        stack = MapStack(gens)
+        drops = [complex(f(INF).value) if not f(INF).is_infinite else 0j for f in gens]
+        finite = rand_complex(rng, 300 * len(gens), scale=2.0).reshape(len(gens), -1)
+        mixed = np.concatenate([finite[:, :40], np.full((len(gens), 3), INF_Z),
+                                np.array(drops)[:, None] * [1.0, 1.0 + 1e-13],
+                                np.array(drops[::-1])[:, None]], axis=1)
+        for z in (finite, mixed):
+            ref = oracles.preimages_dense_ref(stack, z)
+            assert stack.preimages_many(z).tobytes() == ref.tobytes()
+            if len(gens) == 1:
+                assert gens[0].preimages_many(z[0]).tobytes() == ref[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
