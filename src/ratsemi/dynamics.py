@@ -77,6 +77,14 @@ def _mix64(seed: int, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in sorted keys."""
+    new = np.empty(keys.shape, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return new
+
+
 def _derive_seed(*parts) -> int:
     s = 0x243F6A8885A308D3
     for p in parts:
@@ -200,7 +208,7 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
         if picks is not None:
             c = picks[j - 1]
             slot = np.divmod(c, d, out=(c, np.empty_like(c)))[1]  # c now holds the parents
-            new = np.diff(c, prepend=-1) != 0  # the first child of each parent (c is sorted)
+            new = _run_starts(c)  # the first child of each parent (c is sorted)
         # equal chunks of about _EXPAND_ROWS / B parents, distinct ones when capped
         units = m if picks is None else np.count_nonzero(new)
         per = max(1, -(-units // max(1, math.ceil(units * B / _EXPAND_ROWS))))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MultiMap, PointCloud, VerificationReport
+from .dynamics import MultiMap, PointCloud, VerificationReport, _run_starts
 from .errors import InsufficientPoints
 from .sphere import INF_Z, SpherePoint, _point_array
 
@@ -289,6 +289,12 @@ def _extent(zs, part):
     return min(lo), max(hi)
 
 
+def _distinct(keys):
+    """The distinct values of an int64 key array, ascending; sorts keys in place."""
+    keys.sort()
+    return keys[_run_starts(keys)]
+
+
 @dataclass
 class BoxCountResult:
     scales: list
@@ -308,7 +314,9 @@ def box_dimension(cloud, scale_count: int = 6, viewport=None) -> BoxCountResult:
     2 <= scale_count <= 24.
 
     The points are binned once, at the finest scale; each level's occupied
-    cells are found apart, then merged.  Dividing by a power of two is
+    cells are found apart, then merged.  _distinct sorts the keys and keeps
+    the first of each run, as numpy 2.4's np.unique hashes int64 keys, over
+    7 times slower on 200,000 cell keys.  Dividing by a power of two is
     exact, so a point's cell at scale k is its finest cell shifted right by
     the scale difference.  Cell indices are at most 8 * 2^23, so both
     32-bit halves of the packed cell key shift exactly.
@@ -338,12 +346,14 @@ def box_dimension(cloud, scale_count: int = 6, viewport=None) -> BoxCountResult:
     def finest(z):  # the occupied finest cells of one level, as packed keys
         ix = np.floor((z.real - x0) / scales[-1]).astype(np.int64)
         iy = np.floor((z.imag - y0) / scales[-1]).astype(np.int64)
-        return np.unique(ix << 32 | iy)
+        ix <<= 32
+        ix |= iy
+        return _distinct(ix)
 
-    cells = np.unique(np.concatenate([finest(z if k.all() else z[k]) for z, k in zip(zs, keeps)]))
+    cells = _distinct(np.concatenate([finest(z if k.all() else z[k]) for z, k in zip(zs, keeps)]))
     counts = [int(cells.size)]
     for _ in range(scale_count - 1):
-        cells = np.unique(cells >> 33 << 32 | (cells & 0xFFFFFFFF) >> 1)
+        cells = _distinct(cells >> 33 << 32 | (cells & 0xFFFFFFFF) >> 1)
         counts.append(int(cells.size))
     counts.reverse()
     xs = np.log(1.0 / np.asarray(scales))

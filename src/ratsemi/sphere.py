@@ -276,21 +276,20 @@ def poly_roots(coeffs) -> list[complex]:
 
 
 def _quadratic_roots_batch(C):
-    """Stable closed-form roots, columns + (2,), for the columns of 3 coefficient rows."""
+    """Stable closed-form roots, columns + (2,), for the columns of 3 coefficient
+    rows, divided straight into the output.  Where c1^2 or 4 c2 c0 overflows, the
+    roots come back non-finite, with no warning, for roots_batch to re-solve."""
     c0, c1, c2 = C
     # allocated before the temporaries, so freeing them leaves no heap hole under it
     out = np.empty(np.broadcast(c0, c1, c2).shape + (2,), dtype=complex)
-    disc = c1 * c1 - 4.0 * c2 * c0
-    sq = np.sqrt(disc)
-    # pick the sign that avoids cancellation in -b -+ sqrt(disc)
-    flip = np.real(np.conj(c1) * sq) < 0
-    sq = np.where(flip, -sq, sq)
-    q = -0.5 * (c1 + sq)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r1 = q / c2
-        r2 = np.where(q != 0, c0 / np.where(q == 0, 1.0, q), 0.0)
-    out[..., 0] = np.where(np.isfinite(r1), r1, 0.0)
-    out[..., 1] = r2
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+        # pick the sign that avoids cancellation in -b -+ sqrt(disc)
+        np.negative(sq, out=sq, where=np.real(np.conj(c1) * sq) < 0)
+        q = -0.5 * (c1 + sq)
+        np.divide(q, c2, out=out[..., 0])
+        np.divide(c0, q, out=out[..., 1])
+    out[..., 1][q == 0] = 0.0
     return out
 
 
@@ -334,12 +333,15 @@ def roots_batch(C):
     coefficients of polynomial j, each coefficient is one contiguous row,
     and the last row is nonzero; or a list of n+1 rows that broadcast to
     columns (K, U), such as per-map (K, 1) rows beside per-target ones.
-    Returns (m, n), or (K, U, n).  Degrees 0-2 take closed forms, degree 3
-    _cubic_roots_batch and higher ones _aberth_block, in one _solve_blocks
-    pass; the columns it misses are gathered dense, cubics get an
-    _aberth_block pass, then any miss np.roots.  NonConvergence if that
-    misses the bound too, with the count and the first such polynomial's
-    coefficients.  Row j depends only on polynomial j: deterministic, unsorted.
+    Returns (m, n), or (K, U, n).  Degrees 1 and 2 take closed forms,
+    degree 3 _cubic_roots_batch and higher ones _aberth_block, in one
+    _solve_blocks pass.  A degree 1 root is not checked; a quadratic column
+    misses only where its closed form overflows to a non-finite root, a
+    higher one on a non-finite root or the residual bound.  The missed
+    columns are gathered dense, cubics get an _aberth_block pass, then any
+    miss np.roots.  NonConvergence if that misses the bound too, with the
+    count and the first such polynomial's coefficients.  Row j depends only
+    on polynomial j: deterministic, unsorted.
     """
     C = C if isinstance(C, list) else np.asarray(C, dtype=complex)
     n = len(C) - 1
@@ -348,8 +350,12 @@ def roots_batch(C):
     if n == 1:
         return (-C[0] / C[1])[..., None]
     if n == 2:
-        return _quadratic_roots_batch(C)
-    out, missed = _solve_blocks(C, _cubic_roots_batch if n == 3 else _aberth_block)
+        out = _quadratic_roots_batch(C)
+        if np.isfinite(out).all():  # a per-column test first costs a third of the kernel
+            return out
+        missed = ~np.isfinite(out).all(axis=-1)
+    else:
+        out, missed = _solve_blocks(C, _cubic_roots_batch if n == 3 else _aberth_block)
     if not missed.any():
         return out
     Cm = np.array([np.broadcast_to(c, missed.shape)[missed] for c in C])

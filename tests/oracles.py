@@ -491,6 +491,23 @@ def jittered_expr_ref(seed, m, k):
     return (np.arange(k) * m + (u * np.uint64(m) >> np.uint64(32)).astype(np.int64)) // k
 
 
+def quadratic_roots_ref(C):
+    """sphere._quadratic_roots_batch as out-of-place np.where expressions, one
+    new array per step: the stable closed form q = -(c1 + s) / 2, s the
+    square root of the discriminant signed against cancellation, roots q / c2
+    (0 where not finite) and c0 / q (0 where q = 0)."""
+    c0, c1, c2 = C
+    disc = c1 * c1 - 4.0 * c2 * c0
+    sq = np.sqrt(disc)
+    flip = np.real(np.conj(c1) * sq) < 0
+    sq = np.where(flip, -sq, sq)
+    q = -0.5 * (c1 + sq)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r1 = q / c2
+        r2 = np.where(q != 0, c0 / np.where(q == 0, 1.0, q), 0.0)
+    return np.stack([np.where(np.isfinite(r1), r1, 0.0), r2], axis=-1)
+
+
 def preimages_dense_ref(stack, z):
     """MapStack.preimages_many the dense way: the full (d + 1, K U) matrix of
     P - zQ, Q for a target at infinity, then one sphere.roots_batch call per

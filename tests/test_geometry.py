@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratsemi.dynamics import MultiMap, julia_backward_cloud
+from ratsemi.dynamics import CloudLevel, MultiMap, PointCloud, julia_backward_cloud
 from ratsemi.errors import InsufficientPoints
 from ratsemi.geometry import (
     Annulus,
@@ -335,11 +335,21 @@ def _box_cases():
     z = rng.random(80_000) * 3.0 - 1.0 + 1j * (rng.random(80_000) * 2.0 - 0.5)
     yield z, 6, (0.25, 1.8, -0.1, 0.6)
     yield z, 24, (-0.3, 0.7, 0.0, 1.3)
+    # a levelled cloud with points at infinity, read level by level; the viewport crops
+    # levels 0 and 3 to nothing, and level 2 holds only infinity
+    inner = rng.random(15_000) * 0.9 + 1j * rng.random(15_000)
+    inner[::7] = INF_Z
+    outer = 2.0 + rng.random(500) + 1j * rng.random(500)
+    levels = [np.array([5.0 + 5.0j, INF_Z]), np.concatenate([inner[:6000], outer]),
+              np.full(40, INF_Z), outer, inner[6000:]]
+    yield PointCloud([CloudLevel(z) for z in levels], {}), 8, (0.0, 1.0, 0.0, 1.0)
 
 
 def test_box_counts_match_set_based_oracle():
     for z, scale_count, viewport in _box_cases():
         res = box_dimension(z, scale_count=scale_count, viewport=viewport)
+        if isinstance(z, PointCloud):
+            z = z.finite_points()[0]
         inside = z if viewport is None else _in_viewport(z, viewport)
         x0 = float(inside.real.min()) if viewport is None else viewport[0]
         y0 = float(inside.imag.min()) if viewport is None else viewport[2]

@@ -684,6 +684,56 @@ def test_preimages_many_equals_the_dense_reference_bit_for_bit(d):
                 assert gens[0].preimages_many(z[0]).tobytes() == ref[0].tobytes()
 
 
+def test_quadratic_kernel_equals_the_where_expression_bit_for_bit():
+    # the kernel divides straight into its output and flips signs in place; the
+    # reference builds every step as a new array, and the roots must match to the bit
+    rng, K = np.random.default_rng(28), 3
+
+    def rows(*shapes):
+        return [rand_complex(rng, math.prod(s)).reshape(s) for s in shapes]
+
+    # discriminants on the negative real axis: with c2 = 1, c1 = a + 0j or a - 0j and
+    # c0 > a^2 / 4, c1^2 - 4 c0 is real and negative with an imaginary part of +0 or -0,
+    # whose sign picks the square root's sign and so the order of the two roots
+    c1 = np.array([complex(a, s) for a in (0.0, -0.0, 0.5, -0.5) for s in (0.0, -0.0)] * 2)
+    c0 = np.repeat([1.0, 4.0 + 0j], 8)
+    axis = [c0, c1, np.ones(16, dtype=complex)]
+    assert {bool(np.signbit(d.imag)) for d in c1 * c1 - 4.0 * c0} == {False, True}
+    dense = rows((3, 9000))[0]
+    dense[0][::3] = dense[1][::3] = 0.0  # q = 0 columns: the root c0 / q is 0
+    cases = [rows((K, 4000), (K, 1), (K, 1)),           # per-map c1, c2 beside per-target c0
+             list(dense),
+             [*rows((K, 4000)), np.zeros((K, 1), dtype=complex), *rows((K, 1))],  # c1 = 0
+             axis]
+    for C in cases:
+        got = sphere._quadratic_roots_batch(C)
+        assert np.isfinite(got).all()
+        assert got.tobytes() == oracles.quadratic_roots_ref(C).tobytes()
+
+
+@pytest.mark.parametrize("coeffs, expected", [
+    ([1e200, 1e200, 1.0], [-1e200, -1.0]),
+    ([0.0, 1e155 - 1.0, 1e155], [-1.0, 0.0]),   # the fixed points of 1e155 (z + z^2)
+    ([1e155, -1.0, 1e155], [-1j, 1j]),          # the fixed points of 1e155 (1 + z^2)
+])
+def test_quadratics_whose_closed_form_overflows_are_re_solved(coeffs, expected):
+    # c1^2 or 4 c2 c0 overflows: the closed form's non-finite roots send the column to
+    # np.roots under the residual bound, without a warning (the suite makes them errors)
+    got = poly_roots(coeffs)
+    assert len(got) == 2 and np.isfinite(got).all()
+    assert _worst_root_error(got, expected) <= 1e-12
+    C = np.array([coeffs, [1.0, -3.0, 2.0]], dtype=complex).T  # a finite column beside it
+    batch = sphere.roots_batch(C)
+    assert batch[1].tobytes() == sphere._quadratic_roots_batch(C[:, 1:])[0].tobytes()
+
+
+def test_fixed_points_survive_an_overflowing_quadratic():
+    for num, finite in (([0.0, 1e155, 1e155], [-1.0 + 1e-155, 0.0]), ([1e155, 0.0, 1e155], [-1j, 1j])):
+        pts = [p for p, _ in RationalMap(num).fixed_points()]
+        assert [p.is_infinite for p in pts] == [False, False, True]
+        assert _worst_root_error([p.value for p in pts[:2]], finite) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # critical and fixed points
 
