@@ -15,6 +15,7 @@ bounded regions.
 Run from the repo root:  python3 demos/osc_demo.py
 """
 from ratsemi import (
+    INF_Z,
     Annulus,
     ComplementDisc,
     MultiMap,
@@ -30,7 +31,7 @@ def show(report):
     print(f"nesting violations: {report.metrics['violations_nesting']},"
           f" overlap violations: {report.metrics['violations_overlap']}")
     for pt, detail in report.witnesses:
-        label = "inf" if pt.is_infinite else f"{pt.value:.6g}"
+        label = "inf" if pt == INF_Z else f"{pt:.6g}"
         print(f"  witness {label}: {detail}")
 
 
@@ -49,9 +50,9 @@ def main():
     show(report)
     pt, _ = report.witnesses[0]
     print("replaying the witness by hand:")
-    w = pt.value ** 2
+    w = pt ** 2
     inside = region_contains(Annulus(0.0, 0.9, 1.1), w)
-    print(f"  both generators send {pt.value:.6g} to {w:.6g};"
+    print(f"  both generators send {pt:.6g} to {w:.6g};"
           f" inside U: {inside}")
 
     print()

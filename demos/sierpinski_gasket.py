@@ -46,7 +46,7 @@ def main():
     sep = osc_check(mm, tri, grid_n=512, variant="separating", epsilon=0.01)
     print(f"separating variant: {sep.verdict}")
     for pt, detail in sep.witnesses:
-        print(f"  witness {pt.value:.6g}: {detail}")
+        print(f"  witness {pt:.6g}: {detail}")
     print("the closed preimage triangles touch at the edge midpoints, so the")
     print("strict-disjointness variant must fail while the plain one passes.")
 

@@ -50,9 +50,9 @@ from .geometry import (
     region_contains,
 )
 from .sphere import (
-    INF,
+    INF_Z,
     RationalMap,
-    SpherePoint,
+    as_point,
     chordal_distance,
     polynomial_map,
 )

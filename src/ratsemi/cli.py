@@ -22,6 +22,7 @@ from .dynamics import julia_backward_cloud
 from .errors import ConfigError, HyperbolicityUnverified, InsufficientPoints, RatsemiError
 from .families import smoothness_diagnostic, submean_diagnostic, sweep_delta
 from .geometry import _extent, box_dimension, osc_check
+from .sphere import INF_Z
 from .thermo import PreimageTree, bowen_parameter, lyapunov_and_entropy, pressure_curve
 
 EXIT_OSC_FAIL = 6  # the one exit code no RatsemiError carries (errors.py has the rest)
@@ -31,11 +32,8 @@ def _g17(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _fmt_point(pt) -> str:
-    if pt.is_infinite:
-        return "inf"
-    z = pt.value
-    return f"{z.real:.6g}{z.imag:+.6g}i"
+def _fmt_point(z) -> str:
+    return "inf" if z == INF_Z else f"{z.real:.6g}{z.imag:+.6g}i"
 
 
 def _atomic_write(path: str, data: bytes) -> None:

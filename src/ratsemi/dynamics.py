@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoRepellingSeed
-from .sphere import INF_Z, MapStack, SpherePoint, _point_array, sphere_embed
+from .sphere import INF_Z, MapStack, as_point, sphere_embed
 
 _REPEL_TOL = 1e-6
 _CLOSEST_PAIR_BLOCK = 1 << 20  # entries of one row block of the closest-pair search
@@ -135,13 +135,14 @@ class CloudLevel:
     A level of a block of B systems (stack_block) has z and logd of shape
     (B, n), one row per system, a min_step_norm per system and one logw.
 
-    A points-only level (julia_backward_cloud, postcritical_cloud) holds z
-    alone: logd and logw are None and min_step_norm stays inf.  A
-    PreimageTree level holds z only while it is the frontier; the tree's
-    deepest level never holds it.
+    z is a point array: complex values, INF_Z for infinity, like a scalar
+    point (sphere.as_point).  A points-only level (julia_backward_cloud,
+    postcritical_cloud) holds z alone: logd and logw are None and
+    min_step_norm stays inf.  A PreimageTree level holds z only while it is
+    the frontier; the tree's deepest level never holds it.
     """
 
-    z: np.ndarray | None  # point array: complex values, INF_Z for the point at infinity
+    z: np.ndarray | None  # point array
     logd: np.ndarray | None = None   # backward only: cumulative log word-derivative norm to the root
     logw: float | None = None        # backward only: log importance weight shared by every row
     min_step_norm: float = math.inf  # smallest newest-step derivative norm (backward)
@@ -285,7 +286,8 @@ def repelling_seed(mm: MultiMap):
 
     Scans generators in index order and takes the first one owning a fixed
     point with multiplier norm > 1 + 1e-6, preferring the largest norm (ties
-    resolve to the canonically first point).
+    resolve to the canonically first point).  Returns (point, symbol): the
+    point a complex value, INF_Z for infinity, and the 1-based generator.
     """
     for j, f in enumerate(mm.generators, start=1):
         best = None
@@ -321,7 +323,7 @@ def julia_backward_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DE
     """
     _check_budget(depth, cap)
     seed_pt, seed_sym = repelling_seed(mm)
-    levels = [CloudLevel(_point_array(seed_pt))]
+    levels = [CloudLevel(np.array([seed_pt]))]
     for n in range(1, depth + 1):
         levels.append(_expand_backward(mm, levels[-1], cap, rng_seed, n))
     return PointCloud(levels, {"seed_point": seed_pt, "seed_generator": seed_sym})
@@ -348,8 +350,7 @@ def postcritical_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFA
     one) contribute nothing, so the cloud may be empty.
     """
     _check_budget(depth, cap)
-    crit = [p for f in mm.generators for p in f.critical_values()]
-    z = np.array([INF_Z if p.is_infinite else p.value for p in crit], dtype=complex)
+    z = np.array([p for f in mm.generators for p in f.critical_values()], dtype=complex)
     levels = [CloudLevel(z[_dedupe(z)])]
     seed = _derive_seed(rng_seed, 0xF0)
     for n in range(1, depth + 1):
@@ -369,7 +370,8 @@ def postcritical_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFA
 @dataclass
 class VerificationReport:
     """Sampled check outcome.  verdict is pass, fail or inconclusive;
-    witnesses are (point, detail) pairs; margin is the separation asked for
+    witnesses are (point, detail) pairs, each point a complex value with
+    INF_Z for infinity; margin is the separation asked for
     (check_hyperbolic) or the lattice spacing (osc_check); metrics hold the
     counts and distances the check measured."""
 
@@ -383,8 +385,8 @@ class VerificationReport:
         return self.verdict == "pass"
 
 
-def _fmt_point(pt: SpherePoint) -> str:
-    return "inf" if pt.is_infinite else format(pt.value, ".9g")
+def _fmt_point(pt: complex) -> str:
+    return "inf" if pt == INF_Z else format(pt, ".9g")
 
 
 def _closest_pair(q: np.ndarray, x: np.ndarray):
@@ -427,7 +429,7 @@ def check_hyperbolic(mm: MultiMap, depth: int = 8, margin: float = 0.05, cap: in
     jz, _ = cloud.flat_arrays()
     pz, _ = post.flat_arrays()
     k, i, min_dist = _closest_pair(sphere_embed(pz), sphere_embed(jz))
-    p_pt, j_pt = SpherePoint.of(pz[k]), SpherePoint.of(jz[i])
+    p_pt, j_pt = as_point(pz[k]), as_point(jz[i])
     metrics = {"min_distance": min_dist, "postcritical_size": post.size, "julia_size": cloud.size}
     if min_dist >= margin:
         return VerificationReport("pass", [], margin, metrics)

@@ -145,6 +145,8 @@ class GridSpec:
             raise ValueError("grid needs at least one point per axis")
         if self.re_min > self.re_max or self.im_min > self.im_max:
             raise ValueError("grid bounds must be ordered")
+        if self.re_n > 1 and self.re_min == self.re_max or self.im_n > 1 and self.im_min == self.im_max:
+            raise ValueError("an axis with more than one point needs a positive width")
 
     @property
     def re_values(self) -> np.ndarray:

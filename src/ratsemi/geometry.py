@@ -14,7 +14,7 @@ import numpy as np
 
 from .dynamics import MultiMap, PointCloud, VerificationReport, _run_starts
 from .errors import InsufficientPoints
-from .sphere import INF_Z, SpherePoint, _point_array
+from .sphere import INF_Z, _point_array, as_point
 
 MIN_BOX_POINTS = 10_000
 MAX_BOX_SCALES = 24  # finest cell index at most 8 * 2^23, well inside half of a packed cell key
@@ -215,7 +215,7 @@ def _contains_many(U, z: np.ndarray) -> np.ndarray:
 def _smallest_witness(z: np.ndarray, mask: np.ndarray):
     """The point of z under mask with the least (real, imag); INF_Z sorts last."""
     idx = np.flatnonzero(mask)
-    return SpherePoint.of(z[idx[np.lexsort((z[idx].imag, z[idx].real))[0]]])
+    return as_point(z[idx[np.lexsort((z[idx].imag, z[idx].real))[0]]])
 
 
 def osc_check(

@@ -6,11 +6,12 @@ two quantities the rest of the library is built on; both are evaluated
 through the 1/z chart whenever moduli get large, so no intermediate blows
 up and the two charts agree to near machine precision on their overlap.
 
-A point array is one complex array with infinity stored as the value
-INF_Z = inf + 0j.  Each RationalMap operation (evaluation, derivative norm,
-preimages) is implemented once, batched over such arrays; it handles
-infinity and degree drops (cancelling leading coefficients), and the scalar
-methods are 1-element wrappers.
+A point is one complex value, with infinity as INF_Z = inf + 0j; as_point
+turns any value into a point, and a point array is a complex array of points.
+Each RationalMap operation (evaluation, derivative norm, preimages) is
+implemented once, batched over point arrays; it handles infinity and degree
+drops (cancelling leading coefficients), and the scalar methods are
+1-element wrappers that take and return points.
 Every polynomial of the library is its ascending complex coefficients,
 evaluated by horner, and roots_batch is its one root solver: closed forms up
 to degree 3, Aberth-Ehrlich above, Aberth again for a cubic the closed form
@@ -27,7 +28,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,52 +49,27 @@ _TINY = np.finfo(float).tiny  # the smallest normal float
 # points
 
 
-@dataclass(frozen=True)
-class SpherePoint:
-    """A point of the Riemann sphere: a finite complex value or infinity.
-
-    Construct through SpherePoint.of(), which routes overflow and non-finite
-    floats to the infinity representative so NaN never enters the data.
-    """
-
-    z: complex | None  # None encodes the point at infinity
-
-    @staticmethod
-    def of(value) -> "SpherePoint":
-        if isinstance(value, SpherePoint):
-            return value
-        if value is None:
-            return INF
-        z = complex(value)
-        finite = math.isfinite(z.real) and math.isfinite(z.imag)
-        return SpherePoint(z) if finite and max(abs(z.real), abs(z.imag)) <= BIG_MODULUS else INF
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.z is None
-
-    @property
-    def value(self) -> complex:
-        if self.z is None:
-            raise ValueError("point at infinity has no finite value")
-        return self.z
-
-    def sort_key(self):
-        if self.z is None:
-            return (1, 0.0, 0.0)
-        return (0, self.z.real, self.z.imag)
-
-    def __repr__(self):
-        return "INF" if self.z is None else f"SpherePoint({self.z!r})"
+def _to_points(z):
+    """The complex array z, in place, with every non-finite value and every
+    value with a part beyond BIG_MODULUS set to INF_Z (a NaN part fails <=)."""
+    z[~(np.maximum(np.abs(z.real), np.abs(z.imag)) <= BIG_MODULUS)] = INF_Z
+    return z
 
 
-INF = SpherePoint(None)
+def _point_array(value):
+    """as_point(value) as the 1-element point array the batched methods take."""
+    return _to_points(np.array([INF_Z if value is None else value], dtype=complex))
 
 
-def _point_array(point):
-    """A point as the 1-element point array the batched methods take."""
-    pt = SpherePoint.of(point)
-    return np.array([INF_Z if pt.is_infinite else pt.value])
+def as_point(value) -> complex:
+    """value as a point of the sphere: INF_Z for None, a non-finite value or
+    one with a part beyond BIG_MODULUS; any other value as a complex."""
+    return complex(_point_array(value)[0])
+
+
+def sort_key(z):
+    """Canonical order of points: finite ones by (real, imag), INF_Z last."""
+    return z.real, z.imag
 
 
 def _split(z):
@@ -551,8 +526,8 @@ class RationalMap(MapStack):
 
     # -- evaluation ---------------------------------------------------------
 
-    def __call__(self, point) -> SpherePoint:
-        return SpherePoint.of(self.eval_many(_point_array(point))[0])
+    def __call__(self, point) -> complex:
+        return complex(self.eval_many(_point_array(point))[0])
 
     def eval_many(self, z):
         """Evaluate at a point array; returns the values, a point array.
@@ -581,12 +556,7 @@ class RationalMap(MapStack):
             # a reduced map cannot make both vanish; only unvalidated input
             # squeaking past the shared-root tolerance can land here
             raise ArithmeticError("evaluation hit an unreduced 0/0")
-        safe_q = np.where(pole, 1.0, qz)
-        vals = pz / safe_q
-        big = ~np.isfinite(vals) | (np.abs(vals.real) > BIG_MODULUS) | (
-            np.abs(vals.imag) > BIG_MODULUS
-        )
-        return np.where(pole | big, INF_Z, vals)
+        return _to_points(np.where(pole, INF_Z, pz / np.where(pole, 1.0, qz)))
 
     # -- scalar wrappers ---------------------------------------------------------
 
@@ -594,27 +564,26 @@ class RationalMap(MapStack):
         """Norm of the derivative in the spherical metric at one point."""
         return self.spherical_derivative_norm_many(_point_array(point))[0]
 
-    def preimages(self, point) -> list[SpherePoint]:
+    def preimages(self, point) -> list[complex]:
         """All degree-many solutions w of f(w) = point, with multiplicity, sorted."""
-        return sorted(map(SpherePoint.of, self.preimages_many(_point_array(point))[0]),
-                      key=SpherePoint.sort_key)
+        return sorted(map(as_point, self.preimages_many(_point_array(point))[0]), key=sort_key)
 
     # -- critical and fixed points ---------------------------------------------
 
-    def critical_points(self) -> list[SpherePoint]:
+    def critical_points(self) -> list[complex]:
         """Zeros of the derivative on the sphere, with multiplicity (2d-2 total).
 
         Infinity is critical exactly when the Wronskian P'Q - PQ' drops below
         degree 2d-2; the drop is its multiplicity.
         """
-        pts = [SpherePoint.of(r) for r in poly_roots(self._wron)]
-        pts += [INF] * (2 * self.degree - 1 - self._wron.size)
-        return sorted(pts, key=SpherePoint.sort_key)
+        pts = [as_point(r) for r in poly_roots(self._wron)]
+        pts += [INF_Z] * (2 * self.degree - 1 - self._wron.size)
+        return sorted(pts, key=sort_key)
 
-    def critical_values(self) -> list[SpherePoint]:
+    def critical_values(self) -> list[complex]:
         return [self(p) for p in self.critical_points()]
 
-    def fixed_points(self) -> list[tuple[SpherePoint, float]]:
+    def fixed_points(self) -> list[tuple[complex, float]]:
         """Fixed points with spherical multiplier norms, canonically ordered.
 
         A point is repelling exactly when its norm exceeds 1.  Infinity is
@@ -626,11 +595,11 @@ class RationalMap(MapStack):
         out = []
         if fp.any():
             for r in poly_roots(fp):
-                p = SpherePoint.of(r)
+                p = as_point(r)
                 out.append((p, float(self.spherical_derivative_norm(p))))
         if self.num.size > self.den.size:
-            out.append((INF, float(self.spherical_derivative_norm(INF))))
-        out.sort(key=lambda t: t[0].sort_key())
+            out.append((INF_Z, float(self.spherical_derivative_norm(INF_Z))))
+        out.sort(key=lambda t: sort_key(t[0]))
         return out
 
     def __repr__(self):

@@ -37,7 +37,7 @@ from .errors import (
     NoSignChange,
     RatsemiError,
 )
-from .sphere import SpherePoint, _point_array
+from .sphere import as_point
 
 _CRIT_NORM = 1e-12
 DEFAULT_TREE_DEPTH = 10
@@ -65,7 +65,7 @@ class PressureEstimate:
     t: float
     value: float
     depth: int
-    basepoint: SpherePoint
+    basepoint: complex
     ratio_history: list
     residual: float
     slope: float  # exact dP/dt of value
@@ -100,20 +100,20 @@ class PreimageTree:
     MultiMaps and basepoints, of a block of B systems.  depth is the deepest
     level a caller may read.  Level n holds logd as (B, N), one row per
     system, and min_step_norm per system; logw is one float for all rows and
-    systems (see CloudLevel).  No level keeps words.  Only the
-    frontier keeps its points z, which the next extension reads;
-    level depth is built without them."""
+    systems (see CloudLevel).  No level keeps words.  Only the frontier keeps
+    its points z, which the next extension reads; level depth is built
+    without them.  basepoints holds each system's basepoint as a point."""
 
     def __init__(self, mm, basepoint=None, *, depth: int, cap: int = DEFAULT_CAP, rng_seed: int = 0):
         block = isinstance(mm, (list, tuple))
         self.mm = stack_block(mm) if block else mm
         if not block:
             basepoint = [repelling_seed(mm)[0] if basepoint is None else basepoint]
-        self.basepoints = [SpherePoint.of(p) for p in basepoint]
+        self.basepoints = [as_point(p) for p in basepoint]
         self.depth = int(depth)
         self.cap = int(cap)
         self.rng_seed = int(rng_seed)
-        self.levels = [_root_level(np.concatenate([_point_array(p) for p in self.basepoints])[:, None])]
+        self.levels = [_root_level(np.array(self.basepoints)[:, None])]
         self._min_norms = [np.full(len(self.basepoints), math.inf)]  # entry n: per system, levels 1..n
 
     def extend(self, n: int) -> None:

@@ -17,7 +17,7 @@ from numpy.polynomial import polynomial as npp
 from ratsemi.dynamics import MultiMap
 from ratsemi.errors import InsufficientPoints
 from ratsemi.families import SmoothnessReport, SubmeanReport
-from ratsemi.sphere import INF_Z, SpherePoint, polynomial_map, roots_batch
+from ratsemi.sphere import INF_Z, as_point, polynomial_map, roots_batch
 
 # ---------------------------------------------------------------------------
 # frozen constants
@@ -226,7 +226,7 @@ def _generator(mm, sym):
 
 def word_eval(mm, word, z):
     """Apply the generators named by the word, first symbol first."""
-    pt = SpherePoint.of(z)
+    pt = as_point(z)
     for sym in word:
         pt = _generator(mm, sym)(pt)
     return pt
@@ -234,7 +234,7 @@ def word_eval(mm, word, z):
 
 def word_derivative_norm(mm, word, z):
     """Product of spherical derivative norms along the orbit of z."""
-    pt = SpherePoint.of(z)
+    pt = as_point(z)
     acc = 1.0
     for sym in word:
         f = _generator(mm, sym)
@@ -256,7 +256,7 @@ def cloud_entries(cloud):
     for depth, lev in enumerate(cloud.levels):
         for i in range(lev.size):
             word = tuple(int(x) for x in lev.words[i, ::-1])
-            yield SpherePoint.of(lev.z[i]), word, depth
+            yield as_point(lev.z[i]), word, depth
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +614,7 @@ def postcritical_cloud_ref(mm, depth, cap, rng_seed=0):
     from ratsemi.dynamics import _derive_seed
 
     crit = [p for f in mm.generators for p in f.critical_values()]
-    z = np.array([INF_Z if p.is_infinite else p.value for p in crit], dtype=complex)
+    z = np.array(crit, dtype=complex)
     levels = [_first_occurrences_ref(z, np.zeros((len(crit), 0), dtype=np.int8))]
     for n in range(1, depth + 1):
         z, words = levels[-1]

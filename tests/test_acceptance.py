@@ -170,7 +170,7 @@ def test_criterion_09_osc_checker():
     second = osc_check(overlap, U, grid_n=128)
     assert first.verdict == "fail"
     assert len(first.witnesses) >= 1
-    assert first.witnesses[0][0].value == second.witnesses[0][0].value
+    assert first.witnesses[0][0] == second.witnesses[0][0]
     assert first.witnesses[0][1] == second.witnesses[0][1]
 
     gasket = gasket_mm(oracles.TRIANGLE_UNIT)

@@ -259,7 +259,7 @@ def test_builders():
 
     fam_cfg = parse(json.dumps({"family": family_scaled_square(lam=complex(0.5, 0))}))
     mm = fam_cfg.multimap()
-    assert mm.generators[1](2.0).value == pytest.approx(2.0)
+    assert mm.generators[1](2.0) == pytest.approx(2.0)
 
     no_lam = parse(json.dumps({"family": family_scaled_square()}))
     with pytest.raises(ConfigError, match="lam"):
@@ -616,7 +616,7 @@ def test_cli_julia_render(tmp_path, capsys):
     assert 0.99 <= rmin <= 1.01
     assert 1.9 <= rmax <= 2.01
     seed_pt, seed_gen = repelling_seed(parse_file(path).multimap())
-    z = seed_pt.value
+    z = seed_pt
     assert f"seed {z.real:.6g}{z.imag:+.6g}i from generator {seed_gen}" in text.splitlines()
     data = Path(out).read_bytes()
     assert data.startswith(b"P6\n64 64\n255\n")
@@ -706,6 +706,29 @@ def test_cli_sweep_similarity(tmp_path, capsys):
         assert status == "ok"
         want = math.log(3.0) / math.log(1.0 / abs(complex(float(re_l), float(im_l))))
         assert float(delta) == pytest.approx(want, abs=2e-2)
+
+
+def test_cli_sweep_rejects_a_grid_axis_that_repeats_one_parameter(tmp_path):
+    # 3 real values all 0.3: the smoothness diagnostic's step along that axis would be 0;
+    # run as a process under -W error, so a traceback or a leaked warning reaches stderr
+    path = write_cfg(tmp_path, {
+        "family": family_similarity(oracles.TRIANGLE_UNIT),
+        "grid": {"re_min": 0.3, "re_max": 0.3, "re_n": 3,
+                 "im_min": -0.05, "im_max": 0.05, "im_n": 9},
+        "thermo": {"depth": 4, "cap": 1000, "hyper_depth": 4, "hyper_cap": 1000},
+        "sweep": {"smooth_line": ["row", 1], "fit_degree": 1},
+    })
+    out = tmp_path / "sweep.csv"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argv = [sys.executable, "-W", "error", "-m", "ratsemi.cli", "sweep", "--config", path,
+            "--out", str(out)]
+    proc = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("config error: config.grid: an axis with more than one point "
+                           "needs a positive width\n")
+    assert proc.stdout == ""
+    assert not out.exists()
 
 
 def test_cli_sweep_puncture_rows_still_written(tmp_path, capsys):

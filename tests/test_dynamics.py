@@ -17,19 +17,18 @@ from ratsemi.dynamics import (
     repelling_seed,
 )
 from ratsemi.errors import NoRepellingSeed
-from ratsemi.geometry import ComplementDisc, _sample_points, box_dimension
+from ratsemi.geometry import ComplementDisc, _sample_points, box_dimension, osc_check
 from ratsemi.sphere import (
-    INF,
     INF_Z,
     RationalMap,
     _point_array,
-    SpherePoint,
+    as_point,
     chordal_distance,
     chordal_distance_many,
     polynomial_map,
     sphere_embed,
 )
-from ratsemi.thermo import PreimageTree
+from ratsemi.thermo import PreimageTree, pressure
 
 import oracles
 from oracles import (
@@ -63,18 +62,18 @@ def in_triangle(z, vertices, tol=1e-6):
 
 def test_word_eval_applies_first_symbol_first():
     mm = MultiMap([power_map(2), power_map(3)])
-    assert word_eval(mm, (1, 2), 2.0).value == pytest.approx(64.0)
+    assert word_eval(mm, (1, 2), 2.0) == pytest.approx(64.0)
 
 
 def test_word_eval_empty_word_is_identity():
     mm = MultiMap([power_map(2)])
-    assert word_eval(mm, (), 3.5 + 1j).value == 3.5 + 1j
-    assert word_eval(mm, (), INF).is_infinite
+    assert word_eval(mm, (), 3.5 + 1j) == 3.5 + 1j
+    assert word_eval(mm, (), INF_Z) == INF_Z
 
 
 def test_word_eval_single_symbol():
     mm = annulus_mm(0.5)
-    assert word_eval(mm, (2,), 2.0).value == pytest.approx(2.0)
+    assert word_eval(mm, (2,), 2.0) == pytest.approx(2.0)
 
 
 def test_word_eval_rejects_bad_symbol():
@@ -98,7 +97,7 @@ def test_word_derivative_norm_affine_telescopes():
         n = int(rng.integers(1, 6))
         word = tuple(int(s) for s in rng.integers(1, 4, size=n))
         z = complex(rng.uniform(0, 1), rng.uniform(0, 0.8))
-        end = word_eval(mm, word, z).value
+        end = word_eval(mm, word, z)
         expect = 2.0**n * (1 + abs(z) ** 2) / (1 + abs(end) ** 2)
         assert word_derivative_norm(mm, word, z) == pytest.approx(expect, rel=1e-10)
 
@@ -124,7 +123,7 @@ def test_cocycle_property_of_word_derivatives():
         w2 = tuple(int(s) for s in rng.integers(1, 4, size=int(rng.integers(0, 4))))
         z = complex(rng.uniform(0, 1), rng.uniform(0, 0.8))
         lhs = word_derivative_norm(mm, w1 + w2, z)
-        rhs = word_derivative_norm(mm, w2, word_eval(mm, w1, z).value) * (
+        rhs = word_derivative_norm(mm, w2, word_eval(mm, w1, z)) * (
             word_derivative_norm(mm, w1, z)
         )
         assert lhs == pytest.approx(rhs, rel=1e-8)
@@ -134,7 +133,7 @@ def test_skew_preimages_enumerates_all_branches():
     mm = MultiMap([power_map(2), power_map(2)])
     pairs = skew_preimages(mm, 1.0)
     assert len(pairs) == 4
-    got = {(j, round(y.value.real), round(y.value.imag)) for j, y in pairs}
+    got = {(j, round(y.real), round(y.imag)) for j, y in pairs}
     assert got == {(1, 1, 0), (1, -1, 0), (2, 1, 0), (2, -1, 0)}
 
     mm23 = MultiMap([power_map(2), power_map(3)])
@@ -142,8 +141,8 @@ def test_skew_preimages_enumerates_all_branches():
 
     sq = MultiMap([power_map(2)])
     pre = skew_preimages(sq, -1.0)
-    assert {format(y.value, ".3f") for _, y in pre} == {"0.000+1.000j", "-0.000-1.000j"} or all(
-        abs(y.value**2 + 1.0) < 1e-12 for _, y in pre
+    assert {format(y, ".3f") for _, y in pre} == {"0.000+1.000j", "-0.000-1.000j"} or all(
+        abs(y**2 + 1.0) < 1e-12 for _, y in pre
     )
 
 
@@ -154,13 +153,13 @@ def test_skew_preimages_enumerates_all_branches():
 def test_seed_of_single_square_is_one():
     pt, sym = repelling_seed(MultiMap([power_map(2)]))
     assert sym == 1
-    assert abs(pt.value - 1.0) < 1e-10
+    assert abs(pt - 1.0) < 1e-10
 
 
 def test_seed_of_gasket_is_first_vertex():
     pt, sym = repelling_seed(gasket_mm())
     assert sym == 1
-    assert abs(pt.value - oracles.TRIANGLE_RAW[0]) < 1e-10
+    assert abs(pt - oracles.TRIANGLE_RAW[0]) < 1e-10
 
 
 def test_no_repelling_seed_for_translation():
@@ -424,9 +423,9 @@ def test_backward_level_children_are_contiguous_under_their_parent():
             assert np.all(child.words[block, :-1] == parent.words[i])
             assert np.all(child.words[block, -1] == j)
             assert np.all(child.logw[block] == parent.logw)  # uncapped: the parent's weight
-            target = SpherePoint.of(parent.z[i])
+            target = as_point(parent.z[i])
             for k in range(block.start, block.stop):
-                pt = SpherePoint.of(child.z[k])
+                pt = as_point(child.z[k])
                 assert chordal_distance(f(pt), target) <= 1e-9
             row += f.degree
     assert row == child.size
@@ -630,7 +629,7 @@ def test_postcritical_reference_entries_are_word_images_of_critical_values(mm):
     for depth, (z, words) in enumerate(oracles.postcritical_cloud_ref(mm, depth=4, cap=200)):
         assert words.shape == (z.size, depth)
         for i in range(z.size):
-            pt = SpherePoint.of(z[i])
+            pt = as_point(z[i])
             images = [word_eval(mm, tuple(int(x) for x in words[i]), c) for c in crit]
             assert min(chordal_distance(pt, img) for img in images) <= 1e-9
 
@@ -679,6 +678,38 @@ def test_point_arrays_hold_finite_values_or_exactly_inf_z():
     assert _inf_z_count(z) == 1
     for g in (*annulus_mm(0.5).generators, *NEWTON_SQUARE.generators):
         assert _inf_z_count(g.eval_many(z)) >= 1
+
+
+def _is_point(p):
+    """p is a complex that as_point hands back bit for bit."""
+    return type(p) is complex and np.array([as_point(p)]).tobytes() == np.array([p]).tobytes()
+
+
+def test_every_scalar_point_the_library_hands_out_is_already_a_point():
+    pts = []
+    for f in (*NEWTON_SQUARE.generators, RationalMap([1.0, 0.0, 2.0], [0.0, 1.0, 1.0]),
+              RationalMap([0.0, 1e-155])):
+        pts += [f(0.5 + 0.25j), f(0.0), f(INF_Z), *f.preimages(0.5 + 0.25j), *f.preimages(INF_Z),
+                *f.critical_points(), *f.critical_values(), *(p for p, _ in f.fixed_points())]
+    # a root beyond BIG_MODULUS: preimages_many keeps it finite, the scalar preimages do not
+    assert RationalMap([0.0, 1e-155]).preimages(1.0) == [INF_Z]
+    seed, _ = repelling_seed(NEWTON_SQUARE)
+    assert seed == INF_Z
+    pts += [seed, julia_backward_cloud(NEWTON_SQUARE, depth=2, cap=100).meta["seed_point"],
+            pressure(annulus_mm(0.5), 1.0, depth=3, cap=1000).basepoint,
+            pressure(annulus_mm(0.5), 1.0, depth=3, cap=1000, basepoint=2).basepoint]
+    gate = check_hyperbolic(MultiMap([power_map(2), polynomial_map([-6.0, 0.0, 1.0])]),
+                            depth=6, margin=0.7)
+    assert gate.verdict == "fail"
+    pts += [p for p, _ in gate.witnesses]
+    # z / 1000 pulls only |z| > 1000 into U, which the lattice reaches at infinity alone
+    for slow, at_inf in ((2.0, False), (1e-3, True)):
+        mm = MultiMap([power_map(2), polynomial_map([0.0, slow])])
+        rep = osc_check(mm, ComplementDisc(0.0, 1.0), grid_n=64)
+        assert rep.verdict == "fail" and (rep.witnesses[-1][0] == INF_Z) == at_inf
+        pts += [p for p, _ in rep.witnesses]
+    assert INF_Z in pts
+    assert all(_is_point(p) for p in pts)
 
 
 # ---------------------------------------------------------------------------

@@ -37,12 +37,21 @@ import oracles
 # instantiation
 
 
+def test_grid_axis_with_more_than_one_point_needs_a_positive_width():
+    # an axis of n > 1 equal values repeats one parameter, and the smoothness
+    # diagnostic's finite-difference step along it would be 0
+    for args in ((0.3, 0.3, 3, -0.05, 0.05, 9), (0.3, 0.4, 2, 0.1, 0.1, 2)):
+        with pytest.raises(ValueError, match="an axis with more than one point needs a positive width"):
+            GridSpec(*args)
+    assert GridSpec(0.3, 0.3, 1, -0.05, 0.05, 9).re_values.tolist() == [0.3]
+
+
 def test_instantiate_scaled_square_pair():
     mm = instantiate(annulus_family(), 0.5)
     assert mm.num_generators == 2
     assert mm.degrees == (2, 2)
-    assert mm.generators[0](3.0).value == pytest.approx(9.0)
-    assert mm.generators[1](3.0).value == pytest.approx(4.5)
+    assert mm.generators[0](3.0) == pytest.approx(9.0)
+    assert mm.generators[1](3.0) == pytest.approx(4.5)
     np.testing.assert_allclose(mm.generators[1].num, [0.0, 0.0, 0.5])
 
 

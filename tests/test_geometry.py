@@ -20,7 +20,7 @@ from ratsemi.geometry import (
     osc_check,
     region_contains,
 )
-from ratsemi.sphere import INF, INF_Z, polynomial_map
+from ratsemi.sphere import INF_Z, polynomial_map
 
 import oracles
 from oracles import gasket_mm, power_map
@@ -38,7 +38,7 @@ def test_annulus_membership_is_strict():
     assert not region_contains(U, 2.0)
     assert not region_contains(U, 0.5)
     assert not region_contains(U, 3.0)
-    assert not region_contains(U, INF)
+    assert not region_contains(U, INF_Z)
 
 
 def test_disc_membership():
@@ -47,12 +47,12 @@ def test_disc_membership():
     assert region_contains(U, 1.3 + 1.0j)
     assert not region_contains(U, 1.5 + 1.0j)
     assert not region_contains(U, 0.0)
-    assert not region_contains(U, INF)
+    assert not region_contains(U, INF_Z)
 
 
 def test_complement_disc_membership_includes_infinity():
     U = ComplementDisc(0.0, 2.0)
-    assert region_contains(U, INF)
+    assert region_contains(U, INF_Z)
     assert region_contains(U, 3.0)
     assert not region_contains(U, 2.0)
     assert not region_contains(U, 1.0)
@@ -70,7 +70,7 @@ def test_triangle_membership_and_orientation_normalization():
         assert not region_contains(U, a)
         assert not region_contains(U, (a + b) / 2.0)
         assert not region_contains(U, -1.0)
-        assert not region_contains(U, INF)
+        assert not region_contains(U, INF_Z)
 
 
 def test_region_constructor_validation():
@@ -165,7 +165,7 @@ def test_osc_overlap_matches_pairwise_reference_on_three_generators(U, variant):
             key=lambda k: (math.inf, 0.0) if np.isinf(z[k]) else (z[k].real, z[k].imag))
     pt, detail = rep.witnesses[-1]
     assert "not disjoint" in detail
-    assert not pt.is_infinite and pt.value == z[k]
+    assert pt != INF_Z and pt == z[k]
 
 
 def test_osc_passes_for_cubic_pair_on_annulus():
@@ -190,7 +190,7 @@ def test_osc_overlap_failure_with_reproducible_witness():
     pt, detail = rep.witnesses[0]
     assert "not disjoint" in detail
     # the witness statement holds in isolation
-    x = pt.value
+    x = pt
     assert region_contains(U, mm.generators[0](x))
     assert region_contains(U, mm.generators[1](x))
     # any such point must itself lie in the preimage annulus
@@ -215,7 +215,7 @@ def test_osc_nesting_violation():
     assert rep.verdict == "fail"
     pt, detail = rep.witnesses[0]
     assert "outside U" in detail
-    x = pt.value
+    x = pt
     assert region_contains(U, mm.generators[0](x))
     assert not region_contains(U, x)
 
@@ -238,7 +238,7 @@ def test_osc_gasket_triangle_separating_fails_at_edge_midpoints():
     pt, detail = rep.witnesses[0]
     assert "closed" in detail
     mids = [(a + b) / 2.0, (b + c) / 2.0, (c + a) / 2.0]
-    assert min(abs(pt.value - m) for m in mids) < 0.02
+    assert min(abs(pt - m) for m in mids) < 0.02
 
 
 def test_osc_complement_disc_single_power_map_passes():
@@ -283,7 +283,7 @@ def test_osc_deterministic():
     U = Annulus(0.0, 0.9, 1.1)
     r1 = osc_check(mm, U, grid_n=64)
     r2 = osc_check(mm, U, grid_n=64)
-    assert r1.witnesses[0][0].value == r2.witnesses[0][0].value
+    assert r1.witnesses[0][0] == r2.witnesses[0][0]
     assert r1.metrics == r2.metrics
 
 

@@ -10,18 +10,18 @@ from hypothesis import given, settings, strategies as st
 from ratsemi import sphere
 from ratsemi.errors import NonConvergence
 from ratsemi.sphere import (
-    INF,
     INF_Z,
     _chart_norm,
     BIG_MODULUS,
     MapStack,
     RationalMap,
-    SpherePoint,
+    as_point,
     chordal_distance,
     chordal_distance_many,
     horner,
     polynomial_map,
     poly_roots,
+    sort_key,
     sphere_embed,
 )
 
@@ -31,12 +31,8 @@ RNG = np.random.default_rng(20260815)
 
 
 def _bf(z):
-    """A point-array entry in the oracles' notation: complex or 'inf'."""
+    """A point in the oracles' notation: complex or 'inf'."""
     return "inf" if np.isinf(z) else complex(z)
-
-
-def _bf_point(pt):
-    return "inf" if pt.is_infinite else pt.value
 
 
 def rand_complex(rng, n, scale=1.0):
@@ -65,18 +61,16 @@ def random_rational_map(rng, max_num_deg=4, max_den_deg=2):
 
 
 def test_overflow_and_nan_route_to_infinity():
-    assert SpherePoint.of(complex(2.0 * BIG_MODULUS, 0.0)) is INF or SpherePoint.of(
-        complex(2.0 * BIG_MODULUS, 0.0)
-    ).is_infinite
-    assert SpherePoint.of(complex(float("nan"), 0.0)).is_infinite
-    assert SpherePoint.of(complex(0.0, float("inf"))).is_infinite
-    assert not SpherePoint.of(1.0 + 2.0j).is_infinite
+    assert as_point(complex(2.0 * BIG_MODULUS, 0.0)) == INF_Z
+    assert as_point(complex(float("nan"), 0.0)) == INF_Z
+    assert as_point(complex(0.0, float("inf"))) == INF_Z
+    assert as_point(1.0 + 2.0j) != INF_Z
 
 
 def test_chordal_reference_values():
-    assert chordal_distance(0.0, INF) == pytest.approx(2.0, abs=1e-15)
+    assert chordal_distance(0.0, INF_Z) == pytest.approx(2.0, abs=1e-15)
     assert chordal_distance(1.0, -1.0) == pytest.approx(2.0, abs=1e-15)
-    assert chordal_distance(INF, INF) == 0.0
+    assert chordal_distance(INF_Z, INF_Z) == 0.0
     assert chordal_distance(3.0 + 4.0j, 3.0 + 4.0j) == 0.0
     # antipode of z is -1/conj(z); distance must be exactly 2
     z = 0.7 - 0.2j
@@ -89,7 +83,7 @@ def test_chordal_matches_bruteforce_including_infinity():
     for a in pts:
         for b in pts:
             lib = chordal_distance(
-                INF if isinstance(a, str) else a, INF if isinstance(b, str) else b
+                INF_Z if isinstance(a, str) else a, INF_Z if isinstance(b, str) else b
             )
             assert lib == pytest.approx(oracles.chordal_bf(a, b), abs=1e-13)
 
@@ -101,7 +95,7 @@ sphere_pts = st.one_of(finite_pts, st.just("inf"))
 
 
 def _pt(x):
-    return INF if isinstance(x, str) else SpherePoint.of(x)
+    return INF_Z if isinstance(x, str) else as_point(x)
 
 
 @settings(max_examples=300, deadline=None)
@@ -126,8 +120,8 @@ def test_chordal_many_matches_scalar():
     d = chordal_distance_many(z1, z2)
     for k in range(30):
         ref = oracles.chordal_bf(_bf(z1[k]), _bf(z2[k]))
-        a = INF if i1[k] else z1[k]
-        b = INF if i2[k] else z2[k]
+        a = INF_Z if i1[k] else z1[k]
+        b = INF_Z if i2[k] else z2[k]
         assert d[k] == pytest.approx(ref, abs=1e-14)
         assert chordal_distance(a, b) == pytest.approx(ref, abs=1e-14)
 
@@ -141,8 +135,8 @@ def test_sphere_embedding_is_isometric_to_chordal():
     X = sphere_embed(z)
     for i in range(25):
         for j in range(25):
-            a = INF if inf[i] else z[i]
-            b = INF if inf[j] else z[j]
+            a = INF_Z if inf[i] else z[i]
+            b = INF_Z if inf[j] else z[j]
             assert np.linalg.norm(X[i] - X[j]) == pytest.approx(
                 chordal_distance(a, b), abs=1e-12
             )
@@ -404,26 +398,26 @@ def test_preimages_many_fuzz_with_clustered_roots(data):
 
 def test_eval_scaled_square():
     f = RationalMap([0.0, 0.0, 0.25])
-    assert f(2.0).value == pytest.approx(1.0)
+    assert f(2.0) == pytest.approx(1.0)
 
 
 def test_eval_at_infinity_follows_degree_comparison():
-    assert polynomial_map([0.0, 0.0, 1.0])(INF).is_infinite          # z^2
-    assert RationalMap([1.0], [0.0, 0.0, 1.0])(INF).value == 0.0     # 1/z^2
+    assert polynomial_map([0.0, 0.0, 1.0])(INF_Z) == INF_Z          # z^2
+    assert RationalMap([1.0], [0.0, 0.0, 1.0])(INF_Z) == 0.0     # 1/z^2
     f = RationalMap([1.0, 0.0, 2.0], [0.0, 0.0, 1.0])                # (2z^2+1)/z^2
-    assert f(INF).value == pytest.approx(2.0)
+    assert f(INF_Z) == pytest.approx(2.0)
 
 
 def test_eval_pole_gives_infinity():
     f = RationalMap([1.0], [0.0, 1.0])  # 1/z
-    assert f(0.0).is_infinite
+    assert f(0.0) == INF_Z
     g = RationalMap([1.0, 0.0, 1.0], [-1.0, 1.0])  # (z^2+1)/(z-1)
-    assert g(1.0).is_infinite
+    assert g(1.0) == INF_Z
 
 
 def test_eval_overflow_routes_to_infinity():
     f = polynomial_map([0.0, 0.0, 0.0, 1.0])  # z^3
-    assert f(1e60).is_infinite
+    assert f(1e60) == INF_Z
 
 
 def test_eval_many_matches_scalar():
@@ -435,7 +429,7 @@ def test_eval_many_matches_scalar():
         vals = f.eval_many(z)
         for k in range(50):
             ref = oracles.rational_eval_bf(f.num, f.den, z[k])
-            scalar = _bf_point(f(z[k]))
+            scalar = _bf(f(z[k]))
             assert np.isinf(vals[k]) == (ref == "inf") == (scalar == "inf")
             assert oracles.chordal_bf(_bf(vals[k]), ref) < 1e-10
             assert oracles.chordal_bf(scalar, ref) < 1e-10
@@ -455,7 +449,7 @@ def test_eval_many_at_infinity_matches_scalar_at_infinity():
         ref = oracles.rational_eval_bf(f.num, f.den, "inf")
         for k in range(z.size):
             if inf[k]:
-                assert chordal_distance(SpherePoint.of(vals[k]), f(INF)) < 1e-15
+                assert chordal_distance(as_point(vals[k]), f(INF_Z)) < 1e-15
                 assert oracles.chordal_bf(_bf(vals[k]), ref) < 1e-12
             else:
                 fin_ref = oracles.rational_eval_bf(f.num, f.den, z[k])
@@ -513,7 +507,7 @@ def test_derivative_norm_chart_consistency_on_overlap():
 
 def test_derivative_norm_finite_at_infinity_and_poles():
     f = polynomial_map([0.0, 0.0, 1.0])  # z^2: superattracting at infinity
-    assert f.spherical_derivative_norm(INF) == pytest.approx(0.0, abs=1e-14)
+    assert f.spherical_derivative_norm(INF_Z) == pytest.approx(0.0, abs=1e-14)
     g = RationalMap([1.0], [0.0, 1.0])  # 1/z: an isometry-like rotation at 0
     assert math.isfinite(g.spherical_derivative_norm(0.0))
     assert g.spherical_derivative_norm(0.0) == pytest.approx(1.0, rel=1e-12)
@@ -530,7 +524,7 @@ def test_derivative_norm_many_matches_scalar_with_infinity():
     z[inf] = INF_Z
     vals = f.spherical_derivative_norm_many(z)
     for k in range(30):
-        pt = INF if inf[k] else z[k]
+        pt = INF_Z if inf[k] else z[k]
         ref = oracles.sph_deriv_sphere_bf(num, den, _bf(z[k]))
         assert vals[k] == pytest.approx(ref, rel=1e-12)
         assert f.spherical_derivative_norm(pt) == pytest.approx(ref, rel=1e-12)
@@ -560,7 +554,7 @@ def test_chain_rule_against_explicit_composition():
 def test_preimages_of_scaled_square():
     f = RationalMap([0.0, 0.0, 0.5])
     pts = f.preimages(2.0)
-    vals = sorted((p.value for p in pts if not p.is_infinite), key=lambda w: w.real)
+    vals = sorted((p for p in pts if p != INF_Z), key=lambda w: w.real)
     assert vals == pytest.approx([-2.0, 2.0])
 
 
@@ -577,23 +571,23 @@ def test_preimages_count_equals_degree_and_round_trip():
 
 def test_preimages_of_infinity():
     f = RationalMap([1.0, 0.0, 1.0], [0.0, 1.0])  # (z^2+1)/z
-    pts = f.preimages(INF)
+    pts = f.preimages(INF_Z)
     assert len(pts) == 2
-    assert sum(p.is_infinite for p in pts) == 1
-    assert any((not p.is_infinite) and abs(p.value) < 1e-12 for p in pts)
+    assert sum(p == INF_Z for p in pts) == 1
+    assert any(p != INF_Z and abs(p) < 1e-12 for p in pts)
 
     g = RationalMap([1.0], [0.0, 0.0, 1.0])  # 1/z^2: no infinite preimage of inf
-    pts = g.preimages(INF)
+    pts = g.preimages(INF_Z)
     assert len(pts) == 2
-    assert all(not p.is_infinite and abs(p.value) < 1e-6 for p in pts)
+    assert all(p != INF_Z and abs(p) < 1e-6 for p in pts)
 
 
 def test_preimages_leading_cancellation_pads_with_infinity():
     f = RationalMap([1.0, 0.0, 1.0], [0.0, 0.0, 1.0])  # (z^2+1)/z^2
     pts = f.preimages(1.0)  # (z^2+1)/z^2 = 1 has no finite solution
     assert len(pts) == 2
-    assert all(p.is_infinite for p in pts)
-    assert f(INF).value == pytest.approx(1.0)
+    assert all(p == INF_Z for p in pts)
+    assert f(INF_Z) == pytest.approx(1.0)
 
 
 def test_preimages_many_matches_scalar():
@@ -608,9 +602,9 @@ def test_preimages_many_matches_scalar():
             got = [_bf(roots[i, k]) for k in range(f.degree)]
             ref = oracles.preimages_bf(f.num, f.den, z[i])
             scalar = f.preimages(z[i])
-            assert scalar == sorted(scalar, key=SpherePoint.sort_key)
+            assert scalar == sorted(scalar, key=sort_key)
             assert oracles.best_match(got, ref) < 1e-6
-            assert oracles.best_match([_bf_point(p) for p in scalar], ref) < 1e-6
+            assert oracles.best_match([_bf(p) for p in scalar], ref) < 1e-6
 
 
 def test_preimages_many_rows_are_permutations_of_scalar_preimages():
@@ -623,12 +617,12 @@ def test_preimages_many_rows_are_permutations_of_scalar_preimages():
     for f in maps:
         z = rand_complex(rng, 25, scale=2.0)
         if f.den.size - 1 == f.degree:
-            z[0] = f(INF).value  # a target whose leading coefficient cancels
+            z[0] = f(INF_Z)  # a target whose leading coefficient cancels
         roots = f.preimages_many(z)
         for i in range(z.size):
             got = [_bf(roots[i, k]) for k in range(f.degree)]
             ref = oracles.preimages_bf(f.num, f.den, z[i])
-            scalar = [_bf_point(p) for p in f.preimages(z[i])]
+            scalar = [_bf(p) for p in f.preimages(z[i])]
             assert got.count("inf") == ref.count("inf") == scalar.count("inf")
             assert oracles.best_match(got, ref) < 1e-8
             assert oracles.best_match(scalar, ref) < 1e-8
@@ -672,7 +666,7 @@ def test_preimages_many_equals_the_dense_reference_bit_for_bit(d):
     blocks = [[f] for f in maps] + [[f, g, f] for f, g in zip(maps, maps[1:] + maps[:1])]
     for gens in blocks:
         stack = MapStack(gens)
-        drops = [complex(f(INF).value) if not f(INF).is_infinite else 0j for f in gens]
+        drops = [complex(f(INF_Z)) if f(INF_Z) != INF_Z else 0j for f in gens]
         finite = rand_complex(rng, 300 * len(gens), scale=2.0).reshape(len(gens), -1)
         mixed = np.concatenate([finite[:, :40], np.full((len(gens), 3), INF_Z),
                                 np.array(drops)[:, None] * [1.0, 1.0 + 1e-13],
@@ -730,8 +724,8 @@ def test_quadratics_whose_closed_form_overflows_are_re_solved(coeffs, expected):
 def test_fixed_points_survive_an_overflowing_quadratic():
     for num, finite in (([0.0, 1e155, 1e155], [-1.0 + 1e-155, 0.0]), ([1e155, 0.0, 1e155], [-1j, 1j])):
         pts = [p for p, _ in RationalMap(num).fixed_points()]
-        assert [p.is_infinite for p in pts] == [False, False, True]
-        assert _worst_root_error([p.value for p in pts[:2]], finite) <= 1e-12
+        assert [p == INF_Z for p in pts] == [False, False, True]
+        assert _worst_root_error([p for p in pts[:2]], finite) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -742,16 +736,16 @@ def test_critical_points_of_shifted_square():
     f = polynomial_map([-1.0, 0.0, 1.0])  # z^2 - 1
     pts = f.critical_points()
     assert len(pts) == 2
-    assert sum(p.is_infinite for p in pts) == 1
-    assert any((not p.is_infinite) and abs(p.value) < 1e-12 for p in pts)
+    assert sum(p == INF_Z for p in pts) == 1
+    assert any(p != INF_Z and abs(p) < 1e-12 for p in pts)
 
 
 def test_critical_points_of_cube_have_multiplicity_two():
     f = polynomial_map([0.0, 0.0, 0.0, 1.0])  # z^3
     pts = f.critical_points()
     assert len(pts) == 4
-    assert sum(p.is_infinite for p in pts) == 2
-    assert sum((not p.is_infinite) and abs(p.value) < 1e-4 for p in pts) == 2
+    assert sum(p == INF_Z for p in pts) == 2
+    assert sum(p != INF_Z and abs(p) < 1e-4 for p in pts) == 2
 
 
 def test_mobius_map_has_no_critical_points():
@@ -765,7 +759,7 @@ def test_fixed_points_of_squared_minus_two():
     assert len(fps) == 3
     table = {}
     for p, norm in fps:
-        key = "inf" if p.is_infinite else round(p.value.real)
+        key = "inf" if p == INF_Z else round(p.real)
         table[key] = norm
     assert table[-1] == pytest.approx(2.0, rel=1e-9)
     assert table[2] == pytest.approx(4.0, rel=1e-9)
@@ -777,10 +771,10 @@ def test_fixed_points_of_doubling_affine_map():
     f = polynomial_map([-p, 2.0])  # 2(z - p) + p
     fps = f.fixed_points()
     assert len(fps) == 2
-    finite = [(q, n) for q, n in fps if not q.is_infinite]
-    at_inf = [(q, n) for q, n in fps if q.is_infinite]
+    finite = [(q, n) for q, n in fps if q != INF_Z]
+    at_inf = [(q, n) for q, n in fps if q == INF_Z]
     assert len(finite) == 1 and len(at_inf) == 1
-    assert abs(finite[0][0].value - p) < 1e-12
+    assert abs(finite[0][0] - p) < 1e-12
     assert finite[0][1] == pytest.approx(2.0, rel=1e-12)
     assert at_inf[0][1] == pytest.approx(0.5, rel=1e-12)
 
@@ -807,9 +801,9 @@ def test_validation_rejects_shared_roots_and_constants():
     # z^2 / (z^2 + 1e-15) with P and Q times 1e155: P'Q and PQ' would overflow
     # had P and Q not been scaled down first; f = 0.3 at z^2 = 0.3e-15 / 0.7
     f = RationalMap([0.0, 0.0, 1e155], [1e140, 0.0, 1e155])
-    assert f.critical_points() == [SpherePoint(0j), INF]
+    assert f.critical_points() == [0j, INF_Z]
     root = math.sqrt(0.3e-15 / 0.7)  # 2.0702e-8
-    assert [p.value for p in f.preimages(0.3)] == pytest.approx([-root, root], rel=1e-9)
+    assert [p for p in f.preimages(0.3)] == pytest.approx([-root, root], rel=1e-9)
     with pytest.raises(ValueError, match="non-empty 1-d"):
         RationalMap([])
     with pytest.raises(ValueError, match="non-empty 1-d"):
@@ -840,7 +834,7 @@ def test_tiny_coefficients_are_scaled_up_before_the_wronskian_and_evaluation():
     assert np.isfinite(vals[~inf]).all() and np.isinf(vals).tolist() == inf.tolist()
     shift = float(Fraction(a) / Fraction(b))  # 0.5 up to the subnormals' rounding
     assert vals[:3] == pytest.approx(z[:3] + shift, rel=1e-15, abs=1e-15)
-    assert g.critical_points() == [] and g.fixed_points() == [(INF, 1.0)]
+    assert g.critical_points() == [] and g.fixed_points() == [(INF_Z, 1.0)]
 
 
 def test_leading_coefficient_ratio_bound():
@@ -868,8 +862,8 @@ def test_derivative_norm_at_infinity_with_a_tiny_leading_coefficient(r):
     # at infinity the 1/z chart reads |P|^2 + |Q|^2 = r^2, which underflows to 0 for r = 1e-170:
     # 1/0 and 0/0 there, unless the norm rescales by max(|P|, |Q|) first
     f = RationalMap([0.0, 0.0, 1.0], [1.0, 0.0, 0.0, r])  # about 1/(r z) near infinity
-    assert f.spherical_derivative_norm(INF) == pytest.approx(1.0 / r, rel=1e-12)
+    assert f.spherical_derivative_norm(INF_Z) == pytest.approx(1.0 / r, rel=1e-12)
     for num, den in (([2.0, 0.0, 0.0, r], [1.0, 1.0]), ([1.0, 0.0, 0.0, 0.0, 0.0, r], [0.5])):
         g = RationalMap(num, den)
-        assert INF in g.critical_points()
-        assert g.spherical_derivative_norm(INF) == 0.0
+        assert INF_Z in g.critical_points()
+        assert g.spherical_derivative_norm(INF_Z) == 0.0
