@@ -130,7 +130,10 @@ class CloudLevel:
     hold logd per row and one logw, all a level sum reads.  A capped level
     holds only the rows its subsample keeps, in two rows a row drawn twice;
     its picks keep each child cap/n times in expectation, so one importance
-    weight, the float logw, serves every row.
+    weight, the float logw, serves every row.  A capped points-only
+    backward level picks whole sibling sets (all roots of one generator at
+    one parent, contiguous in slot order), so it holds the d_j rows of each
+    pick: at most cap rows, or one set when cap is below the largest degree.
 
     A level of a block of B systems (stack_block) has z and logd of shape
     (B, n), one row per system, a min_step_norm per system and one logw.
@@ -164,41 +167,49 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
     """Skew-product preimages of a level, subsampled to cap, in construction order.
 
     Rows run over (generator j, parent row, root slot); see CloudLevel.  Over
-    the cap, the kept child indices are chosen first (_jittered with seed and
-    tag over all n children, so the choice depends on the counts and the seed
-    alone) and split by generator into sorted indices c, and roots and
-    derivative norms are solved only for them: preimages_many on the
-    distinct parents c // d_j, slot c % d_j of each.  A child drawn twice
-    fills two rows.  Within the cap every child is kept.  Parents
-    at infinity go through the same calls.  A kept row adds its log step
-    norm to its parent's logd.  The level's logw is the parent's plus
+    the cap, the kept units are chosen first (_jittered with seed and tag, so
+    the choice depends on the counts and the seed alone) and split by
+    generator into sorted indices c.  Under logd the unit is a child, cap of
+    the n: roots and derivative norms are solved only for the distinct
+    parents c // d_j, slot c % d_j of each.  On a points-only parent (logd
+    None, see CloudLevel) it is a sibling set, cap // (largest degree) of
+    the m s (generator j, parent) pairs, at least one: each is solved once
+    into its d_j rows in slot order.  Nothing sums a points-only level, so
+    its sets need no equal weights; in degree one a set is a child.  Each
+    child is kept picks/units times in expectation, and a unit drawn twice
+    fills its rows twice.  Within the cap every child is kept.
+    Parents at infinity go through the same calls.  A kept row adds its log
+    step norm to its parent's logd.  The level's logw is the parent's plus
     log(n / cap) when capped, so level sums stay unbiased.  min_step_norm is
     the smallest newest-step derivative norm of the kept rows.
 
     A level of a block (see stack_block) carries a leading point axis on z
     and logd and a min_step_norm per point; its logw, like the picks,
     is shared.  Each generator is solved in equal chunks of about
-    _EXPAND_ROWS / B parents, distinct ones when capped, B the block's
-    points, so a chunk solves about _EXPAND_ROWS rows (parents times B)
-    and temporaries do not grow with the block.
+    _EXPAND_ROWS / B parents, distinct ones under per-child picks, B the
+    block's points, so a chunk solves about _EXPAND_ROWS rows (parents
+    times B) and temporaries do not grow with the block.
 
-    A points-only parent (logd None, see CloudLevel) gives a points-only
-    level: the same picks, solves and z bit for bit, without derivative
-    norms, logd or logw.  points False, for a tree's deepest level, which
-    nothing expands, allocates no z (None): each chunk's roots give its
-    derivative norms and are dropped.
+    A points-only level holds no derivative norms, logd or logw; within
+    the cap its z is bit for bit that of a parent with logd.  points False,
+    for a tree's deepest level, which nothing expands, allocates no z
+    (None): each chunk's roots give its derivative norms and are dropped.
     """
     lead = level.z.shape[:-1]  # () for one system, (B,) for a block
     full = level.logd is not None
     m = level.size
     n, picks, shift = m * mm.total_degree, None, 0.0
     if n > cap:
-        starts = np.cumsum([0, *(m * d for d in mm.degrees[:-1])])
-        kept = _jittered(_derive_seed(seed, tag), n, cap)
+        # the unit picked: a child under logd, else a sibling set (pair j, parent: d_j rows)
+        sizes = [m * d if full else m for d in mm.degrees]
+        k = cap if full else max(1, cap // max(mm.degrees))
+        kept = _jittered(_derive_seed(seed, tag), sum(sizes), k)
+        starts = np.cumsum([0, *sizes[:-1]])
         picks = np.split(kept, np.searchsorted(kept, starts[1:]))
         for c, start in zip(picks, starts):
             c -= start  # views of kept, offset in place: a second index array costs peak memory
-        n, shift = cap, math.log(n / cap)
+        shift = math.log(n / cap)
+        n = cap if full else sum(c.size * d for c, d in zip(picks, mm.degrees))
     # the level arrays come before the solver temporaries, which leave no heap hole under them
     z = np.empty(lead + (n,), dtype=complex) if points else None
     if full:
@@ -206,19 +217,20 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
     min_norm, row, B = np.full(lead, math.inf), 0, math.prod(lead)
     for j, f in enumerate(mm.generators, start=1):
         d = f.degree
-        if picks is not None:
-            c = picks[j - 1]
+        # sets: every row a whole sibling set of its parent (uncapped, or capped points-only)
+        c, sets = (None, True) if picks is None else (picks[j - 1], not full)
+        if not sets:
             slot = np.divmod(c, d, out=(c, np.empty_like(c)))[1]  # c now holds the parents
             new = _run_starts(c)  # the first child of each parent (c is sorted)
-        # equal chunks of about _EXPAND_ROWS / B parents, distinct ones when capped
-        units = m if picks is None else np.count_nonzero(new)
+        # equal chunks of about _EXPAND_ROWS / B parents, distinct ones under per-child picks
+        units = m if c is None else c.size if sets else np.count_nonzero(new)
         per = max(1, -(-units // max(1, math.ceil(units * B / _EXPAND_ROWS))))
-        bounds = range(0, m * d, per * d) if picks is None else np.flatnonzero(new)[::per].tolist()
-        for s, e in zip(bounds, [*bounds[1:], m * d if picks is None else c.size]):
-            if picks is None:
-                # every child kept: views and repeats, no index arrays; running uncapped levels
-                # through the gathers below made sweep-similarity job_s 8-22 % slower (2-core host)
-                p = slice(s // d, e // d)
+        bounds = range(0, units, per) if sets else np.flatnonzero(new)[::per].tolist()
+        for s, e in zip(bounds, [*bounds[1:], units if sets else c.size]):
+            if sets:
+                # whole sibling sets, no slot gathers; uncapped, p is a view (running uncapped
+                # levels through gathers made sweep-similarity job_s 8-22 % slower, 2-core host)
+                p = slice(s, e) if c is None else c[s:e]
                 zj = f.preimages_many(level.z[..., p]).reshape(lead + (-1,))
             else:
                 p, first = c[s:e], new[s:e]
@@ -232,7 +244,7 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
             if not full:
                 continue
             # the parent's logd of each child, along the node axis
-            up = level.logd[..., p] if picks is not None else level.logd[..., p].repeat(d, axis=-1)
+            up = level.logd[..., p].repeat(d, axis=-1) if sets else level.logd[..., p]
             norms = f.spherical_derivative_norm_many(zj)
             np.minimum(min_norm, norms.min(axis=-1, initial=math.inf), out=min_norm)
             with np.errstate(divide="ignore"):
@@ -318,8 +330,10 @@ def julia_backward_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DE
                          rng_seed: int = 0) -> PointCloud:
     """Backward-orbit tree of a repelling seed, one capped level per depth.
 
-    Its levels hold points only (see CloudLevel): z bit for bit that
-    of _expand_backward chained from _root_level with this cap and rng_seed.
+    Its levels hold points only (see CloudLevel).  A capped level of degree
+    two or more keeps whole sibling sets (_expand_backward), so its z is not
+    that of a full tree from the seed at this cap and rng_seed; an uncapped
+    or degree-one level's z is, bit for bit.
     """
     _check_budget(depth, cap)
     seed_pt, seed_sym = repelling_seed(mm)

@@ -574,6 +574,29 @@ def expand_then_subsample(mm, level, cap, seed, tag):
     return subsample_ref(full, cap, seed, tag, step_norm=norms)
 
 
+def sibling_cloud_ref(mm, depth, cap, rng_seed=0):
+    """The points of julia_backward_cloud the long way.  Level 0 is the
+    repelling seed.  Level n solves every child of level n - 1, generator by
+    generator, as one sibling set (all d_j roots, in slot order) per
+    (generator j, parent) pair.  Over the cap (more than cap children) it
+    keeps the sets of the pairs jittered_expr_ref draws: cap // (largest
+    degree) picks, at least one, from the s m pairs in construction order,
+    seed _derive_seed(rng_seed, n); a pair drawn twice is kept twice.  Within
+    the cap it keeps every set.  Returns the z array of each level."""
+    from ratsemi.dynamics import _derive_seed, repelling_seed
+
+    levels = [np.array([repelling_seed(mm)[0]], dtype=complex)]
+    for n in range(1, depth + 1):
+        z = levels[-1]
+        sets = [row for f in mm.generators for row in f.preimages_many(z).reshape(z.size, f.degree)]
+        pairs = range(len(sets))
+        if z.size * mm.total_degree > cap:
+            k = max(1, cap // max(mm.degrees))
+            pairs = jittered_expr_ref(_derive_seed(rng_seed, n), len(sets), k)
+        levels.append(np.concatenate([sets[i] for i in pairs]))
+    return levels
+
+
 def backward_levels_ref(mm, level, cap, seed, depth):
     """Levels 1..depth of expand_then_subsample chained from level, level n
     drawn with tag n, as _expand_backward chains them.  Each keeps its

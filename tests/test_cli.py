@@ -678,6 +678,17 @@ def test_julia_and_boxdim_peak_below_the_bytes_of_the_cloud_they_read(tmp_path, 
     assert max(peaks.values()) < own, (peaks, own)
 
 
+def test_cli_julia_cap_below_the_largest_degree_keeps_one_sibling_set(tmp_path, capsys):
+    raw = json.loads((Path(__file__).parent.parent / "demos" / "configs" / "annulus.json").read_text())
+    raw["julia"]["cap"] = 1
+    path = write_cfg(tmp_path, raw)
+    assert main(["julia", "--config", path, "--out", str(tmp_path / "j.ppm")]) == 0
+    assert "points 25 finite + 0 at infinity (25 total, depth 12)" in capsys.readouterr().out
+    # z^2 and z^2/2: each level after the seed is both roots of one picked parent
+    cloud = cli._julia_cloud(parse_file(path))
+    assert [lev.size for lev in cloud.levels] == [1] + [2] * 12
+
+
 def test_cli_julia_no_seed_exit_3(tmp_path, capsys):
     path = write_cfg(tmp_path, {
         "multimap": {"generators": [gen_poly([1, 1])]},

@@ -297,25 +297,64 @@ def test_raising_cap_or_depth_never_escapes_reference_bounds():
 NEWTON_SQUARE = MultiMap([RationalMap([1.0, 0.0, 1.0], [0.0, 2.0]), power_map(2)])
 
 
-@pytest.mark.parametrize("mm, depth, cap, seed", [
-    pytest.param(annulus_mm(0.5), 6, 150, 7, id="capped"),
-    pytest.param(MultiMap([power_map(2), power_map(3)]), 5, 10**6, 0, id="uncapped"),
-    pytest.param(gasket_mm(), 7, 500, 3, id="degree-one-capped"),
-    pytest.param(NEWTON_SQUARE, 6, 50, 1, id="infinite-parents-capped"),
-    pytest.param(NEWTON_SQUARE, 5, 10**6, 2, id="infinite-parents-uncapped"),
+def _full_chain_z(mm, depth, cap, seed):
+    return [lev.z for lev in full_backward_cloud(mm, depth, cap, seed).levels]
+
+
+# a capped level of degree >= 2 keeps whole sibling sets, where the full chain, which
+# carries logd, picks single children: those cases compare with oracles.sibling_cloud_ref
+@pytest.mark.parametrize("mm, depth, cap, seed, ref", [
+    pytest.param(annulus_mm(0.5), 6, 150, 7, oracles.sibling_cloud_ref, id="capped"),
+    pytest.param(MultiMap([power_map(2), power_map(3)]), 5, 10**6, 0, _full_chain_z, id="uncapped"),
+    pytest.param(gasket_mm(), 7, 500, 3, _full_chain_z, id="degree-one-capped"),
+    pytest.param(NEWTON_SQUARE, 6, 50, 1, oracles.sibling_cloud_ref, id="infinite-parents-capped"),
+    pytest.param(NEWTON_SQUARE, 5, 10**6, 2, _full_chain_z, id="infinite-parents-uncapped"),
 ])
-def test_julia_cloud_points_equal_the_full_chain(mm, depth, cap, seed):
+def test_julia_cloud_points_equal_the_full_chain(mm, depth, cap, seed, ref):
     cloud = julia_backward_cloud(mm, depth=depth, cap=cap, rng_seed=seed)
-    full = full_backward_cloud(mm, depth, cap, seed)
-    assert cloud.meta["seed_point"] == full.meta["seed_point"]
-    for lev, ref in zip(cloud.levels, full.levels, strict=True):
-        assert lev.z.tobytes() == ref.z.tobytes()
-        assert lev.size == ref.size
+    assert cloud.meta["seed_point"] == repelling_seed(mm)[0]
+    for lev, z in zip(cloud.levels, ref(mm, depth, cap, seed), strict=True):
+        assert lev.z.tobytes() == z.tobytes()
+        assert lev.size == z.size
         assert lev.logd is None and lev.logw is None
         assert lev.min_step_norm == math.inf
     if mm is NEWTON_SQUARE:
         assert all(np.isinf(lev.z).any() for lev in cloud.levels)
         assert not np.isinf(cloud.levels[-1].z).all()
+
+
+@pytest.mark.parametrize("mm, depth, cap, seed", [
+    pytest.param(annulus_mm(0.5), 6, 150, 7, id="annulus"),
+    pytest.param(MultiMap([power_map(2), power_map(3)]), 6, 301, 2, id="mixed-degree"),
+    pytest.param(NEWTON_SQUARE, 6, 51, 1, id="infinite-parents"),
+    pytest.param(annulus_mm(0.5), 5, 1, 0, id="cap-one"),
+])
+def test_capped_points_only_levels_keep_whole_sibling_sets(mm, depth, cap, seed):
+    # a capped points-only level picks k = cap // (largest degree) of the s m (generator,
+    # parent) pairs and keeps every root of each: each pick's d_j rows, in pick order
+    cloud = julia_backward_cloud(mm, depth=depth, cap=cap, rng_seed=seed)
+    s, top = mm.num_generators, max(mm.degrees)
+    k, capped = max(1, cap // top), 0
+    for n in range(1, depth + 1):
+        parent, z = cloud.levels[n - 1].z, cloud.levels[n].z
+        m = parent.size
+        if m * mm.total_degree <= cap:
+            continue
+        capped += 1
+        j, p = np.divmod(oracles.jittered_expr_ref(dynamics._derive_seed(seed, n), m * s, k), m)
+        degs = np.array(mm.degrees)[j]
+        assert z.size == degs.sum() <= max(cap, top)
+        # one border between the two generators' pairs: each count within 1 of k / s
+        assert np.abs(np.bincount(j, minlength=s) - k / s).max() <= 1
+        row = 0
+        for jj, pp, d in zip(j, p, degs):
+            f, roots = mm.generators[jj], z[row : row + d]
+            assert chordal_distance_many(f.eval_many(roots), np.full(d, parent[pp])).max() <= 1e-9
+            got = ["inf" if np.isinf(w) else complex(w) for w in roots]
+            ref = oracles.preimages_bf(f.num, f.den, "inf" if np.isinf(parent[pp]) else parent[pp])
+            assert oracles.best_match(got, ref) < 1e-8  # the whole sibling set, contiguous
+            row += d
+    assert capped >= 2
 
 
 # a clipping viewport for julia_backward_cloud(NEWTON_SQUARE, **NEWTON_CLOUD): it keeps 15,193

@@ -31,6 +31,9 @@ COMMANDS = (
     [(cmd, c, ()) for c in ("annulus", "gasket") for cmd in ("julia", "boxdim", "osc")]
     + [("bowen", c, ()) for c in ("supercritical", "gasket", "annulus", "power_pair")]
     + [(cmd, "power_pair", ()) for cmd in ("pressure", "poincare", "lyap")]
+    # degrees 2 and 3: the default depth-12 cloud is capped from level 8, a capped
+    # mixed-degree points-only cloud
+    + [(cmd, "power_pair", ()) for cmd in ("julia", "boxdim")]
     + [("lyap", "power_pair", ("--depth", "8"))]  # the lyap-mixed-degree benchmark run
     + [("sweep", "similarity_sweep", ())]
 )
