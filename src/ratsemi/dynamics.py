@@ -25,7 +25,7 @@ DEFAULT_CAP = 200_000
 class MultiMap:
     """Finite ordered family of rational-map generators; symbols are 1-based.
 
-    The generators of a block (stack_block) are MapStacks instead.
+    The generators of a block (PreimageTree of a list of systems) are MapStacks instead.
     """
 
     __slots__ = ("generators",)
@@ -36,7 +36,7 @@ class MultiMap:
             raise ValueError("need at least one generator")
         for g in gens:
             if not isinstance(g, MapStack):
-                raise TypeError("every generator must be a RationalMap")
+                raise TypeError("every generator must be a RationalMap or a MapStack")
         self.generators = gens
 
     @property
@@ -53,12 +53,6 @@ class MultiMap:
 
     def __repr__(self):
         return f"MultiMap(s={self.num_generators}, degrees={self.degrees})"
-
-
-def stack_block(mms) -> MultiMap:
-    """Multi-maps of one degree signature as a block of B systems: generator j
-    is the MapStack of every system's j-th map, system b in column b."""
-    return MultiMap(MapStack(gens) for gens in zip(*(mm.generators for mm in mms)))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +129,7 @@ class CloudLevel:
     one parent, contiguous in slot order), so it holds the d_j rows of each
     pick: at most cap rows, or one set when cap is below the largest degree.
 
-    A level of a block of B systems (stack_block) has z and logd of shape
+    A level of a block of B systems (PreimageTree) has z and logd of shape
     (B, n), one row per system, a min_step_norm per system and one logw.
 
     z is a point array: complex values, INF_Z for infinity, like a scalar
@@ -183,7 +177,7 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
     log(n / cap) when capped, so level sums stay unbiased.  min_step_norm is
     the smallest newest-step derivative norm of the kept rows.
 
-    A level of a block (see stack_block) carries a leading point axis on z
+    A level of a block (see PreimageTree) carries a leading point axis on z
     and logd and a min_step_norm per point; its logw, like the picks,
     is shared.  Each generator is solved in equal chunks of about
     _EXPAND_ROWS / B parents, distinct ones under per-child picks, B the
@@ -272,14 +266,6 @@ class PointCloud:
     def depth(self) -> int:
         return len(self.levels) - 1
 
-    def flat_arrays(self):
-        """Concatenated (z, depth) arrays across all levels."""
-        z = np.concatenate([lev.z for lev in self.levels])
-        depth = np.concatenate(
-            [np.full(lev.size, d, dtype=np.int64) for d, lev in enumerate(self.levels)]
-        )
-        return z, depth
-
     def finite_levels(self):
         """(depth, z) for each level's finite points, in depth order: z is the
         level's own array when it holds no point at infinity, else a masked copy."""
@@ -318,12 +304,6 @@ def _check_budget(depth: int, cap: int) -> None:
         raise ValueError("depth must be nonnegative")
     if cap < 1:
         raise ValueError("cap must be positive")
-
-
-def _root_level(z) -> CloudLevel:
-    """Level 0 of a backward tree at the point array z: zero logd, and
-    logw 0.0.  A block of B trees has z of shape (B, 1)."""
-    return CloudLevel(z, logd=np.zeros(z.shape), logw=0.0)
 
 
 def julia_backward_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFAULT_CAP,
@@ -423,7 +403,7 @@ def _closest_pair(q: np.ndarray, x: np.ndarray):
     return k, int(nearest[k]), float(dist[k])
 
 
-def check_hyperbolic(mm: MultiMap, depth: int = 8, margin: float = 0.05, cap: int = DEFAULT_CAP,
+def check_hyperbolic(mm: MultiMap, *, depth: int, margin: float, cap: int,
                      rng_seed: int = 0) -> VerificationReport:
     """Sampled separation of the postcritical cloud from the Julia cloud.
 
@@ -431,7 +411,8 @@ def check_hyperbolic(mm: MultiMap, depth: int = 8, margin: float = 0.05, cap: in
     margin/2 (with the closest pair as witness), inconclusive between.  An
     empty postcritical cloud passes vacuously.  A pass certifies only that
     no violation was found at this sampling resolution.  margin must be
-    positive: at margin <= 0 every distance would pass.
+    positive: at margin <= 0 every distance would pass.  depth, margin and
+    cap have no defaults here: ThermoConfig's hyper_* fields are the gate's.
     """
     if not margin > 0.0:
         raise ValueError(f"margin must be positive, got {margin!r}")
@@ -440,8 +421,7 @@ def check_hyperbolic(mm: MultiMap, depth: int = 8, margin: float = 0.05, cap: in
         return VerificationReport("pass", [], margin,
                                   {"min_distance": math.inf, "postcritical_size": 0})
     cloud = julia_backward_cloud(mm, depth=depth, cap=cap, rng_seed=rng_seed)
-    jz, _ = cloud.flat_arrays()
-    pz, _ = post.flat_arrays()
+    jz, pz = (np.concatenate([lev.z for lev in c.levels]) for c in (cloud, post))
     k, i, min_dist = _closest_pair(sphere_embed(pz), sphere_embed(jz))
     p_pt, j_pt = as_point(pz[k]), as_point(jz[i])
     metrics = {"min_distance": min_dist, "postcritical_size": post.size, "julia_size": cloud.size}

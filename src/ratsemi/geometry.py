@@ -213,9 +213,11 @@ def _contains_many(U, z: np.ndarray) -> np.ndarray:
 
 
 def _smallest_witness(z: np.ndarray, mask: np.ndarray):
-    """The point of z under mask with the least (real, imag); INF_Z sorts last."""
+    """The first point of z under mask with the least (real, imag); INF_Z sorts last."""
     idx = np.flatnonzero(mask)
-    return as_point(z[idx[np.lexsort((z[idx].imag, z[idx].real))[0]]])
+    re = z.real[idx]
+    idx = idx[re == re.min()]  # the least real part; then the least imaginary part among those
+    return as_point(z[idx[np.argmin(z.imag[idx])]])
 
 
 def osc_check(

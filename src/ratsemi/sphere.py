@@ -134,17 +134,16 @@ def _coeffs(c):
 
 def horner(coeffs, z):
     """Evaluate ascending-coefficient polynomial(s) at a scalar or array z; the
-    coefficient rows coeffs[k] (a list: rows of any broadcasting shapes)
-    broadcast against z, so 2-d coefficients hold one polynomial per column,
-    and a constant comes back as its row.  Each product is new: numpy rounds
-    an in-place complex product of length-1 arrays differently.  Even so,
-    0-d and length-1 inputs may round differently from the same value inside
-    a longer array, so callers whose values must match a batch's pass arrays."""
-    c = coeffs if isinstance(coeffs, list) else np.asarray(coeffs, dtype=complex)
-    acc = np.asarray(c[-1])
-    for k in range(len(c) - 2, -1, -1):
+    rows coeffs[k] (any sequence: rows of any broadcasting shapes) broadcast
+    against z, so 2-d coefficients hold one polynomial per column, and a
+    constant comes back as its row.  Each product is new: numpy rounds an
+    in-place complex product of length-1 arrays differently.  Even so, 0-d
+    and length-1 inputs may round differently from the same value inside a
+    longer array, so callers whose values must match a batch's pass arrays."""
+    acc = np.asarray(coeffs[-1])
+    for k in range(len(coeffs) - 2, -1, -1):
         acc = acc * z
-        acc += c[k]
+        acc += coeffs[k]
     return complex(acc) if np.ndim(acc) == 0 else acc
 
 
@@ -182,7 +181,7 @@ def _solve_blocks(C, solve):
     missed = np.empty(cols, dtype=bool)
     for s in range(0, cols[-1], _ABERTH_BLOCK):
         b = slice(s, s + _ABERTH_BLOCK)
-        Cb = [c if c.shape[-1] == 1 else c[..., b] for c in C] if isinstance(C, list) else C[..., b]
+        Cb = [c if c.shape[-1] == 1 else c[..., b] for c in C]
         out[..., b, :] = z = solve(Cb)
         z = np.moveaxis(z, -1, 0)  # the kernel's own (n,) + columns layout
         with np.errstate(invalid="ignore"):  # a non-finite root fails the bound
@@ -193,6 +192,7 @@ def _solve_blocks(C, solve):
 def _aberth_block(C):
     """Aberth roots (m, n) for the columns of C from a fixed start circle; a
     column stops once every one of its own steps is below 1e-13 (1 + |z|)."""
+    C = np.asarray(C)
     n = len(C) - 1
     circle = np.exp(1j * (2.0 * np.pi * (np.arange(n) + 0.354) / n + 0.5))[:, None]
     Cm = C / C[-1]  # monic
@@ -304,10 +304,10 @@ def _cubic_roots_batch(C):
 def roots_batch(C):
     """Roots for a batch of same-degree polynomials, in solver order.
 
-    C is (n+1, m), coefficient-major: column j holds the ascending
-    coefficients of polynomial j, each coefficient is one contiguous row,
-    and the last row is nonzero; or a list of n+1 rows that broadcast to
-    columns (K, U), such as per-map (K, 1) rows beside per-target ones.
+    C is a sequence of n+1 complex coefficient rows, ascending, the last
+    nonzero: a complex (n+1, m) array, column j polynomial j; or rows that
+    broadcast to columns (K, U), such as per-map (K, 1) rows beside
+    per-target ones.
     Returns (m, n), or (K, U, n).  Degrees 1 and 2 take closed forms,
     degree 3 _cubic_roots_batch and higher ones _aberth_block, in one
     _solve_blocks pass.  A degree 1 root is not checked; a quadratic column
@@ -318,10 +318,9 @@ def roots_batch(C):
     count and the first such polynomial's coefficients.  Row j depends only
     on polynomial j: deterministic, unsorted.
     """
-    C = C if isinstance(C, list) else np.asarray(C, dtype=complex)
     n = len(C) - 1
     if n == 0:
-        return np.empty((C.shape[1], 0), dtype=complex)
+        return np.empty(np.shape(C[0]) + (0,), dtype=complex)
     if n == 1:
         return (-C[0] / C[1])[..., None]
     if n == 2:
@@ -462,7 +461,7 @@ class MapStack:
         tol = 1e-12 * (scale + 1e-300)
         if not (np.abs(C[-1]) <= tol).any():
             return roots_batch(C if d <= 3 else C.reshape(d + 1, -1)).reshape(shape + (d,))
-        C = np.reshape(C if isinstance(C, np.ndarray) else np.broadcast_arrays(*C), (d + 1, -1))
+        C = np.reshape(np.broadcast_arrays(*C), (d + 1, -1))
         # k = number of cancelled leading coefficients; the constant one stays
         k = np.cumprod(np.abs(C[:0:-1]) <= np.broadcast_to(tol, z.shape).ravel(), axis=0).sum(axis=0)
         roots = np.full((k.size, d), INF_Z)

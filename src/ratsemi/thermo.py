@@ -21,14 +21,13 @@ import numpy as np
 
 from .dynamics import (
     DEFAULT_CAP,
+    CloudLevel,
     MultiMap,
     VerificationReport,
     _expand_backward,
-    _root_level,
     _subsample_level,  # noqa: F401  unused here; perfbench/spans.py patches this name
     check_hyperbolic,
     repelling_seed,
-    stack_block,
 )
 from .errors import (
     CriticalPreimage,
@@ -37,7 +36,7 @@ from .errors import (
     NoSignChange,
     RatsemiError,
 )
-from .sphere import as_point
+from .sphere import MapStack, as_point
 
 _CRIT_NORM = 1e-12
 DEFAULT_TREE_DEPTH = 10
@@ -106,15 +105,16 @@ class PreimageTree:
 
     def __init__(self, mm, basepoint=None, *, depth: int, cap: int = DEFAULT_CAP, rng_seed: int = 0):
         block = isinstance(mm, (list, tuple))
-        self.mm = stack_block(mm) if block else mm
+        # a block's generator j is the MapStack of every system's j-th map, system b in column b
+        self.mm = MultiMap(map(MapStack, zip(*(m.generators for m in mm)))) if block else mm
         if not block:
             basepoint = [repelling_seed(mm)[0] if basepoint is None else basepoint]
         self.basepoints = [as_point(p) for p in basepoint]
         self.depth = int(depth)
         self.cap = int(cap)
         self.rng_seed = int(rng_seed)
-        self.levels = [_root_level(np.array(self.basepoints)[:, None])]
-        self._min_norms = [np.full(len(self.basepoints), math.inf)]  # entry n: per system, levels 1..n
+        z = np.array(self.basepoints)[:, None]
+        self.levels = [CloudLevel(z, logd=np.zeros(z.shape), logw=0.0)]
 
     def extend(self, n: int) -> None:
         if n > self.depth:
@@ -123,13 +123,13 @@ class PreimageTree:
             last, k = self.levels[-1], len(self.levels)
             lev = _expand_backward(self.mm, last, self.cap, self.rng_seed, k, points=k < self.depth)
             self.levels.append(lev)
-            self._min_norms.append(np.minimum(self._min_norms[-1], lev.min_step_norm))
             last.z = None
 
     def check_critical(self, n: int) -> None:
         """Raise CriticalPreimage if a step derivative norm within depth n vanishes."""
         self.extend(n)
-        norms = self._min_norms[n]
+        norms = np.minimum.reduce([np.full(len(self.basepoints), math.inf),  # all inf at n = 0
+                                   *(lev.min_step_norm for lev in self.levels[1 : n + 1])])
         b = int(np.argmin(norms))
         if norms[b] < _CRIT_NORM:
             raise CriticalPreimage(

@@ -248,6 +248,15 @@ def skew_preimages(mm, z):
     return [(j, y) for j, f in enumerate(mm.generators, start=1) for y in f.preimages(z)]
 
 
+def flat_arrays(cloud):
+    """(z, depth) of a PointCloud: every level's points concatenated in depth
+    order, with the depth of each."""
+    z = np.concatenate([lev.z for lev in cloud.levels])
+    depth = np.concatenate([np.full(lev.size, d, dtype=np.int64)
+                            for d, lev in enumerate(cloud.levels)])
+    return z, depth
+
+
 def cloud_entries(cloud):
     """Yield (point, word, depth) over every entry of a PointCloud of
     backward reference levels (RefLevel, as backward_levels_ref builds
@@ -405,7 +414,7 @@ def julia_render_ref(cloud, width, height, viewport=None, depth_coloring=False):
     lines, from the whole cloud at once: its finite points concatenated and
     painted in one fancy-index assignment, where a later row (a deeper
     level) overwrites an earlier one."""
-    z, depths = cloud.flat_arrays()
+    z, depths = flat_arrays(cloud)
     finite = np.isfinite(z)
     z, depths = z[finite], depths[finite]
     xmin, xmax = float(z.real.min()), float(z.real.max())

@@ -7,6 +7,7 @@ import pytest
 
 from ratsemi import cli, dynamics
 from ratsemi.dynamics import (
+    CloudLevel,
     MultiMap,
     PointCloud,
     check_hyperbolic,
@@ -179,7 +180,8 @@ def full_backward_cloud(mm, depth, cap, rng_seed=0):
     _expand_backward chained from a full root level at the repelling seed,
     with the cap and seed julia_backward_cloud would use."""
     seed_pt = repelling_seed(mm)[0]
-    levels = [dynamics._root_level(_point_array(seed_pt))]
+    z = _point_array(seed_pt)
+    levels = [CloudLevel(z, logd=np.zeros(z.shape), logw=0.0)]
     for n in range(1, depth + 1):
         levels.append(_expand_backward(mm, levels[-1], cap, rng_seed, n))
     return PointCloud(levels, {"seed_point": seed_pt})
@@ -217,7 +219,7 @@ def reference_cloud(mm, depth, cap, rng_seed=0):
 
 def test_circle_cloud_sits_on_unit_circle():
     cloud = julia_backward_cloud(MultiMap([power_map(2)]), depth=12, cap=200_000)
-    z, depth = cloud.flat_arrays()
+    z, depth = oracles.flat_arrays(cloud)
     assert np.isfinite(z).all()
     assert np.max(np.abs(np.abs(z) - 1.0)) <= 1e-6
     assert cloud.levels[12].size == 4096
@@ -225,7 +227,7 @@ def test_circle_cloud_sits_on_unit_circle():
 
 def test_annulus_cloud_stays_in_annulus():
     cloud = julia_backward_cloud(annulus_mm(0.5), depth=10, cap=20_000, rng_seed=3)
-    z, _ = cloud.flat_arrays()
+    z, _ = oracles.flat_arrays(cloud)
     assert np.isfinite(z).all()
     r = np.abs(z)
     assert r.min() >= 1.0 - 1e-3
@@ -234,7 +236,7 @@ def test_annulus_cloud_stays_in_annulus():
 
 def test_gasket_cloud_stays_in_triangle():
     cloud = julia_backward_cloud(gasket_mm(), depth=10, cap=200_000)
-    z, _ = cloud.flat_arrays()
+    z, _ = oracles.flat_arrays(cloud)
     assert np.isfinite(z).all()
     for w in z[:: max(1, z.size // 2000)]:
         assert in_triangle(complex(w), oracles.TRIANGLE_RAW)
@@ -283,11 +285,11 @@ def test_cloud_determinism_and_seed_sensitivity():
 
 def test_raising_cap_or_depth_never_escapes_reference_bounds():
     for depth, cap in ((6, 5_000), (12, 5_000), (6, 10_000)):
-        z, _ = julia_backward_cloud(annulus_mm(0.5), depth=depth, cap=cap).flat_arrays()
+        z, _ = oracles.flat_arrays(julia_backward_cloud(annulus_mm(0.5), depth=depth, cap=cap))
         r = np.abs(z)
         assert r.min() >= 1.0 - 1e-3 and r.max() <= 2.0 + 1e-3
     for depth, cap in ((8, 3**8), (9, 3**8)):
-        z, _ = julia_backward_cloud(gasket_mm(), depth=depth, cap=cap).flat_arrays()
+        z, _ = oracles.flat_arrays(julia_backward_cloud(gasket_mm(), depth=depth, cap=cap))
         for w in z[:: max(1, z.size // 500)]:
             assert in_triangle(complex(w), oracles.TRIANGLE_RAW, tol=1e-3)
 
@@ -373,7 +375,7 @@ def test_finite_levels_are_each_levels_finite_points_in_depth_order():
                 assert z.tobytes() == lev.z[~np.isinf(lev.z)].tobytes()
             else:
                 assert z is lev.z  # no copy
-        z, depth = cloud.flat_arrays()
+        z, depth = oracles.flat_arrays(cloud)
         inf = np.isinf(z)
         fz, fdepth = cloud.finite_points()
         assert fz.tobytes() == z[~inf].tobytes()
@@ -610,7 +612,7 @@ def test_subsample_level_matches_reference_on_forward_levels():
 def test_postcritical_cloud_of_power_pair_is_zero_and_infinity():
     cloud = postcritical_cloud(annulus_mm(0.5), depth=6, cap=1000)
     assert cloud.size > 0
-    z, _ = cloud.flat_arrays()
+    z, _ = oracles.flat_arrays(cloud)
     assert np.all(np.isinf(z) | (np.abs(z) < 1e-12))
 
 
@@ -738,7 +740,7 @@ def test_every_scalar_point_the_library_hands_out_is_already_a_point():
             pressure(annulus_mm(0.5), 1.0, depth=3, cap=1000).basepoint,
             pressure(annulus_mm(0.5), 1.0, depth=3, cap=1000, basepoint=2).basepoint]
     gate = check_hyperbolic(MultiMap([power_map(2), polynomial_map([-6.0, 0.0, 1.0])]),
-                            depth=6, margin=0.7)
+                            depth=6, margin=0.7, cap=200_000)
     assert gate.verdict == "fail"
     pts += [p for p, _ in gate.witnesses]
     # z / 1000 pulls only |z| > 1000 into U, which the lattice reaches at infinity alone
@@ -756,8 +758,8 @@ def test_every_scalar_point_the_library_hands_out_is_already_a_point():
 
 
 def bf_min_distance(cloud_a, cloud_b):
-    za, _ = cloud_a.flat_arrays()
-    zb, _ = cloud_b.flat_arrays()
+    za, _ = oracles.flat_arrays(cloud_a)
+    zb, _ = oracles.flat_arrays(cloud_b)
     best = np.inf
     for i in range(za.size):
         d = chordal_distance_many(np.full(zb.shape, za[i]), zb)
@@ -780,20 +782,20 @@ def test_closest_pair_matches_brute_force_across_blocks(monkeypatch):
 
 
 def test_hyperbolic_pass_on_power_pair():
-    rep = check_hyperbolic(annulus_mm(0.5), depth=6, margin=0.1)
+    rep = check_hyperbolic(annulus_mm(0.5), depth=6, margin=0.1, cap=200_000)
     assert rep.verdict == "pass"
     # postcritical {0, inf} vs annulus cloud: nearest approach is inf vs |z|~2
     assert 0.85 <= rep.metrics["min_distance"] <= 0.95
 
 
 def test_hyperbolic_pass_on_single_square():
-    rep = check_hyperbolic(MultiMap([power_map(2)]), depth=6, margin=0.5)
+    rep = check_hyperbolic(MultiMap([power_map(2)]), depth=6, margin=0.5, cap=200_000)
     assert rep.verdict == "pass"
     assert rep.metrics["min_distance"] == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
 
 def test_hyperbolic_vacuous_pass_without_critical_points():
-    rep = check_hyperbolic(gasket_mm(), depth=5, margin=0.2)
+    rep = check_hyperbolic(gasket_mm(), depth=5, margin=0.2, cap=200_000)
     assert rep.verdict == "pass"
     assert rep.metrics["postcritical_size"] == 0
     assert math.isinf(rep.metrics["min_distance"])
@@ -801,7 +803,7 @@ def test_hyperbolic_vacuous_pass_without_critical_points():
 
 def test_hyperbolic_fail_with_witness_on_escaping_critical_orbit():
     mm = MultiMap([power_map(2), polynomial_map([-6.0, 0.0, 1.0])])
-    rep = check_hyperbolic(mm, depth=6, margin=0.7, rng_seed=0)
+    rep = check_hyperbolic(mm, depth=6, margin=0.7, cap=200_000, rng_seed=0)
     julia = julia_backward_cloud(mm, depth=6, cap=200_000, rng_seed=0)
     post = postcritical_cloud(mm, depth=6, cap=200_000, rng_seed=0)
     bf = bf_min_distance(post, julia)
@@ -825,7 +827,7 @@ def test_gate_distance_on_a_capped_forward_cloud_matches_brute_force():
 
 def test_hyperbolic_verdict_rule_is_consistent():
     mm = annulus_mm(0.5)
-    rep = check_hyperbolic(mm, depth=5, margin=0.1)
+    rep = check_hyperbolic(mm, depth=5, margin=0.1, cap=200_000)
     d = rep.metrics["min_distance"]
     if d >= rep.margin:
         assert rep.verdict == "pass"
@@ -838,10 +840,10 @@ def test_hyperbolic_verdict_rule_is_consistent():
 def test_hyperbolic_rejects_a_nonpositive_margin():
     # z^2 + i is not hyperbolic: its critical point lies in the Julia set
     mm = MultiMap([polynomial_map([1j, 0.0, 1.0])])
-    assert check_hyperbolic(mm, depth=6, margin=0.05).verdict == "fail"
+    assert check_hyperbolic(mm, depth=6, margin=0.05, cap=200_000).verdict == "fail"
     for margin in (0.0, -1.0, math.nan):  # a margin <= 0 would pass every distance
         with pytest.raises(ValueError, match="margin"):
-            check_hyperbolic(mm, depth=6, margin=margin)
+            check_hyperbolic(mm, depth=6, margin=margin, cap=200_000)
 
 
 def test_forward_cloud_and_gate_reject_a_bad_depth_or_cap():
@@ -851,7 +853,7 @@ def test_forward_cloud_and_gate_reject_a_bad_depth_or_cap():
             with pytest.raises(ValueError, match=f"{match} must be"):
                 postcritical_cloud(mm, **{"depth": 4, "cap": 100, **kwargs})
             with pytest.raises(ValueError, match=f"{match} must be"):
-                check_hyperbolic(mm, **{"depth": 4, "cap": 100, **kwargs})
+                check_hyperbolic(mm, **{"depth": 4, "margin": 0.05, "cap": 100, **kwargs})
 
 
 # ---------------------------------------------------------------------------

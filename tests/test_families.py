@@ -191,6 +191,25 @@ def test_sweep_scaled_square_family_delta_is_two():
     )
 
 
+def test_real_coefficient_family_has_the_same_delta_at_conjugate_parameters():
+    # {z^2 + lam, z^2 + lam + 0.04} at conj(lam) is the complex conjugate of the system at lam:
+    # conjugation maps its trees onto each other with the same derivative norms, so delta agrees
+    quad_pair = FamilySpec(
+        generators=((((0.0, 1.0), 0.0, 1.0), (1.0,)), (((0.04, 1.0), 0.0, 1.0), (1.0,))),
+        domain=RectDomain(-1.0, 1.0, -1.0, 1.0),
+    )
+    lam = complex(0.15, 0.05)
+    up, down = (thermo.bowen_parameter(instantiate(quad_pair, p), FAST).delta
+                for p in (lam, lam.conjugate()))
+    assert math.isclose(up, down, rel_tol=1e-12)
+    table = sweep_delta(quad_pair, GridSpec(0.1, 0.2, 2, -0.05, 0.05, 3), FAST)
+    for i in range(2):
+        below, above = table.row_at(i, 0), table.row_at(i, 2)
+        assert below.status == above.status == "ok"
+        assert below.lam == above.lam.conjugate()
+        assert math.isclose(above.delta, below.delta, rel_tol=1e-12)
+
+
 def test_sweep_row_major_order_and_indexing():
     grid = GridSpec(0.3, 0.4, 2, -0.05, 0.05, 2)
     table = sweep_delta(annulus_family(), grid, FAST)

@@ -16,6 +16,7 @@ from ratsemi.geometry import (
     _contains_many,
     _fattened_contains_many,
     _sample_points,
+    _smallest_witness,
     box_dimension,
     osc_check,
     region_contains,
@@ -276,6 +277,25 @@ def test_osc_separating_rejects_a_negative_epsilon():
     for eps in (-1.0, math.nan):
         with pytest.raises(ValueError, match="epsilon"):
             osc_check(mm, U, grid_n=64, variant="separating", epsilon=eps)
+
+
+def test_smallest_witness_is_the_first_lexsort_pick():
+    # few distinct parts, so real parts repeat and whole points tie; -0.0 and 0.0 compare
+    # equal but differ in their bits, which tells which of two tied points was picked
+    rng = np.random.default_rng(8)
+    parts = np.array([-1.0, -0.0, 0.0, 2.0])
+    for _ in range(300):
+        n = int(rng.integers(1, 30))
+        z = rng.choice(parts, n).astype(complex)
+        z.imag = rng.choice(parts, n)  # set in place: x + 1j * y would turn an imaginary -0.0 into 0.0
+        z[rng.random(n) < 0.3] = INF_Z
+        mask = rng.random(n) < 0.5
+        mask[rng.integers(n)] = True
+        idx = np.flatnonzero(mask)
+        want = z[idx[np.lexsort((z[idx].imag, z[idx].real))[0]]]
+        got = _smallest_witness(z, mask)
+        assert type(got) is complex and np.array(got).tobytes() == want.tobytes()
+    assert _smallest_witness(np.array([INF_Z, 5.0, INF_Z]), np.array([True, False, True])) == INF_Z
 
 
 def test_osc_deterministic():

@@ -329,7 +329,7 @@ def test_cubic_rows_missing_the_closed_form_reach_aberth(monkeypatch):
         return out
 
     monkeypatch.setattr(sphere, "_cubic_roots_batch", cubic_roots_missing)
-    monkeypatch.setattr(sphere, "_aberth_block", lambda C: seen.append(C.copy()) or aberth(C))
+    monkeypatch.setattr(sphere, "_aberth_block", lambda C: seen.append(np.array(C)) or aberth(C))
     got = sphere.roots_batch(C)
     assert len(seen) == 1 and seen[0].tobytes() == C[:, [1, 2, 4, 5]].tobytes()
     monkeypatch.undo()
@@ -340,7 +340,8 @@ def test_cubic_rows_missing_the_closed_form_reach_aberth(monkeypatch):
 
 def test_cubic_nonconvergence_when_the_fallback_also_misses(monkeypatch):
     C = np.array([[-8.0, 1.0], [0.0, 0.0], [0.0, 1.0], [1.0, 1.0]], dtype=complex)
-    monkeypatch.setattr(sphere, "_cubic_roots_batch", lambda C: np.full((C.shape[1], 3), np.nan))
+    monkeypatch.setattr(sphere, "_cubic_roots_batch",
+                        lambda C: np.full((np.asarray(C).shape[1], 3), np.nan))
     monkeypatch.setattr(sphere, "_ABERTH_MAX_ITER", 1)
     monkeypatch.setattr(np, "roots", lambda c: np.full(c.size - 1, 1e3 + 0j))
     with pytest.raises(NonConvergence, match=r"on 2 polynomial\(s\)"):

@@ -425,7 +425,7 @@ def _polar(r_min, r_max):
 
 # a z^d: 0 and inf are superattracting for every generator.  a z^2 + b z + c with
 # |a| >= 0.7 and |b|, |c| <= 0.05: every generator maps |z| < 0.2 into |z| < 0.1, and so
-# does a z^d with |a| <= 2, so a mixed pair of one of each is hyperbolic too
+# does a z^d with |a| <= 2, so a mixed system of both kinds is hyperbolic too
 _POWER = st.builds(power_map, st.sampled_from((2, 3)), _polar(0.5, 2.0))
 _QUADRATIC = st.builds(lambda a, b, c: polynomial_map([c, b, a]),
                        _polar(0.7, 1.0), _polar(0.0, 0.05), _polar(0.0, 0.05))
@@ -433,6 +433,8 @@ _HYPERBOLIC_SYSTEMS = st.one_of(
     st.lists(_POWER, min_size=2, max_size=3),
     st.lists(_QUADRATIC, min_size=2, max_size=3),
     st.tuples(_POWER, _QUADRATIC),
+    # no mixed quadruples: their uncapped depth-5 trees grow too large
+    st.lists(st.one_of(_POWER, _QUADRATIC), min_size=3, max_size=3),
 ).map(MultiMap)
 _UNCAPPED = 10**6  # above every level of these trees: 9^5 = 59,049 nodes at most
 
