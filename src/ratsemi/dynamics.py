@@ -142,7 +142,7 @@ class CloudLevel:
     z: np.ndarray | None  # point array
     logd: np.ndarray | None = None   # backward only: cumulative log word-derivative norm to the root
     logw: float | None = None        # backward only: log importance weight shared by every row
-    min_step_norm: float = math.inf  # smallest newest-step derivative norm (backward)
+    min_step_norm: float = math.inf  # running minimum of the step derivative norms on levels 1..n
 
     @property
     def size(self) -> int:
@@ -175,7 +175,7 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
     Parents at infinity go through the same calls.  A kept row adds its log
     step norm to its parent's logd.  The level's logw is the parent's plus
     log(n / cap) when capped, so level sums stay unbiased.  min_step_norm is
-    the smallest newest-step derivative norm of the kept rows.
+    the running minimum, of the parent's and the kept rows' step norms.
 
     A level of a block (see PreimageTree) carries a leading point axis on z
     and logd and a min_step_norm per point; its logw, like the picks,
@@ -208,7 +208,7 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
     z = np.empty(lead + (n,), dtype=complex) if points else None
     if full:
         logd = np.empty(lead + (n,))
-    min_norm, row, B = np.full(lead, math.inf), 0, math.prod(lead)
+    min_norm, row, B = np.full(lead, level.min_step_norm), 0, math.prod(lead)
     for j, f in enumerate(mm.generators, start=1):
         d = f.degree
         # sets: every row a whole sibling set of its parent (uncapped, or capped points-only)

@@ -114,7 +114,8 @@ class PreimageTree:
         self.cap = int(cap)
         self.rng_seed = int(rng_seed)
         z = np.array(self.basepoints)[:, None]
-        self.levels = [CloudLevel(z, logd=np.zeros(z.shape), logw=0.0)]
+        self.levels = [CloudLevel(z, logd=np.zeros(z.shape), logw=0.0,
+                                  min_step_norm=np.full(z.size, math.inf))]
 
     def extend(self, n: int) -> None:
         if n > self.depth:
@@ -126,10 +127,8 @@ class PreimageTree:
             last.z = None
 
     def check_critical(self, n: int) -> None:
-        """Raise CriticalPreimage if a step derivative norm within depth n vanishes."""
-        self.extend(n)
-        norms = np.minimum.reduce([np.full(len(self.basepoints), math.inf),  # all inf at n = 0
-                                   *(lev.min_step_norm for lev in self.levels[1 : n + 1])])
+        """Raise CriticalPreimage if a step derivative norm within depth n (built) vanishes."""
+        norms = self.levels[n].min_step_norm
         b = int(np.argmin(norms))
         if norms[b] < _CRIT_NORM:
             raise CriticalPreimage(
@@ -368,5 +367,6 @@ def lyapunov_and_entropy(mm: MultiMap, t_values, config: ThermoConfig = None, ba
     """
     config = replace(config or ThermoConfig(), **overrides)
     tree = _config_tree(mm, basepoint, config)
+    tree.extend(config.depth)
     tree.check_critical(config.depth)
     return [_estimate_on_tree(tree, [t], config.depth, -1.0)[0] for t in t_values]

@@ -552,13 +552,12 @@ def kept_rows_ref(n, cap, seed, tag):
     return np.array(jittered_ref(_derive_seed(seed, tag), n, cap)), math.log(n / cap)
 
 
-def subsample_ref(level, cap, seed, tag, step_norm=None):
+def subsample_ref(level, cap, seed, tag, step_norm):
     """kept_rows_ref on a RefLevel.  Returns the reduced (z, words, logd,
-    logw) columns, the kept rows reweighted in logw, and the minimum
-    step_norm of the kept rows (level.min_step_norm when no step_norm is
-    given)."""
+    logw) columns, the kept rows reweighted in logw, and the minimum of
+    level.min_step_norm and the step_norm of the kept rows."""
     idx, shift = kept_rows_ref(level.size, cap, seed, tag)
-    min_norm = level.min_step_norm if step_norm is None else float(step_norm[idx].min())
+    min_norm = min(level.min_step_norm, float(step_norm[idx].min()))
     logd = None if level.logd is None else level.logd[idx]
     return (level.z[idx], level.words[idx], logd, level.logw[idx] + shift), min_norm
 
@@ -566,7 +565,10 @@ def subsample_ref(level, cap, seed, tag, step_norm=None):
 def expand_then_subsample(mm, level, cap, seed, tag):
     """A capped backward level built the long way: preimages and derivative
     norms of every child in construction order (generator, parent, slot),
-    then subsample_ref.  Same return shape as subsample_ref."""
+    then subsample_ref.  Same return shape as subsample_ref; its minimum
+    step norm is a running one, over level's min_step_norm and the kept
+    children's norms, so a chain of levels carries the minimum over
+    levels 1..n."""
     parts = []
     for j, f in enumerate(mm.generators, start=1):
         d = f.degree
@@ -579,8 +581,8 @@ def expand_then_subsample(mm, level, cap, seed, tag):
         words[:, -1] = j
         parts.append((z, words, logd, np.repeat(np.broadcast_to(level.logw, level.size), d), norms))
     z, words, logd, logw, norms = (np.concatenate(col) for col in zip(*parts))
-    full = RefLevel(z, words, logd, logw)
-    return subsample_ref(full, cap, seed, tag, step_norm=norms)
+    full = RefLevel(z, words, logd, logw, level.min_step_norm)
+    return subsample_ref(full, cap, seed, tag, norms)
 
 
 def sibling_cloud_ref(mm, depth, cap, rng_seed=0):
@@ -609,7 +611,7 @@ def sibling_cloud_ref(mm, depth, cap, rng_seed=0):
 def backward_levels_ref(mm, level, cap, seed, depth):
     """Levels 1..depth of expand_then_subsample chained from level, level n
     drawn with tag n, as _expand_backward chains them.  Each keeps its
-    min_step_norm and its words, newest symbol in the final column: that
+    min_step_norm (the running minimum over levels 1..n) and its words, newest symbol in the final column: that
     symbol acts first, so the composition-order word of row i is
     tuple(words[i, ::-1]).  level is a RefLevel with logd and logw."""
     out = []

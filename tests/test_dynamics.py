@@ -510,10 +510,12 @@ def test_backward_levels_are_grouped_by_composition_word():
     mm = MultiMap([polynomial_map([0.2j, 0.0, 1.0]), polynomial_map([0.1, 0.0, 0.5]),
                    polynomial_map([-0.3, 0.0, 0.0, 1.0])])
     cloud = reference_cloud(mm, depth=5, cap=60, rng_seed=2)
+    running = math.inf  # min_step_norm runs over levels 1..n
     for lev in cloud.levels[1:]:
         words = [tuple(w) for w in lev.words[:, ::-1].tolist()]
         assert words == sorted(words)
-        assert lev.min_step_norm == _min_step_norm_by_recompute(mm, lev)
+        running = min(running, _min_step_norm_by_recompute(mm, lev))
+        assert lev.min_step_norm == running
     assert cloud.levels[5].size == 60
     assert not any(hasattr(lev, "step_norm") for lev in full_backward_cloud(mm, 5, 60, 2).levels)
 
