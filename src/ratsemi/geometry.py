@@ -237,7 +237,9 @@ def osc_check(
     approximate closures; epsilon 0 tests the closed region, and a negative
     one, which would hide overlaps, raises ValueError.  The lattice endpoints
     are shared across dyadic refinements, so a failing witness persists when
-    grid_n doubles.
+    grid_n doubles.  enlarge scales the lattice window about U's bounding
+    box and must lie in [1, 16], as config.osc.enlarge does: a smaller
+    window misses part of U, and at 0 every sample is the box centre.
     """
     if grid_n < 64:
         raise ValueError("grid_n must be at least 64")
@@ -245,6 +247,8 @@ def osc_check(
         raise ValueError(f"unknown variant {variant!r}")
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
+    if not 1.0 <= enlarge <= 16.0:
+        raise ValueError(f"enlarge must lie in [1, 16], got {enlarge!r}")
     z, spacing = _sample_points(U, grid_n, enlarge)
     outside = ~_contains_many(U, z)
     # nesting: some f(x) in U with x outside U; overlap: at least two

@@ -24,6 +24,7 @@ from .dynamics import (
     CloudLevel,
     MultiMap,
     VerificationReport,
+    _check_budget,
     _expand_backward,
     _subsample_level,  # noqa: F401  unused here; perfbench/spans.py patches this name
     check_hyperbolic,
@@ -93,6 +94,13 @@ class BowenResult:
     gate: VerificationReport  # the hyperbolicity check bowen_parameter ran first
 
 
+def _finite_t(t) -> float:
+    """t as a float; a t that is not finite raises ValueError."""
+    if not math.isfinite(t := float(t)):
+        raise ValueError(f"t must be finite, got {t}")
+    return t
+
+
 class PreimageTree:
     """Lazily extended backward tree, shared across t, from a basepoint (by
     default the system's repelling seed); or, given lists of same-signature
@@ -104,6 +112,7 @@ class PreimageTree:
     without them.  basepoints holds each system's basepoint as a point."""
 
     def __init__(self, mm, basepoint=None, *, depth: int, cap: int = DEFAULT_CAP, rng_seed: int = 0):
+        _check_budget(depth, cap)
         block = isinstance(mm, (list, tuple))
         # a block's generator j is the MapStack of every system's j-th map, system b in column b
         self.mm = MultiMap(map(MapStack, zip(*(m.generators for m in mm)))) if block else mm
@@ -171,7 +180,7 @@ class PreimageTree:
 
     def log_level_sum(self, t: float, n: int) -> float:
         """log S_n(t) of a one-point tree; see _log_level_sums."""
-        return float(self._log_level_sums(np.array([float(t)]), n, np.arange(1))[0][0])
+        return float(self._log_level_sums(np.array([_finite_t(t)]), n, np.arange(1))[0][0])
 
     def poincare(self, t: float, N: int) -> tuple:
         """(sum of S_n(t) for n = 1..N, residual): the residual is the spread
@@ -191,8 +200,6 @@ def _estimate_on_tree(tree: PreimageTree, t, depth: int, rtol: float) -> list:
     skips point b, which gets None.  The live points share one level sum per
     depth, and each stops on its own once its last three log ratios agree
     within rtol."""
-    if depth < 2:
-        raise ValueError("pressure estimation needs depth >= 2")
     t = np.asarray(t, dtype=float)
     out = [None] * t.size
     ratios = [[] for _ in out]
@@ -221,6 +228,8 @@ def _estimate_on_tree(tree: PreimageTree, t, depth: int, rtol: float) -> list:
 def _config_tree(mm, basepoint, config: ThermoConfig) -> PreimageTree:
     """The preimage tree of mm (or of a block of MultiMaps) at the config's
     depth, cap and seed, from basepoint (the repelling seed if None)."""
+    if config.depth < 2:
+        raise ValueError("pressure estimation needs depth >= 2")
     return PreimageTree(mm, basepoint, depth=config.depth, cap=config.cap, rng_seed=config.rng_seed)
 
 
@@ -238,7 +247,7 @@ def pressure(mm: MultiMap, t: float, config: ThermoConfig = None, basepoint=None
 def pressure_curve(mm: MultiMap, t_values, config: ThermoConfig = None, basepoint=None,
                    **overrides) -> list:
     """Pressure estimates over a grid of t values, sharing one preimage tree."""
-    config = replace(config or ThermoConfig(), **overrides)
+    config, t_values = replace(config or ThermoConfig(), **overrides), list(map(_finite_t, t_values))
     tree = _config_tree(mm, basepoint, config)
     return [_estimate_on_tree(tree, [t], config.depth, config.rtol_pressure)[0] for t in t_values]
 
@@ -365,7 +374,7 @@ def lyapunov_and_entropy(mm: MultiMap, t_values, config: ThermoConfig = None, ba
     equilibrium state at its t.  No estimate stops early, and a critical
     preimage within the depth raises CriticalPreimage at every t.
     """
-    config = replace(config or ThermoConfig(), **overrides)
+    config, t_values = replace(config or ThermoConfig(), **overrides), list(map(_finite_t, t_values))
     tree = _config_tree(mm, basepoint, config)
     tree.extend(config.depth)
     tree.check_critical(config.depth)

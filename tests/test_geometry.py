@@ -279,6 +279,17 @@ def test_osc_separating_rejects_a_negative_epsilon():
             osc_check(mm, U, grid_n=64, variant="separating", epsilon=eps)
 
 
+def test_osc_rejects_an_enlarge_outside_the_config_bound():
+    # at 0 every sample is the box centre, and the check passed with spacing 0
+    mm = MultiMap([power_map(2), power_map(2, 0.5)])
+    U = Annulus(0.0, 1.0, 2.0)
+    for enlarge in (0.0, -1.0, 0.5, 16.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="enlarge must lie in"):
+            osc_check(mm, U, grid_n=64, enlarge=enlarge)
+    for enlarge in (1.0, 16.0):
+        assert osc_check(mm, U, grid_n=64, enlarge=enlarge).margin > 0.0
+
+
 def test_smallest_witness_is_the_first_lexsort_pick():
     # few distinct parts, so real parts repeat and whole points tie; -0.0 and 0.0 compare
     # equal but differ in their bits, which tells which of two tied points was picked

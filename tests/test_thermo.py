@@ -30,7 +30,7 @@ from ratsemi.thermo import (
 )
 
 import oracles
-from oracles import gasket_mm, power_map, power_mm
+from oracles import LOG2, gasket_mm, power_map, power_mm
 
 
 def similarity_mm(lam=complex(0.3, 0.05)):
@@ -121,6 +121,63 @@ def test_critical_basepoint_raises_only_for_positive_t():
     with pytest.raises(CriticalPreimage):
         level_sum(mm, 1.0, 0.0, 2)
     assert level_sum(mm, 0.0, 0.0, 2) == pytest.approx(4.0)
+
+
+# z^2 - 2 from 2: level 1 is {2, -2}, and level 2 holds 0, the critical point, twice over -2
+CHEBYSHEV = MultiMap([polynomial_map([-2.0, 0.0, 1.0])])
+
+
+def _critical_text(n):
+    return (f"preimage tree of (2+0j) hits derivative norm 0.000e+00 within depth {n}; "
+            "pick another basepoint")
+
+
+def test_critical_check_first_raises_at_the_level_holding_the_critical_point():
+    tree = PreimageTree(CHEBYSHEV, 2.0, depth=4)
+    assert tree.log_level_sum(1.0, 1) == pytest.approx(-LOG2, rel=1e-12)  # no raise at n = 1
+    for n in (2, 3, 4):
+        with pytest.raises(CriticalPreimage) as err:
+            tree.log_level_sum(1.0, n)
+        assert str(err.value) == _critical_text(n)
+    for n in range(5):  # a sum at t = 0 never raises
+        assert tree.log_level_sum(0.0, n) == pytest.approx(n * LOG2, rel=1e-12, abs=0.0)
+
+
+def test_critical_check_of_a_block_names_the_critical_basepoint():
+    # system 0 (z^2 from 1) never meets its critical point; system 1 is CHEBYSHEV from 2
+    tree = PreimageTree([power_mm((2, 1.0)), CHEBYSHEV], [1.0, 2.0], depth=4)
+    rows = np.arange(2)
+    for t in ([1.0, 1.0], [0.0, 1.0], [1.0, 0.0]):
+        assert np.isfinite(tree._log_level_sums(np.array(t), 1, rows)[0]).all()
+        for n in (2, 4):
+            # the tree is shared: a t > 0 at either point checks every basepoint
+            with pytest.raises(CriticalPreimage) as err:
+                tree._log_level_sums(np.array(t), n, rows)
+            assert str(err.value) == _critical_text(n)
+    for n in range(5):
+        log_sum, _ = tree._log_level_sums(np.zeros(2), n, rows)
+        assert log_sum == pytest.approx([n * LOG2] * 2, rel=1e-12, abs=0.0)
+
+
+def test_preimage_tree_rejects_a_cap_below_one():
+    mm = power_mm((2, 1.0), (2, 0.5))
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="cap must be positive"):
+            PreimageTree(mm, depth=12, cap=cap)
+        with pytest.raises(ValueError, match="cap must be positive"):
+            pressure(mm, 1.0, cap=cap)
+    with pytest.raises(ValueError, match="cap must be positive"):
+        bowen_parameter(mm, cap=0)  # after the gate, which has its own cap, passes
+
+
+def test_thermo_entry_points_reject_a_t_that_is_not_finite():
+    mm = power_mm((2, 1.0), (2, 0.5))
+    tree = PreimageTree(mm, 1.0, depth=4)
+    for t in (math.nan, math.inf, -math.inf):
+        for call in (lambda: pressure(mm, t), lambda: lyapunov_and_entropy(mm, [1.0, t]),
+                     lambda: tree.poincare(t, 4), lambda: tree.log_level_sum(t, 4)):
+            with pytest.raises(ValueError, match=f"t must be finite, got {t}"):
+                call()
 
 
 def test_level_sum_subsampling_is_unbiased():
