@@ -247,7 +247,8 @@ def pressure(mm: MultiMap, t: float, config: ThermoConfig = None, basepoint=None
 def pressure_curve(mm: MultiMap, t_values, config: ThermoConfig = None, basepoint=None,
                    **overrides) -> list:
     """Pressure estimates over a grid of t values, sharing one preimage tree."""
-    config, t_values = replace(config or ThermoConfig(), **overrides), list(map(_finite_t, t_values))
+    config = replace(config or ThermoConfig(), **overrides)
+    t_values = [_finite_t(t) for t in t_values]
     tree = _config_tree(mm, basepoint, config)
     return [_estimate_on_tree(tree, [t], config.depth, config.rtol_pressure)[0] for t in t_values]
 
@@ -374,7 +375,8 @@ def lyapunov_and_entropy(mm: MultiMap, t_values, config: ThermoConfig = None, ba
     equilibrium state at its t.  No estimate stops early, and a critical
     preimage within the depth raises CriticalPreimage at every t.
     """
-    config, t_values = replace(config or ThermoConfig(), **overrides), list(map(_finite_t, t_values))
+    config = replace(config or ThermoConfig(), **overrides)
+    t_values = [_finite_t(t) for t in t_values]
     tree = _config_tree(mm, basepoint, config)
     tree.extend(config.depth)
     tree.check_critical(config.depth)

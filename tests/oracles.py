@@ -611,9 +611,10 @@ def sibling_cloud_ref(mm, depth, cap, rng_seed=0):
 def backward_levels_ref(mm, level, cap, seed, depth):
     """Levels 1..depth of expand_then_subsample chained from level, level n
     drawn with tag n, as _expand_backward chains them.  Each keeps its
-    min_step_norm (the running minimum over levels 1..n) and its words, newest symbol in the final column: that
-    symbol acts first, so the composition-order word of row i is
-    tuple(words[i, ::-1]).  level is a RefLevel with logd and logw."""
+    min_step_norm, the running minimum over levels 1..n, and its words,
+    newest symbol in the final column: that symbol acts first, so the
+    composition-order word of row i is tuple(words[i, ::-1]).  level is a
+    RefLevel with logd and logw."""
     out = []
     for n in range(1, depth + 1):
         cols, min_norm = expand_then_subsample(mm, level, cap, seed, n)

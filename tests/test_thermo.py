@@ -159,13 +159,15 @@ def test_critical_check_of_a_block_names_the_critical_basepoint():
         assert log_sum == pytest.approx([n * LOG2] * 2, rel=1e-12, abs=0.0)
 
 
-def test_preimage_tree_rejects_a_cap_below_one():
+def test_preimage_tree_rejects_a_cap_below_one_as_the_clouds_do():
     mm = power_mm((2, 1.0), (2, 0.5))
     for cap in (0, -5):
         with pytest.raises(ValueError, match="cap must be positive"):
             PreimageTree(mm, depth=12, cap=cap)
         with pytest.raises(ValueError, match="cap must be positive"):
             pressure(mm, 1.0, cap=cap)
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        PreimageTree(mm, depth=-1)
     with pytest.raises(ValueError, match="cap must be positive"):
         bowen_parameter(mm, cap=0)  # after the gate, which has its own cap, passes
 
