@@ -159,44 +159,33 @@ def cmd_bowen(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _emit_t_csv(rows, out) -> None:
-    text = _csv_text("t,value,residual,depth", [",".join(r) for r in rows])
+def _emit_t_csv(rows, out) -> int:
+    """Print the (t, value, residual, depth) rows as the t-grid CSV, also to out if set."""
+    text = _csv_text("t,value,residual,depth",
+                     [",".join([*map(_g17, (t, v, r)), str(depth)]) for t, v, r, depth in rows])
     sys.stdout.write(text)
     if out:
         _atomic_write(out, text.encode("ascii"))
+    return 0
 
 
 def cmd_pressure(cfg: RunConfig, args) -> int:
     ests = pressure_curve(cfg.multimap(), cfg.data["t_values"], cfg.thermo_config(),
                           cfg.basepoint())
-    _emit_t_csv(
-        [(_g17(e.t), _g17(e.value), _g17(e.residual), str(e.depth)) for e in ests],
-        args.out,
-    )
-    return 0
+    return _emit_t_csv([(e.t, e.value, e.residual, e.depth) for e in ests], args.out)
 
 
 def cmd_poincare(cfg: RunConfig, args) -> int:
-    mm = cfg.multimap()
-    tcfg = cfg.thermo_config()
-    N = cfg.data["poincare_N"]
+    mm, tcfg, N = cfg.multimap(), cfg.thermo_config(), cfg.data["poincare_N"]
     tree = PreimageTree(mm, cfg.basepoint(), depth=N, cap=tcfg.cap, rng_seed=tcfg.rng_seed)
-    rows = []
-    for t in cfg.data["t_values"]:
-        value, residual = tree.poincare(float(t), N)
-        rows.append((_g17(t), _g17(value), _g17(residual), str(N)))
-    _emit_t_csv(rows, args.out)
-    return 0
+    rows = [(t, *tree.poincare(float(t), N), N) for t in cfg.data["t_values"]]
+    return _emit_t_csv(rows, args.out)
 
 
 def cmd_lyap(cfg: RunConfig, args) -> int:
     ests = lyapunov_and_entropy(cfg.multimap(), cfg.data["t_values"], cfg.thermo_config(),
                                 cfg.basepoint())
-    _emit_t_csv(
-        [(_g17(e.t), _g17(e.lyapunov), _g17(e.residual), str(e.depth)) for e in ests],
-        args.out,
-    )
-    return 0
+    return _emit_t_csv([(e.t, e.lyapunov, e.residual, e.depth) for e in ests], args.out)
 
 
 def cmd_osc(cfg: RunConfig, args) -> int:

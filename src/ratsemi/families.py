@@ -143,6 +143,8 @@ class GridSpec:
     def __post_init__(self):
         if self.re_n < 1 or self.im_n < 1:
             raise ValueError("grid needs at least one point per axis")
+        if not np.isfinite([self.re_min, self.re_max, self.im_min, self.im_max]).all():
+            raise ValueError("grid bounds must be finite")
         if self.re_min > self.re_max or self.im_min > self.im_max:
             raise ValueError("grid bounds must be ordered")
         if self.re_n > 1 and self.re_min == self.re_max or self.im_n > 1 and self.im_min == self.im_max:

@@ -8,10 +8,10 @@ up and the two charts agree to near machine precision on their overlap.
 
 A point is one complex value, with infinity as INF_Z = inf + 0j; as_point
 turns any value into a point, and a point array is a complex array of points.
-Each RationalMap operation (evaluation, derivative norm, preimages) is
-implemented once, batched over point arrays; it handles infinity and degree
-drops (cancelling leading coefficients), and the scalar methods are
-1-element wrappers that take and return points.
+MapStack implements each map operation (evaluation, derivative norm,
+preimages) once, batched over point arrays, the first two in one chart split;
+each handles infinity and degree drops (cancelling leading coefficients), and
+RationalMap's scalar methods are 1-element wrappers that take and return points.
 Every polynomial of the library is its ascending complex coefficients,
 evaluated by horner, and roots_batch is its one root solver: closed forms up
 to degree 3, Aberth-Ehrlich above, Aberth again for a cubic the closed form
@@ -247,7 +247,7 @@ def poly_roots(coeffs) -> list[complex]:
     if p.size == 1:
         return []
     roots = roots_batch(p[:, None])[0]
-    return sorted((complex(r) for r in roots), key=lambda r: (r.real, r.imag))
+    return sorted((complex(r) for r in roots), key=sort_key)
 
 
 def _quadratic_roots_batch(C):
@@ -367,18 +367,31 @@ def _chart_norm(x, ax, W, P, Q):
     return wz * (1.0 + ax**2) / den
 
 
+def _chart_value(x, ax, W, P, Q):
+    """P(x) / Q(x), coefficient rows broadcasting against x, and INF_Z at a
+    pole; the kernel signature of _chart_norm, of which only P and Q are read."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        pz, qz = horner(P, x), horner(Q, x)
+        pole = qz == 0
+        if np.any(pole & (pz == 0)):
+            # a reduced map cannot make both vanish; only unvalidated input
+            # squeaking past the shared-root tolerance can land here
+            raise ArithmeticError("evaluation hit an unreduced 0/0")
+        return np.where(pole, INF_Z, pz / np.where(pole, 1.0, qz))
+
+
 class MapStack:
     """K rational maps of one degree d as coefficient columns: the batched
-    derivative-norm and preimage kernel.  A RationalMap is the stack of
-    itself (K = 1); a block of same-signature systems stacks its maps.
+    evaluation, derivative-norm and preimage kernel.  A RationalMap is the
+    stack of itself (K = 1); a block of same-signature systems stacks its maps.
 
     Point arrays are read as (K, U), row b under map b, and results come
     back in the input's shape.  P and Q are ascending (d + 1, K) coefficient
     arrays, each map's num and den times one power of two (RationalMap).  fwd
-    holds the Wronskian W = P'Q - PQ', P and Q for the derivative norm's z
-    chart, rev w^(2d-2) W(1/w), w^d P(1/w), w^d Q(1/w) for its 1/z chart,
-    without the leading coefficients that vanish in every column: they
-    change Horner's values by the sign of a zero at most.
+    holds the Wronskian W = P'Q - PQ', P and Q for the z chart of evaluation
+    and derivative norm, rev w^(2d-2) W(1/w), w^d P(1/w), w^d Q(1/w) for the
+    1/z chart, without the leading coefficients that vanish in every column:
+    they change Horner's values by the sign of a zero at most.
     """
 
     __slots__ = ("degree", "P", "Q", "fwd", "rev")
@@ -405,11 +418,9 @@ class MapStack:
         self.fwd = (trimmed(W), trimmed(self.P), trimmed(self.Q))
         self.rev = (trimmed(W[::-1]), trimmed(self.P[::-1]), trimmed(self.Q[::-1]))
 
-    def spherical_derivative_norm_many(self, z):
-        """Norm of the derivative in the spherical metric at a point array:
-        |f'(z)| (1+|z|^2)/(1+|f(z)|^2), read through the 1/z chart when
-        |z| > 1, so the two charts agree to relative 1e-10 on their overlap
-        and the value is finite everywhere."""
+    def _by_chart(self, z, kernel):
+        """kernel(x, |x|, W, P, Q) at the point array z read as (K, U), in z's
+        shape: |z| <= 1 in the z chart with fwd, the rest as x = 1/z with rev."""
         shape = np.shape(z)
         z = np.asarray(z, dtype=complex).reshape(self.P.shape[1], -1)
         # |z| <= 1 is read in z, the rest as w = 1/z: infinity is far, and 1/INF_Z is exactly 0
@@ -418,17 +429,30 @@ class MapStack:
         far = ~near
         if near.all() or far.all():  # one chart: read whole, no gathers
             x, coeffs = (z, self.fwd) if near.all() else (1.0 / z, self.rev)
-            return _chart_norm(x, az if x is z else np.abs(x),
-                               *(c[:, :, None] for c in coeffs)).reshape(shape)
+            return kernel(x, az if x is z else np.abs(x),
+                          *(c[:, :, None] for c in coeffs)).reshape(shape)
 
         def cols(mask, coeffs):  # the map column of every masked entry
             return coeffs if len(self.P[0]) == 1 else [c[:, np.nonzero(mask)[0]] for c in coeffs]
 
-        out = np.empty(z.shape)
-        out[near] = _chart_norm(z[near], az[near], *cols(near, self.fwd))
+        values = kernel(z[near], az[near], *cols(near, self.fwd))
+        out = np.empty(z.shape, dtype=values.dtype)
+        out[near] = values
         w = 1.0 / z[far]
-        out[far] = _chart_norm(w, np.abs(w), *cols(far, self.rev))
+        out[far] = kernel(w, np.abs(w), *cols(far, self.rev))
         return out.reshape(shape)
+
+    def eval_many(self, z):
+        """Values at a point array, a point array; both charts read the scaled
+        P and Q, so nothing overflows on the way to the ratio."""
+        return _to_points(self._by_chart(z, _chart_value))
+
+    def spherical_derivative_norm_many(self, z):
+        """Norm of the derivative in the spherical metric at a point array:
+        |f'(z)| (1+|z|^2)/(1+|f(z)|^2), read through the 1/z chart when
+        |z| > 1, so the two charts agree to relative 1e-10 on their overlap
+        and the value is finite everywhere."""
+        return self._by_chart(z, _chart_norm)
 
     def preimages_many(self, z):
         """Preimages of a target point array.
@@ -474,8 +498,8 @@ class MapStack:
 
 class RationalMap(MapStack):
     """Rational self-map of the sphere, stored as a reduced fraction P/Q;
-    its batched derivative norms and preimages are those of the one-column
-    MapStack it is.
+    its batched evaluation, derivative norms and preimages are those of the
+    one-column MapStack it is.
 
     Validation rejects shared roots of P and Q (within chordal 1e-8), so
     evaluation is total: a vanishing denominator means a genuine pole.
@@ -523,41 +547,10 @@ class RationalMap(MapStack):
             if any(chordal_distance(a, b) <= 1e-8 for b in rd):
                 raise ValueError(f"numerator and denominator share a root near {a}")
 
-    # -- evaluation ---------------------------------------------------------
+    # -- scalar wrappers ---------------------------------------------------------
 
     def __call__(self, point) -> complex:
         return complex(self.eval_many(_point_array(point))[0])
-
-    def eval_many(self, z):
-        """Evaluate at a point array; returns the values, a point array.
-
-        Points with |z| > 1 and infinity go through the 1/z chart, so
-        nothing overflows on the way to the ratio.  Both charts read the
-        scaled P and Q, so tiny coefficients give no 0/0 either.
-        """
-        z = np.asarray(z, dtype=complex)
-        near = np.abs(z) <= 1.0  # the charts of spherical_derivative_norm_many
-        far = ~near
-        w = 1.0 / z[far]
-        pz = np.empty_like(z)
-        qz = np.empty_like(z)
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            pz[near] = horner(self._pq[0], z[near])
-            qz[near] = horner(self._pq[1], z[near])
-            pz[far] = horner(self.P[::-1, 0], w)
-            qz[far] = horner(self.Q[::-1, 0], w)
-            return self._ratio_many(pz, qz)
-
-    @staticmethod
-    def _ratio_many(pz, qz):
-        pole = qz == 0
-        if np.any(pole & (pz == 0)):
-            # a reduced map cannot make both vanish; only unvalidated input
-            # squeaking past the shared-root tolerance can land here
-            raise ArithmeticError("evaluation hit an unreduced 0/0")
-        return _to_points(np.where(pole, INF_Z, pz / np.where(pole, 1.0, qz)))
-
-    # -- scalar wrappers ---------------------------------------------------------
 
     def spherical_derivative_norm(self, point) -> float:
         """Norm of the derivative in the spherical metric at one point."""

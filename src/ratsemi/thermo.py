@@ -59,6 +59,16 @@ class ThermoConfig:
     hyper_margin: float = 0.05
     hyper_cap: int = 50_000
 
+    def __post_init__(self):
+        """The tree budget and root-search tolerances fail here, before any gate
+        runs; the hyper_* fields are checked by the gate itself."""
+        if self.depth < 2:
+            raise ValueError("pressure estimation needs depth >= 2")
+        _check_budget(self.depth, self.cap)
+        for name in ("tol_t", "tol_p", "t_max"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+
 
 @dataclass
 class PressureEstimate:
@@ -228,8 +238,6 @@ def _estimate_on_tree(tree: PreimageTree, t, depth: int, rtol: float) -> list:
 def _config_tree(mm, basepoint, config: ThermoConfig) -> PreimageTree:
     """The preimage tree of mm (or of a block of MultiMaps) at the config's
     depth, cap and seed, from basepoint (the repelling seed if None)."""
-    if config.depth < 2:
-        raise ValueError("pressure estimation needs depth >= 2")
     return PreimageTree(mm, basepoint, depth=config.depth, cap=config.cap, rng_seed=config.rng_seed)
 
 

@@ -46,6 +46,17 @@ def test_grid_axis_with_more_than_one_point_needs_a_positive_width():
     assert GridSpec(0.3, 0.3, 1, -0.05, 0.05, 9).re_values.tolist() == [0.3]
 
 
+def test_grid_bounds_must_be_finite():
+    # a NaN bound used to turn every sweep row into invalid-instance, an infinite one
+    # to warn in np.linspace
+    for bad in (math.nan, math.inf, -math.inf):
+        for k in (0, 1, 3, 4):
+            args = [0.3, 0.4, 2, -0.05, 0.05, 2]
+            args[k] = bad
+            with pytest.raises(ValueError, match="grid bounds must be finite"):
+                GridSpec(*args)
+
+
 def test_instantiate_scaled_square_pair():
     mm = instantiate(annulus_family(), 0.5)
     assert mm.num_generators == 2

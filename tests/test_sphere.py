@@ -458,8 +458,46 @@ def test_eval_many_at_infinity_matches_scalar_at_infinity():
 
 
 def test_ratio_rejects_unreduced_zero_over_zero():
+    zero = [np.zeros(1, dtype=complex)]
     with pytest.raises(ArithmeticError):
-        RationalMap._ratio_many(0, 0)
+        sphere._chart_value(np.array([0.5 + 0j]), None, None, zero, zero)
+
+
+def _chart_mix_cases():
+    """(stack, its maps, near, far): a two-map MapStack of degree 2 whose first map
+    has a pole at -0.5, with (2, U) point arrays all in the z chart (|z| <= 1, the
+    pole included) and all in the 1/z chart (infinity included)."""
+    rng = np.random.default_rng(33)
+    gens = [RationalMap([1.0, 0.0, 3.0], [1.0, 2.0]), polynomial_map([0.3 + 0.1j, 0.0, 1.0])]
+    near = rand_complex(rng, 2 * 37).reshape(2, -1)
+    near /= 2.0 * np.maximum(np.abs(near), 1.0)
+    near[0, 3] = -0.5
+    far = rand_complex(rng, 2 * 29, scale=4.0).reshape(2, -1)
+    far[np.abs(far) <= 1.0] *= 3.0 / np.abs(far[np.abs(far) <= 1.0])
+    far[:, 5] = INF_Z
+    return MapStack(gens), gens, near, far
+
+
+def test_map_stack_eval_many_equals_each_maps_own_bit_for_bit():
+    stack, gens, near, far = _chart_mix_cases()
+    mixed = np.concatenate([near[:, :20], far, near[:, 20:]], axis=1)
+    for z in (near, far, mixed):
+        vals = stack.eval_many(z)
+        for b, f in enumerate(gens):
+            assert vals[b].tobytes() == f.eval_many(z[b]).tobytes()
+    assert vals[0, 3] == INF_Z  # the pole
+    assert np.isinf(vals[:, 20 + 5]).all()  # infinity under two polynomial-like maps
+
+
+@pytest.mark.parametrize("op", ["eval_many", "spherical_derivative_norm_many"])
+def test_points_alone_and_in_a_mixed_array_give_identical_bits(op):
+    # one chart reads the array whole, a mixed array gathers each chart's points
+    stack, gens, near, far = _chart_mix_cases()
+    cases = [(stack, near, far)] + [(f, near[b], far[b]) for b, f in enumerate(gens)]
+    for m, z_near, z_far in cases:
+        alone = np.concatenate([getattr(m, op)(z_near), getattr(m, op)(z_far)], axis=-1)
+        mixed = getattr(m, op)(np.concatenate([z_near, z_far], axis=-1))
+        assert mixed.tobytes() == alone.tobytes()
 
 
 # ---------------------------------------------------------------------------

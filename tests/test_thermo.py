@@ -18,7 +18,7 @@ from ratsemi.errors import (
     HyperbolicityUnverified,
     NoSignChange,
 )
-from ratsemi.families import instantiate, similarity_family
+from ratsemi.families import GridSpec, instantiate, similarity_family, sweep_delta
 from ratsemi.sphere import INF_Z, RationalMap, polynomial_map
 from ratsemi.thermo import (
     DEFAULT_CAP,
@@ -169,7 +169,40 @@ def test_preimage_tree_rejects_a_cap_below_one_as_the_clouds_do():
     with pytest.raises(ValueError, match="depth must be nonnegative"):
         PreimageTree(mm, depth=-1)
     with pytest.raises(ValueError, match="cap must be positive"):
-        bowen_parameter(mm, cap=0)  # after the gate, which has its own cap, passes
+        bowen_parameter(mm, cap=0)  # before the gate, which has its own cap, runs
+
+
+def _count_gates(monkeypatch):
+    """The list that every later hyperbolicity gate of thermo (bowen_parameter's and
+    sweep_delta's) appends one entry to."""
+    calls = []
+    gate = thermo.check_hyperbolic
+    monkeypatch.setattr(thermo, "check_hyperbolic",
+                        lambda *a, **k: calls.append(1) or gate(*a, **k))
+    return calls
+
+
+def test_a_bad_tree_budget_fails_before_any_gate(monkeypatch):
+    mm, calls = power_mm((2, 1.0), (2, 0.5)), _count_gates(monkeypatch)
+    fam, grid = similarity_family(oracles.TRIANGLE_UNIT), GridSpec(0.5, 0.5, 1, 0.0, 0.0, 1)
+    for field, value, match in (("cap", 0, "cap must be positive"),
+                                ("depth", 1, "pressure estimation needs depth >= 2")):
+        with pytest.raises(ValueError, match=match):
+            bowen_parameter(mm, **{field: value})
+        with pytest.raises(ValueError, match=match):
+            sweep_delta(fam, grid, **{field: value})
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", ["tol_t", "tol_p", "t_max"])
+def test_a_root_search_tolerance_that_is_not_positive_fails_before_any_gate(field, monkeypatch):
+    # a negative tol_t or tol_p used to run 200 evaluations into NonConvergence, and a
+    # negative t_max ended in a NoSignChange that named it
+    mm, calls = power_mm((2, 1.0), (2, 0.5)), _count_gates(monkeypatch)
+    for value in (-5.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match=f"{field} must be positive, got {value}"):
+            bowen_parameter(mm, **{field: value})
+    assert calls == []
 
 
 def test_thermo_entry_points_reject_a_t_that_is_not_finite():
