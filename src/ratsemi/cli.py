@@ -21,7 +21,7 @@ from .dynamics import check_hyperbolic  # noqa: F401  unused here; perfbench/spa
 from .dynamics import julia_backward_cloud
 from .errors import ConfigError, HyperbolicityUnverified, InsufficientPoints, RatsemiError
 from .families import smoothness_diagnostic, submean_diagnostic, sweep_delta
-from .geometry import _extent, box_dimension, osc_check
+from .geometry import _extent, _slices, box_dimension, osc_check
 from .sphere import INF_Z
 from .thermo import PreimageTree, bowen_parameter, lyapunov_and_entropy, pressure_curve
 
@@ -36,11 +36,12 @@ def _fmt_point(z) -> str:
     return "inf" if z == INF_Z else f"{z.real:.6g}{z.imag:+.6g}i"
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def _atomic_write(path: str, *chunks) -> None:  # chunks: bytes-like, written in order
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except OSError as e:
         if os.path.exists(tmp):
@@ -82,9 +83,8 @@ def _julia_cloud(cfg: RunConfig):
 def cmd_julia(cfg: RunConfig, args) -> int:
     cloud = _julia_cloud(cfg)
     rn = cfg.data["render"]
-    levels = list(cloud.finite_levels())  # read level by level: the cloud is never concatenated
-    zs = [z for _, z in levels]
-    n_finite = sum(z.size for z in zs)
+    zs = [lev.z for lev in cloud.levels]  # read level by level, in slices: never concatenated
+    n_finite = sum(s.size for z in zs for s in _slices(z))
     if n_finite == 0:
         raise RatsemiError("cloud has no finite points to render")
     (xmin, xmax), (ymin, ymax) = _extent(zs, np.real), _extent(zs, np.imag)
@@ -97,16 +97,17 @@ def cmd_julia(cfg: RunConfig, args) -> int:
 
     w, h = rn["width"], rn["height"]
     img = np.full((h, w, 3), 255, dtype=np.uint8)
-    for d, z in levels:  # in depth order, so deeper levels overwrite
-        px = np.floor((z.real - vx0) / (vx1 - vx0) * w).astype(np.int64)
-        py = np.floor((vy1 - z.imag) / (vy1 - vy0) * h).astype(np.int64)
-        keep = (px >= 0) & (px < w) & (py >= 0) & (py < h)
-        if not keep.all():  # the padded default viewport keeps every point and copies nothing
-            px, py = px[keep], py[keep]
+    for d, z in enumerate(zs):  # in depth order, so deeper levels overwrite
         f = d / cloud.depth if rn["depth_coloring"] and cloud.depth > 0 else None
-        img[py, px] = 0 if f is None else np.round([230 * (1.0 - f), 30, 230 * f]).astype(np.uint8)
-    header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    _atomic_write(args.out, header + img.tobytes())
+        color = 0 if f is None else np.round([230 * (1.0 - f), 30, 230 * f]).astype(np.uint8)
+        for s in _slices(z):
+            px = np.floor((s.real - vx0) / (vx1 - vx0) * w).astype(np.int64)
+            py = np.floor((vy1 - s.imag) / (vy1 - vy0) * h).astype(np.int64)
+            keep = (px >= 0) & (px < w) & (py >= 0) & (py < h)
+            if not keep.all():  # the padded default viewport keeps every point and copies nothing
+                px, py = px[keep], py[keep]
+            img[py, px] = color
+    _atomic_write(args.out, f"P6\n{w} {h}\n255\n".encode("ascii"), img)
 
     rmin, rmax = _extent(zs, np.abs)
     meta = cloud.meta

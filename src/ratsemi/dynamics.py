@@ -253,7 +253,7 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
 class PointCloud:
     """Levelled orbit cloud.  meta holds the seed_point and seed_generator
     (1-based) of a backward cloud, and is empty for a forward one.  cli
-    julia and box_dimension read it level by level (finite_levels)."""
+    julia and box_dimension read it level by level (geometry._slices)."""
 
     levels: list
     meta: dict

@@ -18,6 +18,7 @@ from .sphere import INF_Z, _point_array, as_point
 
 MIN_BOX_POINTS = 10_000
 MAX_BOX_SCALES = 24  # finest cell index at most 8 * 2^23, well inside half of a packed cell key
+_SLICE = 1 << 14  # points per pass over a level in cli julia and box_dimension
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +289,20 @@ def osc_check(
 # box-counting dimension
 
 
+def _slices(z):
+    """The finite points of each run of _SLICE consecutive points of z: the run
+    itself, a view, when it holds no point at infinity, else a masked copy."""
+    for i in range(0, z.size, _SLICE):
+        s = z[i:i + _SLICE]
+        finite = np.isfinite(s)
+        yield s if finite.all() else s[finite]
+
+
 def _extent(zs, part):
-    """(min, max) of part(z) over the points of every array in zs, which are
-    not all empty: exact, since min and max are, however zs is split."""
-    lo, hi = zip(*((float(a.min()), float(a.max())) for a in map(part, zs) if a.size))
+    """(min, max) of part(z) over the finite points of the arrays zs, which are
+    not all at infinity, read slice by slice: exact, since min and max are."""
+    lo, hi = zip(*((float(a.min()), float(a.max()))
+                   for z in zs for a in map(part, _slices(z)) if a.size))
     return min(lo), max(hi)
 
 
@@ -312,51 +323,63 @@ class BoxCountResult:
 def box_dimension(cloud, scale_count: int = 6, viewport=None) -> BoxCountResult:
     """Dyadic box-counting slope of a planar point cloud.
 
-    cloud is a PointCloud, read level by level (finite_levels) and never
-    concatenated, or an array of finite complex points, read as one level.
-    viewport is (xmin, xmax, ymin, ymax) and defaults to the cloud's
-    bounding box.  The base scale is an eighth of the viewport's longer
-    side, and scale k is eps_k = eps_0 * 2^-k for k < scale_count,
-    2 <= scale_count <= 24.
+    cloud is a PointCloud, read level by level and never concatenated, or
+    an array of points, read as one level: only finite points count.
+    viewport is (xmin, xmax, ymin, ymax), four finite bounds with
+    xmin <= xmax and ymin <= ymax, and defaults to the cloud's bounding box.
+    The base scale is an eighth of the viewport's longer side, and scale k
+    is eps_k = eps_0 * 2^-k for k < scale_count, 2 <= scale_count <= 24.
 
-    The points are binned once, at the finest scale; each level's occupied
-    cells are found apart, then merged.  _distinct sorts the keys and keeps
-    the first of each run, as numpy 2.4's np.unique hashes int64 keys, over
-    7 times slower on 200,000 cell keys.  Dividing by a power of two is
-    exact, so a point's cell at scale k is its finest cell shifted right by
-    the scale difference.  Cell indices are at most 8 * 2^23, so both
-    32-bit halves of the packed cell key shift exactly.
+    Each pass reads a level in slices of _SLICE points (_slices), so its
+    temporaries have a fixed size, far below the cloud's build transient,
+    whether or not the levels hold points at infinity.  The points are
+    binned once, at the finest scale; each slice's occupied cells are found
+    apart, then merged into those found so far once per level.
+    _distinct sorts the keys and keeps the first of each run, as numpy 2.4's
+    np.unique hashes int64 keys, over 7 times slower on 200,000 cell keys.
+    Dividing by a power of two is exact, so a point's cell at scale k is its
+    finest cell shifted right by the scale difference.  Cell indices are at
+    most 8 * 2^23, so both 32-bit halves of the packed cell key shift exactly.
     """
     if not 2 <= scale_count <= MAX_BOX_SCALES:
         raise ValueError(f"scale_count must be in 2..{MAX_BOX_SCALES}, got {scale_count}")
     if isinstance(cloud, PointCloud):
-        zs = [z for _, z in cloud.finite_levels()]
+        zs = [lev.z for lev in cloud.levels]
     else:
         zs = [np.asarray(cloud, dtype=complex).ravel()]
     if viewport is None:
-        if not any(z.size for z in zs):
+        if not any(s.size for z in zs for s in _slices(z)):
             raise InsufficientPoints("empty cloud")
         viewport = (*_extent(zs, np.real), *_extent(zs, np.imag))
-    x0, x1, y0, y1 = map(float, viewport)
-    keeps = [(z.real >= x0) & (z.real <= x1) & (z.imag >= y0) & (z.imag <= y1) for z in zs]
-    n = sum(int(np.count_nonzero(k)) for k in keeps)
-    if n < MIN_BOX_POINTS:
-        raise InsufficientPoints(
-            f"{n} points in viewport; box counting needs {MIN_BOX_POINTS}"
-        )
+    x0, x1, y0, y1 = viewport = tuple(map(float, viewport))
+    if not (np.isfinite(viewport).all() and x0 <= x1 and y0 <= y1):
+        raise ValueError(f"viewport must be finite, xmin <= xmax, ymin <= ymax, got {viewport}")
     side = max(x1 - x0, y1 - y0)
-    if side <= 0:
-        raise InsufficientPoints("degenerate viewport")
     scales = [side / 8.0 / 2.0**k for k in range(scale_count)]
 
-    def finest(z):  # the occupied finest cells of one level, as packed keys
+    def finest(z):  # the occupied finest cells of one slice, as packed keys
         ix = np.floor((z.real - x0) / scales[-1]).astype(np.int64)
         iy = np.floor((z.imag - y0) / scales[-1]).astype(np.int64)
         ix <<= 32
         ix |= iy
         return _distinct(ix)
 
-    cells = _distinct(np.concatenate([finest(z if k.all() else z[k]) for z, k in zip(zs, keeps)]))
+    n, cells = 0, np.empty(0, dtype=np.int64)
+    for z in zs:
+        found = [cells]
+        for s in _slices(z):
+            keep = (s.real >= x0) & (s.real <= x1) & (s.imag >= y0) & (s.imag <= y1)
+            m = int(np.count_nonzero(keep))
+            n += m
+            if m and side > 0:  # a degenerate viewport is rejected below, after the count
+                found.append(finest(s if m == s.size else s[keep]))
+        cells = _distinct(np.concatenate(found))
+    if n < MIN_BOX_POINTS:
+        raise InsufficientPoints(
+            f"{n} points in viewport; box counting needs {MIN_BOX_POINTS}"
+        )
+    if side <= 0:
+        raise InsufficientPoints("degenerate viewport")
     counts = [int(cells.size)]
     for _ in range(scale_count - 1):
         cells = _distinct(cells >> 33 << 32 | (cells & 0xFFFFFFFF) >> 1)

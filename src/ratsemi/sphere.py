@@ -501,7 +501,7 @@ class RationalMap(MapStack):
     its batched evaluation, derivative norms and preimages are those of the
     one-column MapStack it is.
 
-    Validation rejects shared roots of P and Q (within chordal 1e-8), so
+    Validation rejects shared roots of P and Q (_check_reduced), so
     evaluation is total: a vanishing denominator means a genuine pole.
     """
 
@@ -540,12 +540,19 @@ class RationalMap(MapStack):
         super().__init__([self])
 
     def _check_reduced(self):
-        if self.num.size == 1 or self.den.size == 1:
+        """Reject a root a of one side within chordal 1e-8 of a root of the other, or where
+        the other side is at most 1e-8 of its terms' moduli, read in the 1/z chart when
+        |a| > 1: poly_roots resolves a double root only to about 1e-8."""
+        P, Q = self.num, self.den
+        if P.size == 1 or Q.size == 1:
             return
-        rd = poly_roots(self.den)
-        for a in poly_roots(self.num):
-            if any(chordal_distance(a, b) <= 1e-8 for b in rd):
-                raise ValueError(f"numerator and denominator share a root near {a}")
+        rp, rq = poly_roots(P), poly_roots(Q)
+        for roots, c, other in ((rp, Q, rq), (rq, P, ())):  # chordal: each pair once
+            for a in roots:
+                cc, x = (c, a) if abs(a) <= 1.0 else (c[::-1], 1.0 / a)
+                if (abs(horner(cc, x)) <= 1e-8 * abs(horner(np.abs(cc), abs(x)))
+                        or any(chordal_distance(a, b) <= 1e-8 for b in other)):
+                    raise ValueError(f"numerator and denominator share a root near {a}")
 
     # -- scalar wrappers ---------------------------------------------------------
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ratsemi import cli, dynamics
+from ratsemi import cli, dynamics, geometry
 from ratsemi.dynamics import (
     CloudLevel,
     MultiMap,
@@ -382,13 +382,7 @@ def test_finite_levels_are_each_levels_finite_points_in_depth_order():
         assert fdepth.tobytes() == depth[~inf].tobytes()
 
 
-@pytest.mark.parametrize("viewport, coloring", [
-    (None, True), (NEWTON_VIEWPORT, True), (NEWTON_VIEWPORT, False),
-])
-def test_cli_julia_paints_what_the_whole_cloud_at_once_paints(tmp_path, capsys, monkeypatch,
-                                                               viewport, coloring):
-    # level 0 is the seed at infinity alone, and every level keeps points there
-    cloud = julia_backward_cloud(NEWTON_SQUARE, **NEWTON_CLOUD)
+def _check_julia_against_whole_cloud(tmp_path, capsys, monkeypatch, cloud, viewport, coloring):
     monkeypatch.setattr(cli, "_julia_cloud", lambda cfg: cloud)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
@@ -402,11 +396,35 @@ def test_cli_julia_paints_what_the_whole_cloud_at_once_paints(tmp_path, capsys, 
     assert capsys.readouterr().out.splitlines()[:3] == lines
 
 
+@pytest.mark.parametrize("viewport, coloring", [
+    (None, True), (NEWTON_VIEWPORT, True), (NEWTON_VIEWPORT, False),
+])
+def test_cli_julia_paints_what_the_whole_cloud_at_once_paints(tmp_path, capsys, monkeypatch,
+                                                               viewport, coloring):
+    # level 0 is the seed at infinity alone, and every level keeps points there
+    cloud = julia_backward_cloud(NEWTON_SQUARE, **NEWTON_CLOUD)
+    _check_julia_against_whole_cloud(tmp_path, capsys, monkeypatch, cloud, viewport, coloring)
+
+
 @pytest.mark.parametrize("viewport", [None, NEWTON_VIEWPORT])
 def test_box_dimension_of_a_cloud_is_that_of_its_finite_points(viewport):
     cloud = julia_backward_cloud(NEWTON_SQUARE, **NEWTON_CLOUD)
     got = box_dimension(cloud, viewport=viewport)
     assert got == box_dimension(cloud.finite_points()[0], viewport=viewport)  # every field exact
+
+
+@pytest.mark.parametrize("viewport", [None, NEWTON_VIEWPORT])
+def test_julia_and_boxdim_read_levels_split_into_slices_as_whole_arrays(tmp_path, capsys,
+                                                                         monkeypatch, viewport):
+    cloud = julia_backward_cloud(NEWTON_SQUARE, **NEWTON_CLOUD)
+    monkeypatch.setattr(geometry, "_SLICE", cloud.size)  # the one-array count: one slice
+    whole = box_dimension(cloud.finite_points()[0], viewport=viewport)
+    # an odd slice size splits the finite points of levels 6 to 9 (3,367 to 4,679) mid-sibling
+    # set, and NEWTON_VIEWPORT cuts points from some of their slices but not from the last
+    monkeypatch.setattr(geometry, "_SLICE", 1001)
+    assert sum(z.size > 1001 for _, z in cloud.finite_levels()) == 4
+    assert box_dimension(cloud, viewport=viewport) == whole
+    _check_julia_against_whole_cloud(tmp_path, capsys, monkeypatch, cloud, viewport, True)
 
 
 def test_jittered_matches_reference_and_draws_one_pick_per_slice():

@@ -419,6 +419,29 @@ def test_box_dimension_viewport_restriction():
     assert 1.85 <= res.slope <= 2.05
 
 
+def _square_50k():
+    rng = np.random.default_rng(11)
+    return rng.random(50_000) + 1j * rng.random(50_000)
+
+
+@pytest.mark.parametrize("bad", [INF_Z, complex(math.nan, 0.5)], ids=["infinity", "nan"])
+def test_box_dimension_of_an_array_reads_only_its_finite_points(bad):
+    # infinity made the extent inf (a warning from the divide), nan made it nan (0 points counted)
+    z = _square_50k()
+    assert box_dimension(np.append(z, bad)) == box_dimension(z)
+    assert box_dimension(np.insert(z, 7, bad), viewport=(0.0, 1.0, 0.0, 1.0)) == \
+        box_dimension(z, viewport=(0.0, 1.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("viewport", [
+    (0.0, math.inf, 0.0, 1.0), (0.0, 1.0, math.nan, 1.0), (1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.5),
+], ids=["inf", "nan", "x-reversed", "y-reversed"])
+def test_box_dimension_rejects_a_viewport_of_unordered_or_non_finite_bounds(viewport):
+    # (0, inf, 0, 1) warned "divide by zero encountered in log", then np.polyfit raised LinAlgError
+    with pytest.raises(ValueError, match="viewport must be finite"):
+        box_dimension(_square_50k(), viewport=viewport)
+
+
 def test_box_dimension_insufficient_points():
     rng = np.random.default_rng(1)
     z = rng.random(500) + 1j * rng.random(500)

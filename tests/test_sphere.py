@@ -856,6 +856,19 @@ def test_validation_rejects_shared_roots_and_constants():
     assert not f.num.flags.writeable
 
 
+@pytest.mark.parametrize("num, den", [
+    # z^2 (a + b z) / z: poly_roots returns the numerator's double root 0 as +-8.0e-9,
+    # farther than chordal 1e-8 from the denominator's 0, so f(0) was 0/0
+    ([0, 0, -1.0448 + 0.8704j, -0.2654 + 0.2506j], [0, 1]),
+    # (z - c)^2 (z - 0.25i) / ((z - c)(z - 2)) with |c| > 1, read in the 1/z chart: the
+    # numerator's roots near c came back 2.6e-8 away, chordal 1.1e-8
+    (np.poly([-1.7 + 0.9j, -1.7 + 0.9j, 0.25j])[::-1], np.poly([-1.7 + 0.9j, 2.0])[::-1]),
+], ids=["double-at-zero", "double-away-from-zero"])
+def test_validation_rejects_a_common_root_double_on_one_side(num, den):
+    with pytest.raises(ValueError, match="share a root"):
+        RationalMap(num, den)
+
+
 def test_tiny_coefficients_are_scaled_up_before_the_wronskian_and_evaluation():
     # the identity with coefficients 1e-200: P'Q - PQ' = 1e-400 underflowed to a "constant" map
     z = np.array([0.3 + 0.1j, 0.0, 2.0 - 5.0j, INF_Z])

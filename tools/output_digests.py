@@ -12,7 +12,10 @@ EXTRA are the entry's own CLI arguments, such as the benchmark's
 demos/NAME.py``; the demos write no files.  Prints one ``sha256 label`` line
 per stdout (the temporary directory's path replaced by ``$OUT``) and per
 output file, passes every command's stderr through, and exits 1 if any
-command exits non-zero.
+command exits non-zero.  On stderr it also prints one ``MiB  peak_rss_mb
+label`` line per command: the child's peak resident set size, read from
+``os.wait4``, so the peak of every subcommand can be compared between
+checkouts; stdout holds only the digests.
 
 To check that a change keeps every output byte-identical, run the tool in the
 parent's checkout and in the change's, and ``diff`` the two outputs.
@@ -56,12 +59,17 @@ def main() -> int:
                  for demo in sorted((ROOT / "demos").glob("*.py"))]
         for label, args in runs:
             print(f"== {label}", file=sys.stderr, flush=True)
-            proc = subprocess.run([sys.executable, "-W", "error", *args], cwd=ROOT, env=env,
-                                  stdout=subprocess.PIPE)
+            proc = subprocess.Popen([sys.executable, "-W", "error", *args], cwd=ROOT, env=env,
+                                    stdout=subprocess.PIPE)
+            with proc.stdout:
+                stdout = proc.stdout.read().replace(out.encode(), b"$OUT")
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            # Linux reports ru_maxrss in KiB
+            print(f"{usage.ru_maxrss / 1024:.2f}  peak_rss_mb {label}", file=sys.stderr, flush=True)
             if proc.returncode != 0:
                 print(f"{label}: exit code {proc.returncode}", file=sys.stderr)
                 failed += 1
-            stdout = proc.stdout.replace(out.encode(), b"$OUT")
             print(f"{_sha(stdout)}  stdout {label}", flush=True)
         for path in sorted(Path(out).iterdir()):
             print(f"{_sha(path.read_bytes())}  {path.name}")
