@@ -21,7 +21,7 @@ from .dynamics import check_hyperbolic  # noqa: F401  unused here; perfbench/spa
 from .dynamics import julia_backward_cloud
 from .errors import ConfigError, HyperbolicityUnverified, InsufficientPoints, RatsemiError
 from .families import smoothness_diagnostic, submean_diagnostic, sweep_delta
-from .geometry import _extent, _slices, box_dimension, osc_check
+from .geometry import _bounds, _slices, box_dimension, osc_check
 from .sphere import INF_Z
 from .thermo import PreimageTree, bowen_parameter, lyapunov_and_entropy, pressure_curve
 
@@ -84,10 +84,9 @@ def cmd_julia(cfg: RunConfig, args) -> int:
     cloud = _julia_cloud(cfg)
     rn = cfg.data["render"]
     zs = [lev.z for lev in cloud.levels]  # read level by level, in slices: never concatenated
-    n_finite = sum(s.size for z in zs for s in _slices(z))
+    n_finite, (xmin, xmax), (ymin, ymax), (rmin, rmax) = _bounds(zs, np.real, np.imag, np.abs)
     if n_finite == 0:
         raise RatsemiError("cloud has no finite points to render")
-    (xmin, xmax), (ymin, ymax) = _extent(zs, np.real), _extent(zs, np.imag)
     if rn["viewport"] is not None:
         vx0, vx1, vy0, vy1 = rn["viewport"]
     else:
@@ -109,7 +108,6 @@ def cmd_julia(cfg: RunConfig, args) -> int:
             img[py, px] = color
     _atomic_write(args.out, f"P6\n{w} {h}\n255\n".encode("ascii"), img)
 
-    rmin, rmax = _extent(zs, np.abs)
     meta = cloud.meta
     print(f"points {n_finite} finite + {cloud.size - n_finite} at infinity "
           f"({cloud.size} total, depth {cloud.depth})")

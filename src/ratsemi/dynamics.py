@@ -266,17 +266,12 @@ class PointCloud:
     def depth(self) -> int:
         return len(self.levels) - 1
 
-    def finite_levels(self):
-        """(depth, z) for each level's finite points, in depth order: z is the
-        level's own array when it holds no point at infinity, else a masked copy."""
-        for d, lev in enumerate(self.levels):
-            finite = np.isfinite(lev.z)
-            yield d, lev.z if finite.all() else lev.z[finite]
-
     def finite_points(self):
         """Concatenated finite-chart values with their depths."""
-        z, depth = zip(*((z, np.full(z.size, d, dtype=np.int64)) for d, z in self.finite_levels()))
-        return np.concatenate(z), np.concatenate(depth)
+        z = np.concatenate([lev.z for lev in self.levels])
+        depth = np.repeat(np.arange(self.depth + 1), [lev.size for lev in self.levels])
+        finite = np.isfinite(z)
+        return (z, depth) if finite.all() else (z[finite], depth[finite])
 
 
 def repelling_seed(mm: MultiMap):
@@ -299,11 +294,18 @@ def repelling_seed(mm: MultiMap):
     )
 
 
-def _check_budget(depth: int, cap: int) -> None:
-    if depth < 0:
+def _integer(v, what: str):
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):  # numpy's, not bool
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def _check_budget(depth: int, cap: int) -> tuple:
+    if _integer(depth, "depth") < 0:
         raise ValueError("depth must be nonnegative")
-    if cap < 1:
+    if _integer(cap, "cap") < 1:
         raise ValueError("cap must be positive")
+    return int(depth), int(cap)  # a narrow numpy integer would overflow in _jittered
 
 
 def julia_backward_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFAULT_CAP,
@@ -315,7 +317,7 @@ def julia_backward_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DE
     that of a full tree from the seed at this cap and rng_seed; an uncapped
     or degree-one level's z is, bit for bit.
     """
-    _check_budget(depth, cap)
+    depth, cap = _check_budget(depth, cap)
     seed_pt, seed_sym = repelling_seed(mm)
     levels = [CloudLevel(np.array([seed_pt]))]
     for n in range(1, depth + 1):
@@ -343,7 +345,7 @@ def postcritical_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFA
     order (see CloudLevel, _dedupe).  Maps without critical points (degree
     one) contribute nothing, so the cloud may be empty.
     """
-    _check_budget(depth, cap)
+    depth, cap = _check_budget(depth, cap)
     z = np.array([p for f in mm.generators for p in f.critical_values()], dtype=complex)
     levels = [CloudLevel(z[_dedupe(z)])]
     seed = _derive_seed(rng_seed, 0xF0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import MultiMap
+from .dynamics import MultiMap, _integer
 from .errors import InsufficientPoints, InvalidInstance, RatsemiError
 from .sphere import RationalMap, horner
 from .thermo import (
@@ -159,11 +159,11 @@ class GridSpec:
         return np.linspace(self.im_min, self.im_max, self.im_n)
 
     def check_line(self, line) -> None:
-        """ValueError unless line is ('row', i) with i < re_n or ('col', j) with j < im_n."""
+        """ValueError unless line is ('row', i) or ('col', j), integers i < re_n and j < im_n."""
         axis, idx = line
         if axis not in ("row", "col"):
             raise ValueError("line must be ('row', i) or ('col', j)")
-        if not 0 <= idx < (self.re_n if axis == "row" else self.im_n):
+        if not 0 <= _integer(idx, f"{axis} index") < (self.re_n if axis == "row" else self.im_n):
             raise ValueError(f"{axis} {idx} lies outside the {self.re_n} x {self.im_n} grid")
 
     def points(self):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MultiMap, PointCloud, VerificationReport, _run_starts
+from .dynamics import MultiMap, PointCloud, VerificationReport, _integer, _run_starts
 from .errors import InsufficientPoints
 from .sphere import INF_Z, _point_array, as_point
 
@@ -242,7 +242,7 @@ def osc_check(
     box and must lie in [1, 16], as config.osc.enlarge does: a smaller
     window misses part of U, and at 0 every sample is the box centre.
     """
-    if grid_n < 64:
+    if _integer(grid_n, "grid_n") < 64:
         raise ValueError("grid_n must be at least 64")
     if variant not in ("plain", "separating"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -250,7 +250,7 @@ def osc_check(
         raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
     if not 1.0 <= enlarge <= 16.0:
         raise ValueError(f"enlarge must lie in [1, 16], got {enlarge!r}")
-    z, spacing = _sample_points(U, grid_n, enlarge)
+    z, spacing = _sample_points(U, int(grid_n), enlarge)
     outside = ~_contains_many(U, z)
     # nesting: some f(x) in U with x outside U; overlap: at least two
     # generators hit, fattened by epsilon in the separating variant
@@ -298,12 +298,15 @@ def _slices(z):
         yield s if finite.all() else s[finite]
 
 
-def _extent(zs, part):
-    """(min, max) of part(z) over the finite points of the arrays zs, which are
-    not all at infinity, read slice by slice: exact, since min and max are."""
-    lo, hi = zip(*((float(a.min()), float(a.max()))
-                   for z in zs for a in map(part, _slices(z)) if a.size))
-    return min(lo), max(hi)
+def _bounds(zs, *parts):
+    """The number of finite points of the arrays zs and each part's (min, max) over
+    them, (inf, -inf) if none, in one pass of _slices: exact, as min and max are."""
+    n, lo, hi = 0, [math.inf] * len(parts), [-math.inf] * len(parts)
+    for s in (s for z in zs for s in _slices(z) if s.size):
+        n += s.size
+        for i, a in enumerate(p(s) for p in parts):
+            lo[i], hi[i] = min(lo[i], float(a.min())), max(hi[i], float(a.max()))
+    return n, *zip(lo, hi)
 
 
 def _distinct(keys):
@@ -330,16 +333,16 @@ def box_dimension(cloud, scale_count: int = 6, viewport=None) -> BoxCountResult:
     The base scale is an eighth of the viewport's longer side, and scale k
     is eps_k = eps_0 * 2^-k for k < scale_count, 2 <= scale_count <= 24.
 
-    Each pass reads a level in slices of _SLICE points (_slices), so its
-    temporaries have a fixed size, far below the cloud's build transient,
-    whether or not the levels hold points at infinity.  The points are
-    binned once, at the finest scale; each slice's occupied cells are found
-    apart, then merged into those found so far once per level.
+    At most two passes read a level, _bounds for the default viewport and
+    the count, in slices of _SLICE points (_slices): temporaries have a fixed
+    size even with points at infinity.  The points are binned once, at the finest
+    scale; the occupied cells of a level's slices are merged once per level.
     _distinct sorts the keys and keeps the first of each run, as numpy 2.4's
     np.unique hashes int64 keys, over 7 times slower on 200,000 cell keys.
     Dividing by a power of two is exact, so a point's cell at scale k is its
     finest cell shifted right by the scale difference.  Cell indices are at
     most 8 * 2^23, so both 32-bit halves of the packed cell key shift exactly.
+    The fit of log N on log 1/eps is closed-form: no LAPACK or BLAS call.
     """
     if not 2 <= scale_count <= MAX_BOX_SCALES:
         raise ValueError(f"scale_count must be in 2..{MAX_BOX_SCALES}, got {scale_count}")
@@ -348,9 +351,10 @@ def box_dimension(cloud, scale_count: int = 6, viewport=None) -> BoxCountResult:
     else:
         zs = [np.asarray(cloud, dtype=complex).ravel()]
     if viewport is None:
-        if not any(s.size for z in zs for s in _slices(z)):
+        n, xs, ys = _bounds(zs, np.real, np.imag)
+        if not n:
             raise InsufficientPoints("empty cloud")
-        viewport = (*_extent(zs, np.real), *_extent(zs, np.imag))
+        viewport = (*xs, *ys)
     x0, x1, y0, y1 = viewport = tuple(map(float, viewport))
     if not (np.isfinite(viewport).all() and x0 <= x1 and y0 <= y1):
         raise ValueError(f"viewport must be finite, xmin <= xmax, ymin <= ymax, got {viewport}")
@@ -385,11 +389,8 @@ def box_dimension(cloud, scale_count: int = 6, viewport=None) -> BoxCountResult:
         cells = _distinct(cells >> 33 << 32 | (cells & 0xFFFFFFFF) >> 1)
         counts.append(int(cells.size))
     counts.reverse()
-    xs = np.log(1.0 / np.asarray(scales))
-    ys = np.log(np.asarray(counts, dtype=float))
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fit = slope * xs + intercept
-    ss_res = float(np.sum((ys - fit) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return BoxCountResult(scales, counts, float(slope), float(r2))
+    x, y = np.log(1.0 / np.asarray(scales)), np.log(np.asarray(counts, dtype=float) / counts[0])
+    x, y = x - x.mean(), y - y.mean()  # equal counts give y exactly 0, so r^2 1
+    sxx, sxy, syy = float(np.sum(x * x)), float(np.sum(x * y)), float(np.sum(y * y))
+    r2 = 1.0 if syy == 0.0 else min(1.0, sxy * sxy / (sxx * syy))
+    return BoxCountResult(scales, counts, sxy / sxx, r2)

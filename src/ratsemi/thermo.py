@@ -64,7 +64,8 @@ class ThermoConfig:
         runs; the hyper_* fields are checked by the gate itself."""
         if self.depth < 2:
             raise ValueError("pressure estimation needs depth >= 2")
-        _check_budget(self.depth, self.cap)
+        for name, v in zip(("depth", "cap"), _check_budget(self.depth, self.cap)):
+            object.__setattr__(self, name, v)  # frozen; a numpy integer becomes an int
         for name in ("tol_t", "tol_p", "t_max"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -122,15 +123,13 @@ class PreimageTree:
     without them.  basepoints holds each system's basepoint as a point."""
 
     def __init__(self, mm, basepoint=None, *, depth: int, cap: int = DEFAULT_CAP, rng_seed: int = 0):
-        _check_budget(depth, cap)
+        self.depth, self.cap = _check_budget(depth, cap)
         block = isinstance(mm, (list, tuple))
         # a block's generator j is the MapStack of every system's j-th map, system b in column b
         self.mm = MultiMap(map(MapStack, zip(*(m.generators for m in mm)))) if block else mm
         if not block:
             basepoint = [repelling_seed(mm)[0] if basepoint is None else basepoint]
         self.basepoints = [as_point(p) for p in basepoint]
-        self.depth = int(depth)
-        self.cap = int(cap)
         self.rng_seed = int(rng_seed)
         z = np.array(self.basepoints)[:, None]
         self.levels = [CloudLevel(z, logd=np.zeros(z.shape), logw=0.0,

@@ -409,6 +409,18 @@ def box_count_bf(points, eps, origin):
     return len(cells)
 
 
+def box_fit_ref(scales, counts):
+    """(slope, r^2) of the least-squares line of log N on log 1/eps, from
+    np.polyfit and the residual sum of squares."""
+    xs = np.log(1.0 / np.asarray(scales))
+    ys = np.log(np.asarray(counts, dtype=float))
+    slope, intercept = np.polyfit(xs, ys, 1)
+    fit = slope * xs + intercept
+    ss_res = float(np.sum((ys - fit) ** 2))
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    return float(slope), 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+
+
 def julia_render_ref(cloud, width, height, viewport=None, depth_coloring=False):
     """cli julia's PPM bytes and its points, bounding-box and radial-range
     lines, from the whole cloud at once: its finite points concatenated and

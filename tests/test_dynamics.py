@@ -359,22 +359,15 @@ def test_capped_points_only_levels_keep_whole_sibling_sets(mm, depth, cap, seed)
     assert capped >= 2
 
 
-# a clipping viewport for julia_backward_cloud(NEWTON_SQUARE, **NEWTON_CLOUD): it keeps 15,193
-# of the 17,860 finite points, and cuts points from every level from 3 on
+# a clipping viewport for julia_backward_cloud(NEWTON_SQUARE, **NEWTON_CLOUD): it keeps 15,206
+# of the 17,955 finite points, and cuts points from every level from 3 on
 NEWTON_CLOUD = {"depth": 9, "cap": 5000, "rng_seed": 1}
 NEWTON_VIEWPORT = [-2.5, 2.5, -1.5, 1.5]
 
 
-def test_finite_levels_are_each_levels_finite_points_in_depth_order():
+def test_finite_points_are_the_levels_finite_points_in_depth_order():
     for cloud in (julia_backward_cloud(NEWTON_SQUARE, **NEWTON_CLOUD),
                   julia_backward_cloud(annulus_mm(0.5), depth=6, cap=500)):
-        levels = list(cloud.finite_levels())
-        assert [d for d, _ in levels] == list(range(cloud.depth + 1))
-        for (_, z), lev in zip(levels, cloud.levels):
-            if np.isinf(lev.z).any():
-                assert z.tobytes() == lev.z[~np.isinf(lev.z)].tobytes()
-            else:
-                assert z is lev.z  # no copy
         z, depth = oracles.flat_arrays(cloud)
         inf = np.isinf(z)
         fz, fdepth = cloud.finite_points()
@@ -422,9 +415,37 @@ def test_julia_and_boxdim_read_levels_split_into_slices_as_whole_arrays(tmp_path
     # an odd slice size splits the finite points of levels 6 to 9 (3,367 to 4,679) mid-sibling
     # set, and NEWTON_VIEWPORT cuts points from some of their slices but not from the last
     monkeypatch.setattr(geometry, "_SLICE", 1001)
-    assert sum(z.size > 1001 for _, z in cloud.finite_levels()) == 4
+    assert sum(np.count_nonzero(np.isfinite(lev.z)) > 1001 for lev in cloud.levels) == 4
     assert box_dimension(cloud, viewport=viewport) == whole
     _check_julia_against_whole_cloud(tmp_path, capsys, monkeypatch, cloud, viewport, True)
+
+
+def _bounds_by_mask(zs, *parts):
+    z = np.concatenate([np.empty(0, dtype=complex), *zs])
+    z = z[np.isfinite(z)]
+    return z.size, *((float(p(z).min()), float(p(z).max())) if z.size else (math.inf, -math.inf)
+                     for p in parts)
+
+
+def test_bounds_count_and_range_the_finite_points_in_one_pass(monkeypatch):
+    # every level of the Newton-square cloud holds points at infinity, and a slice of 1,001
+    # points splits levels 6 to 9; the ranges are exact, so they equal the masked min/max
+    cloud = julia_backward_cloud(NEWTON_SQUARE, **NEWTON_CLOUD)
+    monkeypatch.setattr(geometry, "_SLICE", 1001)
+    passes = []
+    monkeypatch.setattr(geometry, "_slices", lambda z, f=geometry._slices: passes.append(z) or f(z))
+    zs = [lev.z for lev in cloud.levels]
+    parts = (np.real, np.imag, np.abs)
+    got = geometry._bounds(zs, *parts)
+    assert [id(z) for z in passes] == [id(z) for z in zs]  # one pass over each level, in order
+    assert got == _bounds_by_mask(zs, *parts)
+    assert got[0] == cloud.size - sum(np.count_nonzero(np.isinf(z)) for z in zs)
+    mixed = np.array([INF_Z, -0.5 + 2.0j, complex(math.nan, 1.0), 3.0 - 1.0j, INF_Z])
+    for zs in ([], [np.empty(0, dtype=complex)], [np.full(3, INF_Z)],
+               [np.full(3, INF_Z), np.empty(0, dtype=complex)], [mixed], [mixed[:2], mixed[2:]]):
+        assert geometry._bounds(zs, *parts) == _bounds_by_mask(zs, *parts)
+    assert geometry._bounds([np.full(3, INF_Z)], np.real) == (0, (math.inf, -math.inf))
+    assert geometry._bounds([mixed], np.real, np.imag) == (2, (-0.5, 3.0), (-1.0, 2.0))
 
 
 def test_jittered_matches_reference_and_draws_one_pick_per_slice():

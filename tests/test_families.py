@@ -586,6 +586,19 @@ def test_smoothness_row_line_and_validation():
         smoothness_diagnostic(short, ("col", 1), fit_degree=4)
 
 
+def test_smoothness_line_index_must_be_an_integer():
+    # ("row", 1.5) and ("row", True) passed check_line, then indexing raised IndexError
+    fn = lambda lam: 2.0 + 0.1 * lam.imag**2
+    table = make_table(np.linspace(0, 1, 3), np.linspace(0, 1, 12), fn, err=1e-6)
+    for line in (("row", 1.5), ("row", True), ("col", np.float64(2.0)), ("col", None)):
+        with pytest.raises(ValueError, match=f"{line[0]} index must be an integer"):
+            table.grid.check_line(line)
+        with pytest.raises(ValueError, match=f"{line[0]} index must be an integer"):
+            smoothness_diagnostic(table, line, fit_degree=2)
+    assert smoothness_diagnostic(table, ("row", np.int64(1)), fit_degree=2) == \
+        smoothness_diagnostic(table, ("row", 1), fit_degree=2)
+
+
 def test_smoothness_psh_indicator_on_closed_form():
     # for delta = log3/log(1/|c|) the reciprocal is harmonic, so the
     # finite-difference indicator phi*lap(phi) - 2|grad(phi)|^2 sits at zero

@@ -1,10 +1,13 @@
 """Geometry tests: regions, open-set-condition sampling, box counting."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ratsemi import cli
+from ratsemi.config import parse_file
 from ratsemi.dynamics import CloudLevel, MultiMap, PointCloud, julia_backward_cloud
 from ratsemi.errors import InsufficientPoints
 from ratsemi.geometry import (
@@ -12,6 +15,7 @@ from ratsemi.geometry import (
     BoxCountResult,
     ComplementDisc,
     Disc,
+    MIN_BOX_POINTS,
     Triangle,
     _contains_many,
     _fattened_contains_many,
@@ -267,6 +271,16 @@ def test_osc_parameter_validation():
         osc_check(mm, Disc(0.0, 1.0), variant="fuzzy")
 
 
+def test_osc_rejects_a_grid_n_that_is_not_an_integer():
+    # grid_n 64.5 sampled a 66 x 66 lattice and returned a verdict
+    mm = MultiMap([power_map(2), power_map(2, 0.5)])
+    U = Annulus(0.0, 1.0, 2.0)
+    for grid_n in (64.5, 128.0, True, np.float64(64.0)):
+        with pytest.raises(ValueError, match="grid_n must be an integer"):
+            osc_check(mm, U, grid_n=grid_n)
+    assert osc_check(mm, U, grid_n=np.int64(64)) == osc_check(mm, U, grid_n=64)
+
+
 def test_osc_separating_rejects_a_negative_epsilon():
     # {z^2, z^2} overlaps everywhere in U; a negative fattening would shrink both images away
     mm = MultiMap([power_map(2), power_map(2)])
@@ -387,6 +401,29 @@ def test_box_counts_match_set_based_oracle():
         assert len(res.counts) == scale_count
         for eps, count in zip(res.scales, res.counts):
             assert count == oracles.box_count_bf(inside, eps, (x0, y0))
+
+
+def test_box_fit_matches_the_polyfit_reference():
+    # the count lists of the annulus, gasket and power_pair demo configs' julia clouds
+    configs = Path(__file__).parent.parent / "demos" / "configs"
+    results = []
+    for name in ("annulus", "gasket", "power_pair"):
+        cfg = parse_file(str(configs / f"{name}.json"))
+        results.append(box_dimension(cli._julia_cloud(cfg), **cfg.data["boxdim"]))
+    rng = np.random.default_rng(4)
+    square = rng.random(12_000) + 1j * rng.random(12_000)
+    results += [box_dimension(square, scale_count=k) for k in (2, 9)]
+    for res in results:
+        want = oracles.box_fit_ref(res.scales, res.counts)
+        assert np.allclose((res.slope, res.r_squared), want, rtol=1e-12, atol=0.0)
+        assert res.r_squared <= 1.0
+    # one or three points far apart, each repeated, fill as many cells at every scale:
+    # slope 0 and r^2 1, exactly
+    for n in (1, 3):
+        spots = np.array([0.1 + 0.1j, 0.9 + 0.9j, 0.1 + 0.9j])[:n]
+        res = box_dimension(np.repeat(spots, MIN_BOX_POINTS), viewport=(0.0, 1.0, 0.0, 1.0))
+        assert res.counts == [n] * 6
+        assert (res.slope, res.r_squared) == (0.0, 1.0)
 
 
 def test_box_dimension_bounds_its_scale_count():

@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratsemi import thermo
-from ratsemi.dynamics import MultiMap, check_hyperbolic, repelling_seed
+from ratsemi.dynamics import (
+    MultiMap,
+    check_hyperbolic,
+    julia_backward_cloud,
+    postcritical_cloud,
+    repelling_seed,
+)
 from ratsemi.errors import (
     CriticalPreimage,
     HyperbolicityUnverified,
@@ -170,6 +176,38 @@ def test_preimage_tree_rejects_a_cap_below_one_as_the_clouds_do():
         PreimageTree(mm, depth=-1)
     with pytest.raises(ValueError, match="cap must be positive"):
         bowen_parameter(mm, cap=0)  # before the gate, which has its own cap, runs
+
+
+@pytest.mark.parametrize("call, match", [
+    # a float cap built a cap-1000 tree
+    (lambda mm: pressure(mm, 1.0, ThermoConfig(cap=1000.5)), "cap must be an integer, got 1000.5"),
+    # a float depth raised TypeError from range
+    (lambda mm: ThermoConfig(depth=6.5), "depth must be an integer, got 6.5"),
+    (lambda mm: PreimageTree(mm, depth=4, cap=True), "cap must be an integer, got True"),
+    # the gate's budget: a float hyper_cap raised UFuncTypeError in _jittered, a float
+    # hyper_depth TypeError from range
+    (lambda mm: bowen_parameter(mm, ThermoConfig(hyper_cap=1000.5)),
+     "cap must be an integer, got 1000.5"),
+    (lambda mm: bowen_parameter(mm, ThermoConfig(hyper_depth=6.5)),
+     "depth must be an integer, got 6.5"),
+], ids=["pressure-cap", "config-depth", "tree-bool-cap", "bowen-hyper-cap", "bowen-hyper-depth"])
+def test_a_tree_budget_that_is_not_an_integer_raises_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(power_mm((2, 1.0), (2, 0.5)))
+
+
+def test_a_tree_budget_of_numpy_integers_is_that_of_python_integers():
+    # kept as numpy scalars, a uint16 cap overflowed in _jittered (cap times the level size)
+    mm = power_mm((2, 1.0), (2, 0.5))
+    config = ThermoConfig(depth=np.int64(6), cap=np.uint16(500))
+    assert (type(config.depth), type(config.cap)) == (int, int)
+    assert pressure(mm, 1.0, config) == pressure(mm, 1.0, ThermoConfig(depth=6, cap=500))
+    tree = PreimageTree(mm, depth=np.uint8(6), cap=np.uint16(500))
+    assert (type(tree.depth), type(tree.cap)) == (int, int)
+    for build in (julia_backward_cloud, postcritical_cloud):
+        got = build(mm, depth=np.uint8(7), cap=np.uint16(500))
+        want = build(mm, depth=7, cap=500)
+        assert [lev.z.tobytes() for lev in got.levels] == [lev.z.tobytes() for lev in want.levels]
 
 
 def _count_gates(monkeypatch):

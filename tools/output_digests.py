@@ -37,6 +37,9 @@ COMMANDS = (
     # degrees 2 and 3: the default depth-12 cloud is capped from level 8, a capped
     # mixed-degree points-only cloud
     + [(cmd, "power_pair", ()) for cmd in ("julia", "boxdim")]
+    # every level of the default depth-12 cloud holds points at infinity, so julia and
+    # boxdim read masked slices
+    + [(cmd, "newton_square", ()) for cmd in ("julia", "boxdim")]
     + [("lyap", "power_pair", ("--depth", "8"))]  # the lyap-mixed-degree benchmark run
     + [("sweep", "similarity_sweep", ())]
 )
