@@ -73,7 +73,7 @@ def _julia_cloud(cfg: RunConfig):
     """The backward-orbit cloud of the configured system, as the julia section sets it."""
     mm = cfg.multimap()
     ju = cfg.data["julia"]
-    return julia_backward_cloud(mm, depth=ju["depth"], cap=ju["cap"], rng_seed=ju["rng_seed"])
+    return julia_backward_cloud(mm, depth=ju["depth"], cap=ju["cap"], rng_seed=cfg.data["rng_seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def cmd_pressure(cfg: RunConfig, args) -> int:
 def cmd_poincare(cfg: RunConfig, args) -> int:
     mm, tcfg, N = cfg.multimap(), cfg.thermo_config(), cfg.data["poincare_N"]
     tree = PreimageTree(mm, cfg.basepoint(), depth=N, cap=tcfg.cap, rng_seed=tcfg.rng_seed)
-    rows = [(t, *tree.poincare(float(t), N), N) for t in cfg.data["t_values"]]
+    rows = [(t, *tree.poincare(float(t)), N) for t in cfg.data["t_values"]]
     return _emit_t_csv(rows, args.out)
 
 
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
             "outputs never depend on it",
         )
         p.add_argument("--seed", type=int, default=None,
-                       help="override every rng seed in the config")
+                       help="override the config's rng_seed")
         p.add_argument("--depth", type=int, default=None,
                        help="override thermo and julia depth")
         p.add_argument("--verbose", action="store_true",
@@ -310,8 +310,6 @@ def _apply_flags(cfg: RunConfig, args) -> None:
         if args.seed < 0:
             raise ConfigError("--seed must be nonnegative")
         cfg.data["rng_seed"] = args.seed
-        cfg.data["thermo"]["rng_seed"] = args.seed
-        cfg.data["julia"]["rng_seed"] = args.seed
     if args.depth is not None:
         if args.depth < 2:
             raise ConfigError("--depth must be at least 2")

@@ -188,8 +188,6 @@ _CONFIG = {
     "thermo": (_object, {}, {
         "depth": (_int, _TC.depth, 2),
         "cap": (_int, _TC.cap, 1),
-        "rng_seed": (_int, _TC.rng_seed, 0),  # absent: the top-level rng_seed
-        "rtol_pressure": (_float, _TC.rtol_pressure, None),
         "tol_t": (_positive, _TC.tol_t, None),  # the root search stops on both
         "tol_p": (_positive, _TC.tol_p, None),
         "t_max": (_positive, _TC.t_max, None),
@@ -202,7 +200,6 @@ _CONFIG = {
     "julia": (_object, {}, {
         "depth": (_int, DEFAULT_DEPTH, 1),
         "cap": (_int, DEFAULT_CAP, 1),
-        "rng_seed": (_int, 0, 0),  # absent: the top-level rng_seed
     }),
     "render": (_object, {}, {
         "width": (_int, 800, (1, 8192)),
@@ -215,7 +212,6 @@ _CONFIG = {
         "grid_n": (_int, 256, (64, 4096)),
         "variant": (_str, "plain", {"plain", "separating"}),
         "epsilon": (_float, 1e-3, 0),  # 0 is the closed-region test
-        "enlarge": (_float, 1.5, (1.0, 16.0)),  # a huge window passes any region
     }),
     "boxdim": (_object, {}, {
         "scale_count": (_int, 6, (2, MAX_BOX_SCALES)),
@@ -244,7 +240,6 @@ _CONFIG = {
         }),
         "domain": (_variant, _REQUIRED, _DOMAINS),
         "excluded": (_pairs, [], None),
-        "puncture_tol": (_float, 1e-9, None),
         "lam": (_pair, None, None),
     }),
 }
@@ -255,11 +250,7 @@ def normalize(raw: dict) -> dict:
     _check_keys(raw, _CONFIG, "config")  # before the next check, so a misspelt key is named
     if ("multimap" in raw) == ("family" in raw):
         _fail("config", "exactly one of multimap or family is required")
-    data = _object(raw, "config", _CONFIG)
-    for section in ("thermo", "julia"):
-        if "rng_seed" not in raw.get(section, {}):
-            data[section]["rng_seed"] = data["rng_seed"]
-    return data
+    return _object(raw, "config", _CONFIG)
 
 
 @dataclass
@@ -269,7 +260,7 @@ class RunConfig:
     # -- builders -----------------------------------------------------------
 
     def thermo_config(self) -> ThermoConfig:
-        th = self.data["thermo"]
+        th = {**self.data["thermo"], "rng_seed": self.data["rng_seed"]}
         return ThermoConfig(**{f.name: th[f.name] for f in fields(ThermoConfig)})
 
     def basepoint(self):
@@ -292,7 +283,6 @@ class RunConfig:
                 generators=tuple(gens),
                 domain=domain,
                 excluded=tuple(complex(*p) for p in fam["excluded"]),
-                puncture_tol=fam["puncture_tol"],
             )
         except ValueError as e:
             raise ConfigError(f"config.family: {e}") from e

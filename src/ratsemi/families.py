@@ -31,6 +31,7 @@ from .thermo import (
 # similarity points (depth 9, 19,683 nodes each).  The deepest level keeps no
 # points; the similarity sweep peaks at 35.2 MiB RSS, about 1 MiB above blocks of three
 _BLOCK_NODES = 120_000
+_PUNCTURE_TOL = 1e-9  # a parameter this close to an excluded puncture is excluded
 
 
 def _as_poly(c) -> tuple:
@@ -84,7 +85,8 @@ class AnnulusDomain:
 @dataclass
 class FamilySpec:
     """Generators as (numerator, denominator) tuples of coefficient
-    polynomials in the parameter, plus the parameter domain and punctures.
+    polynomials in the parameter, plus the parameter domain and punctures
+    (excluded parameters, each with a radius of _PUNCTURE_TOL, 1e-9).
     A coefficient is a number, a non-empty sequence of ascending coefficients
     in the parameter, or a numpy Polynomial whose domain equals its window
     (read by its coef); each is stored as a tuple of complex numbers."""
@@ -92,7 +94,6 @@ class FamilySpec:
     generators: tuple
     domain: object
     excluded: tuple = ()
-    puncture_tol: float = 1e-9
 
     def __post_init__(self):
         self.generators = tuple((tuple(map(_as_poly, num)), tuple(map(_as_poly, den)))
@@ -111,7 +112,7 @@ def instantiate(fam: FamilySpec, lam) -> MultiMap:
     if not fam.domain.contains(lam):
         raise InvalidInstance(f"parameter {lam} lies outside the family domain")
     for p in fam.excluded:
-        if abs(lam - p) <= fam.puncture_tol:
+        if abs(lam - p) <= _PUNCTURE_TOL:
             raise InvalidInstance(f"parameter {lam} is an excluded puncture")
     maps = []
     for k, (num_polys, den_polys) in enumerate(fam.generators, start=1):

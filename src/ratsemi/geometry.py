@@ -19,6 +19,7 @@ from .sphere import INF_Z, _point_array, as_point
 MIN_BOX_POINTS = 10_000
 MAX_BOX_SCALES = 24  # finest cell index at most 8 * 2^23, well inside half of a packed cell key
 _SLICE = 1 << 14  # points per pass over a level in cli julia and box_dimension
+_ENLARGE = 1.5  # the OSC lattice window: U's bounding box scaled about its centre
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +228,9 @@ def osc_check(
     grid_n: int = 256,
     variant: str = "plain",
     epsilon: float = 1e-3,
-    enlarge: float = 1.5,
 ) -> VerificationReport:
-    """Sampled open-set-condition check on a lattice over U's bounding box.
+    """Sampled open-set-condition check on a lattice over U's bounding box,
+    enlarged 1.5 times about its centre (_ENLARGE).
 
     Tests x in f_j^{-1}(U) via f_j(x) in U.  Violation A: f_j(x) in U while
     x is outside U (the preimages do not nest into U).  Violation B: two
@@ -238,9 +239,7 @@ def osc_check(
     approximate closures; epsilon 0 tests the closed region, and a negative
     one, which would hide overlaps, raises ValueError.  The lattice endpoints
     are shared across dyadic refinements, so a failing witness persists when
-    grid_n doubles.  enlarge scales the lattice window about U's bounding
-    box and must lie in [1, 16], as config.osc.enlarge does: a smaller
-    window misses part of U, and at 0 every sample is the box centre.
+    grid_n doubles.
     """
     if _integer(grid_n, "grid_n") < 64:
         raise ValueError("grid_n must be at least 64")
@@ -248,9 +247,7 @@ def osc_check(
         raise ValueError(f"unknown variant {variant!r}")
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
-    if not 1.0 <= enlarge <= 16.0:
-        raise ValueError(f"enlarge must lie in [1, 16], got {enlarge!r}")
-    z, spacing = _sample_points(U, int(grid_n), enlarge)
+    z, spacing = _sample_points(U, int(grid_n), _ENLARGE)
     outside = ~_contains_many(U, z)
     # nesting: some f(x) in U with x outside U; overlap: at least two
     # generators hit, fattened by epsilon in the separating variant

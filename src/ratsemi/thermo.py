@@ -40,6 +40,7 @@ from .errors import (
 from .sphere import MapStack, as_point
 
 _CRIT_NORM = 1e-12
+_RTOL_PRESSURE = 1e-6  # pressure and Bowen estimates stop once the last 3 ratios agree this well
 DEFAULT_TREE_DEPTH = 10
 
 
@@ -50,7 +51,6 @@ class ThermoConfig:
     depth: int = DEFAULT_TREE_DEPTH
     cap: int = DEFAULT_CAP
     rng_seed: int = 0
-    rtol_pressure: float = 1e-6   # early stop once the last 3 ratios agree this well
     tol_t: float = 1e-4           # bracket width at the Bowen root
     tol_p: float = 1e-3           # |P(delta)| at the accepted root
     t_max: float = 64.0           # giving up point for the sign-change hunt
@@ -191,11 +191,11 @@ class PreimageTree:
         """log S_n(t) of a one-point tree; see _log_level_sums."""
         return float(self._log_level_sums(np.array([_finite_t(t)]), n, np.arange(1))[0][0])
 
-    def poincare(self, t: float, N: int) -> tuple:
-        """(sum of S_n(t) for n = 1..N, residual): the residual is the spread
-        of the last three level log ratios log(S_n / S_{n-1}), inf when N < 4.
+    def poincare(self, t: float) -> tuple:
+        """(sum of S_n(t) for n = 1..depth, residual): the residual is the spread
+        of the last three level log ratios log(S_n / S_{n-1}), inf when depth < 4.
         A sum past float range raises RatsemiError."""
-        logs = [self.log_level_sum(t, n) for n in range(1, N + 1)]
+        logs = [self.log_level_sum(t, n) for n in range(1, self.depth + 1)]
         ratios = [b - a for a, b in zip(logs, logs[1:])][-3:]
         residual = max(ratios) - min(ratios) if len(ratios) >= 3 else math.inf
         try:
@@ -204,17 +204,17 @@ class PreimageTree:
             raise RatsemiError(f"Poincare partial sum at t = {t} overflows float range") from None
 
 
-def _estimate_on_tree(tree: PreimageTree, t, depth: int, rtol: float) -> list:
+def _estimate_on_tree(tree: PreimageTree, t, rtol: float) -> list:
     """Pressure estimates of the tree's points, point b at t[b]; a nan t[b]
     skips point b, which gets None.  The live points share one level sum per
     depth, and each stops on its own once its last three log ratios agree
-    within rtol."""
+    within rtol, or at the tree's depth."""
     t = np.asarray(t, dtype=float)
     out = [None] * t.size
     ratios = [[] for _ in out]
     live = np.flatnonzero(~np.isnan(t))
     prev, prev_d = tree._log_level_sums(t[live], 1, live)
-    for n in range(2, depth + 1):
+    for n in range(2, tree.depth + 1):
         if live.size == 0:
             break
         cur, cur_d = tree._log_level_sums(t[live], n, live)
@@ -226,7 +226,7 @@ def _estimate_on_tree(tree: PreimageTree, t, depth: int, rtol: float) -> list:
             r = ratios[b]
             r.append(float(cur[i] - prev[i]))
             residual = max(r[-3:]) - min(r[-3:]) if len(r) >= 3 else math.inf
-            if (len(r) >= 3 and residual <= rtol) or n == depth:
+            if (len(r) >= 3 and residual <= rtol) or n == tree.depth:
                 going[i] = False
                 out[b] = PressureEstimate(float(t[b]), r[-1], n, tree.basepoints[b], r,
                                           float(residual), float(slope[i]))
@@ -245,8 +245,8 @@ def pressure(mm: MultiMap, t: float, config: ThermoConfig = None, basepoint=None
     """Topological pressure estimate at t from a preimage tree of the config's depth.
 
     The basepoint defaults to the deterministic repelling seed.  Stops early
-    once the last three log ratios agree within rtol_pressure.  Keyword
-    overrides replace config fields, as in bowen_parameter.
+    once the last three log ratios agree within _RTOL_PRESSURE (1e-6).
+    Keyword overrides replace config fields, as in bowen_parameter.
     """
     return pressure_curve(mm, [t], config, basepoint, **overrides)[0]
 
@@ -257,7 +257,7 @@ def pressure_curve(mm: MultiMap, t_values, config: ThermoConfig = None, basepoin
     config = replace(config or ThermoConfig(), **overrides)
     t_values = [_finite_t(t) for t in t_values]
     tree = _config_tree(mm, basepoint, config)
-    return [_estimate_on_tree(tree, [t], config.depth, config.rtol_pressure)[0] for t in t_values]
+    return [_estimate_on_tree(tree, [t], _RTOL_PRESSURE)[0] for t in t_values]
 
 
 def _prepare(mm: MultiMap, config: ThermoConfig):
@@ -340,7 +340,7 @@ def _bowen_search(tree: PreimageTree, config: ThermoConfig) -> list:
     out = [None] * len(searches)
     t = np.array([next(s) for s in searches])
     while not np.isnan(t).all():
-        for b, est in enumerate(_estimate_on_tree(tree, t, config.depth, config.rtol_pressure)):
+        for b, est in enumerate(_estimate_on_tree(tree, t, _RTOL_PRESSURE)):
             if est is not None:
                 try:
                     t[b] = searches[b].send(est)
@@ -387,4 +387,4 @@ def lyapunov_and_entropy(mm: MultiMap, t_values, config: ThermoConfig = None, ba
     tree = _config_tree(mm, basepoint, config)
     tree.extend(config.depth)
     tree.check_critical(config.depth)
-    return [_estimate_on_tree(tree, [t], config.depth, -1.0)[0] for t in t_values]
+    return [_estimate_on_tree(tree, [t], -1.0)[0] for t in t_values]

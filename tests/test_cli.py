@@ -82,26 +82,24 @@ def write_cfg(tmp_path, data, name="cfg.json"):
 # config parsing
 
 
-def test_defaults_and_seed_propagation():
+def test_defaults_and_seed_propagation(monkeypatch):
     cfg = parse(json.dumps({"multimap": {"generators": [Z2]}}))
     assert cfg.data["thermo"]["depth"] == 10
-    assert cfg.data["thermo"]["rng_seed"] == 0
+    assert cfg.data["rng_seed"] == 0
+    assert cfg.thermo_config().rng_seed == 0
     assert cfg.data["julia"]["cap"] == 200_000
     assert cfg.data["render"]["out"] == "julia.ppm"
     assert cfg.data["region"] is None
     assert cfg.data["multimap"]["generators"][0]["den"] == [[1.0, 0.0]]
 
+    # the one rng_seed reaches the thermo config and the julia cloud
     cfg = parse(json.dumps({"rng_seed": 7, "multimap": {"generators": [Z2]}}))
-    assert cfg.data["thermo"]["rng_seed"] == 7
-    assert cfg.data["julia"]["rng_seed"] == 7
-
-    cfg = parse(
-        json.dumps(
-            {"rng_seed": 7, "julia": {"rng_seed": 3}, "multimap": {"generators": [Z2]}}
-        )
-    )
-    assert cfg.data["julia"]["rng_seed"] == 3
-    assert cfg.data["thermo"]["rng_seed"] == 7
+    assert cfg.thermo_config().rng_seed == 7
+    seeds = []
+    monkeypatch.setattr(cli, "julia_backward_cloud",
+                        lambda mm, **kw: seeds.append(kw["rng_seed"]))
+    cli._julia_cloud(cfg)
+    assert seeds == [7]
 
 
 def test_round_trip_is_lossless():
@@ -134,6 +132,15 @@ def test_config_rejections():
     bad = [
         ({"multimap": {"generators": [Z2]}, "typo_key": 1}, "config: unknown keys"),
         ({**ok, "lyap_h": 1e-3}, "config: unknown keys ['lyap_h']"),  # a removed key
+        # removed keys: one run seed, one early-stop tolerance, one OSC window, one
+        # puncture tolerance
+        ({**ok, "thermo": {"rng_seed": 3}}, "config.thermo: unknown keys ['rng_seed']"),
+        ({**ok, "julia": {"rng_seed": 3}}, "config.julia: unknown keys ['rng_seed']"),
+        ({**ok, "thermo": {"rtol_pressure": 1e-6}},
+         "config.thermo: unknown keys ['rtol_pressure']"),
+        ({**ok, "osc": {"enlarge": 1.5}}, "config.osc: unknown keys ['enlarge']"),
+        ({"family": {**fam, "puncture_tol": 1e-9}},
+         "config.family: unknown keys ['puncture_tol']"),
         ({"multimap": {"generators": [Z2]}, "family": family_scaled_square()},
          "config: exactly one"),
         ({}, "config: exactly one"),
@@ -164,9 +171,7 @@ def test_config_rejections():
         ({**ok, "t_values": [0.0, huge]}, "config.t_values[1]:"),
         ({**ok, "thermo": {"t_max": huge}}, "config.thermo.t_max:"),
         ({"family": {**fam, "lam": [huge, 0.0]}}, "config.family.lam[0]:"),
-        # upper bounds on sizes and windows, positive root-search tolerances
-        ({**ok, "osc": {"enlarge": 1e308}}, "config.osc.enlarge: must be <= 16.0"),
-        ({**ok, "osc": {"enlarge": 0.5}}, "config.osc.enlarge: must be >= 1.0"),
+        # upper bounds on sizes, positive root-search tolerances
         ({**ok, "osc": {"grid_n": 4097}}, "config.osc.grid_n: must be <= 4096"),
         ({**ok, "osc": {"grid_n": huge}}, "config.osc.grid_n: must be <= 4096"),
         ({**ok, "render": {"width": huge}}, "config.render.width: must be <= 8192"),
@@ -540,7 +545,8 @@ def test_cli_lyap_shares_one_tree_and_matches_per_t_calls(tmp_path, capsys, monk
     path = write_cfg(tmp_path, {
         "multimap": {"generators": [Z2, Z3]},
         "t_values": [0.5, 1.0, 1.8],
-        "thermo": {"depth": 6, "cap": 300, "rng_seed": 5},
+        "thermo": {"depth": 6, "cap": 300},
+        "rng_seed": 5,
     })
     builds = []
     init = thermo.PreimageTree.__init__
@@ -933,14 +939,14 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert main(["julia", "--config", no_lam]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
-    # an unbounded window once turned a failing OSC verdict into a pass
+    # the OSC window is fixed: an unbounded one once turned a failing verdict into a pass
     wide = write_cfg(tmp_path, {
         "multimap": {"generators": [Z2, gen_poly([0, 0, 0.5])]},
         "region": {"kind": "annulus", "center": [0.0, 0.0], "r1": 0.3, "r2": 2.5},
         "osc": {"enlarge": 1e308},
     }, name="wide.json")
     assert main(["osc", "--config", wide]) == 2
-    assert capsys.readouterr().err.startswith("config error: config.osc.enlarge:")
+    assert capsys.readouterr().err.startswith("config error: config.osc: unknown keys ['enlarge']")
     null_thermo = write_cfg(tmp_path, {"multimap": {"generators": [Z2]}, "thermo": None},
                             name="nullthermo.json")
     assert main(["pressure", "--config", null_thermo]) == 2

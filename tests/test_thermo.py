@@ -248,7 +248,7 @@ def test_thermo_entry_points_reject_a_t_that_is_not_finite():
     tree = PreimageTree(mm, 1.0, depth=4)
     for t in (math.nan, math.inf, -math.inf):
         for call in (lambda: pressure(mm, t), lambda: lyapunov_and_entropy(mm, [1.0, t]),
-                     lambda: tree.poincare(t, 4), lambda: tree.log_level_sum(t, 4)):
+                     lambda: tree.poincare(t), lambda: tree.log_level_sum(t, 4)):
             with pytest.raises(ValueError, match=f"t must be finite, got {t}"):
                 call()
 
@@ -432,9 +432,9 @@ def test_pressure_slope_matches_central_difference():
     ]
     for mm, t, cap, depth in cases:
         tree = PreimageTree(mm, repelling_seed(mm)[0], depth=depth, cap=cap, rng_seed=3)
-        (est,) = thermo._estimate_on_tree(tree, [t], depth, -1.0)
-        (up,) = thermo._estimate_on_tree(tree, [t + h], depth, -1.0)
-        (down,) = thermo._estimate_on_tree(tree, [t - h], depth, -1.0)
+        (est,) = thermo._estimate_on_tree(tree, [t], -1.0)
+        (up,) = thermo._estimate_on_tree(tree, [t + h], -1.0)
+        (down,) = thermo._estimate_on_tree(tree, [t - h], -1.0)
         assert tree.levels[depth].size == min(cap, mm.total_degree ** depth)
         assert est.depth == depth and est.slope < 0.0
         assert abs(est.slope - (up.value - down.value) / (2.0 * h)) <= 1e-6
@@ -502,16 +502,16 @@ def test_bowen_accepts_config_and_overrides():
 
 
 def test_poincare_partial_of_square_decays():
-    val = PreimageTree(power_mm((2, 1.0)), 1.0, depth=4).poincare(2.0, 4)[0]
+    val = PreimageTree(power_mm((2, 1.0)), 1.0, depth=4).poincare(2.0)[0]
     assert val == pytest.approx(sum(2.0**-n for n in range(1, 5)), rel=1e-10)
 
 
 def test_poincare_partial_across_the_critical_exponent():
     mm = power_mm((2, 1.0), (2, 1.0))
     tree = PreimageTree(mm, 1.0, depth=6)
-    decaying = tree.poincare(3.0, 6)[0]
+    decaying = tree.poincare(3.0)[0]
     assert decaying == pytest.approx(sum(2.0**-n for n in range(1, 7)), rel=1e-9)
-    growing = tree.poincare(1.0, 6)[0]
+    growing = tree.poincare(1.0)[0]
     assert growing == pytest.approx(sum(2.0**n for n in range(1, 7)), rel=1e-9)
 
 
