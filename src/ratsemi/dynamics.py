@@ -82,7 +82,7 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
 def _derive_seed(*parts) -> int:
     s = 0x243F6A8885A308D3
     for p in parts:
-        s = int(_mix64(s ^ (int(p) & 0xFFFFFFFFFFFFFFFF), np.arange(1, 2, dtype=np.uint64))[0])
+        s = int(_mix64(s ^ (p & 0xFFFFFFFFFFFFFFFF), np.arange(1, 2, dtype=np.uint64))[0])
     return s
 
 
@@ -294,18 +294,20 @@ def repelling_seed(mm: MultiMap):
     )
 
 
-def _integer(v, what: str):
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):  # numpy's, not bool
+def _integer(v, what: str) -> int:
+    """v as an int; ValueError unless it is an integer, numpy's accepted, bool not."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {v!r}")
-    return v
+    return int(v)  # a narrow numpy integer would overflow in _jittered
 
 
-def _check_budget(depth: int, cap: int) -> tuple:
+def _check_tree_args(depth: int, cap: int, rng_seed: int) -> tuple:
+    """(depth, cap, rng_seed) of a tree or cloud as ints; depth >= 0 and cap >= 1."""
     if _integer(depth, "depth") < 0:
         raise ValueError("depth must be nonnegative")
     if _integer(cap, "cap") < 1:
         raise ValueError("cap must be positive")
-    return int(depth), int(cap)  # a narrow numpy integer would overflow in _jittered
+    return int(depth), int(cap), _integer(rng_seed, "rng_seed")
 
 
 def julia_backward_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFAULT_CAP,
@@ -317,7 +319,7 @@ def julia_backward_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DE
     that of a full tree from the seed at this cap and rng_seed; an uncapped
     or degree-one level's z is, bit for bit.
     """
-    depth, cap = _check_budget(depth, cap)
+    depth, cap, rng_seed = _check_tree_args(depth, cap, rng_seed)
     seed_pt, seed_sym = repelling_seed(mm)
     levels = [CloudLevel(np.array([seed_pt]))]
     for n in range(1, depth + 1):
@@ -345,7 +347,7 @@ def postcritical_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFA
     order (see CloudLevel, _dedupe).  Maps without critical points (degree
     one) contribute nothing, so the cloud may be empty.
     """
-    depth, cap = _check_budget(depth, cap)
+    depth, cap, rng_seed = _check_tree_args(depth, cap, rng_seed)
     z = np.array([p for f in mm.generators for p in f.critical_values()], dtype=complex)
     levels = [CloudLevel(z[_dedupe(z)])]
     seed = _derive_seed(rng_seed, 0xF0)

@@ -142,7 +142,7 @@ class GridSpec:
     im_n: int
 
     def __post_init__(self):
-        if self.re_n < 1 or self.im_n < 1:
+        if _integer(self.re_n, "re_n") < 1 or _integer(self.im_n, "im_n") < 1:
             raise ValueError("grid needs at least one point per axis")
         if not np.isfinite([self.re_min, self.re_max, self.im_min, self.im_max]).all():
             raise ValueError("grid bounds must be finite")
@@ -289,7 +289,7 @@ def submean_diagnostic(table: SweepTable, radius: int = 1) -> SubmeanReport:
     must not exceed the mean over the surrounding grid ring by more than
     tol_sub, and its reciprocal must not fall under the reciprocal ring mean
     by more than tol_sub.  tol_sub = 3x the median per-row delta error."""
-    k = int(radius)
+    k = _integer(radius, "radius")
     if k < 1:
         raise ValueError("radius must be a positive number of grid steps")
     D = table.field("delta")
@@ -336,7 +336,7 @@ def smoothness_diagnostic(table: SweepTable, line, fit_degree: int = 4) -> Smoot
     s, cut = (table.grid.im_values, idx) if axis == "row" else (table.grid.re_values, np.s_[:, idx])
     ok = ~np.isnan(D[cut])  # an ok row has a finite delta
     s, phi, errs = s[ok], D[cut][ok], E[cut][ok]
-    if s.size < fit_degree + 4:
+    if s.size < _integer(fit_degree, "fit_degree") + 4:
         raise InsufficientPoints(f"{s.size} usable points on the line; need {fit_degree + 4}")
     scale = max(float(np.median(errs)), 1e-15)
     coeffs = np.polyfit(s, phi, fit_degree)

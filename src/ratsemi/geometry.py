@@ -341,7 +341,7 @@ def box_dimension(cloud, scale_count: int = 6, viewport=None) -> BoxCountResult:
     most 8 * 2^23, so both 32-bit halves of the packed cell key shift exactly.
     The fit of log N on log 1/eps is closed-form: no LAPACK or BLAS call.
     """
-    if not 2 <= scale_count <= MAX_BOX_SCALES:
+    if not 2 <= _integer(scale_count, "scale_count") <= MAX_BOX_SCALES:
         raise ValueError(f"scale_count must be in 2..{MAX_BOX_SCALES}, got {scale_count}")
     if isinstance(cloud, PointCloud):
         zs = [lev.z for lev in cloud.levels]

@@ -24,7 +24,7 @@ from .dynamics import (
     CloudLevel,
     MultiMap,
     VerificationReport,
-    _check_budget,
+    _check_tree_args,
     _expand_backward,
     _subsample_level,  # noqa: F401  unused here; perfbench/spans.py patches this name
     check_hyperbolic,
@@ -60,11 +60,12 @@ class ThermoConfig:
     hyper_cap: int = 50_000
 
     def __post_init__(self):
-        """The tree budget and root-search tolerances fail here, before any gate
-        runs; the hyper_* fields are checked by the gate itself."""
+        """The tree's depth, cap and seed and the root-search tolerances fail
+        here, before any gate runs; the hyper_* fields are checked by the gate itself."""
         if self.depth < 2:
             raise ValueError("pressure estimation needs depth >= 2")
-        for name, v in zip(("depth", "cap"), _check_budget(self.depth, self.cap)):
+        tree_args = _check_tree_args(self.depth, self.cap, self.rng_seed)
+        for name, v in zip(("depth", "cap", "rng_seed"), tree_args):
             object.__setattr__(self, name, v)  # frozen; a numpy integer becomes an int
         for name in ("tol_t", "tol_p", "t_max"):
             if not getattr(self, name) > 0.0:
@@ -123,14 +124,13 @@ class PreimageTree:
     without them.  basepoints holds each system's basepoint as a point."""
 
     def __init__(self, mm, basepoint=None, *, depth: int, cap: int = DEFAULT_CAP, rng_seed: int = 0):
-        self.depth, self.cap = _check_budget(depth, cap)
+        self.depth, self.cap, self.rng_seed = _check_tree_args(depth, cap, rng_seed)
         block = isinstance(mm, (list, tuple))
         # a block's generator j is the MapStack of every system's j-th map, system b in column b
         self.mm = MultiMap(map(MapStack, zip(*(m.generators for m in mm)))) if block else mm
         if not block:
             basepoint = [repelling_seed(mm)[0] if basepoint is None else basepoint]
         self.basepoints = [as_point(p) for p in basepoint]
-        self.rng_seed = int(rng_seed)
         z = np.array(self.basepoints)[:, None]
         self.levels = [CloudLevel(z, logd=np.zeros(z.shape), logw=0.0,
                                   min_step_norm=np.full(z.size, math.inf))]

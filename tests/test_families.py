@@ -599,6 +599,24 @@ def test_smoothness_line_index_must_be_an_integer():
         smoothness_diagnostic(table, ("row", 1), fit_degree=2)
 
 
+def test_grid_counts_and_diagnostic_sizes_must_be_integers():
+    # re_n 2.5 built a grid whose points() raised TypeError, and True counted as 1;
+    # radius 1.5 ran as 1, and fit_degree 2.5 or True returned a fit
+    for args, what in (((0, 1, 2.5, 0, 1, 3), "re_n"), ((0, 1, 2, 0, 1, True), "im_n")):
+        with pytest.raises(ValueError, match=f"{what} must be an integer"):
+            GridSpec(*args)
+    table = make_table(np.linspace(0, 1, 3), np.linspace(0, 1, 12), lambda lam: 2.0 + lam.imag)
+    for bad in (1.5, 2.5, True):
+        with pytest.raises(ValueError, match="radius must be an integer"):
+            submean_diagnostic(table, radius=bad)
+        with pytest.raises(ValueError, match="fit_degree must be an integer"):
+            smoothness_diagnostic(table, ("row", 1), fit_degree=bad)
+    assert submean_diagnostic(table, radius=np.int64(1)) == submean_diagnostic(table, radius=1)
+    assert smoothness_diagnostic(table, ("row", 1), fit_degree=np.int64(2)) == \
+        smoothness_diagnostic(table, ("row", 1), fit_degree=2)
+    assert GridSpec(0, 1, np.int64(2), 0, 1, 3).re_values.tolist() == [0.0, 1.0]
+
+
 def test_smoothness_psh_indicator_on_closed_form():
     # for delta = log3/log(1/|c|) the reciprocal is harmonic, so the
     # finite-difference indicator phi*lap(phi) - 2|grad(phi)|^2 sits at zero

@@ -430,6 +430,16 @@ def test_box_dimension_bounds_its_scale_count():
             box_dimension(z, scale_count=bad)
 
 
+def test_box_dimension_scale_count_must_be_an_integer():
+    # 6.5 and np.float64(4.0) raised TypeError from range
+    rng = np.random.default_rng(2)
+    z = rng.random(12_000) + 1j * rng.random(12_000)
+    for bad in (6.5, np.float64(4.0), True):
+        with pytest.raises(ValueError, match="scale_count must be an integer"):
+            box_dimension(z, scale_count=bad)
+    assert box_dimension(z, scale_count=np.int64(4)) == box_dimension(z, scale_count=4)
+
+
 def test_box_dimension_unit_circle_cloud():
     mm = MultiMap([power_map(2)])
     cloud = julia_backward_cloud(mm, depth=14, cap=200_000, rng_seed=0)

@@ -210,6 +210,25 @@ def test_a_tree_budget_of_numpy_integers_is_that_of_python_integers():
         assert [lev.z.tobytes() for lev in got.levels] == [lev.z.tobytes() for lev in want.levels]
 
 
+def _cloud_bytes(cloud):
+    return [lev.z.tobytes() for lev in cloud.levels]
+
+
+@pytest.mark.parametrize("build", [
+    lambda mm, seed: ThermoConfig(rng_seed=seed).rng_seed,
+    lambda mm, seed: PreimageTree(mm, depth=4, cap=50, rng_seed=seed).rng_seed,
+    lambda mm, seed: _cloud_bytes(julia_backward_cloud(mm, depth=6, cap=50, rng_seed=seed)),
+    lambda mm, seed: _cloud_bytes(postcritical_cloud(mm, depth=6, cap=50, rng_seed=seed)),
+], ids=["config", "tree", "julia-cloud", "postcritical-cloud"])
+def test_an_rng_seed_that_is_not_an_integer_raises_value_error(build):
+    # 1.7 built the seed-1 cloud, a config's 2.5 gave seed-2 numbers, a tree stored "7" as 7
+    mm = power_mm((2, 1.0), (2, 0.5))
+    for seed in (1.7, 2.5, "7", True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="rng_seed must be an integer"):
+            build(mm, seed)
+    assert build(mm, np.uint8(3)) == build(mm, 3)
+
+
 def _count_gates(monkeypatch):
     """The list that every later hyperbolicity gate of thermo (bowen_parameter's and
     sweep_delta's) appends one entry to."""
