@@ -70,7 +70,7 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 
 def _julia_cloud(cfg: RunConfig):
-    """The backward-orbit cloud of the configured system, as the julia section sets it."""
+    """The backward-orbit cloud of the configured system at the julia section's budget."""
     mm = cfg.multimap()
     ju = cfg.data["julia"]
     return julia_backward_cloud(mm, depth=ju["depth"], cap=ju["cap"], rng_seed=cfg.data["rng_seed"])
