@@ -187,20 +187,18 @@ def _lattice(x0, x1, y0, y1, n):
     return (gx + 1j * gy).ravel()
 
 
-def _enlarged(x0, x1, y0, y1, factor):
+def _sample_points(U, grid_n: int):
+    """Grid over U's bounding box scaled _ENLARGE times about its centre; a
+    region holding infinity (a ComplementDisc) adds a 1/z-chart grid and the
+    point at infinity itself."""
+    x0, x1, y0, y1 = U.bounding_box()
     cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    hx, hy = 0.5 * (x1 - x0) * factor, 0.5 * (y1 - y0) * factor
-    return cx - hx, cx + hx, cy - hy, cy + hy
-
-
-def _sample_points(U, grid_n: int, enlarge: float):
-    """Grid over the enlarged bounding box; a region holding infinity (a
-    ComplementDisc) adds a 1/z-chart grid and the point at infinity itself."""
-    x0, x1, y0, y1 = _enlarged(*U.bounding_box(), enlarge)
+    hx, hy = 0.5 * (x1 - x0) * _ENLARGE, 0.5 * (y1 - y0) * _ENLARGE
+    x0, x1, y0, y1 = cx - hx, cx + hx, cy - hy, cy + hy
     z = _lattice(x0, x1, y0, y1, grid_n)
     spacing = max(x1 - x0, y1 - y0) / grid_n
     if U.holds_infinity:
-        h = enlarge / U.r
+        h = _ENLARGE / U.r
         w = _lattice(-h, h, -h, h, grid_n)
         w = w[np.abs(w) > 1e-12]
         z = np.concatenate([z, 1.0 / w, [INF_Z]])
@@ -241,13 +239,13 @@ def osc_check(
     are shared across dyadic refinements, so a failing witness persists when
     grid_n doubles.
     """
-    if _integer(grid_n, "grid_n") < 64:
+    if (grid_n := _integer(grid_n, "grid_n")) < 64:
         raise ValueError("grid_n must be at least 64")
     if variant not in ("plain", "separating"):
         raise ValueError(f"unknown variant {variant!r}")
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
-    z, spacing = _sample_points(U, int(grid_n), _ENLARGE)
+    z, spacing = _sample_points(U, grid_n)
     outside = ~_contains_many(U, z)
     # nesting: some f(x) in U with x outside U; overlap: at least two
     # generators hit, fattened by epsilon in the separating variant

@@ -756,7 +756,7 @@ def test_point_arrays_hold_finite_values_or_exactly_inf_z():
     post = postcritical_cloud(FORWARD_SYSTEMS["quadratic-triple"], depth=5, cap=1000)
     assert all(_inf_z_count(lev.z) == 1 for lev in post.levels)
     # the osc lattice of a region holding infinity, and its images
-    z, _ = _sample_points(ComplementDisc(0.0, 1.0), 64, 1.5)
+    z, _ = _sample_points(ComplementDisc(0.0, 1.0), 64)
     assert _inf_z_count(z) == 1
     for g in (*annulus_mm(0.5).generators, *NEWTON_SQUARE.generators):
         assert _inf_z_count(g.eval_many(z)) >= 1

@@ -153,7 +153,7 @@ def test_osc_overlap_matches_pairwise_reference_on_three_generators(U, variant):
     mm = MultiMap([polynomial_map([-0.5 * np.exp(2j * np.pi * k / 3), 1.5]) for k in range(3)])
     eps = 0.01
     rep = osc_check(mm, U, grid_n=64, variant=variant, epsilon=eps)
-    z, _ = _sample_points(U, 64, 1.5)
+    z, _ = _sample_points(U, 64)
     masks = []
     for f in mm.generators:
         img = f.eval_many(z)
