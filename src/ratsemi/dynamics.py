@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoRepellingSeed
-from .sphere import INF_Z, MapStack, as_point, sphere_embed
+from .sphere import INF_Z, MapStack, RationalMap, as_point, sphere_embed
 
 _REPEL_TOL = 1e-6
 _CLOSEST_PAIR_BLOCK = 1 << 20  # entries of one row block of the closest-pair search
@@ -24,9 +24,8 @@ DEFAULT_CAP = 200_000
 
 class MultiMap:
     """Finite ordered family of rational-map generators; symbols are 1-based.
-
-    The generators of a block (PreimageTree of a list of systems) are MapStacks instead.
-    """
+    The generators of a block of K systems are K-column MapStacks instead,
+    system b in column b of each (see PreimageTree)."""
 
     __slots__ = ("generators",)
 
@@ -34,9 +33,8 @@ class MultiMap:
         gens = tuple(generators)
         if not gens:
             raise ValueError("need at least one generator")
-        for g in gens:
-            if not isinstance(g, MapStack):
-                raise TypeError("every generator must be a RationalMap or a MapStack")
+        if not all(isinstance(g, MapStack) for g in gens):
+            raise TypeError("every generator must be a RationalMap or a MapStack")
         self.generators = gens
 
     @property
@@ -50,6 +48,13 @@ class MultiMap:
     @property
     def total_degree(self) -> int:
         return sum(g.degree for g in self.generators)
+
+    num_systems = property(lambda self: self.generators[0].P.shape[1])  # 1, or K for a block
+
+    def system(self, b: int) -> MultiMap:
+        """System b of a block, its generators RationalMaps; a system of RationalMaps is itself."""
+        return self if isinstance(self.generators[0], RationalMap) else MultiMap(
+            RationalMap(*(c[:, b] for c in g.raw)) for g in self.generators)
 
     def __repr__(self):
         return f"MultiMap(s={self.num_generators}, degrees={self.degrees})"
@@ -274,24 +279,27 @@ class PointCloud:
         return (z, depth) if finite.all() else (z[finite], depth[finite])
 
 
-def repelling_seed(mm: MultiMap):
-    """Deterministic backward-orbit seed: a repelling generator fixed point.
-
-    Scans generators in index order and takes the first one owning a fixed
-    point with multiplier norm > 1 + 1e-6, preferring the largest norm (ties
-    resolve to the canonically first point).  Returns (point, symbol): the
-    point a complex value, INF_Z for infinity, and the 1-based generator.
-    """
+def repelling_seeds(mm: MultiMap) -> list:
+    """Deterministic backward-orbit seeds, one (point, symbol) per system of
+    mm: a repelling fixed point (INF_Z for infinity) of the first generator,
+    in index order, that has one with multiplier norm > 1 + 1e-6, the largest
+    norm preferred (ties resolve to the canonically first point), and that
+    generator's 1-based symbol.  NoRepellingSeed if a system has none."""
+    seeds = [None] * mm.num_systems
     for j, f in enumerate(mm.generators, start=1):
-        best = None
-        for p, norm in f.fixed_points():
-            if norm > 1.0 + _REPEL_TOL and (best is None or norm > best[1]):
-                best = (p, norm)
-        if best is not None:
-            return best[0], j
-    raise NoRepellingSeed(
-        "no generator has a fixed point with multiplier norm > 1 + 1e-6"
-    )
+        z, norms = f.fixed_points_many()
+        norms[~(norms > 1.0 + _REPEL_TOL)] = -math.inf
+        for b, k in enumerate(np.argmax(norms, axis=-1)):  # the first of equal norms
+            if seeds[b] is None and norms[b, k] > -math.inf:
+                seeds[b] = (complex(z[b, k]), j)
+        if None not in seeds:
+            return seeds
+    raise NoRepellingSeed("no generator has a fixed point with multiplier norm > 1 + 1e-6")
+
+
+def repelling_seed(mm: MultiMap):
+    """(point, symbol): the repelling_seeds of a single system."""
+    return repelling_seeds(mm)[0]
 
 
 def _integer(v, what: str) -> int:
@@ -352,11 +360,7 @@ def postcritical_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFA
     levels = [CloudLevel(z[_dedupe(z)])]
     seed = _derive_seed(rng_seed, 0xF0)
     for n in range(1, depth + 1):
-        parent = levels[-1]
-        if parent.size == 0:
-            levels.append(parent)
-            continue
-        z = np.concatenate([f.eval_many(parent.z) for f in mm.generators])
+        z = np.concatenate([f.eval_many(levels[-1].z) for f in mm.generators])
         levels.append(CloudLevel(z[_subsample_level(_dedupe(z), cap, seed, n)]))
     return PointCloud(levels, {})
 
@@ -413,15 +417,16 @@ def check_hyperbolic(mm: MultiMap, *, depth: int, margin: float, cap: int,
 
     pass when the minimum chordal distance is at least margin, fail below
     margin/2 (with the closest pair as witness), inconclusive between.  An
-    empty postcritical cloud passes vacuously.  A pass certifies only that
+    empty postcritical cloud passes vacuously, unbuilt when every degree is 1
+    (no critical points; mm may then be a block).  A pass certifies only that
     no violation was found at this sampling resolution.  margin must be
     positive: at margin <= 0 every distance would pass.  depth, margin and
     cap have no defaults here: ThermoConfig's hyper_* fields are the gate's.
     """
     if not margin > 0.0:
         raise ValueError(f"margin must be positive, got {margin!r}")
-    post = postcritical_cloud(mm, depth=depth, cap=cap, rng_seed=rng_seed)
-    if post.size == 0:
+    _check_tree_args(depth, cap, rng_seed)
+    if max(mm.degrees) == 1 or (post := postcritical_cloud(mm, depth, cap, rng_seed)).size == 0:
         return VerificationReport("pass", [], margin,
                                   {"min_distance": math.inf, "postcritical_size": 0})
     cloud = julia_backward_cloud(mm, depth=depth, cap=cap, rng_seed=rng_seed)

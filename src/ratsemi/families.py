@@ -3,11 +3,10 @@ grids in the parameter plane, and sub-mean-value / smoothness diagnostics.
 
 A family holds generators whose numerator and denominator coefficients are
 polynomials in a single complex parameter, kept as tuples of ascending
-complex coefficients.  Instantiating at a parameter value evaluates every
-coefficient polynomial with sphere.horner and builds the multi-map.  Sweeps
-instantiate, gate and seed each grid point on its own, then run the Bowen
-root searches of consecutive same-signature points in lockstep blocks on one
-shared preimage tree, and record failures as row statuses instead of raising.
+complex coefficients, evaluated with sphere.horner one parameter at a time.
+Sweeps build, gate and seed consecutive same-signature points as one block
+of MapStacks, run their Bowen root searches in lockstep on one shared
+preimage tree, and record failures as row statuses instead of raising.
 """
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .dynamics import MultiMap, _integer
 from .errors import InsufficientPoints, InvalidInstance, RatsemiError
-from .sphere import RationalMap, horner
+from .sphere import MapStack, RationalMap, horner
 from .thermo import (
     ThermoConfig,
     _bowen_search,
@@ -105,24 +104,35 @@ class FamilySpec:
             raise TypeError("domain must provide a contains() test")
 
 
-def instantiate(fam: FamilySpec, lam) -> MultiMap:
-    """Evaluate every coefficient polynomial at the parameter and build the
-    multi-map; any degeneracy surfaces as InvalidInstance."""
-    lam = complex(lam)
+def _coefficients(fam: FamilySpec, lam: complex) -> list:
+    """(num, den) of each generator at the parameter, by horner; InvalidInstance
+    outside the domain or at a puncture."""
     if not fam.domain.contains(lam):
         raise InvalidInstance(f"parameter {lam} lies outside the family domain")
     for p in fam.excluded:
         if abs(lam - p) <= _PUNCTURE_TOL:
             raise InvalidInstance(f"parameter {lam} is an excluded puncture")
-    maps = []
-    for k, (num_polys, den_polys) in enumerate(fam.generators, start=1):
-        num = [horner(q, lam) for q in num_polys]
-        den = [horner(q, lam) for q in den_polys]
+    return [tuple([horner(q, lam) for q in side] for side in g) for g in fam.generators]
+
+
+def _stack(lams, coeffs) -> MultiMap:
+    """The block MultiMap of the parameters lams (coeffs[b] the _coefficients
+    at lams[b]); a degenerate map raises InvalidInstance."""
+    gens = []
+    for k, sides in enumerate(zip(*coeffs), start=1):
         try:
-            maps.append(RationalMap(num, den))
+            gens.append(MapStack(*(np.transpose(side) for side in zip(*sides))))
         except ValueError as e:
-            raise InvalidInstance(f"generator {k} is degenerate at parameter {lam}: {e}") from e
-    return MultiMap(maps)
+            at = lams[0] if len(lams) == 1 else lams
+            raise InvalidInstance(f"generator {k} is degenerate at parameter {at}: {e}") from e
+    return MultiMap(gens)
+
+
+def instantiate(fam: FamilySpec, lam) -> MultiMap:
+    """Evaluate every coefficient polynomial at the parameter and build the
+    multi-map of RationalMaps; any degeneracy surfaces as InvalidInstance."""
+    lam = complex(lam)
+    return _stack([lam], [_coefficients(fam, lam)]).system(0)
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +217,17 @@ class SweepTable:
         return float(np.median(errs))
 
 
-def _solve_block(mms, seeds, cfg: ThermoConfig) -> list:
-    """The BowenResult (gate None) or own RatsemiError of each prepared point,
-    searched in lockstep on one tree; if the shared tree raises, in blocks of one."""
+def _solve_block(lams, coeffs, cfg: ThermoConfig) -> list:
+    """The BowenResult (gate None) or own RatsemiError of each parameter of a
+    block (see _stack): stacked, gated and seeded (thermo._prepare), then
+    searched in lockstep on one tree; if any of that raises, in blocks of one."""
     try:
-        return _bowen_search(_config_tree(mms, seeds, cfg), cfg)
+        mm = _stack(lams, coeffs)
+        return _bowen_search(_config_tree(mm, _prepare(mm, cfg)[1], cfg), cfg)
     except RatsemiError as e:
-        if len(mms) == 1:
+        if len(lams) == 1:
             return [e]
-        return [r for mm, seed in zip(mms, seeds) for r in _solve_block([mm], [seed], cfg)]
+        return [r for lam, c in zip(lams, coeffs) for r in _solve_block([lam], [c], cfg)]
 
 
 def _row(lam, res) -> SweepRow:
@@ -228,32 +240,34 @@ def _row(lam, res) -> SweepRow:
 
 def sweep_delta(fam: FamilySpec, grid: GridSpec, config: ThermoConfig | None = None,
                 **overrides) -> SweepTable:
-    """Bowen parameter per grid point.  Each point is instantiated, gated and
-    seeded on its own; consecutive points with one degree signature are then
-    searched in blocks of at most _BLOCK_NODES deepest-level tree nodes.  An
-    error whose class has a sweep status (errors.py) becomes the status of
-    the point that raised it; any other error raises."""
+    """Bowen parameter per grid point.  Consecutive points with one degree
+    signature are searched in blocks of at most _BLOCK_NODES deepest-level
+    tree nodes (_solve_block).  An error whose class has a sweep status
+    (errors.py) becomes the status of the point that raised it; any other
+    error raises."""
     cfg = replace(config if config is not None else ThermoConfig(), **overrides)
-    rows, block = [], []  # block: (row index, mm, seed) of consecutive prepared points
+    rows, block = [], []  # block: (row index, degrees, coefficients) of consecutive points
 
     def flush():
-        indices, mms, seeds = zip(*block)
-        for i, res in zip(indices, _solve_block(mms, seeds, cfg)):
-            rows[i] = _row(rows[i], res)  # rows[i] held the parameter until now
+        indices, _, coeffs = zip(*block)
+        lams = [rows[i] for i in indices]  # rows[i] holds the parameter until now
+        for i, lam, res in zip(indices, lams, _solve_block(lams, coeffs, cfg)):
+            rows[i] = _row(lam, res)
         block.clear()
 
     for lam in grid.points():
         rows.append(lam)
         try:
-            mm = instantiate(fam, lam)
-            seed = _prepare(mm, cfg)[1]
+            coeffs = _coefficients(fam, lam)
         except RatsemiError as e:
             rows[-1] = _row(lam, e)
             continue
-        nodes = min(cfg.cap, mm.total_degree ** cfg.depth)
-        if block and (block[0][1].degrees != mm.degrees or (len(block) + 1) * nodes > _BLOCK_NODES):
+        # a generator's degree: the index of its last nonzero coefficient on either side
+        degrees = [max((i for s in g for i, x in enumerate(s) if x != 0), default=0) for g in coeffs]
+        nodes = min(cfg.cap, sum(degrees) ** cfg.depth)
+        if block and (block[0][1] != degrees or (len(block) + 1) * nodes > _BLOCK_NODES):
             flush()
-        block.append((len(rows) - 1, mm, seed))
+        block.append((len(rows) - 1, degrees, coeffs))
     if block:
         flush()
     return SweepTable(rows, grid)

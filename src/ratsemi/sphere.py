@@ -8,17 +8,15 @@ up and the two charts agree to near machine precision on their overlap.
 
 A point is one complex value, with infinity as INF_Z = inf + 0j; as_point
 turns any value into a point, and a point array is a complex array of points.
-MapStack implements each map operation (evaluation, derivative norm,
-preimages) once, batched over point arrays, the first two in one chart split;
-each handles infinity and degree drops (cancelling leading coefficients), and
-RationalMap's scalar methods are 1-element wrappers that take and return points.
-Every polynomial of the library is its ascending complex coefficients,
-evaluated by horner, and roots_batch is its one root solver: closed forms up
-to degree 3, Aberth-Ehrlich above, Aberth again for a cubic the closed form
-misses, and the companion eigenvalues for a polynomial Aberth misses.  Of
-P - zQ, preimages build only the rows that vary with z (row 0 for a
-polynomial); the closed forms read the rest as per-map columns, the
-Aberth and companion fallbacks read dense columns.
+MapStack implements each map operation (construction, evaluation, derivative
+norm, preimages, fixed points) once, batched over maps given as coefficient
+columns and over point arrays; each handles infinity and degree drops.  A
+RationalMap is its one-column case, whose scalar methods are 1-element
+wrappers that take and return points.  Every polynomial of the library is
+its ascending complex coefficients, evaluated by horner, and roots_batch is
+its one root solver: closed forms up to degree 3, Aberth-Ehrlich above,
+Aberth again for a cubic the closed form misses, and the companion
+eigenvalues for a polynomial Aberth misses.
 
 Conventions:
   - polynomial coefficients are stored ascending (coeffs[k] multiplies z^k)
@@ -124,10 +122,7 @@ def _coeffs(c):
         raise ValueError("coefficients must be a non-empty 1-d sequence")
     if not np.isfinite(c).all():
         raise ValueError("coefficients must be finite")
-    n = c.size
-    while n > 1 and c[n - 1] == 0:
-        n -= 1
-    c = c[:n]
+    c = c[: max(1, _sizes(c[:, None])[0])]
     c.flags.writeable = False
     return c
 
@@ -350,6 +345,24 @@ def roots_batch(C):
 # rational maps
 
 
+def _sizes(C):
+    """Per column of C, 1 + the row of its last nonzero entry; 0 for a zero or empty column."""
+    return ((C != 0) * np.arange(1, len(C) + 1)[:, None]).max(axis=0, initial=0)
+
+
+def _check_reduced(P, Q):
+    """Reject a root a of one side within chordal 1e-8 of a root of the other, or where
+    the other side is at most 1e-8 of its terms' moduli, read in the 1/z chart when
+    |a| > 1: poly_roots resolves a double root only to about 1e-8."""
+    rp, rq = poly_roots(P), poly_roots(Q)
+    for roots, c, other in ((rp, Q, rq), (rq, P, ())):  # chordal: each pair once
+        for a in roots:
+            cc, x = (c, a) if abs(a) <= 1.0 else (c[::-1], 1.0 / a)
+            if (abs(horner(cc, x)) <= 1e-8 * abs(horner(np.abs(cc), abs(x)))
+                    or any(chordal_distance(a, b) <= 1e-8 for b in other)):
+                raise ValueError(f"numerator and denominator share a root near {a}")
+
+
 def _chart_norm(x, ax, W, P, Q):
     """|W(x)| (1 + |x|^2) / (|P(x)|^2 + |Q(x)|^2) with ax = |x|; coefficient
     rows broadcast against x.  Where |P|^2 + |Q|^2 underflows the normal
@@ -381,40 +394,65 @@ def _chart_value(x, ax, W, P, Q):
 
 
 class MapStack:
-    """K rational maps of one degree d as coefficient columns: the batched
-    evaluation, derivative-norm and preimage kernel.  A RationalMap is the
-    stack of itself (K = 1); a block of same-signature systems stacks its maps.
+    """K rational maps of one degree d as coefficient columns, the batched
+    kernel of every map operation: RationalMap is its one-column case, and a
+    block of same-signature systems stacks each generator's maps.
 
     Point arrays are read as (K, U), row b under map b, and results come
-    back in the input's shape.  P and Q are ascending (d + 1, K) coefficient
-    arrays, each map's num and den times one power of two (RationalMap).  fwd
-    holds the Wronskian W = P'Q - PQ', P and Q for the z chart of evaluation
-    and derivative norm, rev w^(2d-2) W(1/w), w^d P(1/w), w^d Q(1/w) for the
-    1/z chart, without the leading coefficients that vanish in every column:
-    they change Horner's values by the sign of a zero at most.
+    back in the input's shape.  raw holds the validated num and den columns,
+    (d + 1, K) each, zero-padded; P and Q are them times one power of two per
+    column.  fwd holds their Wronskian W = P'Q - PQ', P and Q for the z chart
+    of evaluation and derivative norm, rev w^(2d-2) W(1/w), w^d P(1/w),
+    w^d Q(1/w) for the 1/z chart, without the leading coefficients that
+    vanish in every column: they change Horner's values by the sign of a
+    zero at most.
     """
 
-    __slots__ = ("degree", "P", "Q", "fwd", "rev")
+    __slots__ = ("degree", "raw", "P", "Q", "fwd", "rev")
 
-    def __init__(self, maps):
-        d = self.degree = maps[0].degree
-        if any(f.degree != d for f in maps):
+    def __init__(self, num, den):
+        """The maps num[:, b] / den[:, b] of ascending (rows, K) coefficient
+        columns, all of one degree; a zero, constant or unreduced map, or a
+        leading coefficient below _MIN_LEAD_RATIO of its side's largest, raises ValueError."""
+        N, D = (np.array(c, dtype=complex, ndmin=2, order="C") + 0.0 for c in (num, den))
+        if not (np.isfinite(N).all() and np.isfinite(D).all()):
+            raise ValueError("coefficients must be finite")
+        ps, qs = _sizes(N), _sizes(D)
+        if not (ps.all() and qs.all()):
+            raise ValueError("numerator and denominator must be nonzero")
+        deg = np.maximum(ps, qs) - 1
+        d = self.degree = int(deg.min())
+        if d < 1:
+            raise ValueError("map must have degree >= 1 (not constant)")
+        if (deg != d).any():
             raise ValueError("stacked maps must share one degree")
+        cols = np.arange(N.shape[1])
+        for name, c, n in (("numerator", N, ps), ("denominator", D, qs)):
+            if (ratio := (np.abs(c[n - 1, cols]) / np.abs(c).max(axis=0)).min()) < _MIN_LEAD_RATIO:
+                raise ValueError(f"{name} leading coefficient is {ratio:.3g} times its largest, "
+                                 f"below {_MIN_LEAD_RATIO:g}: its monic form leaves float range")
+        for b in np.flatnonzero((ps > 1) & (qs > 1)):
+            _check_reduced(N[: ps[b], b], D[: qs[b], b])
+        self.raw = tuple(np.concatenate([c, np.zeros((d + 1, cols.size))])[: d + 1] for c in (N, D))
+        # times the power of two (exact) that brings each column's largest |coefficient| into
+        # [1, 2), so P'Q and PQ' can neither overflow nor underflow to a vanishing Wronskian
+        e = 1 - np.frexp(np.maximum(np.abs(N).max(axis=0), np.abs(D).max(axis=0)))[1]
+        self.P, self.Q = (np.ldexp(c.view(float), e.repeat(2)).view(complex) for c in self.raw)
+        W = np.zeros((2 * d - 1, cols.size), dtype=complex)
+        for b in cols:  # np.convolve's bits, column by column: a longer batched sum rounds differently
+            P, Q = self.P[: ps[b], b], self.Q[: qs[b], b]
+            # P'Q - PQ' accumulated into zeros: a zero coefficient is +0 whatever its products' signs
+            w = np.zeros(P.size + Q.size - 2, dtype=complex)
+            w += np.convolve(P[1:] * np.arange(1, P.size), Q) if P.size > 1 else 0.0
+            w -= np.convolve(P, Q[1:] * np.arange(1, Q.size)) if Q.size > 1 else 0.0
+            # the degree 2d - 1 terms cancel exactly in theory, not always in floating point
+            W[: w.size, b] = w[: 2 * d - 1]
+        if not W.any(axis=0).all():
+            raise ValueError("map is constant (vanishing derivative)")
 
-        def cols(polys, size):
-            out = np.zeros((size, len(polys)), dtype=complex)
-            for k, p in enumerate(polys):
-                out[: p.size, k] = p
-            return out
+        def trimmed(C):  # without the trailing rows that vanish in every column (none is zero)
+            return C[: len(C) - int(C[::-1].any(axis=1).argmax())]
 
-        def trimmed(C):
-            n = len(C)
-            while n > 1 and not C[n - 1].any():
-                n -= 1
-            return C[:n]
-
-        self.P, self.Q = (cols(pq, d + 1) for pq in zip(*(f._pq for f in maps)))
-        W = cols([f._wron for f in maps], 2 * d - 1)
         self.fwd = (trimmed(W), trimmed(self.P), trimmed(self.Q))
         self.rev = (trimmed(W[::-1]), trimmed(self.P[::-1]), trimmed(self.Q[::-1]))
 
@@ -495,66 +533,40 @@ class MapStack:
             roots[rows, :n] = roots_batch(C[: n + 1, rows])
         return roots.reshape(shape + (d,))
 
+    def fixed_points_many(self):
+        """(z, norms): row b holds map b's fixed points in canonical order
+        (sort_key), a (K, d + 1) point array, and norms their spherical
+        multiplier norms, nan in the slots a map leaves empty.  The finite
+        ones are the roots of P - zQ, one roots_batch call per degree it keeps;
+        infinity is fixed where deg P > deg Q.  One derivative-norm call."""
+        num, den = self.raw
+        fp = np.concatenate([num, np.zeros((1, num.shape[1]))])
+        fp[1:] -= den
+        n = _sizes(fp) - 1  # the degree of P - zQ, -1 for 0
+        z = np.zeros((num.shape[1], self.degree + 1), dtype=complex)
+        empty = np.arange(self.degree + 1) >= n[:, None]
+        for m in set(n[n > 0].tolist()):  # not np.unique, whose first call costs ~30 ms
+            z[n == m, :m] = roots_batch(fp[: m + 1, n == m])
+        # infinity, where deg P > deg Q, takes the last slot: P - zQ has degree deg P - 1 at most
+        inf = _sizes(num) > _sizes(den)
+        z[inf, -1], empty[inf, -1] = INF_Z, False
+        norms = self.spherical_derivative_norm_many(_to_points(z))
+        norms[empty] = np.nan
+        order = np.lexsort((z.imag, z.real))
+        return np.take_along_axis(z, order, -1), np.take_along_axis(norms, order, -1)
+
 
 class RationalMap(MapStack):
-    """Rational self-map of the sphere, stored as a reduced fraction P/Q;
-    its batched evaluation, derivative norms and preimages are those of the
-    one-column MapStack it is.
-
+    """Rational self-map of the sphere, stored as a reduced fraction P/Q: the
+    one-column MapStack of its num and den, kept stripped and read-only.
     Validation rejects shared roots of P and Q (_check_reduced), so
-    evaluation is total: a vanishing denominator means a genuine pole.
-    """
+    evaluation is total: a vanishing denominator means a genuine pole."""
 
-    __slots__ = ("num", "den", "_pq", "_wron")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=(1.0,)):
-        P, Q = self.num, self.den = _coeffs(num), _coeffs(den)
-        if not (P.any() and Q.any()):
-            raise ValueError("numerator and denominator must be nonzero")
-        d = self.degree = max(P.size, Q.size) - 1
-        if d < 1:
-            raise ValueError("map must have degree >= 1 (not constant)")
-        for name, c in (("numerator", P), ("denominator", Q)):
-            ratio = abs(c[-1]) / np.abs(c).max()
-            if ratio < _MIN_LEAD_RATIO:
-                raise ValueError(f"{name} leading coefficient is {ratio:.3g} times its largest, "
-                                 f"below {_MIN_LEAD_RATIO:g}: its monic form leaves float range")
-        self._check_reduced()
-        # P, Q times the power of two (exact) that brings the largest |coefficient| into [1, 2),
-        # so P'Q and PQ' can neither overflow nor underflow to a vanishing Wronskian
-        e = 1 - math.frexp(max(np.abs(P).max(), np.abs(Q).max()))[1]
-        self._pq = np.empty_like(P), np.empty_like(Q)
-        for c, out in zip((P, Q), self._pq):
-            np.ldexp(c.view(float), e, out=out.view(float))  # 2.0 ** e overflows for e > 1023
-        P, Q = self._pq
-        # P'Q - PQ' accumulated into zeros: a zero coefficient is +0 whatever its products' signs
-        W = np.zeros(P.size + Q.size - 2, dtype=complex)
-        if P.size > 1:
-            W += np.convolve(P[1:] * np.arange(1, P.size), Q)
-        if Q.size > 1:
-            W -= np.convolve(P, Q[1:] * np.arange(1, Q.size))
-        # the degree 2d - 1 terms cancel exactly in theory, not always in floating point
-        self._wron = _coeffs(W[: 2 * d - 1])
-        if not self._wron.any():
-            raise ValueError("map is constant (vanishing derivative)")
-        super().__init__([self])
-
-    def _check_reduced(self):
-        """Reject a root a of one side within chordal 1e-8 of a root of the other, or where
-        the other side is at most 1e-8 of its terms' moduli, read in the 1/z chart when
-        |a| > 1: poly_roots resolves a double root only to about 1e-8."""
-        P, Q = self.num, self.den
-        if P.size == 1 or Q.size == 1:
-            return
-        rp, rq = poly_roots(P), poly_roots(Q)
-        for roots, c, other in ((rp, Q, rq), (rq, P, ())):  # chordal: each pair once
-            for a in roots:
-                cc, x = (c, a) if abs(a) <= 1.0 else (c[::-1], 1.0 / a)
-                if (abs(horner(cc, x)) <= 1e-8 * abs(horner(np.abs(cc), abs(x)))
-                        or any(chordal_distance(a, b) <= 1e-8 for b in other)):
-                    raise ValueError(f"numerator and denominator share a root near {a}")
-
-    # -- scalar wrappers ---------------------------------------------------------
+        self.num, self.den = _coeffs(num), _coeffs(den)
+        super().__init__(self.num[:, None], self.den[:, None])
 
     def __call__(self, point) -> complex:
         return complex(self.eval_many(_point_array(point))[0])
@@ -567,39 +579,25 @@ class RationalMap(MapStack):
         """All degree-many solutions w of f(w) = point, with multiplicity, sorted."""
         return sorted(map(as_point, self.preimages_many(_point_array(point))[0]), key=sort_key)
 
-    # -- critical and fixed points ---------------------------------------------
-
     def critical_points(self) -> list[complex]:
         """Zeros of the derivative on the sphere, with multiplicity (2d-2 total).
 
         Infinity is critical exactly when the Wronskian P'Q - PQ' drops below
         degree 2d-2; the drop is its multiplicity.
         """
-        pts = [as_point(r) for r in poly_roots(self._wron)]
-        pts += [INF_Z] * (2 * self.degree - 1 - self._wron.size)
+        w = self.fwd[0][:, 0]  # the Wronskian, trailing zeros stripped
+        pts = [as_point(r) for r in poly_roots(w)]
+        pts += [INF_Z] * (2 * self.degree - 1 - w.size)
         return sorted(pts, key=sort_key)
 
     def critical_values(self) -> list[complex]:
         return [self(p) for p in self.critical_points()]
 
     def fixed_points(self) -> list[tuple[complex, float]]:
-        """Fixed points with spherical multiplier norms, canonically ordered.
-
-        A point is repelling exactly when its norm exceeds 1.  Infinity is
-        fixed precisely when deg P > deg Q (e.g. for polynomials).
-        """
-        fp = np.zeros(max(self.num.size, self.den.size + 1), dtype=complex)
-        fp[: self.num.size] = self.num
-        fp[1 : self.den.size + 1] -= self.den  # P(z) - z Q(z)
-        out = []
-        if fp.any():
-            for r in poly_roots(fp):
-                p = as_point(r)
-                out.append((p, float(self.spherical_derivative_norm(p))))
-        if self.num.size > self.den.size:
-            out.append((INF_Z, float(self.spherical_derivative_norm(INF_Z))))
-        out.sort(key=lambda t: sort_key(t[0]))
-        return out
+        """(point, norm) of each fixed point, canonically ordered: the one-column
+        case of fixed_points_many.  A point is repelling when its norm exceeds 1."""
+        z, norms = self.fixed_points_many()
+        return [(p, norm) for p, norm in zip(z[0].tolist(), norms[0].tolist()) if not math.isnan(norm)]
 
     def __repr__(self):
         return f"RationalMap({self.num.tolist()!r}, {self.den.tolist()!r})"

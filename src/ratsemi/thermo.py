@@ -26,9 +26,10 @@ from .dynamics import (
     VerificationReport,
     _check_tree_args,
     _expand_backward,
+    _integer,
     _subsample_level,  # noqa: F401  unused here; perfbench/spans.py patches this name
     check_hyperbolic,
-    repelling_seed,
+    repelling_seeds,
 )
 from .errors import (
     CriticalPreimage,
@@ -37,7 +38,7 @@ from .errors import (
     NoSignChange,
     RatsemiError,
 )
-from .sphere import MapStack, as_point
+from .sphere import as_point
 
 _CRIT_NORM = 1e-12
 _RTOL_PRESSURE = 1e-6  # pressure and Bowen estimates stop once the last 3 ratios agree this well
@@ -62,7 +63,7 @@ class ThermoConfig:
     def __post_init__(self):
         """The tree's depth, cap and seed and the root-search tolerances fail
         here, before any gate runs; the hyper_* fields are checked by the gate itself."""
-        if self.depth < 2:
+        if _integer(self.depth, "depth") < 2:
             raise ValueError("pressure estimation needs depth >= 2")
         tree_args = _check_tree_args(self.depth, self.cap, self.rng_seed)
         for name, v in zip(("depth", "cap", "rng_seed"), tree_args):
@@ -115,22 +116,19 @@ def _finite_t(t) -> float:
 
 class PreimageTree:
     """Lazily extended backward tree, shared across t, from a basepoint (by
-    default the system's repelling seed); or, given lists of same-signature
-    MultiMaps and basepoints, of a block of B systems.  depth is the deepest
-    level a caller may read.  Level n holds logd as (B, N), one row per
-    system, and min_step_norm per system; logw is one float for all rows and
-    systems (see CloudLevel).  No level keeps words.  Only the frontier keeps
+    default the system's repelling seed); or, given a block MultiMap of B
+    systems (see MultiMap) and a list of basepoints (by default their
+    repelling seeds), of the block.  depth is the deepest level a caller may
+    read.  Level n holds logd as (B, N), one row per system, and
+    min_step_norm per system; logw is one float for all rows and systems
+    (see CloudLevel).  No level keeps words.  Only the frontier keeps
     its points z, which the next extension reads; level depth is built
     without them.  basepoints holds each system's basepoint as a point."""
 
     def __init__(self, mm, basepoint=None, *, depth: int, cap: int = DEFAULT_CAP, rng_seed: int = 0):
         self.depth, self.cap, self.rng_seed = _check_tree_args(depth, cap, rng_seed)
-        block = isinstance(mm, (list, tuple))
-        # a block's generator j is the MapStack of every system's j-th map, system b in column b
-        self.mm = MultiMap(map(MapStack, zip(*(m.generators for m in mm)))) if block else mm
-        if not block:
-            basepoint = [repelling_seed(mm)[0] if basepoint is None else basepoint]
-        self.basepoints = [as_point(p) for p in basepoint]
+        seeds = [p for p, _ in repelling_seeds(mm)] if basepoint is None else np.atleast_1d(basepoint)
+        self.mm, self.basepoints = mm, [as_point(p) for p in seeds]
         z = np.array(self.basepoints)[:, None]
         self.levels = [CloudLevel(z, logd=np.zeros(z.shape), logw=0.0,
                                   min_step_norm=np.full(z.size, math.inf))]
@@ -235,8 +233,8 @@ def _estimate_on_tree(tree: PreimageTree, t, rtol: float) -> list:
 
 
 def _config_tree(mm, basepoint, config: ThermoConfig) -> PreimageTree:
-    """The preimage tree of mm (or of a block of MultiMaps) at the config's
-    depth, cap and seed, from basepoint (the repelling seed if None)."""
+    """The preimage tree of mm (a system or a block) at the config's depth,
+    cap and seed, from basepoint (the repelling seeds if None)."""
     return PreimageTree(mm, basepoint, depth=config.depth, cap=config.cap, rng_seed=config.rng_seed)
 
 
@@ -261,21 +259,22 @@ def pressure_curve(mm: MultiMap, t_values, config: ThermoConfig = None, basepoin
 
 
 def _prepare(mm: MultiMap, config: ThermoConfig):
-    """(gate, seed): the per-system stage of a Bowen search.  The sampled
-    hyperbolicity check runs first; unless force is set, a verdict other
-    than pass raises HyperbolicityUnverified carrying its report.  The seed
-    is the repelling fixed point the tree grows from."""
-    gate = check_hyperbolic(mm, depth=config.hyper_depth, margin=config.hyper_margin,
-                            cap=config.hyper_cap, rng_seed=config.rng_seed)
-    if gate.verdict != "pass" and not config.force:
-        dist = gate.metrics.get("min_distance", math.nan)
-        raise HyperbolicityUnverified(
-            f"hyperbolicity check returned '{gate.verdict}' (min chordal "
-            f"distance {dist:.6g}, margin {gate.margin}); pass force=True "
-            "to compute anyway",
-            report=gate,
-        )
-    return gate, repelling_seed(mm)[0]
+    """(gates, seeds), one of each per system of mm (see PreimageTree): the
+    per-system stage of a Bowen search.  The sampled hyperbolicity check runs
+    first, once for a block of degree-one maps (a vacuous pass); unless force
+    is set, a verdict other than pass raises HyperbolicityUnverified carrying
+    its report.  The seeds are the repelling fixed points the trees grow from."""
+    gates = []
+    for system in [mm] if max(mm.degrees) == 1 else map(mm.system, range(mm.num_systems)):
+        gate = check_hyperbolic(system, depth=config.hyper_depth, margin=config.hyper_margin,
+                                cap=config.hyper_cap, rng_seed=config.rng_seed)
+        if gate.verdict != "pass" and not config.force:
+            raise HyperbolicityUnverified(f"hyperbolicity check returned '{gate.verdict}' (min chordal "
+                                          f"distance {gate.metrics.get('min_distance', math.nan):.6g}, "
+                                          f"margin {gate.margin}); pass force=True to compute anyway",
+                                          report=gate)
+        gates.append(gate)
+    return gates * (mm.num_systems // len(gates)), [p for p, _ in repelling_seeds(mm)]
 
 
 def _root_search(config: ThermoConfig):
@@ -367,8 +366,8 @@ def bowen_parameter(mm: MultiMap, config: ThermoConfig = None, **overrides) -> B
     carrying that report.  This is the one-point case of _bowen_search.
     """
     config = replace(config or ThermoConfig(), **overrides)
-    gate, seed_pt = _prepare(mm, config)
-    (res,) = _bowen_search(_config_tree(mm, seed_pt, config), config)
+    (gate,), seeds = _prepare(mm, config)
+    (res,) = _bowen_search(_config_tree(mm, seeds, config), config)
     if isinstance(res, RatsemiError):
         raise res
     return replace(res, gate=gate)

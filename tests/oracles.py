@@ -17,7 +17,7 @@ from numpy.polynomial import polynomial as npp
 from ratsemi.dynamics import MultiMap
 from ratsemi.errors import InsufficientPoints
 from ratsemi.families import SmoothnessReport, SubmeanReport
-from ratsemi.sphere import INF_Z, as_point, polynomial_map, roots_batch
+from ratsemi.sphere import INF_Z, MapStack, as_point, polynomial_map, roots_batch
 
 # ---------------------------------------------------------------------------
 # frozen constants
@@ -60,6 +60,19 @@ def power_map(d, a=1.0):
 def power_mm(*specs):
     """The MultiMap of power_map(d, a) for each (d, a) in specs."""
     return MultiMap([power_map(d, a) for d, a in specs])
+
+
+def stack_maps(maps):
+    """The MapStack of same-degree maps, map b in column b, built from their coefficients."""
+    cols = [np.zeros((maps[0].degree + 1, len(maps)), dtype=complex) for _ in "nd"]
+    for b, f in enumerate(maps):
+        cols[0][: f.num.size, b], cols[1][: f.den.size, b] = f.num, f.den
+    return MapStack(*cols)
+
+
+def block_mm(mms):
+    """The block MultiMap of same-signature systems, system b in column b of each generator."""
+    return MultiMap(stack_maps(maps) for maps in zip(*(mm.generators for mm in mms)))
 
 
 def gasket_mm(vertices=TRIANGLE_RAW):

@@ -10,6 +10,7 @@ from ratsemi.dynamics import (
     CloudLevel,
     MultiMap,
     PointCloud,
+    VerificationReport,
     check_hyperbolic,
     _expand_backward,
     _subsample_level,
@@ -840,6 +841,24 @@ def test_hyperbolic_vacuous_pass_without_critical_points():
     assert rep.verdict == "pass"
     assert rep.metrics["postcritical_size"] == 0
     assert math.isinf(rep.metrics["min_distance"])
+
+
+def test_degree_one_gate_builds_no_cloud_and_keeps_its_vacuous_report(monkeypatch):
+    def no_cloud(*args, **kwargs):
+        raise AssertionError("a degree-one gate built a cloud")
+
+    monkeypatch.setattr(dynamics, "postcritical_cloud", no_cloud)
+    monkeypatch.setattr(dynamics, "julia_backward_cloud", no_cloud)
+    want = VerificationReport("pass", [], 0.2, {"min_distance": math.inf, "postcritical_size": 0})
+    block = oracles.block_mm([gasket_mm(), gasket_mm(oracles.TRIANGLE_UNIT)])
+    for mm in (gasket_mm(), block):
+        assert check_hyperbolic(mm, depth=5, margin=0.2, cap=200_000) == want
+        # the argument checks still run first
+        for kwargs, match in (({"margin": 0.0}, "margin must be positive"),
+                              ({"depth": -1}, "depth must be nonnegative"),
+                              ({"cap": 1.5}, "cap must be an integer")):
+            with pytest.raises(ValueError, match=match):
+                check_hyperbolic(mm, **{"depth": 5, "margin": 0.2, "cap": 100, **kwargs})
 
 
 def test_hyperbolic_fail_with_witness_on_escaping_critical_orbit():

@@ -300,7 +300,7 @@ def test_error_class_carries_exit_code_and_sweep_status(cls, monkeypatch):
     def fail(mm, config):
         raise cls("planted")
 
-    # the per-point stage (gate and seed) that every sweep point runs on its own
+    # the gate-and-seed stage: a block it raises in is prepared again point by point
     monkeypatch.setattr(families, "_prepare", fail)
     grid = GridSpec(0.4, 0.4, 1, 0.0, 0.0, 1)
     if status is None:
@@ -350,7 +350,7 @@ def blocks_seen(monkeypatch):
     sizes = []
     solve = families._solve_block
     monkeypatch.setattr(families, "_solve_block",
-                        lambda mms, seeds, cfg: sizes.append(len(mms)) or solve(mms, seeds, cfg))
+                        lambda lams, coeffs, cfg: sizes.append(len(lams)) or solve(lams, coeffs, cfg))
     return sizes
 
 
@@ -381,17 +381,16 @@ def test_block_of_six_similarity_points_stays_within_its_memory_budget():
     cfg = parse_file(str(Path(__file__).parent.parent / "demos" / "configs" / "similarity_sweep.json"))
     fam, grid, tcfg = cfg.family_spec(), cfg.grid_spec(), cfg.thermo_config()
     lams = list(grid.points())[-grid.im_n :][:6]  # the last grid row
-    mms = [instantiate(fam, lam) for lam in lams]
-    seeds = [thermo._prepare(mm, tcfg)[1] for mm in mms]
+    coeffs = [families._coefficients(fam, lam) for lam in lams]
     assert 6 * 3 ** tcfg.depth <= families._BLOCK_NODES < 7 * 3 ** tcfg.depth
     tracemalloc.start()
     try:
-        results = families._solve_block(mms, seeds, tcfg)
+        results = families._solve_block(lams, coeffs, tcfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not any(isinstance(r, errors.RatsemiError) for r in results)
-    assert peak / len(mms) < 600 * 1024
+    assert len(results) == 6 and not any(isinstance(r, errors.RatsemiError) for r in results)
+    assert peak / len(lams) < 600 * 1024
 
 
 def test_lockstep_sweep_keeps_each_points_own_status(monkeypatch):
@@ -407,9 +406,78 @@ def test_lockstep_sweep_keeps_each_points_own_status(monkeypatch):
     statuses = [r.status for r in table.rows]
     assert statuses == ["invalid-instance", "no-sign-change", "no-sign-change", "ok", "ok",
                         "ok", "ok", "invalid-instance", "invalid-instance"]
-    assert sizes == [6]  # the failed instances do not split the block
+    # c = 0 drops a degree, so it is stacked as a block of its own, where it fails; the
+    # parameters outside the domain fail before stacking, and no failure splits the six
+    assert sizes == [1, 6]
     assert table.rows == sweep_in_blocks_of_one(monkeypatch, fam, grid, config).rows
     assert table.row_at(3, 0).delta == pytest.approx(oracles.moran_root_bf([0.5, 1 / 1.5]), abs=1e-4)
+
+
+# (z^2 - lam) / (z - 0.5) shares its root 0.5 with the denominator at lam = 0.25, an
+# invalid parameter inside a block; z^2 + (lam - 0.35) z^3 drops to degree 2 at lam = 0.35
+DROP_FAMILY = FamilySpec(
+    generators=(((0.0, 0.0, 1.0), (1.0,)), (((0.0, -1.0), 0.0, 1.0), (-0.5, 1.0)),
+                ((0.0, 0.0, 1.0, (-0.35, 1.0)), (1.0,))),
+    domain=RectDomain(-1.0, 1.0, -1.0, 1.0),
+)
+DROP_CONFIG = ThermoConfig(depth=4, cap=2_000, hyper_depth=3, hyper_cap=2_000, force=True)
+
+
+def assert_stacked_equals_alone(fam, lams, config):
+    """The block of lams, stacked and prepared in one call, against each point
+    instantiated and prepared on its own: the same coefficient bytes, column
+    by column (a row the block keeps and the point trims is +0), seeds and gates."""
+    block = families._stack(lams, [families._coefficients(fam, lam) for lam in lams])
+    gates, seeds = thermo._prepare(block, config)
+    assert len(gates) == len(seeds) == block.num_systems == len(lams)
+    for b, lam in enumerate(lams):
+        alone = instantiate(fam, lam)
+        (gate,), (seed,) = thermo._prepare(alone, config)
+        assert gates[b] == gate
+        assert np.array([seeds[b]]).tobytes() == np.array([seed]).tobytes()
+        for g, f in zip(block.generators, alone.generators):
+            for got, want in zip((*g.raw, g.P, g.Q, *g.fwd, *g.rev), (*f.raw, f.P, f.Q, *f.fwd, *f.rev)):
+                assert got.shape[0] >= want.shape[0]
+                col = np.zeros(got.shape[0], dtype=complex)
+                col[: want.shape[0]] = want[:, 0]
+                assert got[:, b].tobytes() == col.tobytes()
+
+
+def test_stacked_preparation_equals_each_point_prepared_alone_on_the_similarity_grid():
+    cfg = parse_file(Path(__file__).resolve().parent.parent / "demos/configs/similarity_sweep.json")
+    lams = list(cfg.grid_spec().points())
+    assert len(lams) == 441
+    assert_stacked_equals_alone(cfg.family_spec(), lams, cfg.thermo_config())
+
+
+def test_stacked_preparation_equals_each_point_prepared_alone_on_the_annulus_family():
+    lams = list(GridSpec(0.3, 0.6, 4, -0.1, 0.1, 3).points())
+    assert_stacked_equals_alone(annulus_family(), lams, replace(FAST, hyper_depth=4, hyper_cap=2_000))
+
+
+def test_stacked_preparation_equals_alone_around_an_invalid_parameter_and_a_degree_drop(monkeypatch):
+    grid = GridSpec(0.15, 0.35, 5, 0.0, 0.0, 1)
+    lams = list(grid.points())
+    degrees = [instantiate(DROP_FAMILY, lam).degrees for lam in lams[:2] + lams[3:]]
+    assert degrees == [(2, 2, 3)] * 3 + [(2, 2, 2)]
+    with pytest.raises(InvalidInstance, match="generator 2 is degenerate .* share a root"):
+        instantiate(DROP_FAMILY, lams[2])
+    with pytest.raises(InvalidInstance, match="generator 2 is degenerate"):
+        families._stack(lams[:4], [families._coefficients(DROP_FAMILY, lam) for lam in lams[:4]])
+    assert_stacked_equals_alone(DROP_FAMILY, lams[:2] + lams[3:4], DROP_CONFIG)
+
+    sizes = blocks_seen(monkeypatch)
+    table = sweep_delta(DROP_FAMILY, grid, DROP_CONFIG)
+    # the block of the first four raises on the shared root and is solved point by point;
+    # the degree drop at 0.35 starts a block of its own
+    assert sizes == [4, 1, 1, 1, 1, 1]
+    statuses = [r.status for r in table.rows]
+    assert statuses[2] == "invalid-instance" and "invalid-instance" not in statuses[:2] + statuses[3:]
+    assert table.rows == sweep_in_blocks_of_one(monkeypatch, DROP_FAMILY, grid, DROP_CONFIG).rows
+    # unforced, every gate fails, each on its own point
+    unforced = sweep_delta(DROP_FAMILY, grid, replace(DROP_CONFIG, force=False))
+    assert [r.status for r in unforced.rows] == ["hyperbolicity-unverified"] * 2 + ["invalid-instance"] + [
+        "hyperbolicity-unverified"] * 2
 
 
 def test_failed_root_solve_in_a_block_lands_on_its_own_point(monkeypatch):

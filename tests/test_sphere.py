@@ -13,7 +13,6 @@ from ratsemi.sphere import (
     INF_Z,
     _chart_norm,
     BIG_MODULUS,
-    MapStack,
     RationalMap,
     as_point,
     chordal_distance,
@@ -475,7 +474,7 @@ def _chart_mix_cases():
     far = rand_complex(rng, 2 * 29, scale=4.0).reshape(2, -1)
     far[np.abs(far) <= 1.0] *= 3.0 / np.abs(far[np.abs(far) <= 1.0])
     far[:, 5] = INF_Z
-    return MapStack(gens), gens, near, far
+    return oracles.stack_maps(gens), gens, near, far
 
 
 def test_map_stack_eval_many_equals_each_maps_own_bit_for_bit():
@@ -704,7 +703,7 @@ def test_preimages_many_equals_the_dense_reference_bit_for_bit(d):
     maps = _dense_ref_maps(rng, d)
     blocks = [[f] for f in maps] + [[f, g, f] for f, g in zip(maps, maps[1:] + maps[:1])]
     for gens in blocks:
-        stack = MapStack(gens)
+        stack = oracles.stack_maps(gens)
         drops = [complex(f(INF_Z)) if f(INF_Z) != INF_Z else 0j for f in gens]
         finite = rand_complex(rng, 300 * len(gens), scale=2.0).reshape(len(gens), -1)
         mixed = np.concatenate([finite[:, :40], np.full((len(gens), 3), INF_Z),
@@ -715,6 +714,53 @@ def test_preimages_many_equals_the_dense_reference_bit_for_bit(d):
             assert stack.preimages_many(z).tobytes() == ref.tobytes()
             if len(gens) == 1:
                 assert gens[0].preimages_many(z[0]).tobytes() == ref[0].tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_stacked_columns_are_each_maps_own_bits_and_np_convolve_wronskians(d):
+    # the batched constructor validates, scales and builds column by column: each
+    # column's num, den and scaled P, Q are the map's own, P and Q are num and den
+    # times a power of two, and the Wronskian is np.convolve's, bit for bit
+    rng = np.random.default_rng(70 + d)
+    maps = _dense_ref_maps(rng, d)
+    maps += [RationalMap(rand_complex(rng, d + 1), rand_complex(rng, k + 1)) for k in range(d)]
+    stack = oracles.stack_maps(maps)
+    W = stack.fwd[0]
+    for b, f in enumerate(maps):
+        e = 1 - math.frexp(max(np.abs(f.num).max(), np.abs(f.den).max()))[1]
+        for got, side in ((stack.P, f.num), (stack.Q, f.den)):
+            want = np.zeros(d + 1, dtype=complex)
+            want[: side.size] = np.ldexp(side.real, e) + 1j * np.ldexp(side.imag, e)
+            assert got[:, b].tobytes() == want.tobytes()
+        P, Q = stack.P[: f.num.size, b], stack.Q[: f.den.size, b]
+        w = np.zeros(2 * d - 1, dtype=complex)
+        if P.size > 1:
+            w[: P.size + Q.size - 2] += np.convolve(P[1:] * np.arange(1, P.size), Q)[: 2 * d - 1]
+        if Q.size > 1:
+            w[: P.size + Q.size - 2] -= np.convolve(P, Q[1:] * np.arange(1, Q.size))[: 2 * d - 1]
+        assert not w[len(W):].any()  # the rows the stack trims vanish in every column
+        assert W[:, b].tobytes() == w[: len(W)].tobytes()
+        for got, want in zip((*stack.raw, *stack.fwd, *stack.rev), (*f.raw, *f.fwd, *f.rev)):
+            col = np.zeros(len(got), dtype=complex)
+            col[: len(want)] = want[:, 0]
+            assert got[:, b].tobytes() == col.tobytes()
+
+
+def test_stacked_columns_fail_as_the_map_alone_does():
+    good = polynomial_map([0.0, 0.0, 1.0])
+    cols = [np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), np.ones((1, 2))]
+    cases = [(cols[0], cols[1], "numerator and denominator must be nonzero"),
+             # column 1 is (z^2 - 1) / (z - 1)
+             (np.array([[0.0, -1.0], [0.0, 0.0], [1.0, 1.0]]), np.array([[1.0, -1.0], [0.0, 1.0]]),
+              "numerator and denominator share a root near"),
+             (np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), np.ones((1, 2)),
+              "stacked maps must share one degree")]
+    for num, den, match in cases:
+        with pytest.raises(ValueError, match=match):
+            sphere.MapStack(num, den)
+    one = sphere.MapStack(cols[0][:, :1], cols[1][:, :1])
+    assert [c.tobytes() for c in (one.P, one.Q, *one.fwd, *one.rev)] == \
+        [c.tobytes() for c in (good.P, good.Q, *good.fwd, *good.rev)]
 
 
 def test_quadratic_kernel_equals_the_where_expression_bit_for_bit():

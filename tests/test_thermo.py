@@ -151,7 +151,7 @@ def test_critical_check_first_raises_at_the_level_holding_the_critical_point():
 
 def test_critical_check_of_a_block_names_the_critical_basepoint():
     # system 0 (z^2 from 1) never meets its critical point; system 1 is CHEBYSHEV from 2
-    tree = PreimageTree([power_mm((2, 1.0)), CHEBYSHEV], [1.0, 2.0], depth=4)
+    tree = PreimageTree(oracles.block_mm([power_mm((2, 1.0)), CHEBYSHEV]), [1.0, 2.0], depth=4)
     rows = np.arange(2)
     for t in ([1.0, 1.0], [0.0, 1.0], [1.0, 0.0]):
         assert np.isfinite(tree._log_level_sums(np.array(t), 1, rows)[0]).all()
@@ -183,6 +183,8 @@ def test_preimage_tree_rejects_a_cap_below_one_as_the_clouds_do():
     (lambda mm: pressure(mm, 1.0, ThermoConfig(cap=1000.5)), "cap must be an integer, got 1000.5"),
     # a float depth raised TypeError from range
     (lambda mm: ThermoConfig(depth=6.5), "depth must be an integer, got 6.5"),
+    # a string depth raised TypeError from the depth >= 2 comparison
+    (lambda mm: ThermoConfig(depth="6"), "depth must be an integer, got '6'"),
     (lambda mm: PreimageTree(mm, depth=4, cap=True), "cap must be an integer, got True"),
     # the gate's budget: a float hyper_cap raised UFuncTypeError in _jittered, a float
     # hyper_depth TypeError from range
@@ -190,7 +192,8 @@ def test_preimage_tree_rejects_a_cap_below_one_as_the_clouds_do():
      "cap must be an integer, got 1000.5"),
     (lambda mm: bowen_parameter(mm, ThermoConfig(hyper_depth=6.5)),
      "depth must be an integer, got 6.5"),
-], ids=["pressure-cap", "config-depth", "tree-bool-cap", "bowen-hyper-cap", "bowen-hyper-depth"])
+], ids=["pressure-cap", "config-depth", "config-string-depth", "tree-bool-cap", "bowen-hyper-cap",
+        "bowen-hyper-depth"])
 def test_a_tree_budget_that_is_not_an_integer_raises_value_error(call, match):
     with pytest.raises(ValueError, match=match):
         call(power_mm((2, 1.0), (2, 0.5)))
