@@ -12,9 +12,10 @@ EXTRA are the entry's own CLI arguments, such as the benchmark's
 demos/NAME.py``; the demos write no files.  Prints one ``sha256 label`` line
 per stdout (the temporary directory's path replaced by ``$OUT``) and per
 output file, passes every command's stderr through, and exits 1 if any
-command exits non-zero.  On stderr it also prints one ``MiB  peak_rss_mb
-label`` line per command: the child's peak resident set size, read from
-``os.wait4``, so the peak of every subcommand can be compared between
+command exits non-zero.  On stderr it also prints two lines per command:
+``MiB  peak_rss_mb label``, the child's peak resident set size, read from
+``os.wait4``, and ``seconds  wall_s label``, its wall time from start to
+exit, so the peak and the time of every subcommand can be compared between
 checkouts; stdout holds only the digests.
 
 To check that a change keeps every output byte-identical, run the tool in the
@@ -25,6 +26,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,14 +66,17 @@ def main() -> int:
                  for demo in sorted((ROOT / "demos").glob("*.py"))]
         for label, args in runs:
             print(f"== {label}", file=sys.stderr, flush=True)
+            start = time.perf_counter()
             proc = subprocess.Popen([sys.executable, "-W", "error", *args], cwd=ROOT, env=env,
                                     stdout=subprocess.PIPE)
             with proc.stdout:
                 stdout = proc.stdout.read().replace(out.encode(), b"$OUT")
             _, status, usage = os.wait4(proc.pid, 0)
+            wall = time.perf_counter() - start
             proc.returncode = os.waitstatus_to_exitcode(status)
             # Linux reports ru_maxrss in KiB
             print(f"{usage.ru_maxrss / 1024:.2f}  peak_rss_mb {label}", file=sys.stderr, flush=True)
+            print(f"{wall:.3f}  wall_s {label}", file=sys.stderr, flush=True)
             if proc.returncode != 0:
                 print(f"{label}: exit code {proc.returncode}", file=sys.stderr)
                 failed += 1
