@@ -26,6 +26,7 @@ from .sphere import INF_Z
 from .thermo import PreimageTree, bowen_parameter, lyapunov_and_entropy, pressure_curve
 
 EXIT_OSC_FAIL = 6  # the one exit code no RatsemiError carries (errors.py has the rest)
+POINCARE_DEPTH = 8  # poincare sums levels 1..8 of the tree
 
 
 def _g17(x) -> str:
@@ -175,7 +176,7 @@ def cmd_pressure(cfg: RunConfig, args) -> int:
 
 
 def cmd_poincare(cfg: RunConfig, args) -> int:
-    mm, tcfg, N = cfg.multimap(), cfg.thermo_config(), cfg.data["poincare_N"]
+    mm, tcfg, N = cfg.multimap(), cfg.thermo_config(), POINCARE_DEPTH
     tree = PreimageTree(mm, cfg.basepoint(), depth=N, cap=tcfg.cap, rng_seed=tcfg.rng_seed)
     rows = [(t, *tree.poincare(float(t)), N) for t in cfg.data["t_values"]]
     return _emit_t_csv(rows, args.out)
@@ -206,11 +207,6 @@ def cmd_osc(cfg: RunConfig, args) -> int:
 def cmd_sweep(cfg: RunConfig, args) -> int:
     fam = cfg.family_spec()
     grid = cfg.grid_spec()
-    line = cfg.data["sweep"]["smooth_line"] or ["col", grid.im_n // 2]
-    try:
-        grid.check_line(line)
-    except ValueError as e:
-        raise ConfigError(f"config.sweep.smooth_line: {e}") from e
     table = sweep_delta(fam, grid, cfg.thermo_config())
     rows = []
     for r in table.rows:
@@ -221,14 +217,15 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     n_ok = sum(1 for r in table.rows if r.status == "ok")
     print(f"wrote {args.out} ({len(table.rows)} rows, {n_ok} ok)")
 
-    sub = submean_diagnostic(table, radius=cfg.data["sweep"]["submean_radius"])
+    sub = submean_diagnostic(table)  # at its default radius 1
     print(
         f"submean {sub.verdict}: worst violation {sub.worst_violation:.6g}, "
         f"reciprocal {sub.worst_reciprocal_violation:.6g} "
         f"(tol_sub {sub.tol_sub:.6g}, centers {sub.centers_checked})"
     )
+    line = ("col", grid.im_n // 2)  # the central column, fitted at the default degree 4
     try:
-        smooth = smoothness_diagnostic(table, line, fit_degree=cfg.data["sweep"]["fit_degree"])
+        smooth = smoothness_diagnostic(table, line)
     except InsufficientPoints as e:
         print(f"smoothness skipped: {e}")
     else:
@@ -247,7 +244,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 
 def cmd_boxdim(cfg: RunConfig, args) -> int:
-    # the boxdim section's keys are box_dimension's keyword arguments
+    # the boxdim section's keys are box_dimension's keyword arguments; 6 scales by default
     res = box_dimension(_julia_cloud(cfg), **cfg.data["boxdim"])
     print(f"box dimension slope = {res.slope:.6g} (r^2 = {res.r_squared:.6g})")
     print("scale,count")
@@ -307,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_flags(cfg: RunConfig, args) -> None:
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be nonnegative")
+        if not 0 <= args.seed < 2**64:
+            raise ConfigError("--seed must be in [0, 2^64)")
         cfg.data["rng_seed"] = args.seed
     if args.depth is not None:
         if args.depth < 2:

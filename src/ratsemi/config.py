@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from .dynamics import DEFAULT_CAP, DEFAULT_DEPTH, MultiMap
 from .errors import ConfigError
 from .families import AnnulusDomain, FamilySpec, GridSpec, RectDomain
-from .geometry import MAX_BOX_SCALES, Annulus, ComplementDisc, Disc, Triangle
+from .geometry import Annulus, ComplementDisc, Disc, Triangle
 from .sphere import RationalMap
 from .thermo import ThermoConfig
 
@@ -65,12 +65,6 @@ def _float(v, where, bounds=None):
     return _in_range(f, where, bounds)
 
 
-def _positive(v, where, _=None):
-    if not _float(v, where) > 0.0:
-        _fail(where, f"must be > 0, got {v!r}")
-    return float(v)
-
-
 def _bool(v, where, _=None):
     if not isinstance(v, bool):
         _fail(where, f"expected true/false, got {v!r}")
@@ -113,12 +107,6 @@ def _viewport(v, where, _=None):
     if out[0] >= out[1] or out[2] >= out[3]:
         _fail(where, "viewport bounds must be ordered")
     return out
-
-
-def _smooth_line(v, where, _=None):
-    if not isinstance(v, list) or len(v) != 2 or v[0] not in ("row", "col"):
-        _fail(where, f"expected [\"row\"|\"col\", index], got {v!r}")
-    return [v[0], _int(v[1], where + "[1]", 0)]
 
 
 def _vertices(v, where, _=None):
@@ -184,17 +172,11 @@ _DOMAINS = ("domain needs a kind of rect or annulus", {
 _TC = ThermoConfig()  # the thermo defaults live in its dataclass fields
 
 _CONFIG = {
-    "rng_seed": (_int, 0, 0),
+    "rng_seed": (_int, 0, (0, 2**64 - 1)),  # dynamics._derive_seed reads 64 bits
     "thermo": (_object, {}, {
         "depth": (_int, _TC.depth, 2),
         "cap": (_int, _TC.cap, 1),
-        "tol_t": (_positive, _TC.tol_t, None),  # the root search stops on both
-        "tol_p": (_positive, _TC.tol_p, None),
-        "t_max": (_positive, _TC.t_max, None),
         "force": (_bool, _TC.force, None),
-        "hyper_depth": (_int, _TC.hyper_depth, 1),
-        "hyper_margin": (_positive, _TC.hyper_margin, None),
-        "hyper_cap": (_int, _TC.hyper_cap, 1),
         "basepoint": (_pair, None, None),
     }),
     "julia": (_object, {}, {
@@ -213,20 +195,11 @@ _CONFIG = {
         "variant": (_str, "plain", {"plain", "separating"}),
         "epsilon": (_float, 1e-3, 0),  # 0 is the closed-region test
     }),
-    "boxdim": (_object, {}, {
-        "scale_count": (_int, 6, (2, MAX_BOX_SCALES)),
-        "viewport": (_viewport, None, None),
-    }),
-    "sweep": (_object, {}, {
-        "out": (_str, "sweep.csv", None),
-        "submean_radius": (_int, 1, 1),
-        "smooth_line": (_smooth_line, None, None),
-        "fit_degree": (_int, 4, 1),
-    }),
+    "boxdim": (_object, {}, {"viewport": (_viewport, None, None)}),
+    "sweep": (_object, {}, {"out": (_str, "sweep.csv", None)}),
     "t_values": (_floats, [0.0, 0.5, 1.0, 1.5, 2.0], None),
     "region": (_variant, None, _REGIONS),
     "grid": (_object, None, {**_RECT, "re_n": _COUNT, "im_n": _COUNT}),
-    "poincare_N": (_int, 8, 1),
     "multimap": (_object, _OMITTED, {
         "generators": (_generators, [], {  # absent: rejected as empty
             "num": (_poly, _REQUIRED, None),

@@ -310,12 +310,14 @@ def _integer(v, what: str) -> int:
 
 
 def _check_tree_args(depth: int, cap: int, rng_seed: int) -> tuple:
-    """(depth, cap, rng_seed) of a tree or cloud as ints; depth >= 0 and cap >= 1."""
+    """(depth, cap, rng_seed) of a tree or cloud as ints; depth >= 0, cap >= 1, 0 <= rng_seed < 2^64."""
     if _integer(depth, "depth") < 0:
         raise ValueError("depth must be nonnegative")
     if _integer(cap, "cap") < 1:
         raise ValueError("cap must be positive")
-    return int(depth), int(cap), _integer(rng_seed, "rng_seed")
+    if not 0 <= _integer(rng_seed, "rng_seed") < 2**64:  # _derive_seed reads 64 bits
+        raise ValueError(f"rng_seed must be in [0, 2^64), got {rng_seed}")
+    return int(depth), int(cap), int(rng_seed)
 
 
 def julia_backward_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFAULT_CAP,
@@ -421,7 +423,7 @@ def check_hyperbolic(mm: MultiMap, *, depth: int, margin: float, cap: int,
     (no critical points; mm may then be a block).  A pass certifies only that
     no violation was found at this sampling resolution.  margin must be
     positive: at margin <= 0 every distance would pass.  depth, margin and
-    cap have no defaults here: ThermoConfig's hyper_* fields are the gate's.
+    cap have no defaults here: thermo's _HYPER_* constants are the gate's.
     """
     if not margin > 0.0:
         raise ValueError(f"margin must be positive, got {margin!r}")

@@ -28,7 +28,7 @@ from .thermo import (
 
 # deepest-level tree nodes of one sweep block, all its points together: six
 # similarity points (depth 9, 19,683 nodes each).  The deepest level keeps no
-# points; the similarity sweep peaks at 35.2 MiB RSS, about 1 MiB above blocks of three
+# points; the similarity sweep's peak RSS is about 1 MiB above that of blocks of three
 _BLOCK_NODES = 120_000
 _PUNCTURE_TOL = 1e-9  # a parameter this close to an excluded puncture is excluded
 
@@ -223,7 +223,7 @@ def _solve_block(lams, coeffs, cfg: ThermoConfig) -> list:
     searched in lockstep on one tree; if any of that raises, in blocks of one."""
     try:
         mm = _stack(lams, coeffs)
-        return _bowen_search(_config_tree(mm, _prepare(mm, cfg)[1], cfg), cfg)
+        return _bowen_search(_config_tree(mm, _prepare(mm, cfg)[1], cfg))
     except RatsemiError as e:
         if len(lams) == 1:
             return [e]

@@ -190,15 +190,16 @@ def _aberth_block(C):
     C = np.asarray(C)
     n = len(C) - 1
     circle = np.exp(1j * (2.0 * np.pi * (np.arange(n) + 0.354) / n + 0.5))[:, None]
-    Cm = C / C[-1]  # monic
-    # the roots' scale max_k |c_k / c_n|^(1 / (n - k)): every root lies within twice it
-    # (Fujiwara), so iterates started there do not overflow; 0 only when all roots are 0
-    radius = np.max(np.abs(Cm[:-1]) ** (1.0 / np.arange(n, 0, -1))[:, None], axis=0)
-    radius[radius == 0] = 1.0
-    z = za = radius * circle
-    Cd = Cm[1:] * np.arange(1, n + 1)[:, None]
     act, diag = np.arange(C.shape[1]), np.arange(n)
+    # a monic column past float range comes back non-finite, a miss for roots_batch
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        Cm = C / C[-1]  # monic
+        # the roots' scale max_k |c_k / c_n|^(1 / (n - k)): every root lies within twice it
+        # (Fujiwara), so iterates started there do not overflow; 0 only when all roots are 0
+        radius = np.max(np.abs(Cm[:-1]) ** (1.0 / np.arange(n, 0, -1))[:, None], axis=0)
+        radius[radius == 0] = 1.0
+        z = za = radius * circle
+        Cd = Cm[1:] * np.arange(1, n + 1)[:, None]
         for _ in range(_ABERTH_MAX_ITER):
             pd = horner(Cd, za)
             pd[pd == 0] = 1e-300
@@ -331,8 +332,13 @@ def roots_batch(C):
     zm, still = _solve_blocks(Cm, _aberth_block) if n == 3 else (out[missed], np.ones(Cm.shape[1], bool))
     still = np.flatnonzero(still)
     for i in still:
-        zm[i] = np.roots(Cm[::-1, i])
-    bad = [i for i in still if not _resid_ok(Cm[:, i, None], zm[i, :, None])[0]]
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                zm[i] = np.roots(Cm[::-1, i])
+        except np.linalg.LinAlgError:  # a companion matrix past float range: a miss
+            zm[i] = np.nan
+    with np.errstate(invalid="ignore"):  # a non-finite root fails the bound
+        bad = [i for i in still if not _resid_ok(Cm[:, i, None], zm[i, :, None])[0]]
     if bad:
         coeffs = ", ".join(f"{c:.6g}" for c in Cm[:, bad[0]])
         raise NonConvergence(f"root solver missed the residual bound on {len(bad)} polynomial(s); "

@@ -42,6 +42,9 @@ from .sphere import as_point
 
 _CRIT_NORM = 1e-12
 _RTOL_PRESSURE = 1e-6  # pressure and Bowen estimates stop once the last 3 ratios agree this well
+# the Bowen root search: bracket width and |P| at the accepted root, and where the sign-change hunt stops
+_TOL_T, _TOL_P, _T_MAX = 1e-4, 1e-3, 64.0
+_HYPER_DEPTH, _HYPER_MARGIN, _HYPER_CAP = 6, 0.05, 50_000  # the hyperbolicity gate's budget
 DEFAULT_TREE_DEPTH = 10
 
 
@@ -52,25 +55,15 @@ class ThermoConfig:
     depth: int = DEFAULT_TREE_DEPTH
     cap: int = DEFAULT_CAP
     rng_seed: int = 0
-    tol_t: float = 1e-4           # bracket width at the Bowen root
-    tol_p: float = 1e-3           # |P(delta)| at the accepted root
-    t_max: float = 64.0           # giving up point for the sign-change hunt
     force: bool = False           # run and report the hyperbolicity gate, but do not enforce it
-    hyper_depth: int = 6
-    hyper_margin: float = 0.05
-    hyper_cap: int = 50_000
 
     def __post_init__(self):
-        """The tree's depth, cap and seed and the root-search tolerances fail
-        here, before any gate runs; the hyper_* fields are checked by the gate itself."""
+        """The tree's depth, cap and seed fail here, before any gate runs."""
         if _integer(self.depth, "depth") < 2:
             raise ValueError("pressure estimation needs depth >= 2")
         tree_args = _check_tree_args(self.depth, self.cap, self.rng_seed)
         for name, v in zip(("depth", "cap", "rng_seed"), tree_args):
             object.__setattr__(self, name, v)  # frozen; a numpy integer becomes an int
-        for name in ("tol_t", "tol_p", "t_max"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -260,14 +253,15 @@ def pressure_curve(mm: MultiMap, t_values, config: ThermoConfig = None, basepoin
 
 def _prepare(mm: MultiMap, config: ThermoConfig):
     """(gates, seeds), one of each per system of mm (see PreimageTree): the
-    per-system stage of a Bowen search.  The sampled hyperbolicity check runs
-    first, once for a block of degree-one maps (a vacuous pass); unless force
-    is set, a verdict other than pass raises HyperbolicityUnverified carrying
-    its report.  The seeds are the repelling fixed points the trees grow from."""
+    per-system stage of a Bowen search.  The sampled hyperbolicity check, at
+    the _HYPER_* budget, runs first, once for a block of degree-one maps (a
+    vacuous pass); unless force is set, a verdict other than pass raises
+    HyperbolicityUnverified carrying its report.  The seeds are the
+    repelling fixed points the trees grow from."""
     gates = []
     for system in [mm] if max(mm.degrees) == 1 else map(mm.system, range(mm.num_systems)):
-        gate = check_hyperbolic(system, depth=config.hyper_depth, margin=config.hyper_margin,
-                                cap=config.hyper_cap, rng_seed=config.rng_seed)
+        gate = check_hyperbolic(system, depth=_HYPER_DEPTH, margin=_HYPER_MARGIN,
+                                cap=_HYPER_CAP, rng_seed=config.rng_seed)
         if gate.verdict != "pass" and not config.force:
             raise HyperbolicityUnverified(f"hyperbolicity check returned '{gate.verdict}' (min chordal "
                                           f"distance {gate.metrics.get('min_distance', math.nan):.6g}, "
@@ -277,7 +271,7 @@ def _prepare(mm: MultiMap, config: ThermoConfig):
     return gates * (mm.num_systems // len(gates)), [p for p, _ in repelling_seeds(mm)]
 
 
-def _root_search(config: ThermoConfig):
+def _root_search():
     """The search of bowen_parameter as a generator: it yields each t, is
     sent the estimate there, and returns the result without its gate."""
     history = []
@@ -285,28 +279,28 @@ def _root_search(config: ThermoConfig):
     history.append((est.t, est.value))
     hi, probed = None, False
     while True:
-        if hi is not None and hi.t - lo.t <= config.tol_t:
+        if hi is not None and hi.t - lo.t <= _TOL_T:
             best = min((lo, hi), key=lambda e: abs(e.value))
-            if abs(best.value) <= config.tol_p:
+            if abs(best.value) <= _TOL_P:
                 break
         if len(history) > 200:
             raise NonConvergence(
                 f"Bowen root search did not meet tolerances after {len(history)} evaluations"
             )
-        top = config.t_max if hi is None else hi.t
+        top = _T_MAX if hi is None else hi.t
         t = est.t - est.value / est.slope if -math.inf < est.slope < 0.0 else math.nan
         # est is a converged Newton point: probe across the root, once while no P < 0 is known
-        if abs(t - est.t) < config.tol_t / 4:
+        if abs(t - est.t) < _TOL_T / 4:
             probe = hi is not None or not probed
-            t = est.t + math.copysign(config.tol_t / 2, t - est.t) if probe else math.nan
+            t = est.t + math.copysign(_TOL_T / 2, t - est.t) if probe else math.nan
             probed = True
         if not lo.t < t < top:  # also catches nan
-            t = 0.5 * (lo.t + hi.t) if hi is not None else min(max(2.0 * lo.t, 1.0), config.t_max)
+            t = 0.5 * (lo.t + hi.t) if hi is not None else min(max(2.0 * lo.t, 1.0), _T_MAX)
         est = yield t
         history.append((est.t, est.value))
         if not est.value >= 0.0:
             hi = est
-        elif hi is None and t >= config.t_max:
+        elif hi is None and t >= _T_MAX:
             raise NoSignChange(
                 f"pressure stays nonnegative up to t = {t}; the system may "
                 "not be expanding or the tree depth is too small"
@@ -315,7 +309,7 @@ def _root_search(config: ThermoConfig):
             lo = est
 
     # error scale: residual noise over the exact slope, plus the bracket width
-    residual = best.residual if math.isfinite(best.residual) else config.tol_p
+    residual = best.residual if math.isfinite(best.residual) else _TOL_P
     return BowenResult(
         delta=best.t,
         bracket=(lo.t, hi.t),
@@ -329,13 +323,13 @@ def _root_search(config: ThermoConfig):
     )
 
 
-def _bowen_search(tree: PreimageTree, config: ThermoConfig) -> list:
+def _bowen_search(tree: PreimageTree) -> list:
     """The root searches of the tree's points in lockstep: each round is one
     _estimate_on_tree call at every unfinished point's own next t.  Returns
     per point its result, gate None, or the RatsemiError that ended its
     search; an error of the shared tree (a critical preimage, a failed root
     solve) raises."""
-    searches = [_root_search(config) for _ in tree.basepoints]
+    searches = [_root_search() for _ in tree.basepoints]
     out = [None] * len(searches)
     t = np.array([next(s) for s in searches])
     while not np.isnan(t).all():
@@ -356,18 +350,19 @@ def bowen_parameter(mm: MultiMap, config: ThermoConfig = None, **overrides) -> B
     Starts at t = 0, where P = log(total degree) >= 0, and keeps a bracket
     with P(lo) >= 0 > P(hi).  A Newton step that leaves the bracket, or a
     slope that is not negative and finite, becomes a bisection (doubling t
-    from 1 while no negative P is known).  A Newton step below tol_t/4 is
-    not taken: a probe tol_t/2 across the root, straight from the current
-    point, closes the bracket; while no negative P is known, later probes
-    double t instead, so a P that decays to 0 ends in NoSignChange.  Stops
-    once the bracket is at most tol_t wide with an end, delta, where |P| <= tol_p.
+    from 1, up to _T_MAX, while no negative P is known).  A Newton step below
+    _TOL_T/4 is not taken: a probe _TOL_T/2 across the root, straight from the
+    current point, closes the bracket; while no negative P is known, later
+    probes double t instead, so a P that decays to 0 ends in NoSignChange.
+    Stops once the bracket is at most _TOL_T wide with an end, delta, where
+    |P| <= _TOL_P.
     A sampled hyperbolicity check runs first and is returned as gate; unless
     force is set, a verdict other than pass raises HyperbolicityUnverified
     carrying that report.  This is the one-point case of _bowen_search.
     """
     config = replace(config or ThermoConfig(), **overrides)
     (gate,), seeds = _prepare(mm, config)
-    (res,) = _bowen_search(_config_tree(mm, seeds, config), config)
+    (res,) = _bowen_search(_config_tree(mm, seeds, config))
     if isinstance(res, RatsemiError):
         raise res
     return replace(res, gate=gate)

@@ -219,12 +219,10 @@ def test_criterion_11_byte_identical_reruns(tmp_path, capsys):
             {"num": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
             {"num": [[0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]},
         ]},
-        "thermo": {"depth": 7, "cap": 20000, "hyper_depth": 5, "hyper_cap": 20000},
+        "thermo": {"depth": 7, "cap": 20000},
         "julia": {"depth": 8, "cap": 5000},
         "render": {"width": 48, "height": 48},
         "t_values": [0.5, 1.5],
-        "poincare_N": 4,
-        "boxdim": {"scale_count": 4},
     }
     fam_cfg = {
         "family": {
@@ -237,7 +235,7 @@ def test_criterion_11_byte_identical_reruns(tmp_path, capsys):
         },
         "grid": {"re_min": 0.4, "re_max": 0.5, "re_n": 2,
                  "im_min": 0.0, "im_max": 0.0, "im_n": 1},
-        "thermo": {"depth": 6, "cap": 10000, "hyper_depth": 5, "hyper_cap": 10000},
+        "thermo": {"depth": 6, "cap": 10000},
     }
     mm_path = tmp_path / "mm.json"
     mm_path.write_text(json.dumps(mm_cfg))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratsemi import cli, thermo
+from ratsemi import cli, config, thermo
 from ratsemi.cli import main
 from ratsemi.config import emit, parse, parse_file
 from ratsemi.dynamics import MultiMap, julia_backward_cloud, repelling_seed
@@ -113,15 +113,33 @@ def test_round_trip_is_lossless():
         "osc": {"variant": "separating", "epsilon": 0.01, "grid_n": 128},
         "grid": {"re_min": 0.2, "re_max": 0.45, "re_n": 5,
                  "im_min": -0.1, "im_max": 0.1, "im_n": 5},
-        "boxdim": {"scale_count": 4, "viewport": None},
+        "boxdim": {"viewport": [-1.0, 1.0, -1.0, 1.0]},
         "t_values": [0.0, 2.5],
-        "poincare_N": 5,
-        "sweep": {"out": "s.csv", "smooth_line": ["col", 2]},
+        "sweep": {"out": "s.csv"},
     }
     cfg = parse(json.dumps(rich))
     again = parse(emit(cfg))
     assert again == cfg
     assert parse(emit(again)) == again
+
+
+def test_readme_config_grammar_has_the_keys_and_defaults_of_the_config_table():
+    # README's grammar block without its // comments is JSON, with every key of
+    # config._CONFIG and each section's own keys; a key with a default shows the value
+    # parsing fills in, and multimap and family, which have none, show a valid example
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Configuration grammar.*?```jsonc\n(.*?)```", text, re.S).group(1)
+    doc = json.loads(re.sub(r"//[^\n]*", "", block))
+    assert set(doc) == set(config._CONFIG)
+    defaults = config.normalize({"multimap": doc["multimap"]})
+    for key, (_, default, table) in config._CONFIG.items():
+        if isinstance(default, dict) or default is config._OMITTED:
+            assert set(doc[key]) == set(table), key
+        if default is config._OMITTED:
+            assert all(set(g) == set(table["generators"][2]) for g in doc[key]["generators"]), key
+            config.normalize({key: doc[key]})
+        else:
+            assert doc[key] == defaults[key], key
 
 
 def test_config_rejections():
@@ -152,7 +170,6 @@ def test_config_rejections():
         ({**ok, "osc": {"variant": "fuzzy"}}, "config.osc.variant:"),
         ({**ok, "t_values": []}, "config.t_values:"),
         ({**ok, "grid": {"re_min": 0.0}}, "config.grid: missing re_max"),
-        ({**ok, "sweep": {"smooth_line": ["diag", 0]}}, "config.sweep.smooth_line:"),
         ({**ok, "render": {"viewport": [1.0, -1.0, 0.0, 1.0]}}, "config.render.viewport:"),
         ({**ok, "region": {"kind": "square"}}, "config.region.kind:"),
         # sections that are not objects
@@ -160,7 +177,7 @@ def test_config_rejections():
         ({**ok, "julia": 5}, "config.julia: expected an object"),
         ({**ok, "render": "ab"}, "config.render: expected an object"),
         ({**ok, "osc": [["grid_n", 128]]}, "config.osc: expected an object"),
-        ({**ok, "boxdim": [["scale_count", 4]]}, "config.boxdim: expected an object"),
+        ({**ok, "boxdim": [["viewport", None]]}, "config.boxdim: expected an object"),
         ({**ok, "sweep": None}, "config.sweep: expected an object"),
         # family.excluded must be a list
         ({"family": {**fam, "excluded": 5}}, "config.family.excluded: expected a list"),
@@ -169,24 +186,29 @@ def test_config_rejections():
          "config.family.excluded: expected a list"),
         # integers beyond the float range where a number is expected
         ({**ok, "t_values": [0.0, huge]}, "config.t_values[1]:"),
-        ({**ok, "thermo": {"t_max": huge}}, "config.thermo.t_max:"),
+        ({**ok, "thermo": {"basepoint": [huge, 0.0]}}, "config.thermo.basepoint[0]:"),
         ({"family": {**fam, "lam": [huge, 0.0]}}, "config.family.lam[0]:"),
-        # upper bounds on sizes, positive root-search tolerances
+        # upper bounds on sizes and seeds
         ({**ok, "osc": {"grid_n": 4097}}, "config.osc.grid_n: must be <= 4096"),
         ({**ok, "osc": {"grid_n": huge}}, "config.osc.grid_n: must be <= 4096"),
         ({**ok, "render": {"width": huge}}, "config.render.width: must be <= 8192"),
         ({**ok, "render": {"height": 8193}}, "config.render.height: must be <= 8192"),
-        ({**ok, "thermo": {"tol_t": 0.0}}, "config.thermo.tol_t: must be > 0"),
-        ({**ok, "thermo": {"tol_p": -1e-3}}, "config.thermo.tol_p: must be > 0"),
-        # t_max <= 0 would start the sign-change hunt at t <= 0
-        ({**ok, "thermo": {"t_max": 0}}, "config.thermo.t_max: must be > 0"),
-        ({**ok, "thermo": {"t_max": -1}}, "config.thermo.t_max: must be > 0"),
-        # past 24 scales the finest cell index outgrows half of a packed cell key
-        ({**ok, "boxdim": {"scale_count": 25}}, "config.boxdim.scale_count: must be <= 24"),
-        ({**ok, "boxdim": {"scale_count": 1}}, "config.boxdim.scale_count: must be >= 2"),
-        # a margin <= 0 passes every gate, a negative epsilon hides every overlap
-        ({**ok, "thermo": {"hyper_margin": 0.0}}, "config.thermo.hyper_margin: must be > 0"),
-        ({**ok, "thermo": {"hyper_margin": -1}}, "config.thermo.hyper_margin: must be > 0"),
+        # seeds 2^64 apart would alias in dynamics._derive_seed
+        ({**ok, "rng_seed": 2 ** 64}, "config.rng_seed: must be <= 18446744073709551615"),
+        ({**ok, "rng_seed": -1}, "config.rng_seed: must be >= 0"),
+        # a removed key: the root search's tolerances (once required > 0), the gate's
+        # budget (a margin once required > 0), the box scales, the Poincare depth and the
+        # sweep diagnostics' settings are constants
+        *[({**ok, "thermo": {key: 1}}, f"config.thermo: unknown keys ['{key}']")
+          for key in ("tol_t", "tol_p", "t_max", "hyper_depth", "hyper_margin", "hyper_cap")],
+        ({**ok, "thermo": {"tol_t": 0.0}}, "config.thermo: unknown keys ['tol_t']"),
+        ({**ok, "thermo": {"t_max": -1}}, "config.thermo: unknown keys ['t_max']"),
+        ({**ok, "thermo": {"hyper_margin": 0.0}}, "config.thermo: unknown keys ['hyper_margin']"),
+        ({**ok, "poincare_N": 8}, "config: unknown keys ['poincare_N']"),
+        ({**ok, "boxdim": {"scale_count": 6}}, "config.boxdim: unknown keys ['scale_count']"),
+        *[({**ok, "sweep": {key: 1}}, f"config.sweep: unknown keys ['{key}']")
+          for key in ("submean_radius", "smooth_line", "fit_degree")],
+        # a negative epsilon hides every overlap
         ({**ok, "osc": {"epsilon": -1.0}}, "config.osc.epsilon: must be >= 0"),
     ]
     parse(json.dumps(ok))
@@ -300,7 +322,7 @@ def test_builders():
 def test_cli_bowen_power_pair(tmp_path, capsys):
     path = write_cfg(tmp_path, {
         "multimap": {"generators": [Z2, Z2]},
-        "thermo": {"depth": 8, "cap": 20000, "hyper_depth": 5, "hyper_cap": 20000},
+        "thermo": {"depth": 8, "cap": 20000},
     })
     out_csv = str(tmp_path / "bowen.csv")
     assert main(["bowen", "--config", path, "--out", out_csv]) == 0
@@ -320,7 +342,7 @@ def test_cli_bowen_supercritical_note(tmp_path, capsys):
         "multimap": {
             "generators": [Z2, gen_poly([0, 0, 0.25]), gen_poly([0, 0, 1.0 / 3.0])]
         },
-        "thermo": {"depth": 8, "cap": 20000, "hyper_depth": 5, "hyper_cap": 20000},
+        "thermo": {"depth": 8, "cap": 20000},
     })
     assert main(["bowen", "--config", path]) == 0
     out = capsys.readouterr().out
@@ -339,23 +361,22 @@ def test_cli_bowen_no_sign_change_exit_4(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_bowen_no_sign_change_stops_at_t_max(tmp_path, capsys):
+def test_cli_bowen_no_sign_change_stops_at_t_max(tmp_path, capsys, monkeypatch):
     # {z^2, z^2} has P(t) = (2 - t) log 2, positive up to the root 2; the doubling
-    # step from t = 0 is clipped at t_max, and the error names that t
-    base = {"multimap": {"generators": [Z2, Z2]}, "thermo": {"depth": 6, "cap": 5000}}
-    path = write_cfg(tmp_path, {**base, "thermo": {**base["thermo"], "t_max": 0.5}})
+    # step from t = 0 is clipped at thermo._T_MAX, and the error names that t
+    path = write_cfg(tmp_path, {"multimap": {"generators": [Z2, Z2]},
+                                "thermo": {"depth": 6, "cap": 5000}})
+    assert main(["bowen", "--config", path]) == 0
+    monkeypatch.setattr(thermo, "_T_MAX", 0.5)
+    capsys.readouterr()
     assert main(["bowen", "--config", path]) == 4
     assert "up to t = 0.5;" in capsys.readouterr().err
-    for t_max in (0, -1):
-        path = write_cfg(tmp_path, {**base, "thermo": {**base["thermo"], "t_max": t_max}})
-        assert main(["bowen", "--config", path]) == 2
-        assert "config.thermo.t_max: must be > 0" in capsys.readouterr().err
 
 
 def test_cli_bowen_hyperbolicity_exit_7_and_force(tmp_path, capsys):
     base = {
         "multimap": {"generators": [Z2, gen_poly([-2, 0, 1])]},
-        "thermo": {"depth": 8, "cap": 20000, "hyper_depth": 5, "hyper_cap": 20000},
+        "thermo": {"depth": 8, "cap": 20000},
     }
     path = write_cfg(tmp_path, base)
     assert main(["bowen", "--config", path]) == 7
@@ -382,8 +403,7 @@ def test_cli_bowen_runs_the_gate_once(tmp_path, capsys, monkeypatch, force):
     for verdict, generators in gens.items():
         path = write_cfg(tmp_path, {
             "multimap": {"generators": generators},
-            "thermo": {"depth": 6, "cap": 5000, "hyper_depth": 5, "hyper_cap": 5000,
-                       "force": force},
+            "thermo": {"depth": 6, "cap": 5000, "force": force},
         }, name=f"{verdict}.json")
         calls.clear()
         code = main(["bowen", "--config", path])
@@ -433,7 +453,6 @@ def test_cli_t_past_float_range_exits_1_without_warnings(tmp_path, command, t):
         "multimap": {"generators": [Z2, Z3]},
         "t_values": [t],
         "thermo": {"depth": 4},
-        "poincare_N": 4,
     })
     src = str(Path(__file__).resolve().parent.parent / "src")
     argv = [sys.executable, "-W", "error", "-m", "ratsemi.cli", command, "--config", path]
@@ -511,21 +530,43 @@ def test_bowen_runs_without_scipy():
     assert "hyperbolicity pass" in proc.stdout and "delta = " in proc.stdout
 
 
+def test_cli_bowen_on_a_root_solve_past_float_range_exits_1_without_a_traceback(tmp_path):
+    # the fixed points of 1e-310 z^3 ended in np.roots' LinAlgError; run as a process under
+    # -W error, so a traceback or a leaked warning reaches stderr
+    path = write_cfg(tmp_path, {"multimap": {"generators": [Z2, gen_poly([0, 0, 0, 1e-310])]}})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argv = [sys.executable, "-W", "error", "-m", "ratsemi.cli", "bowen", "--config", path]
+    proc = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: root solver missed the residual bound on 1 polynomial")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_cli_seed_outside_64_bits_is_a_config_error(tmp_path, capsys):
+    # --seed 18446744073709551616 wrote the --seed 0 image
+    path = write_cfg(tmp_path, {"multimap": {"generators": [Z2]}})
+    out = tmp_path / "j.ppm"
+    for seed in (2 ** 64, -1):
+        assert main(["julia", "--config", path, "--seed", str(seed), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: --seed must be in [0, 2^64)\n"
+    assert not out.exists()
+
+
 def test_cli_poincare_partial_sum(tmp_path, capsys):
     path = write_cfg(tmp_path, {
         "multimap": {"generators": [Z2]},
         "t_values": [1.5],
-        "poincare_N": 4,
         "thermo": {"cap": 5000},
     })
     assert main(["poincare", "--config", path]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "t,value,residual,depth"
     t, value, residual, depth = lines[1].split(",")
-    want = sum(2.0 ** (-0.5 * n) for n in range(1, 5))
+    want = sum(2.0 ** (-0.5 * n) for n in range(1, 9))  # the 8 levels of cli.POINCARE_DEPTH
     assert float(value) == pytest.approx(want, abs=1e-9)
     assert float(residual) < 1e-9
-    assert depth == "4"
+    assert depth == "8"
 
 
 def test_cli_lyap_csv(tmp_path, capsys):
@@ -731,7 +772,7 @@ def test_cli_sweep_similarity(tmp_path, capsys):
         "family": family_similarity(oracles.TRIANGLE_UNIT),
         "grid": {"re_min": 0.3, "re_max": 0.42, "re_n": 3,
                  "im_min": 0.0, "im_max": 0.0, "im_n": 1},
-        "thermo": {"depth": 8, "cap": 20000, "hyper_depth": 5, "hyper_cap": 20000},
+        "thermo": {"depth": 8, "cap": 20000},
     })
     out = str(tmp_path / "sweep.csv")
     assert main(["sweep", "--config", path, "--out", out]) == 0
@@ -755,8 +796,7 @@ def test_cli_sweep_rejects_a_grid_axis_that_repeats_one_parameter(tmp_path):
         "family": family_similarity(oracles.TRIANGLE_UNIT),
         "grid": {"re_min": 0.3, "re_max": 0.3, "re_n": 3,
                  "im_min": -0.05, "im_max": 0.05, "im_n": 9},
-        "thermo": {"depth": 4, "cap": 1000, "hyper_depth": 4, "hyper_cap": 1000},
-        "sweep": {"smooth_line": ["row", 1], "fit_degree": 1},
+        "thermo": {"depth": 4, "cap": 1000},
     })
     out = tmp_path / "sweep.csv"
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -776,7 +816,7 @@ def test_cli_sweep_puncture_rows_still_written(tmp_path, capsys):
         "family": family_scaled_square(),
         "grid": {"re_min": -0.2, "re_max": 0.2, "re_n": 3,
                  "im_min": 0.0, "im_max": 0.0, "im_n": 1},
-        "thermo": {"depth": 6, "cap": 10000, "hyper_depth": 5, "hyper_cap": 10000},
+        "thermo": {"depth": 6, "cap": 10000},
     })
     out = str(tmp_path / "sweep.csv")
     assert main(["sweep", "--config", path, "--out", out]) == 0
@@ -812,29 +852,12 @@ def test_cli_sweep_reports_a_bad_family_domain_as_a_config_error(tmp_path, domai
     assert not out.exists()
 
 
-def test_cli_sweep_rejects_an_out_of_range_smooth_line_before_sweeping(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "sweep_delta", lambda *args: pytest.fail("the sweep ran"))
-    for line in (["col", 1], ["row", 3]):
-        path = write_cfg(tmp_path, {
-            "family": family_scaled_square(),
-            "grid": {"re_min": 0.4, "re_max": 0.5, "re_n": 3,
-                     "im_min": 0.0, "im_max": 0.0, "im_n": 1},
-            "sweep": {"smooth_line": line},
-        })
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--config", path, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "config error: config.sweep.smooth_line:" in err
-        assert f"{line[0]} {line[1]} lies outside the 3 x 1 grid" in err
-        assert not out.exists()
-
-
 def test_cli_sweep_deterministic(tmp_path, capsys):
     path = write_cfg(tmp_path, {
         "family": family_scaled_square(),
         "grid": {"re_min": 0.4, "re_max": 0.5, "re_n": 2,
                  "im_min": 0.0, "im_max": 0.0, "im_n": 1},
-        "thermo": {"depth": 6, "cap": 10000, "hyper_depth": 5, "hyper_cap": 10000},
+        "thermo": {"depth": 6, "cap": 10000},
     })
     a = str(tmp_path / "a.csv")
     b = str(tmp_path / "b.csv")
@@ -854,7 +877,7 @@ def test_cli_unwritable_out_is_a_config_error_and_leaves_no_temp_file(tmp_path, 
         "family": family_scaled_square(),
         "grid": {"re_min": 0.4, "re_max": 0.5, "re_n": 2,
                  "im_min": 0.0, "im_max": 0.0, "im_n": 1},
-        "thermo": {"depth": 4, "cap": 1000, "hyper_depth": 4, "hyper_cap": 1000},
+        "thermo": {"depth": 4, "cap": 1000},
     }, name="sweep.json")
     taken = tmp_path / "taken"
     taken.mkdir()
@@ -899,7 +922,6 @@ def test_cli_boxdim_circle(tmp_path, capsys):
     path = write_cfg(tmp_path, {
         "multimap": {"generators": [Z2]},
         "julia": {"depth": 13},
-        "boxdim": {"scale_count": 5},
     })
     assert main(["boxdim", "--config", path]) == 0
     out = capsys.readouterr().out
@@ -912,7 +934,7 @@ def test_cli_boxdim_circle(tmp_path, capsys):
 def test_cli_depth_flag_overrides(tmp_path, capsys):
     path = write_cfg(tmp_path, {
         "multimap": {"generators": [Z2, Z2]},
-        "thermo": {"depth": 10, "cap": 20000, "hyper_depth": 5, "hyper_cap": 20000},
+        "thermo": {"depth": 10, "cap": 20000},
     })
     assert main(["bowen", "--config", path, "--depth", "6"]) == 0
     out = capsys.readouterr().out

@@ -185,7 +185,7 @@ def test_family_spec_coefficient_forms():
 # sweeps
 
 
-FAST = ThermoConfig(depth=8, cap=20_000, hyper_depth=5, hyper_cap=20_000)
+FAST = ThermoConfig(depth=8, cap=20_000)
 
 
 def test_sweep_scaled_square_family_delta_is_two():
@@ -357,13 +357,13 @@ def blocks_seen(monkeypatch):
 @pytest.mark.parametrize("fam, grid, config", [
     # uncapped degree-one similarities: 3^7 nodes a point, one block of nine
     (similarity_family(oracles.TRIANGLE_UNIT), GridSpec(0.3, 0.42, 3, -0.05, 0.05, 3),
-     ThermoConfig(depth=7, hyper_depth=3)),
+     ThermoConfig(depth=7)),
     # z^2, c z^2 capped at 1,000 from level 5 on: the block shares the subsample
     (annulus_family(), GridSpec(0.3, 0.6, 4, 0.0, 0.1, 2),
-     ThermoConfig(depth=7, cap=1_000, hyper_depth=4, hyper_cap=2_000)),
+     ThermoConfig(depth=7, cap=1_000)),
     # z^2, c z^3: mixed degree, the cubic solved by Aberth
     (power_pair_family(), GridSpec(0.4, 0.7, 3, -0.1, 0.1, 2),
-     ThermoConfig(depth=6, cap=2_000, hyper_depth=4, hyper_cap=2_000)),
+     ThermoConfig(depth=6, cap=2_000)),
 ], ids=["similarity", "annulus-capped", "power-pair"])
 def test_lockstep_sweep_equals_blocks_of_one(fam, grid, config, monkeypatch):
     alone = sweep_in_blocks_of_one(monkeypatch, fam, grid, config)
@@ -420,7 +420,7 @@ DROP_FAMILY = FamilySpec(
                 ((0.0, 0.0, 1.0, (-0.35, 1.0)), (1.0,))),
     domain=RectDomain(-1.0, 1.0, -1.0, 1.0),
 )
-DROP_CONFIG = ThermoConfig(depth=4, cap=2_000, hyper_depth=3, hyper_cap=2_000, force=True)
+DROP_CONFIG = ThermoConfig(depth=4, cap=2_000, force=True)
 
 
 def assert_stacked_equals_alone(fam, lams, config):
@@ -452,7 +452,7 @@ def test_stacked_preparation_equals_each_point_prepared_alone_on_the_similarity_
 
 def test_stacked_preparation_equals_each_point_prepared_alone_on_the_annulus_family():
     lams = list(GridSpec(0.3, 0.6, 4, -0.1, 0.1, 3).points())
-    assert_stacked_equals_alone(annulus_family(), lams, replace(FAST, hyper_depth=4, hyper_cap=2_000))
+    assert_stacked_equals_alone(annulus_family(), lams, FAST)
 
 
 def test_stacked_preparation_equals_alone_around_an_invalid_parameter_and_a_degree_drop(monkeypatch):
@@ -501,12 +501,22 @@ def test_failed_root_solve_in_a_block_lands_on_its_own_point(monkeypatch):
     monkeypatch.setattr(sphere, "_ABERTH_MAX_ITER", 1)
     monkeypatch.setattr(np, "roots", roots_failing_on_one_point)
     # a gate of depth 0 solves no preimages, so the failure can only come from the block's tree
-    config = ThermoConfig(depth=5, cap=500, hyper_depth=0)
+    monkeypatch.setattr(thermo, "_HYPER_DEPTH", 0)
+    config = ThermoConfig(depth=5, cap=500)
     sizes = blocks_seen(monkeypatch)
     table = sweep_delta(power_pair_family(), grid, config)
     assert sizes[0] == 3 and sizes[1:] == [1, 1, 1]
     assert [r.status for r in table.rows] == ["ok", "non-convergence", "ok"]
     assert table.rows == sweep_in_blocks_of_one(monkeypatch, power_pair_family(), grid, config).rows
+
+
+def test_a_root_solve_past_float_range_is_a_non_convergence_row():
+    # z^2 and lam z^3 at lam = 1e-310: the fixed-point solve of the repelling seed ended
+    # in np.roots' LinAlgError, which aborted the sweep
+    fam = FamilySpec(generators=(((0.0, 0.0, 1.0), (1.0,)), ((0.0, 0.0, 0.0, (0.0, 1.0)), (1.0,))),
+                     domain=RectDomain(-1.0, 1.0, -1.0, 1.0))
+    table = sweep_delta(fam, GridSpec(1e-310, 1e-310, 1, 0.0, 0.0, 1), ThermoConfig(depth=4, cap=500))
+    assert [r.status for r in table.rows] == ["non-convergence"]
 
 
 # ---------------------------------------------------------------------------

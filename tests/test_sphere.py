@@ -347,6 +347,16 @@ def test_cubic_nonconvergence_when_the_fallback_also_misses(monkeypatch):
         sphere.roots_batch(C)
 
 
+def test_a_monic_division_past_float_range_raises_non_convergence():
+    # the fixed points of 1e-310 z^d solve 1e-310 z^d - z: dividing by 1e-310 leaves float
+    # range, which warned in _aberth_block, and np.roots raised LinAlgError on the
+    # non-finite companion matrix; under the suite's warnings-as-errors only the miss remains
+    for degree in (3, 4):
+        f = RationalMap(np.eye(degree + 1)[-1] * 1e-310)
+        with pytest.raises(NonConvergence, match=r"missed the residual bound on 1 polynomial"):
+            f.fixed_points()
+
+
 @pytest.mark.parametrize("degree", [3, 4, 6])
 def test_preimages_of_huge_and_tiny_targets_match_companion_eigenvalues(degree):
     # (1 + |z|)^n in an unscaled residual bound, and Aberth iterates started at radius

@@ -186,14 +186,7 @@ def test_preimage_tree_rejects_a_cap_below_one_as_the_clouds_do():
     # a string depth raised TypeError from the depth >= 2 comparison
     (lambda mm: ThermoConfig(depth="6"), "depth must be an integer, got '6'"),
     (lambda mm: PreimageTree(mm, depth=4, cap=True), "cap must be an integer, got True"),
-    # the gate's budget: a float hyper_cap raised UFuncTypeError in _jittered, a float
-    # hyper_depth TypeError from range
-    (lambda mm: bowen_parameter(mm, ThermoConfig(hyper_cap=1000.5)),
-     "cap must be an integer, got 1000.5"),
-    (lambda mm: bowen_parameter(mm, ThermoConfig(hyper_depth=6.5)),
-     "depth must be an integer, got 6.5"),
-], ids=["pressure-cap", "config-depth", "config-string-depth", "tree-bool-cap", "bowen-hyper-cap",
-        "bowen-hyper-depth"])
+], ids=["pressure-cap", "config-depth", "config-string-depth", "tree-bool-cap"])
 def test_a_tree_budget_that_is_not_an_integer_raises_value_error(call, match):
     with pytest.raises(ValueError, match=match):
         call(power_mm((2, 1.0), (2, 0.5)))
@@ -217,12 +210,16 @@ def _cloud_bytes(cloud):
     return [lev.z.tobytes() for lev in cloud.levels]
 
 
-@pytest.mark.parametrize("build", [
+# everything that takes an rng_seed, each returning what the seed decides
+SEEDED_BUILDS = pytest.mark.parametrize("build", [
     lambda mm, seed: ThermoConfig(rng_seed=seed).rng_seed,
     lambda mm, seed: PreimageTree(mm, depth=4, cap=50, rng_seed=seed).rng_seed,
     lambda mm, seed: _cloud_bytes(julia_backward_cloud(mm, depth=6, cap=50, rng_seed=seed)),
     lambda mm, seed: _cloud_bytes(postcritical_cloud(mm, depth=6, cap=50, rng_seed=seed)),
 ], ids=["config", "tree", "julia-cloud", "postcritical-cloud"])
+
+
+@SEEDED_BUILDS
 def test_an_rng_seed_that_is_not_an_integer_raises_value_error(build):
     # 1.7 built the seed-1 cloud, a config's 2.5 gave seed-2 numbers, a tree stored "7" as 7
     mm = power_mm((2, 1.0), (2, 0.5))
@@ -257,12 +254,38 @@ def test_a_bad_tree_budget_fails_before_any_gate(monkeypatch):
 @pytest.mark.parametrize("field", ["tol_t", "tol_p", "t_max"])
 def test_a_root_search_tolerance_that_is_not_positive_fails_before_any_gate(field, monkeypatch):
     # a negative tol_t or tol_p used to run 200 evaluations into NonConvergence, and a
-    # negative t_max ended in a NoSignChange that named it
+    # negative t_max ended in a NoSignChange that named it; the tolerances are now
+    # thermo's _TOL_T, _TOL_P and _T_MAX, and no option sets them
     mm, calls = power_mm((2, 1.0), (2, 0.5)), _count_gates(monkeypatch)
     for value in (-5.0, 0.0, math.nan):
-        with pytest.raises(ValueError, match=f"{field} must be positive, got {value}"):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+            ThermoConfig(**{field: value})
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
             bowen_parameter(mm, **{field: value})
     assert calls == []
+
+
+def test_the_gate_budget_is_no_thermo_option(monkeypatch):
+    # a float hyper_cap raised UFuncTypeError in _jittered, a float hyper_depth TypeError
+    # from range, and a margin <= 0 passed every gate; the budget is now thermo's
+    # _HYPER_DEPTH, _HYPER_MARGIN and _HYPER_CAP, and no option sets it
+    mm, calls = power_mm((2, 1.0), (2, 0.5)), _count_gates(monkeypatch)
+    for field, value in (("hyper_depth", 6.5), ("hyper_margin", 0.0), ("hyper_cap", 1000.5)):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+            ThermoConfig(**{field: value})
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+            bowen_parameter(mm, **{field: value})
+    assert calls == []
+
+
+@SEEDED_BUILDS
+def test_an_rng_seed_outside_64_bits_raises_value_error(build):
+    # the seed was masked to 64 bits: 2^64 built the seed-0 cloud, -1 the 2^64 - 1 one
+    mm = power_mm((2, 1.0), (2, 0.5))
+    for seed in (2 ** 64, -1, -(2 ** 64)):
+        with pytest.raises(ValueError, match=rf"rng_seed must be in \[0, 2\^64\), got {seed}"):
+            build(mm, seed)
+    build(mm, 2 ** 64 - 1)
 
 
 def test_thermo_entry_points_reject_a_t_that_is_not_finite():
@@ -393,7 +416,7 @@ def test_bowen_no_sign_change_on_nonexpanding_pair():
 
 def test_bowen_no_sign_change_when_the_pressure_decays_to_zero(monkeypatch):
     # 2z with the identity: P(t) = log(1 + 2^-t) > 0 rounds to 0.0 near t = 54,
-    # where Newton stalls; past one probe there t doubles, clipped at t_max
+    # where Newton stalls; past one probe there t doubles, clipped at _T_MAX
     estimate, calls = thermo._estimate_on_tree, []
     monkeypatch.setattr(thermo, "_estimate_on_tree",
                         lambda *args: calls.append(args[1]) or estimate(*args))
@@ -408,20 +431,21 @@ def test_bowen_gate_rejects_postcritical_contact():
     mm = MultiMap([power_map(2), polynomial_map([-2.0, 0.0, 1.0])])
     with pytest.raises(HyperbolicityUnverified) as info:
         bowen_parameter(mm)
-    cfg = ThermoConfig()
-    want = check_hyperbolic(mm, depth=cfg.hyper_depth, margin=cfg.hyper_margin,
-                            cap=cfg.hyper_cap, rng_seed=cfg.rng_seed)
+    want = check_hyperbolic(mm, depth=thermo._HYPER_DEPTH, margin=thermo._HYPER_MARGIN,
+                            cap=thermo._HYPER_CAP, rng_seed=0)
     assert want.verdict == "fail"
     assert info.value.report == want
     # force runs the same gate and reports it instead of raising
     assert bowen_parameter(mm, force=True).gate == want
 
 
-def test_bowen_returns_the_passing_gate_report():
+def test_bowen_returns_the_passing_gate_report(monkeypatch):
+    # the gate reads its budget when it runs
+    monkeypatch.setattr(thermo, "_HYPER_DEPTH", 5)
+    monkeypatch.setattr(thermo, "_HYPER_MARGIN", 0.1)
     mm = power_mm((2, 1.0), (2, 1.0))
-    cfg = ThermoConfig(hyper_depth=5, hyper_margin=0.1, rng_seed=3)
-    res = bowen_parameter(mm, cfg)
-    want = check_hyperbolic(mm, depth=5, margin=0.1, cap=cfg.hyper_cap, rng_seed=3)
+    res = bowen_parameter(mm, ThermoConfig(rng_seed=3))
+    want = check_hyperbolic(mm, depth=5, margin=0.1, cap=thermo._HYPER_CAP, rng_seed=3)
     assert want.verdict == "pass"
     assert res.gate == want
 
@@ -434,15 +458,15 @@ def test_bowen_force_flag_matches_gated_run():
     assert forced.gate == gated.gate
 
 
-def assert_bowen_contract(res, config=ThermoConfig()):
-    """delta is an evaluated point with |P| <= tol_p inside a closed sign-change bracket."""
+def assert_bowen_contract(res):
+    """delta is an evaluated point with |P| <= _TOL_P inside a closed sign-change bracket."""
     values = dict(res.history)
     lo, hi = res.bracket
     assert values[res.delta] == res.pressure_at_delta
-    assert abs(res.pressure_at_delta) <= config.tol_p
+    assert abs(res.pressure_at_delta) <= thermo._TOL_P
     assert values[lo] >= 0.0 > values[hi]
     assert lo <= res.delta <= hi
-    assert hi - lo <= config.tol_t
+    assert hi - lo <= thermo._TOL_T
     assert res.evaluations == len(res.history)
 
 
@@ -473,12 +497,12 @@ def test_bowen_newton_search_is_short_and_keeps_the_contract():
 
 
 def test_bowen_probes_across_a_converged_newton_point_without_stepping_to_it():
-    # a Newton step below tol_t/4 is never evaluated: the probe replaces it
+    # a Newton step below _TOL_T/4 is never evaluated: the probe replaces it
     for mm in (power_mm((2, 1.0), (2, 1.0)), similarity_mm(), power_mm((2, 1.0), (3, 1.0))):
         res = bowen_parameter(mm, depth=10)
         assert_bowen_contract(res)
         ts = [t for t, _ in res.history]
-        assert min(abs(b - a) for a, b in zip(ts, ts[1:])) >= ThermoConfig().tol_t / 4, ts
+        assert min(abs(b - a) for a, b in zip(ts, ts[1:])) >= thermo._TOL_T / 4, ts
     # the demo power pair z^2, z^3 spends a sixth evaluation on the tiny step
     assert res.evaluations <= 5, res.history
     assert abs(res.delta - oracles.DELTA_Z2_Z3) <= 1e-6
@@ -514,9 +538,10 @@ def test_lyapunov_rejects_a_depth_below_two_as_pressure_does():
 
 
 def test_bowen_accepts_config_and_overrides():
-    cfg = ThermoConfig(depth=8, tol_t=1e-3)
-    res = bowen_parameter(power_mm((2, 1.0), (2, 1.0)), cfg, tol_t=1e-4)
-    assert res.bracket[1] - res.bracket[0] <= 1e-4
+    mm = power_mm((2, 1.0), (3, 1.0))
+    res = bowen_parameter(mm, ThermoConfig(depth=4, cap=500), depth=8)
+    assert res == bowen_parameter(mm, ThermoConfig(depth=8, cap=500))
+    assert res != bowen_parameter(mm, ThermoConfig(depth=4, cap=500))
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +662,7 @@ def test_sphere_rotation_conjugacy_keeps_the_estimates(mm, through_inf, theta, p
         assert math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-12)
     # the Bowen search on the two trees, not bowen_parameter: its repelling seed breaks ties
     # between fixed points of equal multiplier norm by coordinates, which M moves
-    cfg = ThermoConfig(depth=5, cap=_UNCAPPED)
-    (want,), (got,) = (thermo._bowen_search(PreimageTree(f, p, depth=5, cap=_UNCAPPED), cfg)
+    (want,), (got,) = (thermo._bowen_search(PreimageTree(f, p, depth=5, cap=_UNCAPPED))
                        for f, p in ((mm, b), (conj, mb)))
     assert type(got) is type(want)
     if isinstance(want, thermo.BowenResult):
