@@ -178,6 +178,12 @@ def test_preimage_tree_rejects_a_cap_below_one_as_the_clouds_do():
         bowen_parameter(mm, cap=0)  # before the gate, which has its own cap, runs
 
 
+def _with_gate_budget(name, value, call):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(thermo, name, value)
+        return call()
+
+
 @pytest.mark.parametrize("call, match", [
     # a float cap built a cap-1000 tree
     (lambda mm: pressure(mm, 1.0, ThermoConfig(cap=1000.5)), "cap must be an integer, got 1000.5"),
@@ -186,7 +192,14 @@ def test_preimage_tree_rejects_a_cap_below_one_as_the_clouds_do():
     # a string depth raised TypeError from the depth >= 2 comparison
     (lambda mm: ThermoConfig(depth="6"), "depth must be an integer, got '6'"),
     (lambda mm: PreimageTree(mm, depth=4, cap=True), "cap must be an integer, got True"),
-], ids=["pressure-cap", "config-depth", "config-string-depth", "tree-bool-cap"])
+    # the gate's budget, now thermo's _HYPER_* constants read when the gate runs: a float
+    # cap raised UFuncTypeError in _jittered, a float depth TypeError from range
+    (lambda mm: _with_gate_budget("_HYPER_CAP", 1000.5, lambda: bowen_parameter(mm)),
+     "cap must be an integer, got 1000.5"),
+    (lambda mm: _with_gate_budget("_HYPER_DEPTH", 6.5, lambda: bowen_parameter(mm)),
+     "depth must be an integer, got 6.5"),
+], ids=["pressure-cap", "config-depth", "config-string-depth", "tree-bool-cap", "bowen-hyper-cap",
+        "bowen-hyper-depth"])
 def test_a_tree_budget_that_is_not_an_integer_raises_value_error(call, match):
     with pytest.raises(ValueError, match=match):
         call(power_mm((2, 1.0), (2, 0.5)))
