@@ -243,7 +243,7 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
             if not full:
                 continue
             # the parent's logd of each child, along the node axis
-            up = level.logd[..., p].repeat(d, axis=-1) if sets else level.logd[..., p]
+            up = level.logd[..., p].repeat(d, axis=-1) if sets and d > 1 else level.logd[..., p]
             norms = f.spherical_derivative_norm_many(zj)
             np.minimum(min_norm, norms.min(axis=-1, initial=math.inf), out=min_norm)
             with np.errstate(divide="ignore"):

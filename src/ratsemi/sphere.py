@@ -318,7 +318,7 @@ def roots_batch(C):
     if n == 0:
         return np.empty(np.shape(C[0]) + (0,), dtype=complex)
     if n == 1:
-        return (-C[0] / C[1])[..., None]
+        return np.negative(root := C[0] / C[1], out=root)[..., None]  # -C[0] / C[1], in place
     if n == 2:
         out = _quadratic_roots_batch(C)
         if np.isfinite(out).all():  # a per-column test first costs a third of the kernel
@@ -383,7 +383,8 @@ def _chart_norm(x, ax, W, P, Q):
         s = np.where(den < _TINY, np.maximum(pz, qz), 1.0)  # dividing by 1 is exact
         wz, pz, qz = wz / s / s, pz / s, qz / s
         den = pz * pz + qz * qz
-    return wz * (1.0 + ax**2) / den
+    out = ax**2  # (1 + |x|^2) |W| / den, in place
+    return np.divide(np.multiply(np.add(out, 1.0, out=out), wz, out=out), den, out=out)
 
 
 def _chart_value(x, ax, W, P, Q):
@@ -414,17 +415,23 @@ class MapStack:
     zero at most.
     """
 
-    __slots__ = ("degree", "raw", "P", "Q", "fwd", "rev")
+    __slots__ = ("degree", "raw", "P", "Q", "fwd", "rev", "_fwd_cols", "_rev_cols", "_rows", "_drops")
 
     def __init__(self, num, den):
         """The maps num[:, b] / den[:, b] of ascending (rows, K) coefficient
         columns, all of one degree; a zero, constant or unreduced map, or a
         leading coefficient below _MIN_LEAD_RATIO of its side's largest, raises ValueError."""
-        N, D = (np.array(c, dtype=complex, ndmin=2, order="C") + 0.0 for c in (num, den))
-        if not (np.isfinite(N).all() and np.isfinite(D).all()):
+        N, D = (np.array(c, dtype=complex, ndmin=2) for c in (num, den))
+        if D.shape[1] != (K := N.shape[1]):
+            raise ValueError("numerator and denominator must have the same number of columns")
+        # num columns, then den columns, zero-padded: each check below is one call for both sides
+        S = np.zeros((max(len(N), len(D)), 2 * K), dtype=complex)
+        S[: len(N), :K], S[: len(D), K:] = N + 0.0, D + 0.0  # -0 to +0: a zero row of P - zQ is +0
+        if not np.isfinite(S).all():
             raise ValueError("coefficients must be finite")
-        ps, qs = _sizes(N), _sizes(D)
-        if not (ps.all() and qs.all()):
+        sizes = _sizes(S)
+        ps, qs = sizes[:K], sizes[K:]
+        if not sizes.all():
             raise ValueError("numerator and denominator must be nonzero")
         deg = np.maximum(ps, qs) - 1
         d = self.degree = int(deg.min())
@@ -432,35 +439,49 @@ class MapStack:
             raise ValueError("map must have degree >= 1 (not constant)")
         if (deg != d).any():
             raise ValueError("stacked maps must share one degree")
-        cols = np.arange(N.shape[1])
-        for name, c, n in (("numerator", N, ps), ("denominator", D, qs)):
-            if (ratio := (np.abs(c[n - 1, cols]) / np.abs(c).max(axis=0)).min()) < _MIN_LEAD_RATIO:
-                raise ValueError(f"{name} leading coefficient is {ratio:.3g} times its largest, "
-                                 f"below {_MIN_LEAD_RATIO:g}: its monic form leaves float range")
+        A = np.abs(S)
+        top = A.max(axis=0)
+        if (ratio := A[sizes - 1, np.arange(2 * K)] / top).min() < _MIN_LEAD_RATIO:
+            for name, r in (("numerator", ratio[:K].min()), ("denominator", ratio[K:].min())):
+                if r < _MIN_LEAD_RATIO:
+                    raise ValueError(f"{name} leading coefficient is {r:.3g} times its largest, "
+                                     f"below {_MIN_LEAD_RATIO:g}: its monic form leaves float range")
         for b in np.flatnonzero((ps > 1) & (qs > 1)):
-            _check_reduced(N[: ps[b], b], D[: qs[b], b])
-        self.raw = tuple(np.concatenate([c, np.zeros((d + 1, cols.size))])[: d + 1] for c in (N, D))
+            _check_reduced(S[: ps[b], b], S[: qs[b], K + b])
+        S = S[: d + 1]
+        self.raw = S[:, :K], S[:, K:]
         # times the power of two (exact) that brings each column's largest |coefficient| into
         # [1, 2), so P'Q and PQ' can neither overflow nor underflow to a vanishing Wronskian
-        e = 1 - np.frexp(np.maximum(np.abs(N).max(axis=0), np.abs(D).max(axis=0)))[1]
-        self.P, self.Q = (np.ldexp(c.view(float), e.repeat(2)).view(complex) for c in self.raw)
-        W = np.zeros((2 * d - 1, cols.size), dtype=complex)
-        for b in cols:  # np.convolve's bits, column by column: a longer batched sum rounds differently
-            P, Q = self.P[: ps[b], b], self.Q[: qs[b], b]
-            # P'Q - PQ' accumulated into zeros: a zero coefficient is +0 whatever its products' signs
-            w = np.zeros(P.size + Q.size - 2, dtype=complex)
-            w += np.convolve(P[1:] * np.arange(1, P.size), Q) if P.size > 1 else 0.0
-            w -= np.convolve(P, Q[1:] * np.arange(1, Q.size)) if Q.size > 1 else 0.0
-            # the degree 2d - 1 terms cancel exactly in theory, not always in floating point
-            W[: w.size, b] = w[: 2 * d - 1]
+        e = 1 - np.frexp(np.maximum(top[:K], top[K:]))[1]
+        PQ = np.ldexp(S.view(float), np.concatenate((e, e)).repeat(2)).view(complex)
+        self.P, self.Q = PQ[:, :K], PQ[:, K:]
+        dPQ = PQ[1:] * np.arange(1, d + 1)[:, None]  # P' and Q'
+        W = np.zeros((2 * d - 1, K), dtype=complex)
+        for b, (p, q) in enumerate(zip(ps.tolist(), qs.tolist())):
+            # np.convolve's bits, column by column: a longer batched sum rounds differently.
+            # P'Q - PQ' accumulates into zeros: a zero coefficient is +0 whatever its products'
+            # signs; the degree 2d - 1 terms cancel exactly in theory, not always in floating point
+            n = min(p + q - 2, 2 * d - 1)
+            if p > 1:
+                W[:n, b] += np.convolve(dPQ[: p - 1, b], self.Q[:q, b])[:n]
+            if q > 1:
+                W[:n, b] -= np.convolve(self.P[:p, b], dPQ[: q - 1, K + b])[:n]
         if not W.any(axis=0).all():
             raise ValueError("map is constant (vanishing derivative)")
+        nz = (PQ != 0).reshape(d + 1, 2, K).any(axis=2).T.tolist()  # the nonzero rows of P and Q
 
-        def trimmed(C):  # without the trailing rows that vanish in every column (none is zero)
-            return C[: len(C) - int(C[::-1].any(axis=1).argmax())]
+        def charts(C, rows):  # C and C reversed, without the end rows that vanish in every column
+            lo, hi = rows.index(True), len(rows) - rows[::-1].index(True)
+            return C[:hi], C[::-1][: len(C) - lo]
 
-        self.fwd = (trimmed(W), trimmed(self.P), trimmed(self.Q))
-        self.rev = (trimmed(W[::-1]), trimmed(self.P[::-1]), trimmed(self.Q[::-1]))
+        self.fwd, self.rev = zip(charts(W, W.any(axis=1).tolist()), *map(charts, (self.P, self.Q), nz))
+        # per-map (K, 1, 1) columns, which broadcast against (K, U) points
+        self._fwd_cols, self._rev_cols = (tuple(c[:, :, None] for c in t) for t in (self.fwd, self.rev))
+        # the rows of P - zQ: (P_k, Q_k) as (K, 1) columns, Q_k None where no map has Q_k != 0
+        self._rows = tuple((p[:, None], q[:, None] if v else None)
+                           for p, q, v in zip(self.P, self.Q, nz[1]))
+        # only a nonzero Q_d lets a finite target's leading coefficient P_d - z Q_d cancel
+        self._drops = nz[1][d]
 
     def _by_chart(self, z, kernel):
         """kernel(x, |x|, W, P, Q) at the point array z read as (K, U), in z's
@@ -470,11 +491,10 @@ class MapStack:
         # |z| <= 1 is read in z, the rest as w = 1/z: infinity is far, and 1/INF_Z is exactly 0
         az = np.abs(z)
         near = az <= 1.0
-        far = ~near
-        if near.all() or far.all():  # one chart: read whole, no gathers
-            x, coeffs = (z, self.fwd) if near.all() else (1.0 / z, self.rev)
-            return kernel(x, az if x is z else np.abs(x),
-                          *(c[:, :, None] for c in coeffs)).reshape(shape)
+        if near.all():  # one chart: read whole, no gathers
+            return kernel(z, az, *self._fwd_cols).reshape(shape)
+        if not near.any():
+            return kernel(x := 1.0 / z, np.abs(x), *self._rev_cols).reshape(shape)
 
         def cols(mask, coeffs):  # the map column of every masked entry
             return coeffs if len(self.P[0]) == 1 else [c[:, np.nonzero(mask)[0]] for c in coeffs]
@@ -482,6 +502,7 @@ class MapStack:
         values = kernel(z[near], az[near], *cols(near, self.fwd))
         out = np.empty(z.shape, dtype=values.dtype)
         out[near] = values
+        far = ~near
         w = 1.0 / z[far]
         out[far] = kernel(w, np.abs(w), *cols(far, self.rev))
         return out.reshape(shape)
@@ -515,19 +536,24 @@ class MapStack:
         target and map.
         """
         shape, d = np.shape(z), self.degree
-        z, inf = _split(np.reshape(z, (self.P.shape[1], -1)))
-        C = [p[:, None] - z * q[:, None] if q.any() else p[:, None] for p, q in zip(self.P, self.Q)]
-        has_inf = inf.any()
+        z = np.asarray(z, dtype=complex).reshape(self.P.shape[1], -1)
+        inf = np.isinf(z)
+        if has_inf := inf.any():
+            z = np.where(inf, 0j, z)
+        # a varying row P_k - z Q_k is subtracted into its own product z Q_k
+        C = [p if q is None else np.subtract(p, zq := z * q, out=zq) for p, q in self._rows]
         if has_inf or d > 3:  # dense: roots_batch's Aberth reads whole columns
             C = np.array(np.broadcast_arrays(*C))
             C[:, inf] = self.Q[:, np.nonzero(inf)[0]]
-        qd = np.abs(self.Q[d])[:, None]
-        # without a Q_d in any column, |z| |Q_d| is 0 and a finite row's top is P_d
-        scale = np.abs(self.P[d])[:, None] + (np.abs(z) * qd if qd.any() else 0.0)
-        if has_inf:
-            scale = np.where(inf, qd, scale)
-        tol = 1e-12 * (scale + 1e-300)
-        if not (np.abs(C[-1]) <= tol).any():
+        # a finite target of a map with no Q_d keeps its leading coefficient P_d: no drop
+        tol = None
+        if has_inf or self._drops:
+            qd = np.abs(self.Q[d])[:, None]
+            scale = np.abs(self.P[d])[:, None] + (np.abs(z) * qd if self._drops else 0.0)
+            if has_inf:
+                scale = np.where(inf, qd, scale)
+            tol = 1e-12 * (scale + 1e-300)
+        if tol is None or not (np.abs(C[-1]) <= tol).any():
             return roots_batch(C if d <= 3 else C.reshape(d + 1, -1)).reshape(shape + (d,))
         C = np.reshape(np.broadcast_arrays(*C), (d + 1, -1))
         # k = number of cancelled leading coefficients; the constant one stays

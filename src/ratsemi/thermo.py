@@ -165,7 +165,8 @@ class PreimageTree:
                 a = t[:, None] * logd
                 np.subtract(lev.logw, a, out=a)
                 # at t = 0 avoid 0 * (-inf) = nan when the tree contains critical preimages
-                a[t == 0.0] = lev.logw
+                if (zero := t == 0.0).any():
+                    a[zero] = lev.logw
                 top = a.max(axis=1, initial=-np.inf)
                 a -= top[:, None]
                 np.exp(a, out=a)

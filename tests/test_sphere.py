@@ -726,6 +726,62 @@ def test_preimages_many_equals_the_dense_reference_bit_for_bit(d):
                 assert gens[0].preimages_many(z[0]).tobytes() == ref[0].tobytes()
 
 
+def test_preimages_many_finds_a_degree_drop_in_any_column_of_a_block():
+    # column 0, z^2 - iz + 1, has no Q_d, so no finite target cancels its leading coefficient;
+    # column 1, (2z^2 + 1)/(z^2 + z + 3), loses it exactly at the target 2.  Calls with finite
+    # targets only, and with targets at infinity, match the dense reference bit for bit, on
+    # this block and on a block of polynomials
+    rng = np.random.default_rng(47)
+    poly, rat = polynomial_map([1.0, -1j, 1.0]), RationalMap([1.0, 0.0, 2.0], [3.0, 1.0, 1.0])
+    finite = rand_complex(rng, 40).reshape(2, -1)
+    finite[:, :3] = 2.0
+    mixed = finite.copy()
+    mixed[:, 5:7] = INF_Z
+    for maps in ([poly, rat], [poly, polynomial_map([0.5, 2.0, -1.0])]):
+        stack = oracles.stack_maps(maps)
+        for z in (finite, mixed):
+            assert stack.preimages_many(z).tobytes() == oracles.preimages_dense_ref(stack, z).tobytes()
+    roots = oracles.stack_maps([poly, rat]).preimages_many(finite)
+    assert not np.isinf(roots[0]).any()
+    assert np.isinf(roots[1, :, 1]).tolist() == [True] * 3 + [False] * 17
+
+
+def _chart_norm_ref(x, ax, W, P, Q):
+    """_chart_norm with every step a new array: the expression it forms in place."""
+    wz, pz, qz = (np.abs(horner(c, x)) for c in (W, P, Q))
+    den = pz * pz + qz * qz
+    if den.min() < sphere._TINY:
+        s = np.where(den < sphere._TINY, np.maximum(pz, qz), 1.0)
+        wz, pz, qz = wz / s / s, pz / s, qz / s
+        den = pz * pz + qz * qz
+    return wz * (1.0 + ax**2) / den
+
+
+def test_chart_norm_in_place_equals_the_new_array_expression_bit_for_bit():
+    # per-map (K, 1, 1) coefficient columns against (K, U) points, as _by_chart passes them.
+    # Degree 1 gives a constant W (and Q of a polynomial) beside per-point values; the 1/z
+    # chart of a z^2 stack gives a per-map constant |P| beside a per-point |Q|; coefficients
+    # scaled down in map 1 put |P|^2 + |Q|^2 below the normal range, the rescaled points
+    rng = np.random.default_rng(29)
+    stacks = [oracles.stack_maps([polynomial_map(rand_complex(rng, 2)) for _ in range(3)]),
+              oracles.stack_maps([polynomial_map([0.0, 0.0, a]) for a in (1.0, -2j, 0.5 + 0.5j)]),
+              oracles.stack_maps([RationalMap(rand_complex(rng, 3), rand_complex(rng, 3)) for _ in range(3)])]
+    x = rand_complex(rng, 3 * 40, scale=0.6).reshape(3, -1)
+    shapes, rescaled = set(), False
+    for stack in stacks:
+        for coeffs in (stack.fwd, stack.rev):
+            for s in (1.0, 1e-160):
+                scale = np.array([1.0, s, 1.0])[:, None]  # W = P'Q - PQ' scales by its square
+                W, P, Q = (c[:, :, None] * k for c, k in zip(coeffs, (scale * scale, scale, scale)))
+                got = _chart_norm(x, np.abs(x), W, P, Q)
+                assert got.tobytes() == _chart_norm_ref(x, np.abs(x), W, P, Q).tobytes()
+                pz, qz = (np.abs(horner(c, x)) for c in (P, Q))
+                shapes.add((horner(W, x).shape, pz.shape, qz.shape))
+                rescaled |= bool((pz * pz + qz * qz < sphere._TINY).any())
+    assert {((3, 1), (3, 40), (3, 1)), ((3, 40), (3, 1), (3, 40)), ((3, 40),) * 3} <= shapes
+    assert rescaled
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_stacked_columns_are_each_maps_own_bits_and_np_convolve_wronskians(d):
     # the batched constructor validates, scales and builds column by column: each
@@ -764,7 +820,9 @@ def test_stacked_columns_fail_as_the_map_alone_does():
              (np.array([[0.0, -1.0], [0.0, 0.0], [1.0, 1.0]]), np.array([[1.0, -1.0], [0.0, 1.0]]),
               "numerator and denominator share a root near"),
              (np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), np.ones((1, 2)),
-              "stacked maps must share one degree")]
+              "stacked maps must share one degree"),
+             (np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 2.0]]), np.ones((1, 1)),
+              "numerator and denominator must have the same number of columns")]
     for num, den, match in cases:
         with pytest.raises(ValueError, match=match):
             sphere.MapStack(num, den)

@@ -46,6 +46,9 @@ COMMANDS = (
     + [("sweep", "similarity_sweep", ())]
     # the benchmark passes --seed on every run: the one run seed reaches the tree and the cloud
     + [("bowen", "supercritical", ("--seed", "3")), ("julia", "power_pair", ("--seed", "3"))]
+    # z^2 and z^3 conjugated by (z - 1)/(z + 1): parents at infinity, degree drops at the
+    # target 0, and a map with a nonzero leading denominator coefficient Q_d
+    + [(cmd, "rotated_powers", ("--seed", "3")) for cmd in ("bowen", "julia")]
 )
 
 
