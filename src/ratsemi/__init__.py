@@ -10,7 +10,6 @@ from .dynamics import (
     VerificationReport,
     check_hyperbolic,
     julia_backward_cloud,
-    postcritical_cloud,
     repelling_seed,
 )
 from .errors import (

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import errno
-import math
 import os
 import sys
 
 import numpy as np
 
 from .config import RunConfig, emit, parse_file
-from .dynamics import check_hyperbolic  # noqa: F401  unused here; perfbench/spans.py patches this name
+from .dynamics import check_hyperbolic  # noqa: F401  patched by perfbench/spans.py until ROADMAP item 1a
 from .dynamics import julia_backward_cloud
 from .errors import ConfigError, HyperbolicityUnverified, InsufficientPoints, RatsemiError
 from .families import smoothness_diagnostic, submean_diagnostic, sweep_delta
@@ -120,11 +119,8 @@ def cmd_julia(cfg: RunConfig, args) -> int:
 
 
 def _gate_line(rep) -> str:
-    dist = rep.metrics.get("min_distance", math.nan)
-    return (
-        f"hyperbolicity {rep.verdict} "
-        f"(min postcritical-to-cloud distance {dist:.6g}, margin {rep.margin:.6g})"
-    )
+    return "hyperbolicity {} ({cells} cells of side {h:.6g}, escape radius {R:.6g})".format(
+        rep.verdict, **rep.metrics)
 
 
 def cmd_bowen(cfg: RunConfig, args) -> int:

@@ -1,4 +1,4 @@
-"""Multi-generator dynamics: words, skew-product preimages, orbit clouds, the hyperbolicity check.
+"""Multi-generator dynamics: words, skew-product preimages, orbit clouds, the hyperbolicity certificate.
 
 Generators are indexed 1..s.  A word (w1, ..., wn) acts by applying the
 generator w1 first, so the composed map is f_{wn} o ... o f_{w1}.  Backward
@@ -13,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoRepellingSeed
-from .sphere import INF_Z, MapStack, RationalMap, as_point, sphere_embed
+from .sphere import INF_Z, MapStack, RationalMap, _sizes, horner
 
 _REPEL_TOL = 1e-6
-_CLOSEST_PAIR_BLOCK = 1 << 20  # entries of one row block of the closest-pair search
+# the hyperbolicity certificate's first cell side, its halvings, cell budget, rounding size, index bound
+_CELL_SIDE, _CELL_HALVINGS, _CELL_BUDGET, _ROUND, _GRID = 2.0**-5, 4, 50_000, 1e-9, 1 << 30
 _EXPAND_ROWS = 1 << 13  # solve rows per chunk of a backward level (_expand_backward)
 DEFAULT_DEPTH = 12
 DEFAULT_CAP = 200_000
@@ -120,33 +121,31 @@ class CloudLevel:
     """One depth slice of an orbit cloud.  No level stores words.
 
     Every level is in construction order: by the generator j of the newest
-    symbol, then parent row, then (backward) root slot, so rows are
-    nondecreasing in their word read from the newest symbol.  On a backward
-    level the newest symbol acts first, so that is the composition-order
-    word, the kept children of a parent are contiguous and rows sharing a
-    word follow parent order, then root slot.  A forward level keeps the
-    first row of equal points (_dedupe).  Backward levels (preimage trees)
-    hold logd per row and one logw, all a level sum reads.  A capped level
-    holds only the rows its subsample keeps, in two rows a row drawn twice;
-    its picks keep each child cap/n times in expectation, so one importance
-    weight, the float logw, serves every row.  A capped points-only
-    backward level picks whole sibling sets (all roots of one generator at
-    one parent, contiguous in slot order), so it holds the d_j rows of each
-    pick: at most cap rows, or one set when cap is below the largest degree.
+    symbol, then parent row, then root slot.  The newest symbol acts first, so
+    rows are nondecreasing in their composition-order word, the kept children
+    of a parent are contiguous and rows sharing a word follow parent order,
+    then root slot.  Levels of a preimage tree hold logd per row and one logw,
+    all a level sum reads.  A capped level holds only the rows its subsample
+    keeps, in two rows a row drawn twice; its picks keep each child cap/n
+    times in expectation, so one importance weight, the float logw, serves
+    every row.  A capped points-only backward level picks whole sibling sets
+    (all roots of one generator at one parent, contiguous in slot order), so
+    it holds the d_j rows of each pick: at most cap rows, or one set when cap
+    is below the largest degree.
 
     A level of a block of B systems (PreimageTree) has z and logd of shape
     (B, n), one row per system, a min_step_norm per system and one logw.
 
     z is a point array: complex values, INF_Z for infinity, like a scalar
-    point (sphere.as_point).  A points-only level (julia_backward_cloud,
-    postcritical_cloud) holds z alone: logd and logw are None and
-    min_step_norm stays inf.  A PreimageTree level holds z only while it is
-    the frontier; the tree's deepest level never holds it.
+    point (sphere.as_point).  A points-only level (julia_backward_cloud) holds
+    z alone: logd and logw are None and min_step_norm stays inf.  A
+    PreimageTree level holds z only while it is the frontier; the tree's
+    deepest level never holds it.
     """
 
     z: np.ndarray | None  # point array
-    logd: np.ndarray | None = None   # backward only: cumulative log word-derivative norm to the root
-    logw: float | None = None        # backward only: log importance weight shared by every row
+    logd: np.ndarray | None = None   # tree levels only: cumulative log word-derivative norm to the root
+    logw: float | None = None        # tree levels only: log importance weight shared by every row
     min_step_norm: float = math.inf  # running minimum of the step derivative norms on levels 1..n
 
     @property
@@ -157,7 +156,8 @@ class CloudLevel:
 
 def _subsample_level(rows: np.ndarray, cap: int, seed: int, tag: int) -> np.ndarray:
     """The rows a level keeps under the cap: the _jittered picks of seed and
-    tag over them, in their order, repeats included."""
+    tag over them, in their order, repeats included.  No library code calls
+    it: perfbench/spans.py patches this name, until ROADMAP item 1a."""
     return rows[_jittered(_derive_seed(seed, tag), rows.size, cap)]
 
 
@@ -257,8 +257,8 @@ def _expand_backward(mm: MultiMap, level: CloudLevel, cap: int, seed: int, tag: 
 @dataclass
 class PointCloud:
     """Levelled orbit cloud.  meta holds the seed_point and seed_generator
-    (1-based) of a backward cloud, and is empty for a forward one.  cli
-    julia and box_dimension read it level by level (geometry._slices)."""
+    (1-based) of the backward cloud.  cli julia and box_dimension read it
+    level by level (geometry._slices)."""
 
     levels: list
     meta: dict
@@ -338,46 +338,15 @@ def julia_backward_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DE
 
 
 # ---------------------------------------------------------------------------
-# forward (postcritical) cloud
-
-
-def _dedupe(z) -> np.ndarray:
-    """Rows of a level in construction order, the first of each group of
-    equal rounded coordinates; INF_Z rounds to itself."""
-    return np.sort(np.unique(np.round(z, 9), return_index=True)[1])
-
-
-def postcritical_cloud(mm: MultiMap, depth: int = DEFAULT_DEPTH, cap: int = DEFAULT_CAP,
-                       rng_seed: int = 0) -> PointCloud:
-    """Forward orbit of all critical values under all words up to depth.
-
-    Level 0 is the deduplicated set of critical values themselves (identity
-    word); level n applies every generator to level n-1, deduplicates and
-    subsamples (_subsample_level).  Levels hold points only, in construction
-    order (see CloudLevel, _dedupe).  Maps without critical points (degree
-    one) contribute nothing, so the cloud may be empty.
-    """
-    depth, cap, rng_seed = _check_tree_args(depth, cap, rng_seed)
-    z = np.array([p for f in mm.generators for p in f.critical_values()], dtype=complex)
-    levels = [CloudLevel(z[_dedupe(z)])]
-    seed = _derive_seed(rng_seed, 0xF0)
-    for n in range(1, depth + 1):
-        z = np.concatenate([f.eval_many(levels[-1].z) for f in mm.generators])
-        levels.append(CloudLevel(z[_subsample_level(_dedupe(z), cap, seed, n)]))
-    return PointCloud(levels, {})
-
-
-# ---------------------------------------------------------------------------
-# verification reports
+# verification reports and the hyperbolicity certificate
 
 
 @dataclass
 class VerificationReport:
-    """Sampled check outcome.  verdict is pass, fail or inconclusive;
-    witnesses are (point, detail) pairs, each point a complex value with
-    INF_Z for infinity; margin is the separation asked for
-    (check_hyperbolic) or the lattice spacing (osc_check); metrics hold the
-    counts and distances the check measured."""
+    """Check outcome.  verdict is pass, fail or inconclusive; witnesses are
+    (point, detail) pairs, each point a complex value with INF_Z for infinity;
+    margin is the last cell side tried (check_hyperbolic) or the lattice
+    spacing (osc_check); metrics hold the counts and sizes the check measured."""
 
     verdict: str
     witnesses: list
@@ -389,57 +358,98 @@ class VerificationReport:
         return self.verdict == "pass"
 
 
-def _fmt_point(pt: complex) -> str:
-    return "inf" if pt == INF_Z else format(pt, ".9g")
+def _escape_radius(gens) -> float:
+    """The least R = 2^k, k <= 20, with |f(z)| >= 2|z| wherever |z| >= R, for
+    every generator f = P/Q, each with deg P > deg Q; inf if there is none.  On
+    |z| = r, |P| >= |p_n| r^n - sum_{k<n} |p_k| r^k and |Q| <= sum |q_k| r^k;
+    where the first is positive, it over r times the second grows with r."""
+    R, ok = 2.0 ** np.arange(21), True
+    for f in gens:
+        p, q = (np.abs(c[: _sizes(c)[0], 0]) for c in f.raw)
+        rk = R ** np.arange(p.size)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # nan or inf fails the test
+            ok &= p.size > q.size and 2.0 * p[-1] * rk[-1] - p @ rk >= 2.0 * R * (q @ rk[: q.size])
+    return float(R[ok][0]) if np.any(ok) else math.inf
 
 
-def _closest_pair(q: np.ndarray, x: np.ndarray):
-    """(row of q, row of x, distance) of the closest pair between two point sets.
+def _cells_meeting(w, r, h: float, R: float):
+    """Sorted keys (i + _GRID) 2^31 + k + _GRID of the cells [i, i + 1] h x
+    [k, k + 1] h that meet |z| <= R and a disc |z - w| <= r, enlarged by the
+    rounding size _ROUND.  None when a disc not wholly in |z| > R is not finite,
+    leaves the grid (|i| or |k| reaching _GRID) or the discs span over _CELL_BUDGET cells."""
+    r = r + _ROUND * (1.0 + np.abs(w) + r)
+    w, r = w[keep := ~(np.abs(w) - r > R)], r[keep]
+    x0, x1, y0, y1 = (np.floor(v / h) for v in (w.real - r, w.real + r, w.imag - r, w.imag + r))
+    n = (x1 - x0 + 1) * (ny := y1 - y0 + 1)  # the cells of each disc's bounding box
+    if not (np.abs([x0, x1, y0, y1]) < _GRID).all() or n.sum() > _CELL_BUDGET:
+        return None
+    disc = np.repeat(np.arange(n.size), n := n.astype(np.int64))
+    t = np.arange(disc.size) - np.repeat(np.cumsum(n) - n, n)
+    i, k = x0[disc] + t // ny[disc], y0[disc] + t % ny[disc]
+    z = np.stack([w[disc], np.zeros(disc.size)])  # each cell's disc centre, and 0
+    gap = np.abs(np.clip(z.real, i * h, (i + 1) * h) + 1j * np.clip(z.imag, k * h, (k + 1) * h) - z)
+    meet = (gap[0] <= r[disc]) & (gap[1] <= R)
+    keys = np.sort((i[meet].astype(np.int64) + _GRID) << 31 | (k[meet].astype(np.int64) + _GRID))
+    return keys[_run_starts(keys)]  # not np.unique, whose first call imports numpy.ma (~10 ms)
 
-    Each q row takes the argmin of |x|^2 - 2 q.x over all of x, in row blocks
-    of about _CLOSEST_PAIR_BLOCK entries; the distance of the chosen pair is
-    then computed directly.
-    """
-    xx = np.einsum("ij,ij->i", x, x)
-    nearest = np.empty(q.shape[0], dtype=np.int64)
-    step = max(1, _CLOSEST_PAIR_BLOCK // x.shape[0])
-    for start in range(0, q.shape[0], step):
-        g = q[start : start + step] @ x.T
-        g *= -2.0
-        g += xx
-        nearest[start : start + step] = np.argmin(g, axis=1)
-    dist = np.sqrt(np.sum((q - x[nearest]) ** 2, axis=1))
-    k = int(np.argmin(dist))
-    return k, int(nearest[k]), float(dist[k])
+
+def _image_discs(f: RationalMap, c, rho: float):
+    """(f(c), r) at centres c: f maps |z - c| <= rho into |w - f(c)| <= r.
+    There |P(z) - P(c)| <= dP = sum_{k>=1} |P^(k)(c) / k!| rho^k, and Q's dQ
+    likewise, so |f(z) - f(c)| <= (|Q(c)| dP + |P(c)| dQ) / (|Q(c)| (|Q(c)| - dQ));
+    r is inf where |Q(c)| <= dQ, a disc that may hold a pole."""
+    a = np.stack(f.raw, axis=1)[..., 0, None] * np.ones(c.size)  # rows (P_k, Q_k) per centre
+    for i in range(f.degree):  # Taylor shift: a[k] becomes (P, Q)^(k)(c) / k!
+        for j in range(f.degree - 1, i - 1, -1):
+            a[j] += c * a[j + 1]
+    (p, q), (dp, dq) = np.abs(a[0]), rho * horner(np.abs(a[1:]), rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return a[0, 0] / a[0, 1], np.where(q > dq, (q * dp + p * dq) / (q * (q - dq)), math.inf)
 
 
-def check_hyperbolic(mm: MultiMap, *, depth: int, margin: float, cap: int,
-                     rng_seed: int = 0) -> VerificationReport:
-    """Sampled separation of the postcritical cloud from the Julia cloud.
+def _trap_cells(mm: MultiMap, h: float, R: float) -> tuple:
+    """(keys, certified): the cells of side h grown from the critical values
+    (_cells_meeting's keys), and whether with |z| > R they trap them.  Each new
+    cell's circumscribed disc goes through _image_discs under every generator,
+    and every cell meeting an image joins.  Not certified when a critical value
+    is infinity and R is inf, a disc leaves the grid or may hold a pole, the
+    cells pass _CELL_BUDGET, a cell holds a stop (a finite fixed point of
+    multiplier norm above 1 - 1e-6: a trapped U holds attracting ones only), or
+    no stop lies in |z| < R (R finite) to show Montel's three omitted points."""
+    crit = np.array([v for f in mm.generators for v in f.critical_values() if abs(v) <= R], complex)
+    stops = np.array([z for f in mm.generators for z, norm in f.fixed_points()
+                      if norm > 1.0 - _REPEL_TOL and z != INF_Z], complex)
+    new = None if np.isinf(crit).any() else _cells_meeting(crit, 0 * crit.real, h, R)  # inf: in no cell
+    cells = np.empty(0, dtype=np.int64)
+    while new is not None and new.size and cells.size + new.size <= _CELL_BUDGET:
+        cells = np.sort(np.concatenate((cells, new)))  # new holds no cell of cells
+        c = ((new >> 31) - _GRID + 0.5 + 1j * ((new & (2**31 - 1)) - _GRID + 0.5)) * h
+        d = c[:, None] - stops
+        if (np.maximum(np.abs(d.real), np.abs(d.imag)) <= 0.5 * h + _ROUND * (1 + np.abs(stops))).any():
+            return cells, False
+        w, r = map(np.concatenate, zip(*(_image_discs(f, c, h / math.sqrt(2.0)) for f in mm.generators)))
+        if (new := _cells_meeting(w, r, h, R)) is not None:
+            new = np.setdiff1d(new, cells, assume_unique=True)
+    # an open set off the cells, around a stop or infinity, omits Montel's three points
+    return cells, new is not None and not new.size and (R == math.inf or (np.abs(stops) < R).any())
 
-    pass when the minimum chordal distance is at least margin, fail below
-    margin/2 (with the closest pair as witness), inconclusive between.  An
-    empty postcritical cloud passes vacuously, unbuilt when every degree is 1
-    (no critical points; mm may then be a block).  A pass certifies only that
-    no violation was found at this sampling resolution.  margin must be
-    positive: at margin <= 0 every distance would pass.  depth, margin and
-    cap have no defaults here: thermo's _HYPER_* constants are the gate's.
-    """
-    if not margin > 0.0:
-        raise ValueError(f"margin must be positive, got {margin!r}")
-    _check_tree_args(depth, cap, rng_seed)
-    if max(mm.degrees) == 1 or (post := postcritical_cloud(mm, depth, cap, rng_seed)).size == 0:
-        return VerificationReport("pass", [], margin,
-                                  {"min_distance": math.inf, "postcritical_size": 0})
-    cloud = julia_backward_cloud(mm, depth=depth, cap=cap, rng_seed=rng_seed)
-    jz, pz = (np.concatenate([lev.z for lev in c.levels]) for c in (cloud, post))
-    k, i, min_dist = _closest_pair(sphere_embed(pz), sphere_embed(jz))
-    p_pt, j_pt = as_point(pz[k]), as_point(jz[i])
-    metrics = {"min_distance": min_dist, "postcritical_size": post.size, "julia_size": cloud.size}
-    if min_dist >= margin:
-        return VerificationReport("pass", [], margin, metrics)
-    witness = [(p_pt, f"postcritical point at chordal distance {min_dist:.6g} from "
-                      f"backward-orbit point {_fmt_point(j_pt)}")]
-    verdict = "fail" if min_dist < margin / 2.0 else "inconclusive"
-    return VerificationReport(verdict, witness, margin, metrics)
 
+def check_hyperbolic(mm: MultiMap) -> VerificationReport:
+    """Trapping-region certificate that the semigroup G of mm is hyperbolic:
+    its postcritical set P(G) lies in its Fatou set F(G) (Hinkkanen and Martin,
+    Proc. LMS 1996).  U, the interior of _trap_cells' cells and of |z| >= R (R
+    from _escape_radius), holds the critical values and each generator maps
+    its closure into it, so P(G) lies in U; U omits an open set, so G is
+    normal on U by Montel's theorem: U lies in F(G).  pass is that proof, up
+    to rounding in the majorants, at the first side h = _CELL_SIDE / 2^n,
+    n <= _CELL_HALVINGS, that certifies; inconclusive proves nothing.  margin
+    is the last h tried; metrics hold its cell count, h and R (inf: none).  mm
+    is one system, or a block of degree-one maps, which pass with no cells."""
+    h, R, trap = _CELL_SIDE, math.inf, ((), True)
+    if max(mm.degrees) > 1:
+        R = _escape_radius(mm.generators)
+        for h in (_CELL_SIDE / 2**n for n in range(_CELL_HALVINGS + 1)):
+            if (trap := _trap_cells(mm, h, R))[1]:
+                break
+    return VerificationReport("pass" if trap[1] else "inconclusive", [], h,
+                              {"cells": len(trap[0]), "h": h, "R": R})

@@ -95,21 +95,6 @@ def chordal_distance_many(z1, z2):
     return d
 
 
-def sphere_embed(z):
-    """Map a point array to R^3 on the unit sphere; chordal distance equals
-    Euclidean distance there, which check_hyperbolic's closest-pair search relies on."""
-    z, inf = _split(z)
-    r2 = np.abs(z) ** 2
-    denom = 1.0 + r2
-    out = np.empty(z.shape + (3,))
-    out[..., 0] = 2.0 * z.real / denom
-    out[..., 1] = 2.0 * z.imag / denom
-    out[..., 2] = (r2 - 1.0) / denom
-    if np.any(inf):
-        out[inf] = (0.0, 0.0, 1.0)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # polynomials: ascending complex coefficient arrays
 

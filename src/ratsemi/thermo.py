@@ -27,7 +27,7 @@ from .dynamics import (
     _check_tree_args,
     _expand_backward,
     _integer,
-    _subsample_level,  # noqa: F401  unused here; perfbench/spans.py patches this name
+    _subsample_level,  # noqa: F401  patched by perfbench/spans.py until ROADMAP item 1a
     check_hyperbolic,
     repelling_seeds,
 )
@@ -44,7 +44,6 @@ _CRIT_NORM = 1e-12
 _RTOL_PRESSURE = 1e-6  # pressure and Bowen estimates stop once the last 3 ratios agree this well
 # the Bowen root search: bracket width and |P| at the accepted root, and where the sign-change hunt stops
 _TOL_T, _TOL_P, _T_MAX = 1e-4, 1e-3, 64.0
-_HYPER_DEPTH, _HYPER_MARGIN, _HYPER_CAP = 6, 0.05, 50_000  # the hyperbolicity gate's budget
 DEFAULT_TREE_DEPTH = 10
 
 
@@ -55,7 +54,7 @@ class ThermoConfig:
     depth: int = DEFAULT_TREE_DEPTH
     cap: int = DEFAULT_CAP
     rng_seed: int = 0
-    force: bool = False           # run and report the hyperbolicity gate, but do not enforce it
+    force: bool = False           # run and report the hyperbolicity certificate, but do not enforce it
 
     def __post_init__(self):
         """The tree's depth, cap and seed fail here, before any gate runs."""
@@ -254,20 +253,16 @@ def pressure_curve(mm: MultiMap, t_values, config: ThermoConfig = None, basepoin
 
 def _prepare(mm: MultiMap, config: ThermoConfig):
     """(gates, seeds), one of each per system of mm (see PreimageTree): the
-    per-system stage of a Bowen search.  The sampled hyperbolicity check, at
-    the _HYPER_* budget, runs first, once for a block of degree-one maps (a
-    vacuous pass); unless force is set, a verdict other than pass raises
-    HyperbolicityUnverified carrying its report.  The seeds are the
-    repelling fixed points the trees grow from."""
+    per-system stage of a Bowen search.  The hyperbolicity certificate runs
+    first, once for a block of degree-one maps (a vacuous pass); unless force
+    is set, a verdict other than pass raises HyperbolicityUnverified carrying
+    its report.  The seeds are the repelling fixed points the trees grow from."""
     gates = []
     for system in [mm] if max(mm.degrees) == 1 else map(mm.system, range(mm.num_systems)):
-        gate = check_hyperbolic(system, depth=_HYPER_DEPTH, margin=_HYPER_MARGIN,
-                                cap=_HYPER_CAP, rng_seed=config.rng_seed)
+        gate = check_hyperbolic(system)
         if gate.verdict != "pass" and not config.force:
-            raise HyperbolicityUnverified(f"hyperbolicity check returned '{gate.verdict}' (min chordal "
-                                          f"distance {gate.metrics.get('min_distance', math.nan):.6g}, "
-                                          f"margin {gate.margin}); pass force=True to compute anyway",
-                                          report=gate)
+            msg = f"no trapping region down to cell side {gate.margin:.6g}; pass force=True to override"
+            raise HyperbolicityUnverified(f"hyperbolicity {gate.verdict}: {msg}", report=gate)
         gates.append(gate)
     return gates * (mm.num_systems // len(gates)), [p for p, _ in repelling_seeds(mm)]
 
@@ -357,7 +352,7 @@ def bowen_parameter(mm: MultiMap, config: ThermoConfig = None, **overrides) -> B
     probes double t instead, so a P that decays to 0 ends in NoSignChange.
     Stops once the bracket is at most _TOL_T wide with an end, delta, where
     |P| <= _TOL_P.
-    A sampled hyperbolicity check runs first and is returned as gate; unless
+    The hyperbolicity certificate runs first and is returned as gate; unless
     force is set, a verdict other than pass raises HyperbolicityUnverified
     carrying that report.  This is the one-point case of _bowen_search.
     """

@@ -689,3 +689,41 @@ def postcritical_cloud_ref(mm, depth, cap, rng_seed=0):
         idx, _ = kept_rows_ref(z.size, cap, _derive_seed(rng_seed, 0xF0), n)
         levels.append((z[idx], words[idx]))
     return levels
+
+
+# ---------------------------------------------------------------------------
+# trapping regions: sample every certified cell and map the samples forward
+
+
+def trap_contains_ref(z, keys, h, R):
+    """Whether each point of z lies in the region of the cells of side h with
+    keys (i + 2^30) 2^31 + k + 2^30 (dynamics._cells_meeting's), cell
+    [i, i + 1] h x [k, k + 1] h, together with |z| > R: |z| > R, infinity
+    included, or floor(z / h) names a cell of keys."""
+    grid = 1 << 30
+    zi, zk = np.floor(z.real / h), np.floor(z.imag / h)
+    inside = np.abs(z) > R
+    near = ~inside & (np.abs(zi) < grid) & (np.abs(zk) < grid)
+    inside[near] = np.isin((zi[near].astype(np.int64) + grid) << 31 | (zk[near].astype(np.int64) + grid),
+                           np.asarray(keys, dtype=np.int64))
+    return inside
+
+
+def trap_escapes_ref(mm, keys, h, R, sub=8):
+    """The samples that some generator maps out of a certified region (see
+    trap_contains_ref), as (sample, generator, image) triples.  Each cell is
+    sampled on the (sub + 1)^2 points of a sub x sub sub-grid, its corners
+    included, and each sample is mapped by np.polyval of the raw num and den."""
+    grid = 1 << 30
+    keys = np.asarray(keys, dtype=np.int64)
+    i, k = (keys >> 31) - grid, (keys & ((1 << 31) - 1)) - grid
+    a = np.arange(sub + 1) / sub
+    z = ((i[:, None, None] + a[:, None]) * h + 1j * (k[:, None, None] + a) * h).ravel()
+    out = []
+    for j, f in enumerate(mm.generators, start=1):
+        num, den = (c[:, 0] for c in f.raw)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.polyval(num[::-1], z) / np.polyval(den[::-1], z)
+        out += [(complex(z[n]), j, complex(w[n]))
+                for n in np.flatnonzero(~trap_contains_ref(w, keys, h, R))]
+    return out

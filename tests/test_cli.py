@@ -399,7 +399,7 @@ def test_cli_bowen_runs_the_gate_once(tmp_path, capsys, monkeypatch, force):
         return check(*args, **kwargs)
 
     monkeypatch.setattr(thermo, "check_hyperbolic", counted)
-    gens = {"pass": [Z2, Z2], "fail": [Z2, gen_poly([-2, 0, 1])]}
+    gens = {"pass": [Z2, Z2], "inconclusive": [Z2, gen_poly([-2, 0, 1])]}
     for verdict, generators in gens.items():
         path = write_cfg(tmp_path, {
             "multimap": {"generators": generators},
@@ -407,7 +407,7 @@ def test_cli_bowen_runs_the_gate_once(tmp_path, capsys, monkeypatch, force):
         }, name=f"{verdict}.json")
         calls.clear()
         code = main(["bowen", "--config", path])
-        assert code == (7 if verdict == "fail" and not force else 0)
+        assert code == (7 if verdict == "inconclusive" and not force else 0)
         assert len(calls) == 1
         assert f"hyperbolicity {verdict} " in capsys.readouterr().out
 
@@ -493,7 +493,7 @@ def test_cli_bowen_critical_preimage_exit_5_without_warnings(tmp_path, capsys):
 
 
 def test_importing_cli_leaves_scipy_spatial_unloaded():
-    # only the hyperbolicity gate needs scipy.spatial; set-up must not pay for it
+    # nothing in the library needs scipy.spatial; set-up must not pay for it
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = "import sys; import ratsemi.cli; sys.exit('scipy.spatial' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
@@ -518,7 +518,7 @@ def test_output_digests_runs_every_subcommand_on_an_existing_config():
 
 
 def test_bowen_runs_without_scipy():
-    # the hyperbolicity gate searches with numpy; a None entry makes any scipy import fail
+    # the hyperbolicity certificate is numpy alone; a None entry makes any scipy import fail
     root = Path(__file__).resolve().parent.parent
     config = str(root / "demos" / "configs" / "supercritical.json")
     code = ("import sys; sys.modules['scipy'] = None; from ratsemi.cli import main; "

@@ -1,11 +1,13 @@
 """Dynamics tests: words, skew preimages, orbit clouds, verification checks."""
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ratsemi import cli, dynamics, geometry
+from ratsemi import cli, dynamics, families, geometry
+from ratsemi.config import parse_file
 from ratsemi.dynamics import (
     CloudLevel,
     MultiMap,
@@ -15,7 +17,6 @@ from ratsemi.dynamics import (
     _expand_backward,
     _subsample_level,
     julia_backward_cloud,
-    postcritical_cloud,
     repelling_seed,
 )
 from ratsemi.errors import NoRepellingSeed
@@ -28,7 +29,6 @@ from ratsemi.sphere import (
     chordal_distance,
     chordal_distance_many,
     polynomial_map,
-    sphere_embed,
 )
 from ratsemi.thermo import PreimageTree, pressure
 
@@ -651,22 +651,25 @@ def test_subsample_level_matches_reference_on_forward_levels():
 # postcritical clouds
 
 
+def _forward_points(mm, depth, cap=1000):
+    return np.concatenate([z for z, _ in oracles.postcritical_cloud_ref(mm, depth, cap)])
+
+
 def test_postcritical_cloud_of_power_pair_is_zero_and_infinity():
-    cloud = postcritical_cloud(annulus_mm(0.5), depth=6, cap=1000)
-    assert cloud.size > 0
-    z, _ = oracles.flat_arrays(cloud)
+    z = _forward_points(annulus_mm(0.5), depth=6)
+    assert z.size > 0
     assert np.all(np.isinf(z) | (np.abs(z) < 1e-12))
+    # the certificate traps both: four cells at 0, and |z| > 4
+    assert check_hyperbolic(annulus_mm(0.5)).metrics == {"cells": 4, "h": 2.0**-5, "R": 4.0}
 
 
 def test_postcritical_cloud_of_single_square():
-    cloud = postcritical_cloud(MultiMap([power_map(2)]), depth=5, cap=1000)
-    for lev in cloud.levels:
-        assert lev.size == 2  # {0, inf} at every level after deduplication
+    for z, _ in oracles.postcritical_cloud_ref(MultiMap([power_map(2)]), depth=5, cap=1000):
+        assert z.size == 2  # {0, inf} at every level after deduplication
 
 
 def test_postcritical_cloud_of_mobius_generators_is_empty():
-    cloud = postcritical_cloud(gasket_mm(), depth=5, cap=1000)
-    assert cloud.size == 0
+    assert _forward_points(gasket_mm(), depth=5).size == 0
 
 
 FORWARD_SYSTEMS = {
@@ -687,23 +690,39 @@ FORWARD_SYSTEMS = {
 }
 
 
+def sort_then_dedupe_cloud(mm, depth, cap, rng_seed):
+    """The z of each level of oracles.postcritical_cloud_ref by another route:
+    the first row of each group of equal rounded points found by np.unique
+    and put back in construction order by a sort."""
+    from ratsemi.dynamics import _derive_seed
+
+    def first(z):
+        return z[np.sort(np.unique(np.round(z, 9), return_index=True)[1])]
+
+    levels = [first(np.array([p for f in mm.generators for p in f.critical_values()], dtype=complex))]
+    for n in range(1, depth + 1):
+        z = first(np.concatenate([f.eval_many(levels[-1]) for f in mm.generators]))
+        levels.append(z[oracles.kept_rows_ref(z.size, cap, _derive_seed(rng_seed, 0xF0), n)[0]])
+    return levels
+
+
 @pytest.mark.parametrize("name", sorted(FORWARD_SYSTEMS))
 def test_postcritical_cloud_matches_sort_then_dedupe_reference(name):
     mm = FORWARD_SYSTEMS[name]
     cap = 3000
-    cloud = postcritical_cloud(mm, depth=7, cap=cap, rng_seed=4)
+    cloud = sort_then_dedupe_cloud(mm, depth=7, cap=cap, rng_seed=4)
     ref = oracles.postcritical_cloud_ref(mm, depth=7, cap=cap, rng_seed=4)
-    for lev, (z, _) in zip(cloud.levels, ref, strict=True):
-        assert lev.z.tobytes() == z.tobytes()
+    for z, (want, _) in zip(cloud, ref, strict=True):
+        assert z.tobytes() == want.tobytes()
     if name == "quadratic-triple":
-        assert cloud.levels[7].size == cap
+        assert cloud[7].size == cap
     if name in ("coincident", "near-coincident"):
-        assert cloud.levels[1].size < mm.num_generators * cloud.levels[0].size
+        assert cloud[1].size < mm.num_generators * cloud[0].size
     if name == "near-coincident":
         # z^2 + 0.1 of level 0's first two rows, 2 + 1e-11 and -2 + 1e-11
-        first, second = mm.generators[1].eval_many(cloud.levels[0].z[:2])
+        first, second = mm.generators[1].eval_many(cloud[0][:2])
         assert first.real > second.real
-        assert first in cloud.levels[1].z and second not in cloud.levels[1].z
+        assert first in cloud[1] and second not in cloud[1]
 
 
 @pytest.mark.parametrize("mm", [annulus_mm(0.5), *FORWARD_SYSTEMS.values()])
@@ -717,20 +736,17 @@ def test_postcritical_reference_entries_are_word_images_of_critical_values(mm):
             assert min(chordal_distance(pt, img) for img in images) <= 1e-9
 
 
-def test_backward_levels_keep_no_words_and_forward_levels_no_logd():
+def test_backward_levels_keep_no_words_and_points_only_levels_no_logd():
     mm = annulus_mm(0.5)
     tree = PreimageTree(mm, repelling_seed(mm)[0], depth=5, cap=100, rng_seed=1)
     tree.extend(5)  # levels 4 and 5 are capped
     for lev in (*tree.levels, *full_backward_cloud(mm, 5, 100, 1).levels):
         assert getattr(lev, "words", None) is None and lev.logd is not None
-    # forward levels hold points only: no words, logd or logw
-    for name, cap in (("quadratic-triple", 3000), ("coincident", 50)):
-        post = postcritical_cloud(FORWARD_SYSTEMS[name], depth=7, cap=cap)
-        assert post.levels[7].size == cap  # capped by _subsample_level
-        for lev in post.levels:
-            for field in ("words", "logd", "logw"):
-                assert getattr(lev, field, None) is None, field
-            assert lev.min_step_norm == math.inf
+    # points-only levels hold z alone: no words, logd or logw
+    for lev in julia_backward_cloud(mm, depth=7, cap=100).levels:
+        for field in ("words", "logd", "logw"):
+            assert getattr(lev, field, None) is None, field
+        assert lev.min_step_norm == math.inf
 
 
 def _inf_z_count(z):
@@ -754,8 +770,8 @@ def test_point_arrays_hold_finite_values_or_exactly_inf_z():
     assert _inf_z_count(f.preimages_many(z)) == 3
     _inf_z_count(f.eval_many(z))
     # a polynomial's postcritical cloud: infinity is a critical value
-    post = postcritical_cloud(FORWARD_SYSTEMS["quadratic-triple"], depth=5, cap=1000)
-    assert all(_inf_z_count(lev.z) == 1 for lev in post.levels)
+    post = oracles.postcritical_cloud_ref(FORWARD_SYSTEMS["quadratic-triple"], depth=5, cap=1000)
+    assert all(_inf_z_count(z) == 1 for z, _ in post)
     # the osc lattice of a region holding infinity, and its images
     z, _ = _sample_points(ComplementDisc(0.0, 1.0), 64)
     assert _inf_z_count(z) == 1
@@ -781,10 +797,6 @@ def test_every_scalar_point_the_library_hands_out_is_already_a_point():
     pts += [seed, julia_backward_cloud(NEWTON_SQUARE, depth=2, cap=100).meta["seed_point"],
             pressure(annulus_mm(0.5), 1.0, depth=3, cap=1000).basepoint,
             pressure(annulus_mm(0.5), 1.0, depth=3, cap=1000, basepoint=2).basepoint]
-    gate = check_hyperbolic(MultiMap([power_map(2), polynomial_map([-6.0, 0.0, 1.0])]),
-                            depth=6, margin=0.7, cap=200_000)
-    assert gate.verdict == "fail"
-    pts += [p for p, _ in gate.witnesses]
     # z / 1000 pulls only |z| > 1000 into U, which the lattice reaches at infinity alone
     for slow, at_inf in ((2.0, False), (1e-3, True)):
         mm = MultiMap([power_map(2), polynomial_map([0.0, slow])])
@@ -796,124 +808,182 @@ def test_every_scalar_point_the_library_hands_out_is_already_a_point():
 
 
 # ---------------------------------------------------------------------------
-# hyperbolicity
+# hyperbolicity: the trapping-region certificate
 
 
-def bf_min_distance(cloud_a, cloud_b):
-    za, _ = oracles.flat_arrays(cloud_a)
-    zb, _ = oracles.flat_arrays(cloud_b)
-    best = np.inf
-    for i in range(za.size):
-        d = chordal_distance_many(np.full(zb.shape, za[i]), zb)
-        best = min(best, float(d.min()))
-    return best
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
-def test_closest_pair_matches_brute_force_across_blocks(monkeypatch):
-    rng = np.random.default_rng(5)
-    zq, zx = (rng.normal(size=n) + 1j * rng.normal(size=n) for n in (37, 101))
-    zq[np.arange(37) % 9 == 0], zx[np.arange(101) % 13 == 0] = INF_Z, INF_Z
-    q, x = sphere_embed(zq), sphere_embed(zx)
-    for block in (1, 64, 1000, 1 << 20):  # one row per block up to a single block
-        monkeypatch.setattr(dynamics, "_CLOSEST_PAIR_BLOCK", block)
-        k, i, dist = dynamics._closest_pair(q, x)
-        d = [[chordal_distance_many(zq[a], zx[b]) for b in range(101)]
-             for a in range(37)]
-        assert dist == pytest.approx(float(np.min(d)), abs=1e-12)
-        assert dist == pytest.approx(float(d[k][i]), abs=1e-12)
+def _demo_mm(name):
+    return parse_file(DEMO_CONFIGS / f"{name}.json").multimap()
+
+
+def _quadratic_pair(c2):
+    return MultiMap([polynomial_map([0.2, 0.0, 1.0]), polynomial_map([c2, 0.0, 1.0])])
+
+
+def _similarity_block():
+    cfg = parse_file(DEMO_CONFIGS / "similarity_sweep.json")
+    lams = list(cfg.grid_spec().points())[:21]
+    fam = cfg.family_spec()
+    return families._stack(lams, [families._coefficients(fam, lam) for lam in lams])
+
+
+# T, the perturbed triple of ROADMAP's reference systems, with its pole at -50
+T_SYSTEM = MultiMap([polynomial_map([0.05 + 0.02j, 0.0, 1.0]), polynomial_map([0.0, 0.03, 0.25]),
+                     RationalMap([0.0, 0.0, 1.0 / 3.0], [1.0, 0.02])])
+# {z^2 + 0.2, z^2 + c2}: Q at c2 = 0.24; at 0.25 the parabolic point 1/2 lies in J
+CERTIFIED = {
+    "supercritical": lambda: _demo_mm("supercritical"),
+    "annulus": lambda: _demo_mm("annulus"),
+    "power_pair": lambda: _demo_mm("power_pair"),
+    "rotated_powers": lambda: _demo_mm("rotated_powers"),
+    "T": lambda: T_SYSTEM,
+    "Q": lambda: _quadratic_pair(0.24),
+    # hyperbolic: the critical value -6 escapes to infinity in the Fatou set
+    "z^2, z^2 - 6": lambda: MultiMap([power_map(2), polynomial_map([-6.0, 0.0, 1.0])]),
+    "c2 = 0.249": lambda: _quadratic_pair(0.249),
+}
+NOT_CERTIFIED = {
+    "c2 = 0.25": lambda: _quadratic_pair(0.25),
+    "c2 = 0.2501": lambda: _quadratic_pair(0.2501),
+    "c2 = 0.26": lambda: _quadratic_pair(0.26),
+    # the critical point of z^2 + i is preperiodic onto a repelling cycle
+    "z^2 + i": lambda: MultiMap([polynomial_map([1j, 0.0, 1.0])]),
+    # the critical value -2 lands on the repelling fixed point 2
+    "z^2, z^2 - 2": lambda: MultiMap([power_map(2), polynomial_map([-2.0, 0.0, 1.0])]),
+    # the Newton map's superattracting 1 is z^2's repelling fixed point
+    "newton_square": lambda: _demo_mm("newton_square"),
+}
+
+
+def test_hyperbolic_verdict_table(tmp_path, capsys):
+    for name, build in CERTIFIED.items():
+        rep = check_hyperbolic(build())
+        assert rep.verdict == "pass", name
+        assert 0 < rep.metrics["cells"] <= dynamics._CELL_BUDGET, name
+    block = _similarity_block()
+    assert block.num_systems == 21 and check_hyperbolic(block).verdict == "pass"
+    for name, build in NOT_CERTIFIED.items():
+        rep = check_hyperbolic(build())
+        assert rep.verdict == "inconclusive", name
+        assert rep.margin == dynamics._CELL_SIDE / 2**dynamics._CELL_HALVINGS, name
+    # bowen refuses the parabolic pair
+    path = tmp_path / "parabolic.json"
+    path.write_text(json.dumps({"multimap": {"generators": [
+        {"num": [[0.2, 0.0], [0.0, 0.0], [1.0, 0.0]]}, {"num": [[0.25, 0.0], [0.0, 0.0], [1.0, 0.0]]}]},
+        "thermo": {"depth": 6, "cap": 2000}}))
+    assert cli.main(["bowen", "--config", str(path)]) == 7
+    assert capsys.readouterr().out.startswith("hyperbolicity inconclusive (")
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_a_certified_region_maps_every_sample_into_itself_and_holds_the_postcritical_cloud(name):
+    mm = CERTIFIED[name]()
+    rep = check_hyperbolic(mm)
+    h, R = rep.margin, rep.metrics["R"]
+    keys, certified = dynamics._trap_cells(mm, h, R)
+    assert certified and keys.size == rep.metrics["cells"]
+    assert oracles.trap_escapes_ref(mm, keys, h, R) == []
+    assert oracles.trap_contains_ref(_forward_points(mm, depth=5, cap=2000), keys, h, R).all()
+
+
+def test_a_halved_majorant_is_caught_or_fails_to_certify(monkeypatch):
+    image_discs = dynamics._image_discs
+    monkeypatch.setattr(dynamics, "_image_discs",
+                        lambda f, c, rho: (lambda w, r: (w, 0.5 * r))(*image_discs(f, c, rho)))
+    passed = []
+    for c2 in (0.249, 0.25, 0.2501, 0.26):
+        mm = _quadratic_pair(c2)
+        if (rep := check_hyperbolic(mm)).passed:
+            passed.append(c2)
+            keys, _ = dynamics._trap_cells(mm, rep.margin, rep.metrics["R"])
+            assert oracles.trap_escapes_ref(mm, keys, rep.margin, rep.metrics["R"]), c2
+    assert 0.25 in passed  # the mutant certifies the parabolic pair, and the samples catch it
+
+
+def test_image_discs_hold_the_image_of_their_disc():
+    rng = np.random.default_rng(8)
+    for f in (*T_SYSTEM.generators, *_demo_mm("rotated_powers").generators):
+        c = rng.normal(size=50) + 1j * rng.normal(size=50)
+        for rho in (1e-3, 0.05, 0.4):
+            w, r = dynamics._image_discs(f, c, rho)
+            u = rng.uniform(size=(2, 50, 64))
+            z = c[:, None] + rho * np.sqrt(u[0]) * np.exp(2j * np.pi * u[1])  # uniform in the disc
+            near = np.isfinite(r)
+            got = np.abs(f.eval_many(z[near]) - w[near, None])
+            assert (got <= r[near, None] * (1 + 1e-9) + 1e-12).all()
+    # a disc around a pole may hold it
+    w, r = dynamics._image_discs(T_SYSTEM.generators[2], np.array([-50.0 + 0.01j]), 0.1)
+    assert r[0] == math.inf
+
+
+def test_escape_radius_is_the_least_power_of_two_that_doubles_every_modulus():
+    cases = {"power_pair": 2.0, "annulus": 4.0, "supercritical": 8.0, "rotated_powers": math.inf,
+             "newton_square": math.inf}
+    for name, want in cases.items():
+        assert dynamics._escape_radius(_demo_mm(name).generators) == want, name
+    assert dynamics._escape_radius(T_SYSTEM.generators) == 16.0
+    # past R every generator at least doubles |z|; at R / 2 one does not
+    z = np.exp(2j * np.pi * np.arange(64) / 64)
+    for f in T_SYSTEM.generators:
+        for r in (16.0, 32.0, 1e3):
+            assert (np.abs(f.eval_many(r * z)) >= 2 * r).all()
+    assert min((np.abs(f.eval_many(8.0 * z)) / 16.0).min() for f in T_SYSTEM.generators) < 1
 
 
 def test_hyperbolic_pass_on_power_pair():
-    rep = check_hyperbolic(annulus_mm(0.5), depth=6, margin=0.1, cap=200_000)
-    assert rep.verdict == "pass"
-    # postcritical {0, inf} vs annulus cloud: nearest approach is inf vs |z|~2
-    assert 0.85 <= rep.metrics["min_distance"] <= 0.95
+    rep = check_hyperbolic(annulus_mm(0.5))
+    assert rep.verdict == "pass" and rep.witnesses == []
+    # the four cells at the critical value 0, at the first side, and |z| > 4 about infinity
+    assert (rep.margin, rep.metrics) == (2.0**-5, {"cells": 4, "h": 2.0**-5, "R": 4.0})
 
 
 def test_hyperbolic_pass_on_single_square():
-    rep = check_hyperbolic(MultiMap([power_map(2)]), depth=6, margin=0.5, cap=200_000)
+    rep = check_hyperbolic(MultiMap([power_map(2)]))
     assert rep.verdict == "pass"
-    assert rep.metrics["min_distance"] == pytest.approx(math.sqrt(2.0), abs=1e-9)
+    assert rep.metrics == {"cells": 4, "h": 2.0**-5, "R": 2.0}
 
 
 def test_hyperbolic_vacuous_pass_without_critical_points():
-    rep = check_hyperbolic(gasket_mm(), depth=5, margin=0.2, cap=200_000)
+    rep = check_hyperbolic(gasket_mm())
     assert rep.verdict == "pass"
-    assert rep.metrics["postcritical_size"] == 0
-    assert math.isinf(rep.metrics["min_distance"])
+    assert rep.metrics == {"cells": 0, "h": dynamics._CELL_SIDE, "R": math.inf}
 
 
 def test_degree_one_gate_builds_no_cloud_and_keeps_its_vacuous_report(monkeypatch):
-    def no_cloud(*args, **kwargs):
-        raise AssertionError("a degree-one gate built a cloud")
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a degree-one gate built cells or a cloud")
 
-    monkeypatch.setattr(dynamics, "postcritical_cloud", no_cloud)
-    monkeypatch.setattr(dynamics, "julia_backward_cloud", no_cloud)
-    want = VerificationReport("pass", [], 0.2, {"min_distance": math.inf, "postcritical_size": 0})
+    for name in ("_trap_cells", "_escape_radius", "julia_backward_cloud"):
+        monkeypatch.setattr(dynamics, name, no_cells)
+    want = VerificationReport("pass", [], dynamics._CELL_SIDE,
+                              {"cells": 0, "h": dynamics._CELL_SIDE, "R": math.inf})
     block = oracles.block_mm([gasket_mm(), gasket_mm(oracles.TRIANGLE_UNIT)])
     for mm in (gasket_mm(), block):
-        assert check_hyperbolic(mm, depth=5, margin=0.2, cap=200_000) == want
-        # the argument checks still run first
-        for kwargs, match in (({"margin": 0.0}, "margin must be positive"),
-                              ({"depth": -1}, "depth must be nonnegative"),
-                              ({"cap": 1.5}, "cap must be an integer")):
-            with pytest.raises(ValueError, match=match):
-                check_hyperbolic(mm, **{"depth": 5, "margin": 0.2, "cap": 100, **kwargs})
-
-
-def test_hyperbolic_fail_with_witness_on_escaping_critical_orbit():
-    mm = MultiMap([power_map(2), polynomial_map([-6.0, 0.0, 1.0])])
-    rep = check_hyperbolic(mm, depth=6, margin=0.7, cap=200_000, rng_seed=0)
-    julia = julia_backward_cloud(mm, depth=6, cap=200_000, rng_seed=0)
-    post = postcritical_cloud(mm, depth=6, cap=200_000, rng_seed=0)
-    bf = bf_min_distance(post, julia)
-    assert rep.metrics["min_distance"] == pytest.approx(bf, abs=1e-9)
-    assert bf < 0.35  # strictly below margin/2, so the verdict must be fail
-    assert rep.verdict == "fail"
-    assert rep.witnesses, "fail verdict must carry a witness"
-    pt, detail = rep.witnesses[0]
-    assert "chordal distance" in detail
-
-
-def test_gate_distance_on_a_capped_forward_cloud_matches_brute_force():
-    mm = FORWARD_SYSTEMS["quadratic-triple"]
-    rep = check_hyperbolic(mm, depth=7, margin=0.05, cap=3000)
-    post = postcritical_cloud(mm, depth=7, cap=3000)
-    assert post.levels[7].size == 3000  # capped, so the kept points follow the level order
-    julia = julia_backward_cloud(mm, depth=7, cap=3000)
-    assert rep.metrics["min_distance"] == pytest.approx(bf_min_distance(post, julia), abs=1e-12)
-    assert rep.verdict == "fail"
+        assert check_hyperbolic(mm) == want
 
 
 def test_hyperbolic_verdict_rule_is_consistent():
-    mm = annulus_mm(0.5)
-    rep = check_hyperbolic(mm, depth=5, margin=0.1, cap=200_000)
-    d = rep.metrics["min_distance"]
-    if d >= rep.margin:
-        assert rep.verdict == "pass"
-    elif d < rep.margin / 2:
-        assert rep.verdict == "fail"
-    else:
-        assert rep.verdict == "inconclusive"
+    # pass at the first side that certifies, else inconclusive at the last side: never fail
+    sides = [dynamics._CELL_SIDE / 2**n for n in range(dynamics._CELL_HALVINGS + 1)]
+    for build in (*CERTIFIED.values(), *NOT_CERTIFIED.values()):
+        mm = build()
+        rep = check_hyperbolic(mm)
+        assert rep.verdict in ("pass", "inconclusive") and rep.margin == rep.metrics["h"]
+        certified = [dynamics._trap_cells(mm, h, rep.metrics["R"])[1] for h in sides]
+        assert rep.passed == any(certified)
+        assert rep.margin == (sides[certified.index(True)] if rep.passed else sides[-1])
 
 
 def test_hyperbolic_rejects_a_nonpositive_margin():
     # z^2 + i is not hyperbolic: its critical point lies in the Julia set
     mm = MultiMap([polynomial_map([1j, 0.0, 1.0])])
-    assert check_hyperbolic(mm, depth=6, margin=0.05, cap=200_000).verdict == "fail"
-    for margin in (0.0, -1.0, math.nan):  # a margin <= 0 would pass every distance
-        with pytest.raises(ValueError, match="margin"):
-            check_hyperbolic(mm, depth=6, margin=margin, cap=200_000)
-
-
-def test_forward_cloud_and_gate_reject_a_bad_depth_or_cap():
-    # the degree-one gasket has an empty forward cloud, which would pass vacuously
-    for mm in (gasket_mm(), annulus_mm(0.5)):
-        for kwargs, match in (({"cap": 0}, "cap"), ({"cap": -3}, "cap"), ({"depth": -3}, "depth")):
-            with pytest.raises(ValueError, match=f"{match} must be"):
-                postcritical_cloud(mm, **{"depth": 4, "cap": 100, **kwargs})
-            with pytest.raises(ValueError, match=f"{match} must be"):
-                check_hyperbolic(mm, **{"depth": 4, "margin": 0.05, "cap": 100, **kwargs})
+    assert check_hyperbolic(mm).verdict == "inconclusive"
+    # no budget or seed: a margin, depth, cap or seed is no argument at all
+    for kwargs in ({"margin": 0.0}, {"margin": 0.05}, {"depth": 6}, {"cap": 100}, {"rng_seed": 0}):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            check_hyperbolic(mm, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -474,7 +474,7 @@ def test_stacked_preparation_equals_alone_around_an_invalid_parameter_and_a_degr
     statuses = [r.status for r in table.rows]
     assert statuses[2] == "invalid-instance" and "invalid-instance" not in statuses[:2] + statuses[3:]
     assert table.rows == sweep_in_blocks_of_one(monkeypatch, DROP_FAMILY, grid, DROP_CONFIG).rows
-    # unforced, every gate fails, each on its own point
+    # unforced, no gate certifies, each on its own point
     unforced = sweep_delta(DROP_FAMILY, grid, replace(DROP_CONFIG, force=False))
     assert [r.status for r in unforced.rows] == ["hyperbolicity-unverified"] * 2 + ["invalid-instance"] + [
         "hyperbolicity-unverified"] * 2
@@ -500,8 +500,7 @@ def test_failed_root_solve_in_a_block_lands_on_its_own_point(monkeypatch):
     monkeypatch.setattr(sphere, "_cubic_roots_batch", cubic_roots_missing_on_one_point)
     monkeypatch.setattr(sphere, "_ABERTH_MAX_ITER", 1)
     monkeypatch.setattr(np, "roots", roots_failing_on_one_point)
-    # a gate of depth 0 solves no preimages, so the failure can only come from the block's tree
-    monkeypatch.setattr(thermo, "_HYPER_DEPTH", 0)
+    # the certificate solves no preimages, so the failure can only come from the block's tree
     config = ThermoConfig(depth=5, cap=500)
     sizes = blocks_seen(monkeypatch)
     table = sweep_delta(power_pair_family(), grid, config)

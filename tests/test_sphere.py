@@ -21,7 +21,6 @@ from ratsemi.sphere import (
     polynomial_map,
     poly_roots,
     sort_key,
-    sphere_embed,
 )
 
 import oracles
@@ -123,22 +122,6 @@ def test_chordal_many_matches_scalar():
         b = INF_Z if i2[k] else z2[k]
         assert d[k] == pytest.approx(ref, abs=1e-14)
         assert chordal_distance(a, b) == pytest.approx(ref, abs=1e-14)
-
-
-def test_sphere_embedding_is_isometric_to_chordal():
-    rng = np.random.default_rng(3)
-    z = rand_complex(rng, 25, 4.0)
-    inf = np.zeros(25, dtype=bool)
-    inf[-1] = True
-    z[inf] = INF_Z
-    X = sphere_embed(z)
-    for i in range(25):
-        for j in range(25):
-            a = INF_Z if inf[i] else z[i]
-            b = INF_Z if inf[j] else z[j]
-            assert np.linalg.norm(X[i] - X[j]) == pytest.approx(
-                chordal_distance(a, b), abs=1e-12
-            )
 
 
 # ---------------------------------------------------------------------------

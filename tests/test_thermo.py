@@ -16,7 +16,6 @@ from ratsemi.dynamics import (
     MultiMap,
     check_hyperbolic,
     julia_backward_cloud,
-    postcritical_cloud,
     repelling_seed,
 )
 from ratsemi.errors import (
@@ -178,12 +177,6 @@ def test_preimage_tree_rejects_a_cap_below_one_as_the_clouds_do():
         bowen_parameter(mm, cap=0)  # before the gate, which has its own cap, runs
 
 
-def _with_gate_budget(name, value, call):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(thermo, name, value)
-        return call()
-
-
 @pytest.mark.parametrize("call, match", [
     # a float cap built a cap-1000 tree
     (lambda mm: pressure(mm, 1.0, ThermoConfig(cap=1000.5)), "cap must be an integer, got 1000.5"),
@@ -192,14 +185,7 @@ def _with_gate_budget(name, value, call):
     # a string depth raised TypeError from the depth >= 2 comparison
     (lambda mm: ThermoConfig(depth="6"), "depth must be an integer, got '6'"),
     (lambda mm: PreimageTree(mm, depth=4, cap=True), "cap must be an integer, got True"),
-    # the gate's budget, now thermo's _HYPER_* constants read when the gate runs: a float
-    # cap raised UFuncTypeError in _jittered, a float depth TypeError from range
-    (lambda mm: _with_gate_budget("_HYPER_CAP", 1000.5, lambda: bowen_parameter(mm)),
-     "cap must be an integer, got 1000.5"),
-    (lambda mm: _with_gate_budget("_HYPER_DEPTH", 6.5, lambda: bowen_parameter(mm)),
-     "depth must be an integer, got 6.5"),
-], ids=["pressure-cap", "config-depth", "config-string-depth", "tree-bool-cap", "bowen-hyper-cap",
-        "bowen-hyper-depth"])
+], ids=["pressure-cap", "config-depth", "config-string-depth", "tree-bool-cap"])
 def test_a_tree_budget_that_is_not_an_integer_raises_value_error(call, match):
     with pytest.raises(ValueError, match=match):
         call(power_mm((2, 1.0), (2, 0.5)))
@@ -213,10 +199,9 @@ def test_a_tree_budget_of_numpy_integers_is_that_of_python_integers():
     assert pressure(mm, 1.0, config) == pressure(mm, 1.0, ThermoConfig(depth=6, cap=500))
     tree = PreimageTree(mm, depth=np.uint8(6), cap=np.uint16(500))
     assert (type(tree.depth), type(tree.cap)) == (int, int)
-    for build in (julia_backward_cloud, postcritical_cloud):
-        got = build(mm, depth=np.uint8(7), cap=np.uint16(500))
-        want = build(mm, depth=7, cap=500)
-        assert [lev.z.tobytes() for lev in got.levels] == [lev.z.tobytes() for lev in want.levels]
+    got = julia_backward_cloud(mm, depth=np.uint8(7), cap=np.uint16(500))
+    want = julia_backward_cloud(mm, depth=7, cap=500)
+    assert [lev.z.tobytes() for lev in got.levels] == [lev.z.tobytes() for lev in want.levels]
 
 
 def _cloud_bytes(cloud):
@@ -228,8 +213,7 @@ SEEDED_BUILDS = pytest.mark.parametrize("build", [
     lambda mm, seed: ThermoConfig(rng_seed=seed).rng_seed,
     lambda mm, seed: PreimageTree(mm, depth=4, cap=50, rng_seed=seed).rng_seed,
     lambda mm, seed: _cloud_bytes(julia_backward_cloud(mm, depth=6, cap=50, rng_seed=seed)),
-    lambda mm, seed: _cloud_bytes(postcritical_cloud(mm, depth=6, cap=50, rng_seed=seed)),
-], ids=["config", "tree", "julia-cloud", "postcritical-cloud"])
+], ids=["config", "tree", "julia-cloud"])
 
 
 @SEEDED_BUILDS
@@ -280,8 +264,7 @@ def test_a_root_search_tolerance_that_is_not_positive_fails_before_any_gate(fiel
 
 def test_the_gate_budget_is_no_thermo_option(monkeypatch):
     # a float hyper_cap raised UFuncTypeError in _jittered, a float hyper_depth TypeError
-    # from range, and a margin <= 0 passed every gate; the budget is now thermo's
-    # _HYPER_DEPTH, _HYPER_MARGIN and _HYPER_CAP, and no option sets it
+    # from range, and a margin <= 0 passed every gate; the certificate has no budget to set
     mm, calls = power_mm((2, 1.0), (2, 0.5)), _count_gates(monkeypatch)
     for field, value in (("hyper_depth", 6.5), ("hyper_margin", 0.0), ("hyper_cap", 1000.5)):
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
@@ -444,23 +427,20 @@ def test_bowen_gate_rejects_postcritical_contact():
     mm = MultiMap([power_map(2), polynomial_map([-2.0, 0.0, 1.0])])
     with pytest.raises(HyperbolicityUnverified) as info:
         bowen_parameter(mm)
-    want = check_hyperbolic(mm, depth=thermo._HYPER_DEPTH, margin=thermo._HYPER_MARGIN,
-                            cap=thermo._HYPER_CAP, rng_seed=0)
-    assert want.verdict == "fail"
+    want = check_hyperbolic(mm)
+    assert want.verdict == "inconclusive"
     assert info.value.report == want
     # force runs the same gate and reports it instead of raising
     assert bowen_parameter(mm, force=True).gate == want
 
 
-def test_bowen_returns_the_passing_gate_report(monkeypatch):
-    # the gate reads its budget when it runs
-    monkeypatch.setattr(thermo, "_HYPER_DEPTH", 5)
-    monkeypatch.setattr(thermo, "_HYPER_MARGIN", 0.1)
+def test_bowen_returns_the_passing_gate_report():
+    # the run seed does not reach the certificate
     mm = power_mm((2, 1.0), (2, 1.0))
-    res = bowen_parameter(mm, ThermoConfig(rng_seed=3))
-    want = check_hyperbolic(mm, depth=5, margin=0.1, cap=thermo._HYPER_CAP, rng_seed=3)
+    want = check_hyperbolic(mm)
     assert want.verdict == "pass"
-    assert res.gate == want
+    for seed in (0, 3):
+        assert bowen_parameter(mm, ThermoConfig(rng_seed=seed)).gate == want
 
 
 def test_bowen_force_flag_matches_gated_run():
