@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratsemi import cli, dynamics, families, geometry
 from ratsemi.config import parse_file
@@ -900,6 +901,26 @@ def test_a_halved_majorant_is_caught_or_fails_to_certify(monkeypatch):
             keys, _ = dynamics._trap_cells(mm, rep.margin, rep.metrics["R"])
             assert oracles.trap_escapes_ref(mm, keys, rep.margin, rep.metrics["R"]), c2
     assert 0.25 in passed  # the mutant certifies the parabolic pair, and the samples catch it
+
+
+def _rounded(lo, hi):
+    return st.floats(lo, hi).map(lambda x: round(x, 4))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.builds(complex, _rounded(-0.7, 0.4), _rounded(-0.5, 0.5)), min_size=1, max_size=3),
+       st.sampled_from([0.0, 0.3, 0.7]))
+def test_a_certified_region_of_a_random_quadratic_system_traps_its_samples(cs, s):
+    # {z^2 + c}, hyperbolic or not, conjugated by the sphere rotation M(z) = (z - s) / (s z + 1)
+    # when s > 0, which gives rational maps with poles and no escape region
+    maps = [([c, 0.0, 1.0], [1.0]) for c in cs]
+    if s:  # M o f o M^-1, M^-1(w) = (w + s) / (1 - s w)
+        m, m_inv = ([-s, 1.0], [1.0, s]), ([s, 1.0], [1.0, -s])
+        maps = [oracles.rational_compose(m, oracles.rational_compose(f, m_inv)) for f in maps]
+    mm = MultiMap([RationalMap(*f) for f in maps])
+    if (rep := check_hyperbolic(mm)).passed:
+        keys, _ = dynamics._trap_cells(mm, rep.margin, rep.metrics["R"])
+        assert oracles.trap_escapes_ref(mm, keys, rep.margin, rep.metrics["R"]) == []
 
 
 def test_image_discs_hold_the_image_of_their_disc():
