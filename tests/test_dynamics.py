@@ -1001,10 +1001,23 @@ def test_hyperbolic_rejects_a_nonpositive_margin():
     # z^2 + i is not hyperbolic: its critical point lies in the Julia set
     mm = MultiMap([polynomial_map([1j, 0.0, 1.0])])
     assert check_hyperbolic(mm).verdict == "inconclusive"
-    # no budget or seed: a margin, depth, cap or seed is no argument at all
-    for kwargs in ({"margin": 0.0}, {"margin": 0.05}, {"depth": 6}, {"cap": 100}, {"rng_seed": 0}):
+    # no margin or seed: the certificate's cell side is its own, never an argument
+    for kwargs in ({"margin": 0.0}, {"margin": 0.05}, {"rng_seed": 0}):
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             check_hyperbolic(mm, **kwargs)
+
+
+def test_forward_cloud_and_gate_reject_a_bad_depth_or_cap():
+    # the postcritical (forward) cloud is gone with the sampled gate; the backward
+    # cloud is the one cloud left, and it still rejects a bad budget, while the
+    # gate takes no budget at all, also on the degree-one gasket, which passes vacuously
+    assert not hasattr(dynamics, "postcritical_cloud")
+    for mm in (gasket_mm(), annulus_mm(0.5)):
+        for kwargs, match in (({"cap": 0}, "cap"), ({"cap": -3}, "cap"), ({"depth": -3}, "depth")):
+            with pytest.raises(ValueError, match=f"{match} must be"):
+                julia_backward_cloud(mm, **{"depth": 4, "cap": 100, **kwargs})
+            with pytest.raises(TypeError, match="unexpected keyword argument"):
+                check_hyperbolic(mm, **kwargs)
 
 
 # ---------------------------------------------------------------------------
